@@ -1,9 +1,9 @@
-.PHONY: build test verify bench bench-json bench-compare bench-smoke fuzz-smoke
+.PHONY: build test verify stress bench bench-json bench-compare bench-smoke fuzz-smoke
 
 # Benchmark trajectory files: BENCH_BASE is the previous PR's tracked
 # numbers, BENCH_OUT is the file this PR refreshes and compares against it.
-BENCH_BASE ?= BENCH_PR9.json
-BENCH_OUT  ?= BENCH_PR10.json
+BENCH_BASE ?= BENCH_PR10.json
+BENCH_OUT  ?= BENCH_PR15.json
 
 build:
 	go build ./...
@@ -15,6 +15,16 @@ test:
 # race detector (the parallel MR engine and concurrent sessions depend on it).
 verify:
 	./scripts/verify.sh
+
+# Lifecycle stress: the packages where pin / evict / retain / append
+# interleave, repeated with and without the race detector (the detector
+# shifts timing enough to hide races the plain build hits, and vice versa),
+# so a lifecycle flake shows up as a failure instead of as luck.
+STRESS_PKGS  ?= ./internal/session ./internal/service ./internal/storage
+STRESS_COUNT ?= 20
+stress:
+	go test -count=$(STRESS_COUNT) $(STRESS_PKGS)
+	go test -race -count=$(STRESS_COUNT) $(STRESS_PKGS)
 
 bench:
 	go test -bench=. -benchmem

@@ -107,9 +107,17 @@ func (r Row) EncodedSize() int {
 
 // Relation is an in-memory table: a schema plus rows. It is the unit stored
 // in the simulated HDFS and passed between MR phases.
+//
+// A relation knows its encoded size: every mutator adds the bytes of the
+// rows it appends, so EncodedSize is O(1) and a job output is measured once,
+// where it is built, instead of being re-walked by every layer that accounts
+// for it. The price is that rows are immutable once appended — which the
+// engine already relies on, since stored relations are shared between
+// concurrently running plans.
 type Relation struct {
 	schema *Schema
 	rows   []Row
+	size   int64 // Σ rows[i].EncodedSize()
 }
 
 // NewRelation creates an empty relation with the given schema.
@@ -123,23 +131,40 @@ func (rel *Relation) Schema() *Schema { return rel.schema }
 // Len returns the row count.
 func (rel *Relation) Len() int { return len(rel.rows) }
 
-// Rows returns the backing slice. Callers must treat it as read-only.
+// Rows returns the backing slice. Callers must treat it — and every row in
+// it — as read-only.
 func (rel *Relation) Rows() []Row { return rel.rows }
 
 // Row returns row i.
 func (rel *Relation) Row(i int) Row { return rel.rows[i] }
 
-// Append adds a row. The row length must match the schema.
-func (rel *Relation) Append(r Row) {
+// checkWidth panics on a row that does not match the schema.
+func (rel *Relation) checkWidth(r Row) {
 	if len(r) != rel.schema.Len() {
 		panic(fmt.Sprintf("data: row width %d != schema width %d", len(r), rel.schema.Len()))
 	}
+}
+
+// Append adds a row. The row length must match the schema.
+func (rel *Relation) Append(r Row) {
+	rel.checkWidth(r)
 	rel.rows = append(rel.rows, r)
+	rel.size += int64(r.EncodedSize())
+}
+
+// AppendSized adds a run of rows whose total encoded size the caller has
+// already measured (bytes must equal Σ rows[i].EncodedSize(); a producer
+// that built the rows knows it without a second walk). Widths are checked
+// like Append.
+func (rel *Relation) AppendSized(rows []Row, bytes int64) {
+	for _, r := range rows {
+		rel.checkWidth(r)
+	}
+	rel.rows = append(rel.rows, rows...)
+	rel.size += bytes
 }
 
 // Grow pre-allocates capacity for at least n more rows (no-op for n <= 0).
-// Hot-path callers size output relations from optimizer estimates; a wrong
-// estimate only costs a reallocation.
 func (rel *Relation) Grow(n int) {
 	if n <= 0 || cap(rel.rows)-len(rel.rows) >= n {
 		return
@@ -155,16 +180,11 @@ func (rel *Relation) AppendAll(o *Relation) {
 		panic("data: AppendAll schema mismatch")
 	}
 	rel.rows = append(rel.rows, o.rows...)
+	rel.size += o.size
 }
 
 // EncodedSize is the total simulated byte size of all rows.
-func (rel *Relation) EncodedSize() int64 {
-	var n int64
-	for _, r := range rel.rows {
-		n += int64(r.EncodedSize())
-	}
-	return n
-}
+func (rel *Relation) EncodedSize() int64 { return rel.size }
 
 // Get returns the value of the named column in row r.
 func (rel *Relation) Get(r int, col string) value.V {

@@ -1,6 +1,9 @@
 package data
 
 import (
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -199,4 +202,100 @@ func TestRowClone(t *testing.T) {
 	if r[0].Int() != 1 {
 		t.Error("Clone aliases original")
 	}
+}
+
+// walkSize is the reference EncodedSize: the full walk the relation used to
+// do on every call, kept here as the oracle for the size it now carries.
+func walkSize(rel *Relation) int64 {
+	var n int64
+	for _, r := range rel.Rows() {
+		n += 4
+		for _, v := range r {
+			n += int64(v.EncodedSize())
+		}
+	}
+	return n
+}
+
+// TestEncodedSizeInvariant drives random mutator sequences and checks after
+// every step that the carried size equals a fresh walk; then hands the
+// relation to concurrent readers, which is how stored relations are used
+// (built by one goroutine, read by many) — under -race this pins that
+// EncodedSize is a plain read.
+func TestEncodedSizeInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	schema := NewSchema("a", "b", "c")
+	randRow := func() Row {
+		r := make(Row, 3)
+		for i := range r {
+			switch rng.Intn(5) {
+			case 0:
+				r[i] = value.NullV
+			case 1:
+				r[i] = value.NewInt(rng.Int63())
+			case 2:
+				r[i] = value.NewFloat(rng.NormFloat64())
+			case 3:
+				r[i] = value.NewBool(rng.Intn(2) == 0)
+			default:
+				r[i] = value.NewStr(strings.Repeat("x", rng.Intn(20)))
+			}
+		}
+		return r
+	}
+	randRel := func(n int) *Relation {
+		rel := NewRelation(schema)
+		for i := 0; i < n; i++ {
+			rel.Append(randRow())
+		}
+		return rel
+	}
+	for seq := 0; seq < 50; seq++ {
+		rel := NewRelation(schema)
+		for step := 0; step < 40; step++ {
+			switch op := rng.Intn(6); op {
+			case 0:
+				rel.Append(randRow())
+			case 1:
+				rel.AppendAll(randRel(rng.Intn(6)))
+			case 2:
+				run := randRel(rng.Intn(6))
+				rel.AppendSized(run.Rows(), walkSize(run))
+			case 3:
+				rel.AppendSized(nil, 0)
+			case 4:
+				rel.Grow(rng.Intn(64))
+			case 5:
+				rel.SortBy("a", "c")
+			}
+			if got, want := rel.EncodedSize(), walkSize(rel); got != want {
+				t.Fatalf("seq %d step %d: carried size %d, walk %d", seq, step, got, want)
+			}
+		}
+		want := walkSize(rel)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if got := rel.EncodedSize(); got != want || walkSize(rel) != want {
+						t.Errorf("concurrent reader saw size %d, want %d", got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+func TestAppendSizedChecksWidth(t *testing.T) {
+	rel := NewRelation(NewSchema("a", "b"))
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendSized accepted a row of the wrong width")
+		}
+	}()
+	rel.AppendSized([]Row{{value.NewInt(1), value.NewInt(2)}, {value.NewInt(3)}}, 0)
 }

@@ -7,6 +7,7 @@ import (
 	"opportune/internal/fault"
 	"opportune/internal/obs"
 	"opportune/internal/session"
+	"opportune/internal/storage"
 	"opportune/internal/workload"
 )
 
@@ -56,6 +57,20 @@ func runChaosWorkload(t *testing.T, plan *fault.Plan, workers, reduceTasks int) 
 			t.Fatalf("%s: result %q not in store", q.Name, m.ResultName)
 		}
 		fps[q.Name] = ds.Relation().Fingerprint()
+	}
+	// Every materialization of the workload carries the size a fresh walk
+	// over its rows gives, and the store accounts for exactly that.
+	for _, kind := range []storage.Kind{storage.Base, storage.View} {
+		for _, name := range s.Store.List(kind) {
+			ds, _ := s.Store.Meta(name)
+			var walk int64
+			for _, r := range ds.Relation().Rows() {
+				walk += int64(r.EncodedSize())
+			}
+			if got := ds.Relation().EncodedSize(); got != walk || ds.SizeBytes != walk {
+				t.Errorf("%s: relation carries %d B, store accounts %d B, a walk says %d B", name, got, ds.SizeBytes, walk)
+			}
+		}
 	}
 	return fps, cfg.Obs.Snapshot()
 }

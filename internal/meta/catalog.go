@@ -231,12 +231,15 @@ func (c *Catalog) SyncWithStore(st *storage.Store) {
 // to the query that created the view. The simulated overhead seconds are
 // returned.
 func (c *Catalog) CollectStats(eng *mr.Engine, name string, seed int64) (float64, error) {
+	// Both misses wrap storage.ErrNotFound: under a capacity budget a
+	// concurrent plan can evict the dataset (and sync its catalog entry away)
+	// at any point before the sample, and view retention skips such views.
 	if _, ok := c.Table(name); !ok {
-		return 0, fmt.Errorf("meta: unknown table %q", name)
+		return 0, fmt.Errorf("meta: unknown table %q: %w", name, storage.ErrNotFound)
 	}
 	ds, ok := eng.Store.Meta(name)
 	if !ok {
-		return 0, fmt.Errorf("meta: table %q not in store", name)
+		return 0, fmt.Errorf("meta: table %q not in store: %w", name, storage.ErrNotFound)
 	}
 	// 1% sample, floored at ~minSampleRows rows: tiny views are scanned
 	// fully, exactly as production ANALYZE does — a 1-row sample would

@@ -23,12 +23,12 @@ func flakyWordCount(failures int) *Job {
 	job := wordCountJob()
 	orig := job.Reduce
 	n := 0
-	job.Reduce = func(key string, rows []data.Row, emit func(data.Row)) {
+	job.Reduce = func(key string, rows []data.Row, out *GroupOut) {
 		if key == "wine" && n < failures {
 			n++
 			panic("transient reduce failure")
 		}
-		orig(key, rows, emit)
+		orig(key, rows, out)
 	}
 	return job
 }

@@ -45,8 +45,8 @@ func benchGroupJob(schema *data.Schema, rows, groups int) *Job {
 				emit(enc.Key(r, keyIdxs), r)
 			}
 		},
-		Reduce: func(_ string, rows []data.Row, emit func(data.Row)) {
-			emit(data.Row{rows[0][0], rows[0][2], value.NewInt(int64(len(rows)))})
+		Reduce: func(_ string, rows []data.Row, out *GroupOut) {
+			out.Emit(data.Row{rows[0][0], rows[0][2], value.NewInt(int64(len(rows)))})
 		},
 		OutputSchema:   outSchema,
 		Output:         "bench_out",
@@ -54,7 +54,6 @@ func benchGroupJob(schema *data.Schema, rows, groups int) *Job {
 		ReduceCost:     []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
 		EstShuffleRows: int64(rows),
 		EstGroups:      int64(groups),
-		EstOutputRows:  int64(groups),
 	}
 }
 
@@ -124,6 +123,42 @@ func BenchmarkPartitionLocalGroup(b *testing.B) {
 			b.Fatal(err)
 		} else if res.LocalShuffleBytes == 0 {
 			b.Fatal("partition-local path not taken")
+		}
+	}
+}
+
+// BenchmarkMaterializeLarge tracks what a large job output costs between the
+// moment its rows exist and the moment a consumer has read them: output
+// accounting, Store.Put, and the consuming job's input accounting. A map-only
+// identity job materializes 200 000 four-column rows and a second job scans
+// the result, emitting nothing.
+func BenchmarkMaterializeLarge(b *testing.B) {
+	st, schema := benchInput(200000, 5000)
+	produce := &Job{
+		Name: "bench-materialize", Inputs: []string{"bench_in"},
+		Map:          func(_ int, r data.Row, emit Emit) { emit("", r) },
+		MapOutSchema: schema, OutputSchema: schema,
+		Output: "bench_big", OutputKind: storage.View,
+		MapCost: []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
+	}
+	consume := &Job{
+		Name: "bench-consume", Inputs: []string{"bench_big"},
+		Map:          func(int, data.Row, Emit) {},
+		MapOutSchema: schema, OutputSchema: schema,
+		Output: "bench_none", OutputKind: storage.View,
+		MapCost: []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
+	}
+	e := New(st, cost.DefaultParams())
+	e.Workers = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, agg, err := e.RunSequence([]*Job{produce, consume})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if agg.BytesWritten == 0 || agg.BytesRead < 2*agg.BytesWritten {
+			b.Fatalf("accounting lost the materialization: %+v", agg)
 		}
 	}
 }

@@ -109,8 +109,75 @@ type TaskCtx struct {
 	GlobalRow int64
 }
 
-// ReduceFunc processes one shuffle group.
-type ReduceFunc func(key string, rows []data.Row, emit func(data.Row))
+// CombineFunc merges the rows one map task emitted under one key.
+type CombineFunc func(key string, rows []data.Row, emit func(data.Row))
+
+// ReduceFunc processes one shuffle group, writing its output rows to out.
+type ReduceFunc func(key string, rows []data.Row, out *GroupOut)
+
+// GroupOut receives one reduce group's output. A reducer either emits row
+// by row (Emit measures each row as it arrives) or hands over the group's
+// whole output at once (EmitBlock, with the size the reducer worked out
+// while building it). Either way the rows are measured exactly once, here in
+// the parallel reduce phase: the output relation, Result.OutputBytes,
+// Store.Put and the consuming job's InputBytes all carry that number along
+// instead of walking the rows again.
+type GroupOut struct {
+	job   *Job
+	arena []data.Row // the partition's row buffer; Emit appends here
+	start int        // arena length when the current group began
+	block []data.Row // set by EmitBlock: the current group's entire output
+	bytes int64      // encoded size of the current group's output
+}
+
+func (o *GroupOut) checkWidth(row data.Row) {
+	if len(row) != o.job.OutputSchema.Len() {
+		panic(fmt.Sprintf("mr: job %q reduce emitted width %d, schema %s", o.job.Name, len(row), o.job.OutputSchema))
+	}
+}
+
+// Emit adds one output row to the current group.
+func (o *GroupOut) Emit(row data.Row) {
+	o.checkWidth(row)
+	if o.block != nil {
+		panic(fmt.Sprintf("mr: job %q reduce called Emit after EmitBlock", o.job.Name))
+	}
+	o.arena = append(o.arena, row)
+	o.bytes += int64(row.EncodedSize())
+}
+
+// EmitBlock makes rows the current group's entire output; bytes must equal
+// Σ rows[i].EncodedSize(). The engine keeps the slice itself (no copy into
+// the partition buffer), so the caller must not touch it afterwards, and a
+// group that uses EmitBlock emits nothing else. Rows of one block may share
+// a backing array: a row retained by a consumer then pins at most its own
+// group's block.
+func (o *GroupOut) EmitBlock(rows []data.Row, bytes int64) {
+	if o.block != nil || len(o.arena) != o.start {
+		panic(fmt.Sprintf("mr: job %q reduce mixed EmitBlock with other emissions", o.job.Name))
+	}
+	for _, row := range rows {
+		o.checkWidth(row)
+	}
+	o.block, o.bytes = rows, bytes
+}
+
+// rewind drops whatever the current group emitted so far (a dead attempt's
+// partial output, or a failed group's).
+func (o *GroupOut) rewind() {
+	o.arena = o.arena[:o.start]
+	o.block, o.bytes = nil, 0
+}
+
+// seal closes the current group and starts the next one.
+func (o *GroupOut) seal(key string) redOut {
+	ro := redOut{key: key, rows: o.block, bytes: o.bytes}
+	if o.block == nil {
+		ro.rows = o.arena[o.start:len(o.arena):len(o.arena)]
+	}
+	o.start, o.block, o.bytes = len(o.arena), nil, 0
+	return ro
+}
 
 // Job is one MR job: map over the inputs, optional shuffle+reduce, output
 // materialized to the store.
@@ -160,7 +227,7 @@ type Job struct {
 	// split emitted under one key are merged before the shuffle (the
 	// classic MR combiner). It must be algebraic: Reduce over combined
 	// partials must equal Reduce over the raw rows.
-	Combine ReduceFunc
+	Combine CombineFunc
 
 	// BatchCombine, when set alongside Combine, is the fused combiner: it
 	// replaces the grouper + row-at-a-time Combine fold over one map task's
@@ -196,14 +263,14 @@ type Job struct {
 	CombineCost []cost.LocalFn
 	ReduceCost  []cost.LocalFn
 
-	// EstShuffleRows, EstGroups, and EstOutputRows are optimizer cardinality
-	// hints (zero when unknown) used only to pre-size in-memory buffers on
-	// the hot path: shuffle partitions, group tables, and the output
-	// relation. They never affect results, accounting, or simulated seconds
-	// — a wildly wrong estimate costs a reallocation, not correctness.
+	// EstShuffleRows and EstGroups are optimizer cardinality hints (zero
+	// when unknown) used only to pre-size in-memory buffers on the hot path:
+	// shuffle partitions and group tables. They never affect results,
+	// accounting, or simulated seconds — a wildly wrong estimate costs a
+	// reallocation, not correctness. (The output relation needs no hint: it
+	// is sized exactly from the rows the reduce or map phase produced.)
 	EstShuffleRows int64
 	EstGroups      int64
-	EstOutputRows  int64
 
 	// PartitionKeyCols and PartitionParts declare the inputs' physical
 	// layout: the rows this job shuffles are already hash-distributed over
@@ -941,11 +1008,13 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 	}
 
 	out := data.NewRelation(job.OutputSchema)
-	if job.EstOutputRows > 0 && job.EstOutputRows <= poolMaxRetain {
-		out.Grow(int(job.EstOutputRows))
-	}
 	if job.Reduce == nil {
 		// Map-only: emitted rows are the output, consumed in split order.
+		total := 0
+		for i := range tasks {
+			total += len(tasks[i].out)
+		}
+		out.Grow(total)
 		for i := range tasks {
 			for _, kr := range tasks[i].out {
 				out.Append(kr.Row)
@@ -992,11 +1061,13 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 	return out, nil
 }
 
-// redOut is one reduce key's buffered output; rows aliases a slice of the
-// owning partition's arena, valid until that arena is released.
+// redOut is one reduce key's buffered output and its encoded size. rows is
+// either a block the reducer handed over or a slice of the owning
+// partition's arena, valid until that arena is released.
 type redOut struct {
-	key  string
-	rows []data.Row
+	key   string
+	rows  []data.Row
+	bytes int64
 }
 
 // groupRec is one key group's recovery record under an injected fault plan.
@@ -1029,7 +1100,8 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	local := job.partitionLocal()
 	for i := range tasks {
 		for _, kr := range tasks[i].out {
-			res.ShuffleBytes += int64(kr.Row.EncodedSize() + len(kr.Key))
+			recBytes := int64(kr.Row.EncodedSize() + len(kr.Key))
+			res.ShuffleBytes += recBytes
 			res.ShuffleRows++
 			var p int
 			if local {
@@ -1040,7 +1112,7 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 					// bytes never cross the network. Buckets fold onto the R
 					// reduce slots; grouping below is still per full key, so
 					// the bucket→slot mapping can never change the output.
-					res.LocalShuffleBytes += int64(kr.Row.EncodedSize() + len(kr.Key))
+					res.LocalShuffleBytes += recBytes
 					p = partitionOf(prefix, job.PartitionParts) % r
 				} else {
 					// Malformed or too-short key: fall back to a full
@@ -1101,36 +1173,31 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 		g := getGrouper(groupHint)
 		g.build(parts[pi])
 		g.sortKeys() // deterministic reduce order
-		arena := getRowsBuf(len(parts[pi]))
+		// The arena holds row-at-a-time emissions (at most one per input row
+		// for every such reducer); block emitters bypass it.
+		o := GroupOut{job: job, arena: getRowsBuf(len(parts[pi]))}
 		outs := make([]redOut, 0, g.len())
 		for _, k := range g.keys {
 			grows := g.rows(g.id(k))
-			start := len(arena)
-			emit := func(row data.Row) {
-				if len(row) != job.OutputSchema.Len() {
-					panic(fmt.Sprintf("mr: job %q reduce emitted width %d, schema %s", job.Name, len(row), job.OutputSchema))
-				}
-				arena = append(arena, row)
-			}
 			if e.Faults == nil {
-				job.Reduce(k, grows, emit)
+				job.Reduce(k, grows, &o)
 			} else {
 				gr := groupRec{key: k}
 				nominal := e.reduceGroupCost(job, k, grows)
 				gr.err = e.runTaskAttempts(job, fault.PhaseReduce, e.Faults.Shard(k), nominal, &gr.rec, func() {
-					arena = arena[:start] // drop a dead attempt's partial emissions
-					job.Reduce(k, grows, emit)
+					o.rewind() // drop a dead attempt's partial emissions
+					job.Reduce(k, grows, &o)
 				})
 				grecs[pi] = append(grecs[pi], gr)
 				if gr.err != nil {
-					arena = arena[:start]
+					o.rewind()
 					continue
 				}
 			}
-			outs = append(outs, redOut{key: k, rows: arena[start:len(arena):len(arena)]})
+			outs = append(outs, o.seal(k))
 		}
 		partOuts[pi] = outs
-		partArenas[pi] = arena
+		partArenas[pi] = o.arena
 		putKeyedBuf(parts[pi])
 		parts[pi] = nil
 		g.release()
@@ -1167,11 +1234,18 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	}
 	// Merge: partitions hold disjoint keys and each partition's buffers are
 	// key-sorted, so a k-way merge reproduces the serial all-keys-sorted
-	// output while doing strictly less work than the old global sort.
-	mergeRuns(partOuts, func(ro *redOut) string { return ro.key }, func(ro *redOut) {
-		for _, row := range ro.rows {
-			out.Append(row)
+	// output while doing strictly less work than the old global sort. The
+	// reducers already built and measured every row, so the output relation
+	// is sized exactly and takes each key's run together with its size.
+	outRows := 0
+	for _, outs := range partOuts {
+		for i := range outs {
+			outRows += len(outs[i].rows)
 		}
+	}
+	out.Grow(outRows)
+	mergeRuns(partOuts, func(ro *redOut) string { return ro.key }, func(ro *redOut) {
+		out.AppendSized(ro.rows, ro.bytes)
 	})
 	for pi := range partArenas {
 		if partArenas[pi] != nil {
@@ -1194,31 +1268,28 @@ func fusedReducePartition(job *Job, recs []Keyed, groups, rows *int64) ([]redOut
 	if len(recs) == 0 {
 		return nil, nil, true
 	}
-	arena := getRowsBuf(len(recs))
+	o := GroupOut{job: job, arena: getRowsBuf(len(recs))}
 	var outs []redOut
-	cur, start, sealed := "", 0, false
+	cur, sealed := "", false
 	emit := func(key string, row data.Row) {
-		if len(row) != job.OutputSchema.Len() {
-			panic(fmt.Sprintf("mr: job %q reduce emitted width %d, schema %s", job.Name, len(row), job.OutputSchema))
-		}
 		if !sealed || key != cur {
 			if sealed {
-				outs = append(outs, redOut{key: cur, rows: arena[start:len(arena):len(arena)]})
+				outs = append(outs, o.seal(cur))
 			}
-			cur, sealed, start = key, true, len(arena)
+			cur, sealed = key, true
 		}
-		arena = append(arena, row)
+		o.Emit(row)
 	}
 	if !job.BatchReduce(recs, emit) {
-		putRowsBuf(arena)
+		putRowsBuf(o.arena)
 		return nil, nil, false
 	}
 	if sealed {
-		outs = append(outs, redOut{key: cur, rows: arena[start:len(arena):len(arena)]})
+		outs = append(outs, o.seal(cur))
 	}
 	*groups += int64(len(outs))
 	*rows += int64(len(recs))
-	return outs, arena, true
+	return outs, o.arena, true
 }
 
 // RunSequence executes jobs in order (callers supply a topological order of

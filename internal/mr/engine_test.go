@@ -6,6 +6,7 @@ import (
 
 	"opportune/internal/cost"
 	"opportune/internal/data"
+	"opportune/internal/fault"
 	"opportune/internal/storage"
 	"opportune/internal/value"
 )
@@ -36,12 +37,12 @@ func wordCountJob() *Job {
 			}
 		},
 		MapOutSchema: mapOut,
-		Reduce: func(key string, rows []data.Row, emit func(data.Row)) {
+		Reduce: func(key string, rows []data.Row, out *GroupOut) {
 			var sum int64
 			for _, r := range rows {
 				sum += r[1].Int()
 			}
-			emit(data.Row{rows[0][0], value.NewInt(sum)})
+			out.Emit(data.Row{rows[0][0], value.NewInt(sum)})
 		},
 		OutputSchema: data.NewSchema("word", "count"),
 		Output:       "wc",
@@ -143,7 +144,7 @@ func TestMultiInputCoGroupJoin(t *testing.T) {
 			emit(r[0].String(), data.Row{value.NewInt(int64(input)), r[0], r[1]})
 		},
 		MapOutSchema: mapOut,
-		Reduce: func(_ string, rows []data.Row, emit func(data.Row)) {
+		Reduce: func(_ string, rows []data.Row, out *GroupOut) {
 			var names, cities []value.V
 			var uid value.V
 			for _, r := range rows {
@@ -156,7 +157,7 @@ func TestMultiInputCoGroupJoin(t *testing.T) {
 			}
 			for _, n := range names {
 				for _, c := range cities {
-					emit(data.Row{uid, n, c})
+					out.Emit(data.Row{uid, n, c})
 				}
 			}
 		},
@@ -334,6 +335,105 @@ func BenchmarkWordCountJob(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := e.Run(wordCountJob()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// blockWordCount is wordCountJob with a reducer that hands its output over
+// as one pre-measured block per group: the word once per occurrence.
+func blockWordCount(reduce ReduceFunc) *Job {
+	job := wordCountJob()
+	job.OutputSchema = data.NewSchema("word", "i")
+	job.Output = "wc_block"
+	job.Reduce = reduce
+	return job
+}
+
+func occurrenceBlock(rows []data.Row) ([]data.Row, int64) {
+	slab := make([]value.V, 2*len(rows))
+	block := make([]data.Row, len(rows))
+	var bytes int64
+	for i, r := range rows {
+		block[i] = slab[2*i : 2*i+2 : 2*i+2]
+		block[i][0], block[i][1] = r[0], value.NewInt(int64(i))
+		bytes += int64(block[i].EncodedSize())
+	}
+	return block, bytes
+}
+
+// TestEmitBlockTakesTheSliceAndItsSize: a block emitter's rows reach the
+// output relation without passing through the partition buffer, the size it
+// reported is the size the relation, the Result and the store carry, and
+// when a straggling group is speculatively run a second time the first
+// run's block is dropped, not doubled.
+func TestEmitBlockTakesTheSliceAndItsSize(t *testing.T) {
+	plan := &fault.Plan{Faults: []fault.Fault{
+		{Phase: fault.PhaseReduce, Task: fault.Shard("red", fault.DefaultVirtualShards), Kind: fault.KindStraggler, Factor: 6},
+	}}
+	for _, faulted := range []bool{false, true} {
+		st := storage.NewStore()
+		loadWords(st)
+		e := New(st, cost.DefaultParams())
+		if faulted {
+			e.Faults = fault.NewInjector(plan)
+		}
+		calls := 0
+		out, res, err := e.Run(blockWordCount(func(_ string, rows []data.Row, out *GroupOut) {
+			calls++
+			out.EmitBlock(occurrenceBlock(rows))
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 7 || res.OutputRows != 7 {
+			t.Fatalf("faulted=%v: %d rows (Result %d), want one per word occurrence", faulted, out.Len(), res.OutputRows)
+		}
+		var walk int64
+		for _, r := range out.Rows() {
+			walk += int64(r.EncodedSize())
+		}
+		ds, _ := st.Meta("wc_block")
+		if out.EncodedSize() != walk || res.OutputBytes != walk || ds.SizeBytes != walk {
+			t.Errorf("faulted=%v: relation %d / Result %d / store %d bytes, a walk says %d",
+				faulted, out.EncodedSize(), res.OutputBytes, ds.SizeBytes, walk)
+		}
+		want := 3
+		if faulted {
+			want = 4 // the speculative copy of the "red" group
+			if res.SpeculativeTasks != 1 {
+				t.Errorf("SpeculativeTasks = %d, want the scripted one", res.SpeculativeTasks)
+			}
+		}
+		if calls != want {
+			t.Errorf("faulted=%v: reducer ran %d times, want %d", faulted, calls, want)
+		}
+	}
+}
+
+// TestEmitBlockRejectsMixedEmission: a group emits row by row or as one
+// block, never both — the engine could not keep the group's order otherwise.
+func TestEmitBlockRejectsMixedEmission(t *testing.T) {
+	for name, reduce := range map[string]ReduceFunc{
+		"emit-then-block": func(_ string, rows []data.Row, out *GroupOut) {
+			out.Emit(data.Row{rows[0][0], value.NewInt(0)})
+			out.EmitBlock(occurrenceBlock(rows))
+		},
+		"block-then-emit": func(_ string, rows []data.Row, out *GroupOut) {
+			out.EmitBlock(occurrenceBlock(rows))
+			out.Emit(data.Row{rows[0][0], value.NewInt(0)})
+		},
+		"block-twice": func(_ string, rows []data.Row, out *GroupOut) {
+			out.EmitBlock(occurrenceBlock(rows))
+			out.EmitBlock(occurrenceBlock(rows))
+		},
+		"wrong-width": func(_ string, rows []data.Row, out *GroupOut) {
+			out.EmitBlock([]data.Row{{rows[0][0]}}, 0)
+		},
+	} {
+		e, st := newEngine()
+		loadWords(st)
+		if _, _, err := e.Run(blockWordCount(reduce)); err == nil {
+			t.Errorf("%s: job succeeded", name)
 		}
 	}
 }

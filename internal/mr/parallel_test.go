@@ -177,12 +177,12 @@ func TestReducePanicChargesMoreThanMapPanic(t *testing.T) {
 		failed := false
 		if breakReduce {
 			orig := job.Reduce
-			job.Reduce = func(key string, rows []data.Row, emit func(data.Row)) {
+			job.Reduce = func(key string, rows []data.Row, out *GroupOut) {
 				if !failed {
 					failed = true
 					panic("reduce bug")
 				}
-				orig(key, rows, emit)
+				orig(key, rows, out)
 			}
 		} else {
 			orig := job.Map
@@ -240,12 +240,12 @@ func TestRunSequenceParallelAggregates(t *testing.T) {
 				emit(fmt.Sprint(len(r[0].Str())), data.Row{value.NewInt(int64(len(r[0].Str()))), r[1]})
 			},
 			MapOutSchema: data.NewSchema("len", "count"),
-			Reduce: func(key string, rows []data.Row, emit func(data.Row)) {
+			Reduce: func(key string, rows []data.Row, out *GroupOut) {
 				var sum int64
 				for _, r := range rows {
 					sum += r[1].Int()
 				}
-				emit(data.Row{rows[0][0], value.NewInt(sum)})
+				out.Emit(data.Row{rows[0][0], value.NewInt(sum)})
 			},
 			OutputSchema: data.NewSchema("len", "total"),
 			Output:       "lens_by_count",

@@ -20,17 +20,22 @@ import (
 func (o *Optimizer) Executable(w *Work, finalName string) ([]*mr.Job, error) {
 	jobs := make([]*mr.Job, 0, len(w.Nodes))
 	for _, jn := range w.Nodes {
-		out := jn.ViewName
-		if finalName != "" && jn == w.Sink() {
-			out = finalName
-		}
-		job, err := o.executableJob(jn, out)
+		job, err := o.executableJob(jn, w.StoredName(jn, finalName))
 		if err != nil {
 			return nil, err
 		}
 		jobs = append(jobs, job)
 	}
 	return jobs, nil
+}
+
+// StoredName is the dataset a job's output is materialized as: its view
+// name, except that the sink takes finalName when one is given.
+func (w *Work) StoredName(jn *JobNode, finalName string) string {
+	if finalName != "" && jn == w.Sink() {
+		return finalName
+	}
+	return jn.ViewName
 }
 
 // pipeline is a compiled map-side operator chain: it transforms one source
@@ -284,10 +289,11 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 		OutputKind:   storage.View,
 		OutputSchema: data.NewSchema(jn.OutCols...),
 		// Cardinality hints from the estimator: pre-size only, the engine
-		// never lets them affect results or accounting.
+		// never lets them affect results or accounting. Every group holds at
+		// least one shuffled row, which bounds the key count where Est.Rows
+		// does not (a join's output is its key count times the fan-out).
 		EstShuffleRows: jn.EstSpec.ShuffleRows,
-		EstGroups:      jn.Est.Rows,
-		EstOutputRows:  jn.Est.Rows,
+		EstGroups:      min(jn.Est.Rows, jn.EstSpec.ShuffleRows),
 	}
 	if !o.DisablePartitionAware {
 		// Execute the layout match found at estimation time, and declare the
@@ -402,8 +408,22 @@ func (o *Optimizer) joinBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 			emit(enc.KeyOf(key), out)
 		}
 	}
-	job.Reduce = func(_ string, rows []data.Row, emit func(data.Row)) {
-		var ls, rs []data.Row
+	// Output columns: left columns then the right columns that survived
+	// (OutCols computed at annotation time).
+	rKeep := make([]int, 0, len(rCols))
+	for i := len(lCols); i < len(jn.OutCols); i++ {
+		ix, _ := indexOf(rCols, jn.OutCols[i])
+		rKeep = append(rKeep, ix)
+	}
+	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
+		nl := 0
+		for _, r := range rows {
+			if r[0].Int() == 0 {
+				nl++
+			}
+		}
+		sides := make([]data.Row, len(rows))
+		ls, rs := sides[:0:nl], sides[nl:nl]
 		for _, r := range rows {
 			if r[0].Int() == 0 {
 				ls = append(ls, r[1:1+len(lCols)])
@@ -411,27 +431,53 @@ func (o *Optimizer) joinBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 				rs = append(rs, r[1+len(lCols):])
 			}
 		}
-		// Output columns: left columns then the right columns that survived
-		// (OutCols computed at annotation time).
-		rKeep := make([]int, 0, len(rCols))
-		for i := len(lCols); i < len(jn.OutCols); i++ {
-			ix, _ := indexOf(rCols, jn.OutCols[i])
-			rKeep = append(rKeep, ix)
-		}
-		for _, l := range ls {
-			for _, r := range rs {
-				out := make(data.Row, 0, len(jn.OutCols))
-				out = append(out, l...)
-				for _, ix := range rKeep {
-					out = append(out, r[ix])
-				}
-				emit(out)
-			}
-		}
+		out.EmitBlock(joinGroup(ls, rs, rKeep))
 	}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup, cost.OpFilter}, Scalar: 1}}
 	job.MapCost = append(job.MapCost, cost.LocalFn{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1})
 	return bf, nil
+}
+
+// joinGroup builds one key group's join output, |ls|·|rs| rows of ls[i]
+// followed by the rKeep columns of rs[j], left-major, and returns it with
+// its encoded size. All rows of the group are cut from one value slab — one
+// allocation where a row-at-a-time emitter makes |ls|·|rs| — so a consumer
+// that retains a single row keeps its whole group's slab alive, and no more
+// than that. The size needs no walk over the output: every left row appears
+// |rs| times, every kept right value |ls| times, and each row carries its
+// 4-byte header.
+func joinGroup(ls, rs []data.Row, rKeep []int) ([]data.Row, int64) {
+	n := len(ls) * len(rs)
+	if n == 0 {
+		return nil, 0
+	}
+	nl := len(ls[0])
+	w := nl + len(rKeep)
+	// Project the right side once, so the cross product below is two copies
+	// per row; the projection doubles as the right-side measurement.
+	rproj := make([]value.V, len(rs)*len(rKeep))
+	var lBytes, rBytes int64
+	for j, r := range rs {
+		dst := rproj[j*len(rKeep) : (j+1)*len(rKeep)]
+		for c, ix := range rKeep {
+			dst[c] = r[ix]
+			rBytes += int64(r[ix].EncodedSize())
+		}
+	}
+	slab := make([]value.V, n*w)
+	rows := make([]data.Row, 0, n)
+	for _, l := range ls {
+		for _, v := range l {
+			lBytes += int64(v.EncodedSize())
+		}
+		for j := range rs {
+			row := slab[len(rows)*w : (len(rows)+1)*w : (len(rows)+1)*w]
+			copy(row, l)
+			copy(row[nl:], rproj[j*len(rKeep):(j+1)*len(rKeep)])
+			rows = append(rows, row)
+		}
+	}
+	return rows, int64(len(rs))*lBytes + int64(len(ls))*rBytes + 4*int64(n)
 }
 
 // groupAggJob compiles a group-by with built-in aggregates as a two-phase
@@ -503,14 +549,14 @@ func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory,
 	job.Combine = func(_ string, rows []data.Row, emit func(data.Row)) {
 		emit(mergeGroup(rows))
 	}
-	job.Reduce = func(_ string, rows []data.Row, emit func(data.Row)) {
+	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
 		acc := mergeGroup(rows)
-		out := make(data.Row, 0, len(jn.OutCols))
-		out = append(out, acc[:nKeys]...)
+		row := make(data.Row, 0, len(jn.OutCols))
+		row = append(row, acc[:nKeys]...)
 		for _, a := range aggs {
-			out = append(out, a.finalize(acc))
+			row = append(row, a.finalize(acc))
 		}
-		emit(out)
+		out.Emit(row)
 	}
 	if !o.combinersOn() {
 		job.Combine = nil
@@ -705,7 +751,7 @@ func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, e
 			emit(enc.Key(out, keyIdxs), out)
 		}
 	}
-	job.Reduce = func(_ string, rows []data.Row, emit func(data.Row)) {
+	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
 		keys := rows[0][:nKeys]
 		payloads := make([][]value.V, len(rows))
 		for i, r := range rows {
@@ -715,10 +761,10 @@ func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, e
 		if outVals == nil {
 			return
 		}
-		out := make(data.Row, 0, nKeys+len(outVals))
-		out = append(out, keys...)
-		out = append(out, outVals...)
-		emit(out)
+		row := make(data.Row, 0, nKeys+len(outVals))
+		row = append(row, keys...)
+		row = append(row, outVals...)
+		out.Emit(row)
 	}
 	job.MapCost = append(job.MapCost, cost.LocalFn{Ops: d.MapOps, Scalar: d.TrueScalar})
 	job.ReduceCost = []cost.LocalFn{{Ops: d.ReduceOps, Scalar: d.TrueScalar}}
@@ -745,7 +791,7 @@ func (o *Optimizer) sortBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 	bf := func(mr.TaskCtx) rowEmit {
 		return func(_ int, row data.Row, emit mr.Emit) { emit("", row) }
 	}
-	job.Reduce = func(_ string, rows []data.Row, emit func(data.Row)) {
+	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
 		sorted := append([]data.Row(nil), rows...)
 		sort.SliceStable(sorted, func(a, b int) bool {
 			for i, ix := range sortIdx {
@@ -763,7 +809,7 @@ func (o *Optimizer) sortBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 			if limit >= 0 && int64(i) >= limit {
 				return
 			}
-			emit(r)
+			out.Emit(r)
 		}
 	}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}

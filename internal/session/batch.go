@@ -190,11 +190,11 @@ func (s *Session) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchResul
 	// itself registers no contention): no query's input or intermediate may
 	// be evicted while another query still needs it.
 	pinSet := make(map[string]bool)
-	for _, p := range plans {
+	for qi, p := range plans {
 		if p.jobs == nil {
 			continue
 		}
-		for _, n := range pinList(p.chosen, p.w) {
+		for _, n := range pinList(p.chosen, p.w, queries[qi].ResultName) {
 			pinSet[n] = true
 		}
 	}
@@ -213,16 +213,31 @@ func (s *Session) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchResul
 	// must keep recording.
 	quiet := *s.Eng
 	quiet.Obs = nil
-	execErr := s.executeBatch(&quiet, consumers, units, opts.Parallel, parity)
-	s.Store.Unpin(pinned)
-	if execErr != nil {
-		return nil, execErr
+	err = s.executeBatch(&quiet, consumers, units, opts.Parallel, parity)
+	if err == nil {
+		// Finalize under the pins, like the sequential path: a concurrent
+		// Run's materialization must not evict an output between its
+		// registration and its statistics sample.
+		err = s.finalizeBatch(queries, plans, perQuery, out, parity)
 	}
-
-	if err := s.finalizeBatch(queries, plans, perQuery, out, parity); err != nil {
+	s.Store.Unpin(pinned)
+	if err != nil {
 		return nil, err
 	}
+	if parity {
+		// Pin replay: sequential pins each query's list (duplicates included)
+		// around execution; replaying it once the batch's own pins are gone
+		// reproduces the pin-contention counter exactly.
+		for qi, p := range plans {
+			if p.jobs != nil {
+				names := pinList(p.chosen, p.w, queries[qi].ResultName)
+				s.Store.Pin(names)
+				s.Store.Unpin(names)
+			}
+		}
+	}
 	s.Store.EnforceBudget()
+	s.Cat.SyncWithStore(s.Store)
 
 	s.batchStats(&out.Stats, queries, consumers, units, parity)
 	out.Stats.WallSeconds = time.Since(start).Seconds()
@@ -622,14 +637,6 @@ func (s *Session) finalizeBatch(queries []BatchQuery, plans []plannedQuery, perQ
 			esp.AddSim(m.ExecSeconds)
 			esp.End()
 
-			if parity {
-				// Pin replay: sequential pins each query's list (duplicates
-				// included) around execution; replaying it reproduces the
-				// pin-contention counter exactly.
-				names := pinList(p.chosen, p.w)
-				s.Store.Pin(names)
-				s.Store.Unpin(names)
-			}
 			s.creditRewrite(m, p.chosen)
 
 			sec, err := s.retainViews(p.w, q.ResultName, p.epoch)
@@ -684,7 +691,9 @@ func (s *Session) finalizeConsumer(c *batchConsumer, parity bool) error {
 		c.res = &res
 		// Write replay: the standalone run would have re-materialized the
 		// (identical) output; re-putting the stored relation reproduces the
-		// write counters and retention bookkeeping.
+		// write counters and retention bookkeeping. The batch's pins are
+		// still held, so the output cannot be evicted between the lookup and
+		// the put.
 		if ds, ok := s.Store.Meta(c.job.Output); ok {
 			s.Store.Put(c.job.Output, c.job.OutputKind, ds.Relation())
 		}

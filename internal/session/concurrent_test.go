@@ -160,3 +160,46 @@ func TestConcurrentRunsUnderCapacityPressure(t *testing.T) {
 		t.Errorf("view bytes %d exceed capacity %d after EnforceBudget", vb, s.Store.ViewCapacityBytes)
 	}
 }
+
+// TestRetentionSkipsViewsDroppedMidway: a query that executed must not fail
+// because its outputs lost their catalog entry before the statistics sample
+// (here a concurrent DropViews; under a budget, a concurrent plan's sync of
+// evicted views). The run's pins keep the data; the view is simply not
+// retained.
+func TestRetentionSkipsViewsDroppedMidway(t *testing.T) {
+	s := demo(t, 300)
+	s.Eng.Workers = 2
+	stop := make(chan struct{})
+	var dropper sync.WaitGroup
+	dropper.Add(1)
+	go func() {
+		defer dropper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.DropViews()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if _, err := s.Run(qThresh(float64(i%3)), fmt.Sprintf("drop-g%d-i%d", g, i), ModeOriginal); err != nil {
+					t.Errorf("g%d i%d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	dropper.Wait()
+	if pins := s.Store.Pins(); len(pins) != 0 {
+		t.Errorf("dangling pins after all runs: %v", pins)
+	}
+}

@@ -48,6 +48,25 @@ func ivmBatch(base, n int) []data.Row {
 	return rows
 }
 
+// auditStoredSizes walks every stored dataset value by value and checks the
+// size the relation carries (appended, merged and refreshed relations
+// included) and the size the store accounts for both equal the walk.
+func auditStoredSizes(t *testing.T, st *storage.Store) {
+	t.Helper()
+	for _, kind := range []storage.Kind{storage.Base, storage.View} {
+		for _, name := range st.List(kind) {
+			ds, _ := st.Meta(name)
+			var walk int64
+			for _, r := range ds.Relation().Rows() {
+				walk += int64(r.EncodedSize())
+			}
+			if got := ds.Relation().EncodedSize(); got != walk || ds.SizeBytes != walk {
+				t.Errorf("%s: relation carries %d B, store accounts %d B, a walk says %d B", name, got, ds.SizeBytes, walk)
+			}
+		}
+	}
+}
+
 // TestMaintenanceDifferentialOracleGrid checks the ISSUE's oracle: across
 // the Workers × ReduceTasks grid, every incrementally maintained view must
 // be byte-identical — contents and annotation — to a full recompute over
@@ -91,6 +110,8 @@ func TestMaintenanceDifferentialOracleGrid(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				auditStoredSizes(t, s.Store)
+				auditStoredSizes(t, ref.Store)
 				for _, q := range ivmQueries() {
 					got, err := s.Store.Read(q.ResultName)
 					if err != nil {

@@ -5,6 +5,7 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -308,10 +309,12 @@ func (s *Session) planQuery(q *plan.Node, resultName string, mode Mode) (*Metric
 // It runs outside planMu: execution is the expensive phase, and the store
 // and catalog are themselves safe for concurrent use.
 func (s *Session) executePlan(m *Metrics, chosen *plan.Node, w *optimizer.Work, jobs []*mr.Job, resultName string, epoch int64) (*Metrics, error) {
-	// Pin the plan's input datasets and its own intermediate outputs
-	// against capacity eviction for the run: a job's materialization must
-	// not evict a view a later job of the same plan reads.
-	inputs := pinList(chosen, w)
+	// Pin the plan's input datasets and its own outputs against capacity
+	// eviction until the outputs are retained: a job's materialization must
+	// not evict a view a later job of the same plan reads, and a concurrent
+	// plan's must not evict an output between its registration and its
+	// statistics sample.
+	inputs := pinList(chosen, w, resultName)
 	s.Store.Pin(inputs)
 	// Validate under the pin that every scanned input still exists: a
 	// concurrent append may have invalidated a view this plan was built
@@ -324,8 +327,17 @@ func (s *Session) executePlan(m *Metrics, chosen *plan.Node, w *optimizer.Work, 
 		}
 	}
 	_, agg, err := s.Eng.RunSequence(jobs)
+	var statsSec float64
+	if err == nil {
+		// Retain job outputs as opportunistic views: register metadata and
+		// collect statistics with the lightweight sampling job (§2.1).
+		statsSec, err = s.retainViews(w, resultName, epoch)
+	}
 	s.Store.Unpin(inputs)
 	s.Store.EnforceBudget()
+	// The budget may have claimed views retained a moment ago (and deletions
+	// deferred by the pins land at Unpin): drop their catalog entries.
+	s.Cat.SyncWithStore(s.Store)
 	if err != nil {
 		return nil, err
 	}
@@ -335,24 +347,18 @@ func (s *Session) executePlan(m *Metrics, chosen *plan.Node, w *optimizer.Work, 
 	m.ExecSeconds = agg.SimSeconds
 	m.Jobs = agg.Jobs
 	m.DataMovedBytes = agg.DataMovedBytes()
-
-	// Retain job outputs as opportunistic views: register metadata and
-	// collect statistics with the lightweight sampling job (§2.1).
-	sec, err := s.retainViews(w, resultName, epoch)
-	if err != nil {
-		return nil, err
-	}
-	m.StatsSeconds += sec
+	m.StatsSeconds += statsSec
 	return m, nil
 }
 
 // pinList is the set of dataset names one plan's execution pins against
-// capacity eviction: every scanned input plus every job materialization.
-// Names may repeat; Pin/Unpin are count-based per call site.
-func pinList(chosen *plan.Node, w *optimizer.Work) []string {
+// capacity eviction: every scanned input plus every job materialization,
+// the sink under the result name it is actually stored as. Names may
+// repeat; Pin/Unpin are count-based per call site.
+func pinList(chosen *plan.Node, w *optimizer.Work, resultName string) []string {
 	inputs := scanList(chosen)
 	for _, jn := range w.Nodes {
-		inputs = append(inputs, jn.ViewName)
+		inputs = append(inputs, w.StoredName(jn, resultName))
 	}
 	return inputs
 }
@@ -369,10 +375,12 @@ func scanList(chosen *plan.Node) []string {
 }
 
 // retainViews registers every new materialization of an executed plan as an
-// opportunistic view and samples its statistics, in node order; the sink is
-// retained under resultName. Returns the simulated seconds the sampling
-// jobs cost. Both the sequential and the batch executor finalize queries
-// through this one helper so retention behavior cannot drift between them.
+// opportunistic view and samples its statistics, in node order. Returns the
+// simulated seconds the sampling jobs cost. Both the sequential and the
+// batch executor finalize queries through this one helper so retention
+// behavior cannot drift between them; both call it while the plan's pins
+// are still held, and sync the catalog with the store once they are
+// released.
 //
 // epoch is the ingest epoch the plan was derived under. When an AppendRows
 // intervened between planning and retention, the materializations may
@@ -387,17 +395,13 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 			}
 		}
 		s.Obs.Counter("session_stale_retention_discarded_total").Inc()
-		s.Cat.SyncWithStore(s.Store)
 		return 0, nil
 	}
 	var total float64
 	for i, jn := range w.Nodes {
-		name := jn.ViewName
-		if jn == w.Sink() {
-			// The sink was materialized under the caller's result name;
-			// that is the dataset future queries can reuse.
-			name = resultName
-		}
+		// The sink was materialized under the caller's result name; that is
+		// the dataset future queries can reuse.
+		name := w.StoredName(jn, resultName)
 		if _, known := s.Cat.Table(name); known {
 			continue // stats already collected for this materialization
 		}
@@ -413,12 +417,19 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 		}
 		s.setViewPlan(name, jn.Logical)
 		sec, err := s.Cat.CollectStats(s.Eng, name, s.statsSeed.Add(1)+int64(i))
+		if errors.Is(err, storage.ErrNotFound) {
+			// Gone after the check above (a concurrent DropViews took the
+			// catalog entry; the pins rule out eviction): the query
+			// succeeded, the view is just not retained.
+			s.Cat.DropView(name)
+			s.dropViewPlan(name)
+			continue
+		}
 		if err != nil {
 			return total, err
 		}
 		total += sec
 	}
-	s.Cat.SyncWithStore(s.Store)
 	return total, nil
 }
 

@@ -8,6 +8,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -58,6 +59,12 @@ func (d *Dataset) Rows() int64 { return int64(d.rel.Len()) }
 // Relation exposes the backing relation without I/O accounting; reserved
 // for offline operations (persistence), not query execution.
 func (d *Dataset) Relation() *data.Relation { return d.rel }
+
+// ErrNotFound is wrapped by every lookup of a dataset the store does not
+// hold. Under a capacity budget a view can be evicted between two calls, so
+// callers that can do without the dataset (view retention) match on it
+// instead of failing.
+var ErrNotFound = errors.New("not found")
 
 // ReadFaultInjector scripts read failures for chaos testing. The store
 // stays decoupled from the fault package: anything that can answer "does
@@ -413,7 +420,7 @@ func (s *Store) Read(name string) (*data.Relation, error) {
 	defer s.mu.Unlock()
 	d, ok := s.datasets[name]
 	if !ok {
-		return nil, fmt.Errorf("storage: dataset %q not found", name)
+		return nil, fmt.Errorf("storage: dataset %q %w", name, ErrNotFound)
 	}
 	if s.faults != nil {
 		if err := s.faults.ReadError(name); err != nil {
@@ -438,29 +445,35 @@ func (s *Store) Read(name string) (*data.Relation, error) {
 // bytes read. This is the store-level primitive behind the lightweight
 // statistics job (§2.1) and UDF calibration (§4.2).
 func (s *Store) Sample(name string, frac float64, seed int64) (*data.Relation, error) {
+	// Only the lookup needs the lock: stored relations are immutable, so the
+	// scan runs on the pointer without stalling every other reader and writer.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	d, ok := s.datasets[name]
+	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("storage: dataset %q not found", name)
+		return nil, fmt.Errorf("storage: dataset %q %w", name, ErrNotFound)
 	}
 	if frac <= 0 || frac > 1 {
 		return nil, fmt.Errorf("storage: sample fraction %v out of (0,1]", frac)
 	}
+	rel := d.rel
 	rng := rand.New(rand.NewSource(seed))
-	out := data.NewRelation(d.rel.Schema())
-	for _, r := range d.rel.Rows() {
+	out := data.NewRelation(rel.Schema())
+	for _, r := range rel.Rows() {
 		if rng.Float64() < frac {
 			out.Append(r)
 		}
 	}
-	if out.Len() == 0 && d.rel.Len() > 0 {
-		out.Append(d.rel.Row(rng.Intn(d.rel.Len())))
+	if out.Len() == 0 && rel.Len() > 0 {
+		out.Append(rel.Row(rng.Intn(rel.Len())))
 	}
-	s.counters.BytesRead += out.EncodedSize()
+	size := out.EncodedSize()
+	s.mu.Lock()
+	s.counters.BytesRead += size
 	s.counters.ReadOps++
 	s.obsSampleOps.Inc()
-	s.obsSampleBytes.Add(out.EncodedSize())
+	s.obsSampleBytes.Add(size)
+	s.mu.Unlock()
 	return out, nil
 }
 
