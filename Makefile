@@ -1,9 +1,4 @@
-.PHONY: build test verify stress bench bench-json bench-compare bench-smoke fuzz-smoke
-
-# Benchmark trajectory files: BENCH_BASE is the previous PR's tracked
-# numbers, BENCH_OUT is the file this PR refreshes and compares against it.
-BENCH_BASE ?= BENCH_PR10.json
-BENCH_OUT  ?= BENCH_PR15.json
+.PHONY: build test verify stress bench bench-test bench-smoke fuzz-smoke loc
 
 build:
 	go build ./...
@@ -26,19 +21,16 @@ stress:
 	go test -count=$(STRESS_COUNT) $(STRESS_PKGS)
 	go test -race -count=$(STRESS_COUNT) $(STRESS_PKGS)
 
+# Go micro-benchmarks, ad hoc. The performance gate is the repo benchmark:
+# bash bench/run.sh -repeat N, and -compare between two commits' outputs
+# (BENCHMARK.json, bench/README.md).
 bench:
 	go test -bench=. -benchmem
 
-# Refresh the tracked benchmark trajectory ($(BENCH_OUT)): runs the
-# hot-path suites with -benchmem and fills the "after" column, preserving
-# any existing "before" column. Use BENCH_COL=before to (re)baseline.
-bench-json:
-	./scripts/bench_json.sh $(BENCH_OUT)
-
-# Regression gate: compare this PR's trajectory against the previous PR's,
-# failing on any >20% ns/op slowdown.
-bench-compare:
-	go run ./cmd/benchjson -compare $(BENCH_BASE) $(BENCH_OUT)
+# bench/ is a nested module that `go build ./...` at the root never
+# compiles: vet and test it so a removed export it uses fails here.
+bench-test:
+	cd bench && go vet ./... && go test ./...
 
 # Quick end-to-end check of the benchmark harness: one experiment with
 # -metrics, validated by cmd/metricscheck.
@@ -49,3 +41,7 @@ bench-smoke:
 # seeded from the checked-in corpora under */testdata/fuzz/.
 fuzz-smoke:
 	./scripts/fuzz_smoke.sh
+
+# Non-test Go lines per internal package (the ROADMAP line budget).
+loc:
+	@find internal -name '*.go' ! -name '*_test.go' | xargs wc -l | awk '$$2 != "total" {split($$2, p, "/"); n[p[2]] += $$1; t += $$1} END {for (k in n) printf "%7d internal/%s\n", n[k], k; printf "%7d total\n", t}' | sort -k2

@@ -206,14 +206,9 @@ func (a Annotation) Rename(old, new string) Annotation {
 	return a.derive(attrs, a.F, a.K, a.Grouped)
 }
 
-// Rebind replaces the signature of one named attribute, keeping everything
-// else. Used to disambiguate same-signature columns that reach a join via
-// different paths (a set-based A cannot hold one attribute twice).
-func (a Annotation) Rebind(name string, sig *Sig) Annotation {
-	return a.RebindAll(map[string]*Sig{name: sig})
-}
-
-// RebindAll replaces several attributes' signatures in one pass.
+// RebindAll replaces the signatures of the named attributes, keeping
+// everything else. Used to disambiguate same-signature columns that reach a
+// join via different paths (a set-based A cannot hold one attribute twice).
 func (a Annotation) RebindAll(repl map[string]*Sig) Annotation {
 	if len(repl) == 0 {
 		return a

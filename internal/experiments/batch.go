@@ -91,7 +91,7 @@ func RunBatchThroughput(cfg Config) (*BatchThroughput, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := bs.RunBatch(batch, session.BatchOptions{Accounting: session.BatchPhysical})
+		res, err := bs.RunBatch(batch, session.BatchOptions{})
 		if err != nil {
 			return nil, err
 		}

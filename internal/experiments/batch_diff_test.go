@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"opportune/internal/fault"
@@ -10,33 +12,18 @@ import (
 	"opportune/internal/workload"
 )
 
-// seqRef runs the whole workload one query at a time (the oracle) and
-// returns result fingerprints, per-query metrics, and the counter snapshot.
-func seqRef(t *testing.T, plan *fault.Plan) (map[string]uint64, []*session.Metrics, obs.Snapshot) {
-	t.Helper()
-	cfg := QuickConfig()
-	cfg.Obs = obs.NewRegistry()
-	cfg.Faults = plan
-	s, err := newSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps := make(map[string]uint64)
-	var ms []*session.Metrics
-	for _, q := range workload.AllQueries() {
-		m, err := run(s, q, session.ModeOriginal)
-		if err != nil {
-			t.Fatalf("sequential %s: %v", q.Name, err)
-		}
-		ms = append(ms, m)
-		fps[q.Name] = resultFP(t, s, m.ResultName)
-	}
-	return fps, ms, cfg.Obs.Snapshot()
+// workloadRun is what one execution of a query list left behind: result
+// fingerprints by query name, per-query metrics in input order, the counter
+// snapshot, and (batch runs only) the batch statistics.
+type workloadRun struct {
+	fps   map[string]uint64
+	ms    []*session.Metrics
+	snap  obs.Snapshot
+	stats session.BatchStats
 }
 
-// batchRun executes the whole workload as one RunBatch call in parity
-// accounting at the given parallelism.
-func batchRun(t *testing.T, plan *fault.Plan, workers, reduceTasks int) (map[string]uint64, []*session.Metrics, obs.Snapshot, session.BatchStats) {
+// diffSession builds a fresh instrumented quick-scale session.
+func diffSession(t *testing.T, plan *fault.Plan, workers, reduceTasks int) (*session.Session, *obs.Registry) {
 	t.Helper()
 	cfg := QuickConfig()
 	cfg.Workers = workers
@@ -47,20 +34,46 @@ func batchRun(t *testing.T, plan *fault.Plan, workers, reduceTasks int) (map[str
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := workload.AllQueries()
+	return s, cfg.Obs
+}
+
+// seqRef runs the given queries one at a time through Session.Run — the
+// oracle.
+func seqRef(t *testing.T, queries []workload.Query, plan *fault.Plan) workloadRun {
+	t.Helper()
+	s, reg := diffSession(t, plan, 0, 0)
+	r := workloadRun{fps: make(map[string]uint64)}
+	for _, q := range queries {
+		m, err := run(s, q, session.ModeOriginal)
+		if err != nil {
+			t.Fatalf("sequential %s: %v", q.Name, err)
+		}
+		r.ms = append(r.ms, m)
+		r.fps[q.Name] = resultFP(t, s, m.ResultName)
+	}
+	r.snap = reg.Snapshot()
+	return r
+}
+
+// batchRun executes the given queries as one RunBatch call at the given
+// parallelism.
+func batchRun(t *testing.T, queries []workload.Query, plan *fault.Plan, workers, reduceTasks int) workloadRun {
+	t.Helper()
+	s, reg := diffSession(t, plan, workers, reduceTasks)
 	batch, err := workload.Batch(queries, session.ModeOriginal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunBatch(batch, session.BatchOptions{Accounting: session.BatchParity})
+	res, err := s.RunBatch(batch, session.BatchOptions{})
 	if err != nil {
 		t.Fatalf("workers=%d R=%d: %v", workers, reduceTasks, err)
 	}
-	fps := make(map[string]uint64)
+	r := workloadRun{fps: make(map[string]uint64), ms: res.PerQuery, stats: res.Stats}
 	for i, q := range queries {
-		fps[q.Name] = resultFP(t, s, res.PerQuery[i].ResultName)
+		r.fps[q.Name] = resultFP(t, s, res.PerQuery[i].ResultName)
 	}
-	return fps, res.PerQuery, cfg.Obs.Snapshot(), res.Stats
+	r.snap = reg.Snapshot()
+	return r
 }
 
 func resultFP(t *testing.T, s *session.Session, name string) uint64 {
@@ -72,128 +85,129 @@ func resultFP(t *testing.T, s *session.Session, name string) uint64 {
 	return ds.Relation().Fingerprint()
 }
 
-// TestBatchParityDifferential is the batch executor's differential oracle:
-// running the entire workload as one shared-scan batch must produce
-// byte-identical result relations, identical per-query Metrics, and an
-// identical deterministic counter snapshot vs one-query-at-a-time
-// execution — across Workers ∈ {1,4,8} × ReduceTasks ∈ {1,3}, both
-// fault-free and under the scripted chaos plan.
+// sessionCounters is the session_* slice of a snapshot: the per-query
+// attributed totals, which sharing must not move.
+func sessionCounters(snap obs.Snapshot) (map[string]int64, map[string]float64) {
+	ints, floats := make(map[string]int64), make(map[string]float64)
+	for k, v := range snap.Counters {
+		if strings.HasPrefix(k, "session_") {
+			ints[k] = v
+		}
+	}
+	for k, v := range snap.FloatCounters {
+		if strings.HasPrefix(k, "session_") {
+			floats[k] = v
+		}
+	}
+	return ints, floats
+}
+
+// checkBatchVsSequential asserts the fault-free contract of a batch run
+// against sequential Run over the same queries: byte-identical results,
+// identical attributed per-query Metrics, equal session_* counters, and
+// engine counters that fall short of sequential's by exactly the savings
+// the batch published — every job and every scanned byte is either counted
+// as executed or counted as saved, never both and never neither.
+func checkBatchVsSequential(t *testing.T, label string, got, ref workloadRun) {
+	t.Helper()
+	if !reflect.DeepEqual(got.fps, ref.fps) {
+		t.Errorf("%s: batch results differ from sequential", label)
+	}
+	for i := range ref.ms {
+		if !reflect.DeepEqual(got.ms[i], ref.ms[i]) {
+			t.Errorf("%s: query %d metrics differ:\n batch %+v\n seq   %+v", label, i, got.ms[i], ref.ms[i])
+		}
+	}
+	ints, floats := sessionCounters(got.snap)
+	refInts, refFloats := sessionCounters(ref.snap)
+	if !reflect.DeepEqual(ints, refInts) || !reflect.DeepEqual(floats, refFloats) {
+		t.Errorf("%s: session counters differ:\n batch %v %v\n seq   %v %v", label, ints, floats, refInts, refFloats)
+	}
+	for _, id := range []struct{ total, saved string }{
+		{"mr_jobs_total", "batch_jobs_deduped_total"},
+		{"mr_input_bytes_total", "batch_scan_bytes_saved_total"},
+	} {
+		seq, ran, saved := ref.snap.Counters[id.total], got.snap.Counters[id.total], got.snap.Counters[id.saved]
+		if seq-ran != saved {
+			t.Errorf("%s: %s sequential %d - batch %d = %d, but %s = %d",
+				label, id.total, seq, ran, seq-ran, id.saved, saved)
+		}
+	}
+	// The contract held *while* the batch actually restructured work.
+	if got.stats.JobsDeduped == 0 || got.snap.Counters["batch_jobs_deduped_total"] != int64(got.stats.JobsDeduped) {
+		t.Errorf("%s: JobsDeduped = %d, batch_jobs_deduped_total = %d",
+			label, got.stats.JobsDeduped, got.snap.Counters["batch_jobs_deduped_total"])
+	}
+	if got.stats.SharedScans == 0 {
+		t.Errorf("%s: batch shared no scans", label)
+	}
+}
+
+// TestBatchParityDifferential is the batch executor's differential oracle,
+// on the accounting that ships. Fault-free, the entire workload as one
+// shared-scan batch must hold checkBatchVsSequential against
+// one-query-at-a-time execution at Workers ∈ {1,4,8} × ReduceTasks ∈ {1,3}.
+// Under the scripted chaos plan ghosts and shared-scan secondaries never
+// read, so faults land on different jobs than sequentially and the
+// counters have no sequential counterpart; there the results must still be
+// byte-identical to sequential, and per-query Metrics and the full
+// (int + float) counter snapshot identical across the grid.
 func TestBatchParityDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full workload 14 times")
 	}
+	queries := workload.AllQueries()
 	grid := []struct{ w, r int }{{1, 1}, {1, 3}, {4, 1}, {4, 3}, {8, 1}, {8, 3}}
-	for _, tc := range []struct {
-		name string
-		plan *fault.Plan
-	}{{"fault-free", nil}, {"chaos", chaosPlan()}} {
-		t.Run(tc.name, func(t *testing.T) {
-			refFPs, refMs, refSnap := seqRef(t, tc.plan)
-			for _, g := range grid {
-				fps, ms, snap, stats := batchRun(t, tc.plan, g.w, g.r)
-				if !reflect.DeepEqual(fps, refFPs) {
-					t.Errorf("workers=%d R=%d: batch results differ from sequential", g.w, g.r)
-				}
-				for i := range refMs {
-					if !reflect.DeepEqual(ms[i], refMs[i]) {
-						t.Errorf("workers=%d R=%d: query %d metrics differ:\n batch %+v\n seq   %+v",
-							g.w, g.r, i, ms[i], refMs[i])
-					}
-				}
-				if !reflect.DeepEqual(snap.Counters, refSnap.Counters) {
-					t.Errorf("workers=%d R=%d: counters differ:\n batch %v\n seq   %v",
-						g.w, g.r, snap.Counters, refSnap.Counters)
-				}
-				if !reflect.DeepEqual(snap.FloatCounters, refSnap.FloatCounters) {
-					t.Errorf("workers=%d R=%d: float counters differ:\n batch %v\n seq   %v",
-						g.w, g.r, snap.FloatCounters, refSnap.FloatCounters)
-				}
-				// Parity held *while* the batch actually restructured work.
-				if stats.JobsDeduped == 0 {
-					t.Errorf("workers=%d R=%d: batch deduped nothing", g.w, g.r)
-				}
-				if stats.SharedScans == 0 {
-					t.Errorf("workers=%d R=%d: batch shared no scans", g.w, g.r)
-				}
+	t.Run("fault-free", func(t *testing.T) {
+		ref := seqRef(t, queries, nil)
+		for _, g := range grid {
+			checkBatchVsSequential(t, fmt.Sprintf("workers=%d R=%d", g.w, g.r),
+				batchRun(t, queries, nil, g.w, g.r), ref)
+		}
+	})
+	t.Run("chaos", func(t *testing.T) {
+		seq := seqRef(t, queries, chaosPlan())
+		var ref workloadRun
+		for i, g := range grid {
+			got := batchRun(t, queries, chaosPlan(), g.w, g.r)
+			if !reflect.DeepEqual(got.fps, seq.fps) {
+				t.Errorf("workers=%d R=%d: batch results differ from sequential", g.w, g.r)
 			}
-		})
-	}
+			if got.stats.JobsDeduped == 0 || got.stats.SharedScans == 0 {
+				t.Errorf("workers=%d R=%d: deduped %d jobs, shared %d scans",
+					g.w, g.r, got.stats.JobsDeduped, got.stats.SharedScans)
+			}
+			if i == 0 {
+				ref = got
+				// The plan actually fired inside the batch.
+				if got.snap.Counters["mr_task_retries_total"] <= 0 || got.snap.FloatCounters["mr_wasted_sim_seconds_total"] <= 0 {
+					t.Error("chaos batch recorded no retries or wasted seconds — plan did not fire")
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got.ms, ref.ms) {
+				t.Errorf("workers=%d R=%d: per-query metrics differ from workers=1 R=1 under chaos", g.w, g.r)
+			}
+			if !reflect.DeepEqual(got.snap.Counters, ref.snap.Counters) {
+				t.Errorf("workers=%d R=%d: counters differ under chaos:\n got %v\nwant %v",
+					g.w, g.r, got.snap.Counters, ref.snap.Counters)
+			}
+			if !reflect.DeepEqual(got.snap.FloatCounters, ref.snap.FloatCounters) {
+				t.Errorf("workers=%d R=%d: float counters differ under chaos:\n got %v\nwant %v",
+					g.w, g.r, got.snap.FloatCounters, ref.snap.FloatCounters)
+			}
+		}
+	})
 }
 
 // TestBatchParityQuick is the always-on slice of the differential: one
-// analyst's four query versions, batch vs sequential, full snapshot
-// equality.
+// analyst's four query versions, batch (W=4, R=3) vs sequential.
 func TestBatchParityQuick(t *testing.T) {
 	var queries []workload.Query
 	for v := 1; v <= 4; v++ {
 		queries = append(queries, workload.QueryFor(1, v))
 	}
-
-	cfgA := QuickConfig()
-	cfgA.Obs = obs.NewRegistry()
-	sa, err := newSession(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refMs []*session.Metrics
-	refFPs := make(map[string]uint64)
-	for _, q := range queries {
-		m, err := run(sa, q, session.ModeOriginal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refMs = append(refMs, m)
-		refFPs[q.Name] = resultFP(t, sa, m.ResultName)
-	}
-
-	cfgB := QuickConfig()
-	cfgB.Workers = 4
-	cfgB.ReduceTasks = 3
-	cfgB.Obs = obs.NewRegistry()
-	sb, err := newSession(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := workload.Batch(queries, session.ModeOriginal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sb.RunBatch(batch, session.BatchOptions{Accounting: session.BatchParity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		if got := resultFP(t, sb, res.PerQuery[i].ResultName); got != refFPs[q.Name] {
-			t.Errorf("%s: batch result differs from sequential", q.Name)
-		}
-		if !reflect.DeepEqual(res.PerQuery[i], refMs[i]) {
-			t.Errorf("%s metrics differ:\n batch %+v\n seq   %+v", q.Name, res.PerQuery[i], refMs[i])
-		}
-	}
-	snapA, snapB := cfgA.Obs.Snapshot(), cfgB.Obs.Snapshot()
-	if !reflect.DeepEqual(snapB.Counters, snapA.Counters) {
-		t.Errorf("counters differ:\n batch %v\n seq   %v", snapB.Counters, snapA.Counters)
-	}
-	if !reflect.DeepEqual(snapB.FloatCounters, snapA.FloatCounters) {
-		t.Errorf("float counters differ:\n batch %v\n seq   %v", snapB.FloatCounters, snapA.FloatCounters)
-	}
-}
-
-// TestBatchParityRejectsRewriteModes: parity accounting is only defined
-// for ModeOriginal (rewrite modes would plan against a different view
-// catalog than sequential execution builds).
-func TestBatchParityRejectsRewriteModes(t *testing.T) {
-	s, err := newSession(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := workload.Batch([]workload.Query{workload.QueryFor(1, 1)}, session.ModeBFR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunBatch(batch, session.BatchOptions{Accounting: session.BatchParity}); err == nil {
-		t.Fatal("parity batch accepted a rewrite mode")
-	}
+	checkBatchVsSequential(t, "a1 v1-v4", batchRun(t, queries, nil, 4, 3), seqRef(t, queries, nil))
 }
 
 // TestBatchDedupExecutesSharedJobOnce is the dedup property test: two
@@ -229,7 +243,7 @@ func TestBatchDedupExecutesSharedJobOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sb.RunBatch(batch, session.BatchOptions{}) // physical accounting
+	res, err := sb.RunBatch(batch, session.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

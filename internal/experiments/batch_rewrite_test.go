@@ -1,0 +1,103 @@
+package experiments
+
+import (
+	"testing"
+	"time"
+
+	"opportune/internal/service"
+	"opportune/internal/session"
+	"opportune/internal/workload"
+)
+
+// knownWrongRewrites are the queries of the open ROADMAP defect ("BFREWRITE
+// returns wrong answers for 5 of the 32 workload queries once views
+// accumulate across analysts": COUNT(*) re-aggregated over a finer-grouped
+// view). They are exempt from TestBatchRewriteEquivalence until that fix
+// lands; the fix PR empties this table.
+var knownWrongRewrites = map[string]bool{
+	"a2v1": true, "a2v2": true, "a2v3": true, "a2v4": true, "a7v1": true,
+}
+
+// TestBatchRewriteEquivalence pins rewritten batches to the queries they
+// replace: the workload in analyst-major order on one accumulating catalog,
+// in batches of 8 under ModeBFR, through Session.RunBatch and through the
+// service, must produce the same result multisets as sequential
+// ModeOriginal execution.
+func TestBatchRewriteEquivalence(t *testing.T) {
+	const batchSize = 8
+	queries := workload.AllQueries()
+	refFPs := seqRef(t, queries, nil).fps
+
+	check := func(t *testing.T, got map[string]uint64, improved int) {
+		t.Helper()
+		for _, q := range queries {
+			switch {
+			case knownWrongRewrites[q.Name]:
+				t.Logf("%s: exempt (known rewrite defect, see ROADMAP); matches here: %v",
+					q.Name, got[q.Name] == refFPs[q.Name])
+			case got[q.Name] != refFPs[q.Name]:
+				t.Errorf("%s: rewritten batch result differs from the original query's", q.Name)
+			}
+		}
+		if improved == 0 {
+			t.Error("no query of any batch was rewritten")
+		}
+	}
+
+	t.Run("session", func(t *testing.T) {
+		s, err := newSession(QuickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]uint64)
+		improved := 0
+		for i := 0; i < len(queries); i += batchSize {
+			chunk := queries[i : i+batchSize]
+			batch, err := workload.Batch(chunk, session.ModeBFR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.RunBatch(batch, session.BatchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, q := range chunk {
+				m := res.PerQuery[j]
+				got[q.Name] = resultFP(t, s, m.ResultName)
+				if m.Rewrite.Improved {
+					improved++
+				}
+			}
+		}
+		check(t, got, improved)
+	})
+
+	t.Run("service", func(t *testing.T) {
+		s, err := newSession(QuickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One tenant: FIFO intake cuts the script into in-order batches.
+		svc := service.New(s, service.Config{BatchSize: batchSize, MaxWait: 10 * time.Second, Mode: session.ModeBFR})
+		tickets := make([]*service.Ticket, len(queries))
+		for i, q := range queries {
+			if tickets[i], err = svc.Submit("analyst", q.SQL); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Close()
+		got := make(map[string]uint64)
+		improved := 0
+		for i, q := range queries {
+			resp := tickets[i].Wait()
+			if resp.Err != nil {
+				t.Fatalf("%s: %v", q.Name, resp.Err)
+			}
+			got[q.Name] = resultFP(t, s, resp.Metrics.ResultName)
+			if resp.Metrics.Rewrite.Improved {
+				improved++
+			}
+		}
+		check(t, got, improved)
+	})
+}

@@ -48,19 +48,17 @@ func benchGroupJob(schema *data.Schema, rows, groups int) *Job {
 		Reduce: func(_ string, rows []data.Row, out *GroupOut) {
 			out.Emit(data.Row{rows[0][0], rows[0][2], value.NewInt(int64(len(rows)))})
 		},
-		OutputSchema:   outSchema,
-		Output:         "bench_out",
-		MapCost:        []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
-		ReduceCost:     []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
-		EstShuffleRows: int64(rows),
-		EstGroups:      int64(groups),
+		OutputSchema: outSchema,
+		Output:       "bench_out",
+		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
+		ReduceCost:   []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
+		EstGroups:    int64(groups),
 	}
 }
 
 // BenchmarkShuffleGroup measures the engine's shuffle/group/merge hot path:
 // per-tuple key building, hash partitioning, per-partition grouping, and the
-// global key-ordered merge. This is the allocation gate of the PR-4
-// perf trajectory (BENCH_PR4.json).
+// global key-ordered merge.
 func BenchmarkShuffleGroup(b *testing.B) {
 	st, schema := benchInput(20000, 2000)
 	params := cost.DefaultParams()
@@ -106,8 +104,7 @@ func BenchmarkKWayMerge(b *testing.B) {
 // BenchmarkPartitionLocalGroup is BenchmarkShuffleGroup on the partition-
 // preserving path: same job, input declared hash-clustered on the first
 // key column, so routing goes by decoded key prefix instead of a full
-// cross-partition shuffle. Tracked in the perf trajectory alongside
-// ShuffleGroup so the oracle-equal output stays cheap.
+// cross-partition shuffle.
 func BenchmarkPartitionLocalGroup(b *testing.B) {
 	st, schema := benchInput(20000, 2000)
 	params := cost.DefaultParams()

@@ -263,14 +263,13 @@ type Job struct {
 	CombineCost []cost.LocalFn
 	ReduceCost  []cost.LocalFn
 
-	// EstShuffleRows and EstGroups are optimizer cardinality hints (zero
-	// when unknown) used only to pre-size in-memory buffers on the hot path:
-	// shuffle partitions and group tables. They never affect results,
-	// accounting, or simulated seconds — a wildly wrong estimate costs a
-	// reallocation, not correctness. (The output relation needs no hint: it
-	// is sized exactly from the rows the reduce or map phase produced.)
-	EstShuffleRows int64
-	EstGroups      int64
+	// EstGroups is an optimizer cardinality hint (zero when unknown) used
+	// only to pre-size group tables on the hot path. It never affects
+	// results, accounting, or simulated seconds — a wildly wrong estimate
+	// costs a reallocation, not correctness. (The output relation needs no
+	// hint: it is sized exactly from the rows the reduce or map phase
+	// produced.)
+	EstGroups int64
 
 	// PartitionKeyCols and PartitionParts declare the inputs' physical
 	// layout: the rows this job shuffles are already hash-distributed over
@@ -540,7 +539,7 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, st retryState, exec func(re
 			// moved before dying: a panic in reduce wastes the full map
 			// and shuffle work, not just the map-side read (the partial
 			// volumes in res stop at the phase that panicked).
-			attemptCost = e.PartialCost(job, res)
+			attemptCost = e.partialCost(job, res)
 		}
 		if err != nil && !deadlined && attempt < attempts {
 			asp.AddSim(attemptCost + res.Faults.Total())
@@ -584,11 +583,11 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, st retryState, exec func(re
 	}
 }
 
-// PartialCost prices the volumes one dead attempt consumed before failing —
+// partialCost prices the volumes one dead attempt consumed before failing —
 // the same charge Run puts into WastedSeconds per recovered failure. The
 // session's batch executor uses it to replay sequential-equivalent retry
 // accounting for jobs it did not physically re-execute.
-func (e *Engine) PartialCost(job *Job, res *Result) float64 {
+func (e *Engine) partialCost(job *Job, res *Result) float64 {
 	return e.Params.JobCost(cost.JobSpec{
 		InputBytes:        res.InputBytes,
 		InputRows:         res.InputRows,

@@ -109,7 +109,7 @@ func (e *Engine) RunSharedScan(consumers []*Job) ([]*data.Relation, *SharedScanR
 		if attempt >= attempts {
 			return nil, nil, err
 		}
-		st.wasted += e.PartialCost(primary, r)
+		st.wasted += e.partialCost(primary, r)
 		st.retriedIn += r.InputBytes
 		st.recovered = err.Error()
 	}

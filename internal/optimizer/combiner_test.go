@@ -8,12 +8,12 @@ import (
 	"opportune/internal/plan"
 )
 
-// TestCombinerShrinksShuffleSameResult: with map-side combining on, a
-// group-by job moves far fewer shuffle rows yet produces identical output.
+// TestCombinerShrinksShuffleSameResult: with map-side combining, a group-by
+// job moves far fewer shuffle rows yet produces the same output as the same
+// compiled job with its combiner stripped off.
 func TestCombinerShrinksShuffleSameResult(t *testing.T) {
-	runWith := func(disable bool) (*mr.Result, uint64) {
+	runWith := func(strip bool) (*mr.Result, uint64) {
 		f := newFixture(t, 5000)
-		f.opt.DisableCombiners = disable
 		f.eng.Params.SplitRows = 512
 		p := plan.GroupAgg(plan.Scan("twtr"), []string{"user_id"},
 			plan.AggSpec{Func: plan.AggCount, As: "n"},
@@ -27,6 +27,11 @@ func TestCombinerShrinksShuffleSameResult(t *testing.T) {
 		jobs, err := f.opt.Executable(w, "g")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if strip {
+			for _, job := range jobs {
+				job.Combine, job.BatchCombine = nil, nil
+			}
 		}
 		results, _, err := f.eng.RunSequence(jobs)
 		if err != nil {
@@ -54,24 +59,20 @@ func TestCombinerShrinksShuffleSameResult(t *testing.T) {
 	if with.SimSeconds >= without.SimSeconds {
 		t.Errorf("combiner did not reduce simulated time: %g vs %g", with.SimSeconds, without.SimSeconds)
 	}
-	// Estimates must reflect the combiner too.
+	// Estimates must reflect the combiner too: every map output is combined,
+	// and at most one partial row per (group, split) is shuffled.
 	f := newFixture(t, 5000)
 	f.opt.Params.SplitRows = 512
-	p := plan.GroupAgg(plan.Scan("twtr"), []string{"user_id"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
-	wOn, err := f.opt.Compile(p)
+	w, err := f.opt.Compile(plan.GroupAgg(plan.Scan("twtr"), []string{"user_id"}, plan.AggSpec{Func: plan.AggCount, As: "n"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := newFixture(t, 5000)
-	f2.opt.Params.SplitRows = 512
-	f2.opt.DisableCombiners = true
-	p2 := plan.GroupAgg(plan.Scan("twtr"), []string{"user_id"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
-	wOff, err := f2.opt.Compile(p2)
-	if err != nil {
-		t.Fatal(err)
+	est := w.Sink().EstSpec
+	if est.CombineRows != est.InputRows {
+		t.Errorf("estimate combines %d rows, want all %d map outputs", est.CombineRows, est.InputRows)
 	}
-	if wOn.TotalCost() >= wOff.TotalCost() {
-		t.Errorf("estimated cost with combiner (%g) not below without (%g)", wOn.TotalCost(), wOff.TotalCost())
+	if est.ShuffleRows >= est.InputRows/10 {
+		t.Errorf("estimated shuffle %d rows not shrunk from %d", est.ShuffleRows, est.InputRows)
 	}
 }
 

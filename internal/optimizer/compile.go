@@ -28,31 +28,20 @@ type Optimizer struct {
 	// between queries (statistics change as views accumulate).
 	annEst map[string]cost.Stats
 
-	// DisableCombiners turns off map-side combining for group-by jobs
-	// (execution and estimation); used by the combiner ablation.
-	DisableCombiners bool
-
 	// DisablePartitionAware turns off partition-aware planning: jobs never
 	// take the partition-preserving execution path, estimates never price
 	// eliminated shuffle bytes, and compiled jobs stop declaring output
 	// layouts. The partition experiment's baseline arm flips this.
 	DisablePartitionAware bool
 
-	// DisableFusion turns off map-pipeline fusion: compiled jobs run their
-	// operator chains through the row-at-a-time interpreter instead of the
-	// fused columnar batch kernels. Outputs, volumes, and simulated seconds
+	// DisableFusion turns off fusion on both sides of the shuffle: compiled
+	// jobs run their map operator chains, combiners and reducers through the
+	// row-at-a-time interpreter instead of the fused columnar batch
+	// kernels. Outputs, volumes, and simulated seconds
 	// are identical either way (the fusion differential oracle proves it);
 	// only wall-clock changes. The fusion experiment's baseline arm and
 	// the interpreter arm of the differential tests flip this.
 	DisableFusion bool
-
-	// DisableReduceFusion turns off reduce-side fusion only: combiners and
-	// reducers run the row-at-a-time aggPhys interpreter and partition-
-	// local grouped jobs keep their map-only kernels (no cross-boundary
-	// fusion), while map-pipeline fusion stays on. Same wall-clock-only
-	// contract as DisableFusion, which implies it. The reduce-fusion
-	// benchmarks' baseline arm flips this.
-	DisableReduceFusion bool
 
 	// Obs, when set, receives estimate-cache hit/miss counters. Planning is
 	// deterministic (and serialized by the session), so these counters are
@@ -81,8 +70,6 @@ type EstAccess struct {
 	Stats   cost.Stats
 	Catalog bool
 }
-
-func (o *Optimizer) combinersOn() bool { return !o.DisableCombiners }
 
 // ClearEstimates drops the cross-plan estimate cache; call between queries.
 // It also bumps the estimate generation, invalidating rewrite-layer memos.
@@ -370,7 +357,7 @@ func (o *Optimizer) estimateJobCost(j *JobNode, est *estimator) cost.Breakdown {
 			spec.ReduceFns = append(spec.ReduceFns, cost.LocalFn{Ops: []cost.OpType{cost.OpGroup, cost.OpFilter}, Scalar: 1})
 		case plan.KindGroupAgg:
 			spec.ReduceFns = append(spec.ReduceFns, cost.LocalFn{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1})
-			if o.combinersOn() && o.Params.SplitRows > 0 {
+			if o.Params.SplitRows > 0 {
 				// Combiners shrink the shuffle to at most one partial row
 				// per (group, split).
 				spec.CombineFns = append(spec.CombineFns, cost.LocalFn{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1})

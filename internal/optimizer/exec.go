@@ -288,12 +288,11 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 		Output:       outName,
 		OutputKind:   storage.View,
 		OutputSchema: data.NewSchema(jn.OutCols...),
-		// Cardinality hints from the estimator: pre-size only, the engine
-		// never lets them affect results or accounting. Every group holds at
+		// Cardinality hint from the estimator: pre-size only, the engine
+		// never lets it affect results or accounting. Every group holds at
 		// least one shuffled row, which bounds the key count where Est.Rows
 		// does not (a join's output is its key count times the fan-out).
-		EstShuffleRows: jn.EstSpec.ShuffleRows,
-		EstGroups:      min(jn.Est.Rows, jn.EstSpec.ShuffleRows),
+		EstGroups: min(jn.Est.Rows, jn.EstSpec.ShuffleRows),
 	}
 	if !o.DisablePartitionAware {
 		// Execute the layout match found at estimation time, and declare the
@@ -557,9 +556,6 @@ func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory,
 			row = append(row, a.finalize(acc))
 		}
 		out.Emit(row)
-	}
-	if !o.combinersOn() {
-		job.Combine = nil
 	}
 	job.CombineCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}

@@ -121,16 +121,15 @@ func BenchmarkFilterCompaction(b *testing.B) {
 }
 
 // benchAggFixture compiles one grouped plan over a hash-partitioned 20k-row
-// twtr (8 parts on user_id) with the given fusion knobs, single-worker so
-// the numbers measure CPU, not scheduling.
-func benchAggFixture(b *testing.B, disableFusion, disableReduce bool, p *plan.Node) (*fixture, []*mr.Job) {
+// twtr (8 parts on user_id) with fusion on or off, single-worker so the
+// numbers measure CPU, not scheduling.
+func benchAggFixture(b *testing.B, disableFusion bool, p *plan.Node) (*fixture, []*mr.Job) {
 	b.Helper()
 	f := newFixture(b, 20000)
 	sig := afk.BaseSig("twtr", "user_id").ID()
 	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
 	f.opt.DisableFusion = disableFusion
-	f.opt.DisableReduceFusion = disableReduce
 	f.eng.Params.SplitRows = 2048
 	f.eng.Workers = 1
 	w, err := f.opt.Compile(p)
@@ -170,19 +169,18 @@ func groupAggBenchPlan() *plan.Node {
 // (arena grouper + row-at-a-time combine/reduce closures) end to end over
 // identical compiled jobs.
 func BenchmarkFusedGroupAgg(b *testing.B) {
-	fF, jF := benchAggFixture(b, false, false, groupAggBenchPlan())
+	fF, jF := benchAggFixture(b, false, groupAggBenchPlan())
 	if !jF[len(jF)-1].FusedReduce || !jF[len(jF)-1].FusedCrossBoundary {
 		b.Fatal("grouped plan did not reduce-fuse across the boundary")
 	}
-	fI, jI := benchAggFixture(b, true, false, groupAggBenchPlan())
+	fI, jI := benchAggFixture(b, true, groupAggBenchPlan())
 	b.Run("fused", func(b *testing.B) { benchRunJobs(b, fF, jF) })
 	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, jI) })
 }
 
 // BenchmarkPartitionLocalFusedChain stacks map work (UDF + filter) on the
 // same grouped boundary: the cross arm fuses the whole chain through the
-// now-local shuffle, the map-only arm stops the kernels at the map side
-// (DisableReduceFusion), which was the PR-9 ceiling.
+// now-local shuffle, the interpreted arm runs it row at a time.
 func BenchmarkPartitionLocalFusedChain(b *testing.B) {
 	chain := func() *plan.Node {
 		return plan.GroupAgg(
@@ -193,14 +191,11 @@ func BenchmarkPartitionLocalFusedChain(b *testing.B) {
 			plan.AggSpec{Func: plan.AggCount, As: "n"},
 			plan.AggSpec{Func: plan.AggAvg, Col: "tweet_id", As: "m"})
 	}
-	fC, jC := benchAggFixture(b, false, false, chain())
+	fC, jC := benchAggFixture(b, false, chain())
 	if !jC[len(jC)-1].FusedCrossBoundary {
 		b.Fatal("chain did not cross-fuse")
 	}
-	fM, jM := benchAggFixture(b, false, true, chain())
-	if !jM[len(jM)-1].Fused || jM[len(jM)-1].FusedReduce {
-		b.Fatal("map-only arm misconfigured")
-	}
+	fI, jI := benchAggFixture(b, true, chain())
 	b.Run("cross", func(b *testing.B) { benchRunJobs(b, fC, jC) })
-	b.Run("maponly", func(b *testing.B) { benchRunJobs(b, fM, jM) })
+	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, jI) })
 }

@@ -77,7 +77,7 @@ func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, spec *aggSpec
 	job.FusedReduceEligible = true
 	reason := ""
 	switch {
-	case o.DisableFusion || o.DisableReduceFusion:
+	case o.DisableFusion:
 		reason = mr.FuseDisabled
 	case jn.Logical.Kind == plan.KindUDF:
 		// Aggregate-UDF reducers run opaque user code over raw payload

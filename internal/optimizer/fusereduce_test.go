@@ -20,7 +20,6 @@ type reduceFusionArm int
 
 const (
 	armFull        reduceFusionArm = iota // map + reduce + cross fusion
-	armMapOnly                            // DisableReduceFusion: PR-9 map kernels only
 	armInterpreter                        // DisableFusion: row interpreter everywhere
 )
 
@@ -33,12 +32,7 @@ func runReduceFusionPlan(t *testing.T, arm reduceFusionArm, p *plan.Node) ([][]s
 	sig := afk.BaseSig("twtr", "user_id").ID()
 	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
-	switch arm {
-	case armMapOnly:
-		f.opt.DisableReduceFusion = true
-	case armInterpreter:
-		f.opt.DisableFusion = true
-	}
+	f.opt.DisableFusion = arm == armInterpreter
 	f.eng.Params.SplitRows = 64
 	f.eng.Params.ReduceTasks = 3
 	f.eng.Workers = 4
@@ -83,42 +77,40 @@ func groupByUserPlan() *plan.Node {
 
 // TestFusedCombineRowsParity is the PR's bugfix pin: map-side combine
 // accounting must be byte-for-byte identical whether the combine fold ran
-// through the grouper interpreter, the columnar combine kernel, or the
-// cross-boundary map kernel — mr_combine_rows_total is an accounting
-// counter, not an execution-strategy counter.
+// through the grouper interpreter or the cross-boundary map kernel —
+// mr_combine_rows_total is an accounting counter, not an execution-strategy
+// counter.
 func TestFusedCombineRowsParity(t *testing.T) {
 	p := groupByUserPlan()
 	rowsFull, resFull, cFull := runReduceFusionPlan(t, armFull, p)
-	rowsMap, resMap, cMap := runReduceFusionPlan(t, armMapOnly, p)
 	rowsInt, resInt, cInt := runReduceFusionPlan(t, armInterpreter, p)
 
-	if !reflect.DeepEqual(rowsFull, rowsMap) || !reflect.DeepEqual(rowsFull, rowsInt) {
-		t.Fatalf("output rows differ across arms:\nfull  %v\nmap   %v\ninterp %v", rowsFull, rowsMap, rowsInt)
+	if !reflect.DeepEqual(rowsFull, rowsInt) {
+		t.Fatalf("output rows differ across arms:\nfull  %v\ninterp %v", rowsFull, rowsInt)
 	}
 	if cInt["mr_combine_rows_total"] == 0 {
 		t.Fatal("workload exercised no combiner")
 	}
-	if cFull["mr_combine_rows_total"] != cInt["mr_combine_rows_total"] ||
-		cMap["mr_combine_rows_total"] != cInt["mr_combine_rows_total"] {
-		t.Errorf("mr_combine_rows_total diverges: full=%d map-only=%d interp=%d",
-			cFull["mr_combine_rows_total"], cMap["mr_combine_rows_total"], cInt["mr_combine_rows_total"])
+	if cFull["mr_combine_rows_total"] != cInt["mr_combine_rows_total"] {
+		t.Errorf("mr_combine_rows_total diverges: full=%d interp=%d",
+			cFull["mr_combine_rows_total"], cInt["mr_combine_rows_total"])
 	}
 	for i := range resInt {
-		if resFull[i].CombineRows != resInt[i].CombineRows || resMap[i].CombineRows != resInt[i].CombineRows {
-			t.Errorf("job %d CombineRows diverges: full=%d map-only=%d interp=%d",
-				i, resFull[i].CombineRows, resMap[i].CombineRows, resInt[i].CombineRows)
+		if resFull[i].CombineRows != resInt[i].CombineRows {
+			t.Errorf("job %d CombineRows diverges: full=%d interp=%d",
+				i, resFull[i].CombineRows, resInt[i].CombineRows)
 		}
 	}
-	// The full arm really crossed the boundary; the map-only arm classified
-	// the reduce side out with reason=disabled but kept map fusion.
+	// The full arm really crossed the boundary; the interpreter arm
+	// classified the reduce side out with reason=disabled.
 	if cFull["mr_fused_reduce_crossboundary_jobs_total"] == 0 {
 		t.Error("full arm did not cross-fuse the partition-local job")
 	}
-	if cMap["mr_fused_reduce_jobs_total"] != 0 {
-		t.Error("map-only arm compiled reduce kernels despite DisableReduceFusion")
+	if cInt["mr_fused_reduce_jobs_total"] != 0 {
+		t.Error("interpreter arm compiled reduce kernels despite DisableFusion")
 	}
-	if cMap["mr_fused_reduce_fallback_total{reason=disabled}"] == 0 {
-		t.Error("map-only arm did not record reason=disabled for the reduce side")
+	if cInt["mr_fused_reduce_fallback_total{reason=disabled}"] == 0 {
+		t.Error("interpreter arm did not record reason=disabled for the reduce side")
 	}
 }
 
@@ -241,7 +233,7 @@ func TestReduceFusionClassification(t *testing.T) {
 		{"agg_udf", armFull, winersPlan(), false, false, "agg_udf"},
 		{"unsupported_op", armFull,
 			plan.Sort(plan.Scan("twtr"), []string{"tweet_id"}, []bool{true}, 10), false, false, "unsupported_op"},
-		{"disabled", armMapOnly, groupByUserPlan(), false, false, "disabled"},
+		{"disabled", armInterpreter, groupByUserPlan(), false, false, "disabled"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

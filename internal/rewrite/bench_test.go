@@ -70,21 +70,6 @@ func BenchmarkDPRewriteSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelProbe measures probing every accumulated view against
-// the sink target in one batch — the unit the rewrite search fans out over
-// its worker pool.
-func BenchmarkParallelProbe(b *testing.B) {
-	s := newBenchState(b)
-	w := compileProbe(b, s)
-	views := s.Cat.Views()
-	target := w.Sink()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Opt.ClearEstimates()
-		rewrite.ProbeCandidates(s.Rew, target, views)
-	}
-}
-
 // BenchmarkProbeCandidate measures one candidate evaluation: OPTCOST plus
 // (when guessed complete) the REWRITEENUM compensation search.
 func BenchmarkProbeCandidate(b *testing.B) {

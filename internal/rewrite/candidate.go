@@ -451,15 +451,11 @@ func indexRename(cols, as []string, col string) string {
 	return ""
 }
 
-// Relevant reports whether a candidate can possibly participate in a
+// relevantWith reports whether a candidate can possibly participate in a
 // complete rewrite of q: it must carry at least one signature useful to q
-// (an attribute of q or an ingredient of one), and its filters must be
-// implied by q's (a view that excluded tuples q needs can never join back
-// to completeness, since merges only conjoin filters).
-func (r *Rewriter) Relevant(q afk.Annotation, c *Candidate) bool {
-	return r.relevantWith(q, c, usefulSigs(q))
-}
-
+// (useful = usefulSigs(q): an attribute of q or an ingredient of one), and
+// its filters must be implied by q's (a view that excluded tuples q needs
+// can never join back to completeness, since merges only conjoin filters).
 func (r *Rewriter) relevantWith(q afk.Annotation, c *Candidate, useful map[string]bool) bool {
 	if c.Ann.Limited || q.Limited {
 		return false // see GuessComplete: LIMIT is outside the model
@@ -579,53 +575,4 @@ func ProbeCandidate(r *Rewriter, q *optimizer.JobNode, v *meta.TableInfo) (float
 	}
 	p, cost := r.RewriteEnum(q, c)
 	return oc, p, cost
-}
-
-// ProbeResult is one view's outcome from a batch probe: the OPTCOST lower
-// bound, and — when GUESSCOMPLETE passed and REWRITEENUM found a rewrite —
-// the rewrite plan with its cost (nil, +Inf otherwise).
-type ProbeResult struct {
-	View    *meta.TableInfo
-	OptCost float64
-	Plan    *plan.Node
-	Cost    float64
-}
-
-// ProbeCandidates evaluates each view against one target, fanning the
-// REWRITEENUM calls over the rewriter's probe pool. Candidate construction,
-// OPTCOST, and GUESSCOMPLETE run serially first: GUESSCOMPLETE reads the
-// FD set, whose contents grow as plans are annotated, so its verdicts must
-// be sequenced exactly as a serial probe loop would sequence them. Each
-// surviving view then enumerates on a forked optimizer; the forks' estimate
-// logs replay in view order, so results and cache counters are identical to
-// the serial loop at every pool size.
-func ProbeCandidates(r *Rewriter, q *optimizer.JobNode, views []*meta.TableInfo) []ProbeResult {
-	out := make([]ProbeResult, len(views))
-	cands := make([]*Candidate, len(views))
-	var enum []int
-	for i, v := range views {
-		out[i] = ProbeResult{View: v, OptCost: inf, Cost: inf}
-		c, err := r.single(v)
-		if err != nil {
-			continue
-		}
-		cands[i] = c
-		out[i].OptCost = r.OptCost(q, c)
-		if afk.GuessComplete(q.Ann, c.Ann, r.Cat.FDs) {
-			enum = append(enum, i)
-		}
-	}
-	forks := make([]*optimizer.Optimizer, len(enum))
-	for j := range forks {
-		forks[j] = r.Opt.ForkEstimates()
-	}
-	runParallel(r.probeWorkers(), len(enum), func(j int) {
-		i := enum[j]
-		sub := r.forkedWith(forks[j])
-		out[i].Plan, out[i].Cost = sub.RewriteEnum(q, cands[i])
-	})
-	for j := range enum {
-		r.Opt.MergeEstimates(forks[j])
-	}
-	return out
 }

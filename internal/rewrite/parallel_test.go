@@ -1,7 +1,6 @@
 package rewrite_test
 
 import (
-	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -92,57 +91,6 @@ func TestBFRewriteDeterministicAcrossPoolSizes(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.obs, ref.obs) {
 			t.Errorf("pool=%d: obs counters differ\n got %v\nwant %v", p, got.obs, ref.obs)
-		}
-	}
-}
-
-// TestProbeCandidatesMatchesSerialProbes pins the batch probe API to the
-// serial single-view loop it replaces: per-view OPTCOST, rewrite cost, and
-// plan identity must agree at every pool size.
-func TestProbeCandidatesMatchesSerialProbes(t *testing.T) {
-	s, w := probeState(t, 4)
-	views := s.Cat.Views()
-	target := w.Sink()
-
-	type ref struct {
-		optCost float64
-		planFP  string
-		cost    float64
-	}
-	s.Opt.ClearEstimates()
-	want := make([]ref, len(views))
-	for i, v := range views {
-		oc, p, c := rewrite.ProbeCandidate(s.Rew, target, v)
-		want[i] = ref{optCost: oc, cost: c}
-		if p != nil {
-			want[i].planFP = p.Fingerprint()
-		}
-	}
-
-	for _, pool := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		s.Opt.ClearEstimates()
-		s.Rew.ProbeWorkers = pool
-		got := rewrite.ProbeCandidates(s.Rew, target, views)
-		if len(got) != len(views) {
-			t.Fatalf("pool=%d: %d results for %d views", pool, len(got), len(views))
-		}
-		for i, g := range got {
-			if g.View != views[i] {
-				t.Errorf("pool=%d view %d: result out of order", pool, i)
-			}
-			if g.OptCost != want[i].optCost && !(math.IsInf(g.OptCost, 1) && math.IsInf(want[i].optCost, 1)) {
-				t.Errorf("pool=%d view %s: OptCost %v, want %v", pool, views[i].Name, g.OptCost, want[i].optCost)
-			}
-			gotFP := ""
-			if g.Plan != nil {
-				gotFP = g.Plan.Fingerprint()
-			}
-			if gotFP != want[i].planFP {
-				t.Errorf("pool=%d view %s: plan %q, want %q", pool, views[i].Name, gotFP, want[i].planFP)
-			}
-			if g.Cost != want[i].cost && !(math.IsInf(g.Cost, 1) && math.IsInf(want[i].cost, 1)) {
-				t.Errorf("pool=%d view %s: cost %v, want %v", pool, views[i].Name, g.Cost, want[i].cost)
-			}
 		}
 	}
 }

@@ -25,8 +25,8 @@
 // view maintenance never interleaves with a half-executed batch.
 //
 // Service-layer metrics go to Config.Obs, which may be a different
-// registry than the session's: the parity tests require the session
-// registry to stay byte-identical to sequential execution.
+// registry than the session's: the differential tests reconcile the
+// session registry against sequential execution counter by counter.
 package service
 
 import (
@@ -61,9 +61,8 @@ type Config struct {
 	// ExecQueue bounds the planner→executor channel. Default 2.
 	ExecQueue int
 
-	// Mode and Accounting are applied to every query of every batch.
-	Mode       session.Mode
-	Accounting session.BatchAccounting
+	// Mode is applied to every query of every batch.
+	Mode session.Mode
 	// Parallel is passed through to BatchOptions.Parallel.
 	Parallel int
 
@@ -74,8 +73,8 @@ type Config struct {
 
 	// HotPinFraction of the store's view capacity is kept pinned to the
 	// hottest views between batches (0 disables; pinning is also disabled
-	// when the store has no view budget, so an unbudgeted parity run sees
-	// zero pin activity). HotPinTop caps the pinned set size (default 8).
+	// when the store has no view budget, so an unbudgeted run sees zero pin
+	// activity). HotPinTop caps the pinned set size (default 8).
 	HotPinFraction float64
 	HotPinTop      int
 
@@ -216,16 +215,7 @@ func New(sess *session.Session, cfg Config) *Service {
 // tenant. It blocks while the tenant's intake queue is full and fails
 // only after Close.
 func (s *Service) Submit(tenant, sql string) (*Ticket, error) {
-	return s.enqueue(&request{tenant: tenant, sql: sql})
-}
-
-// SubmitPlan queues an already-parsed plan under resultName.
-func (s *Service) SubmitPlan(tenant string, p *plan.Node, resultName string) (*Ticket, error) {
-	return s.enqueue(&request{tenant: tenant, plan: p, resultName: resultName})
-}
-
-func (s *Service) enqueue(req *request) (*Ticket, error) {
-	req.ticket = &Ticket{ch: make(chan Response, 1)}
+	req := &request{tenant: tenant, sql: sql, ticket: &Ticket{ch: make(chan Response, 1)}}
 	s.mu.Lock()
 	tq := s.tenants[req.tenant]
 	if tq == nil {
@@ -416,17 +406,15 @@ func (s *Service) cutLocked() ([]*request, string) {
 func (s *Service) parse(reqs []*request) []*request {
 	out := reqs[:0]
 	for _, req := range reqs {
-		if req.plan == nil {
-			st, err := hiveql.ParseOne(req.sql)
-			if err != nil {
-				s.parseErrs.Add(1)
-				s.cfg.Obs.Counter("service_parse_errors_total").Inc()
-				req.resolve(Response{Err: fmt.Errorf("service: parse: %w", err)})
-				continue
-			}
-			req.plan = st.Plan
-			req.resultName = st.Table
+		st, err := hiveql.ParseOne(req.sql)
+		if err != nil {
+			s.parseErrs.Add(1)
+			s.cfg.Obs.Counter("service_parse_errors_total").Inc()
+			req.resolve(Response{Err: fmt.Errorf("service: parse: %w", err)})
+			continue
 		}
+		req.plan = st.Plan
+		req.resultName = st.Table
 		out = append(out, req)
 	}
 	return out
@@ -461,9 +449,7 @@ func (s *Service) runBatch(mb microBatch) {
 	s.batches.Add(1)
 
 	s.execMu.Lock()
-	res, err := s.sess.RunBatch(queries, session.BatchOptions{
-		Accounting: s.cfg.Accounting, Parallel: s.cfg.Parallel,
-	})
+	res, err := s.sess.RunBatch(queries, session.BatchOptions{Parallel: s.cfg.Parallel})
 	if err != nil {
 		// A batch-level failure (e.g. one query's plan) must not sink its
 		// batchmates: fall back to sequential execution per query.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,14 +54,32 @@ func fingerprint(t *testing.T, s *session.Session, name string) uint64 {
 	return ds.Relation().Fingerprint()
 }
 
+// sessionCounters is the session_* slice of a snapshot: the per-query
+// attributed totals, which sharing must not move.
+func sessionCounters(snap obs.Snapshot) (map[string]int64, map[string]float64) {
+	ints, floats := make(map[string]int64), make(map[string]float64)
+	for k, v := range snap.Counters {
+		if strings.HasPrefix(k, "session_") {
+			ints[k] = v
+		}
+	}
+	for k, v := range snap.FloatCounters {
+		if strings.HasPrefix(k, "session_") {
+			floats[k] = v
+		}
+	}
+	return ints, floats
+}
+
 // TestServiceParityWithSequentialRun is the service's end-to-end oracle:
 // a single tenant submitting queries in order through the full
-// intake→planner→executor pipeline (ModeOriginal, parity accounting) must
-// yield per-query Metrics, result relations, and a session counter
-// snapshot byte-identical to calling Session.Run in a loop — across
-// Workers ∈ {1,4} × ReduceTasks ∈ {1,3}. The partition into micro-batches
-// is irrelevant by construction: single-tenant FIFO intake plus an
-// in-order executor composes to sequential execution.
+// intake→planner→executor pipeline (ModeOriginal) must yield per-query
+// Metrics, result relations and session_* counters identical to calling
+// Session.Run in a loop, and engine counters that fall short of the loop's
+// by exactly the savings the micro-batches published — across
+// Workers ∈ {1,4} × ReduceTasks ∈ {1,3}. Single-tenant FIFO intake plus an
+// in-order executor composes to sequential execution whatever the cut into
+// micro-batches; only the amount shared depends on it.
 func TestServiceParityWithSequentialRun(t *testing.T) {
 	queries := parityQueries()
 
@@ -79,16 +98,16 @@ func TestServiceParityWithSequentialRun(t *testing.T) {
 		refFPs[q.Name] = fingerprint(t, ref, m.ResultName)
 	}
 	refSnap := refReg.Snapshot()
+	refInts, refFloats := sessionCounters(refSnap)
 
 	grid := []struct{ w, r int }{{1, 1}, {1, 3}, {4, 1}, {4, 3}}
 	for _, g := range grid {
 		t.Run(fmt.Sprintf("W%dR%d", g.w, g.r), func(t *testing.T) {
 			sess, sessReg := newTestSession(t, g.w, g.r)
 			svc := New(sess, Config{
-				BatchSize:  3, // uneven cuts: 3+3+2 across 8 queries
-				MaxWait:    10 * time.Second,
-				Accounting: session.BatchParity,
-				Obs:        obs.NewRegistry(), // service metrics stay off the session registry
+				BatchSize: 3, // uneven cuts: 3+3+2 across 8 queries
+				MaxWait:   10 * time.Second,
+				Obs:       obs.NewRegistry(), // service metrics stay off the session registry
 			})
 			tickets := make([]*Ticket, len(queries))
 			for i, q := range queries {
@@ -113,13 +132,23 @@ func TestServiceParityWithSequentialRun(t *testing.T) {
 				}
 			}
 			snap := sessReg.Snapshot()
-			if !reflect.DeepEqual(snap.Counters, refSnap.Counters) {
-				t.Errorf("session counters differ:\n service %v\n seq     %v",
-					snap.Counters, refSnap.Counters)
+			ints, floats := sessionCounters(snap)
+			if !reflect.DeepEqual(ints, refInts) || !reflect.DeepEqual(floats, refFloats) {
+				t.Errorf("session counters differ:\n service %v %v\n seq     %v %v", ints, floats, refInts, refFloats)
 			}
-			if !reflect.DeepEqual(snap.FloatCounters, refSnap.FloatCounters) {
-				t.Errorf("session float counters differ:\n service %v\n seq     %v",
-					snap.FloatCounters, refSnap.FloatCounters)
+			for _, id := range []struct{ total, saved string }{
+				{"mr_jobs_total", "batch_jobs_deduped_total"},
+				{"mr_input_bytes_total", "batch_scan_bytes_saved_total"},
+			} {
+				seq, got, saved := refSnap.Counters[id.total], snap.Counters[id.total], snap.Counters[id.saved]
+				if seq-got != saved {
+					t.Errorf("%s sequential %d - service %d = %d, but %s = %d",
+						id.total, seq, got, seq-got, id.saved, saved)
+				}
+			}
+			// The contract held while the micro-batches actually shared work.
+			if bt := svc.BatchTotals(); bt.JobsDeduped == 0 || bt.SharedScans == 0 {
+				t.Errorf("micro-batches deduped %d jobs and shared %d scans", bt.JobsDeduped, bt.SharedScans)
 			}
 		})
 	}

@@ -17,13 +17,12 @@
 //     dependency-ordered parallelism across queries, not one query at a
 //     time.
 //
-// Accounting comes in two modes. BatchPhysical (the default) charges what
-// physically ran: a shared scan's bytes and seconds are counted once, and
-// dedup ghosts are not re-counted. BatchParity replays standalone-
-// equivalent accounting so per-query Metrics and the full deterministic
-// counter snapshot are byte-identical to sequential Run — it exists so the
-// differential tests can prove the restructured execution computes exactly
-// the same thing, including under injected fault plans.
+// Accounting is physical: the engine counters record what ran — a shared
+// scan's bytes and seconds once, a deduped job once — and the batch_*
+// counters publish what sharing saved, so sequential totals are recovered
+// by adding the two. Per-query Metrics stay attributed: every query is
+// reported the cost of all its jobs, shared or not, which is what makes
+// them comparable to sequential Run.
 package session
 
 import (
@@ -39,28 +38,6 @@ import (
 	"opportune/internal/plan"
 )
 
-// BatchAccounting selects how RunBatch attributes cost and metrics.
-type BatchAccounting uint8
-
-const (
-	// BatchPhysical counts what physically executed: shared scans once,
-	// deduped jobs once. This is the mode that shows the sharing win.
-	BatchPhysical BatchAccounting = iota
-	// BatchParity replays standalone-equivalent accounting: per-query
-	// Metrics and all deterministic counters match sequential Run exactly.
-	// Supported for ModeOriginal queries only (rewrite modes would plan
-	// against a different view catalog than sequential execution builds).
-	BatchParity
-)
-
-// String names the accounting mode.
-func (a BatchAccounting) String() string {
-	if a == BatchParity {
-		return "parity"
-	}
-	return "physical"
-}
-
 // BatchQuery is one query of a batch.
 type BatchQuery struct {
 	Plan       *plan.Node
@@ -70,7 +47,6 @@ type BatchQuery struct {
 
 // BatchOptions configures RunBatch.
 type BatchOptions struct {
-	Accounting BatchAccounting
 	// Parallel bounds how many independent units execute concurrently;
 	// <=0 means runtime.GOMAXPROCS(0).
 	Parallel int
@@ -119,15 +95,6 @@ type batchConsumer struct {
 	res     *mr.Result // standalone-equivalent attributed result
 	wall    float64
 	physSim float64 // physically-charged simulated seconds (0 for ghosts)
-
-	// Ghost read-replay artifacts (parity mode): dedup ghosts and shared-
-	// scan secondaries re-read their inputs so storage counters and the
-	// read-fault budget drain exactly as sequential execution would.
-	ghostDone  bool
-	gAttempts  int
-	gWasted    float64
-	gRetried   int64
-	gRecovered string
 }
 
 // batchUnit is one physical execution: a singleton job or a shared-scan
@@ -155,11 +122,10 @@ type plannedQuery struct {
 // subexpressions execute once, same-input jobs share scans, and independent
 // units run in parallel. Results are materialized under each query's
 // ResultName and all job outputs are retained as opportunistic views,
-// exactly as per-query Run does. RunBatch must not run concurrently with
-// Run or another RunBatch on the same session: it detaches the engine's
-// metrics registry during parallel execution and replays job records in
-// deterministic order afterwards. Concurrent AppendRows calls are safe:
-// both serialize on the session's batch lock.
+// exactly as per-query Run does. RunBatch is safe to call concurrently with
+// Run (it executes on its own registry-detached engine copy and the store
+// and catalog are lock-protected); concurrent RunBatch and AppendRows calls
+// serialize on the session's batch lock.
 func (s *Session) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchResult, error) {
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
@@ -168,17 +134,8 @@ func (s *Session) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchResul
 	if len(queries) == 0 {
 		return out, nil
 	}
-	parity := opts.Accounting == BatchParity
-	if parity {
-		for _, q := range queries {
-			if q.Mode != ModeOriginal {
-				return nil, fmt.Errorf("session: batch parity accounting supports ModeOriginal only (query %q is %s)",
-					q.ResultName, q.Mode)
-			}
-		}
-	}
 
-	plans, err := s.planBatch(queries, parity)
+	plans, err := s.planBatch(queries)
 	if err != nil {
 		return nil, err
 	}
@@ -213,47 +170,30 @@ func (s *Session) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchResul
 	// must keep recording.
 	quiet := *s.Eng
 	quiet.Obs = nil
-	err = s.executeBatch(&quiet, consumers, units, opts.Parallel, parity)
+	err = executeBatch(&quiet, units, opts.Parallel)
 	if err == nil {
 		// Finalize under the pins, like the sequential path: a concurrent
 		// Run's materialization must not evict an output between its
 		// registration and its statistics sample.
-		err = s.finalizeBatch(queries, plans, perQuery, out, parity)
+		err = s.finalizeBatch(queries, plans, perQuery, out)
 	}
 	s.Store.Unpin(pinned)
+	// On failure too, like executePlan: outputs were admitted over budget
+	// under the pins, and evictions deferred by them land at Unpin.
+	s.Store.EnforceBudget()
+	s.Cat.SyncWithStore(s.Store)
 	if err != nil {
 		return nil, err
 	}
-	if parity {
-		// Pin replay: sequential pins each query's list (duplicates included)
-		// around execution; replaying it once the batch's own pins are gone
-		// reproduces the pin-contention counter exactly.
-		for qi, p := range plans {
-			if p.jobs != nil {
-				names := pinList(p.chosen, p.w, queries[qi].ResultName)
-				s.Store.Pin(names)
-				s.Store.Unpin(names)
-			}
-		}
-	}
-	s.Store.EnforceBudget()
-	s.Cat.SyncWithStore(s.Store)
 
-	s.batchStats(&out.Stats, queries, consumers, units, parity)
+	s.batchStats(&out.Stats, queries, consumers, units)
 	out.Stats.WallSeconds = time.Since(start).Seconds()
 	return out, nil
 }
 
-// planBatch compiles every query up front. In parity mode the optimizer's
-// counters are detached here: planning is replayed per query during
-// finalization, when the catalog holds exactly the views and statistics
-// sequential planning would have seen, so estimate-cache counters match.
-func (s *Session) planBatch(queries []BatchQuery, parity bool) ([]plannedQuery, error) {
-	savedOptObs := s.Opt.Obs
-	if parity {
-		s.Opt.Obs = nil
-		defer func() { s.Opt.Obs = savedOptObs }()
-	}
+// planBatch compiles every query up front, against the catalog as of batch
+// start.
+func (s *Session) planBatch(queries []BatchQuery) ([]plannedQuery, error) {
 	plans := make([]plannedQuery, len(queries))
 	for qi, q := range queries {
 		m, chosen, w, jobs, epoch, err := s.planQuery(q.Plan, q.ResultName, q.Mode)
@@ -397,53 +337,20 @@ func buildUnits(consumers []*batchConsumer) []*batchUnit {
 }
 
 // executeBatch runs the unit DAG. While scripted read faults are still
-// armed, items (physical units and, in parity mode, ghost read replays)
-// are processed strictly in rank order so the read-error budget drains in
-// the exact order sequential execution would produce; once no read can
-// fault anymore, the remaining units run with dependency-ordered
-// parallelism.
-func (s *Session) executeBatch(eng *mr.Engine, consumers []*batchConsumer, units []*batchUnit, parallel int, parity bool) error {
-	type item struct {
-		rank int
-		unit *batchUnit
-		c    *batchConsumer // ghost read replay (parity)
-	}
-	var items []item
-	for _, u := range units {
-		items = append(items, item{rank: u.rank, unit: u})
-	}
-	if parity {
-		for _, c := range consumers {
-			if c.dup != nil || (c.unit != nil && c != c.unit.consumers[0]) {
-				items = append(items, item{rank: c.rank, c: c})
-			}
+// armed, units run strictly in rank order so the read-error budget drains
+// in one fixed order whatever the parallelism; once no read can fault
+// anymore, the remaining units run with dependency-ordered parallelism.
+func executeBatch(eng *mr.Engine, units []*batchUnit, parallel int) error {
+	i := 0 // buildUnits emits units in rank order
+	for ; i < len(units) && eng.Faults.PendingReadFaults() > 0; i++ {
+		u := units[i]
+		runUnit(eng, u)
+		u.done = true
+		if u.err != nil {
+			return u.err
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].rank < items[j].rank })
-
-	idx := 0
-	for idx < len(items) && eng.Faults.PendingReadFaults() > 0 {
-		it := items[idx]
-		idx++
-		if it.unit != nil {
-			runUnit(eng, it.unit)
-			it.unit.done = true
-			if it.unit.err != nil {
-				return it.unit.err
-			}
-		} else if err := s.replayGhostReads(it.c); err != nil {
-			return err
-		}
-	}
-	var rest []*batchUnit
-	for _, it := range items[idx:] {
-		if it.unit != nil {
-			rest = append(rest, it.unit)
-		}
-		// Ghost replays left over run during finalization: with the fault
-		// budget drained their reads cannot fail, only count.
-	}
-	return runUnitsParallel(rest, parallel, func(u *batchUnit) { runUnit(eng, u) })
+	return runUnitsParallel(units[i:], parallel, func(u *batchUnit) { runUnit(eng, u) })
 }
 
 // runUnit executes one unit: a plain engine run for singletons, a shared-
@@ -540,44 +447,6 @@ func runUnitsParallel(rest []*batchUnit, parallel int, run func(*batchUnit)) err
 	return nil
 }
 
-// replayGhostReads re-reads a ghost consumer's inputs with the standalone
-// retry budget, reproducing the storage read counters and read-fault
-// retries its standalone run would have caused. Failed attempts are priced
-// with the engine's own partial-cost formula.
-func (s *Session) replayGhostReads(c *batchConsumer) error {
-	if c.ghostDone {
-		return nil
-	}
-	attempts := s.Eng.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for attempt := 1; ; attempt++ {
-		var bytes, rows int64
-		var ferr error
-		for _, name := range c.job.Inputs {
-			rel, err := s.Store.Read(name)
-			if err != nil {
-				ferr = fmt.Errorf("mr: job %q: %w", c.job.Name, err)
-				break
-			}
-			bytes += rel.EncodedSize()
-			rows += int64(rel.Len())
-		}
-		if ferr == nil {
-			c.gAttempts = attempt
-			c.ghostDone = true
-			return nil
-		}
-		if attempt >= attempts {
-			return ferr
-		}
-		c.gWasted += s.Eng.PartialCost(c.job, &mr.Result{InputBytes: bytes, InputRows: rows})
-		c.gRetried += bytes
-		c.gRecovered = ferr.Error()
-	}
-}
-
 // physicalResult is the physically-charged view of a consumer's result:
 // shared-scan secondaries drop the scan they did not perform (bytes to
 // zero, Cm minus one scan); primaries and singletons are already physical.
@@ -593,41 +462,23 @@ func (s *Session) physicalResult(c *batchConsumer) *mr.Result {
 }
 
 // finalizeBatch replays, per query in input order, everything sequential
-// execution interleaves with running jobs: parity planning, ghost
-// accounting, job records, pinning, view retention and statistics, and the
-// session-level metrics — all serially, so every counter is deterministic
-// and (in parity mode) byte-identical to sequential Run.
-func (s *Session) finalizeBatch(queries []BatchQuery, plans []plannedQuery, perQuery [][]*batchConsumer, out *BatchResult, parity bool) error {
+// execution interleaves with running jobs — job records, view retention and
+// statistics, and the session-level metrics — serially, so every counter is
+// deterministic whatever the execution parallelism was.
+func (s *Session) finalizeBatch(queries []BatchQuery, plans []plannedQuery, perQuery [][]*batchConsumer, out *BatchResult) error {
 	for qi, q := range queries {
 		p := plans[qi]
 		m := p.m
 		qsp := s.Obs.StartSpan(q.ResultName, "query")
-		psp := qsp.Child("plan")
-		if parity {
-			// Ghost planning replay: re-derive the estimates with counters
-			// attached, against the catalog state sequential planning would
-			// see at this point (all prior queries' views retained).
-			s.planMu.Lock()
-			s.Opt.ClearEstimates()
-			_, err := s.Opt.Compile(q.Plan)
-			s.planMu.Unlock()
-			if err != nil {
-				qsp.End()
-				return fmt.Errorf("session: batch replay compile %q: %w", q.ResultName, err)
-			}
-		}
-		psp.End()
-
+		// Planning ran up front in planBatch; the empty child keeps the
+		// query → plan → execute span shape of sequential Run.
+		qsp.Child("plan").End()
 		if p.jobs != nil {
 			esp := qsp.Child("execute")
 			var exec float64
 			var moved int64
 			for _, c := range perQuery[qi] {
-				if err := s.finalizeConsumer(c, parity); err != nil {
-					esp.End()
-					qsp.End()
-					return err
-				}
+				s.finalizeConsumer(c)
 				exec += c.res.SimSeconds
 				moved += c.res.DataMovedBytes()
 			}
@@ -659,79 +510,18 @@ func (s *Session) finalizeBatch(queries []BatchQuery, plans []plannedQuery, perQ
 	return nil
 }
 
-// finalizeConsumer settles one job's attributed result and replays its
-// record. Parity mode synthesizes standalone-equivalent results for ghosts
-// (dedup reuse and shared-scan secondaries) and records every consumer;
-// physical mode records physical executions only, with shared-scan
-// secondaries discounted.
-func (s *Session) finalizeConsumer(c *batchConsumer, parity bool) error {
-	secondary := c.unit != nil && len(c.unit.consumers) > 1 && c != c.unit.consumers[0]
+// finalizeConsumer settles one job's attributed result. A dedup ghost is
+// attributed its representative's execution and records nothing; a physical
+// execution is recorded once, shared-scan secondaries discounted by the
+// scan they did not perform.
+func (s *Session) finalizeConsumer(c *batchConsumer) {
 	if c.dup != nil {
-		// Deduped job: attribute the representative's execution.
-		if !parity {
-			c.res = c.dup.res
-			return nil
-		}
-		if err := s.replayGhostReads(c); err != nil {
-			return err
-		}
-		res := *c.dup.res
-		res.Job = c.job.Name
-		res.Attempts = c.gAttempts
-		res.RetriedInputBytes = c.gRetried
-		res.RetriedShuffleBytes = 0
-		res.WastedSeconds = c.gWasted + res.Faults.Total()
-		res.SimSeconds = res.Breakdown.Total() + res.WastedSeconds
-		if res.TaskRetries == 0 {
-			// The representative's recovered error was its own read fault;
-			// this job's standalone run would have seen its own (or none).
-			// Task-level errors re-fire identically and are kept.
-			res.RecoveredError = c.gRecovered
-		}
-		c.res = &res
-		// Write replay: the standalone run would have re-materialized the
-		// (identical) output; re-putting the stored relation reproduces the
-		// write counters and retention bookkeeping. The batch's pins are
-		// still held, so the output cannot be evicted between the lookup and
-		// the put.
-		if ds, ok := s.Store.Meta(c.job.Output); ok {
-			s.Store.Put(c.job.Output, c.job.OutputKind, ds.Relation())
-		}
-		s.Eng.RecordJob(c.res, nil, c.wall)
-		return nil
-	}
-
-	if parity && secondary {
-		if err := s.replayGhostReads(c); err != nil {
-			return err
-		}
-		c.physSim = s.physicalResult(c).SimSeconds
-		if c.gAttempts > 1 {
-			// Overlay the replayed read retries onto the shared-scan
-			// secondary, whose own result saw the scan succeed first try.
-			res := c.res
-			pipeWaste := res.WastedSeconds - res.Faults.Total()
-			res.Attempts += c.gAttempts - 1
-			res.RetriedInputBytes += c.gRetried
-			res.WastedSeconds = (c.gWasted + pipeWaste) + res.Faults.Total()
-			res.SimSeconds = res.Breakdown.Total() + res.WastedSeconds
-			if res.RecoveredError == "" {
-				res.RecoveredError = c.gRecovered
-			}
-		}
-		s.Eng.RecordJob(c.res, nil, c.wall)
-		return nil
-	}
-
-	if parity {
-		c.physSim = c.res.SimSeconds
-		s.Eng.RecordJob(c.res, nil, c.wall)
-		return nil
+		c.res = c.dup.res
+		return
 	}
 	pr := s.physicalResult(c)
 	c.physSim = pr.SimSeconds
 	s.Eng.RecordJob(pr, nil, c.wall)
-	return nil
 }
 
 // creditRewrite credits the views a successful rewrite read with the cost
@@ -754,10 +544,8 @@ func (s *Session) creditRewrite(m *Metrics, chosen *plan.Node) {
 }
 
 // batchStats fills the batch-level summary and publishes the batch_*
-// metrics. The metrics are physical-mode only: parity mode's contract is
-// that the counter snapshot is byte-identical to sequential execution,
-// which has no batch counters.
-func (s *Session) batchStats(st *BatchStats, queries []BatchQuery, consumers []*batchConsumer, units []*batchUnit, parity bool) {
+// metrics.
+func (s *Session) batchStats(st *BatchStats, queries []BatchQuery, consumers []*batchConsumer, units []*batchUnit) {
 	st.Queries = len(queries)
 	st.JobsSubmitted = len(consumers)
 	for _, c := range consumers {
@@ -779,7 +567,7 @@ func (s *Session) batchStats(st *BatchStats, queries []BatchQuery, consumers []*
 	}
 	st.SavedSimSeconds = st.AttributedSimSeconds - st.SimSeconds
 
-	if parity || s.Obs == nil {
+	if s.Obs == nil {
 		return
 	}
 	// Zero-valued Adds still create the counters, keeping the metric key

@@ -394,6 +394,11 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 				s.Store.Delete(jn.ViewName)
 			}
 		}
+		// An unregistered result is plain bytes: the store must not keep a
+		// layout claim the catalog has no entry to match.
+		if _, known := s.Cat.Table(resultName); !known {
+			s.Store.SetPartitioning(resultName, nil, 0)
+		}
 		s.Obs.Counter("session_stale_retention_discarded_total").Inc()
 		return 0, nil
 	}

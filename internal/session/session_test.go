@@ -329,3 +329,28 @@ func TestAppendRowsReestimatesDistincts(t *testing.T) {
 		t.Errorf("distinct(user) = %d not re-estimated after append", after.Distinct["user"])
 	}
 }
+
+// TestStaleRetentionDropsLayoutClaim: a plan that raced an append keeps its
+// result readable but unregistered — and then the store must not go on
+// claiming a layout for it that no catalog entry matches.
+func TestStaleRetentionDropsLayoutClaim(t *testing.T) {
+	s := demo(t, 100)
+	byUser := plan.GroupAgg(plan.Scan("logs"), []string{"user"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
+	m, chosen, w, jobs, epoch, err := s.planQuery(byUser, "res", ModeOriginal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ingestEpoch.Add(1) // an AppendRows landed between planning and retention
+	if _, err := s.executePlan(m, chosen, w, jobs, "res", epoch); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Store.Has("res") {
+		t.Fatal("stale result not readable")
+	}
+	if _, known := s.Cat.Table("res"); known {
+		t.Fatal("stale result registered")
+	}
+	if sigs, parts := s.Store.Partitioning("res"); parts != 0 {
+		t.Errorf("store claims layout (%v, %d) for an unregistered result", sigs, parts)
+	}
+}
