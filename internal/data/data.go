@@ -95,6 +95,35 @@ func (r Row) Clone() Row {
 	return c
 }
 
+// Equal reports whether two rows hold identical values cell for cell
+// (value.Identical: same kind, same payload, floats by IEEE bits). This is
+// the comparison differential oracles use; reflect.DeepEqual and == must not
+// be applied to anything containing a value.V.
+func (r Row) Equal(o Row) bool {
+	if len(r) != len(o) {
+		return false
+	}
+	for i := range r {
+		if !value.Identical(r[i], o[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// RowsEqual reports whether two row lists are Equal row for row, in order.
+func RowsEqual(a, b []Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // EncodedSize is the simulated on-disk size of the row in bytes: a 4-byte
 // length header plus each value's encoding.
 func (r Row) EncodedSize() int {
@@ -185,6 +214,12 @@ func (rel *Relation) AppendAll(o *Relation) {
 
 // EncodedSize is the total simulated byte size of all rows.
 func (rel *Relation) EncodedSize() int64 { return rel.size }
+
+// Equal reports whether two relations have equal schemas and RowsEqual rows
+// (same rows in the same order).
+func (rel *Relation) Equal(o *Relation) bool {
+	return rel.schema.Equal(o.schema) && RowsEqual(rel.rows, o.rows)
+}
 
 // Get returns the value of the named column in row r.
 func (rel *Relation) Get(r int, col string) value.V {

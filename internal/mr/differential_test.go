@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"opportune/internal/cost"
+	"opportune/internal/data"
 	"opportune/internal/fault"
 	"opportune/internal/obs"
 )
@@ -34,7 +35,7 @@ type groupOutcome struct {
 	fp   uint64
 	rows int
 	snap obs.Snapshot
-	rel  [][]string
+	rel  *data.Relation
 }
 
 // runGroupJob executes the shuffle/group benchmark job — the path that
@@ -67,14 +68,7 @@ func runGroupJob(t *testing.T, plan *fault.Plan, workers, reduceTasks int) group
 	// Snapshot before touching the relation so inspection cannot perturb
 	// the storage counters being compared.
 	snap := reg.Snapshot()
-	out := groupOutcome{fp: rel.Fingerprint(), rows: len(rel.Rows()), snap: snap}
-	for _, r := range rel.Rows() {
-		enc := make([]string, len(r))
-		for i, v := range r {
-			enc[i] = v.String()
-		}
-		out.rel = append(out.rel, enc)
-	}
+	out := groupOutcome{fp: rel.Fingerprint(), rows: len(rel.Rows()), snap: snap, rel: rel}
 	return out
 }
 
@@ -109,7 +103,7 @@ func TestShuffleGroupDifferential(t *testing.T) {
 					t.Errorf("W=%d R=%d: relation fingerprint %d (%d rows), want %d (%d rows)",
 						g.w, g.r, got.fp, got.rows, ref.fp, ref.rows)
 				}
-				if !reflect.DeepEqual(got.rel, ref.rel) {
+				if !got.rel.Equal(ref.rel) {
 					t.Errorf("W=%d R=%d: relation rows differ from serial run", g.w, g.r)
 				}
 				if !reflect.DeepEqual(got.snap.Counters, ref.snap.Counters) {

@@ -49,14 +49,7 @@ func runPartitionGroupJob(t *testing.T, plan *fault.Plan, workers, reduceTasks i
 		t.Fatalf("local=%v workers=%d R=%d: %v", local, workers, reduceTasks, err)
 	}
 	snap := reg.Snapshot()
-	out := groupOutcome{fp: rel.Fingerprint(), rows: len(rel.Rows()), snap: snap}
-	for _, r := range rel.Rows() {
-		enc := make([]string, len(r))
-		for i, v := range r {
-			enc[i] = v.String()
-		}
-		out.rel = append(out.rel, enc)
-	}
+	out := groupOutcome{fp: rel.Fingerprint(), rows: len(rel.Rows()), snap: snap, rel: rel}
 	return out
 }
 
@@ -128,7 +121,7 @@ func TestPartitionShuffleEliminationOracle(t *testing.T) {
 					t.Errorf("W=%d R=%d: fingerprints diverge: local %d (%d rows), shuffle %d (%d rows), ref %d",
 						g.w, g.r, loc.fp, loc.rows, shuf.fp, shuf.rows, refShuffle.fp)
 				}
-				if !reflect.DeepEqual(loc.rel, shuf.rel) {
+				if !loc.rel.Equal(shuf.rel) {
 					t.Errorf("W=%d R=%d: relation rows differ between shuffle-free and forced-shuffle", g.w, g.r)
 				}
 

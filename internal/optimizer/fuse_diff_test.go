@@ -84,7 +84,7 @@ func fusionWorkload() []*plan.Node {
 // canonical forms, and the full obs counter maps.
 type fusionOutcome struct {
 	fps    []uint64
-	rels   [][][]string
+	rels   []*data.Relation
 	canons [][]string
 	snap   obs.Snapshot
 }
@@ -166,15 +166,7 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 			t.Fatalf("query %d: read result: %v", qi, err)
 		}
 		out.fps = append(out.fps, rel.Fingerprint())
-		var rows [][]string
-		for _, r := range rel.Rows() {
-			enc := make([]string, len(r))
-			for i, v := range r {
-				enc[i] = v.String()
-			}
-			rows = append(rows, enc)
-		}
-		out.rels = append(out.rels, rows)
+		out.rels = append(out.rels, rel)
 	}
 	out.snap = reg.Snapshot()
 	return out
@@ -330,8 +322,10 @@ func TestFusionDifferentialOracle(t *testing.T) {
 					t.Errorf("W=%d R=%d: result fingerprints diverge:\nfused  %v\ninterp %v\nref    %v",
 						g.w, g.r, fused.fps, interp.fps, refFused.fps)
 				}
-				if !reflect.DeepEqual(fused.rels, interp.rels) {
-					t.Errorf("W=%d R=%d: relation rows differ between fused and interpreted arms", g.w, g.r)
+				for qi := range fused.rels {
+					if !fused.rels[qi].Equal(interp.rels[qi]) {
+						t.Errorf("W=%d R=%d: query %d: relation rows differ between fused and interpreted arms", g.w, g.r, qi)
+					}
 				}
 				if !reflect.DeepEqual(fused.canons, interp.canons) {
 					t.Errorf("W=%d R=%d: annotation canonical forms differ between arms", g.w, g.r)

@@ -2,11 +2,11 @@ package optimizer
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"opportune/internal/afk"
+	"opportune/internal/data"
 	"opportune/internal/expr"
 	"opportune/internal/plan"
 	"opportune/internal/udf"
@@ -202,9 +202,9 @@ func fuzzFixture(t testing.TB, disable bool) *fixture {
 }
 
 // runFuzzChain compiles and executes one decoded chain on one arm and
-// returns the output rows stringified (nil, false when the chain does not
+// returns the output rows (nil, false when the chain does not
 // compile — both arms must agree on that too).
-func runFuzzChain(t testing.TB, disable bool, p *plan.Node) ([][]string, bool) {
+func runFuzzChain(t testing.TB, disable bool, p *plan.Node) ([]data.Row, bool) {
 	f := fuzzFixture(t, disable)
 	w, err := f.opt.Compile(p)
 	if err != nil {
@@ -221,15 +221,7 @@ func runFuzzChain(t testing.TB, disable bool, p *plan.Node) ([][]string, bool) {
 	if err != nil {
 		t.Fatalf("disable=%v: read: %v", disable, err)
 	}
-	var rows [][]string
-	for _, r := range rel.Rows() {
-		enc := make([]string, len(r))
-		for i, v := range r {
-			enc[i] = v.String()
-		}
-		rows = append(rows, enc)
-	}
-	return rows, true
+	return rel.Rows(), true
 }
 
 // FuzzFusedPipeline is the fusion differential fuzzer: for every generated
@@ -258,7 +250,7 @@ func FuzzFusedPipeline(f *testing.F) {
 		if !okF {
 			return
 		}
-		if !reflect.DeepEqual(fused, interp) {
+		if !data.RowsEqual(fused, interp) {
 			t.Fatalf("fused and interpreted outputs diverge\nfused:  %v\ninterp: %v", fused, interp)
 		}
 	})
@@ -294,7 +286,7 @@ func FuzzFusedAgg(f *testing.F) {
 		if !okF {
 			return
 		}
-		if !reflect.DeepEqual(fused, interp) {
+		if !data.RowsEqual(fused, interp) {
 			t.Fatalf("fused and interpreted grouped outputs diverge\nfused:  %v\ninterp: %v", fused, interp)
 		}
 	})

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"opportune/internal/afk"
@@ -24,9 +23,9 @@ const (
 )
 
 // runReduceFusionPlan executes one plan on a fresh partitioned fixture
-// (twtr hash-distributed on user_id, 8 parts) and returns the encoded
+// (twtr hash-distributed on user_id, 8 parts) and returns the
 // output rows, the per-job results, and the counter snapshot.
-func runReduceFusionPlan(t *testing.T, arm reduceFusionArm, p *plan.Node) ([][]string, []*mr.Result, map[string]int64) {
+func runReduceFusionPlan(t *testing.T, arm reduceFusionArm, p *plan.Node) ([]data.Row, []*mr.Result, map[string]int64) {
 	t.Helper()
 	f := newFixture(t, 1000)
 	sig := afk.BaseSig("twtr", "user_id").ID()
@@ -55,15 +54,7 @@ func runReduceFusionPlan(t *testing.T, arm reduceFusionArm, p *plan.Node) ([][]s
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows [][]string
-	for _, r := range rel.Rows() {
-		enc := make([]string, len(r))
-		for i, v := range r {
-			enc[i] = v.String()
-		}
-		rows = append(rows, enc)
-	}
-	return rows, results, reg.Snapshot().Counters
+	return rel.Rows(), results, reg.Snapshot().Counters
 }
 
 // groupByUserPlan aggregates twtr by its layout key: partition-local, so
@@ -85,7 +76,7 @@ func TestFusedCombineRowsParity(t *testing.T) {
 	rowsFull, resFull, cFull := runReduceFusionPlan(t, armFull, p)
 	rowsInt, resInt, cInt := runReduceFusionPlan(t, armInterpreter, p)
 
-	if !reflect.DeepEqual(rowsFull, rowsInt) {
+	if !data.RowsEqual(rowsFull, rowsInt) {
 		t.Fatalf("output rows differ across arms:\nfull  %v\ninterp %v", rowsFull, rowsInt)
 	}
 	if cInt["mr_combine_rows_total"] == 0 {

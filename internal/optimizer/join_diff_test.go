@@ -321,7 +321,7 @@ func TestJoinDifferentialOracle(t *testing.T) {
 						got, _ = runJoinCase(t, jc, chaos, g.w, g.r)
 					}
 					at := fmt.Sprintf("W=%d R=%d", g.w, g.r)
-					if !reflect.DeepEqual(got.rows, want) {
+					if !data.RowsEqual(got.rows, want) {
 						t.Fatalf("%s: output differs from the nested-loop oracle (%d rows vs %d)", at, len(got.rows), len(want))
 					}
 					r := got.res
@@ -405,7 +405,7 @@ func TestJoinGroupClosedFormSize(t *testing.T) {
 			t.Fatalf("iter %d: %d rows, want %d", iter, len(rows), len(want))
 		}
 		for i := range rows {
-			if !reflect.DeepEqual(rows[i], want[i]) {
+			if !rows[i].Equal(want[i]) {
 				t.Fatalf("iter %d row %d: %v, want %v", iter, i, rows[i], want[i])
 			}
 			if cap(rows[i]) != len(rows[i]) {

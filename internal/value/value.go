@@ -176,6 +176,27 @@ func Compare(a, b V) int {
 // Equal reports whether two values compare equal under Compare.
 func Equal(a, b V) bool { return Compare(a, b) == 0 }
 
+// Identical reports whether two values are the same value: same Kind and
+// same payload, floats by their IEEE bits — so NaN is identical to itself,
+// +0 is not identical to -0, and Int(1) is not Float(1). It is the identity
+// AppendKey encodes, and what a byte-identity oracle must compare with
+// (Equal is the coarser SQL-ordering equality).
+func Identical(a, b V) bool {
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case Int, Bool:
+		return a.Int() == b.Int()
+	case Float:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case Str:
+		return a.Str() == b.Str()
+	default:
+		return true
+	}
+}
+
 // Hash returns a deterministic 64-bit hash of the value, consistent with
 // Equal for same-kind values.
 func (v V) Hash() uint64 {
