@@ -4,14 +4,18 @@
 // are small immutable structs (no interface boxing) with deterministic
 // ordering, hashing, and a wire encoding whose length feeds the byte
 // accounting that the cost model and the storage layer rely on.
+//
+// This file holds the repository's only use of package unsafe: a string
+// payload is kept as its data pointer and length so that the cell is three
+// words instead of five (see V).
 package value
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the scalar types supported by the engine.
@@ -50,32 +54,47 @@ func (k Kind) String() string {
 }
 
 // V is a single scalar value. The zero V is Null.
+//
+// The cell is 24 bytes. A value is only ever one kind, so the kinds share
+// one payload word: n holds an Int's two's-complement bits, a Bool's 0/1, a
+// Float's IEEE-754 bits, or a Str's length. p is the Str's data pointer (what
+// unsafe.StringData returns) and nil for every other kind; it is a typed
+// pointer, so the garbage collector keeps the string's bytes alive exactly
+// as the string header it replaces did, and n is never interpreted as an
+// address. Every row, shuffle record, accumulator and stored view is a
+// vector of these cells, so the width is paid per value held in memory.
+//
+// Two V must never be compared with == or reflect.DeepEqual: that compares
+// the data pointer, not the bytes it points to. The leading zero-size field
+// makes == (and use as a map key) a compile error; DeepEqual is policed by
+// internal/data's canary test. Use Identical (same kind, same payload),
+// Equal/Compare (SQL ordering), or data.Row.Equal and friends.
 type V struct {
+	_    [0]func()
+	p    *byte
+	n    uint64
 	kind Kind
-	i    int64 // Int payload; Bool uses 0/1
-	f    float64
-	s    string
 }
 
 // NullV is the null value.
 var NullV = V{}
 
 // NewInt returns an Int value.
-func NewInt(i int64) V { return V{kind: Int, i: i} }
+func NewInt(i int64) V { return V{kind: Int, n: uint64(i)} }
 
 // NewFloat returns a Float value.
-func NewFloat(f float64) V { return V{kind: Float, f: f} }
+func NewFloat(f float64) V { return V{kind: Float, n: math.Float64bits(f)} }
 
-// NewStr returns a Str value.
-func NewStr(s string) V { return V{kind: Str, s: s} }
+// NewStr returns a Str value. It shares s's bytes (strings are immutable).
+func NewStr(s string) V { return V{kind: Str, p: unsafe.StringData(s), n: uint64(len(s))} }
 
 // NewBool returns a Bool value.
 func NewBool(b bool) V {
-	var i int64
+	var n uint64
 	if b {
-		i = 1
+		n = 1
 	}
-	return V{kind: Bool, i: i}
+	return V{kind: Bool, n: n}
 }
 
 // Kind reports the value's kind.
@@ -90,7 +109,7 @@ func (v V) Int() int64 {
 	if v.kind != Int && v.kind != Bool {
 		panic("value: Int() on " + v.kind.String())
 	}
-	return v.i
+	return int64(v.n)
 }
 
 // Float returns the numeric payload widened to float64. Valid for Int and
@@ -98,9 +117,9 @@ func (v V) Int() int64 {
 func (v V) Float() float64 {
 	switch v.kind {
 	case Float:
-		return v.f
+		return math.Float64frombits(v.n)
 	case Int, Bool:
-		return float64(v.i)
+		return float64(int64(v.n))
 	default:
 		panic("value: Float() on " + v.kind.String())
 	}
@@ -111,15 +130,18 @@ func (v V) Str() string {
 	if v.kind != Str {
 		panic("value: Str() on " + v.kind.String())
 	}
-	return v.s
+	return v.str()
 }
+
+// str rebuilds the string header of a Str value (p is nil only when n is 0).
+func (v V) str() string { return unsafe.String(v.p, int(v.n)) }
 
 // Bool returns the boolean payload. It panics on kind mismatch.
 func (v V) Bool() bool {
 	if v.kind != Bool {
 		panic("value: Bool() on " + v.kind.String())
 	}
-	return v.i != 0
+	return v.n != 0
 }
 
 // IsNumeric reports whether the value is Int or Float.
@@ -158,12 +180,12 @@ func Compare(a, b V) int {
 	}
 	switch a.kind {
 	case Str:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	case Bool:
 		switch {
-		case a.i < b.i:
+		case a.n < b.n:
 			return -1
-		case a.i > b.i:
+		case a.n > b.n:
 			return 1
 		default:
 			return 0
@@ -185,38 +207,30 @@ func Identical(a, b V) bool {
 	if a.kind != b.kind {
 		return false
 	}
-	switch a.kind {
-	case Int, Bool:
-		return a.Int() == b.Int()
-	case Float:
-		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
-	case Str:
-		return a.Str() == b.Str()
-	default:
-		return true
+	if a.kind == Str {
+		return a.str() == b.str()
 	}
+	return a.n == b.n
 }
 
 // Hash returns a deterministic 64-bit hash of the value, consistent with
 // Equal for same-kind values.
+// Hash is FNV-1a over the kind tag followed by the payload (Int/Bool/Float:
+// the 8 little-endian bytes of the payload word; Str: the string's bytes).
 func (v V) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
-	buf[0] = byte(v.kind)
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := (uint64(offset64) ^ uint64(v.kind)) * prime64
 	switch v.kind {
-	case Int, Bool:
-		putUint64(buf[1:], uint64(v.i))
-		h.Write(buf[:])
-	case Float:
-		putUint64(buf[1:], math.Float64bits(v.f))
-		h.Write(buf[:])
+	case Int, Bool, Float:
+		for s := 0; s < 64; s += 8 {
+			h = (h ^ (v.n >> s & 0xff)) * prime64
+		}
 	case Str:
-		h.Write(buf[:1])
-		h.Write([]byte(v.s))
-	default:
-		h.Write(buf[:1])
+		for s := v.str(); len(s) > 0; s = s[1:] {
+			h = (h ^ uint64(s[0])) * prime64
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 func putUint64(b []byte, u uint64) {
@@ -241,19 +255,15 @@ func putUint64(b []byte, u uint64) {
 func (v V) AppendKey(b []byte) []byte {
 	b = append(b, byte(v.kind))
 	switch v.kind {
-	case Int, Bool:
+	case Int, Bool, Float:
 		var p [8]byte
-		putUint64(p[:], uint64(v.i))
-		return append(b, p[:]...)
-	case Float:
-		var p [8]byte
-		putUint64(p[:], math.Float64bits(v.f))
+		putUint64(p[:], v.n)
 		return append(b, p[:]...)
 	case Str:
 		var p [4]byte
-		n := uint32(len(v.s))
+		n := uint32(v.n)
 		p[0], p[1], p[2], p[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-		return append(append(b, p[:]...), v.s...)
+		return append(append(b, p[:]...), v.str()...)
 	default:
 		return b
 	}
@@ -271,7 +281,7 @@ func (v V) EncodedSize() int {
 	case Bool:
 		return 2
 	case Str:
-		return 1 + 4 + len(v.s)
+		return 1 + 4 + int(v.n)
 	default:
 		return 1
 	}
@@ -284,13 +294,13 @@ func (v V) String() string {
 	case Null:
 		return "NULL"
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case Str:
-		return v.s
+		return v.str()
 	case Bool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"

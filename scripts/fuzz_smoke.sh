@@ -15,6 +15,7 @@ run() {
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
 }
 
+run ./internal/value FuzzValueModel
 run ./internal/hiveql FuzzParse
 run ./internal/data FuzzReadRelation
 run ./internal/data FuzzKeyPrefix
