@@ -245,13 +245,16 @@ func (rel *Relation) SortBy(cols ...string) {
 }
 
 // KeyEncoder builds composite grouping keys into one reusable buffer, so a
-// tight loop (a map task keying every row) performs exactly one allocation
-// per key — the returned string — instead of one per column. Keys are the
-// concatenated value.AppendKey encodings: length-prefixed, injective, and
-// prefix-free per column, so distinct column tuples never collide. A
-// KeyEncoder is not safe for concurrent use; give each task its own.
+// tight loop (a map task keying every row) performs at most one allocation
+// per key — the returned string — instead of one per column, and none when
+// the key repeats the previous one (clustered inputs, a sort's constant key,
+// a join side's runs). Keys are the concatenated value.AppendKey encodings:
+// length-prefixed, injective, and prefix-free per column, so distinct column
+// tuples never collide. A KeyEncoder is not safe for concurrent use; give
+// each task its own.
 type KeyEncoder struct {
-	buf []byte
+	buf  []byte
+	last string // the key returned last, handed back while the bytes repeat
 }
 
 // Key encodes the values of the given column indexes of r.
@@ -260,13 +263,20 @@ func (e *KeyEncoder) Key(r Row, idxs []int) string {
 	for _, ix := range idxs {
 		e.buf = r[ix].AppendKey(e.buf)
 	}
-	return string(e.buf)
+	return e.intern()
 }
 
 // KeyOf encodes a single value (e.g. a join key).
 func (e *KeyEncoder) KeyOf(v value.V) string {
 	e.buf = v.AppendKey(e.buf[:0])
-	return string(e.buf)
+	return e.intern()
+}
+
+func (e *KeyEncoder) intern() string {
+	if string(e.buf) != e.last { // the comparison does not allocate
+		e.last = string(e.buf)
+	}
+	return e.last
 }
 
 // Key extracts the values of the given column indexes as a comparable

@@ -33,7 +33,9 @@ func MergeAppend(stored, delta *data.Relation) (*data.Relation, error) {
 // encoded key (the order every reduce emits — see mergeRuns). Rows with
 // matching keys are folded by merge(old, delta); unmatched rows pass
 // through. The output preserves global key order, which is byte-identical
-// to the row order a full recompute would emit.
+// to the row order a full recompute would emit. Only the rows merge builds
+// are measured: the output's size is the two inputs' carried sizes, minus
+// each folded pair, plus what the pair folded into.
 func MergeByKey(stored, delta *data.Relation, nKeys int, merge func(old, delta data.Row) data.Row) (*data.Relation, error) {
 	if !stored.Schema().Equal(delta.Schema()) {
 		return nil, fmt.Errorf("mr: merge-by-key schema mismatch: %v vs %v",
@@ -47,8 +49,8 @@ func MergeByKey(stored, delta *data.Relation, nKeys int, merge func(old, delta d
 	for i := range keyIdxs {
 		keyIdxs[i] = i
 	}
-	out := data.NewRelation(stored.Schema())
-	out.Grow(stored.Len() + delta.Len())
+	rows := make([]data.Row, 0, stored.Len()+delta.Len())
+	bytes := stored.EncodedSize() + delta.EncodedSize()
 
 	na, nb := stored.Len(), delta.Len()
 	var ea, eb data.KeyEncoder
@@ -63,19 +65,21 @@ func MergeByKey(stored, delta *data.Relation, nKeys int, merge func(old, delta d
 	for i < na && j < nb {
 		switch {
 		case ka < kb:
-			out.Append(stored.Row(i))
+			rows = append(rows, stored.Row(i))
 			i++
 			if i < na {
 				ka = ea.Key(stored.Row(i), keyIdxs)
 			}
 		case ka > kb:
-			out.Append(delta.Row(j))
+			rows = append(rows, delta.Row(j))
 			j++
 			if j < nb {
 				kb = eb.Key(delta.Row(j), keyIdxs)
 			}
 		default:
-			out.Append(merge(stored.Row(i), delta.Row(j)))
+			m := merge(stored.Row(i), delta.Row(j))
+			bytes += int64(m.EncodedSize() - stored.Row(i).EncodedSize() - delta.Row(j).EncodedSize())
+			rows = append(rows, m)
 			i++
 			j++
 			if i < na {
@@ -86,11 +90,9 @@ func MergeByKey(stored, delta *data.Relation, nKeys int, merge func(old, delta d
 			}
 		}
 	}
-	for ; i < na; i++ {
-		out.Append(stored.Row(i))
-	}
-	for ; j < nb; j++ {
-		out.Append(delta.Row(j))
-	}
+	rows = append(rows, stored.Rows()[i:]...)
+	rows = append(rows, delta.Rows()[j:]...)
+	out := data.NewRelation(stored.Schema())
+	out.AppendSized(rows, bytes)
 	return out, nil
 }

@@ -165,6 +165,7 @@ func (o *GroupOut) EmitBlock(rows []data.Row, bytes int64) {
 // rewind drops whatever the current group emitted so far (a dead attempt's
 // partial output, or a failed group's).
 func (o *GroupOut) rewind() {
+	clear(o.arena[o.start:]) // a pooled buffer is zero past its len (pool.go)
 	o.arena = o.arena[:o.start]
 	o.block, o.bytes = nil, 0
 }
@@ -235,8 +236,8 @@ type Job struct {
 	// key in first-emission order — the grouper's order) and returns them
 	// with the pre-combine row count. ok=false means a record violated the
 	// kernel's layout contract: the kernel must not have touched the task
-	// output, scratch comes back (possibly dirtied) for pooling, and the
-	// engine replays the task's combine through the interpreter.
+	// output, scratch comes back as it was handed over (it is pooled), and
+	// the engine replays the task's combine through the interpreter.
 	BatchCombine func(in, scratch []Keyed) (combined []Keyed, combineRows int64, ok bool)
 
 	// BatchReduce, when set on a reduce job, is the fused reduce kernel: it
@@ -772,11 +773,14 @@ type mapSplit struct {
 }
 
 // mapTaskOut is what one map task produced: its (possibly combined)
-// emissions in emission order, the rows its combiner consumed, the
-// batch-execution report when the job ran the fused path, and whether the
-// combine fold itself ran fused (or bailed out of the fused path).
+// emissions in emission order and their encoded size (Σ row.EncodedSize() +
+// len(key), summed by the task itself, in parallel, as the records are
+// built — nothing downstream walks them again), the rows its combiner
+// consumed, the batch-execution report when the job ran the fused path, and
+// whether the combine fold itself ran fused (or bailed out of the fused path).
 type mapTaskOut struct {
 	out          []Keyed
+	bytes        int64
 	combineRows  int64
 	batch        BatchReport
 	combFused    bool
@@ -825,9 +829,17 @@ func (e *Engine) splitInputs(job *Job, res *Result) ([]mapSplit, error) {
 // within the task is first-emission order, matching serial execution.
 func runMapTask(job *Job, sp mapSplit, t *mapTaskOut) {
 	out := getKeyedBuf(len(sp.rows))
+	keyed := job.Reduce != nil
+	combines := job.Combine != nil && keyed
 	emit := func(key string, r data.Row) {
 		if len(r) != job.MapOutSchema.Len() {
 			panic(fmt.Sprintf("mr: job %q map emitted width %d, schema %s", job.Name, len(r), job.MapOutSchema))
+		}
+		if !combines { // a combiner's input never reaches the shuffle
+			t.bytes += int64(r.EncodedSize())
+			if keyed { // a map-only job's key is ignored
+				t.bytes += int64(len(key))
+			}
 		}
 		out = append(out, Keyed{key, r})
 	}
@@ -848,9 +860,14 @@ func runMapTask(job *Job, sp mapSplit, t *mapTaskOut) {
 		}
 	}
 	t.out = out
-	if job.Combine == nil || job.Reduce == nil || len(t.out) == 0 {
+	if !combines || len(t.out) == 0 {
 		return
 	}
+	defer func() {
+		for _, kr := range t.out {
+			t.bytes += int64(kr.Row.EncodedSize() + len(kr.Key))
+		}
+	}()
 	if t.batch.Combined {
 		// Cross-boundary kernel: the batch map already emitted combined
 		// records per key, with the pre-combine row count in the report so
@@ -1014,13 +1031,18 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 			total += len(tasks[i].out)
 		}
 		out.Grow(total)
+		rows := getRowsBuf(0)
 		for i := range tasks {
 			for _, kr := range tasks[i].out {
-				out.Append(kr.Row)
+				rows = append(rows, kr.Row)
 			}
+			out.AppendSized(rows, tasks[i].bytes)
+			clear(rows)
+			rows = rows[:0]
 			putKeyedBuf(tasks[i].out)
 			tasks[i].out = nil
 		}
+		putRowsBuf(rows)
 	} else if err := e.shuffleReduce(job, res, tasks, out, asp); err != nil {
 		return nil, err
 	}
@@ -1098,10 +1120,13 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	}
 	local := job.partitionLocal()
 	for i := range tasks {
+		// The task measured its own records; this scan only routes them.
+		res.ShuffleBytes += tasks[i].bytes
+		res.ShuffleRows += int64(len(tasks[i].out))
+		if local {
+			res.LocalShuffleBytes += tasks[i].bytes
+		}
 		for _, kr := range tasks[i].out {
-			recBytes := int64(kr.Row.EncodedSize() + len(kr.Key))
-			res.ShuffleBytes += recBytes
-			res.ShuffleRows++
 			var p int
 			if local {
 				if prefix, ok := data.KeyPrefix(kr.Key, job.PartitionKeyCols); ok {
@@ -1111,11 +1136,12 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 					// bytes never cross the network. Buckets fold onto the R
 					// reduce slots; grouping below is still per full key, so
 					// the bucket→slot mapping can never change the output.
-					res.LocalShuffleBytes += recBytes
 					p = partitionOf(prefix, job.PartitionParts) % r
 				} else {
 					// Malformed or too-short key: fall back to a full
-					// shuffle for this record rather than trust a bad route.
+					// shuffle for this record rather than trust a bad route;
+					// its bytes do cross the network.
+					res.LocalShuffleBytes -= int64(kr.Row.EncodedSize() + len(kr.Key))
 					p = partitionOf(kr.Key, r)
 				}
 			} else {

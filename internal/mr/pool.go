@@ -10,9 +10,13 @@ import (
 // Buffer pooling for the shuffle/reduce hot path. Pooled buffers live
 // strictly within one job phase; before a buffer returns to its pool every
 // row/key reference is cleared so the pool never retains user data past the
-// job (see DESIGN.md, performance model). Capacity is retained — that is
-// the point of pooling — but buffers that grew beyond poolMaxRetain are
-// dropped so one huge job cannot pin memory for the rest of the process.
+// job (see DESIGN.md, performance model). The invariant is that a pooled
+// buffer is zero from index 0 to cap: a user only ever writes below len, so
+// a put clears the written prefix b[:len(b)] and nothing else — whoever
+// truncates a buffer it has written to clears the dropped tail first
+// (GroupOut.rewind). Capacity is retained — that is the point of pooling —
+// but buffers that grew beyond poolMaxRetain are dropped so one huge job
+// cannot pin memory for the rest of the process.
 const poolMaxRetain = 1 << 17
 
 var keyedPool = sync.Pool{New: func() any { b := make([]Keyed, 0, 256); return &b }}
@@ -28,15 +32,13 @@ func getKeyedBuf(hint int) []Keyed {
 	return b[:0]
 }
 
-// putKeyedBuf zeroes the buffer's references and returns it to the pool.
+// putKeyedBuf zeroes the records the user wrote and returns the buffer to
+// the pool.
 func putKeyedBuf(b []Keyed) {
 	if cap(b) > poolMaxRetain {
 		return
 	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = Keyed{}
-	}
+	clear(b)
 	b = b[:0]
 	keyedPool.Put(&b)
 }
@@ -55,10 +57,7 @@ func putRowsBuf(b []data.Row) {
 	if cap(b) > poolMaxRetain {
 		return
 	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = nil
-	}
+	clear(b)
 	b = b[:0]
 	rowsPool.Put(&b)
 }
@@ -117,7 +116,7 @@ type grouper struct {
 	ids    map[string]int32 // key -> dense group id
 	keys   []string         // group id -> key, in first-seen order
 	counts []int32
-	offs   []int32
+	ends   []int32 // group id -> end of its run in arena
 	arena  []data.Row
 }
 
@@ -131,7 +130,7 @@ func getGrouper(hint int) *grouper {
 	if hint > 0 && cap(g.keys) < hint {
 		g.keys = make([]string, 0, hint)
 		g.counts = make([]int32, 0, hint)
-		g.offs = make([]int32, 0, hint)
+		g.ends = make([]int32, 0, hint)
 	}
 	return g
 }
@@ -149,10 +148,12 @@ func (g *grouper) build(recs []Keyed) {
 		}
 		g.counts[id]++
 	}
-	g.offs = append(g.offs[:0], make([]int32, len(g.keys))...)
+	// ends starts as each group's first slot and is advanced by the scatter,
+	// which leaves it at the group's end: one cursor array, no temporaries.
+	g.ends = g.ends[:0]
 	var off int32
-	for id, n := range g.counts {
-		g.offs[id] = off
+	for _, n := range g.counts {
+		g.ends = append(g.ends, off)
 		off += n
 	}
 	if cap(g.arena) < len(recs) {
@@ -160,11 +161,10 @@ func (g *grouper) build(recs []Keyed) {
 	} else {
 		g.arena = g.arena[:len(recs)]
 	}
-	next := append([]int32(nil), g.offs...)
 	for i := range recs {
 		id := g.ids[recs[i].Key]
-		g.arena[next[id]] = recs[i].Row
-		next[id]++
+		g.arena[g.ends[id]] = recs[i].Row
+		g.ends[id]++
 	}
 }
 
@@ -173,7 +173,7 @@ func (g *grouper) len() int { return len(g.keys) }
 
 // rows returns group id's rows (a view into the arena; valid until release).
 func (g *grouper) rows(id int32) []data.Row {
-	return g.arena[g.offs[id] : g.offs[id]+g.counts[id]]
+	return g.arena[g.ends[id]-g.counts[id] : g.ends[id]]
 }
 
 // sortKeys orders the group ids by key; first-seen order is lost.
@@ -197,10 +197,8 @@ func (g *grouper) release() {
 	}
 	g.keys = g.keys[:0]
 	g.counts = g.counts[:0]
-	g.offs = g.offs[:0]
-	for i := range g.arena {
-		g.arena[i] = nil
-	}
+	g.ends = g.ends[:0]
+	clear(g.arena)
 	g.arena = g.arena[:0]
 	grouperPool.Put(g)
 }

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"opportune/internal/cost"
 	"opportune/internal/data"
@@ -38,52 +39,86 @@ func (w *Work) StoredName(jn *JobNode, finalName string) string {
 	return jn.ViewName
 }
 
-// pipeline is a compiled map-side operator chain: it transforms one source
-// row into zero or more rows of the boundary-input schema.
-type pipeline func(r data.Row, emit func(data.Row))
+// rowSlab cuts rows out of value slabs: one allocation per chunk of rows
+// instead of one per row. Chunks double from 32 rows to 512, so a task that
+// emits a handful of rows stays small, a full split costs a dozen
+// allocations, and a row someone retains pins at most its own chunk.
+type rowSlab struct {
+	free  []value.V
+	chunk int // rows in the chunk allocated last
+}
+
+// next returns an all-Null row of width w that belongs to the caller.
+func (s *rowSlab) next(w int) data.Row {
+	if len(s.free) < w {
+		s.chunk = min(max(2*s.chunk, 32), 512)
+		s.free = make([]value.V, s.chunk*w)
+	}
+	row := s.free[:w:w]
+	s.free = s.free[w:]
+	return row
+}
+
+// pipeline is a compiled map-side operator chain instantiated for one map
+// task: it pushes one source row through the chain, which hands zero or more
+// rows of the boundary-input schema to the sink the pipeline was bound to.
+type pipeline func(r data.Row)
 
 // pipelineFactory instantiates a pipeline for one map task. Column
-// resolution and predicate compilation happen once at build time; only
-// per-task state (the exploding-UDF row tag) is created per instantiation,
-// seeded from the TaskCtx so tags are unique yet schedule-independent.
-type pipelineFactory func(ctx mr.TaskCtx) pipeline
+// resolution and predicate compilation happen once at build time; per-task
+// state (the exploding-UDF row tag, seeded from the TaskCtx so tags are
+// unique yet schedule-independent, and each stage's scratch row) is created
+// per instantiation. retain says the sink keeps the rows it is handed.
+type pipelineFactory func(ctx mr.TaskCtx, sink func(data.Row), retain bool) pipeline
+
+// stageFactory instantiates one operator for one map task, bound to the
+// stage after it. A stage that builds rows (Project, UDF) builds them in one
+// scratch row it owns and overwrites for the next: a row handed downstream
+// is valid only for that call, so no tuple is materialized between
+// operators.
+type stageFactory func(ctx mr.TaskCtx, next func(data.Row)) func(data.Row)
 
 // buildPipeline compiles a stream's operator chain against its source
 // columns into a per-task factory, also returning the engine-side
 // local-function costs.
 func (o *Optimizer) buildPipeline(st stream) (pipelineFactory, []cost.LocalFn, error) {
 	cols := st.srcCols
-	var stages []pipelineFactory
+	var stages []stageFactory
 	var fns []cost.LocalFn
+	builds := false // some stage builds rows; otherwise source rows pass through
 	for _, op := range st.ops {
 		sf, err := o.buildStage(op, cols)
 		if err != nil {
 			return nil, nil, err
 		}
 		stages = append(stages, sf)
+		builds = builds || op.Kind != plan.KindFilter
 		cols = op.OutCols
 		fns = append(fns, o.localFn(op, true))
 	}
-	return func(ctx mr.TaskCtx) pipeline {
-		fn := pipeline(func(r data.Row, emit func(data.Row)) { emit(r) })
-		for _, sf := range stages {
-			stage := sf(ctx)
-			prev := fn
-			fn = func(r data.Row, emit func(data.Row)) {
-				prev(r, func(mid data.Row) { stage(mid, emit) })
+	return func(ctx mr.TaskCtx, sink func(data.Row), retain bool) pipeline {
+		fn := sink
+		if builds && retain {
+			// The chain's output lives in a stage's scratch row. A sink that
+			// keeps rows gets each survivor's one materialization instead,
+			// cut from the task's slab after the last filter has run — so a
+			// selective chain never pins the rows it dropped.
+			var slab rowSlab
+			fn = func(r data.Row) {
+				out := slab.next(len(r))
+				copy(out, r)
+				sink(out)
 			}
+		}
+		for i := len(stages) - 1; i >= 0; i-- {
+			fn = stages[i](ctx, fn)
 		}
 		return fn
 	}, fns, nil
 }
 
-// stateless wraps a pure stage as a factory returning the shared closure.
-func stateless(p pipeline) pipelineFactory {
-	return func(mr.TaskCtx) pipeline { return p }
-}
-
 // buildStage compiles a single pipeline operator given its input columns.
-func (o *Optimizer) buildStage(op *plan.Node, inCols []string) (pipelineFactory, error) {
+func (o *Optimizer) buildStage(op *plan.Node, inCols []string) (stageFactory, error) {
 	inSchema := data.NewSchema(inCols...)
 	switch op.Kind {
 	case plan.KindProject:
@@ -95,24 +130,28 @@ func (o *Optimizer) buildStage(op *plan.Node, inCols []string) (pipelineFactory,
 			}
 			idxs[i] = ix
 		}
-		return stateless(func(r data.Row, emit func(data.Row)) {
+		return func(_ mr.TaskCtx, next func(data.Row)) func(data.Row) {
 			out := make(data.Row, len(idxs))
-			for i, ix := range idxs {
-				out[i] = r[ix]
+			return func(r data.Row) {
+				for i, ix := range idxs {
+					out[i] = r[ix]
+				}
+				next(out)
 			}
-			emit(out)
-		}), nil
+		}, nil
 
 	case plan.KindFilter:
 		pred, err := o.Eval.Compile(op.Pred, inSchema)
 		if err != nil {
 			return nil, err
 		}
-		return stateless(func(r data.Row, emit func(data.Row)) {
-			if pred(r) {
-				emit(r)
+		return func(_ mr.TaskCtx, next func(data.Row)) func(data.Row) {
+			return func(r data.Row) {
+				if pred(r) {
+					next(r)
+				}
 			}
-		}), nil
+		}, nil
 
 	case plan.KindUDF:
 		d, ok := o.Cat.UDFs.Get(op.UDFName)
@@ -129,27 +168,29 @@ func (o *Optimizer) buildStage(op *plan.Node, inCols []string) (pipelineFactory,
 		}
 		params := op.UDFParams
 		explode := d.Explode
-		return func(ctx mr.TaskCtx) pipeline {
+		return func(ctx mr.TaskCtx, next func(data.Row)) func(data.Row) {
 			// The exploded-row tag is the relation's record key: it only
 			// needs to be unique and deterministic. Each task counts up
 			// from its first input row's global ordinal shifted past any
 			// plausible per-task emission count, so tags never collide
 			// across tasks and never depend on scheduling.
 			rowTag := ctx.GlobalRow << 20
-			return func(r data.Row, emit func(data.Row)) {
-				args := make([]value.V, len(argIdx))
+			// args is valid for the UDF only during the call (the fused
+			// path's contract too); what it returns is copied out before
+			// the next call.
+			args := make([]value.V, len(argIdx))
+			out := make(data.Row, 0, len(inCols)+len(d.OutNames)+1)
+			return func(r data.Row) {
 				for i, ix := range argIdx {
 					args[i] = r[ix]
 				}
 				for _, outVals := range d.Map(args, params) {
-					out := make(data.Row, 0, len(r)+len(outVals)+1)
-					out = append(out, r...)
-					out = append(out, outVals...)
+					out = append(append(out[:0], r...), outVals...)
 					if explode {
 						rowTag++
 						out = append(out, value.NewInt(rowTag))
 					}
-					emit(out)
+					next(out)
 				}
 			}
 		}, nil
@@ -162,11 +203,14 @@ func (o *Optimizer) buildStage(op *plan.Node, inCols []string) (pipelineFactory,
 // the single emission contract shared by the interpreted and fused map
 // paths — both produce boundary-input rows, and the same rowEmit turns them
 // into shuffle records, so the two paths emit byte-identical streams by
-// construction.
+// construction. A boundary that builds its own record (join, group-agg,
+// agg-UDF) writes it straight into its per-task slab and may be handed a
+// scratch row, valid for the call; a pass-through boundary (sort, map-only)
+// emits the row itself, so its producers hand it rows to keep (retain).
 type rowEmit func(input int, row data.Row, emit mr.Emit)
 
-// boundaryFactory instantiates per-task boundary state (the key encoder)
-// for one map task.
+// boundaryFactory instantiates per-task boundary state (the key encoder and
+// the record slab) for one map task.
 type boundaryFactory func(ctx mr.TaskCtx) rowEmit
 
 // attachMapSide wires a job's map side: the interpreted MapFactory always
@@ -178,28 +222,31 @@ type boundaryFactory func(ctx mr.TaskCtx) rowEmit
 // emitting already-combined records; this path is attached even when the
 // map chain alone was not fusion-eligible (a bare scan runs the identity
 // program), in which case the report claims no mr_fused_* map work.
-func (o *Optimizer) attachMapSide(job *mr.Job, mkPipes mkPipesFn, progs []*fusedProg, bf boundaryFactory, cross *aggKernel) {
-	job.MapFactory = func(ctx mr.TaskCtx) mr.MapFunc {
-		pipes := mkPipes(ctx)
-		be := bf(ctx)
-		return func(input int, r data.Row, emit mr.Emit) {
-			pipes[input](r, func(row data.Row) { be(input, row, emit) })
+func (o *Optimizer) attachMapSide(job *mr.Job, mkPipes mkPipesFn, progs []*fusedProg, bf boundaryFactory, retain bool, cross *aggKernel) {
+	// interpreter instantiates every stream's pipeline for one task, bound
+	// to the task's boundary emitter. The sinks are built once per task, not
+	// per row: the engine hands one task the same emitter on every call.
+	interpreter := func(ctx mr.TaskCtx, be rowEmit) mr.MapFunc {
+		var emit mr.Emit
+		pipes := mkPipes(ctx, func(input int) func(data.Row) {
+			return func(row data.Row) { be(input, row, emit) }
+		}, retain)
+		return func(input int, r data.Row, e mr.Emit) {
+			emit = e
+			pipes[input](r)
 		}
 	}
+	job.MapFactory = func(ctx mr.TaskCtx) mr.MapFunc { return interpreter(ctx, bf(ctx)) }
 	if cross != nil {
 		mapFused := job.Fused
 		job.BatchMapFactory = func(ctx mr.TaskCtx) mr.BatchMapFunc {
 			be := bf(ctx)
-			var pipes []pipeline // interpreter arm, built only on runtime bailout
 			return func(input int, rows []data.Row, emit mr.Emit) mr.BatchReport {
 				sel, bufs, ok := runFusedStages(progs[input], rows)
 				if !ok {
-					if pipes == nil {
-						pipes = mkPipes(ctx)
-					}
-					sink := func(row data.Row) { be(input, row, emit) }
+					replay := interpreter(ctx, be)
 					for _, r := range rows {
-						pipes[input](r, sink)
+						replay(input, r, emit)
 					}
 					return mr.BatchReport{Fallback: mapFused}
 				}
@@ -220,17 +267,14 @@ func (o *Optimizer) attachMapSide(job *mr.Job, mkPipes mkPipesFn, progs []*fused
 	}
 	job.BatchMapFactory = func(ctx mr.TaskCtx) mr.BatchMapFunc {
 		be := bf(ctx)
-		var pipes []pipeline // interpreter arm, built only on runtime bailout
 		return func(input int, rows []data.Row, emit mr.Emit) mr.BatchReport {
 			sink := func(row data.Row) { be(input, row, emit) }
-			if runFusedBatch(progs[input], rows, sink) {
+			if runFusedBatch(progs[input], rows, retain, sink) {
 				return mr.BatchReport{Fused: true, Rows: int64(len(rows))}
 			}
-			if pipes == nil {
-				pipes = mkPipes(ctx)
-			}
+			replay := interpreter(ctx, be)
 			for _, r := range rows {
-				pipes[input](r, sink)
+				replay(input, r, emit)
 			}
 			return mr.BatchReport{Fallback: true}
 		}
@@ -318,10 +362,10 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 	// Every compiled job uses a per-task MapFactory: instantiation is
 	// cheap (column resolution already happened), and it is what keeps
 	// stateful stages race-free under the engine's parallel map phase.
-	mkPipes := func(ctx mr.TaskCtx) []pipeline {
+	mkPipes := func(ctx mr.TaskCtx, sinkOf func(input int) func(data.Row), retain bool) []pipeline {
 		pipes := make([]pipeline, len(factories))
 		for i, pf := range factories {
-			pipes[i] = pf(ctx)
+			pipes[i] = pf(ctx, sinkOf(i), retain)
 		}
 		return pipes
 	}
@@ -331,6 +375,9 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 	var bf boundaryFactory
 	var spec *aggSpec
 	var err error
+	// retain: the boundary emits the rows it is handed (map-only, sort)
+	// instead of building its own shuffle records from them.
+	retain := !o.isBoundary(boundary) || boundary.Kind == plan.KindSort
 	if !o.isBoundary(boundary) {
 		// Map-only job: single stream, pipeline output is the job output.
 		job.MapOutSchema = job.OutputSchema
@@ -355,12 +402,13 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 		}
 	}
 	cross := o.classifyReduceFusion(jn, job, spec, progs)
-	o.attachMapSide(job, mkPipes, progs, bf, cross)
+	o.attachMapSide(job, mkPipes, progs, bf, retain, cross)
 	return job, nil
 }
 
-// mkPipesFn instantiates every stream's pipeline for one map task.
-type mkPipesFn func(ctx mr.TaskCtx) []pipeline
+// mkPipesFn instantiates every stream's pipeline for one map task, stream i
+// bound to sinkOf(i).
+type mkPipesFn func(ctx mr.TaskCtx, sinkOf func(input int) func(data.Row), retain bool) []pipeline
 
 // joinBoundary compiles an equi-join: both sides shuffle on the join key;
 // rows are padded to a shared width with a side tag (a co-group, §3.2).
@@ -390,20 +438,19 @@ func (o *Optimizer) joinBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 
 	bf := func(mr.TaskCtx) rowEmit {
 		var enc data.KeyEncoder
+		var slab rowSlab
 		return func(input int, row data.Row, emit mr.Emit) {
-			out := make(data.Row, width)
-			out[0] = value.NewInt(int64(input))
-			var key value.V
-			if input == 0 {
-				copy(out[1:], row)
-				key = row[lIdx]
-			} else {
-				copy(out[1+len(lCols):], row)
-				key = row[rIdx]
+			keyIx, at := lIdx, 1
+			if input != 0 {
+				keyIx, at = rIdx, 1+len(lCols)
 			}
+			key := row[keyIx]
 			if key.IsNull() {
 				return // null keys never join
 			}
+			out := slab.next(width)
+			out[0] = value.NewInt(int64(input))
+			copy(out[at:], row)
 			emit(enc.KeyOf(key), out)
 		}
 	}
@@ -522,13 +569,14 @@ func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory,
 
 	bf := func(mr.TaskCtx) rowEmit {
 		var enc data.KeyEncoder
+		var slab rowSlab
 		return func(_ int, row data.Row, emit mr.Emit) {
-			out := make(data.Row, 0, len(shufCols))
-			for _, ix := range keyIdx {
-				out = append(out, row[ix])
+			out := slab.next(len(shufCols))
+			for i, ix := range keyIdx {
+				out[i] = row[ix]
 			}
 			for _, a := range aggs {
-				out = append(out, a.initPartials(row)...)
+				a.initPartials(row, out)
 			}
 			emit(enc.Key(out, keyIdxs), out)
 		}
@@ -588,28 +636,27 @@ func (a aggPhys) width() int {
 	return 1
 }
 
-// initPartials builds the partial state for one input row.
-func (a aggPhys) initPartials(row data.Row) []value.V {
+// initPartials writes the partial state of one input row into the shuffle
+// row out, at the aggregate's partial columns.
+func (a aggPhys) initPartials(row, out data.Row) {
+	n, sum := int64(1), 0.0
+	if a.src >= 0 && row[a.src].IsNull() {
+		n = 0
+	} else if a.fn == plan.AggSum || a.fn == plan.AggAvg {
+		sum = row[a.src].Float()
+	}
 	switch a.fn {
 	case plan.AggCount:
-		if a.src < 0 || !row[a.src].IsNull() {
-			return []value.V{value.NewInt(1)}
-		}
-		return []value.V{value.NewInt(0)}
+		out[a.off] = value.NewInt(n)
 	case plan.AggSum:
-		if row[a.src].IsNull() {
-			return []value.V{value.NewFloat(0)}
-		}
-		return []value.V{value.NewFloat(row[a.src].Float())}
+		out[a.off] = value.NewFloat(sum)
 	case plan.AggAvg:
-		if row[a.src].IsNull() {
-			return []value.V{value.NewFloat(0), value.NewInt(0)}
-		}
-		return []value.V{value.NewFloat(row[a.src].Float()), value.NewInt(1)}
+		out[a.off], out[a.off+1] = value.NewFloat(sum), value.NewInt(n)
 	case plan.AggMin, plan.AggMax:
-		return []value.V{row[a.src]}
+		out[a.off] = row[a.src]
+	default:
+		out[a.off] = value.NullV
 	}
-	return []value.V{value.NullV}
 }
 
 // merge folds row's partial state into acc (in place).
@@ -674,6 +721,10 @@ func (a aggPhys) finalize(acc data.Row) value.V {
 	return value.NullV
 }
 
+// payloadsPool recycles the agg-UDF reducer's per-group payload header
+// slices (cleared before they go back: the pool never holds a row).
+var payloadsPool = sync.Pool{New: func() any { return new([][]value.V) }}
+
 // aggUDFBoundary compiles an aggregate UDF: PreMap map-side, Reduce per
 // group.
 func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, error) {
@@ -704,56 +755,65 @@ func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, e
 	}
 	job.MapOutSchema = data.NewSchema(shufCols...)
 
-	preMap := d.PreMap
-	if preMap == nil {
-		keyArgs := d.KeyArgs
-		preMap = func(args, _ []value.V) ([]value.V, []value.V, bool) {
-			keys := make([]value.V, len(keyArgs))
-			isKey := make(map[int]bool, len(keyArgs))
-			for i, ka := range keyArgs {
-				keys[i] = args[ka]
-				isKey[ka] = true
+	width := nKeys + payloadW
+	// Without a PreMap the shuffle row is the key arguments followed by the
+	// other arguments in order: a fixed permutation of input columns,
+	// resolved here so the per-row path is one gather.
+	var direct []int
+	if d.PreMap == nil {
+		isKey := make([]bool, len(argIdx))
+		for _, ka := range d.KeyArgs {
+			direct = append(direct, argIdx[ka])
+			isKey[ka] = true
+		}
+		for i, ix := range argIdx {
+			if !isKey[i] {
+				direct = append(direct, ix)
 			}
-			payload := make([]value.V, 0, len(args)-len(keyArgs))
-			for i, a := range args {
-				if !isKey[i] {
-					payload = append(payload, a)
-				}
-			}
-			return keys, payload, true
 		}
 	}
-	keyIdxs := make([]int, nKeys)
-	for i := range keyIdxs {
-		keyIdxs[i] = i
-	}
+	keyIdxs := keyRange(nKeys)
 	bf := func(mr.TaskCtx) rowEmit {
 		var enc data.KeyEncoder
+		var slab rowSlab
+		args := make([]value.V, len(argIdx)) // valid for PreMap during the call only
 		return func(_ int, row data.Row, emit mr.Emit) {
-			args := make([]value.V, len(argIdx))
-			for i, ix := range argIdx {
-				args[i] = row[ix]
-			}
-			keys, payload, keep := preMap(args, params)
-			if !keep {
-				return
-			}
-			out := make(data.Row, 0, nKeys+payloadW)
-			out = append(out, keys...)
-			out = append(out, payload...)
-			for len(out) < nKeys+payloadW {
-				out = append(out, value.NullV)
+			var out data.Row
+			if d.PreMap == nil {
+				out = slab.next(width)
+				for i, ix := range direct {
+					out[i] = row[ix]
+				}
+			} else {
+				for i, ix := range argIdx {
+					args[i] = row[ix]
+				}
+				keys, payload, keep := d.PreMap(args, params)
+				if !keep {
+					return
+				}
+				if len(keys)+len(payload) > width {
+					panic(fmt.Sprintf("optimizer: %s PreMap returned %d key and %d payload values, the shuffle row holds %d",
+						d.Name, len(keys), len(payload), width))
+				}
+				out = slab.next(width) // cells past the payload stay Null
+				copy(out[copy(out, keys):], payload)
 			}
 			emit(enc.Key(out, keyIdxs), out)
 		}
 	}
 	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
 		keys := rows[0][:nKeys]
-		payloads := make([][]value.V, len(rows))
-		for i, r := range rows {
-			payloads[i] = r[nKeys:]
+		// The header slice is pooled; it is valid for Reduce during the call only.
+		pp := payloadsPool.Get().(*[][]value.V)
+		payloads := (*pp)[:0]
+		for _, r := range rows {
+			payloads = append(payloads, r[nKeys:])
 		}
 		outVals := d.Reduce(keys, payloads, params)
+		clear(payloads)
+		*pp = payloads
+		payloadsPool.Put(pp)
 		if outVals == nil {
 			return
 		}
@@ -801,12 +861,24 @@ func (o *Optimizer) sortBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 			}
 			return false
 		})
-		for i, r := range sorted {
-			if limit >= 0 && int64(i) >= limit {
-				return
+		if limit < 0 || limit >= int64(len(sorted)) {
+			for _, r := range sorted { // every shuffled row is kept
+				out.Emit(r)
 			}
-			out.Emit(r)
+			return
 		}
+		// A LIMIT keeps a few rows of many. They are map-side rows, cut from
+		// their splits' slabs (or base-table rows): copy what is kept, so the
+		// view does not pin the slabs of the rows it was chosen from.
+		w := len(inCols)
+		kept, slab := make([]data.Row, limit), make([]value.V, int(limit)*w)
+		var bytes int64
+		for i := range kept {
+			kept[i] = slab[i*w : (i+1)*w : (i+1)*w]
+			copy(kept[i], sorted[i])
+			bytes += int64(kept[i].EncodedSize())
+		}
+		out.EmitBlock(kept, bytes)
 	}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
 	return bf, nil

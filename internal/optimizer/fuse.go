@@ -385,14 +385,26 @@ func releaseFusedBufs(sel []int32, bufs []*data.Col) {
 // runFusedBatch executes a fused program over one map split, handing each
 // surviving output row to sink in input-row order. It returns false — with
 // zero rows emitted — on a runtime contract violation (see runFusedStages).
-func runFusedBatch(p *fusedProg, rows []data.Row, sink func(data.Row)) bool {
+// A sink that keeps its rows (retain) gets them cut from one slab sized for
+// the surviving selection — the split's single row allocation; a sink that
+// builds its own record from the row is handed one scratch row, overwritten
+// for the next.
+func runFusedBatch(p *fusedProg, rows []data.Row, retain bool, sink func(data.Row)) bool {
 	sel, bufs, ok := runFusedStages(p, rows)
 	if !ok {
 		return false
 	}
 	width := len(p.outs)
+	n := 1
+	if retain {
+		n = len(sel)
+	}
+	slab := make([]value.V, n*width)
 	for _, i := range sel {
-		out := make(data.Row, width)
+		out := slab[:width:width]
+		if retain {
+			slab = slab[width:]
+		}
 		for k, r := range p.outs {
 			out[k] = readRef(rows, bufs, r, i)
 		}

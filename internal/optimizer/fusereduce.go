@@ -288,11 +288,10 @@ func (st *aggAccs) appendPartials(out data.Row, g int) data.Row {
 	return out
 }
 
-// finalRow builds group g's finalized output row: keys from the group's
-// first record, then aggPhys.finalize per aggregate (AVG of an all-null
-// group is Null, like the interpreter).
-func (st *aggAccs) finalRow(first data.Row, g int) data.Row {
-	out := make(data.Row, 0, st.spec.outW)
+// finalRow builds group g's finalized output row in out (empty, capacity
+// outW): keys from the group's first record, then aggPhys.finalize per
+// aggregate (AVG of an all-null group is Null, like the interpreter).
+func (st *aggAccs) finalRow(out, first data.Row, g int) data.Row {
 	out = append(out, first[:st.spec.nKeys]...)
 	for i, a := range st.spec.aggs {
 		switch a.fn {
@@ -313,6 +312,21 @@ func (st *aggAccs) finalRow(first data.Row, g int) data.Row {
 	}
 	return out
 }
+
+// groupSlab is one kernel invocation's output rows, one per group, cut from
+// a single allocation: every row of it is emitted, so whoever keeps the
+// output keeps exactly the slab.
+type groupSlab struct {
+	cells []value.V
+	w     int
+}
+
+func newGroupSlab(groups, w int) groupSlab {
+	return groupSlab{cells: make([]value.V, groups*w), w: w}
+}
+
+// row returns group g's row, empty with capacity w, to be appended to.
+func (s groupSlab) row(g int) data.Row { return s.cells[g*s.w : g*s.w : (g+1)*s.w] }
 
 // batchCombine is the fused combiner (mr.Job.BatchCombine): it folds one
 // map task's emissions into accumulator columns and appends one combined
@@ -361,10 +375,10 @@ func (k *aggKernel) batchCombine(in, scratch []mr.Keyed) ([]mr.Keyed, int64, boo
 			return bail()
 		}
 	}
+	slab := newGroupSlab(ng, spec.shufW)
 	for g := 0; g < ng; g++ {
 		first := &in[firsts[g]]
-		out := make(data.Row, 0, spec.shufW)
-		out = append(out, first.Row[:spec.nKeys]...)
+		out := append(slab.row(g), first.Row[:spec.nKeys]...)
 		scratch = append(scratch, mr.Keyed{Key: first.Key, Row: st.appendPartials(out, g)})
 	}
 	st.release()
@@ -423,9 +437,10 @@ func (k *aggKernel) batchReduce(recs []mr.Keyed, emit mr.Emit) bool {
 		sorted = append(sorted, key)
 	}
 	sort.Strings(sorted)
+	slab := newGroupSlab(ng, spec.outW)
 	for _, key := range sorted {
-		g := ids[key]
-		emit(key, st.finalRow(recs[firsts[g]].Row, int(g)))
+		g := int(ids[key])
+		emit(key, st.finalRow(slab.row(g), recs[firsts[g]].Row, g))
 	}
 	st.release()
 	putIDMap(ids)
@@ -478,9 +493,10 @@ func (k *aggKernel) batchCross(p *fusedProg, rows []data.Row, bufs []*data.Col, 
 		keyBuf, prevBuf = prevBuf, keyBuf
 		st.crossMerge(rows, bufs, p, int(g), i)
 	}
+	slab := newGroupSlab(ng, spec.shufW)
 	for g := 0; g < ng; g++ {
 		first := firsts[g]
-		out := make(data.Row, 0, spec.shufW)
+		out := slab.row(g)
 		for _, kx := range spec.keyIdx {
 			out = append(out, readRef(rows, bufs, p.outs[kx], first))
 		}
