@@ -6,8 +6,9 @@ build:
 test:
 	go test ./...
 
-# Tier-1 gate: compile everything, vet, and run the full suite with the
-# race detector (the parallel MR engine and concurrent sessions depend on it).
+# Tier-1 gate: compile everything, vet, run the full suite with the race
+# detector (the parallel MR engine and concurrent sessions depend on it), then
+# the allocation / layout / retention budgets without it.
 verify:
 	./scripts/verify.sh
 

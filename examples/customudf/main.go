@@ -34,6 +34,9 @@ func main() {
 	}
 
 	// Operation types 1+2: add validated coordinates, drop dirty rows.
+	// Ownership: args and params are the engine's, valid for this call only —
+	// take the values out of them (as below), never keep the slices; what Fn
+	// returns is copied before the next call.
 	err := sys.RegisterMapUDF(opportune.MapUDF{
 		Name: "CLEAN_GEO", Args: 2, Outputs: []string{"glat", "glon"},
 		Filters: true, Weight: 3,
@@ -111,6 +114,7 @@ func main() {
 	  GROUP BY tile HAVING n > 10`)
 
 	// Per-user mobility via a custom aggregate over the same cleaned data.
+	// The group slice and its rows are likewise valid only inside Reduce.
 	err = sys.RegisterAggUDF(opportune.AggUDF{
 		Name: "SPREAD", Args: 3, Keys: []string{"user"}, KeyArgs: []int{0},
 		Outputs: []string{"lat_spread"}, Weight: 4,

@@ -24,7 +24,10 @@ import (
 )
 
 // Emit passes one keyed row from a map task to the shuffle. For map-only
-// jobs the key is ignored.
+// jobs the key is ignored. An emitted row belongs to the engine: the emitter
+// must not write to it again, and it may share a backing slab with the other
+// rows of its task (DESIGN.md §5.14), so a reducer that re-emits a few of
+// the rows it was handed copies them.
 type Emit func(key string, r data.Row)
 
 // MapFunc processes one input row. input is the index into Job.Inputs,

@@ -40,6 +40,15 @@ const (
 	KindAgg
 )
 
+// Ownership, for all three local-function shapes below (DESIGN.md §5.14):
+// every slice the engine passes in — args, key, payloads and each payload
+// row — belongs to the engine, is valid only until the function returns, and
+// is reused for the next tuple or group; read it, do not keep or write it.
+// Values (value.V) are immutable and may be kept and returned freely. What
+// the function returns is copied out before the engine calls it again, so it
+// may alias the arguments or be a buffer the UDF reuses itself; the engine
+// never writes through it. params is shared by every call: read-only.
+
 // MapFn is the per-tuple local function of a KindMap UDF: it receives the
 // bound argument values and literal parameters and returns zero or more
 // output-value rows (each of width len(OutNames)). Returning no rows drops
@@ -47,7 +56,10 @@ const (
 type MapFn func(args, params []value.V) [][]value.V
 
 // PreMapFn is the optional map-side local function of a KindAgg UDF: it
-// turns one input tuple into a (group key, payload) pair, or drops it.
+// turns one input tuple into a (group key, payload) pair, or drops it. The
+// pair is written straight into the shuffle record: len(key) is
+// len(KeyNames) and len(payload) at most PayloadCols (shorter is Null-padded,
+// longer fails the job).
 type PreMapFn func(args, params []value.V) (key, payload []value.V, keep bool)
 
 // ReduceFn is the per-group local function of a KindAgg UDF: it receives
@@ -67,7 +79,8 @@ type Descriptor struct {
 	// are the aggregate outputs (the key columns are listed in KeyNames).
 	OutNames []string
 
-	// KindMap fields.
+	// KindMap fields. Map, PreMap and Reduce share one ownership rule, stated
+	// above MapFn: argument slices are the engine's and valid for the call.
 	Map MapFn
 	// Filters marks that Map may drop tuples; the model records an opaque
 	// predicate named "<Name>.filter" over the argument signatures.

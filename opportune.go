@@ -204,6 +204,11 @@ func (sys *System) ClusterTable(table string, columns []string, buckets int) err
 // MapUDF declares a per-tuple UDF (model operation types 1 and 2): it adds
 // Outputs columns computed from Args argument columns, may drop tuples
 // (Filters), and may emit several rows per input (Explode).
+//
+// Ownership: the args and params slices Fn receives are valid only for the
+// call — read them, do not keep or modify them; keep the values in them if
+// you like. The rows Fn returns are copied before Fn is called again, so it
+// may return a buffer it reuses.
 type MapUDF struct {
 	Name    string
 	Args    int
@@ -218,7 +223,9 @@ type MapUDF struct {
 	Fn     func(args, params []any) [][]any
 }
 
-// RegisterMapUDF installs a per-tuple UDF.
+// RegisterMapUDF installs a per-tuple UDF. Fn may be called from several map
+// tasks at once; the slices it is handed are valid for the call only (see
+// MapUDF).
 func (sys *System) RegisterMapUDF(m MapUDF) error {
 	if m.Weight < 1 {
 		m.Weight = 1
@@ -247,7 +254,9 @@ func (sys *System) RegisterMapUDF(m MapUDF) error {
 
 // AggUDF declares a grouping UDF (operation type 3): tuples are grouped by
 // the KeyArgs argument columns (or by keys a custom PreMap derives) and
-// Reduce computes the Outputs per group.
+// Reduce computes the Outputs per group. The same ownership rule as MapUDF
+// applies: key, groupRows (and each row in it) and params are valid only for
+// the call, and the returned slice is copied before the next group.
 type AggUDF struct {
 	Name    string
 	Args    int
@@ -259,7 +268,9 @@ type AggUDF struct {
 	Reduce  func(key []any, groupRows [][]any, params []any) []any
 }
 
-// RegisterAggUDF installs a grouping UDF.
+// RegisterAggUDF installs a grouping UDF. Reduce may be called from several
+// reduce tasks at once; the slices it is handed are valid for the call only
+// (see AggUDF).
 func (sys *System) RegisterAggUDF(a AggUDF) error {
 	if a.Weight < 1 {
 		a.Weight = 1
