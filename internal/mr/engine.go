@@ -777,10 +777,10 @@ type mapSplit struct {
 
 // mapTaskOut is what one map task produced: its (possibly combined)
 // emissions in emission order and their encoded size (Σ row.EncodedSize() +
-// len(key), summed by the task itself, in parallel, as the records are
-// built — nothing downstream walks them again), the rows its combiner
-// consumed, the batch-execution report when the job ran the fused path, and
-// whether the combine fold itself ran fused (or bailed out of the fused path).
+// len(key), summed by the task itself so nothing downstream walks the
+// records again), the rows its combiner consumed, the batch-execution report
+// when the job ran the fused path, and whether the combine fold itself ran
+// fused (or bailed out of the fused path).
 type mapTaskOut struct {
 	out          []Keyed
 	bytes        int64
@@ -863,14 +863,17 @@ func runMapTask(job *Job, sp mapSplit, t *mapTaskOut) {
 		}
 	}
 	t.out = out
-	if !combines || len(t.out) == 0 {
-		return
-	}
-	defer func() {
+	if combines && len(t.out) > 0 {
+		combineMapOutput(job, t)
 		for _, kr := range t.out {
 			t.bytes += int64(kr.Row.EncodedSize() + len(kr.Key))
 		}
-	}()
+	}
+}
+
+// combineMapOutput replaces one map task's emissions with their per-key
+// combination, in first-emission key order.
+func combineMapOutput(job *Job, t *mapTaskOut) {
 	if t.batch.Combined {
 		// Cross-boundary kernel: the batch map already emitted combined
 		// records per key, with the pre-combine row count in the report so

@@ -175,9 +175,8 @@ func (o *Optimizer) buildStage(op *plan.Node, inCols []string) (stageFactory, er
 			// plausible per-task emission count, so tags never collide
 			// across tasks and never depend on scheduling.
 			rowTag := ctx.GlobalRow << 20
-			// args is valid for the UDF only during the call (the fused
-			// path's contract too); what it returns is copied out before
-			// the next call.
+			// args is the UDF's for the call only (the fused path's contract
+			// too); what it returns is copied out before the next call.
 			args := make([]value.V, len(argIdx))
 			out := make(data.Row, 0, len(inCols)+len(d.OutNames)+1)
 			return func(r data.Row) {
@@ -213,6 +212,12 @@ type rowEmit func(input int, row data.Row, emit mr.Emit)
 // the record slab) for one map task.
 type boundaryFactory func(ctx mr.TaskCtx) rowEmit
 
+// passThrough is the boundary of a map-only job and of a sort: the row is
+// the record (every row of a sort shuffles under one key).
+func passThrough(mr.TaskCtx) rowEmit {
+	return func(_ int, row data.Row, emit mr.Emit) { emit("", row) }
+}
+
 // attachMapSide wires a job's map side: the interpreted MapFactory always
 // (it is the engine's fallback contract), and — iff the job classified
 // fused — a BatchMapFactory running each stream's fused program with a
@@ -222,20 +227,7 @@ type boundaryFactory func(ctx mr.TaskCtx) rowEmit
 // emitting already-combined records; this path is attached even when the
 // map chain alone was not fusion-eligible (a bare scan runs the identity
 // program), in which case the report claims no mr_fused_* map work.
-func (o *Optimizer) attachMapSide(job *mr.Job, mkPipes mkPipesFn, progs []*fusedProg, bf boundaryFactory, retain bool, cross *aggKernel) {
-	// interpreter instantiates every stream's pipeline for one task, bound
-	// to the task's boundary emitter. The sinks are built once per task, not
-	// per row: the engine hands one task the same emitter on every call.
-	interpreter := func(ctx mr.TaskCtx, be rowEmit) mr.MapFunc {
-		var emit mr.Emit
-		pipes := mkPipes(ctx, func(input int) func(data.Row) {
-			return func(row data.Row) { be(input, row, emit) }
-		}, retain)
-		return func(input int, r data.Row, e mr.Emit) {
-			emit = e
-			pipes[input](r)
-		}
-	}
+func (o *Optimizer) attachMapSide(job *mr.Job, interpreter interpreterFn, progs []*fusedProg, bf boundaryFactory, retain bool, cross *aggKernel) {
 	job.MapFactory = func(ctx mr.TaskCtx) mr.MapFunc { return interpreter(ctx, bf(ctx)) }
 	if cross != nil {
 		mapFused := job.Fused
@@ -359,31 +351,18 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 		job.Inputs = append(job.Inputs, st.inputName())
 		job.MapCost = append(job.MapCost, fns...)
 	}
-	// Every compiled job uses a per-task MapFactory: instantiation is
-	// cheap (column resolution already happened), and it is what keeps
-	// stateful stages race-free under the engine's parallel map phase.
-	mkPipes := func(ctx mr.TaskCtx, sinkOf func(input int) func(data.Row), retain bool) []pipeline {
-		pipes := make([]pipeline, len(factories))
-		for i, pf := range factories {
-			pipes[i] = pf(ctx, sinkOf(i), retain)
-		}
-		return pipes
-	}
 	progs := make([]*fusedProg, len(jn.streams))
 	o.classifyFusion(jn, job, progs)
 
 	var bf boundaryFactory
 	var spec *aggSpec
 	var err error
-	// retain: the boundary emits the rows it is handed (map-only, sort)
-	// instead of building its own shuffle records from them.
+	// retain: the boundary is passThrough, it keeps the rows it is handed.
 	retain := !o.isBoundary(boundary) || boundary.Kind == plan.KindSort
 	if !o.isBoundary(boundary) {
 		// Map-only job: single stream, pipeline output is the job output.
 		job.MapOutSchema = job.OutputSchema
-		bf = func(mr.TaskCtx) rowEmit {
-			return func(_ int, row data.Row, emit mr.Emit) { emit("", row) }
-		}
+		bf = passThrough
 	} else {
 		switch boundary.Kind {
 		case plan.KindJoin:
@@ -401,14 +380,30 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 			return nil, err
 		}
 	}
+	// Every compiled job uses a per-task MapFactory: instantiation is
+	// cheap (column resolution already happened), and it is what keeps
+	// stateful stages race-free under the engine's parallel map phase. The
+	// sinks are built once per task, not per row: the engine hands one task
+	// the same emitter on every call.
+	interpreter := func(ctx mr.TaskCtx, be rowEmit) mr.MapFunc {
+		var emit mr.Emit
+		pipes := make([]pipeline, len(factories))
+		for i, pf := range factories {
+			pipes[i] = pf(ctx, func(row data.Row) { be(i, row, emit) }, retain)
+		}
+		return func(input int, r data.Row, e mr.Emit) {
+			emit = e
+			pipes[input](r)
+		}
+	}
 	cross := o.classifyReduceFusion(jn, job, spec, progs)
-	o.attachMapSide(job, mkPipes, progs, bf, retain, cross)
+	o.attachMapSide(job, interpreter, progs, bf, retain, cross)
 	return job, nil
 }
 
-// mkPipesFn instantiates every stream's pipeline for one map task, stream i
-// bound to sinkOf(i).
-type mkPipesFn func(ctx mr.TaskCtx, sinkOf func(input int) func(data.Row), retain bool) []pipeline
+// interpreterFn instantiates the row-at-a-time map side for one map task:
+// every stream's pipeline, bound to the task's boundary emitter.
+type interpreterFn func(ctx mr.TaskCtx, be rowEmit) mr.MapFunc
 
 // joinBoundary compiles an equi-join: both sides shuffle on the join key;
 // rows are padded to a shared width with a side tag (a co-group, §3.2).
@@ -756,9 +751,8 @@ func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, e
 	job.MapOutSchema = data.NewSchema(shufCols...)
 
 	width := nKeys + payloadW
-	// Without a PreMap the shuffle row is the key arguments followed by the
-	// other arguments in order: a fixed permutation of input columns,
-	// resolved here so the per-row path is one gather.
+	// Without a PreMap the shuffle row is the key arguments, then the other
+	// arguments in order: a fixed gather of input columns, resolved here.
 	var direct []int
 	if d.PreMap == nil {
 		isKey := make([]bool, len(argIdx))
@@ -844,9 +838,6 @@ func (o *Optimizer) sortBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 	desc := boundary.SortDesc
 	limit := boundary.Limit
 	job.MapOutSchema = data.NewSchema(inCols...)
-	bf := func(mr.TaskCtx) rowEmit {
-		return func(_ int, row data.Row, emit mr.Emit) { emit("", row) }
-	}
 	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
 		sorted := append([]data.Row(nil), rows...)
 		sort.SliceStable(sorted, func(a, b int) bool {
@@ -867,9 +858,8 @@ func (o *Optimizer) sortBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 			}
 			return
 		}
-		// A LIMIT keeps a few rows of many. They are map-side rows, cut from
-		// their splits' slabs (or base-table rows): copy what is kept, so the
-		// view does not pin the slabs of the rows it was chosen from.
+		// A LIMIT keeps a few map-side rows of many: copy them, so the view
+		// does not pin the slabs of the rows it was chosen from.
 		w := len(inCols)
 		kept, slab := make([]data.Row, limit), make([]value.V, int(limit)*w)
 		var bytes int64
@@ -881,7 +871,7 @@ func (o *Optimizer) sortBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 		out.EmitBlock(kept, bytes)
 	}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
-	return bf, nil
+	return passThrough, nil
 }
 
 func indexOf(cols []string, c string) (int, bool) {

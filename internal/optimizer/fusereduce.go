@@ -313,20 +313,11 @@ func (st *aggAccs) finalRow(out, first data.Row, g int) data.Row {
 	return out
 }
 
-// groupSlab is one kernel invocation's output rows, one per group, cut from
-// a single allocation: every row of it is emitted, so whoever keeps the
-// output keeps exactly the slab.
-type groupSlab struct {
-	cells []value.V
-	w     int
-}
-
-func newGroupSlab(groups, w int) groupSlab {
-	return groupSlab{cells: make([]value.V, groups*w), w: w}
-}
-
-// row returns group g's row, empty with capacity w, to be appended to.
-func (s groupSlab) row(g int) data.Row { return s.cells[g*s.w : g*s.w : (g+1)*s.w] }
+// slabRow returns row g of a slab of w-wide rows, empty with capacity w, to
+// be appended to. The kernels cut a batch's output rows, one per group, from
+// one slab: every row of it is emitted, so whoever keeps the output keeps
+// exactly the slab.
+func slabRow(slab []value.V, g, w int) data.Row { return slab[g*w : g*w : (g+1)*w] }
 
 // batchCombine is the fused combiner (mr.Job.BatchCombine): it folds one
 // map task's emissions into accumulator columns and appends one combined
@@ -375,10 +366,10 @@ func (k *aggKernel) batchCombine(in, scratch []mr.Keyed) ([]mr.Keyed, int64, boo
 			return bail()
 		}
 	}
-	slab := newGroupSlab(ng, spec.shufW)
+	slab := make([]value.V, ng*spec.shufW)
 	for g := 0; g < ng; g++ {
 		first := &in[firsts[g]]
-		out := append(slab.row(g), first.Row[:spec.nKeys]...)
+		out := append(slabRow(slab, g, spec.shufW), first.Row[:spec.nKeys]...)
 		scratch = append(scratch, mr.Keyed{Key: first.Key, Row: st.appendPartials(out, g)})
 	}
 	st.release()
@@ -437,10 +428,10 @@ func (k *aggKernel) batchReduce(recs []mr.Keyed, emit mr.Emit) bool {
 		sorted = append(sorted, key)
 	}
 	sort.Strings(sorted)
-	slab := newGroupSlab(ng, spec.outW)
+	slab := make([]value.V, ng*spec.outW)
 	for _, key := range sorted {
 		g := int(ids[key])
-		emit(key, st.finalRow(slab.row(g), recs[firsts[g]].Row, g))
+		emit(key, st.finalRow(slabRow(slab, g, spec.outW), recs[firsts[g]].Row, g))
 	}
 	st.release()
 	putIDMap(ids)
@@ -493,10 +484,10 @@ func (k *aggKernel) batchCross(p *fusedProg, rows []data.Row, bufs []*data.Col, 
 		keyBuf, prevBuf = prevBuf, keyBuf
 		st.crossMerge(rows, bufs, p, int(g), i)
 	}
-	slab := newGroupSlab(ng, spec.shufW)
+	slab := make([]value.V, ng*spec.shufW)
 	for g := 0; g < ng; g++ {
 		first := firsts[g]
-		out := slab.row(g)
+		out := slabRow(slab, g, spec.shufW)
 		for _, kx := range spec.keyIdx {
 			out = append(out, readRef(rows, bufs, p.outs[kx], first))
 		}
