@@ -632,7 +632,7 @@ func (a aggPhys) width() int {
 }
 
 // initPartials writes the partial state of one input row into the shuffle
-// row out, at the aggregate's partial columns.
+// row out (fresh from the slab: all Null), at the aggregate's partial columns.
 func (a aggPhys) initPartials(row, out data.Row) {
 	n, sum := int64(1), 0.0
 	if a.src >= 0 && row[a.src].IsNull() {
@@ -649,8 +649,6 @@ func (a aggPhys) initPartials(row, out data.Row) {
 		out[a.off], out[a.off+1] = value.NewFloat(sum), value.NewInt(n)
 	case plan.AggMin, plan.AggMax:
 		out[a.off] = row[a.src]
-	default:
-		out[a.off] = value.NullV
 	}
 }
 
