@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"opportune/internal/rewrite"
 	"opportune/internal/service"
 	"opportune/internal/session"
 	"opportune/internal/workload"
@@ -100,4 +106,73 @@ func TestBatchRewriteEquivalence(t *testing.T) {
 		}
 		check(t, got, improved)
 	})
+}
+
+// TestWorkloadSearchGolden pins the search's decisions on the path a user
+// takes: the workload in analyst-major order under ModeBFR through
+// Session.Run on one accumulating catalog must reproduce, byte for byte,
+// testdata/search_golden.json — per query the chosen plan, its cost (IEEE
+// bits) and the search-effort counters, and at the end the estimate-cache
+// totals. The known-wrong rewrites run (the catalog accumulates through
+// them) but are left out of the file, so it pins search decisions without
+// cementing rewrites the defect fix will change.
+func TestWorkloadSearchGolden(t *testing.T) {
+	type decision struct {
+		Query    string           `json:"query"`
+		PlanFP   string           `json:"plan_fp"`
+		CostBits uint64           `json:"cost_bits"`
+		Counters rewrite.Counters `json:"counters"`
+	}
+	var got struct {
+		Queries       []decision       `json:"queries"`
+		EstimateCache map[string]int64 `json:"estimate_cache"`
+	}
+	s, reg := diffSession(t, nil, 0, 0)
+	for _, q := range workload.AllQueries() {
+		m, err := run(s, q, session.ModeBFR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if knownWrongRewrites[q.Name] {
+			continue
+		}
+		got.Queries = append(got.Queries, decision{
+			Query:    q.Name,
+			PlanFP:   m.Rewrite.Plan.Fingerprint(),
+			CostBits: math.Float64bits(m.Rewrite.Cost),
+			Counters: m.Rewrite.Counters,
+		})
+	}
+	got.EstimateCache = make(map[string]int64)
+	for k, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(k, "optimizer_estimate_cache_") {
+			got.EstimateCache[k] = v
+		}
+	}
+	checkGolden(t, "testdata/search_golden.json", got)
+}
+
+// checkGolden compares v's indented JSON with the golden file. A missing
+// file is written from this run and the test fails, so a golden is only
+// ever (re)based by deleting it and reviewing what comes back.
+func checkGolden(t *testing.T, path string, v any) {
+	t.Helper()
+	got, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s was missing: wrote it from this run; review and commit it", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("search diverged from %s\n got %s\nwant %s", path, got, want)
+	}
 }

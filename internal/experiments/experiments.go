@@ -52,17 +52,6 @@ type Config struct {
 	// tasks (the speculation-benefit experiment flips this).
 	DisableSpeculation bool
 
-	// DisablePartition turns off partition-aware planning in every session
-	// the experiment builds (the partition experiment flips it per arm
-	// itself; this knob is for ablations and chaos runs).
-	DisablePartition bool
-
-	// DisableFusion turns off fused batch map execution in every session the
-	// experiment builds (the fusion experiment flips it per arm itself; this
-	// knob is for ablations and chaos runs). Fusion changes wall-clock only:
-	// results, volumes, and simulated seconds are identical either way.
-	DisableFusion bool
-
 	// BatchSize groups workload queries into shared-scan batches of this
 	// many queries for the batch-throughput experiment (0 = 8). The
 	// service experiment reuses it as the micro-batch size trigger.
@@ -117,8 +106,6 @@ func newSession(c Config) (*session.Session, error) {
 		s.Instrument(c.Obs)
 	}
 	s.Eng.DisableSpeculation = c.DisableSpeculation
-	s.Opt.DisablePartitionAware = c.DisablePartition
-	s.Opt.DisableFusion = c.DisableFusion
 	if c.Faults != nil {
 		s.InjectFaults(fault.NewInjector(c.Faults))
 		s.Eng.MaxAttempts = 3

@@ -48,27 +48,9 @@ type Optimizer struct {
 	// reproducible across runs.
 	Obs *obs.Registry
 
-	// Fork-mode fields (set by ForkEstimates, nil on the root optimizer):
-	// baseEst is the parent's annEst, frozen for the duration of the
-	// parallel region; estLog records every annotation-level estimate access
-	// in task-local order so MergeEstimates can replay the accesses — and
-	// the hit/miss counters they would have produced — against the real
-	// cache in deterministic fold order.
-	baseEst map[string]cost.Stats
-	estLog  *[]EstAccess
-
 	// gen counts ClearEstimates calls; rewrite-layer memos key on it so a
 	// statistics reset invalidates every cached probe and plan cost.
 	gen uint64
-}
-
-// EstAccess is one recorded annotation-estimate access of a forked
-// optimizer: the annotation canon, the stats the fork resolved, and whether
-// the catalog (not the query-local cache) supplied them.
-type EstAccess struct {
-	Canon   string
-	Stats   cost.Stats
-	Catalog bool
 }
 
 // ClearEstimates drops the cross-plan estimate cache; call between queries.
@@ -82,48 +64,6 @@ func (o *Optimizer) ClearEstimates() {
 // ClearEstimates resets the statistics context, so memos keyed on it are
 // invalidated at the same points a serial search would recompute.
 func (o *Optimizer) EstGen() uint64 { return o.gen }
-
-// ForkEstimates returns a child optimizer for one parallel probe task. The
-// child reads the parent's estimate cache as a frozen base, writes its own
-// overlay, and logs every annotation-level access instead of counting it;
-// the parent stays untouched until MergeEstimates replays the log. Because
-// estimates are consistent — the same annotation always resolves to the
-// same stats, whichever plan computes them — a fork's overlay entries are
-// byte-identical to what the serial search would have cached, and the
-// replayed hit/miss counts equal the serial counts at any pool size.
-func (o *Optimizer) ForkEstimates() *Optimizer {
-	c := *o
-	c.baseEst = o.annEst
-	c.annEst = make(map[string]cost.Stats)
-	log := make([]EstAccess, 0, 64)
-	c.estLog = &log
-	c.Obs = nil // counters come from the replay, not the fork
-	return &c
-}
-
-// MergeEstimates replays one fork's access log against the real cache.
-// Callers replay forks in a deterministic order (the serial probe order);
-// each access then classifies as hit or miss exactly as it would have in
-// serial execution, keeping the counters — part of the byte-identical
-// determinism contract — independent of pool size and scheduling.
-func (o *Optimizer) MergeEstimates(f *Optimizer) {
-	if f == nil || f.estLog == nil {
-		return
-	}
-	for _, a := range *f.estLog {
-		if a.Catalog {
-			o.Obs.Counter("optimizer_estimate_cache_hits_total", "src", "catalog").Inc()
-			continue
-		}
-		if _, ok := o.annEst[a.Canon]; ok {
-			o.Obs.Counter("optimizer_estimate_cache_hits_total", "src", "query").Inc()
-		} else {
-			o.Obs.Counter("optimizer_estimate_cache_misses_total").Inc()
-			o.annEst[a.Canon] = a.Stats
-		}
-	}
-	*f.estLog = (*f.estLog)[:0]
-}
 
 // New creates an optimizer. eval supplies implementations of opaque filter
 // predicates; pass a fresh evaluator if the workload has none.
@@ -246,8 +186,6 @@ func (o *Optimizer) Compile(root *plan.Node) (*Work, error) {
 	w := &Work{Root: root}
 	est := newEstimator(o.Cat, o.annEst)
 	est.obs = o.Obs
-	est.base = o.baseEst
-	est.log = o.estLog
 	byBoundary := make(map[*plan.Node]*JobNode)
 
 	var build func(n *plan.Node) (*JobNode, error)

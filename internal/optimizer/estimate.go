@@ -41,13 +41,6 @@ type estimator struct {
 	dmemo  map[*plan.Node]map[string]int64 // per-node per-column distinct estimates
 	annEst map[string]cost.Stats           // cross-plan estimates by annotation (owned by the Optimizer)
 	obs    *obs.Registry
-
-	// Fork mode (parallel probing): base is the parent's frozen annEst,
-	// annEst above is the task-local overlay, and every annotation-level
-	// access is appended to log instead of counted — MergeEstimates replays
-	// it later in deterministic order.
-	base map[string]cost.Stats
-	log  *[]EstAccess
 }
 
 func newEstimator(cat *meta.Catalog, annEst map[string]cost.Stats) *estimator {
@@ -78,26 +71,16 @@ func (e *estimator) stats(n *plan.Node) cost.Stats {
 			canon = n.Ann.Canon()
 		}
 		if t, ok := e.cat.ByAnnotation(canon); ok && t.Stats.Rows > 0 {
-			if e.log != nil {
-				*e.log = append(*e.log, EstAccess{Canon: canon, Stats: t.Stats, Catalog: true})
-			} else {
-				e.obs.Counter("optimizer_estimate_cache_hits_total", "src", "catalog").Inc()
-			}
+			e.obs.Counter("optimizer_estimate_cache_hits_total", "src", "catalog").Inc()
 			e.memo[n] = t.Stats
 			return t.Stats
 		}
-		if s, ok := e.lookupAnn(canon); ok {
-			if e.log != nil {
-				*e.log = append(*e.log, EstAccess{Canon: canon, Stats: s})
-			} else {
-				e.obs.Counter("optimizer_estimate_cache_hits_total", "src", "query").Inc()
-			}
+		if s, ok := e.annEst[canon]; ok {
+			e.obs.Counter("optimizer_estimate_cache_hits_total", "src", "query").Inc()
 			e.memo[n] = s
 			return s
 		}
-		if e.log == nil {
-			e.obs.Counter("optimizer_estimate_cache_misses_total").Inc()
-		}
+		e.obs.Counter("optimizer_estimate_cache_misses_total").Inc()
 	}
 	var s cost.Stats
 	switch n.Kind {
@@ -165,28 +148,8 @@ func (e *estimator) stats(n *plan.Node) cost.Stats {
 	e.memo[n] = s
 	if canon != "" {
 		e.annEst[canon] = s
-		if e.log != nil {
-			// A fork logs its miss at insert time; replay classifies the
-			// access against the real cache, so the count still lands as a
-			// miss exactly when the serial search would have missed.
-			*e.log = append(*e.log, EstAccess{Canon: canon, Stats: s})
-		}
 	}
 	return s
-}
-
-// lookupAnn resolves an annotation estimate: the task-local overlay first,
-// then (fork mode) the parent's frozen base. The two never share a canon —
-// overlay entries are created only on a base miss.
-func (e *estimator) lookupAnn(canon string) (cost.Stats, bool) {
-	if s, ok := e.annEst[canon]; ok {
-		return s, true
-	}
-	if e.base != nil {
-		s, ok := e.base[canon]
-		return s, ok
-	}
-	return cost.Stats{}, false
 }
 
 // groupCount estimates the number of groups keyed by the given columns.

@@ -51,29 +51,35 @@ type TargetWork struct {
 // materialized. Costs memoize by plan fingerprint until the next
 // statistics reset — sound because estimates are consistent within a
 // generation (the same annotation always resolves to the same stats), so
-// recompiling a syntactically identical plan cannot change its cost. The
-// memo is skipped inside probe tasks, where cost evaluation must flow
-// through the task's estimate-cache fork.
+// recompiling a syntactically identical plan cannot change its cost.
 func (r *Rewriter) planCost(p *plan.Node) (float64, error) {
 	if p.Kind == plan.KindScan {
-		return 0, plan.Annotate(p, r.Cat)
+		return r.compileCost(p)
 	}
-	fp := ""
-	if !r.forked {
-		fp = p.Fingerprint()
-		if c, ok := r.planMemoGet(fp); ok {
-			return c, nil
-		}
+	fp := p.Fingerprint()
+	if c, ok := r.planMemoGet(fp); ok {
+		return c, nil
+	}
+	c, err := r.compileCost(p)
+	if err == nil {
+		r.planMemoPut(fp, c)
+	}
+	return c, err
+}
+
+// compileCost is planCost without the memo: REWRITEENUM costs every
+// compensation order through it, so each order's estimate accesses reach
+// the optimizer's cache (a memo hit would elide them and move the
+// estimate-cache counters).
+func (r *Rewriter) compileCost(p *plan.Node) (float64, error) {
+	if p.Kind == plan.KindScan {
+		return 0, plan.Annotate(p, r.Cat)
 	}
 	w, err := r.Opt.Compile(p)
 	if err != nil {
 		return 0, err
 	}
-	c := w.TotalCost()
-	if fp != "" {
-		r.planMemoPut(fp, c)
-	}
-	return c, nil
+	return w.TotalCost(), nil
 }
 
 // bfState is the per-target state of Algorithm 1.

@@ -44,6 +44,10 @@ func (c *Candidate) Names() []string {
 
 // Rewriter holds the shared machinery: the catalog, the optimizer (for
 // costing rewrites), and the algorithm parameters J and k (§5).
+//
+// A Rewriter is single-threaded: every search is one serial loop, and the
+// optimizer's estimate cache it costs plans through is unsynchronized.
+// Session serializes all use of it under planMu.
 type Rewriter struct {
 	Cat *meta.Catalog
 	Opt *optimizer.Optimizer
@@ -60,20 +64,7 @@ type Rewriter struct {
 	DisableOptCost       bool
 	DisableGuessComplete bool
 
-	// ProbeWorkers bounds the worker pool that probes candidates in
-	// parallel (compensation-order enumeration, view-finder merges, batch
-	// probes); 0 means GOMAXPROCS. Results are folded in a deterministic
-	// order, so the pool size never changes the winner or any counter.
-	ProbeWorkers int
-
-	// forked marks a task-local rewriter inside a parallel probe region
-	// (see forkedWith): it runs serially on a forked optimizer and never
-	// touches the shared memos.
-	forked bool
-
-	// memo caches probe and plan-cost results across search iterations; it
-	// is shared (by pointer) with forked copies but only ever consulted
-	// from the serial root context.
+	// memo caches probe and plan-cost results across search iterations.
 	memo *memoState
 }
 
@@ -160,18 +151,6 @@ func (r *Rewriter) planMemoPut(fp string, c float64) {
 // J=4, k=2.
 func NewRewriter(cat *meta.Catalog, opt *optimizer.Optimizer) *Rewriter {
 	return &Rewriter{Cat: cat, Opt: opt, MaxViews: 4, MaxOpRepeat: 2, memo: &memoState{}}
-}
-
-// forkedWith returns a task-local copy of the rewriter for one parallel
-// probe task: it runs against the forked optimizer, enumerates serially
-// (no nested pools), and skips the shared memos so memo behavior — and
-// therefore every counter — is identical at every pool size.
-func (r *Rewriter) forkedWith(opt *optimizer.Optimizer) *Rewriter {
-	c := *r
-	c.Opt = opt
-	c.forked = true
-	c.ProbeWorkers = 1
-	return &c
 }
 
 // single builds the candidate for one view. Construction (a scan node plus

@@ -34,13 +34,8 @@ type unit struct {
 //
 // Results are memoized by (candidate key, target plan fingerprint) until
 // the next statistics reset, so candidates re-visited across search
-// iterations are never recompiled. The memo is consulted only from the
-// serial root context — never inside a probe task — so memo hits land at
-// the same points regardless of pool size.
+// iterations are never recompiled.
 func (r *Rewriter) RewriteEnum(q *optimizer.JobNode, c *Candidate) (*plan.Node, float64) {
-	if r.forked {
-		return r.enumOrders(q, c)
-	}
 	mk := c.Key() + "\x00" + q.PlanFP
 	if h, ok := r.probeMemoGet(mk); ok {
 		return h.plan, h.cost
@@ -50,13 +45,8 @@ func (r *Rewriter) RewriteEnum(q *optimizer.JobNode, c *Candidate) (*plan.Node, 
 	return p, cost
 }
 
-// enumOrders enumerates compensation-operator permutations. At the root it
-// materializes the orders, gives each an estimate-cache fork, evaluates
-// them on the probe pool, and folds in enumeration order (replaying each
-// fork's estimate accesses before inspecting its result) — so the winning
-// order, its cost, and the cache counters match a serial enumeration at
-// every pool size, including one. Inside a probe task (forked) it
-// enumerates in place on the task's forked optimizer.
+// enumOrders enumerates the compensation-operator permutations and keeps
+// the cheapest valid outcome (the first one on ties).
 func (r *Rewriter) enumOrders(q *optimizer.JobNode, c *Candidate) (*plan.Node, float64) {
 	units, ok := r.compensationUnits(q, c)
 	if !ok || len(units) > maxUnits {
@@ -65,65 +55,19 @@ func (r *Rewriter) enumOrders(q *optimizer.JobNode, c *Candidate) (*plan.Node, f
 	if exceedsRepeatLimit(units, r.MaxOpRepeat) {
 		return nil, inf
 	}
-
 	var bestPlan *plan.Node
 	bestCost := inf
-	if r.forked || r.probeWorkers() <= 1 {
-		// In-place serial enumeration. For the root at pool size one this
-		// path is indistinguishable from fork+ordered-replay: estimates are
-		// consistent, and replay classifies each access against the same
-		// evolving cache state a serial run sees, so costs and counters
-		// match. The root enumerates through a forked-marked copy so that
-		// plan costs skip the memo exactly as forked tasks do — a memo hit
-		// here would elide estimate accesses that larger pools replay.
-		rr := r
-		if !r.forked {
-			cp := *r
-			cp.forked = true
-			rr = &cp
-		}
-		permute(units, func(order []unit) {
-			if p, cost, ok := rr.tryOrder(q, c, order); ok && cost < bestCost {
-				bestPlan, bestCost = p, cost
-			}
-		})
-		return bestPlan, bestCost
-	}
-
-	// permute reuses its scratch slice between calls, so orders must be
-	// copied to outlive the enumeration.
-	var orders [][]unit
 	permute(units, func(order []unit) {
-		orders = append(orders, append([]unit(nil), order...))
-	})
-	type enumRes struct {
-		plan *plan.Node
-		cost float64
-		ok   bool
-	}
-	results := make([]enumRes, len(orders))
-	forks := make([]*optimizer.Optimizer, len(orders))
-	for i := range forks {
-		forks[i] = r.Opt.ForkEstimates()
-	}
-	runParallel(r.probeWorkers(), len(orders), func(i int) {
-		sub := r.forkedWith(forks[i])
-		p, cost, ok := sub.tryOrder(q, c, orders[i])
-		results[i] = enumRes{plan: p, cost: cost, ok: ok}
-	})
-	for i := range orders {
-		r.Opt.MergeEstimates(forks[i])
-		if results[i].ok && results[i].cost < bestCost {
-			bestPlan, bestCost = results[i].plan, results[i].cost
+		if p, cost, ok := r.tryOrder(q, c, order); ok && cost < bestCost {
+			bestPlan, bestCost = p, cost
 		}
-	}
+	})
 	return bestPlan, bestCost
 }
 
 // tryOrder applies one compensation-operator sequence to the candidate and
-// validates the outcome: every wrapper node is fresh while the shared
-// candidate subtree is already annotated (plan.Annotate short-circuits it),
-// so concurrent orders never write the same node.
+// validates the outcome. The outcome is costed without the plan-cost memo
+// (see compileCost).
 func (r *Rewriter) tryOrder(q *optimizer.JobNode, c *Candidate, order []unit) (*plan.Node, float64, bool) {
 	cur := c.Plan
 	for _, u := range order {
@@ -146,7 +90,7 @@ func (r *Rewriter) tryOrder(q *optimizer.JobNode, c *Candidate, order []unit) (*
 	if !final.Ann.Equal(q.Ann) {
 		return nil, 0, false
 	}
-	cost, err := r.planCost(final)
+	cost, err := r.compileCost(final)
 	if err != nil {
 		return nil, 0, false
 	}

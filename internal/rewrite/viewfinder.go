@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"container/heap"
+	"math"
 
 	"opportune/internal/afk"
 	"opportune/internal/meta"
@@ -51,31 +52,22 @@ type viewFinder struct {
 // newViewFinder is INIT: all views become initial candidates ordered by
 // OPTCOST. Irrelevant candidates (OPTCOST = ∞) are dropped immediately —
 // they can never participate in a complete rewrite (see Relevant).
-// Candidate construction and OPTCOST run on the probe pool (neither reads
-// search state); insertion folds in view order, so the queue and counters
-// are those of the serial loop.
 func newViewFinder(r *Rewriter, q *optimizer.JobNode, views []*meta.TableInfo, counters *Counters) *viewFinder {
 	vf := &viewFinder{r: r, q: q, dedup: make(map[string]bool), counters: counters}
-	cands := make([]*Candidate, len(views))
-	runParallel(r.probeWorkers(), len(views), func(i int) {
-		c, err := r.single(views[i])
+	for _, v := range views {
+		c, err := r.single(v)
 		if err != nil {
-			return
+			continue
 		}
 		c.OptCost = r.OptCost(q, c)
-		cands[i] = c
-	})
-	for _, c := range cands {
-		if c != nil {
-			vf.pushScored(c)
-		}
+		vf.pushScored(c)
 	}
 	return vf
 }
 
 // pushScored inserts a candidate whose OPTCOST is already computed, unless
-// irrelevant or already seen. Counter semantics match the serial push:
-// every non-duplicate candidate counts as considered, relevant or not.
+// irrelevant or already seen. Every non-duplicate candidate counts as
+// considered, relevant or not.
 func (vf *viewFinder) pushScored(c *Candidate) {
 	if vf.dedup[c.Key()] {
 		return
@@ -105,34 +97,15 @@ func (vf *viewFinder) Refine() (*plan.Node, float64) {
 	}
 	v := heap.Pop(&vf.pq).(*Candidate)
 	vf.poppedBounds = append(vf.poppedBounds, v.OptCost)
-	// Merge v with every seen candidate on the probe pool. The region is
-	// read-only on search state: skip reads dedup, which only the fold
-	// below mutates, and distinct seen partners always yield distinct view
-	// sets, so no intra-refine dedup dependency is lost. Fold in seen
-	// order = the serial merge order.
+	// Merge v with every seen candidate. Any rewrite from a merged
+	// candidate also uses v and its partner, so both lower bounds apply;
+	// taking the max keeps the queue monotone (the merged candidate can
+	// never need examining before its parents).
 	skip := func(key string) bool { return vf.dedup[key] }
-	merged := make([][]*Candidate, len(vf.seen))
-	runParallel(vf.r.probeWorkers(), len(vf.seen), func(i int) {
-		ms := vf.r.Merge(v, vf.seen[i], skip)
-		for _, m := range ms {
-			m.OptCost = vf.r.OptCost(vf.q, m)
-		}
-		merged[i] = ms
-	})
-	for i := range merged {
-		for _, m := range merged[i] {
-			// Any rewrite from the merged candidate also uses v and s, so
-			// both lower bounds apply; taking the max keeps the queue
-			// monotone (the merged candidate can never need examining
-			// before its parents).
-			if vf.dedup[m.Key()] {
-				continue
-			}
+	for _, s := range vf.seen {
+		for _, m := range vf.r.Merge(v, s, skip) {
+			m.OptCost = math.Max(vf.r.OptCost(vf.q, m), v.OptCost)
 			vf.pushScored(m)
-			if m.OptCost < v.OptCost {
-				m.OptCost = v.OptCost
-				heap.Init(&vf.pq)
-			}
 		}
 	}
 	vf.seen = append(vf.seen, v)

@@ -109,15 +109,6 @@ type batchUnit struct {
 	done   bool
 }
 
-// plannedQuery carries one query's upfront compilation.
-type plannedQuery struct {
-	m      *Metrics
-	chosen *plan.Node
-	w      *optimizer.Work
-	jobs   []*mr.Job
-	epoch  int64
-}
-
 // RunBatch executes a batch of queries as one restructured job DAG: shared
 // subexpressions execute once, same-input jobs share scans, and independent
 // units run in parallel. Results are materialized under each query's
@@ -196,12 +187,11 @@ func (s *Session) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchResul
 func (s *Session) planBatch(queries []BatchQuery) ([]plannedQuery, error) {
 	plans := make([]plannedQuery, len(queries))
 	for qi, q := range queries {
-		m, chosen, w, jobs, epoch, err := s.planQuery(q.Plan, q.ResultName, q.Mode)
-		if err != nil {
+		var err error
+		if plans[qi], err = s.planQuery(q.Plan, q.ResultName, q.Mode, false); err != nil {
 			s.Obs.Counter("session_query_failures_total", "mode", q.Mode.String()).Inc()
 			return nil, fmt.Errorf("session: batch query %d (%s): %w", qi, q.ResultName, err)
 		}
-		plans[qi] = plannedQuery{m: m, chosen: chosen, w: w, jobs: jobs, epoch: epoch}
 	}
 	return plans, nil
 }

@@ -210,15 +210,17 @@ func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 	}()
 	wg.Wait()
 	close(errs)
+	// Quiesced invariant, checked before the errors so a pin taken under
+	// planMu and not released on an error path is reported with it.
+	if pins := s.Store.Pins(); len(pins) != 0 {
+		t.Errorf("leaked pins after quiesce: %v", pins)
+	}
 	for err := range errs {
 		t.Fatal(err)
 	}
 
-	// Quiesced invariants: no leaked pins, catalog views all present in the
-	// store, and the view-bytes gauge agrees with the store's accounting.
-	if pins := s.Store.Pins(); len(pins) != 0 {
-		t.Errorf("leaked pins after quiesce: %v", pins)
-	}
+	// Quiesced invariants: catalog views all present in the store, and the
+	// view-bytes gauge agrees with the store's accounting.
 	for _, v := range s.Cat.Views() {
 		if !s.Store.Has(v.Name) {
 			t.Errorf("catalog lists view %s missing from store", v.Name)

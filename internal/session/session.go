@@ -7,6 +7,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -167,45 +168,31 @@ func (m Metrics) TotalSeconds() float64 {
 // materializing the result under resultName and retaining all job outputs
 // as opportunistic views. Run is safe for concurrent use; see Session.
 //
-// A concurrent AppendRows can invalidate a view between planning and
-// execution; such a run fails pin-time input validation and is replanned
-// against the post-append catalog (bounded retries).
+// The chosen plan's inputs are pinned and validated before planning
+// releases planMu, so a concurrent AppendRows (which holds planMu
+// throughout) can no longer invalidate them between planning and
+// execution: a run that raced an append reads the pre-append contents it
+// pinned, and retainViews discards what it materialized.
 func (s *Session) Run(q *plan.Node, resultName string, mode Mode) (*Metrics, error) {
-	const maxReplans = 3
-	for attempt := 0; ; attempt++ {
-		m, err := s.runOnce(q, resultName, mode)
-		if err == errStaleInputs && attempt < maxReplans {
-			s.Obs.Counter("session_stale_plan_retries_total", "mode", mode.String()).Inc()
-			continue
-		}
-		return m, err
-	}
-}
-
-func (s *Session) runOnce(q *plan.Node, resultName string, mode Mode) (*Metrics, error) {
 	qsp := s.Obs.StartSpan(resultName, "query")
+	defer qsp.End()
 	psp := qsp.Child("plan")
-	m, chosen, w, jobs, epoch, err := s.planQuery(q, resultName, mode)
+	p, err := s.planQuery(q, resultName, mode, true)
 	psp.End()
 	if err != nil {
 		s.Obs.Counter("session_query_failures_total", "mode", mode.String()).Inc()
-		qsp.End()
 		return nil, err
 	}
-	if jobs != nil {
+	m := p.m
+	if p.jobs != nil {
 		esp := qsp.Child("execute")
-		m, err = s.executePlan(m, chosen, w, jobs, resultName, epoch)
+		err = s.executePlan(p, resultName)
 		if err == nil {
 			esp.AddSim(m.ExecSeconds)
 		}
 		esp.End()
-		if err == errStaleInputs {
-			qsp.End()
-			return nil, err
-		}
 		if err != nil {
 			s.Obs.Counter("session_query_failures_total", "mode", mode.String()).Inc()
-			qsp.End()
 			return nil, err
 		}
 		// Statistics collection runs inside executePlan; its wall share
@@ -217,7 +204,6 @@ func (s *Session) runOnce(q *plan.Node, resultName string, mode Mode) (*Metrics,
 		}
 	}
 	qsp.AddSim(m.ExecSeconds + m.StatsSeconds)
-	qsp.End()
 	s.record(m)
 	return m, nil
 }
@@ -246,29 +232,64 @@ func (s *Session) record(m *Metrics) {
 	}
 }
 
-// errStaleInputs signals that a planned input vanished (a concurrent
-// AppendRows invalidated it) between planning and pinning; the query is
-// replanned against the current catalog.
-var errStaleInputs = fmt.Errorf("session: planned input invalidated concurrently")
+// plannedQuery carries one query's compilation: the chosen plan, its job
+// DAG and executable jobs (nil when the chosen plan is a bare scan of an
+// existing materialization and nothing needs to execute), the ingest epoch
+// the plan was derived under, and the pins planning took (Run only).
+type plannedQuery struct {
+	m      *Metrics
+	chosen *plan.Node
+	w      *optimizer.Work
+	jobs   []*mr.Job
+	epoch  int64
+	pins   []string
+}
 
-// planQuery compiles and (optionally) rewrites one query under planMu. A
-// nil jobs return means the chosen plan is a bare scan of an existing
-// materialization and nothing needs to execute. The returned epoch is the
-// ingest epoch the plan was derived under.
-func (s *Session) planQuery(q *plan.Node, resultName string, mode Mode) (*Metrics, *plan.Node, *optimizer.Work, []*mr.Job, int64, error) {
+// planQuery compiles and (optionally) rewrites one query under planMu.
+// With pin set it also pins the plan's inputs and outputs (pinList) and
+// checks that every scanned input exists before planMu is released, so
+// executePlan starts from pinned, validated inputs; the caller owes the
+// Unpin, which executePlan pays. An input can be missing only because the
+// catalog still offered a view the budget had already evicted (or
+// DropViews dropped): the catalog is synced and the query replanned in
+// place, without that view.
+func (s *Session) planQuery(q *plan.Node, resultName string, mode Mode, pin bool) (plannedQuery, error) {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
-	epoch := s.ingestEpoch.Load()
+	for {
+		p, err := s.planLocked(q, resultName, mode)
+		if err != nil || !pin {
+			return p, err
+		}
+		if p.jobs != nil {
+			p.pins = pinList(p.chosen, p.w, resultName)
+			s.Store.Pin(p.pins)
+		}
+		ins := scanList(p.chosen)
+		i := slices.IndexFunc(ins, func(in string) bool { return !s.Store.Has(in) })
+		if i < 0 {
+			return p, nil
+		}
+		s.Store.Unpin(p.pins)
+		s.Cat.SyncWithStore(s.Store)
+		if _, listed := s.Cat.Table(ins[i]); listed {
+			return plannedQuery{}, fmt.Errorf("session: planned input %q: %w", ins[i], storage.ErrNotFound)
+		}
+	}
+}
+
+// planLocked is one planning pass; the caller holds planMu.
+func (s *Session) planLocked(q *plan.Node, resultName string, mode Mode) (plannedQuery, error) {
+	p := plannedQuery{chosen: q, epoch: s.ingestEpoch.Load()}
 	// Estimates are cached per query so every plan for the same logical
 	// output costs identically; statistics change between queries.
 	s.Opt.ClearEstimates()
-	w, err := s.Opt.Compile(q)
-	if err != nil {
-		return nil, nil, nil, nil, epoch, err
+	var err error
+	if p.w, err = s.Opt.Compile(q); err != nil {
+		return p, err
 	}
-	m := &Metrics{Mode: mode, ResultName: resultName}
+	p.m = &Metrics{Mode: mode, ResultName: resultName}
 
-	chosen := q
 	switch mode {
 	case ModeOriginal:
 	case ModeBFR, ModeDP, ModeSyntactic:
@@ -276,79 +297,66 @@ func (s *Session) planQuery(q *plan.Node, resultName string, mode Mode) (*Metric
 		var res *rewrite.Result
 		switch mode {
 		case ModeBFR:
-			res = s.Rew.BFRewrite(w, views)
+			res = s.Rew.BFRewrite(p.w, views)
 		case ModeDP:
-			res = s.Rew.DPRewrite(w, views)
+			res = s.Rew.DPRewrite(p.w, views)
 		default:
-			res = s.Rew.SyntacticRewrite(w, views)
+			res = s.Rew.SyntacticRewrite(p.w, views)
 		}
-		m.Rewrite = res
-		m.RewriteSeconds = res.Runtime.Seconds()
+		p.m.Rewrite = res
+		p.m.RewriteSeconds = res.Runtime.Seconds()
 		if res.Improved {
-			chosen = res.Plan
+			p.chosen = res.Plan
 		}
 	}
 
-	if chosen.Kind == plan.KindScan {
-		m.ResultName = chosen.Dataset
-		return m, chosen, w, nil, epoch, nil
+	if p.chosen.Kind == plan.KindScan {
+		p.m.ResultName = p.chosen.Dataset
+		return p, nil
 	}
-	if chosen != q {
-		if w, err = s.Opt.Compile(chosen); err != nil {
-			return nil, nil, nil, nil, epoch, fmt.Errorf("session: rewritten plan failed to compile: %w", err)
+	if p.chosen != q {
+		if p.w, err = s.Opt.Compile(p.chosen); err != nil {
+			return p, fmt.Errorf("session: rewritten plan failed to compile: %w", err)
 		}
 	}
-	jobs, err := s.Opt.Executable(w, resultName)
-	if err != nil {
-		return nil, nil, nil, nil, epoch, err
-	}
-	return m, chosen, w, jobs, epoch, nil
+	p.jobs, err = s.Opt.Executable(p.w, resultName)
+	return p, err
 }
 
-// executePlan runs the compiled jobs and retains their outputs as views.
+// executePlan runs the compiled jobs, retains their outputs as views and
+// fills in the plan's Metrics.
 // It runs outside planMu: execution is the expensive phase, and the store
-// and catalog are themselves safe for concurrent use.
-func (s *Session) executePlan(m *Metrics, chosen *plan.Node, w *optimizer.Work, jobs []*mr.Job, resultName string, epoch int64) (*Metrics, error) {
-	// Pin the plan's input datasets and its own outputs against capacity
-	// eviction until the outputs are retained: a job's materialization must
-	// not evict a view a later job of the same plan reads, and a concurrent
-	// plan's must not evict an output between its registration and its
-	// statistics sample.
-	inputs := pinList(chosen, w, resultName)
-	s.Store.Pin(inputs)
-	// Validate under the pin that every scanned input still exists: a
-	// concurrent append may have invalidated a view this plan was built
-	// around. Inputs that exist now are held by the pin (deletion defers)
-	// for the whole run.
-	for _, in := range scanList(chosen) {
-		if !s.Store.Has(in) {
-			s.Store.Unpin(inputs)
-			return nil, errStaleInputs
-		}
-	}
-	_, agg, err := s.Eng.RunSequence(jobs)
+// and catalog are themselves safe for concurrent use. The plan's input
+// datasets and its own outputs arrive pinned (planQuery) and stay pinned
+// against capacity eviction until the outputs are retained: a job's
+// materialization must not evict a view a later job of the same plan
+// reads, and a concurrent plan's must not evict an output between its
+// registration and its statistics sample.
+func (s *Session) executePlan(p plannedQuery, resultName string) error {
+	_, agg, err := s.Eng.RunSequence(p.jobs)
 	var statsSec float64
 	if err == nil {
 		// Retain job outputs as opportunistic views: register metadata and
 		// collect statistics with the lightweight sampling job (§2.1).
-		statsSec, err = s.retainViews(w, resultName, epoch)
+		statsSec, err = s.retainViews(p.w, resultName, p.epoch)
 	}
-	s.Store.Unpin(inputs)
+	s.Store.Unpin(p.pins)
 	s.Store.EnforceBudget()
 	// The budget may have claimed views retained a moment ago (and deletions
 	// deferred by the pins land at Unpin): drop their catalog entries.
 	s.Cat.SyncWithStore(s.Store)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Credit the views a successful rewrite read with the cost it saved —
 	// the signal the cost-benefit reclamation policy ranks on (§10).
-	s.creditRewrite(m, chosen)
+	m := p.m
+	s.creditRewrite(m, p.chosen)
 	m.ExecSeconds = agg.SimSeconds
 	m.Jobs = agg.Jobs
 	m.DataMovedBytes = agg.DataMovedBytes()
 	m.StatsSeconds += statsSec
-	return m, nil
+	return nil
 }
 
 // pinList is the set of dataset names one plan's execution pins against

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -336,12 +337,12 @@ func TestAppendRowsReestimatesDistincts(t *testing.T) {
 func TestStaleRetentionDropsLayoutClaim(t *testing.T) {
 	s := demo(t, 100)
 	byUser := plan.GroupAgg(plan.Scan("logs"), []string{"user"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
-	m, chosen, w, jobs, epoch, err := s.planQuery(byUser, "res", ModeOriginal)
+	p, err := s.planQuery(byUser, "res", ModeOriginal, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.ingestEpoch.Add(1) // an AppendRows landed between planning and retention
-	if _, err := s.executePlan(m, chosen, w, jobs, "res", epoch); err != nil {
+	if err := s.executePlan(p, "res"); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Store.Has("res") {
@@ -352,5 +353,52 @@ func TestStaleRetentionDropsLayoutClaim(t *testing.T) {
 	}
 	if sigs, parts := s.Store.Partitioning("res"); parts != 0 {
 		t.Errorf("store claims layout (%v, %d) for an unregistered result", sigs, parts)
+	}
+}
+
+// TestRunReplansAroundVanishedView: the catalog can offer a view the store
+// no longer holds (evicted by a concurrent plan's EnforceBudget and not yet
+// synced away). Planning pins and validates its inputs before it releases
+// planMu, so Run must drop the entry and replan in place — never fail, never
+// hand back a result that is not there, never leak the pins of the
+// abandoned plan. A missing base table cannot be planned around and is a
+// typed error.
+func TestRunReplansAroundVanishedView(t *testing.T) {
+	s := demo(t, 100)
+	if _, err := s.Run(qThresh(1), "first", ModeOriginal); err != nil {
+		t.Fatal(err)
+	}
+	run := func(th float64, name string) {
+		t.Helper()
+		m, err := s.Run(qThresh(th), name, ModeBFR)
+		if err != nil {
+			t.Fatalf("%s: run over a vanished view: %v", name, err)
+		}
+		if m.ResultName != name || !s.Store.Has(name) {
+			t.Errorf("%s: result %q, in store %v; want a fresh materialization", name, m.ResultName, s.Store.Has(name))
+		}
+		for _, v := range s.Cat.Views() {
+			if !s.Store.Has(v.Name) {
+				t.Errorf("%s: vanished view %s still listed after the replan", name, v.Name)
+			}
+		}
+	}
+	// Every view gone behind the catalog's back: the rewrite over the
+	// retained aggregate is abandoned for the original plan.
+	s.Store.DropViews()
+	if len(s.Cat.Views()) == 0 {
+		t.Fatal("setup: catalog entries gone with the store's views")
+	}
+	run(2, "second")
+	// The identical view gone: the bare-scan answer is abandoned too.
+	s.Store.Delete("second")
+	run(2, "third")
+
+	s.Store.Delete("logs")
+	if _, err := s.Run(qThresh(1), "fourth", ModeOriginal); !errors.Is(err, storage.ErrNotFound) {
+		t.Errorf("run over a missing base: err = %v, want storage.ErrNotFound", err)
+	}
+	if pins := s.Store.Pins(); len(pins) != 0 {
+		t.Errorf("dangling pins: %v", pins)
 	}
 }
