@@ -1,4 +1,4 @@
-.PHONY: build test verify stress bench bench-test bench-smoke fuzz-smoke loc
+.PHONY: build test verify stress bench bench-test bench-smoke fuzz-smoke loc loc-check
 
 build:
 	go build ./...
@@ -33,8 +33,8 @@ bench:
 bench-test:
 	cd bench && go vet ./... && go test ./...
 
-# Quick end-to-end check of the benchmark harness: one experiment with
-# -metrics, validated by cmd/metricscheck.
+# Quick end-to-end check of the paper-figure harness: fig7 with -metrics,
+# validated by cmd/metricscheck.
 bench-smoke:
 	./scripts/bench_smoke.sh
 
@@ -43,6 +43,20 @@ bench-smoke:
 fuzz-smoke:
 	./scripts/fuzz_smoke.sh
 
-# Non-test Go lines per internal package (the ROADMAP line budget).
+# Non-test Go lines per internal package (the ROADMAP line budget), then the
+# mr + optimizer + session subtotal ROADMAP direction 3 tracks.
 loc:
 	@find internal -name '*.go' ! -name '*_test.go' | xargs wc -l | awk '$$2 != "total" {split($$2, p, "/"); n[p[2]] += $$1; t += $$1} END {for (k in n) printf "%7d internal/%s\n", n[k], k; printf "%7d total\n", t}' | sort -k2
+	@printf '%7d mr + optimizer + session\n' $$(cat $(EXECUTOR_SRC) | wc -l)
+
+# The executor ratchet: direction 3 ("one plan, one executor") only ever
+# lowers the mr + optimizer + session subtotal. Each slice sets
+# EXECUTOR_LOC_MAX to its result; growing past it fails CI.
+EXECUTOR_SRC     = $(shell find internal/mr internal/optimizer internal/session -name '*.go' ! -name '*_test.go')
+EXECUTOR_LOC_MAX = 6293
+loc-check:
+	@n=$$(cat $(EXECUTOR_SRC) | wc -l); \
+	if [ $$n -gt $(EXECUTOR_LOC_MAX) ]; then \
+		echo "internal/mr + optimizer + session: $$n non-test lines, ratchet is $(EXECUTOR_LOC_MAX)" >&2; exit 1; \
+	fi; \
+	echo "executor loc $$n <= $(EXECUTOR_LOC_MAX)"

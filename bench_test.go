@@ -227,39 +227,6 @@ func benchEngineWorkers(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkBatchThroughput runs the MRShare-style shared-scan batch
-// executor against one-query-at-a-time execution: cross-query job dedup,
-// shared scans, and inter-job parallelism. The custom metrics report the
-// deterministic simulated speedup and the wall-clock speedup.
-func BenchmarkBatchThroughput(b *testing.B) {
-	cfg := benchConfig()
-	cfg.BatchSize = 4
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunBatchThroughput(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.SimSpeedup, "sim-speedup-x")
-		b.ReportMetric(r.WallSpeedup, "wall-speedup-x")
-	}
-}
-
-// BenchmarkServiceThroughput runs the always-on multi-tenant service
-// under closed-loop Zipfian load: micro-batched intake vs batch-size-1 on
-// the same per-worker query sequences. The custom metrics report the
-// batched arm's sustained qps and the two speedups.
-func BenchmarkServiceThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunService(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Batched.QPS, "qps")
-		b.ReportMetric(r.SimSpeedup, "sim-speedup-x")
-		b.ReportMetric(r.WallSpeedup, "wall-speedup-x")
-	}
-}
-
 // BenchmarkFootprint measures the §10 storage cost of retaining every view
 // of the whole workload.
 func BenchmarkFootprint(b *testing.B) {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|fig7|fig8|table1|fig9|fig10|fig11|fig12|table2|ablation|reclamation|jsens|similarity|footprint|batch|ingest|service|partition|fusion] [-quick] [-tweets N] [-workers N] [-batch N] [-metrics out.json] [-faults plan.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	benchrunner [-exp all|fig7|fig8|table1|fig9|fig10|fig11|fig12|table2|ablation|reclamation|jsens|similarity|footprint] [-quick] [-tweets N] [-workers N] [-metrics out.json] [-faults plan.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
 
 import (
@@ -18,17 +18,14 @@ import (
 	"opportune/internal/experiments"
 	"opportune/internal/fault"
 	"opportune/internal/obs"
-	"opportune/internal/workload"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig7, fig8, table1, fig9, fig10, fig11, fig12, table2, ablation, reclamation, jsens, similarity, footprint, batch, ingest, service, partition, fusion")
+	exp := flag.String("exp", "all", "experiment to run: all, fig7, fig8, table1, fig9, fig10, fig11, fig12, table2, ablation, reclamation, jsens, similarity, footprint")
 	quick := flag.Bool("quick", false, "run at reduced scale")
 	tweets := flag.Int("tweets", 0, "override tweet-log size (0 = scale default)")
 	workers := flag.Int("workers", 0, "MR engine worker-pool size (0 = GOMAXPROCS); affects wall-clock only, never results or simulated seconds")
 	metrics := flag.String("metrics", "", "write an observability export (metrics + spans, JSON) to this file")
-	batch := flag.Int("batch", 0, "batch size for the batch-throughput and service experiments (0 = default 8)")
-	tenants := flag.Int("tenants", 0, "simulated tenant population for the service experiment (0 = default 8)")
 	faults := flag.String("faults", "", "inject a scripted fault plan (JSON, see internal/fault); results stay identical, recovery cost lands in wasted sim-seconds")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (post-GC allocations in use) to this file on exit")
@@ -78,8 +75,6 @@ func main() {
 		cfg.Scale = sc
 	}
 	cfg.Workers = *workers
-	cfg.BatchSize = *batch
-	cfg.Tenants = *tenants
 	var reg *obs.Registry
 	if *metrics != "" {
 		reg = obs.NewRegistry()
@@ -116,11 +111,6 @@ func main() {
 		{"jsens", func() (interface{ Render() string }, error) { return experiments.JSensitivity(cfg) }},
 		{"similarity", func() (interface{ Render() string }, error) { return experiments.Similarity(cfg) }},
 		{"footprint", func() (interface{ Render() string }, error) { return experiments.Footprint(cfg) }},
-		{"batch", func() (interface{ Render() string }, error) { return experiments.RunBatchThroughput(cfg) }},
-		{"ingest", func() (interface{ Render() string }, error) { return experiments.RunIngest(cfg) }},
-		{"service", func() (interface{ Render() string }, error) { return experiments.RunService(cfg) }},
-		{"partition", func() (interface{ Render() string }, error) { return experiments.RunPartition(cfg) }},
-		{"fusion", func() (interface{ Render() string }, error) { return experiments.RunFusion(cfg) }},
 	}
 
 	ran := 0
@@ -149,7 +139,6 @@ func main() {
 		}
 		fmt.Printf("metrics written to %s\n", *metrics)
 	}
-	_ = workload.DefaultScale
 }
 
 func writeMetrics(reg *obs.Registry, path string) error {

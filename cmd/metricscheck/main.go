@@ -152,7 +152,7 @@ func checkPartition(m obs.Snapshot) {
 // fuseReasons is the fixed label set of mr_fused_fallback_total; the engine
 // records every one (zeros included) whenever it records the family, so a
 // missing label is a wiring bug, not an empty run.
-var fuseReasons = []string{"disabled", "explode_udf", "unsupported_op", "schema_mismatch"}
+var fuseReasons = []string{"explode_udf", "unsupported_op", "schema_mismatch"}
 
 // checkFused validates the fused map-pipeline counter family. The engine
 // records all of it unconditionally (zeros included) for every job, so if
@@ -210,7 +210,7 @@ func checkFused(m obs.Snapshot) {
 
 // fuseReduceReasons is the fixed label set of mr_fused_reduce_fallback_total,
 // recorded zeros-included whenever the family is, like the map-side set.
-var fuseReduceReasons = []string{"disabled", "nondistributive_agg", "agg_udf", "unsupported_op", "schema_mismatch"}
+var fuseReduceReasons = []string{"nondistributive_agg", "agg_udf", "unsupported_op", "schema_mismatch"}
 
 // checkFusedReduce validates the reduce-side fusion counter family: all
 // eight names present together or not at all, every eligible reduce job

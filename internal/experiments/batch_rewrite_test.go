@@ -18,10 +18,41 @@ import (
 // knownWrongRewrites are the queries of the open ROADMAP defect ("BFREWRITE
 // returns wrong answers for 5 of the 32 workload queries once views
 // accumulate across analysts": COUNT(*) re-aggregated over a finer-grouped
-// view). They are exempt from TestBatchRewriteEquivalence until that fix
-// lands; the fix PR empties this table.
+// view). TestRewriteEquivalence requires exactly these to mismatch and
+// TestBatchRewriteEquivalence (whose batch-start planning does not reproduce
+// the defect at this scale) exempts them; the fix PR empties this table.
 var knownWrongRewrites = map[string]bool{
 	"a2v1": true, "a2v2": true, "a2v3": true, "a2v4": true, "a7v1": true,
+}
+
+// TestRewriteEquivalence pins every rewrite BFREWRITE picks to the query it
+// replaces, on the path a user takes: the workload in analyst-major order
+// under ModeBFR through Session.Run on one accumulating catalog must produce
+// the result multisets of sequential ModeOriginal execution. The table of
+// known-wrong rewrites is checked in both directions, so the defect fix
+// starts from a failing oracle: a listed query that matches fails too.
+func TestRewriteEquivalence(t *testing.T) {
+	queries := workload.AllQueries()
+	refFPs := seqRef(t, queries, nil).fps
+	t.Run("session_run", func(t *testing.T) {
+		s, err := newSession(QuickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			m, err := run(s, q, session.ModeBFR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matches := resultFP(t, s, m.ResultName) == refFPs[q.Name]
+			switch {
+			case knownWrongRewrites[q.Name] && matches:
+				t.Errorf("%s: listed in knownWrongRewrites but its rewrite matches the original — defect fixed? empty the table", q.Name)
+			case !knownWrongRewrites[q.Name] && !matches:
+				t.Errorf("%s: rewritten result differs from the original query's", q.Name)
+			}
+		}
+	})
 }
 
 // TestBatchRewriteEquivalence pins rewritten batches to the queries they

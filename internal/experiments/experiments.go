@@ -1,7 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§8). Each driver returns a structured result with a Render
 // method that prints the same rows/series the paper reports; cmd/benchrunner
-// and the repo-root benchmarks invoke them.
+// and the repo-root benchmarks invoke them. That is the package's whole
+// scope: what this repository adds beyond the paper (batching, the service,
+// ingest, partition-aware planning, fused kernels) is measured by the
+// repository benchmark in bench/ and pinned by the differential oracles
+// beside each subsystem, not by a driver here.
 //
 // Timing currency: queries run on the simulated cluster, so "execution
 // time" is deterministic simulated seconds (execution + the per-view
@@ -49,17 +53,8 @@ type Config struct {
 	Faults *fault.Plan
 
 	// DisableSpeculation turns off speculative re-execution of straggling
-	// tasks (the speculation-benefit experiment flips this).
+	// tasks; only chaos_test.go sets it, to measure what speculation saves.
 	DisableSpeculation bool
-
-	// BatchSize groups workload queries into shared-scan batches of this
-	// many queries for the batch-throughput experiment (0 = 8). The
-	// service experiment reuses it as the micro-batch size trigger.
-	BatchSize int
-
-	// Tenants sets the simulated tenant population for the service
-	// experiment (0 = 8). Tenant popularity is Zipfian.
-	Tenants int
 }
 
 // DefaultConfig is the full-size harness configuration.

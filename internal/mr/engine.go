@@ -70,8 +70,6 @@ type BatchReport struct {
 // mr_fused_fallback_total counter. Every eligible-but-not-fused job carries
 // exactly one of these.
 const (
-	// FuseDisabled: fusion turned off by the optimizer knob.
-	FuseDisabled = "disabled"
 	// FuseExplodeUDF: a chain contains an exploding map UDF (multi-row
 	// output with per-row tags; inherently row-oriented).
 	FuseExplodeUDF = "explode_udf"
@@ -93,11 +91,11 @@ const (
 
 // FuseFallbackReasons enumerates the taxonomy in recording order, so the
 // counter family's key set is fixed regardless of which reasons fire.
-var FuseFallbackReasons = []string{FuseDisabled, FuseExplodeUDF, FuseUnsupportedOp, FuseSchemaMismatch}
+var FuseFallbackReasons = []string{FuseExplodeUDF, FuseUnsupportedOp, FuseSchemaMismatch}
 
 // FuseReduceFallbackReasons is the mr_fused_reduce_fallback_total label
 // taxonomy, fixed in recording order like FuseFallbackReasons.
-var FuseReduceFallbackReasons = []string{FuseDisabled, FuseNondistributiveAgg, FuseAggUDF, FuseUnsupportedOp, FuseSchemaMismatch}
+var FuseReduceFallbackReasons = []string{FuseNondistributiveAgg, FuseAggUDF, FuseUnsupportedOp, FuseSchemaMismatch}
 
 // TaskCtx identifies one map task (one input split) deterministically:
 // which input it reads, the split ordinal within that input, the ordinal of
@@ -201,7 +199,10 @@ type Job struct {
 	// engine prefers over the row-at-a-time Map/MapFactory: the task's
 	// whole split is handed to it at once (the fused columnar path). The
 	// row path must still be provided — it is the fallback contract — and
-	// both must produce identical emissions.
+	// both must produce identical emissions. Nothing in production selects
+	// the row path for a job that has this hook; the differential tests get
+	// their interpreter reference by clearing it (and BatchCombine /
+	// BatchReduce) on compiled jobs.
 	BatchMapFactory func(ctx TaskCtx) BatchMapFunc
 
 	// Fusion classification, stamped by the optimizer. FusedEligible marks

@@ -28,21 +28,6 @@ type Optimizer struct {
 	// between queries (statistics change as views accumulate).
 	annEst map[string]cost.Stats
 
-	// DisablePartitionAware turns off partition-aware planning: jobs never
-	// take the partition-preserving execution path, estimates never price
-	// eliminated shuffle bytes, and compiled jobs stop declaring output
-	// layouts. The partition experiment's baseline arm flips this.
-	DisablePartitionAware bool
-
-	// DisableFusion turns off fusion on both sides of the shuffle: compiled
-	// jobs run their map operator chains, combiners and reducers through the
-	// row-at-a-time interpreter instead of the fused columnar batch
-	// kernels. Outputs, volumes, and simulated seconds
-	// are identical either way (the fusion differential oracle proves it);
-	// only wall-clock changes. The fusion experiment's baseline arm and
-	// the interpreter arm of the differential tests flip this.
-	DisableFusion bool
-
 	// Obs, when set, receives estimate-cache hit/miss counters. Planning is
 	// deterministic (and serialized by the session), so these counters are
 	// reproducible across runs.
@@ -356,9 +341,6 @@ func (o *Optimizer) resolveParts(p afk.Partitioning) afk.Partitioning {
 // count. It returns the number of leading encoded key columns that determine
 // the bucket and that bucket count, or (0, 0) when the job must shuffle.
 func (o *Optimizer) partitionMatch(j *JobNode) (int, int) {
-	if o.DisablePartitionAware {
-		return 0, 0
-	}
 	boundary := j.Logical
 	switch boundary.Kind {
 	case plan.KindGroupAgg:

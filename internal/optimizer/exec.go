@@ -278,8 +278,7 @@ func (o *Optimizer) attachMapSide(job *mr.Job, interpreter interpreterFn, progs 
 // fuse; it runs fused only when every operator stream compiled (all-or-
 // nothing per job, so a batch never mixes paths across streams of one
 // boundary). Bare-scan streams inside a fused job get identity programs.
-// The first failing stream's reason wins; DisableFusion short-circuits
-// without compiling.
+// The first failing stream's reason wins.
 func (o *Optimizer) classifyFusion(jn *JobNode, job *mr.Job, progs []*fusedProg) {
 	eligible, allFused := false, true
 	reason := ""
@@ -289,13 +288,6 @@ func (o *Optimizer) classifyFusion(jn *JobNode, job *mr.Job, progs []*fusedProg)
 			continue
 		}
 		eligible = true
-		if o.DisableFusion {
-			allFused = false
-			if reason == "" {
-				reason = mr.FuseDisabled
-			}
-			continue
-		}
 		p, r := o.buildFused(st)
 		if p == nil {
 			allFused = false
@@ -330,16 +322,14 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 		// does not (a join's output is its key count times the fan-out).
 		EstGroups: min(jn.Est.Rows, jn.EstSpec.ShuffleRows),
 	}
-	if !o.DisablePartitionAware {
-		// Execute the layout match found at estimation time, and declare the
-		// layout of the bytes this job writes (reducers write bucket files —
-		// the opportunistic byproduct downstream jobs can exploit).
-		job.PartitionKeyCols = jn.PartKeyCols
-		job.PartitionParts = jn.PartParts
-		if op := o.resolveParts(boundary.Part); op.IsPartitioned() {
-			job.OutputPartSigs = append([]string(nil), op.Sigs...)
-			job.OutputPartParts = op.Parts
-		}
+	// Execute the layout match found at estimation time, and declare the
+	// layout of the bytes this job writes (reducers write bucket files —
+	// the opportunistic byproduct downstream jobs can exploit).
+	job.PartitionKeyCols = jn.PartKeyCols
+	job.PartitionParts = jn.PartParts
+	if op := o.resolveParts(boundary.Part); op.IsPartitioned() {
+		job.OutputPartSigs = append([]string(nil), op.Sigs...)
+		job.OutputPartParts = op.Parts
 	}
 	factories := make([]pipelineFactory, len(jn.streams))
 	for i, st := range jn.streams {

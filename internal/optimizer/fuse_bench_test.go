@@ -121,15 +121,14 @@ func BenchmarkFilterCompaction(b *testing.B) {
 }
 
 // benchAggFixture compiles one grouped plan over a hash-partitioned 20k-row
-// twtr (8 parts on user_id) with fusion on or off, single-worker so the
-// numbers measure CPU, not scheduling.
-func benchAggFixture(b *testing.B, disableFusion bool, p *plan.Node) (*fixture, []*mr.Job) {
+// twtr (8 parts on user_id), single-worker so the numbers measure CPU, not
+// scheduling.
+func benchAggFixture(b *testing.B, p *plan.Node) (*fixture, []*mr.Job) {
 	b.Helper()
 	f := newFixture(b, 20000)
 	sig := afk.BaseSig("twtr", "user_id").ID()
 	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
-	f.opt.DisableFusion = disableFusion
 	f.eng.Params.SplitRows = 2048
 	f.eng.Workers = 1
 	w, err := f.opt.Compile(p)
@@ -143,11 +142,13 @@ func benchAggFixture(b *testing.B, disableFusion bool, p *plan.Node) (*fixture, 
 	return f, jobs
 }
 
-func benchRunJobs(b *testing.B, f *fixture, jobs []*mr.Job) {
+// benchRunJobs times the jobs as compiled, or — interp — as their own
+// interpreter reference (runArm).
+func benchRunJobs(b *testing.B, f *fixture, jobs []*mr.Job, interp bool) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.eng.RunSequence(jobs); err != nil {
+		if _, err := runArm(b, f.eng, jobs, interp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,13 +170,13 @@ func groupAggBenchPlan() *plan.Node {
 // (arena grouper + row-at-a-time combine/reduce closures) end to end over
 // identical compiled jobs.
 func BenchmarkFusedGroupAgg(b *testing.B) {
-	fF, jF := benchAggFixture(b, false, groupAggBenchPlan())
+	fF, jF := benchAggFixture(b, groupAggBenchPlan())
 	if !jF[len(jF)-1].FusedReduce || !jF[len(jF)-1].FusedCrossBoundary {
 		b.Fatal("grouped plan did not reduce-fuse across the boundary")
 	}
-	fI, jI := benchAggFixture(b, true, groupAggBenchPlan())
-	b.Run("fused", func(b *testing.B) { benchRunJobs(b, fF, jF) })
-	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, jI) })
+	fI, jI := benchAggFixture(b, groupAggBenchPlan())
+	b.Run("fused", func(b *testing.B) { benchRunJobs(b, fF, jF, false) })
+	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, jI, true) })
 }
 
 // BenchmarkPartitionLocalFusedChain stacks map work (UDF + filter) on the
@@ -191,11 +192,11 @@ func BenchmarkPartitionLocalFusedChain(b *testing.B) {
 			plan.AggSpec{Func: plan.AggCount, As: "n"},
 			plan.AggSpec{Func: plan.AggAvg, Col: "tweet_id", As: "m"})
 	}
-	fC, jC := benchAggFixture(b, false, chain())
+	fC, jC := benchAggFixture(b, chain())
 	if !jC[len(jC)-1].FusedCrossBoundary {
 		b.Fatal("chain did not cross-fuse")
 	}
-	fI, jI := benchAggFixture(b, true, chain())
-	b.Run("cross", func(b *testing.B) { benchRunJobs(b, fC, jC) })
-	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, jI) })
+	fI, jI := benchAggFixture(b, chain())
+	b.Run("cross", func(b *testing.B) { benchRunJobs(b, fC, jC, false) })
+	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, jI, true) })
 }

@@ -11,6 +11,7 @@ import (
 	"opportune/internal/data"
 	"opportune/internal/expr"
 	"opportune/internal/fault"
+	"opportune/internal/mr"
 	"opportune/internal/obs"
 	"opportune/internal/plan"
 	"opportune/internal/storage"
@@ -89,12 +90,51 @@ type fusionOutcome struct {
 	snap   obs.Snapshot
 }
 
+// stripKernels removes the fused kernels from compiled jobs, leaving the row
+// path Executable always attaches (the engine's fallback contract). The
+// interpreter arm of every fusion oracle is the fused arm's own compiled
+// jobs run this way: there is no production switch that selects it.
+func stripKernels(jobs []*mr.Job) {
+	for _, j := range jobs {
+		j.BatchMapFactory, j.BatchCombine, j.BatchReduce = nil, nil, nil
+	}
+}
+
+// checkInterpreted fails unless a run of stripped jobs did no kernel work.
+// It reads the tallies of work done (mr_fused_batches_total,
+// mr_fused_rows_total, mr_fused_reduce_{batches,groups,rows}_total), not the
+// jobs' classification stamps, which stripping leaves in place.
+func checkInterpreted(t testing.TB, results []*mr.Result) {
+	t.Helper()
+	for _, r := range results {
+		if r.FusedBatches != 0 || r.FusedRows != 0 || r.FusedCombineBatches != 0 ||
+			r.FusedReduceGroups != 0 || r.FusedReduceRows != 0 {
+			t.Fatalf("interpreter arm ran fused kernels: batches=%d rows=%d combine batches=%d reduce groups=%d rows=%d",
+				r.FusedBatches, r.FusedRows, r.FusedCombineBatches, r.FusedReduceGroups, r.FusedReduceRows)
+		}
+	}
+}
+
+// runArm runs compiled jobs as one arm of a fusion oracle: as compiled, or —
+// interp — with the kernels stripped and the run checked to have used none.
+func runArm(t testing.TB, eng *mr.Engine, jobs []*mr.Job, interp bool) ([]*mr.Result, error) {
+	t.Helper()
+	if interp {
+		stripKernels(jobs)
+	}
+	results, _, err := eng.RunSequence(jobs)
+	if err == nil && interp {
+		checkInterpreted(t, results)
+	}
+	return results, err
+}
+
 // runFusionWorkload compiles and executes the whole workload on one arm.
-// disable=true is the interpreter arm (DisableFusion); everything else —
-// store contents, params, parallelism, fault plan — is identical across
-// arms, so any output or counter divergence outside mr_fused_* is a fusion
-// bug.
-func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int, disable bool) fusionOutcome {
+// interp=true is the interpreter arm (runArm strips the same compiled
+// jobs); everything else — store contents, params, parallelism, fault plan
+// — is identical across arms, so any output or counter divergence outside
+// mr_fused_* is a fusion bug.
+func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int, interp bool) fusionOutcome {
 	t.Helper()
 	f := newFixture(t, 1000)
 	prof := data.NewRelation(data.NewSchema("uid", "grade"))
@@ -126,7 +166,6 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 	f.opt.Eval.RegisterOpaque("fz_has_wine", func(args []value.V) bool {
 		return strings.Contains(args[0].Str(), "wine")
 	})
-	f.opt.DisableFusion = disable
 	f.eng.Params.SplitRows = 64 // many map splits per job
 	f.eng.Params.ReduceTasks = reduceTasks
 	f.eng.Workers = workers
@@ -158,8 +197,8 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 		if err != nil {
 			t.Fatalf("query %d: executable: %v", qi, err)
 		}
-		if _, _, err := f.eng.RunSequence(jobs); err != nil {
-			t.Fatalf("query %d (disable=%v W=%d R=%d): %v", qi, disable, workers, reduceTasks, err)
+		if _, err := runArm(t, f.eng, jobs, interp); err != nil {
+			t.Fatalf("query %d (interp=%v W=%d R=%d): %v", qi, interp, workers, reduceTasks, err)
 		}
 		rel, err := f.store.Read(name)
 		if err != nil {
@@ -188,7 +227,7 @@ func stripFusedFamily(m map[string]int64) map[string]int64 {
 // TestFusionDifferentialOracle proves fused execution is invisible
 // everywhere except wall-clock and its own counter family. For every point
 // of the Workers × ReduceTasks grid, fault-free and under the chaos plan,
-// the fused arm must match the DisableFusion interpreter arm on:
+// the fused arm must match the interpreter arm (stripKernels) on:
 //
 //   - every query's output relation, byte-identical (fingerprint and rows);
 //   - every compiled job's annotation canonical form;
@@ -230,19 +269,6 @@ func TestFusionDifferentialOracle(t *testing.T) {
 			}
 			if n := refFused.snap.Counters["mr_fused_runtime_fallback_total"]; n != 0 {
 				t.Errorf("fused arm recorded %d runtime fallbacks, want 0", n)
-			}
-			// The interpreter arm recorded the knob, not fused work.
-			if n := refInterp.snap.Counters["mr_fused_jobs_total"]; n != 0 {
-				t.Errorf("interpreter arm ran %d fused jobs", n)
-			}
-			if n := refInterp.snap.Counters["mr_fused_batches_total"]; n != 0 {
-				t.Errorf("interpreter arm ran %d fused batches", n)
-			}
-			elig := refInterp.snap.Counters["mr_fused_eligible_total"]
-			disabled := refInterp.snap.Counters["mr_fused_fallback_total{reason=disabled}"]
-			explode := refInterp.snap.Counters["mr_fused_fallback_total{reason=explode_udf}"]
-			if elig == 0 || disabled+explode != elig {
-				t.Errorf("interpreter arm: eligible %d != disabled %d + explode %d", elig, disabled, explode)
 			}
 			// Balance rule on both arms (metricscheck's invariant).
 			for _, arm := range []fusionOutcome{refFused, refInterp} {
@@ -289,15 +315,6 @@ func TestFusionDifferentialOracle(t *testing.T) {
 				if refFused.snap.Counters["mr_fused_reduce_fallback_total{reason="+reason+"}"] == 0 {
 					t.Errorf("fused arm missing reduce fallback reason %q", reason)
 				}
-			}
-			// Interpreter arm: the whole reduce family is disabled.
-			if n := refInterp.snap.Counters["mr_fused_reduce_jobs_total"]; n != 0 {
-				t.Errorf("interpreter arm compiled %d reduce-fused jobs", n)
-			}
-			rElig := refInterp.snap.Counters["mr_fused_reduce_eligible_total"]
-			rDis := refInterp.snap.Counters["mr_fused_reduce_fallback_total{reason=disabled}"]
-			if rElig == 0 || rDis != rElig {
-				t.Errorf("interpreter arm: reduce eligible %d != disabled %d", rElig, rDis)
 			}
 			// Balance rule for the reduce family on both arms.
 			for _, arm := range []fusionOutcome{refFused, refInterp} {
@@ -358,13 +375,12 @@ func TestFusionDifferentialOracle(t *testing.T) {
 
 // runOneFusionPlan executes a single plan on a fresh fixture arm and returns
 // the result fingerprint and counter snapshot.
-func runOneFusionPlan(t *testing.T, disable bool, register func(*fixture), p *plan.Node) (uint64, map[string]int64) {
+func runOneFusionPlan(t *testing.T, interp bool, register func(*fixture), p *plan.Node) (uint64, map[string]int64) {
 	t.Helper()
 	f := newFixture(t, 1000)
 	if register != nil {
 		register(f)
 	}
-	f.opt.DisableFusion = disable
 	f.eng.Params.SplitRows = 64
 	f.eng.Workers = 4
 	f.eng.Params.ReduceTasks = 3
@@ -379,7 +395,7 @@ func runOneFusionPlan(t *testing.T, disable bool, register func(*fixture), p *pl
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.eng.RunSequence(jobs); err != nil {
+	if _, err := runArm(t, f.eng, jobs, interp); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := f.store.Read("one_res")
@@ -392,7 +408,7 @@ func runOneFusionPlan(t *testing.T, disable bool, register func(*fixture), p *pl
 // TestFusionExplodeFallback pins the compile-time fallback path: an
 // exploding UDF in the chain forces the whole job to row mode (classified
 // eligible but not fused, reason explode_udf) and the output is still
-// identical to the DisableFusion arm.
+// identical to the interpreter arm.
 func TestFusionExplodeFallback(t *testing.T) {
 	register := func(f *fixture) {
 		if err := f.cat.UDFs.Register(&udf.Descriptor{
@@ -413,7 +429,7 @@ func TestFusionExplodeFallback(t *testing.T) {
 	p := plan.GroupAgg(plan.Apply(plan.Scan("twtr"), "UDF_TOKENIZE", []string{"text"}),
 		[]string{"word"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
 	fpF, cF := runOneFusionPlan(t, false, register, p)
-	fpI, cI := runOneFusionPlan(t, true, register, p)
+	fpI, _ := runOneFusionPlan(t, true, register, p)
 	if fpF != fpI {
 		t.Errorf("explode fallback output diverges: fused-arm %d interp-arm %d", fpF, fpI)
 	}
@@ -425,9 +441,6 @@ func TestFusionExplodeFallback(t *testing.T) {
 	}
 	if cF["mr_fused_fallback_total{reason=explode_udf}"] == 0 {
 		t.Error("explode fallback reason not recorded")
-	}
-	if cI["mr_fused_fallback_total{reason=disabled}"] == 0 {
-		t.Error("interpreter arm should record reason=disabled")
 	}
 }
 

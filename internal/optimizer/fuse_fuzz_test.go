@@ -154,7 +154,7 @@ func fuzzAggChain(raw []byte) *plan.Node {
 // fuzzFixture registers the fuzz UDF/predicate set on a fresh fixture arm.
 // Every function is deterministic in its arguments: the differential oracle
 // depends on it.
-func fuzzFixture(t testing.TB, disable bool) *fixture {
+func fuzzFixture(t testing.TB) *fixture {
 	f := newFixture(t, 200)
 	for _, d := range []*udf.Descriptor{
 		{Name: "UDF_FZ_LEN", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"fz_len"},
@@ -196,16 +196,16 @@ func fuzzFixture(t testing.TB, disable bool) *fixture {
 	sig := afk.BaseSig("twtr", "user_id").ID()
 	f.store.SetPartitioning("twtr", []string{sig}, 4)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 4})
-	f.opt.DisableFusion = disable
 	f.eng.Params.SplitRows = 32 // several map splits per run
 	return f
 }
 
-// runFuzzChain compiles and executes one decoded chain on one arm and
-// returns the output rows (nil, false when the chain does not
-// compile — both arms must agree on that too).
-func runFuzzChain(t testing.TB, disable bool, p *plan.Node) ([]data.Row, bool) {
-	f := fuzzFixture(t, disable)
+// runFuzzChain compiles and executes one decoded chain on one arm (interp:
+// the compiled jobs with their kernels stripped) and returns the output rows
+// (nil, false when the chain does not compile — both arms must agree on that
+// too).
+func runFuzzChain(t testing.TB, interp bool, p *plan.Node) ([]data.Row, bool) {
+	f := fuzzFixture(t)
 	w, err := f.opt.Compile(p)
 	if err != nil {
 		return nil, false
@@ -214,12 +214,12 @@ func runFuzzChain(t testing.TB, disable bool, p *plan.Node) ([]data.Row, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if _, _, err := f.eng.RunSequence(jobs); err != nil {
-		t.Fatalf("disable=%v: run: %v", disable, err)
+	if _, err := runArm(t, f.eng, jobs, interp); err != nil {
+		t.Fatalf("interp=%v: run: %v", interp, err)
 	}
 	rel, err := f.store.Read("fz_res")
 	if err != nil {
-		t.Fatalf("disable=%v: read: %v", disable, err)
+		t.Fatalf("interp=%v: read: %v", interp, err)
 	}
 	return rel.Rows(), true
 }

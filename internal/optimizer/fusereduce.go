@@ -77,8 +77,6 @@ func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, spec *aggSpec
 	job.FusedReduceEligible = true
 	reason := ""
 	switch {
-	case o.DisableFusion:
-		reason = mr.FuseDisabled
 	case jn.Logical.Kind == plan.KindUDF:
 		// Aggregate-UDF reducers run opaque user code over raw payload
 		// rows; there is no typed partial state to specialize on.

@@ -14,24 +14,16 @@ import (
 	"opportune/internal/value"
 )
 
-// reduceFusionArm selects which fusion layers are active for a run.
-type reduceFusionArm int
-
-const (
-	armFull        reduceFusionArm = iota // map + reduce + cross fusion
-	armInterpreter                        // DisableFusion: row interpreter everywhere
-)
-
 // runReduceFusionPlan executes one plan on a fresh partitioned fixture
-// (twtr hash-distributed on user_id, 8 parts) and returns the
-// output rows, the per-job results, and the counter snapshot.
-func runReduceFusionPlan(t *testing.T, arm reduceFusionArm, p *plan.Node) ([]data.Row, []*mr.Result, map[string]int64) {
+// (twtr hash-distributed on user_id, 8 parts) — with the fused kernels
+// stripped when interp is set — and returns the output rows, the per-job
+// results, and the counter snapshot.
+func runReduceFusionPlan(t *testing.T, interp bool, p *plan.Node) ([]data.Row, []*mr.Result, map[string]int64) {
 	t.Helper()
 	f := newFixture(t, 1000)
 	sig := afk.BaseSig("twtr", "user_id").ID()
 	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
-	f.opt.DisableFusion = arm == armInterpreter
 	f.eng.Params.SplitRows = 64
 	f.eng.Params.ReduceTasks = 3
 	f.eng.Workers = 4
@@ -46,7 +38,7 @@ func runReduceFusionPlan(t *testing.T, arm reduceFusionArm, p *plan.Node) ([]dat
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := f.eng.RunSequence(jobs)
+	results, err := runArm(t, f.eng, jobs, interp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +65,8 @@ func groupByUserPlan() *plan.Node {
 // counter.
 func TestFusedCombineRowsParity(t *testing.T) {
 	p := groupByUserPlan()
-	rowsFull, resFull, cFull := runReduceFusionPlan(t, armFull, p)
-	rowsInt, resInt, cInt := runReduceFusionPlan(t, armInterpreter, p)
+	rowsFull, resFull, cFull := runReduceFusionPlan(t, false, p)
+	rowsInt, resInt, cInt := runReduceFusionPlan(t, true, p)
 
 	if !data.RowsEqual(rowsFull, rowsInt) {
 		t.Fatalf("output rows differ across arms:\nfull  %v\ninterp %v", rowsFull, rowsInt)
@@ -92,16 +84,9 @@ func TestFusedCombineRowsParity(t *testing.T) {
 				i, resFull[i].CombineRows, resInt[i].CombineRows)
 		}
 	}
-	// The full arm really crossed the boundary; the interpreter arm
-	// classified the reduce side out with reason=disabled.
+	// The full arm really crossed the boundary.
 	if cFull["mr_fused_reduce_crossboundary_jobs_total"] == 0 {
 		t.Error("full arm did not cross-fuse the partition-local job")
-	}
-	if cInt["mr_fused_reduce_jobs_total"] != 0 {
-		t.Error("interpreter arm compiled reduce kernels despite DisableFusion")
-	}
-	if cInt["mr_fused_reduce_fallback_total{reason=disabled}"] == 0 {
-		t.Error("interpreter arm did not record reason=disabled for the reduce side")
 	}
 }
 
@@ -129,10 +114,9 @@ func registerAdversarialFloats(f *fixture) []float64 {
 // explicit value.Kahan replay of the split+combine structure pins exactly.
 func TestFusedSumMatchesKahanFold(t *testing.T) {
 	const splitRows = 64
-	run := func(disable bool) (float64, float64) {
+	run := func(interp bool) (float64, float64) {
 		f := newFixture(t, 10)
 		registerAdversarialFloats(f)
-		f.opt.DisableFusion = disable
 		f.eng.Params.SplitRows = splitRows
 		f.eng.Params.ReduceTasks = 3
 		f.eng.Workers = 4
@@ -147,7 +131,7 @@ func TestFusedSumMatchesKahanFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := f.eng.RunSequence(jobs); err != nil {
+		if _, err := runArm(t, f.eng, jobs, interp); err != nil {
 			t.Fatal(err)
 		}
 		rel, err := f.store.Read("adv_res")
@@ -211,24 +195,22 @@ func TestFusedSumMatchesKahanFold(t *testing.T) {
 func TestReduceFusionClassification(t *testing.T) {
 	cases := []struct {
 		name   string
-		arm    reduceFusionArm
 		plan   *plan.Node
 		fused  bool
 		cross  bool
 		reason string
 	}{
-		{"partition_local_cross", armFull, groupByUserPlan(), true, true, ""},
-		{"nonlocal_group", armFull,
+		{"partition_local_cross", groupByUserPlan(), true, true, ""},
+		{"nonlocal_group",
 			plan.GroupAgg(plan.Scan("twtr"), []string{"text"},
 				plan.AggSpec{Func: plan.AggCount, As: "n"}), true, false, ""},
-		{"agg_udf", armFull, winersPlan(), false, false, "agg_udf"},
-		{"unsupported_op", armFull,
+		{"agg_udf", winersPlan(), false, false, "agg_udf"},
+		{"unsupported_op",
 			plan.Sort(plan.Scan("twtr"), []string{"tweet_id"}, []bool{true}, 10), false, false, "unsupported_op"},
-		{"disabled", armInterpreter, groupByUserPlan(), false, false, "disabled"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, c := runReduceFusionPlan(t, tc.arm, tc.plan)
+			_, _, c := runReduceFusionPlan(t, false, tc.plan)
 			if tc.fused && c["mr_fused_reduce_jobs_total"] == 0 {
 				t.Error("expected a reduce-fused job")
 			}

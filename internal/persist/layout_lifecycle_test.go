@@ -13,8 +13,9 @@ import (
 	"opportune/internal/value"
 )
 
-// layoutSession builds a session with one hash-clustered base log and one
-// retained keyed-GroupAgg view over it (COUNT/MIN/MAX — maintainable).
+// layoutSession builds a session with one hash-clustered base log and two
+// retained keyed-GroupAgg views over it: vkey (COUNT/MIN/MAX — maintainable)
+// and vavg (AVG — not distributive, so an append can only invalidate it).
 func layoutSession(t *testing.T, rows int) *session.Session {
 	t.Helper()
 	s := session.New(cost.DefaultParams())
@@ -36,6 +37,11 @@ func layoutSession(t *testing.T, rows int) *session.Session {
 		plan.AggSpec{Func: plan.AggMin, Col: "amt", As: "lo"},
 		plan.AggSpec{Func: plan.AggMax, Col: "amt", As: "hi"})
 	if _, err := s.Run(p, "vkey", session.ModeOriginal); err != nil {
+		t.Fatal(err)
+	}
+	avg := plan.GroupAgg(plan.Scan("logs"), []string{"user"},
+		plan.AggSpec{Func: plan.AggAvg, Col: "amt", As: "mean"})
+	if _, err := s.Run(avg, "vavg", session.ModeOriginal); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -80,8 +86,8 @@ func appendBatch(base, n int) []data.Row {
 // GroupAgg view reports its key's hash layout from the moment it is
 // retained, the layout survives a persist round-trip and incremental
 // maintenance (a key-merge refresh rewrites the bytes bucket-stably), and
-// it disappears — with no stale metadata left anywhere — the moment the
-// view falls back to invalidation.
+// it disappears — with no stale metadata left anywhere — the moment a
+// view falls back to invalidation (vavg, which no append can maintain).
 func TestViewLayoutLifecycle(t *testing.T) {
 	s := layoutSession(t, 150)
 	userSig := afk.BaseSig("logs", "user").ID()
@@ -94,6 +100,7 @@ func TestViewLayoutLifecycle(t *testing.T) {
 	// the group key, and retainViews copied that claim into the catalog.
 	checkLayout(t, s, "logs", []string{userSig}, 16, "after install")
 	checkLayout(t, s, "vkey", []string{userSig}, viewParts, "after retention")
+	checkLayout(t, s, "vavg", []string{userSig}, viewParts, "after retention")
 
 	// Persist round-trip: both the base's declared clustering and the view's
 	// inherited layout come back.
@@ -107,6 +114,7 @@ func TestViewLayoutLifecycle(t *testing.T) {
 	}
 	checkLayout(t, s2, "logs", []string{userSig}, 16, "after round-trip")
 	checkLayout(t, s2, "vkey", []string{userSig}, viewParts, "after round-trip")
+	checkLayout(t, s2, "vavg", []string{userSig}, viewParts, "after round-trip")
 
 	// Incremental maintenance: the captured plan also survived the
 	// round-trip, so the append refreshes the view in place — and Refresh
@@ -122,24 +130,19 @@ func TestViewLayoutLifecycle(t *testing.T) {
 	checkLayout(t, s2, "logs", []string{userSig}, 16, "after maintenance")
 	checkLayout(t, s2, "vkey", []string{userSig}, viewParts, "after maintenance")
 
-	// Fallback: force invalidation. The view must vanish from store and
-	// catalog alike — partition metadata cannot outlive the bytes it
-	// describes.
-	s2.DisableMaintenance = true
-	rep, err = s2.AppendRows("logs", appendBatch(2000, 17))
-	if err != nil {
-		t.Fatal(err)
+	// Fallback: the same append could only invalidate the AVG view. It
+	// must vanish from store and catalog alike — partition metadata cannot
+	// outlive the bytes it describes.
+	if len(rep.Invalidated) != 1 || rep.Invalidated[0] != "vavg" {
+		t.Fatalf("append invalidated %v, want [vavg]", rep.Invalidated)
 	}
-	if len(rep.Invalidated) != 1 || rep.Invalidated[0] != "vkey" {
-		t.Fatalf("append invalidated %v, want [vkey]", rep.Invalidated)
-	}
-	if s2.Store.Has("vkey") {
+	if s2.Store.Has("vavg") {
 		t.Error("invalidated view still in store")
 	}
-	if sigs, parts := s2.Store.Partitioning("vkey"); sigs != nil || parts != 0 {
+	if sigs, parts := s2.Store.Partitioning("vavg"); sigs != nil || parts != 0 {
 		t.Errorf("stale store layout (%v, %d) for dropped view", sigs, parts)
 	}
-	if _, ok := s2.Cat.Table("vkey"); ok {
+	if _, ok := s2.Cat.Table("vavg"); ok {
 		t.Error("invalidated view still in catalog")
 	}
 	// The base's own layout is untouched by the fallback.

@@ -36,7 +36,7 @@ func (r *Rewriter) DPRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result
 	}
 
 	for i, jn := range w.Nodes {
-		cands := r.explode(jn, views, &res.Counters)
+		cands := r.explode(views, &res.Counters)
 		for _, c := range cands {
 			if !afk.GuessComplete(jn.Ann, c.Ann, r.Cat.FDs) {
 				continue
@@ -92,7 +92,7 @@ func (r *Rewriter) DPRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result
 // explode generates the full candidate space for one target: every view,
 // then level-wise merges up to MaxViews constituents, capped at
 // DPCandidateCap.
-func (r *Rewriter) explode(jn *optimizer.JobNode, views []*meta.TableInfo, counters *Counters) []*Candidate {
+func (r *Rewriter) explode(views []*meta.TableInfo, counters *Counters) []*Candidate {
 	seen := make(map[string]bool)
 	var all []*Candidate
 	add := func(c *Candidate) bool {
@@ -132,6 +132,5 @@ func (r *Rewriter) explode(jn *optimizer.JobNode, views []*meta.TableInfo, count
 		}
 		level = next
 	}
-	_ = jn
 	return all
 }

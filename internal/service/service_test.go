@@ -146,9 +146,20 @@ func TestServiceParityWithSequentialRun(t *testing.T) {
 						id.total, seq, got, seq-got, id.saved, saved)
 				}
 			}
-			// The contract held while the micro-batches actually shared work.
-			if bt := svc.BatchTotals(); bt.JobsDeduped == 0 || bt.SharedScans == 0 {
+			// The contract held while the micro-batches actually shared work,
+			// and sharing paid: the batches' physical simulated seconds sit at
+			// least 1.5x below what batch-size-1 (the loop) spent executing.
+			bt := svc.BatchTotals()
+			if bt.JobsDeduped == 0 || bt.SharedScans == 0 {
 				t.Errorf("micro-batches deduped %d jobs and shared %d scans", bt.JobsDeduped, bt.SharedScans)
+			}
+			var seqExec float64
+			for _, m := range refMs {
+				seqExec += m.ExecSeconds
+			}
+			if seqExec < 1.5*bt.SimSeconds {
+				t.Errorf("sequential execution %.3f sim-s is only %.2fx the micro-batches' %.3f, want >= 1.5x",
+					seqExec, seqExec/bt.SimSeconds, bt.SimSeconds)
 			}
 		})
 	}

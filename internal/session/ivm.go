@@ -138,18 +138,11 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 		reason := ""
 		var shape *viewShape
 		var pl *plan.Node
-		switch {
-		case s.DisableMaintenance:
-			reason = "maintenance disabled"
-		default:
-			if verdict := afk.Maintainable(v.Ann, table); !verdict.OK {
-				reason = verdict.Reason
-				break
-			}
-			if pl = s.viewPlan(v.Name); pl == nil {
-				reason = "no captured producing plan"
-				break
-			}
+		if verdict := afk.Maintainable(v.Ann, table); !verdict.OK {
+			reason = verdict.Reason
+		} else if pl = s.viewPlan(v.Name); pl == nil {
+			reason = "no captured producing plan"
+		} else {
 			shape, reason = s.maintainShape(pl, table)
 		}
 		if reason == "" {

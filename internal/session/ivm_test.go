@@ -70,7 +70,8 @@ func auditStoredSizes(t *testing.T, st *storage.Store) {
 // TestMaintenanceDifferentialOracleGrid checks the ISSUE's oracle: across
 // the Workers × ReduceTasks grid, every incrementally maintained view must
 // be byte-identical — contents and annotation — to a full recompute over
-// the grown base.
+// the grown base, and maintaining the views through the last append must
+// cost strictly fewer simulated seconds than recomputing them after it.
 func TestMaintenanceDifferentialOracleGrid(t *testing.T) {
 	batches := [][]data.Row{ivmBatch(1000, 37), ivmBatch(2000, 23)}
 	for _, workers := range []int{1, 4, 8} {
@@ -85,6 +86,7 @@ func TestMaintenanceDifferentialOracleGrid(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				var incSim float64 // what the last append cost, base re-stat included
 				for _, b := range batches {
 					rep, err := s.AppendRows("logs", b)
 					if err != nil {
@@ -94,21 +96,30 @@ func TestMaintenanceDifferentialOracleGrid(t *testing.T) {
 						t.Fatalf("maintained %v (reasons %v), want all three views",
 							rep.Maintained, rep.Reasons)
 					}
+					incSim = rep.MaintainSeconds + rep.StatsSeconds
 				}
 				// Reference arm: same engine shape, appends first, then a
 				// clean computation over the fully grown base.
 				ref := demo(t, 120)
 				ref.Eng.Workers = workers
 				ref.Eng.Params.ReduceTasks = reduceTasks
+				var refSim float64 // the same append with no views, then recomputing them
 				for _, b := range batches {
-					if _, err := ref.AppendRows("logs", b); err != nil {
+					rep, err := ref.AppendRows("logs", b)
+					if err != nil {
 						t.Fatal(err)
 					}
+					refSim = rep.StatsSeconds
 				}
 				for _, q := range ivmQueries() {
-					if _, err := ref.Run(q.Plan, q.ResultName, q.Mode); err != nil {
+					m, err := ref.Run(q.Plan, q.ResultName, q.Mode)
+					if err != nil {
 						t.Fatal(err)
 					}
+					refSim += m.TotalSeconds()
+				}
+				if incSim >= refSim {
+					t.Errorf("maintaining the views through an append cost %.4f sim-s, recomputing them %.4f: maintenance must be strictly cheaper", incSim, refSim)
 				}
 				auditStoredSizes(t, s.Store)
 				auditStoredSizes(t, ref.Store)

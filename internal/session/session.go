@@ -67,11 +67,6 @@ type Session struct {
 	Rew   *rewrite.Rewriter
 	Eval  *expr.Evaluator
 
-	// DisableMaintenance forces AppendRows to invalidate every dependent
-	// view instead of maintaining eligible ones incrementally (the full-
-	// recompute arm of the ingest experiment).
-	DisableMaintenance bool
-
 	// planMu serializes compile/rewrite/executable-build; the optimizer's
 	// per-query estimate cache and the rewriter's counters are not
 	// thread-safe, and queries must be estimated one at a time anyway so

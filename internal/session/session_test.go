@@ -274,31 +274,6 @@ func TestAppendRowsMaintainsAndInvalidatesDerivedViews(t *testing.T) {
 	}
 }
 
-func TestAppendRowsDisableMaintenanceFallsBack(t *testing.T) {
-	s := demo(t, 80)
-	s.DisableMaintenance = true
-	if _, err := s.Run(q(), "res", ModeOriginal); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.AppendRows("logs", []data.Row{
-		{value.NewInt(2000), value.NewInt(2), value.NewStr("wine")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Maintained) != 0 {
-		t.Errorf("maintained %v with maintenance disabled", rep.Maintained)
-	}
-	if len(rep.Invalidated) != 2 {
-		t.Errorf("invalidated = %v, want both derived views", rep.Invalidated)
-	}
-	for _, v := range s.Cat.Views() {
-		if annDependsOn(v.Ann, "logs") {
-			t.Errorf("stale view %s survived", v.Name)
-		}
-	}
-}
-
 func TestAppendRowsReestimatesDistincts(t *testing.T) {
 	s := demo(t, 50) // users 0..4 → 5 distinct
 	if _, err := s.Run(q(), "res", ModeOriginal); err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 // PartitionBases declares the analysis-key hash layout on the installed
-// logs — the CLUSTERED BY physical design step of the partition experiment:
+// logs — the CLUSTERED BY physical design step the partition tests start from:
 // TWTR and 4SQ bucketed on user_id (the cross-log join key), LAND on
 // location_id. The declaration goes to both the store (ground truth about
 // the bytes) and the catalog (what plan annotation reads), with the given
@@ -23,9 +23,9 @@ func PartitionBases(s *session.Session, parts int) {
 	}
 }
 
-// PartitionQueries is the join/group-heavy workload of the partition
-// experiment. Each query is annotated by how partition-aware planning sees
-// it against the PartitionBases layout:
+// PartitionQueries is the join/group-heavy workload run over that layout.
+// Each query is annotated by how partition-aware planning sees it against
+// PartitionBases:
 //
 //   - pq_user_activity, pq_user_window: GROUP BY user_id over twtr — layout
 //     hits (the filter in pq_user_window preserves bucket residency);

@@ -1,6 +1,7 @@
 package opportune
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -263,9 +264,10 @@ func TestFacadeClusterTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The layout is execution-invisible except in time: same rows out.
-	if len(rc.Rows) == 0 || len(rc.Rows) != len(rp.Rows) {
-		t.Fatalf("results differ: %d vs %d rows", len(rc.Rows), len(rp.Rows))
+	// The layout is execution-invisible except in time: the same rows out,
+	// value for value and in the same order.
+	if len(rc.Rows) == 0 || !reflect.DeepEqual(rc.Rows, rp.Rows) {
+		t.Fatalf("results differ:\nclustered %v\nplain     %v", rc.Rows, rp.Rows)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["mr_shuffle_bytes_eliminated_total"] == 0 {
