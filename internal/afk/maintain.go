@@ -1,6 +1,12 @@
 package afk
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+
+	"opportune/internal/value"
+)
 
 // This file implements the annotation-level half of incremental view
 // maintenance classification (ROADMAP item 2). Under append-only ingest a
@@ -8,12 +14,12 @@ import "fmt"
 // proves that new base rows can only *add* output rows or *fold into*
 // existing groups — never retract or rewrite rows already emitted:
 //
-//   - lineage must trace to exactly one base dataset (the appended table):
-//     joins see cross products of old and new rows, which a single-side
-//     delta run cannot produce;
-//   - every aggregate attribute must be distributive (count/sum/min/max),
-//     so per-group partial states merge associatively; AVG and any
-//     black-box aggregate UDF are not mergeable from finalized outputs;
+//   - lineage must include the appended table (a join with other tables is
+//     the plan gate's business: whether the view is linear in the appended
+//     table is a property of the producing plan, not of a lineage count);
+//   - every aggregate attribute must be distributive (a Rollups entry), so
+//     per-group partial states merge associatively; AVG and any black-box
+//     aggregate UDF are not mergeable from finalized outputs;
 //   - no filter or derived attribute may consume an aggregate (a filter
 //     over a group total can retract a group when its total crosses the
 //     threshold; a per-tuple UDF over a group value would need recomputing
@@ -21,17 +27,91 @@ import "fmt"
 //   - no LIMIT taint: which rows survive a LIMIT depends on execution
 //     order, so "append then merge" and "recompute" legitimately disagree.
 //
-// The plan-level half (operator-chain shape, UDF explode flags) lives in
-// the session, which holds the producing plans; both gates must pass.
+// The plan-level half (linearity in the appended table, UDF explode flags)
+// lives in the session, which holds the producing plans; both gates must
+// pass.
 
-// DistributiveAggs names the aggregate UDFs whose per-group outputs merge
-// associatively with their own partials. These are the "agg_"+AggFunc
-// signatures minted by plan annotation for relational aggregates.
-var DistributiveAggs = map[string]bool{
-	"agg_count": true,
-	"agg_sum":   true,
-	"agg_min":   true,
-	"agg_max":   true,
+// Rollup folds two finalized outputs of one distributive aggregate, computed
+// for the same group over disjoint inputs, into the value a single pass over
+// both inputs would finalize.
+type Rollup func(old, delta value.V) value.V
+
+// Rollups is the one table of distributive aggregates, keyed by the
+// "agg_"+AggFunc signature plan annotation mints for relational aggregates:
+// which aggregates merge from their own finalized outputs, and how. COUNT is
+// an integer add of the retained counts; SUM a compensated two-term add, so
+// the merged sum is the exactly rounded old+delta and an append chain drifts
+// from a recompute by at most one rounding per append; MIN/MAX are their own
+// rollup and skip nulls the way the aggregate folds do.
+var Rollups = map[string]Rollup{
+	"agg_count": func(old, delta value.V) value.V { return value.NewInt(old.Int() + delta.Int()) },
+	"agg_sum": func(old, delta value.V) value.V {
+		var k value.Kahan
+		k.Add(old.Float())
+		k.Add(delta.Float())
+		return value.NewFloat(k.Value())
+	},
+	"agg_min": extreme(-1),
+	"agg_max": extreme(+1),
+}
+
+// extreme keeps whichever non-null side lies further in sign's direction.
+func extreme(sign int) Rollup {
+	return func(old, delta value.V) value.V {
+		if delta.IsNull() || (!old.IsNull() && sign*value.Compare(delta, old) <= 0) {
+			return old
+		}
+		return delta
+	}
+}
+
+// walk visits every signature the annotation's contents derive from — the
+// attributes in A, the keys in K and the attributes F's predicates mention
+// (a join leaves its other side's key there even when no column of that
+// side survives a projection) — then their dependencies, parents first.
+// insideAgg is set below an aggregate signature.
+func (a Annotation) walk(visit func(s *Sig, insideAgg bool)) {
+	var rec func(s *Sig, insideAgg bool)
+	rec = func(s *Sig, insideAgg bool) {
+		visit(s, insideAgg)
+		insideAgg = insideAgg || s.Agg
+		for _, in := range s.Inputs {
+			rec(in, insideAgg)
+		}
+		for _, k := range s.GroupBy {
+			rec(k, insideAgg)
+		}
+	}
+	for _, at := range a.Attrs() {
+		rec(at.Sig, false)
+	}
+	for _, k := range a.K.Sigs() {
+		rec(k, false)
+	}
+	for _, p := range a.F.Preds() {
+		for _, id := range p.Attrs() {
+			if s, ok := Lookup(id); ok {
+				rec(s, false)
+			}
+		}
+	}
+}
+
+// Bases returns the base datasets the annotation's contents derive from,
+// sorted: the lineage an append to one of them invalidates.
+func (a Annotation) Bases() []string {
+	seen := make(map[string]bool)
+	a.walk(func(s *Sig, _ bool) {
+		if s.IsBase() {
+			seen[s.Dataset] = true
+		}
+	})
+	out := make([]string, 0, len(seen))
+	for ds := range seen {
+		out = append(out, ds)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Verdict is the result of a maintainability classification.
@@ -52,52 +132,21 @@ func Maintainable(ann Annotation, table string) Verdict {
 	if ann.Limited {
 		return reject("LIMIT taint: surviving rows depend on execution order")
 	}
-
-	// Single-source lineage: every signature reachable from A and K must
-	// bottom out in the appended table and nothing else.
-	bases := make(map[string]bool)
 	var aggViolation string
-	var walk func(s *Sig, insideAgg bool)
-	walk = func(s *Sig, insideAgg bool) {
-		if s == nil || aggViolation != "" {
-			return
+	ann.walk(func(s *Sig, insideAgg bool) {
+		switch {
+		case !s.Agg || aggViolation != "":
+		case insideAgg:
+			aggViolation = fmt.Sprintf("nested aggregate %s", s.UDF)
+		case Rollups[s.UDF] == nil:
+			aggViolation = fmt.Sprintf("non-distributive aggregate %s", s.UDF)
 		}
-		if s.IsBase() {
-			bases[s.Dataset] = true
-			return
-		}
-		if s.Agg {
-			if insideAgg {
-				aggViolation = fmt.Sprintf("nested aggregate %s", s.UDF)
-				return
-			}
-			if !DistributiveAggs[s.UDF] {
-				aggViolation = fmt.Sprintf("non-distributive aggregate %s", s.UDF)
-				return
-			}
-			insideAgg = true
-		}
-		for _, in := range s.Inputs {
-			walk(in, insideAgg)
-		}
-		for _, k := range s.GroupBy {
-			walk(k, insideAgg)
-		}
-	}
-	for _, at := range ann.Attrs() {
-		walk(at.Sig, false)
-	}
-	for _, k := range ann.K.Sigs() {
-		walk(k, false)
-	}
+	})
 	if aggViolation != "" {
 		return reject("%s", aggViolation)
 	}
-	if len(bases) != 1 || !bases[table] {
-		if len(bases) > 1 {
-			return reject("multi-source lineage (join): %d base datasets", len(bases))
-		}
-		return reject("lineage does not trace to %q alone", table)
+	if !slices.Contains(ann.Bases(), table) {
+		return reject("lineage does not include %q", table)
 	}
 
 	// Filters must precede aggregation: a predicate over an aggregate

@@ -4,11 +4,13 @@
 // view, classifies each one via its A/F/K annotation and its captured
 // producing plan:
 //
-//   - maintainable views are refreshed by running the view's own pipeline
-//     over *only* the appended delta (a fresh delta job on the MR engine)
-//     and merging the delta output into the stored relation — appended rows
-//     for map-only views, a sorted key-merge of distributive aggregate
-//     states (count/sum/min/max) for grouped views;
+//   - maintainable views — plans linear in the appended table, joins with
+//     other tables included — are refreshed by running the view's own plan
+//     with *only* the appended delta in the table's place (the delta jobs
+//     it compiles to on the MR engine, e.g. delta join then group-agg) and
+//     merging the sink into the stored relation — appended rows for
+//     map-only views, a sorted key-merge of distributive aggregate states
+//     (afk.Rollups: count/sum/min/max) for grouped views;
 //   - everything else falls back to explicit invalidation, the pre-existing
 //     behavior, now an explicitly-chosen fallback with a recorded reason.
 //
@@ -19,13 +21,14 @@
 // can differ in final ULPs from a recompute because addition order differs;
 // integer-valued aggregates (COUNT, MIN/MAX, sums of integers) are exact.
 // Compensated (Kahan/Neumaier) summation in both the aggregate folds
-// (aggPhys.foldSum) and the merge below keeps that drift to at most one
+// (aggPhys.foldSum) and the merge (afk.Rollups) keeps that drift to at most one
 // rounding per append rather than one per input row — the fractional-SUM
 // differential oracle asserts a tight ULP bound over a whole append chain.
 package session
 
 import (
 	"fmt"
+	"slices"
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
@@ -35,7 +38,6 @@ import (
 	"opportune/internal/plan"
 	"opportune/internal/storage"
 	"opportune/internal/udf"
-	"opportune/internal/value"
 )
 
 // AppendReport describes what one AppendRows did.
@@ -54,8 +56,8 @@ type AppendReport struct {
 	StatsSeconds    float64
 }
 
-// AppendRows adds new records to a base log. Dependent views — attribute
-// signatures in each view's annotation record provenance exactly — are
+// AppendRows adds new records to a base log. Dependent views — by the
+// lineage in each view's annotation, or by the scans of its plan — are
 // incrementally maintained when their annotation and producing plan admit
 // it, and invalidated otherwise. AppendRows serializes against RunBatch and
 // against planning, but not against executing plans: a running plan keeps
@@ -132,15 +134,17 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 	}
 
 	for _, v := range s.Cat.Views() {
-		if !annDependsOn(v.Ann, table) {
+		// The annotation's lineage misses a table that no surviving attribute,
+		// key or predicate mentions (a global COUNT(*)); the plan still reads it.
+		pl := s.viewPlan(v.Name)
+		if !slices.Contains(v.Ann.Bases(), table) && (pl == nil || !s.reads(pl, table)) {
 			continue
 		}
 		reason := ""
-		var shape *viewShape
-		var pl *plan.Node
+		var shape viewShape
 		if verdict := afk.Maintainable(v.Ann, table); !verdict.OK {
 			reason = verdict.Reason
-		} else if pl = s.viewPlan(v.Name); pl == nil {
+		} else if pl == nil {
 			reason = "no captured producing plan"
 		} else {
 			shape, reason = s.maintainShape(pl, table)
@@ -149,7 +153,7 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 			if !deltaInstalled {
 				installDelta()
 			}
-			msec, ssec, err := s.maintainView(v, pl, shape, deltaName)
+			msec, ssec, err := s.maintainView(v, pl, shape, table, deltaName)
 			if err != nil {
 				reason = fmt.Sprintf("maintenance failed: %v", err)
 				s.Obs.Counter("session_maintenance_fallbacks_total", "table", table).Inc()
@@ -179,39 +183,44 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 	return rep, nil
 }
 
-// viewShape is the plan-level maintainability classification: the producing
-// pipeline is a chain of record-local operators over one scan of the
-// appended table, optionally topped by a single distributive GroupAgg.
+// viewShape is the plan-level maintainability classification: how the
+// delta plan's output merges into the stored view.
 type viewShape struct {
-	agg *plan.Node // the root GroupAgg; nil for a map-only chain
+	nKeys int          // leading group-key columns; 0 for a map-only chain
+	folds []afk.Rollup // one per aggregate column, after the keys
 }
 
 // maintainShape checks the plan-level half of the maintainability gate (the
-// annotation-level half is afk.Maintainable): the structure must guarantee
-// that the pipeline applied to the delta alone produces exactly the rows a
-// recompute would add or fold in. Returns a non-empty reason on rejection.
-func (s *Session) maintainShape(pl *plan.Node, table string) (*viewShape, string) {
-	shape := &viewShape{}
+// annotation-level half is afk.Maintainable): the producing plan must be
+// linear in the appended table T — one scan of T, and from it to the root
+// only record-local operators and joins whose other input does not read T.
+// Then (T ∪ Δ) ⋈ F = (T ⋈ F) ⊎ (Δ ⋈ F) on either join side, and the plan
+// applied to Δ alone yields exactly the rows a recompute would append (a
+// map-only chain) or fold into its groups (a keyed GroupAgg root of
+// distributive aggregates, which is blind to the order a join emits in).
+// Returns a non-empty reason on rejection.
+func (s *Session) maintainShape(pl *plan.Node, table string) (viewShape, string) {
+	var shape viewShape
 	cur := pl
 	if cur.Kind == plan.KindGroupAgg {
 		if len(cur.Keys) == 0 {
-			return nil, "global aggregate (no group keys)"
+			return shape, "global aggregate (no group keys)"
 		}
+		shape.nKeys = len(cur.Keys)
 		for _, a := range cur.Aggs {
-			switch a.Func {
-			case plan.AggCount, plan.AggSum, plan.AggMin, plan.AggMax:
-			default:
-				return nil, fmt.Sprintf("non-distributive aggregate %s", a.Func)
+			fold := afk.Rollups["agg_"+string(a.Func)]
+			if fold == nil {
+				return shape, fmt.Sprintf("non-distributive aggregate %s", a.Func)
 			}
+			shape.folds = append(shape.folds, fold)
 		}
-		shape.agg = cur
 		cur = cur.Inputs[0]
 	}
 	for {
 		switch cur.Kind {
 		case plan.KindScan:
 			if cur.Dataset != table {
-				return nil, fmt.Sprintf("scans %q, not the appended table", cur.Dataset)
+				return shape, fmt.Sprintf("scans %q, not the appended table", cur.Dataset)
 			}
 			return shape, ""
 		case plan.KindProject, plan.KindFilter:
@@ -219,37 +228,63 @@ func (s *Session) maintainShape(pl *plan.Node, table string) (*viewShape, string
 		case plan.KindUDF:
 			d, ok := s.Cat.UDFs.Get(cur.UDFName)
 			if !ok || d.Kind != udf.KindMap {
-				return nil, fmt.Sprintf("aggregate UDF %s below the root", cur.UDFName)
+				return shape, fmt.Sprintf("aggregate UDF %s below the root", cur.UDFName)
 			}
 			if d.Explode {
 				// Exploding UDFs tag emitted rows by task-global row number;
 				// a delta run restarts the numbering and would not reproduce
 				// a recompute's tags.
-				return nil, fmt.Sprintf("exploding UDF %s", cur.UDFName)
+				return shape, fmt.Sprintf("exploding UDF %s", cur.UDFName)
 			}
 			cur = cur.Inputs[0]
+		case plan.KindJoin:
+			if shape.nKeys == 0 {
+				// The join output itself arrives in join-key order, which
+				// appending Δ ⋈ F cannot reproduce; maintaining it by key-group
+				// concatenation was measured and lost (DESIGN §5.9).
+				return shape, "join at the root (no grouping above it)"
+			}
+			l, r := s.reads(cur.Inputs[0], table), s.reads(cur.Inputs[1], table)
+			if l && r {
+				return shape, "self-join on the appended table"
+			}
+			side := 0
+			if r {
+				side = 1
+			}
+			cur = cur.Inputs[side]
 		default:
-			return nil, fmt.Sprintf("operator %s in pipeline", cur.Kind)
+			return shape, fmt.Sprintf("operator %s in pipeline", cur.Kind)
 		}
 	}
 }
 
+// reads reports whether a subplan's output depends on the table: it scans
+// the table, or a stored view derived from it.
+func (s *Session) reads(n *plan.Node, table string) bool {
+	found := false
+	plan.Walk(n, func(n *plan.Node) {
+		if n.Kind != plan.KindScan || found {
+			return
+		}
+		info, ok := s.Cat.Table(n.Dataset)
+		found = ok && slices.Contains(info.Ann.Bases(), table)
+	})
+	return found
+}
+
 // maintainView refreshes one view from the appended delta: run the view's
-// pipeline over the delta table, merge the delta output into the stored
-// relation, refresh statistics. Returns (maintenance sim seconds, stats sim
-// seconds). Any error leaves the view droppable — the caller falls back to
-// invalidation, which is always safe.
-func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape *viewShape, deltaName string) (float64, float64, error) {
-	// The delta plan is the producing plan with the base scan retargeted at
-	// the delta table. Annotate recomputes every node annotation, so the
-	// compiled job is an ordinary (delta-sized) instance of the pipeline.
+// plan with its scan of the appended table retargeted at the delta — the
+// job sequence that compiles to, e.g. delta join then group-agg — merge the
+// sink into the stored relation, refresh statistics. Returns (maintenance
+// sim seconds, stats sim seconds). Any error leaves the view droppable —
+// the caller falls back to invalidation, which is always safe.
+func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape viewShape, table, deltaName string) (float64, float64, error) {
+	// Annotate recomputes every node annotation, so the compiled jobs are
+	// ordinary (delta-sized) instances of the plan's.
 	dp := pl.Clone()
 	plan.Walk(dp, func(n *plan.Node) {
-		if n.Kind == plan.KindScan && n.Dataset == v.Name {
-			// Defensive: a captured plan never scans its own output.
-			panic("session: view plan scans itself")
-		}
-		if n.Kind == plan.KindScan {
+		if n.Kind == plan.KindScan && n.Dataset == table {
 			n.Dataset = deltaName
 		}
 	})
@@ -258,137 +293,76 @@ func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape *viewShap
 	if err != nil {
 		return 0, 0, fmt.Errorf("delta compile: %w", err)
 	}
-	if len(w.Nodes) != 1 {
-		return 0, 0, fmt.Errorf("delta plan compiled to %d jobs, want 1", len(w.Nodes))
-	}
 	tmpOut := "~maint~" + v.Name
 	jobs, err := s.Opt.Executable(w, tmpOut)
 	if err != nil {
 		return 0, 0, fmt.Errorf("delta executable: %w", err)
 	}
 
-	pins := []string{v.Name, deltaName, tmpOut}
+	// Everything the delta jobs write — the sink under tmpOut, the
+	// intermediates of a multi-job plan under their content-addressed names —
+	// is pinned for the run, deleted on every exit path and never registered.
+	// A name the catalog lists is not a temporary: a sub-plan that does not
+	// read the delta re-materializes an existing view's own contents.
+	pins := append(pinList(dp, w, tmpOut), v.Name)
 	s.Store.Pin(pins)
-	var maintSeconds, statsSeconds float64
-	runErr := func() error {
-		_, agg, err := s.Eng.RunSequence(jobs)
-		if err != nil {
-			return fmt.Errorf("delta job: %w", err)
+	defer func() {
+		s.Store.Unpin(pins)
+		for _, jn := range w.Nodes {
+			name := w.StoredName(jn, tmpOut)
+			if _, listed := s.Cat.Table(name); !listed {
+				s.Store.Delete(name)
+			}
 		}
-		stored, err := s.Store.Read(v.Name)
-		if err != nil {
-			return err
-		}
-		deltaOut, err := s.Store.Read(tmpOut)
-		if err != nil {
-			return err
-		}
-		var merged *data.Relation
-		if shape.agg == nil {
-			merged, err = mr.MergeAppend(stored, deltaOut)
-		} else {
-			merged, err = mr.MergeByKey(stored, deltaOut, len(shape.agg.Keys),
-				mergeAggRows(shape.agg.Aggs, len(shape.agg.Keys)))
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := s.Store.Refresh(v.Name, merged); err != nil {
-			return err
-		}
-		spec := cost.MaintenanceSpec{
-			ViewBytes:   stored.EncodedSize(),
-			DeltaBytes:  deltaOut.EncodedSize(),
-			MergedBytes: merged.EncodedSize(),
-			MergedRows:  int64(merged.Len()),
-		}
-		maintSec := agg.SimSeconds + s.Eng.Params.MaintenanceCost(spec).Total()
-		statsSec, err := s.Cat.CollectStats(s.Eng, v.Name, s.statsSeed.Add(1))
-		if err != nil {
-			return err
-		}
-		maintSeconds, statsSeconds = maintSec, statsSec
-		return nil
+	}()
+	_, agg, err := s.Eng.RunSequence(jobs)
+	if err != nil {
+		return 0, 0, fmt.Errorf("delta job: %w", err)
 	}
-	err = runErr()
-	s.Store.Unpin(pins)
-	s.Store.Delete(tmpOut)
+	stored, err := s.Store.Read(v.Name)
 	if err != nil {
 		return 0, 0, err
 	}
-	return maintSeconds, statsSeconds, nil
+	deltaOut, err := s.Store.Read(tmpOut)
+	if err != nil {
+		return 0, 0, err
+	}
+	var merged *data.Relation
+	if shape.nKeys == 0 {
+		merged, err = mr.MergeAppend(stored, deltaOut)
+	} else {
+		merged, err = mr.MergeByKey(stored, deltaOut, shape.nKeys, shape.mergeRows)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	if _, err := s.Store.Refresh(v.Name, merged); err != nil {
+		return 0, 0, err
+	}
+	spec := cost.MaintenanceSpec{
+		ViewBytes:   stored.EncodedSize(),
+		DeltaBytes:  deltaOut.EncodedSize(),
+		MergedBytes: merged.EncodedSize(),
+		MergedRows:  int64(merged.Len()),
+	}
+	maintSec := agg.SimSeconds + s.Eng.Params.MaintenanceCost(spec).Total()
+	statsSec, err := s.Cat.CollectStats(s.Eng, v.Name, s.statsSeed.Add(1))
+	if err != nil {
+		return 0, 0, err
+	}
+	return maintSec, statsSec, nil
 }
 
-// mergeAggRows builds the per-group fold for MergeByKey from the view's
-// aggregate specs: aggregate column i of the output sits at nKeys+i. The
-// folds mirror aggPhys finalization exactly (COUNT emits Int, SUM emits
-// Float, MIN/MAX emit the raw value and skip nulls), so a merged row is the
-// row a recompute's reduce would finalize from the union of both groups'
-// inputs.
-func mergeAggRows(aggs []plan.AggSpec, nKeys int) func(old, delta data.Row) data.Row {
-	return func(old, delta data.Row) data.Row {
-		out := old.Clone()
-		for i, a := range aggs {
-			ix := nKeys + i
-			switch a.Func {
-			case plan.AggCount:
-				out[ix] = value.NewInt(old[ix].Int() + delta[ix].Int())
-			case plan.AggSum:
-				// Compensated two-term add: the merged sum is the exactly
-				// rounded value of old+delta, so each append contributes at
-				// most one rounding to the chain's drift from full recompute
-				// (the delta itself is Kahan-folded by aggPhys). The
-				// fractional-SUM oracle bounds the residual drift in ULPs.
-				var k value.Kahan
-				k.Add(old[ix].Float())
-				k.Add(delta[ix].Float())
-				out[ix] = value.NewFloat(k.Value())
-			case plan.AggMin, plan.AggMax:
-				v := delta[ix]
-				if v.IsNull() {
-					continue
-				}
-				cur := out[ix]
-				if cur.IsNull() ||
-					(a.Func == plan.AggMin && value.Compare(v, cur) < 0) ||
-					(a.Func == plan.AggMax && value.Compare(v, cur) > 0) {
-					out[ix] = v
-				}
-			}
-		}
-		return out
+// mergeRows is the per-group fold MergeByKey applies: aggregate column i of
+// the output sits at nKeys+i and folds by its afk.Rollups entry, which
+// mirrors aggPhys finalization exactly (COUNT emits Int, SUM emits Float,
+// MIN/MAX emit the raw value and skip nulls), so a merged row is the row a
+// recompute's reduce would finalize from the union of both groups' inputs.
+func (sh viewShape) mergeRows(old, delta data.Row) data.Row {
+	out := old.Clone()
+	for i, fold := range sh.folds {
+		ix := sh.nKeys + i
+		out[ix] = fold(old[ix], delta[ix])
 	}
-}
-
-// annDependsOn reports whether any signature in the annotation derives
-// (transitively) from the named dataset.
-func annDependsOn(ann afk.Annotation, dataset string) bool {
-	var depends func(s *afk.Sig) bool
-	depends = func(s *afk.Sig) bool {
-		if s.IsBase() {
-			return s.Dataset == dataset
-		}
-		for _, in := range s.Inputs {
-			if depends(in) {
-				return true
-			}
-		}
-		for _, k := range s.GroupBy {
-			if depends(k) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, at := range ann.Attrs() {
-		if depends(at.Sig) {
-			return true
-		}
-	}
-	for _, k := range ann.K.Sigs() {
-		if depends(k) {
-			return true
-		}
-	}
-	return false
+	return out
 }

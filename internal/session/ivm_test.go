@@ -3,12 +3,14 @@ package session
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/expr"
+	"opportune/internal/fault"
 	"opportune/internal/obs"
 	"opportune/internal/plan"
 	"opportune/internal/storage"
@@ -67,84 +69,145 @@ func auditStoredSizes(t *testing.T, st *storage.Store) {
 	}
 }
 
+// ivmAppend is one AppendRows call of an oracle scenario.
+type ivmAppend struct {
+	table string
+	rows  []data.Row
+}
+
+// ivmFamily is one oracle scenario: the views one session pair builds and
+// the appends pushed through them. Each join view is a family of its own,
+// so the cheaper-than-recompute check speaks for that view alone.
+type ivmFamily struct {
+	name    string
+	queries []BatchQuery
+	appends []ivmAppend
+}
+
+func ivmFamilies() []ivmFamily {
+	logs := []ivmAppend{{"logs", ivmBatch(1000, 37)}, {"logs", ivmBatch(2000, 23)}}
+	fams := []ivmFamily{{"single", ivmQueries(), logs}}
+	// The join views also take the delta on the join's other table: users
+	// sits on the right of three of the joins and on the left of one.
+	both := append(logs, ivmAppend{"users", ivmUsers(12, 5)})
+	for _, q := range ivmJoinQueries() {
+		fams = append(fams, ivmFamily{"join_" + q.ResultName, []BatchQuery{q}, both})
+	}
+	return fams
+}
+
 // TestMaintenanceDifferentialOracleGrid checks the ISSUE's oracle: across
-// the Workers × ReduceTasks grid, every incrementally maintained view must
-// be byte-identical — contents and annotation — to a full recompute over
-// the grown base, and maintaining the views through the last append must
-// cost strictly fewer simulated seconds than recomputing them after it.
+// the Workers × ReduceTasks grid, fault-free and under chaos, every
+// incrementally maintained view must be byte-identical — rows, carried
+// size and annotation — to a full recompute over the grown base, and
+// (fault-free) maintaining the views through the last append must cost
+// strictly fewer simulated seconds than recomputing them after it.
 func TestMaintenanceDifferentialOracleGrid(t *testing.T) {
-	batches := [][]data.Row{ivmBatch(1000, 37), ivmBatch(2000, 23)}
 	for _, workers := range []int{1, 4, 8} {
 		for _, reduceTasks := range []int{1, 3} {
 			t.Run(fmt.Sprintf("W%d_R%d", workers, reduceTasks), func(t *testing.T) {
-				// Incremental arm: build the views, then append twice.
-				s := demo(t, 120)
-				s.Eng.Workers = workers
-				s.Eng.Params.ReduceTasks = reduceTasks
-				for _, q := range ivmQueries() {
-					if _, err := s.Run(q.Plan, q.ResultName, q.Mode); err != nil {
-						t.Fatal(err)
-					}
-				}
-				var incSim float64 // what the last append cost, base re-stat included
-				for _, b := range batches {
-					rep, err := s.AppendRows("logs", b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(rep.Maintained) != 3 {
-						t.Fatalf("maintained %v (reasons %v), want all three views",
-							rep.Maintained, rep.Reasons)
-					}
-					incSim = rep.MaintainSeconds + rep.StatsSeconds
-				}
-				// Reference arm: same engine shape, appends first, then a
-				// clean computation over the fully grown base.
-				ref := demo(t, 120)
-				ref.Eng.Workers = workers
-				ref.Eng.Params.ReduceTasks = reduceTasks
-				var refSim float64 // the same append with no views, then recomputing them
-				for _, b := range batches {
-					rep, err := ref.AppendRows("logs", b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					refSim = rep.StatsSeconds
-				}
-				for _, q := range ivmQueries() {
-					m, err := ref.Run(q.Plan, q.ResultName, q.Mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					refSim += m.TotalSeconds()
-				}
-				if incSim >= refSim {
-					t.Errorf("maintaining the views through an append cost %.4f sim-s, recomputing them %.4f: maintenance must be strictly cheaper", incSim, refSim)
-				}
-				auditStoredSizes(t, s.Store)
-				auditStoredSizes(t, ref.Store)
-				for _, q := range ivmQueries() {
-					got, err := s.Store.Read(q.ResultName)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := ref.Store.Read(q.ResultName)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Fingerprint() != want.Fingerprint() {
-						t.Errorf("%s: maintained contents differ from recompute", q.ResultName)
-					}
-					gi, ok1 := s.Cat.Table(q.ResultName)
-					wi, ok2 := ref.Cat.Table(q.ResultName)
-					if !ok1 || !ok2 {
-						t.Fatalf("%s missing from a catalog", q.ResultName)
-					}
-					if gi.Ann.Canon() != wi.Ann.Canon() {
-						t.Errorf("%s: maintained annotation differs from recompute", q.ResultName)
-					}
+				for _, fam := range ivmFamilies() {
+					t.Run(fam.name, func(t *testing.T) {
+						maintainVsRecompute(t, workers, reduceTasks, fam, false)
+					})
+					t.Run(fam.name+"_chaos", func(t *testing.T) {
+						maintainVsRecompute(t, workers, reduceTasks, fam, true)
+					})
 				}
 			})
+		}
+	}
+}
+
+// maintainVsRecompute runs one oracle cell: an incremental arm that builds
+// the views and then appends, against a reference arm that appends first
+// and computes the views over the fully grown bases.
+func maintainVsRecompute(t *testing.T, workers, reduceTasks int, fam ivmFamily, chaos bool) {
+	qs, appends := fam.queries, fam.appends
+	arm := func() (*Session, *fault.Injector) {
+		s := joinDemo(t, 120)
+		s.Eng.Workers = workers
+		s.Eng.Params.ReduceTasks = reduceTasks
+		var inj *fault.Injector
+		if chaos {
+			// A seeded plan of task faults (panics, corrupted map outputs,
+			// stragglers) addressed by wildcard job name, so it hits view
+			// builds, delta jobs and sampling jobs alike; every fault is
+			// inside the task retry budget.
+			inj = fault.NewInjector(fault.Generate(7, 12, nil))
+			s.InjectFaults(inj)
+		}
+		return s, inj
+	}
+	s, inj := arm()
+	for _, q := range qs {
+		if _, err := s.Run(q.Plan, q.ResultName, q.Mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var incSim float64 // what the last append cost, base re-stat included
+	for _, a := range appends {
+		rep, err := s.AppendRows(a.table, a.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range qs {
+			if !slices.Contains(rep.Maintained, q.ResultName) {
+				t.Fatalf("append to %s: %s not maintained (maintained %v, reasons %v)",
+					a.table, q.ResultName, rep.Maintained, rep.Reasons)
+			}
+		}
+		incSim = rep.MaintainSeconds + rep.StatsSeconds
+		checkStoreInvariant(t, s)
+	}
+	ref, _ := arm()
+	var refSim float64 // the same append with no views, then recomputing them
+	for _, a := range appends {
+		rep, err := ref.AppendRows(a.table, a.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refSim = rep.StatsSeconds
+	}
+	for _, q := range qs {
+		m, err := ref.Run(q.Plan, q.ResultName, q.Mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refSim += m.TotalSeconds()
+	}
+	if chaos {
+		var fired int64
+		for _, n := range inj.FiredCounts() {
+			fired += n
+		}
+		if fired == 0 {
+			t.Error("the chaos plan never fired; the arm is vacuous")
+		}
+	} else if incSim >= refSim {
+		t.Errorf("maintaining through an append cost %.4f sim-s, recomputing %.4f: maintenance must be strictly cheaper", incSim, refSim)
+	}
+	auditStoredSizes(t, s.Store)
+	auditStoredSizes(t, ref.Store)
+	for _, q := range qs {
+		got, err := s.Store.Read(q.ResultName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Store.Read(q.ResultName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || got.EncodedSize() != want.EncodedSize() {
+			t.Errorf("%s: maintained contents differ from recompute\n got %v\nwant %v", q.ResultName, got.Rows(), want.Rows())
+		}
+		gi, ok1 := s.Cat.Table(q.ResultName)
+		wi, ok2 := ref.Cat.Table(q.ResultName)
+		if !ok1 || !ok2 {
+			t.Fatalf("%s missing from a catalog", q.ResultName)
+		}
+		if gi.Ann.Canon() != wi.Ann.Canon() {
+			t.Errorf("%s: maintained annotation differs from recompute", q.ResultName)
 		}
 	}
 }
@@ -300,7 +363,8 @@ func fracRow(i int) data.Row {
 	return data.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 3)), value.NewFloat(amt)}
 }
 
-// fracSession builds a session over a fractional-valued "ticks" base.
+// fracSession builds a session over a fractional-valued "ticks" base and a
+// small "owners" table to join it with.
 func fracSession(t *testing.T, rows int) *Session {
 	t.Helper()
 	s := New(cost.DefaultParams())
@@ -311,6 +375,14 @@ func fracSession(t *testing.T, rows int) *Session {
 	s.Store.Put("ticks", storage.Base, rel)
 	s.Cat.RegisterBase("ticks", []string{"id", "user", "amt"}, "id",
 		cost.Stats{Rows: int64(rows), Bytes: rel.EncodedSize()}, map[string]int64{"user": 3})
+	// owners folds the three users into two desks (user 0 sits on both).
+	owners := data.NewRelation(data.NewSchema("owner", "desk"))
+	for _, r := range [][2]int64{{0, 0}, {0, 1}, {1, 0}, {2, 1}} {
+		owners.Append(data.Row{value.NewInt(r[0]), value.NewInt(r[1])})
+	}
+	s.Store.Put("owners", storage.Base, owners)
+	s.Cat.RegisterBase("owners", []string{"owner", "desk"}, "",
+		cost.Stats{Rows: int64(owners.Len()), Bytes: owners.EncodedSize()}, nil)
 	return s
 }
 
@@ -341,11 +413,22 @@ func ulpDist(a, b float64) int64 {
 // mixed-magnitude, cancelling inputs. The naive left fold this replaces
 // drifts by orders of magnitude more on this data.
 func TestMaintenanceFractionalSumULP(t *testing.T) {
-	const seedRows, batchRows, batches, ulpBound = 60, 36, 6, 4
+	aggs := []plan.AggSpec{{Func: plan.AggSum, Col: "amt", As: "s"}, {Func: plan.AggCount, As: "n"}}
+	t.Run("scan", func(t *testing.T) {
+		fractionalSumULP(t, plan.GroupAgg(plan.Scan("ticks"), []string{"user"}, aggs...))
+	})
+	// Over a join the reduce sees each group's terms in join-key order, not
+	// scan order, and the delta's terms in another order again: the bound
+	// must not depend on either.
+	t.Run("join", func(t *testing.T) {
+		fractionalSumULP(t, plan.GroupAgg(
+			plan.JoinNodes(plan.Scan("ticks"), plan.Scan("owners"), "user", "owner"),
+			[]string{"desk"}, aggs...))
+	})
+}
 
-	q := plan.GroupAgg(plan.Scan("ticks"), []string{"user"},
-		plan.AggSpec{Func: plan.AggSum, Col: "amt", As: "s"},
-		plan.AggSpec{Func: plan.AggCount, As: "n"})
+func fractionalSumULP(t *testing.T, q *plan.Node) {
+	const seedRows, batchRows, batches, ulpBound = 60, 36, 6, 4
 
 	inc := fracSession(t, seedRows)
 	if _, err := inc.Run(q, "vsum", ModeOriginal); err != nil {

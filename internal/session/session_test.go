@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -182,7 +183,7 @@ func TestAppendRowsMaintainsAndInvalidatesDerivedViews(t *testing.T) {
 	// identify the distributive aggregate view over "logs" (not the Filter sink)
 	aggView := ""
 	for _, v := range s.Cat.Views() {
-		if v.Name != "res" && annDependsOn(v.Ann, "logs") {
+		if v.Name != "res" && slices.Contains(v.Ann.Bases(), "logs") {
 			aggView = v.Name
 		}
 	}

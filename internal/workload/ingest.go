@@ -16,8 +16,9 @@ import (
 //   - ing_replies: a map-only filtered projection — maintained by plain
 //     delta append;
 //   - ing_visits: an aggregate over 4SQ only — untouched by TWTR appends;
-//   - ing_social: a TWTR⋈4SQ join — multi-source lineage, the fallback
-//     path: invalidated and recomputed on demand.
+//   - ing_social: a COUNT per user over a TWTR⋈4SQ join — linear in either
+//     log, so the grouped view is folded from a delta join; the join output
+//     beneath it is the fallback path, invalidated on the first append.
 func IngestQueries() []Query {
 	return []Query{
 		{Name: "ing_activity", SQL: `CREATE TABLE ing_activity AS

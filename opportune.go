@@ -427,8 +427,9 @@ type AppendReport struct {
 }
 
 // AppendRows adds records to a base table. Dependent opportunistic views
-// are maintained incrementally when their provenance admits it (single-
-// table lineage, distributive aggregates) and invalidated otherwise.
+// are maintained incrementally when their provenance admits it (a plan
+// linear in the appended table — joins with other tables included — under
+// distributive aggregates) and invalidated otherwise.
 func (sys *System) AppendRows(table string, rows [][]any) (*AppendReport, error) {
 	drows := make([]data.Row, len(rows))
 	for i, r := range rows {

@@ -1,11 +1,16 @@
 package opportune
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"opportune/internal/data"
 	"opportune/internal/obs"
+	"opportune/internal/plan"
+	"opportune/internal/workload"
 )
 
 func demoSystem(t *testing.T) *System {
@@ -296,4 +301,94 @@ func TestFacadeClusterTable(t *testing.T) {
 			t.Errorf("ClusterTable(%q, %v, %d) accepted", bad.table, bad.cols, bad.n)
 		}
 	}
+}
+
+// TestFacadeIngestMaintainsAggregateOverJoin drives workload.IngestQueries
+// the way the ingest benchmark does: the grouped view over the twtr ⋈ fsq
+// join is folded from the appended delta on every append — to either log —
+// while the join output itself is invalidated the one time it exists, and
+// every answer equals a rewrite-free recompute over the grown logs.
+func TestFacadeIngestMaintainsAggregateOverJoin(t *testing.T) {
+	sc := workload.SmallScale()
+	build := func(mode RewriteMode) *System {
+		t.Helper()
+		sys := New()
+		sys.SetRewriteMode(mode)
+		if _, err := workload.Install(sys.Session(), sc); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys, ref := build(RewriteBFR), build(RewriteOff)
+	ask := func(when string) {
+		t.Helper()
+		for _, q := range workload.IngestQueries() {
+			got, err := sys.ExecOne(q.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.ExecOne(q.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Rows) == 0 || !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s, %s: answer differs from a RewriteOff recompute (%d vs %d rows)", when, q.Name, len(got.Rows), len(want.Rows))
+			}
+		}
+	}
+	ask("install")
+	var grouped, joined string
+	for name, pl := range sys.Session().ViewPlans() {
+		switch {
+		case pl.Kind == plan.KindJoin:
+			joined = name
+		case pl.Kind == plan.KindGroupAgg && pl.Inputs[0].Kind == plan.KindJoin:
+			grouped = name
+		}
+	}
+	if grouped == "" || joined == "" {
+		t.Fatalf("setup: grouped view %q, join output %q", grouped, joined)
+	}
+	appendBoth := func(table string, rows []data.Row) *AppendReport {
+		t.Helper()
+		anyRows := make([][]any, len(rows))
+		for i, r := range rows {
+			for _, v := range r {
+				anyRows[i] = append(anyRows[i], v)
+			}
+		}
+		rep, err := sys.AppendRows(table, anyRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.AppendRows(table, anyRows); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(rep.Maintained, grouped) {
+			t.Fatalf("append to %s: the grouped view over the join was not maintained (maintained %v, reasons %v)",
+				table, rep.Maintained, rep.Reasons)
+		}
+		return rep
+	}
+	joinInvalidations := 0
+	for epoch := 0; epoch < 3; epoch++ {
+		rep := appendBoth("twtr", workload.AppendBatch(sc, epoch, 40))
+		if slices.Contains(rep.Invalidated, joined) {
+			joinInvalidations++
+			if got := rep.Reasons[joined]; got != "join at the root (no grouping above it)" {
+				t.Errorf("join output invalidated with reason %q", got)
+			}
+		}
+		ask(fmt.Sprintf("twtr epoch %d", epoch))
+	}
+	if joinInvalidations != 1 {
+		t.Errorf("the join output was invalidated %d times over three appends, want exactly once", joinInvalidations)
+	}
+	// The other side of the join: re-sent check-ins fold into the same view.
+	fsq, err := sys.Session().Store.Read("fsq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendBoth("fsq", fsq.Rows()[:25])
+	ask("fsq append")
 }

@@ -22,4 +22,5 @@ run ./internal/data FuzzKeyPrefix
 run ./internal/afk FuzzPartitionCompat
 run ./internal/optimizer FuzzFusedPipeline
 run ./internal/optimizer FuzzFusedAgg
+run ./internal/session FuzzMaintainVsRecompute
 echo "fuzz-smoke ok"
