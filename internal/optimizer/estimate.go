@@ -65,11 +65,7 @@ func (e *estimator) stats(n *plan.Node) cost.Stats {
 	}
 	canon := ""
 	if n.Kind != plan.KindScan {
-		// Annotate caches the canon alongside the annotation; fall back for
-		// nodes annotated by other means (tests building plans by hand).
-		if canon = n.AnnCanon(); canon == "" {
-			canon = n.Ann.Canon()
-		}
+		canon = n.AnnCanon()
 		if t, ok := e.cat.ByAnnotation(canon); ok && t.Stats.Rows > 0 {
 			e.obs.Counter("optimizer_estimate_cache_hits_total", "src", "catalog").Inc()
 			e.memo[n] = t.Stats

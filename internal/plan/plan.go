@@ -124,16 +124,21 @@ type Node struct {
 	// annotations bottom-up dominated the search cost. Clone and
 	// Substitute clear the flag on every node they copy.
 	annotated bool
-	// annCanon caches Ann.Canon() (computed together with the annotation):
-	// the estimator resolves cross-plan estimates by canon for every node
-	// on every compile, and the search compiles the same subtrees many
-	// times over.
+	// annCanon caches Ann.Canon() from its first use: the estimator
+	// resolves cross-plan estimates by canon for every node on every
+	// compile, and the search compiles the same subtrees many times over —
+	// but most join trees the search builds are never compiled at all.
 	annCanon string
 }
 
-// AnnCanon returns the canonical annotation fingerprint cached when the
-// node was annotated ("" for scans, whose estimates come from the catalog).
-func (n *Node) AnnCanon() string { return n.annCanon }
+// AnnCanon returns the canonical fingerprint of the node's annotation,
+// computed on first use and cached until the node is re-annotated.
+func (n *Node) AnnCanon() string {
+	if n.annCanon == "" {
+		n.annCanon = n.Ann.Canon()
+	}
+	return n.annCanon
+}
 
 // Scan builds a scan node.
 func Scan(dataset string) *Node { return &Node{Kind: KindScan, Dataset: dataset} }
@@ -362,9 +367,7 @@ func Annotate(n *Node, cat *meta.Catalog) error {
 	default:
 		return fmt.Errorf("plan: invalid node kind %d", n.Kind)
 	}
-	if n.Kind != KindScan {
-		n.annCanon = n.Ann.Canon()
-	}
+	n.annCanon = ""
 	n.annotated = true
 	return nil
 }

@@ -56,13 +56,14 @@ func (r *Rewriter) planCost(p *plan.Node) (float64, error) {
 	if p.Kind == plan.KindScan {
 		return r.compileCost(p)
 	}
+	plans := r.memos().plans
 	fp := p.Fingerprint()
-	if c, ok := r.planMemoGet(fp); ok {
+	if c, ok := plans[fp]; ok {
 		return c, nil
 	}
 	c, err := r.compileCost(p)
 	if err == nil {
-		r.planMemoPut(fp, c)
+		plans[fp] = c
 	}
 	return c, err
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
@@ -64,21 +63,21 @@ type Rewriter struct {
 	DisableOptCost       bool
 	DisableGuessComplete bool
 
-	// memo caches probe and plan-cost results across search iterations.
+	// memo caches candidate construction, probe results and plan costs
+	// across search iterations; read it through memos.
 	memo *memoState
 }
 
-// memoState holds the rewrite-layer memos, keyed by estimate generation:
-// ClearEstimates bumps the generation, and the first access under a new
-// generation drops everything — exactly the points where a serial search
-// would recompute against fresh statistics.
+// memoState holds the rewrite-layer memos of one estimate generation:
+// ClearEstimates bumps the generation, and memos replaces the whole state
+// on the first access under a new one — exactly the points where a serial
+// search would recompute against fresh statistics.
 type memoState struct {
-	mu      sync.Mutex
 	gen     uint64
 	probe   map[string]probeHit        // (candidate key, target fingerprint) -> enum result
 	plans   map[string]float64         // plan fingerprint -> compiled total cost
 	singles map[string]*Candidate      // view name -> single-view candidate template
-	merges  map[string]*Candidate      // view-set key -> merged template (nil: not connected)
+	merges  map[string]*Candidate      // view-set key -> merged template (nil: no canonical tree)
 	useful  map[string]map[string]bool // target fingerprint -> useful signature IDs
 }
 
@@ -88,87 +87,49 @@ type probeHit struct {
 	cost float64
 }
 
-func (m *memoState) sync(gen uint64) {
-	if m.gen != gen {
-		m.gen = gen
-		m.probe = nil
-		m.plans = nil
-		m.singles = nil
-		m.merges = nil
-		m.useful = nil
+// memos returns the memo state of the optimizer's current estimate
+// generation, starting an empty one when the generation has moved.
+func (r *Rewriter) memos() *memoState {
+	if g := r.Opt.EstGen(); r.memo == nil || r.memo.gen != g {
+		r.memo = &memoState{
+			gen:     g,
+			probe:   make(map[string]probeHit),
+			plans:   make(map[string]float64),
+			singles: make(map[string]*Candidate),
+			merges:  make(map[string]*Candidate),
+			useful:  make(map[string]map[string]bool),
+		}
 	}
-}
-
-func (r *Rewriter) probeMemoGet(key string) (probeHit, bool) {
-	if r.memo == nil {
-		return probeHit{}, false
-	}
-	r.memo.mu.Lock()
-	defer r.memo.mu.Unlock()
-	r.memo.sync(r.Opt.EstGen())
-	h, ok := r.memo.probe[key]
-	return h, ok
-}
-
-func (r *Rewriter) probeMemoPut(key string, h probeHit) {
-	if r.memo == nil {
-		return
-	}
-	r.memo.mu.Lock()
-	defer r.memo.mu.Unlock()
-	r.memo.sync(r.Opt.EstGen())
-	if r.memo.probe == nil {
-		r.memo.probe = make(map[string]probeHit)
-	}
-	r.memo.probe[key] = h
-}
-
-func (r *Rewriter) planMemoGet(fp string) (float64, bool) {
-	if r.memo == nil {
-		return 0, false
-	}
-	r.memo.mu.Lock()
-	defer r.memo.mu.Unlock()
-	r.memo.sync(r.Opt.EstGen())
-	c, ok := r.memo.plans[fp]
-	return c, ok
-}
-
-func (r *Rewriter) planMemoPut(fp string, c float64) {
-	if r.memo == nil {
-		return
-	}
-	r.memo.mu.Lock()
-	defer r.memo.mu.Unlock()
-	r.memo.sync(r.Opt.EstGen())
-	if r.memo.plans == nil {
-		r.memo.plans = make(map[string]float64)
-	}
-	r.memo.plans[fp] = c
+	return r.memo
 }
 
 // NewRewriter creates a rewriter with the paper's experimental parameters
 // J=4, k=2.
 func NewRewriter(cat *meta.Catalog, opt *optimizer.Optimizer) *Rewriter {
-	return &Rewriter{Cat: cat, Opt: opt, MaxViews: 4, MaxOpRepeat: 2, memo: &memoState{}}
+	return &Rewriter{Cat: cat, Opt: opt, MaxViews: 4, MaxOpRepeat: 2}
 }
 
-// single builds the candidate for one view. Construction (a scan node plus
-// its annotation) is cached per view until the next statistics reset; each
-// caller gets its own shallow copy, since callers mutate OptCost. The
-// cached value is independent of when it was built — annotating a view
-// scan depends only on catalog registration state, and its FD additions
-// are idempotent — so which caller populates the cache is unobservable.
+// single builds the candidate for one view; each caller gets its own
+// shallow copy of the cached template, since callers mutate OptCost.
 func (r *Rewriter) single(v *meta.TableInfo) (*Candidate, error) {
-	if r.memo != nil {
-		r.memo.mu.Lock()
-		r.memo.sync(r.Opt.EstGen())
-		if t, ok := r.memo.singles[v.Name]; ok {
-			r.memo.mu.Unlock()
-			c := *t
-			return &c, nil
-		}
-		r.memo.mu.Unlock()
+	t, err := r.singleTemplate(v)
+	if err != nil {
+		return nil, err
+	}
+	c := *t
+	return &c, nil
+}
+
+// singleTemplate returns the shared, read-only candidate of one view.
+// Construction (a scan node plus its annotation) is cached per view until
+// the next statistics reset. The cached value is independent of when it
+// was built — annotating a view scan depends only on catalog registration
+// state, and its FD additions are idempotent — so which caller populates
+// the cache is unobservable.
+func (r *Rewriter) singleTemplate(v *meta.TableInfo) (*Candidate, error) {
+	singles := r.memos().singles
+	if t, ok := singles[v.Name]; ok {
+		return t, nil
 	}
 	p := plan.Scan(v.Name)
 	if err := plan.Annotate(p, r.Cat); err != nil {
@@ -183,17 +144,8 @@ func (r *Rewriter) single(v *meta.TableInfo) (*Candidate, error) {
 		names: []string{v.Name},
 		sigs:  sortedSigIDs(p.Ann),
 	}
-	if r.memo != nil {
-		r.memo.mu.Lock()
-		r.memo.sync(r.Opt.EstGen())
-		if r.memo.singles == nil {
-			r.memo.singles = make(map[string]*Candidate)
-		}
-		r.memo.singles[v.Name] = t
-		r.memo.mu.Unlock()
-	}
-	c := *t
-	return &c, nil
+	singles[v.Name] = t
+	return t, nil
 }
 
 // sortedSigIDs caches a candidate's attribute signature IDs in sorted
@@ -249,14 +201,7 @@ func (r *Rewriter) Merge(a, b *Candidate, skip func(key string) bool) []*Candida
 	}
 	// The sides must share at least one joinable signature (an attribute
 	// of both with key status on one side) for the set to be connected.
-	joinable := false
-	for _, id := range a.sigs {
-		if _, ok := b.Ann.A[id]; ok && (a.Ann.K.HasID(id) || b.Ann.K.HasID(id)) {
-			joinable = true
-			break
-		}
-	}
-	if !joinable {
+	if joinSig(a, b) == "" {
 		return nil
 	}
 	key := strings.Join(merged, "+")
@@ -265,39 +210,23 @@ func (r *Rewriter) Merge(a, b *Candidate, skip func(key string) bool) []*Candida
 	}
 	// The merged candidate depends only on the view set (the join tree is
 	// canonical), not on the pair the search discovered it through or the
-	// target — cache the construction per set key, nil marking a set that
-	// proved unconnected. Callers get shallow copies (they mutate OptCost).
-	if r.memo != nil {
-		r.memo.mu.Lock()
-		r.memo.sync(r.Opt.EstGen())
-		t, ok := r.memo.merges[key]
-		r.memo.mu.Unlock()
-		if ok {
-			if t == nil {
-				return nil
-			}
-			c := *t
-			return []*Candidate{&c}
+	// target — cache the construction per set key, nil marking a set with
+	// no canonical tree. Callers get shallow copies (they mutate OptCost):
+	// templates are shared, as prefixes, by every larger set built on them.
+	merges := r.memos().merges
+	t, ok := merges[key]
+	if !ok {
+		views := append(append([]*meta.TableInfo(nil), a.Views...), b.Views...)
+		var err error
+		if t, err = r.buildMerged(views); err != nil {
+			t = nil
 		}
+		merges[key] = t
 	}
-	views := append(append([]*meta.TableInfo(nil), a.Views...), b.Views...)
-	m, err := r.buildMerged(views, key)
-	if err != nil {
-		m = nil
-	}
-	if r.memo != nil {
-		r.memo.mu.Lock()
-		r.memo.sync(r.Opt.EstGen())
-		if r.memo.merges == nil {
-			r.memo.merges = make(map[string]*Candidate)
-		}
-		r.memo.merges[key] = m
-		r.memo.mu.Unlock()
-	}
-	if m == nil {
+	if t == nil {
 		return nil
 	}
-	c := *m
+	c := *t
 	return []*Candidate{&c}
 }
 
@@ -305,7 +234,14 @@ func (r *Rewriter) Merge(a, b *Candidate, skip func(key string) bool) []*Candida
 // ordered by (size, name) ascending, accumulated left-deep, each step
 // joining in the first remaining view that shares a joinable signature
 // with the accumulated side (on the smallest such signature ID).
-func (r *Rewriter) buildMerged(views []*meta.TableInfo, key string) (*Candidate, error) {
+//
+// The tree cut after j views is the canonical tree of those j views: they
+// sort in the same relative order, and a view the greedy step skipped as
+// unjoinable is skipped again, so the subset's pick is the same view. Each
+// prefix is therefore taken from the merges memo when present, and stored
+// when built — a set one view larger than a known set costs one join. The
+// templates it returns are shared; callers must not mutate them.
+func (r *Rewriter) buildMerged(views []*meta.TableInfo) (*Candidate, error) {
 	ordered := append([]*meta.TableInfo(nil), views...)
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].Stats.Bytes != ordered[j].Stats.Bytes {
@@ -313,36 +249,46 @@ func (r *Rewriter) buildMerged(views []*meta.TableInfo, key string) (*Candidate,
 		}
 		return ordered[i].Name < ordered[j].Name
 	})
-	cur, err := r.single(ordered[0])
+	merges := r.memos().merges
+	cur, err := r.singleTemplate(ordered[0])
 	if err != nil {
 		return nil, err
 	}
 	remaining := ordered[1:]
 	for len(remaining) > 0 {
-		progressed := false
-		for i, v := range remaining {
-			side, err := r.single(v)
-			if err != nil {
-				return nil, err
-			}
-			sigID := joinSig(cur, side)
-			if sigID == "" {
-				continue
-			}
-			cur, err = r.mergeOn(cur, side, sigID)
-			if err != nil {
-				return nil, err
-			}
-			remaining = append(remaining[:i], remaining[i+1:]...)
-			progressed = true
-			break
+		i, side, sigID, err := r.pickNext(cur, remaining)
+		if err != nil {
+			return nil, err
 		}
-		if !progressed {
-			return nil, fmt.Errorf("rewrite: view set not connected")
+		remaining = append(remaining[:i], remaining[i+1:]...)
+		names, _ := mergeSortedNames(cur.names, side.names)
+		key := strings.Join(names, "+")
+		next := merges[key]
+		if next == nil {
+			if next, err = r.mergeOn(cur, side, sigID, names, key); err != nil {
+				return nil, err
+			}
+			merges[key] = next
+		}
+		cur = next
+	}
+	return cur, nil
+}
+
+// pickNext is the greedy step of buildMerged: the index and template of the
+// first remaining view that shares a joinable signature with cur, and that
+// signature.
+func (r *Rewriter) pickNext(cur *Candidate, remaining []*meta.TableInfo) (int, *Candidate, string, error) {
+	for i, v := range remaining {
+		side, err := r.singleTemplate(v)
+		if err != nil {
+			return 0, nil, "", err
+		}
+		if sigID := joinSig(cur, side); sigID != "" {
+			return i, side, sigID, nil
 		}
 	}
-	cur.key = key
-	return cur, nil
+	return 0, nil, "", fmt.Errorf("rewrite: view set not connected")
 }
 
 // joinSig picks the canonical join signature between two candidates: the
@@ -360,8 +306,9 @@ func joinSig(a, b *Candidate) string {
 	return ""
 }
 
-// mergeOn joins two candidates on the given common signature ID.
-func (r *Rewriter) mergeOn(a, b *Candidate, sigID string) (*Candidate, error) {
+// mergeOn joins two candidates on the given common signature ID into the
+// candidate of their union, whose sorted names and key the caller passes.
+func (r *Rewriter) mergeOn(a, b *Candidate, sigID string, names []string, key string) (*Candidate, error) {
 	lCol := a.Ann.NameOfSig(sigID)
 	rCol := b.Ann.NameOfSig(sigID)
 	if lCol == "" || rCol == "" {
@@ -408,13 +355,12 @@ func (r *Rewriter) mergeOn(a, b *Candidate, sigID string) (*Candidate, error) {
 		return nil, err
 	}
 	views := append(append([]*meta.TableInfo(nil), a.Views...), b.Views...)
-	names, _ := mergeSortedNames(a.names, b.names)
 	c := &Candidate{
 		Views: views,
 		Plan:  p,
 		Ann:   p.Ann,
 		Stats: cost.Stats{Rows: a.Stats.Rows + b.Stats.Rows, Bytes: a.Stats.Bytes + b.Stats.Bytes},
-		key:   strings.Join(names, "+"),
+		key:   key,
 		names: names,
 		sigs:  sortedSigIDs(p.Ann),
 	}
@@ -454,23 +400,12 @@ func (r *Rewriter) relevantWith(q afk.Annotation, c *Candidate, useful map[strin
 // set depends only on the target's annotation, and OPTCOST re-derives it
 // for every candidate examined against that target.
 func (r *Rewriter) usefulSigsFor(q *optimizer.JobNode) map[string]bool {
-	if r.memo == nil {
-		return usefulSigs(q.Ann)
+	useful := r.memos().useful
+	u, ok := useful[q.PlanFP]
+	if !ok {
+		u = usefulSigs(q.Ann)
+		useful[q.PlanFP] = u
 	}
-	r.memo.mu.Lock()
-	r.memo.sync(r.Opt.EstGen())
-	if u, ok := r.memo.useful[q.PlanFP]; ok {
-		r.memo.mu.Unlock()
-		return u
-	}
-	r.memo.mu.Unlock()
-	u := usefulSigs(q.Ann) // compute outside the lock; the map is read-only after
-	r.memo.mu.Lock()
-	if r.memo.useful == nil {
-		r.memo.useful = make(map[string]map[string]bool)
-	}
-	r.memo.useful[q.PlanFP] = u
-	r.memo.mu.Unlock()
 	return u
 }
 

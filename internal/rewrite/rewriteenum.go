@@ -36,12 +36,13 @@ type unit struct {
 // the next statistics reset, so candidates re-visited across search
 // iterations are never recompiled.
 func (r *Rewriter) RewriteEnum(q *optimizer.JobNode, c *Candidate) (*plan.Node, float64) {
+	probe := r.memos().probe
 	mk := c.Key() + "\x00" + q.PlanFP
-	if h, ok := r.probeMemoGet(mk); ok {
+	if h, ok := probe[mk]; ok {
 		return h.plan, h.cost
 	}
 	p, cost := r.enumOrders(q, c)
-	r.probeMemoPut(mk, probeHit{plan: p, cost: cost})
+	probe[mk] = probeHit{plan: p, cost: cost}
 	return p, cost
 }
 
