@@ -76,6 +76,7 @@ func main() {
 	checkPartition(m)
 	checkFused(m)
 	checkFusedReduce(m)
+	checkProbe(m)
 	if len(e.Spans) == 0 {
 		fail("no spans recorded")
 	}
@@ -152,7 +153,7 @@ func checkPartition(m obs.Snapshot) {
 // fuseReasons is the fixed label set of mr_fused_fallback_total; the engine
 // records every one (zeros included) whenever it records the family, so a
 // missing label is a wiring bug, not an empty run.
-var fuseReasons = []string{"explode_udf", "unsupported_op", "schema_mismatch"}
+var fuseReasons = []string{"explode_udf", "unsupported_op", "schema_mismatch", "probe"}
 
 // checkFused validates the fused map-pipeline counter family. The engine
 // records all of it unconditionally (zeros included) for every job, so if
@@ -304,6 +305,25 @@ func checkFusedReduce(m obs.Snapshot) {
 	}
 	if groups > rows {
 		fail("%d groups finalized from only %d folded records", groups, rows)
+	}
+}
+
+// checkProbe validates the index-probe counters. The engine records
+// mr_probe_rows_total for every job, so it is present whenever jobs ran;
+// the store creates storage_index_builds_total at its first build. Neither
+// is negative, and the stored rows probes matched are counted among the
+// jobs' input rows.
+func checkProbe(m obs.Snapshot) {
+	probed, probedOK := m.Counters["mr_probe_rows_total"]
+	if _, jobs := m.Counters["mr_jobs_total"]; jobs && !probedOK {
+		fail("mr_probe_rows_total missing beside mr_jobs_total")
+	}
+	builds := m.Counters["storage_index_builds_total"]
+	if probed < 0 || builds < 0 {
+		fail("negative probe counter (probed rows=%d index builds=%d)", probed, builds)
+	}
+	if in := m.Counters["mr_input_rows_total"]; probed > in {
+		fail("%d probed rows exceed the %d input rows they are part of", probed, in)
 	}
 }
 

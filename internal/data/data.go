@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"opportune/internal/value"
 )
@@ -147,6 +148,10 @@ type Relation struct {
 	schema *Schema
 	rows   []Row
 	size   int64 // Σ rows[i].EncodedSize()
+
+	// extended is set by the Extend that wrote into rows' spare capacity:
+	// that tail now belongs to the extension, so the next Extend copies.
+	extended atomic.Bool
 }
 
 // NewRelation creates an empty relation with the given schema.
@@ -161,8 +166,9 @@ func (rel *Relation) Schema() *Schema { return rel.schema }
 func (rel *Relation) Len() int { return len(rel.rows) }
 
 // Rows returns the backing slice. Callers must treat it — and every row in
-// it — as read-only.
-func (rel *Relation) Rows() []Row { return rel.rows }
+// it — as read-only. Its capacity ends at its length: the spare capacity
+// past it may hold an Extend's rows.
+func (rel *Relation) Rows() []Row { return rel.rows[:len(rel.rows):len(rel.rows)] }
 
 // Row returns row i.
 func (rel *Relation) Row(i int) Row { return rel.rows[i] }
@@ -203,13 +209,29 @@ func (rel *Relation) Grow(n int) {
 	rel.rows = rows
 }
 
-// AppendAll adds every row of another relation; schemas must be equal.
-func (rel *Relation) AppendAll(o *Relation) {
-	if !rel.schema.Equal(o.schema) {
-		panic("data: AppendAll schema mismatch")
+// Extend returns a new relation holding rel's rows followed by rows (widths
+// checked like Append), leaving rel as it was: readers of rel keep seeing
+// exactly its rows. The first Extend of a relation with enough spare
+// capacity shares rel's backing array — the new rows land past rel's
+// length, where no reader of rel looks — so appending to a log costs the
+// appended rows, not the log. Every other Extend copies into a fresh array
+// of twice the needed length, which the result's own Extend then shares.
+// rel must not be appended to in place afterwards.
+func (rel *Relation) Extend(rows []Row) *Relation {
+	var size int64
+	for _, r := range rows {
+		rel.checkWidth(r)
+		size += int64(r.EncodedSize())
 	}
-	rel.rows = append(rel.rows, o.rows...)
-	rel.size += o.size
+	out := &Relation{schema: rel.schema, size: rel.size + size}
+	n := len(rel.rows) + len(rows)
+	if cap(rel.rows) >= n && rel.extended.CompareAndSwap(false, true) {
+		out.rows = append(rel.rows, rows...)
+		return out
+	}
+	out.rows = append(make([]Row, 0, 2*n), rel.rows...)
+	out.rows = append(out.rows, rows...)
+	return out
 }
 
 // EncodedSize is the total simulated byte size of all rows.

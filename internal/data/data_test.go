@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -143,22 +144,6 @@ func TestEncodedSize(t *testing.T) {
 	}
 }
 
-func TestAppendAll(t *testing.T) {
-	a := mkRel(t)
-	b := NewRelation(NewSchema("id", "name", "score"))
-	b.Append(Row{value.NewInt(9), value.NewStr("z"), value.NewFloat(1)})
-	a.AppendAll(b)
-	if a.Len() != 5 {
-		t.Errorf("Len after AppendAll = %d", a.Len())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched AppendAll did not panic")
-		}
-	}()
-	a.AppendAll(NewRelation(NewSchema("x")))
-}
-
 func TestFingerprintOrderIndependent(t *testing.T) {
 	a := mkRel(t)
 	b := mkRel(t)
@@ -257,7 +242,7 @@ func TestEncodedSizeInvariant(t *testing.T) {
 			case 0:
 				rel.Append(randRow())
 			case 1:
-				rel.AppendAll(randRel(rng.Intn(6)))
+				rel = rel.Extend(randRel(rng.Intn(6)).Rows())
 			case 2:
 				run := randRel(rng.Intn(6))
 				rel.AppendSized(run.Rows(), walkSize(run))
@@ -298,4 +283,108 @@ func TestAppendSizedChecksWidth(t *testing.T) {
 		}
 	}()
 	rel.AppendSized([]Row{{value.NewInt(1), value.NewInt(2)}, {value.NewInt(3)}}, 0)
+}
+
+// idRows builds n one-column rows numbered from base.
+func idRows(base, n int) []Row {
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{value.NewInt(int64(base + i))}
+	}
+	return rows
+}
+
+// idsErr reports how rel differs from holding exactly the ids 0..n-1 in
+// order with the carried size a walk gives, or "".
+func idsErr(rel *Relation, n int) string {
+	if rel.Len() != n {
+		return fmt.Sprintf("%d rows, want %d", rel.Len(), n)
+	}
+	var walk int64
+	for i, r := range rel.Rows() {
+		if r[0].Int() != int64(i) {
+			return fmt.Sprintf("row %d holds id %d", i, r[0].Int())
+		}
+		walk += int64(r.EncodedSize())
+	}
+	if rel.EncodedSize() != walk {
+		return fmt.Sprintf("carries %d B, a walk says %d B", rel.EncodedSize(), walk)
+	}
+	return ""
+}
+
+func checkIDs(t *testing.T, what string, rel *Relation, n int) {
+	t.Helper()
+	if msg := idsErr(rel, n); msg != "" {
+		t.Fatalf("%s: %s", what, msg)
+	}
+}
+
+// TestRelationExtend: Extend leaves the relation it extends as it was, and
+// only the first Extend of a relation shares its spare capacity — a second
+// Extend of the same relation must copy, or it would overwrite the rows the
+// first one put there.
+func TestRelationExtend(t *testing.T) {
+	base := NewRelation(NewSchema("id")).Extend(idRows(0, 4)) // copies: cap 8
+	grown := base.Extend(idRows(4, 2))                        // shares base's array
+	checkIDs(t, "snapshot after Extend", base, 4)
+	checkIDs(t, "extension", grown, 6)
+	if &grown.Rows()[0] != &base.Rows()[0] {
+		t.Error("the first Extend with spare capacity copied")
+	}
+
+	// A second Extend of base: the tail past base's rows is grown's.
+	other := base.Extend([]Row{{value.NewInt(99)}})
+	checkIDs(t, "first extension after a second Extend of its base", grown, 6)
+	if &other.Rows()[0] == &base.Rows()[0] {
+		t.Error("a second Extend of one relation shared its array")
+	}
+	if other.Len() != 5 || other.Row(4)[0].Int() != 99 {
+		t.Errorf("second extension = %v", other.Rows())
+	}
+	// Chained Extends keep sharing while capacity lasts.
+	chained := grown.Extend(idRows(6, 2))
+	checkIDs(t, "chained extension", chained, 8)
+	checkIDs(t, "its base", grown, 6)
+
+	if got := base.Rows(); cap(got) != len(got) {
+		t.Errorf("Rows() exposes %d spare slots an Extend may own", cap(got)-len(got))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a row of the wrong width was accepted")
+		}
+	}()
+	base.Extend([]Row{{value.NewInt(1), value.NewInt(2)}})
+}
+
+// TestRelationExtendConcurrentReader runs a reader of every published
+// relation beside the appender that keeps extending it (run under -race):
+// each snapshot keeps exactly its rows while later extensions write into
+// the array it shares.
+func TestRelationExtendConcurrentReader(t *testing.T) {
+	const appends, batch = 40, 7
+	published := make(chan *Relation)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var seen []*Relation
+		for rel := range published {
+			seen = append(seen, rel)
+			for _, snap := range seen {
+				if msg := idsErr(snap, snap.Len()); msg != "" {
+					t.Errorf("snapshot of %d rows: %s", snap.Len(), msg)
+					return
+				}
+			}
+		}
+	}()
+	rel := NewRelation(NewSchema("id")).Extend(idRows(0, batch))
+	for i := 1; i <= appends; i++ {
+		published <- rel
+		rel = rel.Extend(idRows(i*batch, batch))
+	}
+	close(published)
+	<-done
+	checkIDs(t, "final relation", rel, (appends+1)*batch)
 }

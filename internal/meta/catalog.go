@@ -37,6 +37,11 @@ type TableInfo struct {
 	// is installed when the data is written (workload install, view
 	// retention) and must be dropped or re-declared whenever they change.
 	Part afk.Partitioning
+	// Delta marks the appended rows of a base table, registered for the span
+	// of one AppendRows: the optimizer compiles a join on a delta's path as
+	// an index probe of the join's other side. No query scans a delta, so
+	// no query probes.
+	Delta bool
 }
 
 // DistinctOf returns the distinct count hint for a column, or 0.
@@ -133,6 +138,19 @@ func (c *Catalog) SetPartitioning(name string, p afk.Partitioning) {
 	c.tables[name] = &upd
 	if canon := upd.Ann.Canon(); c.byCanon[canon] == cur {
 		c.byCanon[canon] = &upd
+	}
+}
+
+// MarkDelta marks a registered base table as an appended delta
+// (TableInfo.Delta), copy-on-write like SetPartitioning. Registering the
+// name again clears the mark.
+func (c *Catalog) MarkDelta(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.tables[name]; ok && !cur.IsView {
+		upd := *cur
+		upd.Delta = true
+		c.tables[name] = &upd
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"opportune/internal/fault"
 	"opportune/internal/obs"
 	"opportune/internal/storage"
+	"opportune/internal/value"
 )
 
 // flakyWordCount returns the word-count job with a reduce that panics the
@@ -227,19 +228,80 @@ func TestFaultObsCounters(t *testing.T) {
 	}
 }
 
+// loadLexicon stores the table probeCount looks words up in: "red" twice,
+// "beer" once, a null word, and words no document uses.
+func loadLexicon(st *storage.Store) {
+	rel := data.NewRelation(data.NewSchema("word", "class"))
+	for _, r := range [][2]string{{"red", "color"}, {"tea", "drink"}, {"beer", "drink"}, {"", "none"}, {"red", "wine-color"}} {
+		w := value.NewStr(r[0])
+		if r[0] == "" {
+			w = value.NullV
+		}
+		rel.Append(data.Row{w, value.NewStr(r[1])})
+	}
+	st.Put("lexicon", storage.Base, rel)
+}
+
+// probeCount is a word count keyed by lexicon class: the map side looks each
+// word of docs up in the lexicon's word index — the probe a delta join
+// compiles to — and emits one row per matched entry. Its reduce panics the
+// first `failures` times it sees the class "color".
+func probeCount(failures int) *Job {
+	n := 0
+	return &Job{
+		Name:   "probecount",
+		Inputs: []string{"docs"},
+		Probes: []ProbeSpec{{Dataset: "lexicon", Col: "word"}},
+		MapFactory: func(ctx TaskCtx) MapFunc {
+			var enc data.KeyEncoder
+			return func(_ int, r data.Row, emit Emit) {
+				for _, w := range strings.Fields(r[1].Str()) {
+					for _, pos := range ctx.Probes[0].Lookup(enc.KeyOf(value.NewStr(w))) {
+						class := ctx.Probes[0].Row(pos)[1]
+						emit(class.Str(), data.Row{class, value.NewInt(1)})
+					}
+				}
+			}
+		},
+		MapOutSchema: data.NewSchema("class", "n"),
+		Reduce: func(key string, rows []data.Row, out *GroupOut) {
+			if key == "color" && n < failures {
+				n++
+				panic("transient reduce failure")
+			}
+			out.Emit(data.Row{rows[0][0], value.NewInt(int64(len(rows)))})
+		},
+		OutputSchema: data.NewSchema("class", "count"),
+		Output:       "pc",
+		OutputKind:   storage.View,
+		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
+		ReduceCost:   []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
+	}
+}
+
 // TestEngineStoreByteReconciliation is the under-reported-volume
 // regression: after recovered failures, the engine's Result must account
-// every byte the store served, not just the successful attempt's.
+// every byte the store served, not just the successful attempt's — index
+// builds and the rows probes matched included.
 func TestEngineStoreByteReconciliation(t *testing.T) {
 	for _, cfg := range []struct{ workers, reduceTasks int }{{1, 1}, {4, 3}} {
 		st := storage.NewStore()
 		loadWords(st)
+		loadLexicon(st)
 		params := cost.DefaultParams()
 		params.ReduceTasks = cfg.reduceTasks
 		e := New(st, params)
 		e.Workers = cfg.workers
 		e.MaxAttempts = 3
 		before := st.Counters()
+		_, pres, err := e.Run(probeCount(2))
+		if err != nil {
+			t.Fatalf("workers=%d: probe job did not recover: %v", cfg.workers, err)
+		}
+		if got := st.Counters().BytesRead - before.BytesRead; got != pres.InputBytes+pres.RetriedInputBytes {
+			t.Errorf("workers=%d: probe job: store read %d bytes, engine accounts %d", cfg.workers, got, pres.InputBytes+pres.RetriedInputBytes)
+		}
+		before = st.Counters()
 		_, res, err := e.Run(flakyWordCount(2))
 		if err != nil {
 			t.Fatalf("workers=%d: job did not recover: %v", cfg.workers, err)

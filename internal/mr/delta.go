@@ -9,23 +9,20 @@ import (
 // This file provides the merge primitives for incremental view maintenance:
 // folding the output of a delta job (the view's pipeline run over only the
 // appended base rows) into the stored view. Both entry points return a new
-// relation — the stored input is never mutated, since concurrently running
-// plans may hold a reference to it via Store.Read.
+// relation — the stored rows readers see are never mutated, since
+// concurrently running plans may hold a reference to them via Store.Read.
 
 // MergeAppend merges a map-only view delta: appended base rows can only
 // append output rows, in scan order, so the refreshed view is the stored
 // rows followed by the delta rows — exactly what a full recompute over the
-// grown base produces.
+// grown base produces. It extends the stored relation (data.Relation.Extend)
+// rather than copying it.
 func MergeAppend(stored, delta *data.Relation) (*data.Relation, error) {
 	if !stored.Schema().Equal(delta.Schema()) {
 		return nil, fmt.Errorf("mr: merge-append schema mismatch: %v vs %v",
 			stored.Schema(), delta.Schema())
 	}
-	out := data.NewRelation(stored.Schema())
-	out.Grow(stored.Len() + delta.Len())
-	out.AppendAll(stored)
-	out.AppendAll(delta)
-	return out, nil
+	return stored.Extend(delta.Rows()), nil
 }
 
 // MergeByKey merges a grouped view delta. Both inputs must share a schema

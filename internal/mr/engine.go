@@ -87,11 +87,14 @@ const (
 	// over raw payload rows — no typed partial state to specialize on
 	// (reduce-side fusion only).
 	FuseAggUDF = "agg_udf"
+	// FuseProbe: a chain contains an index probe (a delta join compiled
+	// map-side), which runs on the interpreter over the delta's few rows.
+	FuseProbe = "probe"
 )
 
 // FuseFallbackReasons enumerates the taxonomy in recording order, so the
 // counter family's key set is fixed regardless of which reasons fire.
-var FuseFallbackReasons = []string{FuseExplodeUDF, FuseUnsupportedOp, FuseSchemaMismatch}
+var FuseFallbackReasons = []string{FuseExplodeUDF, FuseUnsupportedOp, FuseSchemaMismatch, FuseProbe}
 
 // FuseReduceFallbackReasons is the mr_fused_reduce_fallback_total label
 // taxonomy, fixed in recording order like FuseFallbackReasons.
@@ -108,6 +111,10 @@ type TaskCtx struct {
 	Split     int
 	StartRow  int64
 	GlobalRow int64
+
+	// Probes holds the task attempt's handles on the job's indexes, one per
+	// Job.Probes entry, in that order.
+	Probes []*Probe
 }
 
 // CombineFunc merges the rows one map task emitted under one key.
@@ -204,6 +211,11 @@ type Job struct {
 	// their interpreter reference by clearing it (and BatchCombine /
 	// BatchReduce) on compiled jobs.
 	BatchMapFactory func(ctx TaskCtx) BatchMapFunc
+
+	// Probes lists the indexes the map side looks rows up in (TaskCtx.Probes).
+	// The engine opens each once per attempt; the stored rows lookups match
+	// count as input rows, and their bytes as input read.
+	Probes []ProbeSpec
 
 	// Fusion classification, stamped by the optimizer. FusedEligible marks
 	// a job with at least one fusable-shaped operator chain; Fused marks
@@ -317,6 +329,8 @@ type Result struct {
 	InputBytes   int64
 	InputRows    int64
 	CombineRows  int64 // rows fed to map-side combiners
+	ProbeRows    int64 // stored rows index probes matched (part of InputRows)
+	IndexRows    int64 // rows of the indexes this attempt built (a map-only scan each)
 	Attempts     int   // execution attempts (>1 after recovered failures)
 	ShuffleBytes int64
 	ShuffleRows  int64
@@ -589,11 +603,16 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, st retryState, exec func(re
 }
 
 // partialCost prices the volumes one dead attempt consumed before failing —
-// the same charge Run puts into WastedSeconds per recovered failure. The
-// session's batch executor uses it to replay sequential-equivalent retry
-// accounting for jobs it did not physically re-execute.
+// the same charge Run puts into WastedSeconds per recovered failure.
 func (e *Engine) partialCost(job *Job, res *Result) float64 {
-	return e.Params.JobCost(cost.JobSpec{
+	return e.jobCost(job, res).Total()
+}
+
+// jobCost prices the volumes an attempt measured with the job's local
+// functions. The rows of an index the attempt built pay a map-only scan's
+// CPU; their bytes are already in InputBytes.
+func (e *Engine) jobCost(job *Job, res *Result) cost.Breakdown {
+	b := e.Params.JobCost(cost.JobSpec{
 		InputBytes:        res.InputBytes,
 		InputRows:         res.InputRows,
 		MapFns:            job.MapCost,
@@ -604,7 +623,9 @@ func (e *Engine) partialCost(job *Job, res *Result) float64 {
 		LocalShuffleBytes: res.LocalShuffleBytes,
 		ReduceFns:         job.ReduceCost,
 		OutputBytes:       res.OutputBytes,
-	}).Total()
+	})
+	b.Cm += e.fnsSim(indexScan, res.IndexRows)
+	return b
 }
 
 // runAttempt is one execution attempt; user-code panics become errors (the
@@ -658,6 +679,7 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	reg.Counter("mr_input_bytes_total").Add(res.InputBytes)
 	reg.Counter("mr_input_rows_total").Add(res.InputRows)
 	reg.Counter("mr_combine_rows_total").Add(res.CombineRows)
+	reg.Counter("mr_probe_rows_total").Add(res.ProbeRows)
 	reg.Counter("mr_shuffle_bytes_total").Add(res.ShuffleBytes)
 	reg.Counter("mr_shuffle_rows_total").Add(res.ShuffleRows)
 	reg.Counter("mr_output_bytes_total").Add(res.OutputBytes)
@@ -789,6 +811,8 @@ type mapTaskOut struct {
 	batch        BatchReport
 	combFused    bool
 	combFallback bool
+
+	probeRows, probeBytes int64 // what the task's index lookups matched
 }
 
 // splitInputs reads every input (charging the read volume to res) and cuts
@@ -831,7 +855,11 @@ func (e *Engine) splitInputs(job *Job, res *Result) ([]mapSplit, error) {
 // the split's emissions per key before they enter the shuffle, so shuffle
 // volume reflects the combined output (the point of combiners). Key order
 // within the task is first-emission order, matching serial execution.
-func runMapTask(job *Job, sp mapSplit, t *mapTaskOut) {
+func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
+	ctx := sp.ctx
+	for _, ix := range ixs { // the attempt's own handles on the job's indexes
+		ctx.Probes = append(ctx.Probes, &Probe{ix: ix})
+	}
 	out := getKeyedBuf(len(sp.rows))
 	keyed := job.Reduce != nil
 	combines := job.Combine != nil && keyed
@@ -852,16 +880,20 @@ func runMapTask(job *Job, sp mapSplit, t *mapTaskOut) {
 		// kernel. Emission order and content are contractually identical to
 		// the row loop below, so everything downstream (combiner, shuffle,
 		// accounting, task retries) is oblivious to which path ran.
-		bf := job.BatchMapFactory(sp.ctx)
-		t.batch = bf(sp.ctx.Input, sp.rows, emit)
+		bf := job.BatchMapFactory(ctx)
+		t.batch = bf(ctx.Input, sp.rows, emit)
 	} else {
 		fn := job.Map
 		if job.MapFactory != nil {
-			fn = job.MapFactory(sp.ctx)
+			fn = job.MapFactory(ctx)
 		}
 		for _, r := range sp.rows {
-			fn(sp.ctx.Input, r, emit)
+			fn(ctx.Input, r, emit)
 		}
+	}
+	for _, p := range ctx.Probes {
+		t.probeRows += p.rows
+		t.probeBytes += p.bytes
 	}
 	t.out = out
 	if combines && len(t.out) > 0 {
@@ -978,11 +1010,16 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 	// task-level recovery; per-task recovery records are folded into res in
 	// split-index order so the waste sums are Workers-independent too.
 	msp := asp.Child("map")
+	ixs, built, err := e.openProbes(job, res)
+	if err != nil {
+		msp.End()
+		return nil, err
+	}
 	tasks := make([]mapTaskOut, len(splits))
 	recs := make([]taskRecovery, len(splits))
 	mapErr := runTasks(e.workers(), len(splits), func(i int) error {
 		if e.Faults == nil {
-			runMapTask(job, splits[i], &tasks[i])
+			runMapTask(job, splits[i], ixs, &tasks[i])
 			return nil
 		}
 		nominal := e.mapTaskCost(job, splits[i])
@@ -991,13 +1028,16 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 				putKeyedBuf(tasks[i].out)
 			}
 			tasks[i] = mapTaskOut{}
-			runMapTask(job, splits[i], &tasks[i])
+			runMapTask(job, splits[i], ixs, &tasks[i])
 		})
 	})
 	for i := range recs {
 		res.applyRecovery(&recs[i])
 	}
+	var probed int64
 	for i := range tasks {
+		res.ProbeRows += tasks[i].probeRows
+		probed += tasks[i].probeBytes
 		res.CombineRows += tasks[i].combineRows
 		if tasks[i].batch.Fused {
 			res.FusedBatches++
@@ -1012,6 +1052,15 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 		if tasks[i].combFallback {
 			res.FusedReduceRuntimeFallbacks++
 		}
+	}
+	if len(ixs) > 0 {
+		// What the lookups matched is read, and mapped, like any input.
+		e.Store.CountProbe(probed)
+		res.InputBytes += probed
+		res.InputRows += res.ProbeRows
+		probeSim := float64(built+probed)/e.Params.ReadRate + e.fnsSim(indexScan, res.IndexRows)
+		msp.AddSim(probeSim)
+		accrued += probeSim
 	}
 	msp.AddSim(e.fnsSim(job.MapCost, res.InputRows))
 	if job.Combine != nil && job.Reduce != nil {
@@ -1073,19 +1122,7 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 	wsp.End()
 
 	// Simulated execution time from measured volumes.
-	spec := cost.JobSpec{
-		InputBytes:        res.InputBytes,
-		InputRows:         res.InputRows,
-		MapFns:            job.MapCost,
-		CombineFns:        job.CombineCost,
-		CombineRows:       res.CombineRows,
-		ShuffleBytes:      res.ShuffleBytes,
-		ShuffleRows:       res.ShuffleRows,
-		LocalShuffleBytes: res.LocalShuffleBytes,
-		ReduceFns:         job.ReduceCost,
-		OutputBytes:       res.OutputBytes,
-	}
-	res.Breakdown = e.Params.JobCost(spec)
+	res.Breakdown = e.jobCost(job, res)
 	return out, nil
 }
 

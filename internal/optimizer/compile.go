@@ -146,10 +146,14 @@ func (s stream) inputName() string {
 }
 
 // isBoundary reports whether a logical node ends an MR job: every shuffle
-// operator does (joins, group-bys, aggregate UDFs).
+// operator does (joins, group-bys, aggregate UDFs) — except a join compiled
+// as a probe stage (probeOf), which runs map-side.
 func (o *Optimizer) isBoundary(n *plan.Node) bool {
 	switch n.Kind {
-	case plan.KindJoin, plan.KindGroupAgg, plan.KindSort:
+	case plan.KindJoin:
+		_, probe := o.probeOf(n)
+		return !probe
+	case plan.KindGroupAgg, plan.KindSort:
 		return true
 	case plan.KindUDF:
 		if d, ok := o.Cat.UDFs.Get(n.UDFName); ok {
@@ -219,7 +223,8 @@ func (o *Optimizer) Compile(root *plan.Node) (*Work, error) {
 }
 
 // collectStream walks from the boundary input down to its source (a scan or
-// an upstream boundary), gathering the map-side pipeline operators.
+// an upstream boundary), gathering the map-side pipeline operators; through
+// a probe join it follows the delta's side.
 func (o *Optimizer) collectStream(n *plan.Node, build func(*plan.Node) (*JobNode, error)) (stream, error) {
 	var ops []*plan.Node
 	cur := n
@@ -238,7 +243,11 @@ func (o *Optimizer) collectStream(n *plan.Node, build func(*plan.Node) (*JobNode
 			return stream{srcJob: j, ops: ops, srcCols: cur.OutCols, outNode: n}, nil
 		}
 		ops = append(ops, cur)
-		cur = cur.Inputs[0]
+		if pj, probe := o.probeOf(cur); probe {
+			cur = cur.Inputs[pj.delta]
+		} else {
+			cur = cur.Inputs[0]
+		}
 	}
 }
 
@@ -266,6 +275,16 @@ func (o *Optimizer) estimateJobCost(j *JobNode, est *estimator) cost.Breakdown {
 		spec.InputRows += src.Rows
 		for _, op := range st.ops {
 			spec.MapFns = append(spec.MapFns, o.localFn(op, false))
+			if pj, probe := o.probeOf(op); probe {
+				// The rows a probe matches are read and run the other
+				// side's chain; the join's output stands in for them.
+				for _, oop := range pj.other.ops {
+					spec.MapFns = append(spec.MapFns, o.localFn(oop, false))
+				}
+				matched := est.stats(op)
+				spec.InputRows += matched.Rows
+				spec.InputBytes += matched.Bytes
+			}
 		}
 		if !mapOnly {
 			out := est.stats(st.outNode)
@@ -341,6 +360,11 @@ func (o *Optimizer) resolveParts(p afk.Partitioning) afk.Partitioning {
 // count. It returns the number of leading encoded key columns that determine
 // the bucket and that bucket count, or (0, 0) when the job must shuffle.
 func (o *Optimizer) partitionMatch(j *JobNode) (int, int) {
+	for _, st := range j.streams {
+		if st.hasProbe() {
+			return 0, 0 // a probe emits where its split sits, in no bucket
+		}
+	}
 	boundary := j.Logical
 	switch boundary.Kind {
 	case plan.KindGroupAgg:

@@ -80,14 +80,15 @@ type stageFactory func(ctx mr.TaskCtx, next func(data.Row)) func(data.Row)
 
 // buildPipeline compiles a stream's operator chain against its source
 // columns into a per-task factory, also returning the engine-side
-// local-function costs.
-func (o *Optimizer) buildPipeline(st stream) (pipelineFactory, []cost.LocalFn, error) {
+// local-function costs. Probe stages register their indexes, and the costs
+// of the chains they run, on job.
+func (o *Optimizer) buildPipeline(st stream, job *mr.Job) (pipelineFactory, []cost.LocalFn, error) {
 	cols := st.srcCols
 	var stages []stageFactory
 	var fns []cost.LocalFn
 	builds := false // some stage builds rows; otherwise source rows pass through
 	for _, op := range st.ops {
-		sf, err := o.buildStage(op, cols)
+		sf, err := o.buildStage(op, cols, job)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -118,7 +119,7 @@ func (o *Optimizer) buildPipeline(st stream) (pipelineFactory, []cost.LocalFn, e
 }
 
 // buildStage compiles a single pipeline operator given its input columns.
-func (o *Optimizer) buildStage(op *plan.Node, inCols []string) (stageFactory, error) {
+func (o *Optimizer) buildStage(op *plan.Node, inCols []string, job *mr.Job) (stageFactory, error) {
 	inSchema := data.NewSchema(inCols...)
 	switch op.Kind {
 	case plan.KindProject:
@@ -193,6 +194,9 @@ func (o *Optimizer) buildStage(op *plan.Node, inCols []string) (stageFactory, er
 				}
 			}
 		}, nil
+
+	case plan.KindJoin:
+		return o.probeStage(op, inCols, job)
 	}
 	return nil, fmt.Errorf("optimizer: operator %s cannot run map-side", op.Kind)
 }
@@ -333,7 +337,7 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 	}
 	factories := make([]pipelineFactory, len(jn.streams))
 	for i, st := range jn.streams {
-		pf, fns, err := o.buildPipeline(st)
+		pf, fns, err := o.buildPipeline(st, job)
 		if err != nil {
 			return nil, err
 		}
@@ -439,13 +443,7 @@ func (o *Optimizer) joinBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 			emit(enc.KeyOf(key), out)
 		}
 	}
-	// Output columns: left columns then the right columns that survived
-	// (OutCols computed at annotation time).
-	rKeep := make([]int, 0, len(rCols))
-	for i := len(lCols); i < len(jn.OutCols); i++ {
-		ix, _ := indexOf(rCols, jn.OutCols[i])
-		rKeep = append(rKeep, ix)
-	}
+	rKeep := keptRight(jn.OutCols, len(lCols), rCols)
 	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
 		nl := 0
 		for _, r := range rows {
@@ -467,6 +465,17 @@ func (o *Optimizer) joinBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup, cost.OpFilter}, Scalar: 1}}
 	job.MapCost = append(job.MapCost, cost.LocalFn{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1})
 	return bf, nil
+}
+
+// keptRight locates a join's output columns past its nl left ones — the
+// right columns that survived annotation — in the right input's columns.
+func keptRight(outCols []string, nl int, rCols []string) []int {
+	keep := make([]int, 0, len(outCols)-nl)
+	for _, c := range outCols[nl:] {
+		ix, _ := indexOf(rCols, c)
+		keep = append(keep, ix)
+	}
+	return keep
 }
 
 // joinGroup builds one key group's join output, |ls|·|rs| rows of ls[i]

@@ -174,6 +174,9 @@ func (o *Optimizer) buildFused(st stream) (*fusedProg, string) {
 			}
 			p.stages = append(p.stages, fusedStage{udf: u})
 
+		case plan.KindJoin:
+			return nil, mr.FuseProbe
+
 		default:
 			return nil, mr.FuseUnsupportedOp
 		}

@@ -6,11 +6,13 @@
 //
 //   - maintainable views — plans linear in the appended table, joins with
 //     other tables included — are refreshed by running the view's own plan
-//     with *only* the appended delta in the table's place (the delta jobs
-//     it compiles to on the MR engine, e.g. delta join then group-agg) and
-//     merging the sink into the stored relation — appended rows for
-//     map-only views, a sorted key-merge of distributive aggregate states
-//     (afk.Rollups: count/sum/min/max) for grouped views;
+//     with *only* the appended delta in the table's place and merging the
+//     sink into the stored relation — appended rows for map-only views, a
+//     sorted key-merge of distributive aggregate states (afk.Rollups:
+//     count/sum/min/max) for grouped views. The delta is marked as one
+//     (meta.TableInfo.Delta), so the joins on its path probe an index of
+//     their other side (DESIGN §5.15): an aggregate over a join is one job
+//     over the delta's rows;
 //   - everything else falls back to explicit invalidation, the pre-existing
 //     behavior, now an explicitly-chosen fallback with a recorded reason.
 //
@@ -18,8 +20,10 @@
 // full recompute over the grown base: map-only pipelines emit in scan
 // order, and grouped jobs emit in global encoded-key order, which the
 // two-pointer merge preserves. One caveat is inherent: float-valued SUMs
-// can differ in final ULPs from a recompute because addition order differs;
-// integer-valued aggregates (COUNT, MIN/MAX, sums of integers) are exact.
+// can differ in final ULPs from a recompute because addition order differs
+// (a probe feeds the group-agg in delta order × stored order, a shuffle join
+// in key-group order); integer-valued aggregates (COUNT, MIN/MAX, sums of
+// integers) are exact.
 // Compensated (Kahan/Neumaier) summation in both the aggregate folds
 // (aggPhys.foldSum) and the merge (afk.Rollups) keeps that drift to at most one
 // rounding per append rather than one per input row — the fractional-SUM
@@ -49,9 +53,9 @@ type AppendReport struct {
 	Invalidated []string          // views dropped (with Reasons)
 	Reasons     map[string]string // view -> why it was invalidated
 
-	// MaintainSeconds is the simulated cost of maintenance: delta jobs plus
-	// merge I/O. StatsSeconds covers re-estimating base-table statistics and
-	// refreshed-view statistics (sampling jobs).
+	// MaintainSeconds is the simulated cost of maintenance: delta jobs, with
+	// any index their probes built, plus merge I/O. StatsSeconds covers
+	// re-estimating base-table and refreshed-view statistics (sampling jobs).
 	MaintainSeconds float64
 	StatsSeconds    float64
 }
@@ -83,16 +87,12 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 
 	rep := &AppendReport{Table: table, Rows: len(rows), Reasons: make(map[string]string)}
 
-	// Copy-on-write: concurrent Runs may be scanning the current relation,
-	// so the stored rows are never mutated in place. The re-put installs
-	// the grown copy and updates size/eviction bookkeeping.
+	// Concurrent Runs may be scanning the current relation: Extend leaves
+	// it as it is, sharing its array instead of copying it. The re-put
+	// installs the grown relation (dropping the old one's indexes) and
+	// updates size/eviction bookkeeping.
 	old := ds.Relation()
-	rel := data.NewRelation(old.Schema())
-	rel.Grow(old.Len() + len(rows))
-	rel.AppendAll(old)
-	for _, r := range rows {
-		rel.Append(r)
-	}
+	rel := old.Extend(rows)
 	// Re-Put deliberately resets the store's layout property (fresh bytes
 	// make no promise), but an append preserves a hash layout: the bucket a
 	// row belongs to is a function of its key values alone, so the grown
@@ -117,19 +117,17 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 	rep.StatsSeconds += sec
 
 	// The delta relation, installed lazily as a temporary base table the
-	// first time a view qualifies for maintenance. The fixed per-table name
-	// keeps the signature/FD universe bounded across appends.
+	// first time a view qualifies for maintenance, and marked as a delta so
+	// the joins on its path probe the other side's index. The fixed
+	// per-table name keeps the signature/FD universe bounded across appends.
 	deltaName := "~delta~" + table
 	deltaInstalled := false
 	installDelta := func() {
-		delta := data.NewRelation(old.Schema())
-		delta.Grow(len(rows))
-		for _, r := range rows {
-			delta.Append(r)
-		}
+		delta := data.NewRelation(old.Schema()).Extend(rows)
 		s.Store.Put(deltaName, storage.Base, delta)
 		s.Cat.RegisterBase(deltaName, info.Cols, info.KeyCol,
 			cost.Stats{Rows: int64(delta.Len()), Bytes: delta.EncodedSize()}, info.Distinct)
+		s.Cat.MarkDelta(deltaName)
 		deltaInstalled = true
 	}
 
@@ -275,10 +273,11 @@ func (s *Session) reads(n *plan.Node, table string) bool {
 
 // maintainView refreshes one view from the appended delta: run the view's
 // plan with its scan of the appended table retargeted at the delta — the
-// job sequence that compiles to, e.g. delta join then group-agg — merge the
-// sink into the stored relation, refresh statistics. Returns (maintenance
-// sim seconds, stats sim seconds). Any error leaves the view droppable —
-// the caller falls back to invalidation, which is always safe.
+// job sequence that compiles to, e.g. one group-agg job whose map side
+// probes the joined table's index — merge the sink into the stored
+// relation, refresh statistics. Returns (maintenance sim seconds, stats sim
+// seconds). Any error leaves the view droppable — the caller falls back to
+// invalidation, which is always safe.
 func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape viewShape, table, deltaName string) (float64, float64, error) {
 	// Annotate recomputes every node annotation, so the compiled jobs are
 	// ordinary (delta-sized) instances of the plan's.

@@ -26,14 +26,49 @@ func (p *fuzzProg) next() int {
 	return int(b)
 }
 
+// fuzzUsersSide draws the users side of the join (shape is the join byte /
+// 40, so bytes below 40 keep the bare scan): the scan; its key renamed; a
+// filter and a map UDF over it; or one of the shapes whose append-side
+// joins must keep the shuffle join — a key a UDF computes, an aggregate,
+// a join with tiers. It returns the side, its join key, its columns and
+// its tier column ("" without one).
+func fuzzUsersSide(shape int, applied *bool) (n *plan.Node, key string, cols []string, tier string) {
+	users := plan.Scan("users")
+	switch shape % 6 {
+	case 1:
+		return plan.ProjectAs(users, []string{"uid", "tier", "bonus"}, []string{"fu", "ft", "fb"}),
+			"fu", []string{"fu", "ft", "fb"}, "ft"
+	case 2:
+		if !*applied {
+			*applied = true // logs can no longer take W: its column would clash
+			return plan.Filter(plan.Apply(users, "W", []string{"tier"}), expr.NewCmp("bonus", expr.Gt, value.NewInt(1))),
+				"uid", []string{"uid", "tier", "bonus", "w"}, "tier"
+		}
+	case 3:
+		if !*applied {
+			*applied = true
+			return plan.Apply(users, "W", []string{"tier"}), "w", []string{"uid", "tier", "bonus", "w"}, "tier"
+		}
+	case 4:
+		return plan.GroupAgg(users, []string{"uid"}, plan.AggSpec{Func: plan.AggSum, Col: "bonus", As: "ub"}),
+			"uid", []string{"uid", "ub"}, ""
+	case 5:
+		return plan.JoinNodes(users, plan.Scan("tiers"), "tier", "tname"),
+			"uid", []string{"uid", "tier", "bonus", "tname", "rank"}, "tier"
+	}
+	return users, "uid", []string{"uid", "tier", "bonus"}, "tier"
+}
+
 // fuzzMaintPlan draws a plan over logs (and users): up to three record-local
-// operators and at most one join with users on a random side, in any order,
-// under a map-only, distributive-aggregate, AVG or global-aggregate root.
-// Most draws are linear in both tables; the rest must be turned down.
+// operators and at most one join with a users side (fuzzUsersSide) on a
+// random side, in any order, under a map-only, distributive-aggregate, AVG
+// or global-aggregate root. Most draws are linear in both tables; the rest
+// must be turned down.
 func fuzzMaintPlan(p *fuzzProg) *plan.Node {
 	cur := plan.Scan("logs")
 	cols := []string{"id", "user", "text"}
 	joined, applied := false, false
+	tier := ""
 	for n := p.next() % 4; n > 0; n-- {
 		switch op := p.next(); op % 5 {
 		case 0:
@@ -47,15 +82,18 @@ func fuzzMaintPlan(p *fuzzProg) *plan.Node {
 				applied = true
 			}
 		case 3:
-			if !joined && op&8 == 0 {
-				cur = plan.JoinNodes(cur, plan.Scan("users"), "user", "uid")
-				cols = append(cols, "uid", "tier", "bonus")
-				joined = true
-			} else if !joined {
-				cur = plan.JoinNodes(plan.Scan("users"), cur, "uid", "user")
-				cols = append([]string{"uid", "tier", "bonus"}, cols...)
-				joined = true
+			if joined {
+				break
 			}
+			side, key, sideCols, sideTier := fuzzUsersSide(op/40, &applied)
+			if op&8 == 0 {
+				cur = plan.JoinNodes(cur, side, "user", key)
+				cols = append(cols, sideCols...)
+			} else {
+				cur = plan.JoinNodes(side, cur, key, "user")
+				cols = append(slices.Clone(sideCols), cols...)
+			}
+			joined, tier = true, sideTier
 		case 4:
 			if op&8 != 0 && !applied {
 				cols = slices.DeleteFunc(slices.Clone(cols), func(c string) bool { return c == "text" })
@@ -69,8 +107,8 @@ func fuzzMaintPlan(p *fuzzProg) *plan.Node {
 		return cur
 	}
 	keys := []string{"user"}
-	if joined && root&16 != 0 {
-		keys = []string{"tier"}
+	if tier != "" && root&16 != 0 {
+		keys = []string{tier}
 	}
 	if root%4 == 3 && root&32 != 0 {
 		keys = nil
@@ -125,7 +163,9 @@ func fuzzAppends(p *fuzzProg) []ivmAppend {
 // every view the session still lists after the appends — maintained through
 // all of them, or built from fresh data since — equals what a session that
 // appended first computes, and every view that left the catalog did so with
-// a recorded reason. The store invariant holds after every append.
+// a recorded reason. The store invariant holds after every append, and
+// before each one the plan's delta plan gives the same rows whether its
+// joins probe or shuffle (checkProbeVsShuffle).
 func FuzzMaintainVsRecompute(f *testing.F) {
 	f.Add([]byte{0, 1, 31, 2, 6, 1, 15, 31, 21, 2, 0, 200, 0, 3}) // group-agg over the scan; null, repeated and new keys
 	f.Add([]byte{1, 3, 17, 15, 1, 4, 1, 7, 15, 5, 2, 76, 13})     // logs ⋈ users by tier; appends to logs, then to users
@@ -136,6 +176,17 @@ func FuzzMaintainVsRecompute(f *testing.F) {
 	f.Add([]byte{0, 35, 1, 0, 2, 5, 9})                           // global aggregate: rejected
 	f.Add([]byte{2, 9, 0, 0, 0, 4, 1, 15, 7})                     // map-only chain: merge-append
 	f.Add([]byte("117"))                                          // global COUNT(*): no lineage in the annotation (found by this target)
+	// Delta joins probe the other side's index: a renamed key, with a null
+	// logs key and users keys logs lacks; users appended first, so the logs
+	// delta probes duplicate uids; a filter and map UDF on the indexed side.
+	f.Add([]byte{1, 48, 17, 15, 1, 4, 1, 7, 15, 5, 2, 76, 13})
+	f.Add([]byte{1, 48, 17, 15, 2, 5, 2, 76, 13, 6, 2, 2, 15, 30})
+	f.Add([]byte{1, 83, 1, 15, 2, 5, 2, 76, 13, 4, 3, 2, 15})
+	// Shapes whose logs-side join must keep the shuffle join: a key a UDF
+	// computes, an aggregate under users, a join under users.
+	f.Add([]byte{1, 123, 1, 15, 1, 4, 0, 0, 15})
+	f.Add([]byte{1, 163, 1, 15, 2, 4, 1, 7, 15, 5, 2, 76, 13})
+	f.Add([]byte{1, 203, 17, 15, 2, 4, 1, 7, 15, 5, 2, 76, 13})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p := &fuzzProg{raw: raw}
 		q := fuzzMaintPlan(p)
@@ -155,6 +206,9 @@ func FuzzMaintainVsRecompute(f *testing.F) {
 			return names
 		}
 		for i, a := range appends {
+			if slices.Contains(scanList(q), a.table) {
+				checkProbeVsShuffle(t, inc, q, a)
+			}
 			before := listed()
 			rep, err := inc.AppendRows(a.table, a.rows)
 			if err != nil {

@@ -75,9 +75,9 @@ func logsUsers() *plan.Node {
 
 // ivmJoinQueries is the join family of the maintenance oracle, every view a
 // keyed distributive aggregate over a join that is linear in logs (and in
-// users): logs on the left, logs on the right, two joins deep, and a filter
-// plus a map UDF between the scan and the join. SUMs are over integers, so
-// byte identity holds.
+// users): logs on the left, logs on the right, two joins deep, a filter
+// plus a map UDF between the scan and the join, and both join keys renamed.
+// SUMs are over integers, so byte identity holds.
 func ivmJoinQueries() []BatchQuery {
 	count := plan.AggSpec{Func: plan.AggCount, As: "n"}
 	left := plan.GroupAgg(logsUsers(), []string{"tier"}, count,
@@ -96,20 +96,28 @@ func ivmJoinQueries() []BatchQuery {
 				expr.NewCmp("user", expr.Gt, value.NewInt(1))),
 			plan.Scan("users"), "user", "uid"),
 		[]string{"tier"}, count, plan.AggSpec{Func: plan.AggSum, Col: "w", As: "wine"})
+	renamed := plan.GroupAgg(
+		plan.JoinNodes(
+			plan.ProjectAs(plan.Scan("logs"), []string{"id", "user"}, []string{"lid", "who"}),
+			plan.ProjectAs(plan.Scan("users"), []string{"uid", "bonus"}, []string{"u", "b"}),
+			"who", "u"),
+		[]string{"who"}, count, plan.AggSpec{Func: plan.AggSum, Col: "b", As: "bs"},
+		plan.AggSpec{Func: plan.AggMin, Col: "lid", As: "lo"})
 	return []BatchQuery{
 		{Plan: left, ResultName: "jl", Mode: ModeOriginal},
 		{Plan: right, ResultName: "jr", Mode: ModeOriginal},
 		{Plan: deep, ResultName: "jd", Mode: ModeOriginal},
 		{Plan: below, ResultName: "jb", Mode: ModeOriginal},
+		{Plan: renamed, ResultName: "jn", Mode: ModeOriginal},
 	}
 }
 
 // checkStoreInvariant is what must hold after any AppendRows, whichever way
 // each maintenance run ended: every stored view is in the catalog (no test
 // that calls this leaves an unregistered caller-named result behind), no
-// temporary (~delta~, ~maint~) survives under either kind, nothing is
-// pinned, and the store's view-byte total is the sum over the views it
-// lists.
+// temporary (~delta~, ~maint~) survives under either kind, no index covers
+// other rows than its dataset holds, nothing is pinned, and the store's
+// view-byte total is the sum over the views it lists.
 func checkStoreInvariant(t *testing.T, s *Session) {
 	t.Helper()
 	var sum int64
@@ -123,6 +131,12 @@ func checkStoreInvariant(t *testing.T, s *Session) {
 	for _, name := range append(s.Store.List(storage.View), s.Store.List(storage.Base)...) {
 		if strings.HasPrefix(name, "~") {
 			t.Errorf("temporary dataset %s left in the store", name)
+		}
+		ds, _ := s.Store.Meta(name)
+		for col, rows := range ds.Indexes() {
+			if rows != ds.Relation().Len() {
+				t.Errorf("stale index: %s.%s covers %d rows, the dataset holds %d", name, col, rows, ds.Relation().Len())
+			}
 		}
 	}
 	for _, info := range s.Cat.Views() {
@@ -189,13 +203,13 @@ func TestMaintenancePlanGateRejections(t *testing.T) {
 	}
 }
 
-// TestDeltaRunHygiene drives a two-job delta plan (delta join, then
-// group-agg) into each of its exit paths — success, the second job failing
-// after the first has materialized, the first job failing, and read errors
-// on the delta sink and on the stored view after both jobs ran — and checks
-// that no temporary, pin or unaccounted byte survives any of them, that a
-// failed run falls back to invalidation, and that the next query over the
-// grown base is still right.
+// TestDeltaRunHygiene drives a delta plan — one group-agg job whose map side
+// probes the users index — into each of its exit paths: success, the job
+// dying, a read fault on the indexed table (the index open is a read of
+// it), and read errors on the delta sink and on the stored view after the
+// job ran. It checks that no temporary, pin, stale index or unaccounted byte
+// survives any of them, that a failed run falls back to invalidation, and
+// that the next query over the grown base is still right.
 func TestDeltaRunHygiene(t *testing.T) {
 	dead := func(job string) fault.Fault {
 		return fault.Fault{Job: job, Phase: fault.PhaseMap, Task: 0, Kind: fault.KindPanic, FailAttempts: 99}
@@ -206,8 +220,8 @@ func TestDeltaRunHygiene(t *testing.T) {
 		fails  bool
 	}{
 		{"success", nil, false},
-		{"group-agg job dies", []fault.Fault{dead("job1-groupagg")}, true},
-		{"join job dies", []fault.Fault{dead("job0-join")}, true},
+		{"group-agg job dies", []fault.Fault{dead("job0-groupagg")}, true},
+		{"indexed table unreadable", []fault.Fault{{Kind: fault.KindReadError, Dataset: "users", FailReads: 1}}, true},
 		{"delta sink unreadable", []fault.Fault{{Kind: fault.KindReadError, Dataset: "~maint~jl", FailReads: 1}}, true},
 		{"stored view unreadable", []fault.Fault{{Kind: fault.KindReadError, Dataset: "jl", FailReads: 1}}, true},
 	}

@@ -90,18 +90,36 @@ func ivmFamilies() []ivmFamily {
 	// The join views also take the delta on the join's other table: users
 	// sits on the right of three of the joins and on the left of one.
 	both := append(logs, ivmAppend{"users", ivmUsers(12, 5)})
+	// The renamed-key view takes null keys and keys the other table lacks on
+	// both sides, and a logs append after users grew: its probe must read a
+	// users index rebuilt over the grown table.
+	odd := []ivmAppend{
+		{"logs", append(ivmBatch(1000, 37),
+			data.Row{value.NewInt(3000), value.NullV, value.NewStr("wine")},
+			data.Row{value.NewInt(3001), value.NewInt(50), value.NewStr("tea")})},
+		{"users", append(ivmUsers(12, 5),
+			data.Row{value.NullV, value.NewStr("tin"), value.NewInt(2)},
+			data.Row{value.NewInt(40), value.NewStr("tin"), value.NewInt(3)})},
+		{"logs", ivmBatch(2000, 23)},
+	}
 	for _, q := range ivmJoinQueries() {
-		fams = append(fams, ivmFamily{"join_" + q.ResultName, []BatchQuery{q}, both})
+		apps := both
+		if q.ResultName == "jn" {
+			apps = odd
+		}
+		fams = append(fams, ivmFamily{"join_" + q.ResultName, []BatchQuery{q}, apps})
 	}
 	return fams
 }
 
-// TestMaintenanceDifferentialOracleGrid checks the ISSUE's oracle: across
-// the Workers × ReduceTasks grid, fault-free and under chaos, every
+// TestMaintenanceDifferentialOracleGrid checks the maintenance oracle:
+// across the Workers × ReduceTasks grid, fault-free and under chaos, every
 // incrementally maintained view must be byte-identical — rows, carried
 // size and annotation — to a full recompute over the grown base, and
 // (fault-free) maintaining the views through the last append must cost
-// strictly fewer simulated seconds than recomputing them after it.
+// strictly fewer simulated seconds than recomputing them after it. Each
+// join family's probe arm checks its delta plans, which probe, against the
+// shuffle join (checkProbeVsShuffle).
 func TestMaintenanceDifferentialOracleGrid(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		for _, reduceTasks := range []int{1, 3} {
@@ -113,6 +131,11 @@ func TestMaintenanceDifferentialOracleGrid(t *testing.T) {
 					t.Run(fam.name+"_chaos", func(t *testing.T) {
 						maintainVsRecompute(t, workers, reduceTasks, fam, true)
 					})
+					if fam.name != "single" {
+						t.Run(fam.name+"_probe", func(t *testing.T) {
+							probeOracle(t, workers, reduceTasks, fam)
+						})
+					}
 				}
 			})
 		}

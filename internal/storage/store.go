@@ -51,6 +51,11 @@ type Dataset struct {
 	PartParts int
 
 	rel *data.Relation
+
+	// indexes holds the hash indexes built over rel, by column (Store.Index).
+	// Every Put and Refresh installs a new Dataset, which starts without any.
+	idxMu   sync.Mutex
+	indexes map[string]*Index
 }
 
 // Rows returns the dataset's row count.
@@ -422,14 +427,29 @@ func (s *Store) Read(name string) (*data.Relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("storage: dataset %q %w", name, ErrNotFound)
 	}
-	if s.faults != nil {
-		if err := s.faults.ReadError(name); err != nil {
-			// Fail before any bytes are served or counted: the engine
-			// charges nothing for this read either, so Store counters and
-			// engine Result volumes stay reconciled under read faults.
-			return nil, fmt.Errorf("storage: read %q: %w", name, err)
-		}
+	if err := s.readFaultLocked(name); err != nil {
+		return nil, err
 	}
+	s.countReadLocked(d)
+	return d.rel, nil
+}
+
+// readFaultLocked asks the fault injector whether reading the dataset fails
+// now. A failed read serves and counts nothing: the engine charges nothing
+// for it either, so Store counters and engine Result volumes stay reconciled
+// under read faults.
+func (s *Store) readFaultLocked(name string) error {
+	if s.faults == nil {
+		return nil
+	}
+	if err := s.faults.ReadError(name); err != nil {
+		return fmt.Errorf("storage: read %q: %w", name, err)
+	}
+	return nil
+}
+
+// countReadLocked counts one full read of the dataset.
+func (s *Store) countReadLocked(d *Dataset) {
 	s.seq++
 	d.LastUsedSeq = s.seq
 	d.UseCount++
@@ -437,7 +457,6 @@ func (s *Store) Read(name string) (*data.Relation, error) {
 	s.counters.ReadOps++
 	s.obsReadOps.Inc()
 	s.obsReadBytes.Add(d.SizeBytes)
-	return d.rel, nil
 }
 
 // Sample returns a uniform random sample of approximately frac of the rows
