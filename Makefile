@@ -53,7 +53,7 @@ loc:
 # lowers the mr + optimizer + session subtotal. Each slice sets
 # EXECUTOR_LOC_MAX to its result; growing past it fails CI.
 EXECUTOR_SRC     = $(shell find internal/mr internal/optimizer internal/session -name '*.go' ! -name '*_test.go')
-EXECUTOR_LOC_MAX = 6573
+EXECUTOR_LOC_MAX = 6449
 loc-check:
 	@n=$$(cat $(EXECUTOR_SRC) | wc -l); \
 	if [ $$n -gt $(EXECUTOR_LOC_MAX) ]; then \

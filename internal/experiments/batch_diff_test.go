@@ -64,7 +64,7 @@ func batchRun(t *testing.T, queries []workload.Query, plan *fault.Plan, workers,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunBatch(batch, session.BatchOptions{})
+	res, err := s.RunBatch(batch)
 	if err != nil {
 		t.Fatalf("workers=%d R=%d: %v", workers, reduceTasks, err)
 	}
@@ -224,6 +224,49 @@ func TestBatchParityQuick(t *testing.T) {
 	checkBatchVsSequential(t, "a1 v1-v4", batchRun(t, queries, nil, 4, 3), seqRef(t, queries, nil))
 }
 
+// TestRunBatchRecordsJobSpans: the batch executor runs on the engine the
+// session's registry is attached to, so a batch of one analyst's four
+// versions records one job span per physically executed job — shared-scan
+// consumers each get their own — while the counters, published in rank
+// order after the parallel run, stay identical at every Workers ×
+// ReduceTasks setting.
+func TestRunBatchRecordsJobSpans(t *testing.T) {
+	var queries []workload.Query
+	for v := 1; v <= 4; v++ {
+		queries = append(queries, workload.QueryFor(1, v))
+	}
+	var ref obs.Snapshot
+	for i, g := range []struct{ w, r int }{{1, 1}, {1, 3}, {4, 1}, {4, 3}, {8, 1}, {8, 3}} {
+		s, reg := diffSession(t, nil, g.w, g.r)
+		batch, err := workload.Batch(queries, session.ModeOriginal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := 0
+		for _, sp := range reg.Spans() {
+			if sp.Phase == "job" {
+				jobs++
+			}
+		}
+		if jobs == 0 || jobs != res.Stats.JobsExecuted {
+			t.Errorf("workers=%d R=%d: %d job spans, %d jobs executed", g.w, g.r, jobs, res.Stats.JobsExecuted)
+		}
+		snap := reg.Snapshot()
+		if i == 0 {
+			ref = snap
+			continue
+		}
+		if !reflect.DeepEqual(snap.Counters, ref.Counters) || !reflect.DeepEqual(snap.FloatCounters, ref.FloatCounters) {
+			t.Errorf("workers=%d R=%d: counters differ from workers=1 R=1:\n got %v %v\nwant %v %v",
+				g.w, g.r, snap.Counters, snap.FloatCounters, ref.Counters, ref.FloatCounters)
+		}
+	}
+}
+
 // TestBatchDedupExecutesSharedJobOnce is the dedup property test: two
 // query versions sharing subexpressions must execute each shared job
 // exactly once, the shared views must be visible to both pipelines, and
@@ -257,7 +300,7 @@ func TestBatchDedupExecutesSharedJobOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sb.RunBatch(batch, session.BatchOptions{})
+	res, err := sb.RunBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}

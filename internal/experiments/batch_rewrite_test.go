@@ -94,7 +94,7 @@ func TestBatchRewriteEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := s.RunBatch(batch, session.BatchOptions{})
+			res, err := s.RunBatch(batch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -182,7 +182,7 @@ func TestFaultObsCounters(t *testing.T) {
 		{Phase: fault.PhaseMap, Task: 0, Kind: fault.KindPanic, FailAttempts: 1},
 		{Phase: fault.PhaseMap, Task: 1, Kind: fault.KindStraggler, Factor: 6},
 	}})
-	_, res, err := e.Run(wordCountJob())
+	_, res, err := runRecorded(e, wordCountJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +360,9 @@ func TestMapOnlySchemaMismatchFails(t *testing.T) {
 	job := &Job{
 		Name:   "badproject",
 		Inputs: []string{"docs"},
-		Map: func(_ int, r data.Row, emit Emit) {
+		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
 			emit("", data.Row{r[0]})
-		},
+		}),
 		MapOutSchema: data.NewSchema("id"),
 		OutputSchema: data.NewSchema("id", "extra"), // width mismatch
 		Output:       "bad",
@@ -427,7 +427,7 @@ func TestEngineObsMetricsAndSpans(t *testing.T) {
 	e.Obs = reg
 	e.MaxAttempts = 3
 	before := reg.Snapshot()
-	_, res, err := e.Run(flakyWordCount(2))
+	_, res, err := runRecorded(e, flakyWordCount(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,14 +133,14 @@ func BenchmarkMaterializeLarge(b *testing.B) {
 	st, schema := benchInput(200000, 5000)
 	produce := &Job{
 		Name: "bench-materialize", Inputs: []string{"bench_in"},
-		Map:          func(_ int, r data.Row, emit Emit) { emit("", r) },
+		MapFactory:   perTask(func(_ int, r data.Row, emit Emit) { emit("", r) }),
 		MapOutSchema: schema, OutputSchema: schema,
 		Output: "bench_big", OutputKind: storage.View,
 		MapCost: []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 	}
 	consume := &Job{
 		Name: "bench-consume", Inputs: []string{"bench_big"},
-		Map:          func(int, data.Row, Emit) {},
+		MapFactory:   perTask(func(int, data.Row, Emit) {}),
 		MapOutSchema: schema, OutputSchema: schema,
 		Output: "bench_none", OutputKind: storage.View,
 		MapCost: []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
@@ -150,12 +150,13 @@ func BenchmarkMaterializeLarge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, agg, err := e.RunSequence([]*Job{produce, consume})
+		results, err := e.RunSequence([]*Job{produce, consume})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if agg.BytesWritten == 0 || agg.BytesRead < 2*agg.BytesWritten {
-			b.Fatalf("accounting lost the materialization: %+v", agg)
+		written, read := results[0].OutputBytes, results[0].InputBytes+results[1].InputBytes
+		if written == 0 || read < 2*written {
+			b.Fatalf("accounting lost the materialization: wrote %d, read %d", written, read)
 		}
 	}
 }

@@ -171,7 +171,7 @@ func batchEchoJob(bail func(split int) bool) *Job {
 	return &Job{
 		Name:          "batch_echo",
 		Inputs:        []string{"batch_in"},
-		Map:           rowMap,
+		MapFactory:    perTask(rowMap),
 		FusedEligible: true,
 		Fused:         true,
 		BatchMapFactory: func(ctx TaskCtx) BatchMapFunc {
@@ -246,7 +246,7 @@ func TestEngineCountsRuntimeFallbacks(t *testing.T) {
 	reg := obs.NewRegistry()
 	e.Obs = reg
 
-	out, res, err := e.Run(batchEchoJob(func(split int) bool { return split == 2 }))
+	out, res, err := runRecorded(e, batchEchoJob(func(split int) bool { return split == 2 }))
 	if err != nil {
 		t.Fatal(err)
 	}

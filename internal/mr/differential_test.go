@@ -61,7 +61,7 @@ func runGroupJob(t *testing.T, plan *fault.Plan, workers, reduceTasks int) group
 		e.Faults = fault.NewInjector(plan)
 		st.SetFaults(e.Faults)
 	}
-	rel, _, err := e.Run(benchGroupJob(schema, rows, groups))
+	rel, _, err := runRecorded(e, benchGroupJob(schema, rows, groups))
 	if err != nil {
 		t.Fatalf("workers=%d R=%d: %v", workers, reduceTasks, err)
 	}

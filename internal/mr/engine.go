@@ -32,9 +32,9 @@ type Emit func(key string, r data.Row)
 
 // MapFunc processes one input row. input is the index into Job.Inputs,
 // letting joins tag which side a row came from (MR joins are a co-group of
-// multiple relations on a common key, §3.2). Map tasks run concurrently, so
-// a MapFunc shared across tasks (Job.Map) must be safe for concurrent
-// calls; per-task state belongs in a Job.MapFactory closure instead.
+// multiple relations on a common key, §3.2). Job.MapFactory builds one per
+// map task, so per-task state (scratch buffers, row tags) lives in the
+// factory's closure and needs no synchronization.
 type MapFunc func(input int, r data.Row, emit Emit)
 
 // BatchMapFunc processes one whole map split at once — the fused columnar
@@ -194,16 +194,14 @@ type Job struct {
 	Name   string
 	Inputs []string // dataset names read from the store
 
-	Map MapFunc
-	// MapFactory, when set, builds a fresh MapFunc per map task and takes
-	// precedence over Map. It is the hook for map-side state that must be
-	// task-local (race-free) yet schedule-independent: the factory derives
-	// any counters or tags from the TaskCtx.
+	// MapFactory builds a fresh MapFunc per map task: map-side state is
+	// task-local (race-free) yet schedule-independent, since the factory
+	// derives any counters or tags from the TaskCtx.
 	MapFactory   func(ctx TaskCtx) MapFunc
-	MapOutSchema *data.Schema // schema of rows emitted by Map
+	MapOutSchema *data.Schema // schema of rows the map function emits
 
 	// BatchMapFactory, when set, builds a per-task batch map function the
-	// engine prefers over the row-at-a-time Map/MapFactory: the task's
+	// engine prefers over the row-at-a-time MapFactory: the task's
 	// whole split is handed to it at once (the fused columnar path). The
 	// row path must still be provided — it is the fallback contract — and
 	// both must produce identical emissions. Nothing in production selects
@@ -503,18 +501,17 @@ func New(store *storage.Store, params cost.Params) *Engine {
 // (map/combine/reduce local functions) fail the attempt; the job restarts
 // from its durable inputs up to MaxAttempts times, with failed attempts'
 // simulated time charged to the result.
+//
+// Run records the job's phase spans live but publishes no counters: the
+// caller hands the Result to RecordJob (RunSequence does, in job order), so
+// concurrently executed jobs can still be published in one fixed order.
 func (e *Engine) Run(job *Job) (*data.Relation, *Result, error) {
-	var start time.Time
-	if e.Obs != nil {
-		start = time.Now()
-	}
 	root := e.Obs.StartSpan(job.Name, "job")
 	rel, res, err := e.retryLoop(job, root, retryState{}, func(res *Result, sp *obs.Span, prior float64) (*data.Relation, error) {
 		return e.runAttempt(job, res, sp, prior)
 	})
 	root.AddSim(res.SimSeconds)
 	root.End()
-	e.record(res, err, start)
 	return rel, res, err
 }
 
@@ -650,21 +647,13 @@ func (e *Engine) fnsSim(fns []cost.LocalFn, rows int64) float64 {
 	return e.Params.FnsSeconds(fns, rows)
 }
 
-// record publishes one finished job's counters to the metrics registry.
-func (e *Engine) record(res *Result, err error, start time.Time) {
-	if e.Obs == nil {
-		return
-	}
-	e.RecordJob(res, err, time.Since(start).Seconds())
-}
-
 // RecordJob publishes one finished job's counters to the metrics registry.
 // Counter values are deterministic (volumes, simulated seconds, attempt
-// counts); real wall-clock (wallSeconds) goes only into the histogram. It
-// is exported for the session's batch executor, which detaches Obs during
-// parallel execution and replays job records afterwards in sequential job
-// order, keeping float-counter summation order — and therefore every byte
-// of the snapshot — identical to one-query-at-a-time execution.
+// counts); real wall-clock (wallSeconds) goes only into the histogram.
+// Callers publish the jobs they ran in sequential job order — the session
+// executor after running them in parallel, RunSequence as it goes — which
+// keeps float-counter summation order, and therefore every byte of the
+// snapshot, independent of execution parallelism.
 func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	reg := e.Obs
 	if reg == nil {
@@ -883,10 +872,7 @@ func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 		bf := job.BatchMapFactory(ctx)
 		t.batch = bf(ctx.Input, sp.rows, emit)
 	} else {
-		fn := job.Map
-		if job.MapFactory != nil {
-			fn = job.MapFactory(ctx)
-		}
+		fn := job.MapFactory(ctx)
 		for _, r := range sp.rows {
 			fn(ctx.Input, r, emit)
 		}
@@ -948,7 +934,7 @@ func combineMapOutput(job *Job, t *mapTaskOut) {
 
 // validateJob checks the static requirements execution relies on.
 func validateJob(job *Job) error {
-	if job.Map == nil && job.MapFactory == nil {
+	if job.MapFactory == nil {
 		return fmt.Errorf("mr: job %q has no map function", job.Name)
 	}
 	if job.Output == "" {
@@ -1362,69 +1348,19 @@ func fusedReducePartition(job *Job, recs []Keyed, groups, rows *int64) ([]redOut
 }
 
 // RunSequence executes jobs in order (callers supply a topological order of
-// the job DAG; each job's output is in the store before its consumers run).
-// It returns per-job results and the aggregate.
-func (e *Engine) RunSequence(jobs []*Job) ([]*Result, Aggregate, error) {
+// the job DAG; each job's output is in the store before its consumers run),
+// recording each one as it finishes, the failed one included. It returns
+// the successful jobs' results.
+func (e *Engine) RunSequence(jobs []*Job) ([]*Result, error) {
 	var results []*Result
-	var agg Aggregate
 	for _, j := range jobs {
+		start := time.Now()
 		_, res, err := e.Run(j)
+		e.RecordJob(res, err, time.Since(start).Seconds())
 		if err != nil {
-			return results, agg, err
+			return results, err
 		}
 		results = append(results, res)
-		agg.Jobs++
-		agg.Attempts += res.Attempts
-		agg.SimSeconds += res.SimSeconds
-		agg.WastedSeconds += res.WastedSeconds
-		agg.BytesRead += res.InputBytes
-		agg.BytesShuffled += res.ShuffleBytes
-		agg.BytesShuffleEliminated += res.LocalShuffleBytes
-		agg.BytesWritten += res.OutputBytes
-		agg.RetriedInputBytes += res.RetriedInputBytes
-		agg.RetriedShuffleBytes += res.RetriedShuffleBytes
 	}
-	return results, agg, nil
-}
-
-// Aggregate sums volumes and simulated time across a plan's jobs. Bytes*
-// cover successful attempts (the paper's data-manipulated metric); retried
-// volumes and wasted time are carried separately so engine accounting
-// reconciles with storage.Store counters after recovered failures.
-type Aggregate struct {
-	Jobs          int
-	Attempts      int
-	SimSeconds    float64
-	WastedSeconds float64
-	BytesRead     int64
-	BytesShuffled int64
-	BytesWritten  int64
-
-	// BytesShuffleEliminated is the co-located portion of BytesShuffled
-	// that the partition-preserving path kept off the network.
-	BytesShuffleEliminated int64
-
-	RetriedInputBytes   int64
-	RetriedShuffleBytes int64
-}
-
-// DataMovedBytes is total read+shuffle+write volume of successful attempts.
-func (a Aggregate) DataMovedBytes() int64 {
-	return a.BytesRead + a.BytesShuffled + a.BytesWritten
-}
-
-// Add merges another aggregate.
-func (a Aggregate) Add(o Aggregate) Aggregate {
-	return Aggregate{
-		Jobs:                   a.Jobs + o.Jobs,
-		Attempts:               a.Attempts + o.Attempts,
-		SimSeconds:             a.SimSeconds + o.SimSeconds,
-		WastedSeconds:          a.WastedSeconds + o.WastedSeconds,
-		BytesRead:              a.BytesRead + o.BytesRead,
-		BytesShuffled:          a.BytesShuffled + o.BytesShuffled,
-		BytesShuffleEliminated: a.BytesShuffleEliminated + o.BytesShuffleEliminated,
-		BytesWritten:           a.BytesWritten + o.BytesWritten,
-		RetriedInputBytes:      a.RetriedInputBytes + o.RetriedInputBytes,
-		RetriedShuffleBytes:    a.RetriedShuffleBytes + o.RetriedShuffleBytes,
-	}
+	return results, nil
 }

@@ -7,6 +7,7 @@ import (
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/fault"
+	"opportune/internal/obs"
 	"opportune/internal/storage"
 	"opportune/internal/value"
 )
@@ -25,17 +26,31 @@ func loadWords(st *storage.Store) {
 	st.Put("docs", storage.Base, rel)
 }
 
+// perTask is the MapFactory of a stateless map function: every task shares
+// fn.
+func perTask(fn MapFunc) func(TaskCtx) MapFunc {
+	return func(TaskCtx) MapFunc { return fn }
+}
+
+// runRecorded runs one job and publishes its record, the way RunSequence
+// and the session executor do.
+func runRecorded(e *Engine, job *Job) (*data.Relation, *Result, error) {
+	rel, res, err := e.Run(job)
+	e.RecordJob(res, err, 0)
+	return rel, res, err
+}
+
 // wordCountJob is the canonical MR job: tokenize in map, sum in reduce.
 func wordCountJob() *Job {
 	mapOut := data.NewSchema("word", "n")
 	return &Job{
 		Name:   "wordcount",
 		Inputs: []string{"docs"},
-		Map: func(_ int, r data.Row, emit Emit) {
+		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
 			for _, w := range strings.Fields(r[1].Str()) {
 				emit(w, data.Row{value.NewStr(w), value.NewInt(1)})
 			}
-		},
+		}),
 		MapOutSchema: mapOut,
 		Reduce: func(key string, rows []data.Row, out *GroupOut) {
 			var sum int64
@@ -101,9 +116,9 @@ func TestMapOnlyJob(t *testing.T) {
 	job := &Job{
 		Name:   "project",
 		Inputs: []string{"docs"},
-		Map: func(_ int, r data.Row, emit Emit) {
+		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
 			emit("", data.Row{r[0]})
-		},
+		}),
 		MapOutSchema: schema,
 		OutputSchema: schema,
 		Output:       "ids",
@@ -140,9 +155,9 @@ func TestMultiInputCoGroupJoin(t *testing.T) {
 	job := &Job{
 		Name:   "join",
 		Inputs: []string{"users", "homes"},
-		Map: func(input int, r data.Row, emit Emit) {
+		MapFactory: perTask(func(input int, r data.Row, emit Emit) {
 			emit(r[0].String(), data.Row{value.NewInt(int64(input)), r[0], r[1]})
-		},
+		}),
 		MapOutSchema: mapOut,
 		Reduce: func(_ string, rows []data.Row, out *GroupOut) {
 			var names, cities []value.V
@@ -183,7 +198,7 @@ func TestRunErrors(t *testing.T) {
 	if _, _, err := e.Run(&Job{Name: "x", Output: "o"}); err == nil {
 		t.Error("nil map accepted")
 	}
-	if _, _, err := e.Run(&Job{Name: "x", Map: func(int, data.Row, Emit) {}}); err == nil {
+	if _, _, err := e.Run(&Job{Name: "x", MapFactory: perTask(func(int, data.Row, Emit) {})}); err == nil {
 		t.Error("empty output name accepted")
 	}
 	job := wordCountJob()
@@ -208,31 +223,36 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 }
 
+// TestRunSequenceAndAggregate: a sequence runs in order, and its recorded
+// counters aggregate every job it ran in that order, the failed one
+// included.
 func TestRunSequenceAndAggregate(t *testing.T) {
 	e, st := newEngine()
 	loadWords(st)
+	reg := obs.NewRegistry()
+	e.Obs = reg
 	wc := wordCountJob()
 	filterSchema := data.NewSchema("word", "count")
 	filter := &Job{
 		Name:   "popular",
 		Inputs: []string{"wc"},
-		Map: func(_ int, r data.Row, emit Emit) {
+		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
 			if r[1].Int() >= 2 {
 				emit("", r)
 			}
-		},
+		}),
 		MapOutSchema: filterSchema,
 		OutputSchema: filterSchema,
 		Output:       "popular",
 		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpFilter}, Scalar: 1}},
 	}
-	results, agg, err := e.RunSequence([]*Job{wc, filter})
+	results, err := e.RunSequence([]*Job{wc, filter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 || agg.Jobs != 2 {
-		t.Fatalf("results = %d, agg = %+v", len(results), agg)
+	if len(results) != 2 {
+		t.Fatalf("results = %d", len(results))
 	}
 	out, err := st.Read("popular")
 	if err != nil {
@@ -241,21 +261,20 @@ func TestRunSequenceAndAggregate(t *testing.T) {
 	if out.Len() != 2 { // wine(2), red(4)
 		t.Errorf("popular rows = %d", out.Len())
 	}
-	if agg.SimSeconds != results[0].SimSeconds+results[1].SimSeconds {
-		t.Error("aggregate time mismatch")
+	snap := reg.Snapshot()
+	if snap.Counters["mr_jobs_total"] != 2 || snap.FloatCounters["mr_sim_seconds_total"] != results[0].SimSeconds+results[1].SimSeconds {
+		t.Errorf("recorded %d jobs, %g sim-s; want 2, %g", snap.Counters["mr_jobs_total"],
+			snap.FloatCounters["mr_sim_seconds_total"], results[0].SimSeconds+results[1].SimSeconds)
 	}
-	sum := agg.Add(Aggregate{Jobs: 1, SimSeconds: 1})
-	if sum.Jobs != 3 {
-		t.Error("Aggregate.Add wrong")
-	}
-	if agg.DataMovedBytes() != agg.BytesRead+agg.BytesShuffled+agg.BytesWritten {
-		t.Error("aggregate DataMovedBytes mismatch")
-	}
-	// failure propagates
+	// failure propagates, and the failed job is recorded
 	bad := wordCountJob()
 	bad.Inputs = []string{"missing"}
-	if _, _, err := e.RunSequence([]*Job{bad}); err == nil {
+	if _, err := e.RunSequence([]*Job{bad}); err == nil {
 		t.Error("RunSequence swallowed error")
+	}
+	if snap := reg.Snapshot(); snap.Counters["mr_jobs_total"] != 3 || snap.Counters["mr_job_failures_total"] != 1 {
+		t.Errorf("after the failed sequence: %d jobs, %d failures recorded; want 3, 1",
+			snap.Counters["mr_jobs_total"], snap.Counters["mr_job_failures_total"])
 	}
 }
 
@@ -265,9 +284,9 @@ func TestMapEmitWidthBecomesJobFailure(t *testing.T) {
 	e, st := newEngine()
 	loadWords(st)
 	job := wordCountJob()
-	job.Map = func(_ int, r data.Row, emit Emit) {
+	job.MapFactory = perTask(func(_ int, r data.Row, emit Emit) {
 		emit("k", data.Row{r[0]}) // wrong width
-	}
+	})
 	_, res, err := e.Run(job)
 	if err == nil || !strings.Contains(err.Error(), "failed") {
 		t.Fatalf("wrong-width emit: err = %v", err)
@@ -283,13 +302,16 @@ func TestFlakyUDFRetriesFromDurableInputs(t *testing.T) {
 	e.MaxAttempts = 3
 	failures := 2
 	job := wordCountJob()
-	orig := job.Map
-	job.Map = func(i int, r data.Row, emit Emit) {
-		if failures > 0 && r[0].Int() == 1 {
-			failures--
-			panic("transient UDF failure")
+	orig := job.MapFactory
+	job.MapFactory = func(ctx TaskCtx) MapFunc {
+		fn := orig(ctx)
+		return func(i int, r data.Row, emit Emit) {
+			if failures > 0 && r[0].Int() == 1 {
+				failures--
+				panic("transient UDF failure")
+			}
+			fn(i, r, emit)
 		}
-		orig(i, r, emit)
 	}
 	out, res, err := e.Run(job)
 	if err != nil {
@@ -314,7 +336,7 @@ func TestFlakyUDFRetriesFromDurableInputs(t *testing.T) {
 	// permanent failure exhausts attempts
 	e.MaxAttempts = 2
 	job2 := wordCountJob()
-	job2.Map = func(int, data.Row, Emit) { panic("permanent") }
+	job2.MapFactory = perTask(func(int, data.Row, Emit) { panic("permanent") })
 	if _, res, err := e.Run(job2); err == nil || res.Attempts != 2 {
 		t.Errorf("permanent failure: err=%v res=%+v", err, res)
 	}

@@ -87,7 +87,7 @@ func runCombineWords(t *testing.T, kernels, bailing bool) (*data.Relation, *Resu
 		j.BatchCombine = func(in, scratch []Keyed) ([]Keyed, int64, bool) { return scratch, 0, false }
 		j.BatchReduce = func(recs []Keyed, emit Emit) bool { return false }
 	}
-	out, res, err := e.Run(j)
+	out, res, err := runRecorded(e, j)
 	if err != nil {
 		t.Fatal(err)
 	}

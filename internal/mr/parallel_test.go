@@ -86,9 +86,9 @@ func TestParallelMapOnlyDeterminism(t *testing.T) {
 		job := &Job{
 			Name:   "lens",
 			Inputs: []string{"docs"},
-			Map: func(_ int, r data.Row, emit Emit) {
+			MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
 				emit("", data.Row{r[0], value.NewInt(int64(len(r[1].Str())))})
-			},
+			}),
 			MapOutSchema: schema,
 			OutputSchema: schema,
 			Output:       "lens",
@@ -185,13 +185,16 @@ func TestReducePanicChargesMoreThanMapPanic(t *testing.T) {
 				orig(key, rows, out)
 			}
 		} else {
-			orig := job.Map
-			job.Map = func(i int, r data.Row, emit Emit) {
-				if !failed {
-					failed = true
-					panic("map bug")
+			orig := job.MapFactory
+			job.MapFactory = func(ctx TaskCtx) MapFunc {
+				fn := orig(ctx)
+				return func(i int, r data.Row, emit Emit) {
+					if !failed {
+						failed = true
+						panic("map bug")
+					}
+					fn(i, r, emit)
 				}
-				orig(i, r, emit)
 			}
 		}
 		_, res, err := e.Run(job)
@@ -222,10 +225,10 @@ func TestReducePanicChargesMoreThanMapPanic(t *testing.T) {
 	}
 }
 
-// TestRunSequenceParallelAggregates checks aggregate accounting is worker-
+// TestRunSequenceParallelAggregates checks per-job accounting is worker-
 // count independent across a job sequence.
 func TestRunSequenceParallelAggregates(t *testing.T) {
-	mk := func(workers int) Aggregate {
+	mk := func(workers int) []*Result {
 		st := storage.NewStore()
 		loadCorpus(st, 600)
 		params := cost.DefaultParams()
@@ -236,9 +239,9 @@ func TestRunSequenceParallelAggregates(t *testing.T) {
 		second := &Job{
 			Name:   "lengths",
 			Inputs: []string{"wc"},
-			Map: func(_ int, r data.Row, emit Emit) {
+			MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
 				emit(fmt.Sprint(len(r[0].Str())), data.Row{value.NewInt(int64(len(r[0].Str()))), r[1]})
-			},
+			}),
 			MapOutSchema: data.NewSchema("len", "count"),
 			Reduce: func(key string, rows []data.Row, out *GroupOut) {
 				var sum int64
@@ -253,13 +256,16 @@ func TestRunSequenceParallelAggregates(t *testing.T) {
 			MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 			ReduceCost:   []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
 		}
-		_, agg, err := e.RunSequence([]*Job{wc, second})
+		results, err := e.RunSequence([]*Job{wc, second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return agg
+		return results
 	}
-	if s, p := mk(1), mk(8); s != p {
-		t.Errorf("Aggregate differs:\nserial   %+v\nparallel %+v", s, p)
+	s, p := mk(1), mk(8)
+	for i := range s {
+		if *s[i] != *p[i] {
+			t.Errorf("job %d result differs:\nserial   %+v\nparallel %+v", i, s[i], p[i])
+		}
 	}
 }

@@ -44,7 +44,7 @@ func runPartitionGroupJob(t *testing.T, plan *fault.Plan, workers, reduceTasks i
 		job.PartitionKeyCols = 1
 		job.PartitionParts = 32
 	}
-	rel, _, err := e.Run(job)
+	rel, _, err := runRecorded(e, job)
 	if err != nil {
 		t.Fatalf("local=%v workers=%d R=%d: %v", local, workers, reduceTasks, err)
 	}
@@ -222,7 +222,7 @@ func TestPartitionFallbackOnShortKey(t *testing.T) {
 		if keyCols > 0 {
 			job.PartitionParts = 32
 		}
-		rel, _, err := e.Run(job)
+		rel, _, err := runRecorded(e, job)
 		if err != nil {
 			t.Fatal(err)
 		}

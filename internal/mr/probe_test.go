@@ -31,7 +31,7 @@ func TestProbeJobAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Obs = reg
-		if out, second, err = e.Run(probeCount(0)); err != nil {
+		if out, second, err = runRecorded(e, probeCount(0)); err != nil {
 			t.Fatal(err)
 		}
 		return first, second, out

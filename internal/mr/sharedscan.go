@@ -59,7 +59,10 @@ type SharedScanResult struct {
 // BatchReduce to the grouper interpreter, like standalone runs.
 //
 // RunSharedScan does not publish metrics; callers decide attribution and
-// use RecordJob. Returned relations parallel Results.
+// use RecordJob. Returned relations parallel Results. On failure Results
+// still reports every consumer that ran, the failed one last — a split
+// phase that exhausts its attempts reports the primary, priced as the
+// failed standalone run.
 func (e *Engine) RunSharedScan(consumers []*Job) ([]*data.Relation, *SharedScanResult, error) {
 	if len(consumers) == 0 {
 		return nil, nil, errors.New("mr: shared scan with no consumers")
@@ -107,7 +110,9 @@ func (e *Engine) RunSharedScan(consumers []*Job) ([]*data.Relation, *SharedScanR
 			break
 		}
 		if attempt >= attempts {
-			return nil, nil, err
+			r.Attempts, r.RecoveredError = attempt, st.recovered
+			r.WastedSeconds, r.SimSeconds, r.RetriedInputBytes = st.wasted, st.wasted, st.retriedIn
+			return nil, &SharedScanResult{Results: []*Result{r}}, err
 		}
 		st.wasted += e.partialCost(primary, r)
 		st.retriedIn += r.InputBytes
@@ -133,11 +138,11 @@ func (e *Engine) RunSharedScan(consumers []*Job) ([]*data.Relation, *SharedScanR
 		})
 		root.AddSim(res.SimSeconds)
 		root.End()
+		out.Results = append(out.Results, res)
 		if err != nil {
-			return nil, nil, err
+			return nil, out, err
 		}
 		rels = append(rels, rel)
-		out.Results = append(out.Results, res)
 	}
 	out.WallSeconds = time.Since(start).Seconds()
 	return rels, out, nil

@@ -18,9 +18,9 @@ func projectJob() *Job {
 	return &Job{
 		Name:   "project-ids",
 		Inputs: []string{"docs"},
-		Map: func(_ int, r data.Row, emit Emit) {
+		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
 			emit("", data.Row{r[0]})
-		},
+		}),
 		MapOutSchema: schema,
 		OutputSchema: schema,
 		Output:       "ids",
@@ -34,13 +34,16 @@ func longWordsJob() *Job {
 	j := wordCountJob()
 	j.Name = "longwords"
 	j.Output = "lw"
-	base := j.Map
-	j.Map = func(task int, r data.Row, emit Emit) {
-		base(task, r, func(key string, row data.Row) {
-			if len(key) > 3 {
-				emit(key, row)
-			}
-		})
+	base := j.MapFactory
+	j.MapFactory = func(ctx TaskCtx) MapFunc {
+		fn := base(ctx)
+		return func(input int, r data.Row, emit Emit) {
+			fn(input, r, func(key string, row data.Row) {
+				if len(key) > 3 {
+					emit(key, row)
+				}
+			})
+		}
 	}
 	return j
 }

@@ -33,7 +33,7 @@ func TestCombinerShrinksShuffleSameResult(t *testing.T) {
 				job.Combine, job.BatchCombine = nil, nil
 			}
 		}
-		results, _, err := f.eng.RunSequence(jobs)
+		results, err := f.eng.RunSequence(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestCombinerNullHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.eng.RunSequence(jobs); err != nil {
+	if _, err := f.eng.RunSequence(jobs); err != nil {
 		t.Fatal(err)
 	}
 	out, _ := f.store.Read("g")

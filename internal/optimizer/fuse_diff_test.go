@@ -122,7 +122,7 @@ func runArm(t testing.TB, eng *mr.Engine, jobs []*mr.Job, interp bool) ([]*mr.Re
 	if interp {
 		stripKernels(jobs)
 	}
-	results, _, err := eng.RunSequence(jobs)
+	results, err := eng.RunSequence(jobs)
 	if err == nil && interp {
 		checkInterpreted(t, results)
 	}

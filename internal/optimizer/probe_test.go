@@ -131,7 +131,7 @@ func TestProbeSelection(t *testing.T) {
 				if !marked && len(probes) > 0 {
 					t.Fatalf("an unmarked delta probed %v", probes)
 				}
-				if _, _, err := f.eng.RunSequence(jobs); err != nil {
+				if _, err := f.eng.RunSequence(jobs); err != nil {
 					t.Fatal(err)
 				}
 				out, err := f.store.Read("out")

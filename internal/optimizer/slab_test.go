@@ -243,7 +243,7 @@ func TestRetentionViewsPinNoMapSideSlab(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := f.eng.RunSequence(jobs); err != nil {
+			if _, err := f.eng.RunSequence(jobs); err != nil {
 				t.Fatal(err)
 			}
 			view, err := f.store.Read("res")

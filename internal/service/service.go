@@ -20,9 +20,10 @@
 //	          delivers per-query responses, and refreshes the hot-pin
 //	          set between batches.
 //
-// Ingest (Append) serializes with in-flight micro-batches on the
-// service's execution lock, on top of the session's own batch lock, so
-// view maintenance never interleaves with a half-executed batch.
+// Ingest (Append) runs beside in-flight micro-batches under the session's
+// own protocol: the append holds the planning lock, a batch pins its
+// inputs when it plans, and retention discards what a batch planned
+// before an append materialized.
 //
 // Service-layer metrics go to Config.Obs, which may be a different
 // registry than the session's: the differential tests reconcile the
@@ -63,8 +64,6 @@ type Config struct {
 
 	// Mode is applied to every query of every batch.
 	Mode session.Mode
-	// Parallel is passed through to BatchOptions.Parallel.
-	Parallel int
 
 	// Weights gives per-tenant shares for the fair cut; absent tenants
 	// weigh 1. A tenant with weight w contributes up to w requests per
@@ -176,10 +175,6 @@ type Service struct {
 	execCh chan microBatch
 	done   chan struct{} // closed when the executor drains
 
-	// execMu serializes batch execution with Append so ingest never
-	// interleaves with a half-executed micro-batch.
-	execMu sync.Mutex
-
 	// hotPins is the executor-maintained pinned set (executor-only plus
 	// the post-drain cleanup, never concurrent).
 	hotPins map[string]int64
@@ -251,8 +246,8 @@ func (s *Service) Submit(tenant, sql string) (*Ticket, error) {
 	return req.ticket, nil
 }
 
-// Append ingests rows into a base table, serialized against in-flight
-// micro-batches so maintenance never observes a half-executed batch.
+// Append ingests rows into a base table (Session.AppendRows), concurrently
+// with in-flight micro-batches.
 func (s *Service) Append(table string, rows []data.Row) (*session.AppendReport, error) {
 	s.mu.Lock()
 	closed := s.closed
@@ -260,8 +255,6 @@ func (s *Service) Append(table string, rows []data.Row) (*session.AppendReport, 
 	if closed {
 		return nil, ErrClosed
 	}
-	s.execMu.Lock()
-	defer s.execMu.Unlock()
 	return s.sess.AppendRows(table, rows)
 }
 
@@ -448,8 +441,7 @@ func (s *Service) runBatch(mb microBatch) {
 	s.cfg.Obs.Counter("service_batches_total", "trigger", mb.trigger).Inc()
 	s.batches.Add(1)
 
-	s.execMu.Lock()
-	res, err := s.sess.RunBatch(queries, session.BatchOptions{Parallel: s.cfg.Parallel})
+	res, err := s.sess.RunBatch(queries)
 	if err != nil {
 		// A batch-level failure (e.g. one query's plan) must not sink its
 		// batchmates: fall back to sequential execution per query.
@@ -459,10 +451,8 @@ func (s *Service) runBatch(mb microBatch) {
 			m, rerr := s.sess.Run(queries[i].Plan, queries[i].ResultName, queries[i].Mode)
 			s.deliver(req, m, rerr, start)
 		}
-		s.execMu.Unlock()
 		return
 	}
-	s.execMu.Unlock()
 	s.btMu.Lock()
 	addBatchStats(&s.btotals, res.Stats)
 	s.btMu.Unlock()

@@ -598,7 +598,7 @@ func TestServicePartitionStress(t *testing.T) {
 					Plan: st.Plan, ResultName: name, Mode: session.ModeOriginal,
 				})
 			}
-			if _, err := sess.RunBatch(batch, session.BatchOptions{}); err != nil {
+			if _, err := sess.RunBatch(batch); err != nil {
 				t.Errorf("direct batch %d: %v", i, err)
 				return
 			}

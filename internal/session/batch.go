@@ -1,9 +1,10 @@
-// Batch execution: MRShare-style shared-scan processing of a query batch
-// (paper §6 positions opportunistic views inside exactly this kind of
-// shared-workload executor).
+// The unit executor behind Run, RunBatch and incremental maintenance, and
+// RunBatch's MRShare-style shared-scan transform (paper §6 positions
+// opportunistic views inside exactly this kind of shared-workload executor).
 //
-// RunBatch compiles every query up front, then restructures the combined
-// job DAG three ways before anything executes:
+// Every caller's jobs run as one DAG of execution units. Run and an append's
+// delta plans make each job its own unit; RunBatch restructures the
+// combined job DAG of its queries two ways first:
 //
 //  1. Cross-query job dedup — jobs with the same output, input list, and
 //     producing-subplan fingerprint are the same computation; the first
@@ -13,9 +14,11 @@
 //     into one meta-job that scans the inputs once and feeds every
 //     consumer's map/combine/shuffle/reduce pipeline (MRShare grouping:
 //     the read term of Cm is paid once, per-consumer costs separately).
-//  3. Inter-job parallelism — the deduped unit DAG is executed with
-//     dependency-ordered parallelism across queries, not one query at a
-//     time.
+//
+// Units then execute with dependency-ordered parallelism across the call's
+// queries, and every job that ran is published once, in rank order — its
+// position in sequential execution — so counters do not depend on the
+// parallelism.
 //
 // Accounting is physical: the engine counters record what ran — a shared
 // scan's bytes and seconds once, a deduped job once — and the batch_*
@@ -26,9 +29,9 @@
 package session
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -43,13 +46,6 @@ type BatchQuery struct {
 	Plan       *plan.Node
 	ResultName string
 	Mode       Mode
-}
-
-// BatchOptions configures RunBatch.
-type BatchOptions struct {
-	// Parallel bounds how many independent units execute concurrently;
-	// <=0 means runtime.GOMAXPROCS(0).
-	Parallel int
 }
 
 // BatchStats summarizes what the batch restructuring did.
@@ -84,15 +80,15 @@ type BatchResult struct {
 // rank is its flattened sequential position: executing consumers strictly
 // in rank order is, by construction, exactly what Run-in-a-loop would do.
 type batchConsumer struct {
-	rank   int
-	qi, ji int
-	job    *mr.Job
-	jn     *optimizer.JobNode
+	rank int
+	job  *mr.Job
+	jn   *optimizer.JobNode
 
 	unit *batchUnit     // physical unit executing this job (nil for ghosts)
 	dup  *batchConsumer // representative this job deduped onto
 
-	res     *mr.Result // standalone-equivalent attributed result
+	res     *mr.Result // standalone-equivalent attributed result; nil if it never ran
+	err     error      // the job's failure, if it ran and failed
 	wall    float64
 	physSim float64 // physically-charged simulated seconds (0 for ghosts)
 }
@@ -109,148 +105,109 @@ type batchUnit struct {
 	done   bool
 }
 
+// execution is one run of planned queries' jobs: the consumers in rank
+// order, per query, and the units that executed them.
+type execution struct {
+	perQuery  [][]*batchConsumer
+	consumers []*batchConsumer
+	units     []*batchUnit
+}
+
+// attributed sums one query's jobs at their standalone cost: simulated
+// seconds and data moved.
+func (x *execution) attributed(qi int) (sim float64, moved int64) {
+	for _, c := range x.perQuery[qi] {
+		sim += c.res.SimSeconds
+		moved += c.res.DataMovedBytes()
+	}
+	return sim, moved
+}
+
 // RunBatch executes a batch of queries as one restructured job DAG: shared
 // subexpressions execute once, same-input jobs share scans, and independent
 // units run in parallel. Results are materialized under each query's
 // ResultName and all job outputs are retained as opportunistic views,
-// exactly as per-query Run does. RunBatch is safe to call concurrently with
-// Run (it executes on its own registry-detached engine copy and the store
-// and catalog are lock-protected); concurrent RunBatch and AppendRows calls
-// serialize on the session's batch lock.
-func (s *Session) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchResult, error) {
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	start := time.Now()
-	out := &BatchResult{PerQuery: make([]*Metrics, len(queries))}
+// exactly as per-query Run does — RunBatch is Run's entry with the sharing
+// transform applied, and is safe for concurrent use beside Run, RunBatch
+// and AppendRows.
+func (s *Session) RunBatch(queries []BatchQuery) (*BatchResult, error) {
 	if len(queries) == 0 {
-		return out, nil
+		return &BatchResult{}, nil
 	}
+	return s.run(queries, true)
+}
 
-	plans, err := s.planBatch(queries)
-	if err != nil {
-		return nil, err
-	}
-
-	perQuery, consumers := buildConsumers(plans)
-	units := buildUnits(consumers)
-
-	// Pin everything the batch touches (deduplicated, so the union pin
-	// itself registers no contention): no query's input or intermediate may
-	// be evicted while another query still needs it.
-	pinSet := make(map[string]bool)
-	for qi, p := range plans {
-		if p.jobs == nil {
+// execute runs planned queries' jobs as one unit DAG on the session's
+// engine — Run's and RunBatch's queries, and an append's delta plans — and
+// then publishes every job that ran, failed ones included, once and in rank
+// order. share applies RunBatch's transform (buildUnits).
+func (s *Session) execute(plans []plannedQuery, share bool) (*execution, error) {
+	x := buildUnits(plans, share)
+	err := executeBatch(s.Eng, x.units, min(runtime.GOMAXPROCS(0), len(plans)))
+	for _, c := range x.consumers {
+		if c.dup != nil {
+			// A dedup ghost is attributed its representative's execution
+			// (ranked before it) and records nothing.
+			c.res = c.dup.res
 			continue
 		}
-		for _, n := range pinList(p.chosen, p.w, queries[qi].ResultName) {
-			pinSet[n] = true
+		if c.res == nil {
+			continue
 		}
+		pr := s.physicalResult(c)
+		c.physSim = pr.SimSeconds
+		s.Eng.RecordJob(pr, c.err, c.wall)
 	}
-	pinned := make([]string, 0, len(pinSet))
-	for n := range pinSet {
-		pinned = append(pinned, n)
-	}
-	sort.Strings(pinned)
-	s.Store.Pin(pinned)
-
-	// Execute on a registry-detached copy of the engine: job records are
-	// replayed in sequential job order during finalization, which keeps
-	// float-counter summation order — and so every byte of the snapshot —
-	// deterministic. A copy rather than a save/restore of s.Eng.Obs because
-	// Session.Run may be executing concurrently on the shared engine and
-	// must keep recording.
-	quiet := *s.Eng
-	quiet.Obs = nil
-	err = executeBatch(&quiet, units, opts.Parallel)
-	if err == nil {
-		// Finalize under the pins, like the sequential path: a concurrent
-		// Run's materialization must not evict an output between its
-		// registration and its statistics sample.
-		err = s.finalizeBatch(queries, plans, perQuery, out)
-	}
-	s.Store.Unpin(pinned)
-	// On failure too, like executePlan: outputs were admitted over budget
-	// under the pins, and evictions deferred by them land at Unpin.
-	s.Store.EnforceBudget()
-	s.Cat.SyncWithStore(s.Store)
-	if err != nil {
-		return nil, err
-	}
-
-	s.batchStats(&out.Stats, queries, consumers, units)
-	out.Stats.WallSeconds = time.Since(start).Seconds()
-	return out, nil
+	return x, err
 }
 
-// planBatch compiles every query up front, against the catalog as of batch
-// start.
-func (s *Session) planBatch(queries []BatchQuery) ([]plannedQuery, error) {
-	plans := make([]plannedQuery, len(queries))
-	for qi, q := range queries {
-		var err error
-		if plans[qi], err = s.planQuery(q.Plan, q.ResultName, q.Mode, false); err != nil {
-			s.Obs.Counter("session_query_failures_total", "mode", q.Mode.String()).Inc()
-			return nil, fmt.Errorf("session: batch query %d (%s): %w", qi, q.ResultName, err)
-		}
-	}
-	return plans, nil
-}
-
-// buildConsumers flattens the compiled queries into rank-ordered consumers
-// and marks cross-query duplicates: same output, same input list, and same
-// producing-subplan fingerprint means the same computation, so later
-// occurrences dedup onto the first. Sinks never collide (each query has a
-// distinct result name).
-func buildConsumers(plans []plannedQuery) ([][]*batchConsumer, []*batchConsumer) {
-	perQuery := make([][]*batchConsumer, len(plans))
-	var consumers []*batchConsumer
+// buildUnits flattens the planned queries into rank-ordered consumers and
+// groups them into execution units, wiring the unit dependency DAG from
+// input/output names. Without share every job is its own unit. With share
+// (RunBatch's transform) cross-query duplicates — same output, same input
+// list, same producing-subplan fingerprint — dedup onto their first
+// occurrence (sinks never collide: each query has a distinct result name),
+// and the remaining jobs with identical input lists group into shared-scan
+// meta-jobs. The transform stays batch-only: applied inside one query it
+// would move Run's simulated seconds and every executed-seconds figure.
+func buildUnits(plans []plannedQuery, share bool) *execution {
+	x := &execution{perQuery: make([][]*batchConsumer, len(plans))}
 	for qi, p := range plans {
 		for ji, job := range p.jobs {
-			c := &batchConsumer{
-				rank: len(consumers),
-				qi:   qi, ji: ji,
-				job: job,
-				jn:  p.w.Nodes[ji],
-			}
-			perQuery[qi] = append(perQuery[qi], c)
-			consumers = append(consumers, c)
+			c := &batchConsumer{rank: len(x.consumers), job: job, jn: p.w.Nodes[ji]}
+			x.perQuery[qi] = append(x.perQuery[qi], c)
+			x.consumers = append(x.consumers, c)
 		}
 	}
-	reps := make(map[string]*batchConsumer)
-	for _, c := range consumers {
-		key := c.job.Output + "\x00" + c.jn.PlanFP
-		for _, in := range c.job.Inputs {
-			key += "\x00" + in
+	consumers := x.consumers
+	inputsKey := func(c *batchConsumer) string {
+		if !share {
+			return strconv.Itoa(c.rank) // no grouping: a group of one per job
 		}
-		if rep, ok := reps[key]; ok {
-			c.dup = rep
-			continue
-		}
-		reps[key] = c
-	}
-	return perQuery, consumers
-}
-
-// buildUnits groups the physical (non-ghost) consumers into execution
-// units — shared-scan meta-jobs for identical input lists, singletons
-// otherwise — and wires the unit dependency DAG from input/output names.
-func buildUnits(consumers []*batchConsumer) []*batchUnit {
-	inputsKey := func(job *mr.Job) string {
 		k := ""
-		for _, in := range job.Inputs {
+		for _, in := range c.job.Inputs {
 			k += in + "\x00"
 		}
 		return k
 	}
+	if share {
+		reps := make(map[string]*batchConsumer)
+		for _, c := range consumers {
+			key := c.job.Output + "\x00" + c.jn.PlanFP + "\x00" + inputsKey(c)
+			if rep, ok := reps[key]; ok {
+				c.dup = rep
+				continue
+			}
+			reps[key] = c
+		}
+	}
 	byInputs := make(map[string][]*batchConsumer)
 	for _, c := range consumers {
-		if c.dup != nil {
-			continue
+		if c.dup == nil {
+			k := inputsKey(c)
+			byInputs[k] = append(byInputs[k], c)
 		}
-		k := inputsKey(c.job)
-		byInputs[k] = append(byInputs[k], c)
 	}
-	var units []*batchUnit
 	for _, c := range consumers {
 		if c.dup != nil || c.unit != nil {
 			continue
@@ -261,7 +218,7 @@ func buildUnits(consumers []*batchConsumer) []*batchUnit {
 		// forms its own unit and the writer chain below orders them.
 		var members []*batchConsumer
 		outs := make(map[string]bool)
-		for _, m := range byInputs[inputsKey(c.job)] {
+		for _, m := range byInputs[inputsKey(c)] {
 			if m.unit != nil || outs[m.job.Output] {
 				continue
 			}
@@ -272,7 +229,7 @@ func buildUnits(consumers []*batchConsumer) []*batchUnit {
 		for _, m := range members {
 			m.unit = u
 		}
-		units = append(units, u)
+		x.units = append(x.units, u)
 	}
 
 	// producers[name] lists every consumer materializing name, rank order.
@@ -289,7 +246,7 @@ func buildUnits(consumers []*batchConsumer) []*batchUnit {
 	// Each consumer depends on the last producer of each of its inputs with
 	// a lower rank — exactly the dataset version sequential execution would
 	// read. Base datasets have no producer and impose no edge.
-	for _, u := range units {
+	for _, u := range x.units {
 		for _, m := range u.consumers {
 			for _, in := range m.job.Inputs {
 				var last *batchConsumer
@@ -323,16 +280,24 @@ func buildUnits(consumers []*batchConsumer) []*batchUnit {
 			prev = u
 		}
 	}
-	return units
+	return x
 }
 
-// executeBatch runs the unit DAG. While scripted read faults are still
-// armed, units run strictly in rank order so the read-error budget drains
-// in one fixed order whatever the parallelism; once no read can fault
-// anymore, the remaining units run with dependency-ordered parallelism.
+// executeBatch runs the unit DAG with at most parallel units at once;
+// execute allows one per query of the call. Every job already spreads its
+// tasks over all of the engine's workers, so units in parallel pay off
+// across queries only: running one query's independent jobs side by side
+// was measured to raise scan's peak RSS by 8 % for no throughput.
+//
+// Units run strictly in rank order while only one may run at a time, and
+// while the order they touch the store is observable: while scripted read
+// faults are still armed, so the read-error budget drains in one fixed
+// order whatever the parallelism, and while the store has a view budget,
+// whose eviction ranks views by access order. Otherwise units run with
+// dependency-ordered parallelism.
 func executeBatch(eng *mr.Engine, units []*batchUnit, parallel int) error {
 	i := 0 // buildUnits emits units in rank order
-	for ; i < len(units) && eng.Faults.PendingReadFaults() > 0; i++ {
+	for ; i < len(units) && (parallel <= 1 || eng.Faults.PendingReadFaults() > 0 || eng.Store.ViewCapacityBytes > 0); i++ {
 		u := units[i]
 		runUnit(eng, u)
 		u.done = true
@@ -344,16 +309,15 @@ func executeBatch(eng *mr.Engine, units []*batchUnit, parallel int) error {
 }
 
 // runUnit executes one unit: a plain engine run for singletons, a shared-
-// scan meta-job otherwise. The engine passed in is the batch's registry-
-// detached copy, so no metrics are recorded yet.
+// scan meta-job otherwise. Neither publishes counters: execute records
+// every consumer that ran, in rank order, once the DAG is done.
 func runUnit(eng *mr.Engine, u *batchUnit) {
 	t0 := time.Now()
 	if len(u.consumers) == 1 {
 		c := u.consumers[0]
-		_, res, err := eng.Run(c.job)
-		c.res = res
+		_, c.res, c.err = eng.Run(c.job)
 		c.wall = time.Since(t0).Seconds()
-		u.err = err
+		u.err = c.err
 		return
 	}
 	jobs := make([]*mr.Job, len(u.consumers))
@@ -361,15 +325,16 @@ func runUnit(eng *mr.Engine, u *batchUnit) {
 		jobs[i] = c.job
 	}
 	_, ssr, err := eng.RunSharedScan(jobs)
-	if err != nil {
-		u.err = err
+	u.shared, u.err = ssr, err
+	if ssr == nil {
 		return
 	}
-	u.shared = ssr
 	wall := time.Since(t0).Seconds() / float64(len(u.consumers))
-	for i, c := range u.consumers {
-		c.res = ssr.Results[i]
-		c.wall = wall
+	for i, res := range ssr.Results {
+		u.consumers[i].res, u.consumers[i].wall = res, wall
+	}
+	if err != nil {
+		u.consumers[len(ssr.Results)-1].err = err
 	}
 }
 
@@ -379,12 +344,6 @@ func runUnit(eng *mr.Engine, u *batchUnit) {
 // cycle — only possible from pathological same-output plans — falls back
 // to sequential rank order, which is always safe.
 func runUnitsParallel(rest []*batchUnit, parallel int, run func(*batchUnit)) error {
-	if len(rest) == 0 {
-		return nil
-	}
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
 	remaining := rest
 	for len(remaining) > 0 {
 		var ready, blocked []*batchUnit
@@ -441,7 +400,7 @@ func runUnitsParallel(rest []*batchUnit, parallel int, run func(*batchUnit)) err
 // shared-scan secondaries drop the scan they did not perform (bytes to
 // zero, Cm minus one scan); primaries and singletons are already physical.
 func (s *Session) physicalResult(c *batchConsumer) *mr.Result {
-	if c.unit == nil || len(c.unit.consumers) == 1 || c == c.unit.consumers[0] {
+	if c == c.unit.consumers[0] {
 		return c.res
 	}
 	r := *c.res
@@ -451,71 +410,8 @@ func (s *Session) physicalResult(c *batchConsumer) *mr.Result {
 	return &r
 }
 
-// finalizeBatch replays, per query in input order, everything sequential
-// execution interleaves with running jobs — job records, view retention and
-// statistics, and the session-level metrics — serially, so every counter is
-// deterministic whatever the execution parallelism was.
-func (s *Session) finalizeBatch(queries []BatchQuery, plans []plannedQuery, perQuery [][]*batchConsumer, out *BatchResult) error {
-	for qi, q := range queries {
-		p := plans[qi]
-		m := p.m
-		qsp := s.Obs.StartSpan(q.ResultName, "query")
-		// Planning ran up front in planBatch; the empty child keeps the
-		// query → plan → execute span shape of sequential Run.
-		qsp.Child("plan").End()
-		if p.jobs != nil {
-			esp := qsp.Child("execute")
-			var exec float64
-			var moved int64
-			for _, c := range perQuery[qi] {
-				s.finalizeConsumer(c)
-				exec += c.res.SimSeconds
-				moved += c.res.DataMovedBytes()
-			}
-			m.ExecSeconds = exec
-			m.Jobs = len(p.jobs)
-			m.DataMovedBytes = moved
-			esp.AddSim(m.ExecSeconds)
-			esp.End()
-
-			s.creditRewrite(m, p.chosen)
-
-			sec, err := s.retainViews(p.w, q.ResultName, p.epoch)
-			if err != nil {
-				qsp.End()
-				return err
-			}
-			m.StatsSeconds = sec
-			if m.StatsSeconds > 0 {
-				ssp := qsp.Child("stats")
-				ssp.AddSim(m.StatsSeconds)
-				ssp.End()
-			}
-		}
-		qsp.AddSim(m.ExecSeconds + m.StatsSeconds)
-		qsp.End()
-		s.record(m)
-		out.PerQuery[qi] = m
-	}
-	return nil
-}
-
-// finalizeConsumer settles one job's attributed result. A dedup ghost is
-// attributed its representative's execution and records nothing; a physical
-// execution is recorded once, shared-scan secondaries discounted by the
-// scan they did not perform.
-func (s *Session) finalizeConsumer(c *batchConsumer) {
-	if c.dup != nil {
-		c.res = c.dup.res
-		return
-	}
-	pr := s.physicalResult(c)
-	c.physSim = pr.SimSeconds
-	s.Eng.RecordJob(pr, nil, c.wall)
-}
-
 // creditRewrite credits the views a successful rewrite read with the cost
-// it saved — shared with the sequential path's benefit accounting.
+// it saved: the benefit the cost-benefit reclamation policy ranks on.
 func (s *Session) creditRewrite(m *Metrics, chosen *plan.Node) {
 	if m.Rewrite == nil || !m.Rewrite.Improved {
 		return
@@ -535,10 +431,10 @@ func (s *Session) creditRewrite(m *Metrics, chosen *plan.Node) {
 
 // batchStats fills the batch-level summary and publishes the batch_*
 // metrics.
-func (s *Session) batchStats(st *BatchStats, queries []BatchQuery, consumers []*batchConsumer, units []*batchUnit) {
-	st.Queries = len(queries)
-	st.JobsSubmitted = len(consumers)
-	for _, c := range consumers {
+func (s *Session) batchStats(st *BatchStats, queries int, x *execution) {
+	st.Queries = queries
+	st.JobsSubmitted = len(x.consumers)
+	for _, c := range x.consumers {
 		st.AttributedSimSeconds += c.res.SimSeconds
 		if c.dup != nil {
 			st.JobsDeduped++
@@ -548,7 +444,7 @@ func (s *Session) batchStats(st *BatchStats, queries []BatchQuery, consumers []*
 			st.SimSeconds += c.physSim
 		}
 	}
-	for _, u := range units {
+	for _, u := range x.units {
 		if u.shared != nil {
 			st.SharedScans++
 			st.SharedScanConsumers += len(u.consumers)
@@ -565,7 +461,7 @@ func (s *Session) batchStats(st *BatchStats, queries []BatchQuery, consumers []*
 	s.Obs.Counter("batch_jobs_deduped_total").Add(int64(st.JobsDeduped))
 	s.Obs.Counter("batch_scan_bytes_saved_total").Add(st.ScanBytesSaved)
 	h := s.Obs.Histogram("batch_shared_scan_fanin", obs.DefFaninBuckets)
-	for _, u := range units {
+	for _, u := range x.units {
 		if u.shared != nil {
 			h.Observe(float64(len(u.consumers)))
 		}

@@ -63,13 +63,12 @@ type AppendReport struct {
 // AppendRows adds new records to a base log. Dependent views — by the
 // lineage in each view's annotation, or by the scans of its plan — are
 // incrementally maintained when their annotation and producing plan admit
-// it, and invalidated otherwise. AppendRows serializes against RunBatch and
-// against planning, but not against executing plans: a running plan keeps
-// its pinned inputs readable (deletion defers) and is replanned afterwards
-// if an input it had not pinned yet was invalidated.
+// it, and invalidated otherwise. AppendRows holds planMu throughout, so it
+// serializes against planning but not against executing plans: a running
+// plan pinned its inputs at plan time, keeps reading them (deletion
+// defers), and its retention discards what it materialized before the
+// append.
 func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, error) {
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
 
@@ -273,11 +272,11 @@ func (s *Session) reads(n *plan.Node, table string) bool {
 
 // maintainView refreshes one view from the appended delta: run the view's
 // plan with its scan of the appended table retargeted at the delta — the
-// job sequence that compiles to, e.g. one group-agg job whose map side
-// probes the joined table's index — merge the sink into the stored
-// relation, refresh statistics. Returns (maintenance sim seconds, stats sim
-// seconds). Any error leaves the view droppable — the caller falls back to
-// invalidation, which is always safe.
+// jobs that compiles to, e.g. one group-agg job whose map side probes the
+// joined table's index, through the session's unit executor — merge the
+// sink into the stored relation, refresh statistics. Returns (maintenance
+// sim seconds, stats sim seconds). Any error leaves the view droppable —
+// the caller falls back to invalidation, which is always safe.
 func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape viewShape, table, deltaName string) (float64, float64, error) {
 	// Annotate recomputes every node annotation, so the compiled jobs are
 	// ordinary (delta-sized) instances of the plan's.
@@ -314,10 +313,11 @@ func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape viewShape
 			}
 		}
 	}()
-	_, agg, err := s.Eng.RunSequence(jobs)
+	x, err := s.execute([]plannedQuery{{w: w, jobs: jobs}}, false)
 	if err != nil {
 		return 0, 0, fmt.Errorf("delta job: %w", err)
 	}
+	deltaSec, _ := x.attributed(0)
 	stored, err := s.Store.Read(v.Name)
 	if err != nil {
 		return 0, 0, err
@@ -344,7 +344,7 @@ func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape viewShape
 		MergedBytes: merged.EncodedSize(),
 		MergedRows:  int64(merged.Len()),
 	}
-	maintSec := agg.SimSeconds + s.Eng.Params.MaintenanceCost(spec).Total()
+	maintSec := deltaSec + s.Eng.Params.MaintenanceCost(spec).Total()
 	statsSec, err := s.Cat.CollectStats(s.Eng, v.Name, s.statsSeed.Add(1))
 	if err != nil {
 		return 0, 0, err

@@ -236,10 +236,11 @@ func maintainVsRecompute(t *testing.T, workers, reduceTasks int, fam ivmFamily, 
 }
 
 // TestConcurrentAppendsWithRunsStress interleaves AppendRows with
-// concurrent Run and RunBatch calls under -race. Plans executing against a
-// base that grows mid-flight must either finish on their pinned snapshot
-// or replan; no pinned view may disappear mid-plan, and afterwards the
-// store's pin bookkeeping and the view-bytes gauge must reconcile.
+// concurrent Run and RunBatch calls under -race; nothing serializes batches
+// against appends beyond the planning lock. Plans executing against a base
+// that grows mid-flight must finish on the inputs they pinned at plan time;
+// no pinned view may disappear mid-plan, and afterwards the store's pin
+// bookkeeping and the view-bytes gauge must reconcile.
 func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 	s := demo(t, 300)
 	s.Eng.Workers = 2
@@ -247,12 +248,12 @@ func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 	s.Instrument(reg)
 
 	const runners = 6
+	const batchers = 2
 	const perG = 3
-	const appendBatches = 8
+	const appendBatches = 10
 	var wg sync.WaitGroup
-	errs := make(chan error, runners*perG+appendBatches+4)
+	errs := make(chan error, (runners+batchers)*perG+1)
 
-	// Phase 1: individual runs racing appends.
 	for g := 0; g < runners; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -270,37 +271,29 @@ func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 			}
 		}(g)
 	}
+	for g := 0; g < batchers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				var qs []BatchQuery
+				for j := 0; j < 4; j++ {
+					qs = append(qs, BatchQuery{Plan: qThresh(float64(j % 3)),
+						ResultName: fmt.Sprintf("batch-g%d-i%d-%d", g, i, j), Mode: Mode(j % 2)})
+				}
+				if _, err := s.RunBatch(qs); err != nil {
+					errs <- fmt.Errorf("batch g%d i%d: %w", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for b := 0; b < appendBatches; b++ {
 			if _, err := s.AppendRows("logs", ivmBatch(10000+b*100, 11)); err != nil {
 				errs <- fmt.Errorf("append %d: %w", b, err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-
-	// Phase 2: a batch racing appends (both serialize on the batch lock,
-	// so this checks lock ordering rather than true overlap).
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		var qs []BatchQuery
-		for i := 0; i < 4; i++ {
-			qs = append(qs, BatchQuery{Plan: qThresh(float64(i % 3)),
-				ResultName: fmt.Sprintf("batch-%d", i), Mode: ModeOriginal})
-		}
-		if _, err := s.RunBatch(qs, BatchOptions{}); err != nil {
-			errs <- fmt.Errorf("batch: %w", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for b := 0; b < 3; b++ {
-			if _, err := s.AppendRows("logs", ivmBatch(20000+b*100, 7)); err != nil {
-				errs <- fmt.Errorf("append(batch phase) %d: %w", b, err)
 				return
 			}
 		}

@@ -80,7 +80,7 @@ func checkProbeVsShuffle(t *testing.T, s *Session, pl *plan.Node, a ivmAppend) i
 					probes += len(j.Probes)
 				}
 			}
-			if _, _, err := s.Eng.RunSequence(jobs); err != nil {
+			if _, err := s.Eng.RunSequence(jobs); err != nil {
 				t.Fatalf("delta plan (marked %v): %v", marked, err)
 			}
 			out, err := s.Store.Read(sink)

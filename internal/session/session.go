@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
@@ -54,11 +55,11 @@ func (m Mode) String() string {
 	}
 }
 
-// Session is one system instance. Run may be called from concurrent
-// goroutines: planning (optimizer + rewriter, whose estimate caches are
-// shared mutable state) is serialized under planMu, while execution — the
-// expensive phase — proceeds concurrently against the lock-protected store
-// and catalog.
+// Session is one system instance. Run, RunBatch and AppendRows may be
+// called from concurrent goroutines: planning (optimizer + rewriter, whose
+// estimate caches are shared mutable state) and appends are serialized
+// under planMu, while execution — the expensive phase — proceeds
+// concurrently against the lock-protected store and catalog.
 type Session struct {
 	Store *storage.Store
 	Cat   *meta.Catalog
@@ -72,12 +73,6 @@ type Session struct {
 	// thread-safe, and queries must be estimated one at a time anyway so
 	// each sees a consistent statistics snapshot.
 	planMu sync.Mutex
-
-	// batchMu serializes RunBatch and AppendRows against each other: both
-	// temporarily repurpose shared engine state (RunBatch detaches the
-	// engine registry; AppendRows runs maintenance jobs and mutates the
-	// catalog wholesale). Lock order is batchMu before planMu.
-	batchMu sync.Mutex
 
 	// ingestEpoch counts AppendRows calls. planQuery snapshots it and
 	// retainViews discards materialization metadata planned under an older
@@ -169,38 +164,100 @@ func (m Metrics) TotalSeconds() float64 {
 // execution: a run that raced an append reads the pre-append contents it
 // pinned, and retainViews discards what it materialized.
 func (s *Session) Run(q *plan.Node, resultName string, mode Mode) (*Metrics, error) {
-	qsp := s.Obs.StartSpan(resultName, "query")
-	defer qsp.End()
-	psp := qsp.Child("plan")
-	p, err := s.planQuery(q, resultName, mode, true)
-	psp.End()
+	out, err := s.run([]BatchQuery{{Plan: q, ResultName: resultName, Mode: mode}}, false)
 	if err != nil {
-		s.Obs.Counter("session_query_failures_total", "mode", mode.String()).Inc()
 		return nil, err
 	}
-	m := p.m
-	if p.jobs != nil {
-		esp := qsp.Child("execute")
-		err = s.executePlan(p, resultName)
-		if err == nil {
-			esp.AddSim(m.ExecSeconds)
+	return out.PerQuery[0], nil
+}
+
+// run is the one executor entry behind Run and RunBatch, the paper's Fig 1
+// loop for N queries: plan them under one planMu hold, run their jobs as
+// one unit DAG (execute), then finalize each query in input order — its
+// job records, retention and statistics, spans and metrics — and release
+// the pins with one Unpin → EnforceBudget → SyncWithStore, on success and
+// on failure alike. share applies RunBatch's cross-query transform (dedupe
+// and shared scans); Run shares nothing.
+func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
+	start := time.Now()
+	spans := make([]*obs.Span, len(queries))
+	esps := make([]*obs.Span, len(queries)) // execute children, queries with jobs only
+	for qi, q := range queries {
+		spans[qi] = s.Obs.StartSpan(q.ResultName, "query")
+	}
+	plans, pins, err := s.plan(queries, spans)
+	var x *execution
+	if err == nil {
+		for qi, p := range plans {
+			if p.jobs != nil {
+				esps[qi] = spans[qi].Child("execute")
+			}
 		}
-		esp.End()
+		if x, err = s.execute(plans, share); err == nil {
+			err = s.retain(queries, plans, x, spans, esps)
+		}
+		s.Store.Unpin(pins)
+		// On failure too: outputs were admitted over budget under the pins,
+		// and evictions deferred by them land at Unpin. The budget may also
+		// have claimed views retained a moment ago: drop their catalog
+		// entries.
+		s.Store.EnforceBudget()
+		s.Cat.SyncWithStore(s.Store)
+	}
+	if err != nil {
+		for qi, q := range queries {
+			s.Obs.Counter("session_query_failures_total", "mode", q.Mode.String()).Inc()
+			esps[qi].End()
+			spans[qi].End()
+		}
+		return nil, err
+	}
+	out := &BatchResult{PerQuery: make([]*Metrics, len(queries))}
+	for qi, p := range plans {
+		// Credit the views a successful rewrite read with the cost it saved —
+		// the signal the cost-benefit reclamation policy ranks on (§10).
+		m := p.m
+		s.creditRewrite(m, p.chosen)
+		spans[qi].AddSim(m.ExecSeconds + m.StatsSeconds)
+		spans[qi].End()
+		s.record(m)
+		out.PerQuery[qi] = m
+	}
+	if share {
+		s.batchStats(&out.Stats, len(queries), x)
+		out.Stats.WallSeconds = time.Since(start).Seconds()
+	}
+	return out, nil
+}
+
+// retain finalizes each executed query in input order while its pins are
+// still held: it fills the query's Metrics from its attributed job results,
+// retains its job outputs as views with sampled statistics (§2.1), and
+// closes its execute span.
+func (s *Session) retain(queries []BatchQuery, plans []plannedQuery, x *execution, spans, esps []*obs.Span) error {
+	for qi, p := range plans {
+		if p.jobs == nil {
+			continue
+		}
+		m := p.m
+		m.ExecSeconds, m.DataMovedBytes = x.attributed(qi)
+		m.Jobs = len(p.jobs)
+		sec, err := s.retainViews(p.w, queries[qi].ResultName, p.epoch)
 		if err != nil {
-			s.Obs.Counter("session_query_failures_total", "mode", mode.String()).Inc()
-			return nil, err
+			return err
 		}
-		// Statistics collection runs inside executePlan; its wall share
-		// cannot be isolated there, so the stats span is sim-only.
-		if m.StatsSeconds > 0 {
-			ssp := qsp.Child("stats")
-			ssp.AddSim(m.StatsSeconds)
+		m.StatsSeconds = sec
+		esps[qi].AddSim(m.ExecSeconds)
+		esps[qi].End()
+		// Statistics collection runs inside the execute span; its wall share
+		// is not isolated, so the stats span is sim-only.
+		if sec > 0 {
+			ssp := spans[qi].Child("stats")
+			ssp.AddSim(sec)
 			ssp.End()
 		}
 	}
-	qsp.AddSim(m.ExecSeconds + m.StatsSeconds)
-	s.record(m)
-	return m, nil
+	return nil
 }
 
 // record publishes per-query metrics. Counter values are deterministic
@@ -230,7 +287,7 @@ func (s *Session) record(m *Metrics) {
 // plannedQuery carries one query's compilation: the chosen plan, its job
 // DAG and executable jobs (nil when the chosen plan is a bare scan of an
 // existing materialization and nothing needs to execute), the ingest epoch
-// the plan was derived under, and the pins planning took (Run only).
+// the plan was derived under, and the pins planning took.
 type plannedQuery struct {
 	m      *Metrics
 	chosen *plan.Node
@@ -240,20 +297,41 @@ type plannedQuery struct {
 	pins   []string
 }
 
-// planQuery compiles and (optionally) rewrites one query under planMu.
-// With pin set it also pins the plan's inputs and outputs (pinList) and
-// checks that every scanned input exists before planMu is released, so
-// executePlan starts from pinned, validated inputs; the caller owes the
-// Unpin, which executePlan pays. An input can be missing only because the
-// catalog still offered a view the budget had already evicted (or
-// DropViews dropped): the catalog is synced and the query replanned in
-// place, without that view.
-func (s *Session) planQuery(q *plan.Node, resultName string, mode Mode, pin bool) (plannedQuery, error) {
+// plan compiles the queries in input order under one planMu hold, each by
+// planQuery, and returns their plans with the pins they took. On error the
+// pins taken so far are released.
+func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery, []string, error) {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
+	plans := make([]plannedQuery, len(queries))
+	var pins []string
+	for qi, q := range queries {
+		psp := spans[qi].Child("plan")
+		p, err := s.planQuery(q.Plan, q.ResultName, q.Mode)
+		psp.End()
+		if err != nil {
+			s.Store.Unpin(pins)
+			if len(queries) > 1 {
+				err = fmt.Errorf("session: batch query %d (%s): %w", qi, q.ResultName, err)
+			}
+			return nil, nil, err
+		}
+		plans[qi], pins = p, append(pins, p.pins...)
+	}
+	return plans, pins, nil
+}
+
+// planQuery compiles and (optionally) rewrites one query; the caller holds
+// planMu. It also pins the plan's inputs and outputs (pinList) and checks
+// that every scanned input exists before planMu is released, so execution
+// starts from pinned, validated inputs; the caller owes the Unpin. An input
+// can be missing only because the catalog still offered a view the budget
+// had already evicted (or DropViews dropped): the catalog is synced and the
+// query replanned in place, without that view.
+func (s *Session) planQuery(q *plan.Node, resultName string, mode Mode) (plannedQuery, error) {
 	for {
 		p, err := s.planLocked(q, resultName, mode)
-		if err != nil || !pin {
+		if err != nil {
 			return p, err
 		}
 		if p.jobs != nil {
@@ -318,42 +396,6 @@ func (s *Session) planLocked(q *plan.Node, resultName string, mode Mode) (planne
 	return p, err
 }
 
-// executePlan runs the compiled jobs, retains their outputs as views and
-// fills in the plan's Metrics.
-// It runs outside planMu: execution is the expensive phase, and the store
-// and catalog are themselves safe for concurrent use. The plan's input
-// datasets and its own outputs arrive pinned (planQuery) and stay pinned
-// against capacity eviction until the outputs are retained: a job's
-// materialization must not evict a view a later job of the same plan
-// reads, and a concurrent plan's must not evict an output between its
-// registration and its statistics sample.
-func (s *Session) executePlan(p plannedQuery, resultName string) error {
-	_, agg, err := s.Eng.RunSequence(p.jobs)
-	var statsSec float64
-	if err == nil {
-		// Retain job outputs as opportunistic views: register metadata and
-		// collect statistics with the lightweight sampling job (§2.1).
-		statsSec, err = s.retainViews(p.w, resultName, p.epoch)
-	}
-	s.Store.Unpin(p.pins)
-	s.Store.EnforceBudget()
-	// The budget may have claimed views retained a moment ago (and deletions
-	// deferred by the pins land at Unpin): drop their catalog entries.
-	s.Cat.SyncWithStore(s.Store)
-	if err != nil {
-		return err
-	}
-	// Credit the views a successful rewrite read with the cost it saved —
-	// the signal the cost-benefit reclamation policy ranks on (§10).
-	m := p.m
-	s.creditRewrite(m, p.chosen)
-	m.ExecSeconds = agg.SimSeconds
-	m.Jobs = agg.Jobs
-	m.DataMovedBytes = agg.DataMovedBytes()
-	m.StatsSeconds += statsSec
-	return nil
-}
-
 // pinList is the set of dataset names one plan's execution pins against
 // capacity eviction: every scanned input plus every job materialization,
 // the sink under the result name it is actually stored as. Names may
@@ -379,11 +421,8 @@ func scanList(chosen *plan.Node) []string {
 
 // retainViews registers every new materialization of an executed plan as an
 // opportunistic view and samples its statistics, in node order. Returns the
-// simulated seconds the sampling jobs cost. Both the sequential and the
-// batch executor finalize queries through this one helper so retention
-// behavior cannot drift between them; both call it while the plan's pins
-// are still held, and sync the catalog with the store once they are
-// released.
+// simulated seconds the sampling jobs cost. The caller holds the plan's
+// pins and syncs the catalog with the store once they are released.
 //
 // epoch is the ingest epoch the plan was derived under. When an AppendRows
 // intervened between planning and retention, the materializations may

@@ -9,6 +9,7 @@ import (
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/expr"
+	"opportune/internal/obs"
 	"opportune/internal/plan"
 	"opportune/internal/storage"
 	"opportune/internal/udf"
@@ -313,12 +314,19 @@ func TestAppendRowsReestimatesDistincts(t *testing.T) {
 func TestStaleRetentionDropsLayoutClaim(t *testing.T) {
 	s := demo(t, 100)
 	byUser := plan.GroupAgg(plan.Scan("logs"), []string{"user"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
-	p, err := s.planQuery(byUser, "res", ModeOriginal, true)
+	queries := []BatchQuery{{Plan: byUser, ResultName: "res", Mode: ModeOriginal}}
+	spans := make([]*obs.Span, len(queries))
+	plans, pins, err := s.plan(queries, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.ingestEpoch.Add(1) // an AppendRows landed between planning and retention
-	if err := s.executePlan(p, "res"); err != nil {
+	x, err := s.execute(plans, false)
+	if err == nil {
+		err = s.retain(queries, plans, x, spans, spans)
+	}
+	s.Store.Unpin(pins)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Store.Has("res") {

@@ -45,13 +45,15 @@ func Calibrate(engine *mr.Engine, dataset string, d *Descriptor, argCols []strin
 	job := &mr.Job{
 		Name:   "calibrate-" + d.Name,
 		Inputs: []string{sampleName},
-		Map: func(_ int, r data.Row, emit mr.Emit) {
+		MapFactory: func(mr.TaskCtx) mr.MapFunc {
 			args := make([]value.V, len(idxs))
-			for i, ix := range idxs {
-				args[i] = r[ix]
+			return func(_ int, r data.Row, emit mr.Emit) {
+				for i, ix := range idxs {
+					args[i] = r[ix]
+				}
+				d.probe(args, params)
+				emit("", data.Row{value.NewInt(1)})
 			}
-			d.probe(args, params)
-			emit("", data.Row{value.NewInt(1)})
 		},
 		MapOutSchema: outSchema,
 		OutputSchema: outSchema,
@@ -59,10 +61,11 @@ func Calibrate(engine *mr.Engine, dataset string, d *Descriptor, argCols []strin
 		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: d.MapOps, Scalar: d.TrueScalar}},
 	}
-	_, res, err := engine.Run(job)
+	results, err := engine.RunSequence([]*mr.Job{job})
 	if err != nil {
 		return nil, fmt.Errorf("udf: calibrate %s: %w", d.Name, err)
 	}
+	res := results[0]
 	// Remove calibration scratch datasets; they are not physical design.
 	engine.Store.Delete(sampleName)
 	engine.Store.Delete(job.Output)
