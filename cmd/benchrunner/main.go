@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|fig7|fig8|table1|fig9|fig10|fig11|fig12|table2|ablation|reclamation|jsens|similarity|footprint] [-quick] [-tweets N] [-workers N] [-metrics out.json] [-faults plan.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	benchrunner [-exp all|fig7|fig8|table1|fig9|fig10|fig11|fig12|table2|ablation|reclamation|jsens|similarity|footprint|fig10-10k] [-quick] [-tweets N] [-workers N] [-metrics out.json] [-faults plan.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
 
 import (
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig7, fig8, table1, fig9, fig10, fig11, fig12, table2, ablation, reclamation, jsens, similarity, footprint")
+	exp := flag.String("exp", "all", "experiment to run: all, fig7, fig8, table1, fig9, fig10, fig11, fig12, table2, ablation, reclamation, jsens, similarity, footprint; or fig10-10k, which all leaves out")
 	quick := flag.Bool("quick", false, "run at reduced scale")
 	tweets := flag.Int("tweets", 0, "override tweet-log size (0 = scale default)")
 	workers := flag.Int("workers", 0, "MR engine worker-pool size (0 = GOMAXPROCS); affects wall-clock only, never results or simulated seconds")
@@ -111,11 +111,15 @@ func main() {
 		{"jsens", func() (interface{ Render() string }, error) { return experiments.JSensitivity(cfg) }},
 		{"similarity", func() (interface{ Render() string }, error) { return experiments.Similarity(cfg) }},
 		{"footprint", func() (interface{ Render() string }, error) { return experiments.Footprint(cfg) }},
+		{"fig10-10k", func() (interface{ Render() string }, error) {
+			return experiments.Fig10(cfg, append(experiments.Fig10Points(cfg), experiments.Fig10Views))
+		}},
 	}
+	optIn := map[string]bool{"fig10-10k": true} // left out of -exp all
 
 	ran := 0
 	for _, r := range runners {
-		if *exp != "all" && *exp != r.name {
+		if *exp != r.name && (*exp != "all" || optIn[r.name]) {
 			continue
 		}
 		ran++

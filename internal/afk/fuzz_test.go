@@ -1,8 +1,12 @@
 package afk
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"opportune/internal/expr"
+	"opportune/internal/value"
 )
 
 // sigList derives a signature-ID list from fuzz input: ';'-separated
@@ -79,6 +83,48 @@ func FuzzPartitionCompat(f *testing.F) {
 		}
 		if (p.Canon() == "") == p.IsPartitioned() {
 			t.Fatalf("Canon %q disagrees with IsPartitioned %v", p.Canon(), p.IsPartitioned())
+		}
+	})
+}
+
+// fuzzAnn derives an annotation over fdUniverse from fuzz input: attrs and
+// keys are bit sets over the universe, and each two bytes of preds are one
+// comparison predicate (attribute, operator, a small literal), so random
+// filter sets overlap, imply one another and repeat.
+func fuzzAnn(attrs, keys uint8, preds []byte) Annotation {
+	u := fdUniverse()
+	var as []Attr
+	k := NewSigSet()
+	for i, s := range u {
+		if attrs&(1<<i) != 0 {
+			as = append(as, Attr{Name: s.Column, Sig: s})
+		}
+		if keys&(1<<i) != 0 {
+			k.Add(s)
+		}
+	}
+	f := expr.NewSet()
+	for i := 0; i+1 < len(preds); i += 2 {
+		op := []expr.CmpOp{expr.Eq, expr.Ne, expr.Lt, expr.Le, expr.Gt, expr.Ge}[int(preds[i]>>3)%6]
+		f.Add(expr.NewCmp(u[preds[i]&7].ID(), op, value.NewInt(int64(preds[i+1]%8))))
+	}
+	return New(as, f, k)
+}
+
+// FuzzFixOps asserts the allocation-free FixOps that OPTCOST uses agrees
+// with the fix ComputeFix materializes — the same operation types in the
+// same order, and the same emptiness — on random annotation pairs.
+func FuzzFixOps(f *testing.F) {
+	f.Add(uint8(0b111), uint8(0b1), []byte{}, uint8(0b111), uint8(0b1), []byte{})                 // identical
+	f.Add(uint8(0b011), uint8(0), []byte{0x10, 3}, uint8(0b111), uint8(0b1), []byte{})            // filter, drop, rekey
+	f.Add(uint8(0b111), uint8(0b10), []byte{0x20, 5}, uint8(0b011), uint8(0b10), []byte{0x20, 2}) // new attr, implied filter
+	f.Add(uint8(0b1), uint8(0), []byte{0x28, 1, 0x28, 4}, uint8(0b1), uint8(0), []byte{0x28, 4})  // redundant filter
+	f.Fuzz(func(t *testing.T, qAttrs, qKeys uint8, qPreds []byte, vAttrs, vKeys uint8, vPreds []byte) {
+		q, v := fuzzAnn(qAttrs, qKeys, qPreds), fuzzAnn(vAttrs, vKeys, vPreds)
+		ops, empty := FixOps(q, v)
+		fix := ComputeFix(q, v)
+		if !slices.Equal(ops, fix.OpTypes()) || empty != fix.Empty() {
+			t.Fatalf("q %s, v %s: FixOps = %v, %v; ComputeFix = %v, %v", q, v, ops, empty, fix.OpTypes(), fix.Empty())
 		}
 	})
 }

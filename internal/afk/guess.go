@@ -156,3 +156,46 @@ func (f Fix) OpTypes() []cost.OpType {
 	}
 	return ops
 }
+
+// opTypeSets holds every OpTypes result, indexed by attr | filter<<1 |
+// group<<2, so FixOps can hand one out without allocating.
+var opTypeSets = [8][]cost.OpType{
+	nil,
+	{cost.OpAttr},
+	{cost.OpFilter},
+	{cost.OpAttr, cost.OpFilter},
+	{cost.OpGroup},
+	{cost.OpAttr, cost.OpGroup},
+	{cost.OpFilter, cost.OpGroup},
+	{cost.OpAttr, cost.OpFilter, cost.OpGroup},
+}
+
+// FixOps returns ComputeFix(q, v).OpTypes() and ComputeFix(q, v).Empty()
+// without building the fix — no sorted attribute or predicate lists, no
+// cloned key set, no allocation. OPTCOST needs only these two answers;
+// REWRITEENUM, which sequences the fix's operators, uses ComputeFix. The
+// returned slice is shared: callers must not modify it.
+func FixOps(q, v Annotation) (ops []cost.OpType, empty bool) {
+	newAttrs := !q.A.Subset(v.A)
+	// With q.A ⊆ v.A, v holds an attribute q lacks iff it holds more.
+	attr := newAttrs || len(v.A) != len(q.A)
+	filter := false
+	for _, p := range q.F {
+		if !impliedByAny(v.F, p) {
+			filter = true
+			break
+		}
+	}
+	rekey := !q.K.Equal(v.K)
+	i := 0
+	if attr {
+		i |= 1
+	}
+	if filter {
+		i |= 2
+	}
+	if rekey {
+		i |= 4
+	}
+	return opTypeSets[i], !newAttrs && !filter && !rekey
+}

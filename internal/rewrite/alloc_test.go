@@ -1,14 +1,24 @@
 package rewrite_test
 
-import "testing"
+import (
+	"testing"
 
-// bfrSearchAllocBudget is the measured allocation count of one BFREWRITE
-// search over the golden probe state (1 705), plus 5 %.
-const bfrSearchAllocBudget = 1790
+	"opportune/internal/rewrite"
+)
+
+// Measured allocation counts of one BFREWRITE search over the golden probe
+// state, plus 5 %: cold is a fresh Rewriter (every single-view template and
+// OPTCOST bound built; 1 158), warm a second search over the unchanged
+// catalog (all of them served by the cross-query memo; 982).
+const (
+	bfrColdSearchAllocBudget = 1216
+	bfrWarmSearchAllocBudget = 1031
+)
 
 // TestBFRewriteSearchAllocs: one search over the golden probe state (four
 // analysts' v1 views, A1v1 as the probe) allocates no more than its
-// measured budget, so a regression in what the search builds per candidate
+// measured budget, cold and warm, so a regression in what the search
+// builds per candidate — or a memo that stops serving warm searches —
 // fails here without a timing test.
 func TestBFRewriteSearchAllocs(t *testing.T) {
 	if raceEnabled {
@@ -16,14 +26,24 @@ func TestBFRewriteSearchAllocs(t *testing.T) {
 	}
 	s, w := probeState(t, 4)
 	views := s.Cat.Views()
-	got := testing.AllocsPerRun(20, func() {
+	search := func(r *rewrite.Rewriter) {
 		s.Opt.ClearEstimates()
-		if !s.Rew.BFRewrite(w, views).Improved {
+		if !r.BFRewrite(w, views).Improved {
 			t.Fatal("search found no improving rewrite")
 		}
-	})
-	t.Logf("%.0f allocations per search", got)
-	if got > bfrSearchAllocBudget {
-		t.Errorf("one search allocates %.0f times, budget %d", got, bfrSearchAllocBudget)
+	}
+	cold := testing.AllocsPerRun(20, func() { search(rewrite.NewRewriter(s.Cat, s.Opt)) })
+	warmRew := rewrite.NewRewriter(s.Cat, s.Opt)
+	search(warmRew)
+	warm := testing.AllocsPerRun(20, func() { search(warmRew) })
+	t.Logf("%.0f allocations per cold search, %.0f per warm search", cold, warm)
+	if cold > bfrColdSearchAllocBudget {
+		t.Errorf("one cold search allocates %.0f times, budget %d", cold, bfrColdSearchAllocBudget)
+	}
+	if warm > bfrWarmSearchAllocBudget {
+		t.Errorf("one warm search allocates %.0f times, budget %d", warm, bfrWarmSearchAllocBudget)
+	}
+	if warm >= cold {
+		t.Errorf("a warm search allocates %.0f times, a cold one %.0f: the memo serves nothing", warm, cold)
 	}
 }

@@ -29,6 +29,9 @@ type Result struct {
 	Counters Counters
 	Trace    []TraceEvent
 	Runtime  time.Duration
+	// InitRuntime is the part of Runtime BFRewrite spent in INIT: every
+	// view's OPTCOST against every target, and the initial queues.
+	InitRuntime time.Duration
 
 	// TargetWork records, per rewritable target, the largest OPTCOST bound
 	// among candidates the search examined and the target's final best
@@ -99,16 +102,18 @@ type bfState struct {
 func (r *Rewriter) BFRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result {
 	start := time.Now()
 	res := &Result{OriginalCost: w.TotalCost()}
+	in := r.begin(views)
 
 	n := len(w.Nodes)
 	states := make([]*bfState, n)
 	for i, jn := range w.Nodes {
 		states[i] = &bfState{
-			finder:   newViewFinder(r, jn, views, &res.Counters),
+			finder:   newViewFinder(r, jn, in, &res.Counters),
 			bestPlan: jn.Logical,
 			bestCost: w.CostThrough(i),
 		}
 	}
+	res.InitRuntime = time.Since(start)
 	for i, jn := range w.Nodes {
 		for _, d := range jn.Deps {
 			states[d.Index].consumers = append(states[d.Index].consumers, i)

@@ -63,44 +63,12 @@ type Rewriter struct {
 	DisableOptCost       bool
 	DisableGuessComplete bool
 
-	// memo caches candidate construction, probe results and plan costs
-	// across search iterations; read it through memos.
+	// memo caches merged candidates, probe results and plan costs across
+	// search iterations of one estimate generation; read it through memos.
 	memo *memoState
-}
-
-// memoState holds the rewrite-layer memos of one estimate generation:
-// ClearEstimates bumps the generation, and memos replaces the whole state
-// on the first access under a new one — exactly the points where a serial
-// search would recompute against fresh statistics.
-type memoState struct {
-	gen     uint64
-	probe   map[string]probeHit        // (candidate key, target fingerprint) -> enum result
-	plans   map[string]float64         // plan fingerprint -> compiled total cost
-	singles map[string]*Candidate      // view name -> single-view candidate template
-	merges  map[string]*Candidate      // view-set key -> merged template (nil: no canonical tree)
-	useful  map[string]map[string]bool // target fingerprint -> useful signature IDs
-}
-
-// probeHit is a memoized REWRITEENUM outcome.
-type probeHit struct {
-	plan *plan.Node
-	cost float64
-}
-
-// memos returns the memo state of the optimizer's current estimate
-// generation, starting an empty one when the generation has moved.
-func (r *Rewriter) memos() *memoState {
-	if g := r.Opt.EstGen(); r.memo == nil || r.memo.gen != g {
-		r.memo = &memoState{
-			gen:     g,
-			probe:   make(map[string]probeHit),
-			plans:   make(map[string]float64),
-			singles: make(map[string]*Candidate),
-			merges:  make(map[string]*Candidate),
-			useful:  make(map[string]map[string]bool),
-		}
-	}
-	return r.memo
+	// cross caches single-view templates and OPTCOST bounds across queries;
+	// read it through crossMemo (memo.go).
+	cross crossMemo
 }
 
 // NewRewriter creates a rewriter with the paper's experimental parameters
@@ -118,34 +86,6 @@ func (r *Rewriter) single(v *meta.TableInfo) (*Candidate, error) {
 	}
 	c := *t
 	return &c, nil
-}
-
-// singleTemplate returns the shared, read-only candidate of one view.
-// Construction (a scan node plus its annotation) is cached per view until
-// the next statistics reset. The cached value is independent of when it
-// was built — annotating a view scan depends only on catalog registration
-// state, and its FD additions are idempotent — so which caller populates
-// the cache is unobservable.
-func (r *Rewriter) singleTemplate(v *meta.TableInfo) (*Candidate, error) {
-	singles := r.memos().singles
-	if t, ok := singles[v.Name]; ok {
-		return t, nil
-	}
-	p := plan.Scan(v.Name)
-	if err := plan.Annotate(p, r.Cat); err != nil {
-		return nil, err
-	}
-	t := &Candidate{
-		Views: []*meta.TableInfo{v},
-		Plan:  p,
-		Ann:   p.Ann,
-		Stats: v.Stats,
-		key:   v.Name,
-		names: []string{v.Name},
-		sigs:  sortedSigIDs(p.Ann),
-	}
-	singles[v.Name] = t
-	return t, nil
 }
 
 // sortedSigIDs caches a candidate's attribute signature IDs in sorted
@@ -396,15 +336,15 @@ func (r *Rewriter) relevantWith(q afk.Annotation, c *Candidate, useful map[strin
 	return false
 }
 
-// usefulSigsFor caches usefulSigs per target (by plan fingerprint): the
-// set depends only on the target's annotation, and OPTCOST re-derives it
-// for every candidate examined against that target.
+// usefulSigsFor caches usefulSigs per target (by view name, the hash of its
+// annotation): the set depends only on the target's annotation, and every
+// OPTCOST the memo misses re-derives it.
 func (r *Rewriter) usefulSigsFor(q *optimizer.JobNode) map[string]bool {
 	useful := r.memos().useful
-	u, ok := useful[q.PlanFP]
+	u, ok := useful[q.ViewName]
 	if !ok {
 		u = usefulSigs(q.Ann)
-		useful[q.PlanFP] = u
+		useful[q.ViewName] = u
 	}
 	return u
 }
@@ -451,22 +391,37 @@ func usefulSigs(q afk.Annotation) map[string]bool {
 // The bound is sound for the optimizer's COST: any rewrite using these
 // views reads at least their bytes and runs at least one local function
 // over their rows.
+//
+// c must be a candidate this Rewriter built (single or Merge): bounds come
+// from the cross-query memo, which stores them un-ablated, so
+// DisableOptCost applies after the lookup.
 func (r *Rewriter) OptCost(q *optimizer.JobNode, c *Candidate) float64 {
+	return r.ablate(r.bound(q, r.boundsOf(q), c))
+}
+
+// ablate applies DisableOptCost to a bound: every relevant candidate's
+// lower bound becomes zero.
+func (r *Rewriter) ablate(b float64) float64 {
+	if r.DisableOptCost && b < inf {
+		return 0
+	}
+	return b
+}
+
+// optCost computes OPTCOST from scratch: the memo's miss path.
+func (r *Rewriter) optCost(q *optimizer.JobNode, c *Candidate) float64 {
 	if !r.relevantWith(q.Ann, c, r.usefulSigsFor(q)) {
 		return inf
 	}
-	if r.DisableOptCost {
-		return 0
-	}
-	fix := afk.ComputeFix(q.Ann, c.Ann)
-	if fix.Empty() && len(c.Views) == 1 {
+	ops, empty := afk.FixOps(q.Ann, c.Ann)
+	if empty && len(c.Views) == 1 {
 		// No compensation needed: the view may answer the target as-is,
 		// straight off disk, at zero execution cost.
 		return 0
 	}
 	read := float64(c.Stats.Bytes) / r.Opt.Params.ReadRate
 	var cpu float64
-	if ops := fix.OpTypes(); len(ops) > 0 {
+	if len(ops) > 0 {
 		cpu = float64(c.Stats.Rows) * r.Opt.Params.CPUSecondsPerTuple(cost.LocalFn{Ops: ops, Scalar: 1})
 	}
 	return read + cpu

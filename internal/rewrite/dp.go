@@ -24,6 +24,7 @@ const DPCandidateCap = 100000
 func (r *Rewriter) DPRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result {
 	start := time.Now()
 	res := &Result{OriginalCost: w.TotalCost()}
+	in := r.begin(views)
 
 	n := len(w.Nodes)
 	type best struct {
@@ -36,7 +37,7 @@ func (r *Rewriter) DPRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result
 	}
 
 	for i, jn := range w.Nodes {
-		cands := r.explode(views, &res.Counters)
+		cands := r.explode(in, &res.Counters)
 		for _, c := range cands {
 			if !afk.GuessComplete(jn.Ann, c.Ann, r.Cat.FDs) {
 				continue
@@ -92,7 +93,7 @@ func (r *Rewriter) DPRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result
 // explode generates the full candidate space for one target: every view,
 // then level-wise merges up to MaxViews constituents, capped at
 // DPCandidateCap.
-func (r *Rewriter) explode(views []*meta.TableInfo, counters *Counters) []*Candidate {
+func (r *Rewriter) explode(in *initial, counters *Counters) []*Candidate {
 	seen := make(map[string]bool)
 	var all []*Candidate
 	add := func(c *Candidate) bool {
@@ -106,13 +107,10 @@ func (r *Rewriter) explode(views []*meta.TableInfo, counters *Counters) []*Candi
 		return true
 	}
 	var singles []*Candidate
-	for _, v := range views {
-		c, err := r.single(v)
-		if err != nil {
-			continue
-		}
-		if add(c) {
-			singles = append(singles, c)
+	for _, e := range in.entries {
+		c := *e.single
+		if add(&c) {
+			singles = append(singles, &c)
 		}
 	}
 	level := singles

@@ -1,6 +1,15 @@
 package rewrite
 
-import "opportune/internal/meta"
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"opportune/internal/afk"
+	"opportune/internal/cost"
+	"opportune/internal/meta"
+	"opportune/internal/optimizer"
+)
 
 // MergedTemplates returns the merged-candidate templates the memo of the
 // rewriter's last search generation holds, by the view-set key they are
@@ -21,8 +30,11 @@ func MergedTemplates(r *Rewriter) map[string]*Candidate {
 // BuildMergedFresh builds the canonical merged candidate of a view set the
 // way a rewriter with an empty memo does: every join from scratch.
 func BuildMergedFresh(r *Rewriter, views []*meta.TableInfo) (*Candidate, error) {
-	fresh := &Rewriter{Cat: r.Cat, Opt: r.Opt, MaxViews: r.MaxViews, MaxOpRepeat: r.MaxOpRepeat}
-	return fresh.buildMerged(views)
+	return fresh(r).buildMerged(views)
+}
+
+func fresh(r *Rewriter) *Rewriter {
+	return &Rewriter{Cat: r.Cat, Opt: r.Opt, MaxViews: r.MaxViews, MaxOpRepeat: r.MaxOpRepeat}
 }
 
 // BuildMerged builds the canonical merged candidate of a view set through
@@ -39,3 +51,93 @@ func SetKey(c *Candidate, key string) { c.key = key }
 
 // SigIDs is the candidate's sorted attribute signature list.
 func SigIDs(c *Candidate) []string { return c.sigs }
+
+// CheckMemoHits makes r recompute every OPTCOST bound its cross-query memo
+// serves from scratch — the candidate rebuilt by a rewriter with empty
+// memos, the bound derived the way OptCost did before the memo (ComputeFix,
+// fresh useful signatures) — and report each whose bits differ through
+// fail. It returns the number of hits checked so far.
+func CheckMemoHits(r *Rewriter, fail func(format string, args ...any)) (hits func() int) {
+	n := 0
+	r.crossMemo().hitCheck = func(q *optimizer.JobNode, c *Candidate, b float64) {
+		n++
+		var ref *Candidate
+		var err error
+		if len(c.Views) == 1 {
+			ref, err = fresh(r).single(c.Views[0])
+		} else {
+			ref, err = fresh(r).buildMerged(c.Views)
+		}
+		if err != nil {
+			fail("%s for %s: rebuilding the candidate: %v", c.key, q.ViewName, err)
+			return
+		}
+		if want := refOptCost(r, q, ref); math.Float64bits(want) != math.Float64bits(b) {
+			fail("%s for %s: memo serves OPTCOST %v, from scratch %v", c.key, q.ViewName, b, want)
+		}
+	}
+	return func() int { return n }
+}
+
+// refOptCost is OPTCOST as derived before the memo, un-ablated.
+func refOptCost(r *Rewriter, q *optimizer.JobNode, c *Candidate) float64 {
+	if !r.relevantWith(q.Ann, c, usefulSigs(q.Ann)) {
+		return inf
+	}
+	fix := afk.ComputeFix(q.Ann, c.Ann)
+	if fix.Empty() && len(c.Views) == 1 {
+		return 0
+	}
+	read := float64(c.Stats.Bytes) / r.Opt.Params.ReadRate
+	var cpu float64
+	if ops := fix.OpTypes(); len(ops) > 0 {
+		cpu = float64(c.Stats.Rows) * r.Opt.Params.CPUSecondsPerTuple(cost.LocalFn{Ops: ops, Scalar: 1})
+	}
+	return read + cpu
+}
+
+// MemoViews is the number of catalog entries r's cross-query memo holds.
+func MemoViews(r *Rewriter) int { return len(r.cross.views) }
+
+// StaleMemoEntries lists what r's cross-query memo should no longer hold:
+// entries whose view is not the catalog's current entry under its name,
+// merged bounds over a view without an entry, and single bounds in a slot
+// no entry owns. It also reports broken slot bookkeeping.
+func StaleMemoEntries(r *Rewriter) []string {
+	m := &r.cross
+	var out []string
+	owned := make(map[int]bool)
+	for v, e := range m.views {
+		if cur, ok := r.Cat.Table(v.Name); !ok || cur != v {
+			out = append(out, fmt.Sprintf("view %s: not the catalog's current entry", v.Name))
+		}
+		if owned[e.slot] || slices.Contains(m.free, e.slot) {
+			out = append(out, fmt.Sprintf("view %s: slot %d owned twice or free", v.Name, e.slot))
+		}
+		owned[e.slot] = true
+	}
+	for name, tb := range m.targets {
+		known := 0
+		for s, sb := range tb.single {
+			if !sb.known {
+				continue
+			}
+			known++
+			if !owned[s] {
+				out = append(out, fmt.Sprintf("target %s: bound in unowned slot %d", name, s))
+			}
+		}
+		if known != tb.known {
+			out = append(out, fmt.Sprintf("target %s: counts %d bounds, holds %d", name, tb.known, known))
+		}
+		for k, mb := range tb.merged {
+			for _, v := range mb.views {
+				if m.views[v] == nil {
+					out = append(out, fmt.Sprintf("target %s: merged bound %s over %s, which has no entry", name, k, v.Name))
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}

@@ -1,0 +1,268 @@
+package rewrite_test
+
+import (
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"opportune/internal/afk"
+	"opportune/internal/hiveql"
+	"opportune/internal/obs"
+	"opportune/internal/persist"
+	"opportune/internal/rewrite"
+	"opportune/internal/session"
+	"opportune/internal/workload"
+)
+
+// benchScript is the 27-query script the repository benchmark times, in
+// analyst-major or version-major order.
+func benchScript(versionMajor bool) []workload.Query {
+	var out []workload.Query
+	for _, q := range workload.AllQueries() {
+		if !benchExcluded[q.Name] {
+			out = append(out, q)
+		}
+	}
+	if versionMajor {
+		slices.SortStableFunc(out, func(a, b workload.Query) int { return a.Version - b.Version })
+	}
+	return out
+}
+
+// memoOracle arms the cross-query memo's hit check on s's rewriter: every
+// OPTCOST bound the memo serves is recomputed from scratch and must match
+// it bit for bit.
+func memoOracle(t *testing.T, s *session.Session) (hits func() int) {
+	t.Helper()
+	failures := 0
+	return rewrite.CheckMemoHits(s.Rew, func(format string, args ...any) {
+		if failures++; failures <= 5 {
+			t.Errorf(format, args...)
+		}
+	})
+}
+
+// runScript runs the queries under ModeBFR through Run, or through RunBatch
+// in batches of batch queries when batch > 0.
+func runScript(t *testing.T, s *session.Session, qs []workload.Query, batch int) {
+	t.Helper()
+	if batch == 0 {
+		for _, q := range qs {
+			if _, err := workload.Exec(s, q, session.ModeBFR); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	for i := 0; i < len(qs); i += batch {
+		b, err := workload.Batch(qs[i:min(i+batch, len(qs))], session.ModeBFR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkMemoCurrent searches once more over the catalog as it now stands
+// (the memo prunes at the start of a search) and requires the memo to hold
+// exactly the catalog's views, nothing stale, and to have served hits.
+func checkMemoCurrent(t *testing.T, s *session.Session, hits func() int) {
+	t.Helper()
+	st, err := hiveql.ParseOne(workload.QueryFor(1, 1).SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Opt.ClearEstimates()
+	w, err := s.Opt.Compile(st.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := s.Cat.Views()
+	s.Rew.BFRewrite(w, views)
+	for _, e := range rewrite.StaleMemoEntries(s.Rew) {
+		t.Error("memo: " + e)
+	}
+	if got := rewrite.MemoViews(s.Rew); got != len(views) {
+		t.Errorf("memo holds %d views, the catalog %d", got, len(views))
+	}
+	if hits() == 0 {
+		t.Error("the memo served no bound: the oracle checked nothing")
+	}
+	t.Logf("%d memo hits checked, %d views", hits(), len(views))
+}
+
+// TestCrossQueryMemoOracle runs the benchmark's script with every memo hit
+// recomputed from scratch, on each path a catalog changes under the memo:
+// Run and RunBatch in both script orders, AppendRows maintenance,
+// DropViews, a view budget that evicts mid-script, and a Save/Open round
+// trip. After each, the memo must hold only current catalog entries.
+func TestCrossQueryMemoOracle(t *testing.T) {
+	newSess := func(t *testing.T) *session.Session {
+		s, err := workload.NewSession(workload.SmallScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name         string
+		versionMajor bool
+		batch        int
+	}{
+		{"run_analyst_major", false, 0},
+		{"run_version_major", true, 0},
+		{"batch8_analyst_major", false, 8},
+		{"batch8_version_major", true, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSess(t)
+			hits := memoOracle(t, s)
+			runScript(t, s, benchScript(tc.versionMajor), tc.batch)
+			checkMemoCurrent(t, s, hits)
+		})
+	}
+	t.Run("append_rows", func(t *testing.T) {
+		s := newSess(t)
+		hits := memoOracle(t, s)
+		script := benchScript(false)
+		runScript(t, s, script, 0)
+		rep, err := s.AppendRows("twtr", workload.AppendBatch(workload.SmallScale(), 0, 200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Maintained) == 0 {
+			t.Fatal("the append maintained no view: the memo saw no replaced entry")
+		}
+		runScript(t, s, script, 0)
+		checkMemoCurrent(t, s, hits)
+	})
+	t.Run("drop_views", func(t *testing.T) {
+		s := newSess(t)
+		hits := memoOracle(t, s)
+		script := benchScript(false)
+		runScript(t, s, script[:len(script)/2], 0)
+		s.DropViews()
+		runScript(t, s, script, 0)
+		checkMemoCurrent(t, s, hits)
+	})
+	t.Run("evicting_budget", func(t *testing.T) {
+		// A quarter of the script's unlimited view footprint.
+		s := newSess(t)
+		runScript(t, s, benchScript(false), 0)
+		budget := s.Store.ViewBytes() / 4
+		s = newSess(t)
+		reg := obs.NewRegistry()
+		s.Instrument(reg)
+		s.Store.ViewCapacityBytes = budget
+		hits := memoOracle(t, s)
+		runScript(t, s, benchScript(false), 0)
+		evicted := int64(0)
+		for k, v := range reg.Snapshot().Counters {
+			if strings.HasPrefix(k, "storage_evictions_total") {
+				evicted += v
+			}
+		}
+		if evicted == 0 {
+			t.Fatal("the budget evicted nothing")
+		}
+		checkMemoCurrent(t, s, hits)
+	})
+	t.Run("save_open", func(t *testing.T) {
+		s := newSess(t)
+		script := benchScript(false)
+		runScript(t, s, script[:len(script)/2], 0)
+		dir := t.TempDir()
+		if err := persist.Save(s, dir); err != nil {
+			t.Fatal(err)
+		}
+		s2, saved, err := persist.Open(dir, workload.CostParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := workload.RegisterUDFs(s2); err != nil {
+			t.Fatal(err)
+		}
+		saved.ApplyScalars(s2)
+		hits := memoOracle(t, s2)
+		runScript(t, s2, script, 0)
+		checkMemoCurrent(t, s2, hits)
+	})
+}
+
+// TestFixOpsMatchesComputeFix: the allocation-free FixOps OPTCOST uses
+// agrees with ComputeFix's OpTypes and Empty on every (target, candidate)
+// pair of the golden probe state — each target against every single-view
+// candidate and every merged candidate the search built.
+func TestFixOpsMatchesComputeFix(t *testing.T) {
+	s, w := probeState(t, 4)
+	s.Opt.ClearEstimates()
+	s.Rew.BFRewrite(w, s.Cat.Views())
+	var cands []*rewrite.Candidate
+	for _, v := range s.Cat.Views() {
+		c, err := rewrite.Single(s.Rew, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands = append(cands, c)
+	}
+	merged := 0
+	for _, c := range rewrite.MergedTemplates(s.Rew) {
+		cands = append(cands, c)
+		merged++
+	}
+	if merged == 0 {
+		t.Fatal("the search built no merged candidate")
+	}
+	pairs, empties := 0, 0
+	for _, q := range w.Nodes {
+		for _, c := range cands {
+			ops, empty := afk.FixOps(q.Ann, c.Ann)
+			fix := afk.ComputeFix(q.Ann, c.Ann)
+			if !slices.Equal(ops, fix.OpTypes()) || empty != fix.Empty() {
+				t.Errorf("%s for %s: FixOps = %v, %v; ComputeFix = %v, %v",
+					c.Key(), q.ViewName, ops, empty, fix.OpTypes(), fix.Empty())
+			}
+			pairs++
+			if empty {
+				empties++
+			}
+		}
+	}
+	if empties == 0 || empties == pairs {
+		t.Errorf("%d of %d pairs have an empty fix: the oracle misses a branch", empties, pairs)
+	}
+	t.Logf("%d pairs, %d with an empty fix", pairs, empties)
+}
+
+// TestAblationThroughWarmMemo: the memo stores bounds un-ablated, so
+// toggling DisableOptCost on a live Rewriter (as -exp ablation does) gives
+// exactly the search a fresh Rewriter with the same switch gives, in both
+// directions.
+func TestAblationThroughWarmMemo(t *testing.T) {
+	s, w := probeState(t, 4)
+	views := s.Cat.Views()
+	type outcome struct {
+		plan     string
+		costBits uint64
+		counters rewrite.Counters
+	}
+	search := func(r *rewrite.Rewriter, disable bool) outcome {
+		r.DisableOptCost = disable
+		s.Opt.ClearEstimates()
+		res := r.BFRewrite(w, views)
+		return outcome{res.Plan.Fingerprint(), math.Float64bits(res.Cost), res.Counters}
+	}
+	live := rewrite.NewRewriter(s.Cat, s.Opt)
+	for _, disable := range []bool{true, false, true, false} {
+		got, want := search(live, disable), search(rewrite.NewRewriter(s.Cat, s.Opt), disable)
+		if got != want {
+			t.Errorf("DisableOptCost=%v through the live memo: %+v, fresh: %+v", disable, got, want)
+		}
+	}
+	if full, ablated := search(live, false), search(live, true); full.counters == ablated.counters {
+		t.Errorf("ablating OPTCOST changed no counter (%+v): the switch is not reaching the search", full.counters)
+	}
+}

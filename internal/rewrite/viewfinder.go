@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"opportune/internal/afk"
-	"opportune/internal/meta"
 	"opportune/internal/optimizer"
 	"opportune/internal/plan"
 )
@@ -33,12 +32,14 @@ func (c *Counters) Add(o Counters) {
 // on demand — each REFINE pops the head, merges it with everything popped
 // before (Seen), and attempts a rewrite only when GUESSCOMPLETE passes.
 type viewFinder struct {
-	r *Rewriter
-	q *optimizer.JobNode
+	r      *Rewriter
+	q      *optimizer.JobNode
+	bounds *targetBounds // q's OPTCOST bounds in the cross-query memo
 
-	pq    candHeap
-	seen  []*Candidate
-	dedup map[string]bool
+	pq      candHeap
+	seen    []*Candidate
+	initial *initial
+	dedup   map[string]bool // merged candidates seen (views: initial.names)
 
 	counters *Counters
 
@@ -51,33 +52,22 @@ type viewFinder struct {
 
 // newViewFinder is INIT: all views become initial candidates ordered by
 // OPTCOST. Irrelevant candidates (OPTCOST = ∞) are dropped immediately —
-// they can never participate in a complete rewrite (see Relevant).
-func newViewFinder(r *Rewriter, q *optimizer.JobNode, views []*meta.TableInfo, counters *Counters) *viewFinder {
-	vf := &viewFinder{r: r, q: q, dedup: make(map[string]bool), counters: counters}
-	for _, v := range views {
-		c, err := r.single(v)
-		if err != nil {
-			continue
+// they can never participate in a complete rewrite (see Relevant) — but
+// still count as considered. Bounds are read off the views' shared
+// templates, so only a view that joins the queue is copied into a
+// candidate of its own.
+func newViewFinder(r *Rewriter, q *optimizer.JobNode, in *initial, counters *Counters) *viewFinder {
+	vf := &viewFinder{r: r, q: q, bounds: r.boundsOf(q), initial: in, dedup: make(map[string]bool), counters: counters}
+	counters.CandidatesConsidered += len(in.entries)
+	for _, e := range in.entries {
+		if b := r.ablate(r.singleBound(q, vf.bounds, e)); b < inf {
+			c := *e.single
+			c.OptCost = b
+			vf.pq = append(vf.pq, &c)
 		}
-		c.OptCost = r.OptCost(q, c)
-		vf.pushScored(c)
 	}
+	heap.Init(&vf.pq)
 	return vf
-}
-
-// pushScored inserts a candidate whose OPTCOST is already computed, unless
-// irrelevant or already seen. Every non-duplicate candidate counts as
-// considered, relevant or not.
-func (vf *viewFinder) pushScored(c *Candidate) {
-	if vf.dedup[c.Key()] {
-		return
-	}
-	vf.dedup[c.Key()] = true
-	vf.counters.CandidatesConsidered++
-	if c.OptCost >= inf {
-		return
-	}
-	heap.Push(&vf.pq, c)
 }
 
 // Peek returns the OPTCOST of the next candidate, or +Inf when exhausted.
@@ -100,12 +90,17 @@ func (vf *viewFinder) Refine() (*plan.Node, float64) {
 	// Merge v with every seen candidate. Any rewrite from a merged
 	// candidate also uses v and its partner, so both lower bounds apply;
 	// taking the max keeps the queue monotone (the merged candidate can
-	// never need examining before its parents).
-	skip := func(key string) bool { return vf.dedup[key] }
+	// never need examining before its parents). Merge skips sets already
+	// seen, so each candidate it returns is new: it counts as considered,
+	// relevant or not.
+	skip := func(key string) bool { return vf.dedup[key] || vf.initial.names[key] }
 	for _, s := range vf.seen {
 		for _, m := range vf.r.Merge(v, s, skip) {
-			m.OptCost = math.Max(vf.r.OptCost(vf.q, m), v.OptCost)
-			vf.pushScored(m)
+			vf.dedup[m.Key()] = true
+			vf.counters.CandidatesConsidered++
+			if m.OptCost = math.Max(vf.r.ablate(vf.r.bound(vf.q, vf.bounds, m)), v.OptCost); m.OptCost < inf {
+				heap.Push(&vf.pq, m)
+			}
 		}
 	}
 	vf.seen = append(vf.seen, v)

@@ -366,13 +366,33 @@ func (sys *System) Exec(script string) ([]*Result, error) {
 			Rewritten:      m.Rewrite != nil && m.Rewrite.Improved,
 			Jobs:           m.Jobs,
 			DataMovedBytes: m.DataMovedBytes,
-		}
-		for _, row := range rel.Rows() {
-			r.Rows = append(r.Rows, fromValues(row))
+			Rows:           resultRows(rel.Rows()),
 		}
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// resultRows converts stored rows into a Result's rows, nil for none. All
+// rows are carved from one backing array; each is a full slice expression,
+// so an append to one row reallocates it instead of overwriting the next.
+func resultRows(rows []data.Row) [][]any {
+	if len(rows) == 0 {
+		return nil
+	}
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	cells := make([]any, n)
+	out := make([][]any, len(rows))
+	for i, row := range rows {
+		out[i], cells = cells[:len(row):len(row)], cells[len(row):]
+		for j, v := range row {
+			out[i][j] = fromValue(v)
+		}
+	}
+	return out
 }
 
 // ExecOne runs a script expected to hold exactly one statement.

@@ -20,6 +20,7 @@ run ./internal/hiveql FuzzParse
 run ./internal/data FuzzReadRelation
 run ./internal/data FuzzKeyPrefix
 run ./internal/afk FuzzPartitionCompat
+run ./internal/afk FuzzFixOps
 run ./internal/optimizer FuzzFusedPipeline
 run ./internal/optimizer FuzzFusedAgg
 run ./internal/session FuzzMaintainVsRecompute

@@ -14,4 +14,4 @@ fi
 go build ./...
 go vet ./...
 go test -race ./...
-go test -count=1 -run 'Alloc|Sizeof|Retention' ./internal/value ./internal/data ./internal/mr ./internal/optimizer ./internal/rewrite ./internal/session
+go test -count=1 -run 'Alloc|Sizeof|Retention' . ./internal/value ./internal/data ./internal/mr ./internal/optimizer ./internal/rewrite ./internal/session
