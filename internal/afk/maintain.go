@@ -55,6 +55,17 @@ var Rollups = map[string]Rollup{
 	"agg_max": extreme(+1),
 }
 
+// Regroupable is the precondition of a relational aggregate compensation:
+// whether the aggregate of signature UDF fn ("agg_"+AggFunc) may be computed
+// by one group-by over input whose annotation has the given Grouped flag.
+// Over grouped input each row is a group, not a base row, so only the
+// duplicate-insensitive MIN and MAX give what one pass over the base rows
+// gives: COUNT would count groups, and SUM and AVG weight each group once.
+// Rolling COUNT up as a SUM of retained counts is not modelled.
+func Regroupable(fn string, grouped bool) bool {
+	return !grouped || fn == "agg_min" || fn == "agg_max"
+}
+
 // extreme keeps whichever non-null side lies further in sign's direction.
 func extreme(sign int) Rollup {
 	return func(old, delta value.V) value.V {

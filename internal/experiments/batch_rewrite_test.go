@@ -15,22 +15,10 @@ import (
 	"opportune/internal/workload"
 )
 
-// knownWrongRewrites are the queries of the open ROADMAP defect ("BFREWRITE
-// returns wrong answers for 5 of the 32 workload queries once views
-// accumulate across analysts": COUNT(*) re-aggregated over a finer-grouped
-// view). TestRewriteEquivalence requires exactly these to mismatch and
-// TestBatchRewriteEquivalence (whose batch-start planning does not reproduce
-// the defect at this scale) exempts them; the fix PR empties this table.
-var knownWrongRewrites = map[string]bool{
-	"a2v1": true, "a2v2": true, "a2v3": true, "a2v4": true, "a7v1": true,
-}
-
 // TestRewriteEquivalence pins every rewrite BFREWRITE picks to the query it
 // replaces, on the path a user takes: the workload in analyst-major order
 // under ModeBFR through Session.Run on one accumulating catalog must produce
-// the result multisets of sequential ModeOriginal execution. The table of
-// known-wrong rewrites is checked in both directions, so the defect fix
-// starts from a failing oracle: a listed query that matches fails too.
+// the result multisets of sequential ModeOriginal execution.
 func TestRewriteEquivalence(t *testing.T) {
 	queries := workload.AllQueries()
 	refFPs := seqRef(t, queries, nil).fps
@@ -44,11 +32,7 @@ func TestRewriteEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			matches := resultFP(t, s, m.ResultName) == refFPs[q.Name]
-			switch {
-			case knownWrongRewrites[q.Name] && matches:
-				t.Errorf("%s: listed in knownWrongRewrites but its rewrite matches the original — defect fixed? empty the table", q.Name)
-			case !knownWrongRewrites[q.Name] && !matches:
+			if resultFP(t, s, m.ResultName) != refFPs[q.Name] {
 				t.Errorf("%s: rewritten result differs from the original query's", q.Name)
 			}
 		}
@@ -68,11 +52,7 @@ func TestBatchRewriteEquivalence(t *testing.T) {
 	check := func(t *testing.T, got map[string]uint64, improved int) {
 		t.Helper()
 		for _, q := range queries {
-			switch {
-			case knownWrongRewrites[q.Name]:
-				t.Logf("%s: exempt (known rewrite defect, see ROADMAP); matches here: %v",
-					q.Name, got[q.Name] == refFPs[q.Name])
-			case got[q.Name] != refFPs[q.Name]:
+			if got[q.Name] != refFPs[q.Name] {
 				t.Errorf("%s: rewritten batch result differs from the original query's", q.Name)
 			}
 		}
@@ -144,9 +124,7 @@ func TestBatchRewriteEquivalence(t *testing.T) {
 // Session.Run on one accumulating catalog must reproduce, byte for byte,
 // testdata/search_golden.json — per query the chosen plan, its cost (IEEE
 // bits) and the search-effort counters, and at the end the estimate-cache
-// totals. The known-wrong rewrites run (the catalog accumulates through
-// them) but are left out of the file, so it pins search decisions without
-// cementing rewrites the defect fix will change.
+// totals.
 func TestWorkloadSearchGolden(t *testing.T) {
 	type decision struct {
 		Query    string           `json:"query"`
@@ -163,9 +141,6 @@ func TestWorkloadSearchGolden(t *testing.T) {
 		m, err := run(s, q, session.ModeBFR)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if knownWrongRewrites[q.Name] {
-			continue
 		}
 		got.Queries = append(got.Queries, decision{
 			Query:    q.Name,

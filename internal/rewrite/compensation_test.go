@@ -140,6 +140,61 @@ func TestMultiAggregateCompensation(t *testing.T) {
 	}
 }
 
+// TestRegroupOverFinerGroupedView: a view grouped on (user, spend), finer
+// than a per-user target, holds one row per group. A relational group-by
+// over it may recompute the duplicate-insensitive MIN and MAX, but COUNT(*)
+// would count groups and SUM would add each distinct spend once, so
+// REWRITEENUM must find no rewrite for those targets.
+func TestRegroupOverFinerGroupedView(t *testing.T) {
+	s := geoSys(t, 500)
+	fine := plan.GroupAgg(plan.Scan("checkins"), []string{"user", "spend"},
+		plan.AggSpec{Func: plan.AggCount, As: "n"})
+	if _, err := s.Run(fine, "fine", session.ModeOriginal); err != nil {
+		t.Fatal(err)
+	}
+	view, ok := s.Cat.Table("fine")
+	if !ok {
+		t.Fatal("the grouped view was not retained")
+	}
+	perUser := func(fn plan.AggFunc) *plan.Node {
+		col := "spend"
+		if fn == plan.AggCount {
+			col = ""
+		}
+		return plan.GroupAgg(plan.Scan("checkins"), []string{"user"}, plan.AggSpec{Func: fn, Col: col, As: "x"})
+	}
+	for _, fn := range []plan.AggFunc{plan.AggCount, plan.AggSum, plan.AggMin, plan.AggMax} {
+		w, err := s.Opt.Compile(perUser(fn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, p, _ := rewrite.ProbeCandidate(s.Rew, w.Sink(), view)
+		regroupable := fn == plan.AggMin || fn == plan.AggMax
+		if got := p != nil; got != regroupable {
+			t.Errorf("%s per user from the (user, spend) view: rewrite found = %v, want %v", fn, got, regroupable)
+		}
+	}
+
+	m, err := s.Run(perUser(plan.AggMax), "q", session.ModeBFR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := false
+	plan.Walk(m.Rewrite.Plan, func(n *plan.Node) { reads = reads || (n.Kind == plan.KindScan && n.Dataset == "fine") })
+	if !reads {
+		t.Errorf("MAX per user was not answered from the grouped view: %s", m.Rewrite.Plan.Fingerprint())
+	}
+	ref := geoSys(t, 500)
+	if _, err := ref.Run(perUser(plan.AggMax), "ref", session.ModeOriginal); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := s.Store.Read(m.ResultName)
+	b, _ := ref.Store.Read("ref")
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Error("MAX over the grouped view produced wrong data")
+	}
+}
+
 // TestThresholdPairsProperty: for random threshold pairs (t1, t2), running
 // q(t1) then q(t2) with BFR always matches a fresh original run of q(t2) —
 // whether t2 is tighter (reuse via implication), equal (identical view), or
