@@ -32,23 +32,12 @@ type Optimizer struct {
 	// deterministic (and serialized by the session), so these counters are
 	// reproducible across runs.
 	Obs *obs.Registry
-
-	// gen counts ClearEstimates calls; rewrite-layer memos key on it so a
-	// statistics reset invalidates every cached probe and plan cost.
-	gen uint64
 }
 
 // ClearEstimates drops the cross-plan estimate cache; call between queries.
-// It also bumps the estimate generation, invalidating rewrite-layer memos.
 func (o *Optimizer) ClearEstimates() {
 	o.annEst = make(map[string]cost.Stats)
-	o.gen++
 }
-
-// EstGen returns the estimate-cache generation: it changes exactly when
-// ClearEstimates resets the statistics context, so memos keyed on it are
-// invalidated at the same points a serial search would recompute.
-func (o *Optimizer) EstGen() uint64 { return o.gen }
 
 // New creates an optimizer. eval supplies implementations of opaque filter
 // predicates; pass a fresh evaluator if the workload has none.

@@ -8,11 +8,11 @@ import (
 
 // Measured allocation counts of one BFREWRITE search over the golden probe
 // state, plus 5 %: cold is a fresh Rewriter (every single-view template and
-// OPTCOST bound built; 1 158), warm a second search over the unchanged
-// catalog (all of them served by the cross-query memo; 982).
+// OPTCOST bound built; 1 117), warm a second search over the unchanged
+// catalog (all of them served by the cross-query memo; 942).
 const (
-	bfrColdSearchAllocBudget = 1216
-	bfrWarmSearchAllocBudget = 1031
+	bfrColdSearchAllocBudget = 1173
+	bfrWarmSearchAllocBudget = 990
 )
 
 // TestBFRewriteSearchAllocs: one search over the golden probe state (four

@@ -49,32 +49,9 @@ type TargetWork struct {
 	FinalBestCost    float64
 }
 
-// planCost estimates a rewrite plan's execution cost. A bare scan of an
+// compileCost estimates a rewrite plan's execution cost. A bare scan of an
 // existing dataset costs nothing: the target's output is already
-// materialized. Costs memoize by plan fingerprint until the next
-// statistics reset — sound because estimates are consistent within a
-// generation (the same annotation always resolves to the same stats), so
-// recompiling a syntactically identical plan cannot change its cost.
-func (r *Rewriter) planCost(p *plan.Node) (float64, error) {
-	if p.Kind == plan.KindScan {
-		return r.compileCost(p)
-	}
-	plans := r.memos().plans
-	fp := p.Fingerprint()
-	if c, ok := plans[fp]; ok {
-		return c, nil
-	}
-	c, err := r.compileCost(p)
-	if err == nil {
-		plans[fp] = c
-	}
-	return c, err
-}
-
-// compileCost is planCost without the memo: REWRITEENUM costs every
-// compensation order through it, so each order's estimate accesses reach
-// the optimizer's cache (a memo hit would elide them and move the
-// estimate-cache counters).
+// materialized.
 func (r *Rewriter) compileCost(p *plan.Node) (float64, error) {
 	if p.Kind == plan.KindScan {
 		return 0, plan.Annotate(p, r.Cat)
@@ -100,9 +77,12 @@ type bfState struct {
 // REFINETARGET advances it one candidate, and improvements propagate to
 // downstream targets (PROPBESTREWRITE, Algorithm 3).
 func (r *Rewriter) BFRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result {
-	start := time.Now()
+	return r.bfRewrite(time.Now(), w, r.begin(views))
+}
+
+// bfRewrite is BFRewrite over a begun search; start is when it began.
+func (r *Rewriter) bfRewrite(start time.Time, w *optimizer.Work, in *search) *Result {
 	res := &Result{OriginalCost: w.TotalCost()}
-	in := r.begin(views)
 
 	n := len(w.Nodes)
 	states := make([]*bfState, n)
@@ -164,7 +144,7 @@ func (r *Rewriter) BFRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result
 			subs[dep.Logical] = states[dep.Index].bestPlan
 		}
 		composed := plan.Substitute(w.Nodes[k].Logical, subs)
-		c, err := r.planCost(composed)
+		c, err := r.compileCost(composed)
 		if err != nil {
 			return
 		}

@@ -20,26 +20,25 @@ import (
 // Candidate is a candidate view for rewriting a target: a single
 // materialized view, or several merged (joined) views. Its Plan is the
 // pre-compensation scan/join tree over the constituent views.
+//
+// A Candidate is an immutable template: a view's is built once per catalog
+// entry (the cross-query memo), a view set's once per search, and every
+// target's queue shares it, pairing it with that target's OPTCOST
+// (candHeap).
 type Candidate struct {
 	Views []*meta.TableInfo
 	Plan  *plan.Node
 	Ann   afk.Annotation
 	Stats cost.Stats // combined read volume of the constituents
 
-	OptCost float64
-	key     string   // dedup key
-	names   []string // constituent view names, sorted once at construction
-	sigs    []string // Ann.A signature IDs, sorted once at construction
+	key   string   // dedup key
+	names []string // constituent view names, sorted once at construction
+	sigs  []string // Ann.A signature IDs, sorted once at construction
 }
 
 // Key is the candidate's canonical identity: constituent views plus merge
 // structure.
 func (c *Candidate) Key() string { return c.key }
-
-// Names returns the constituent view names, sorted.
-func (c *Candidate) Names() []string {
-	return append([]string(nil), c.names...)
-}
 
 // Rewriter holds the shared machinery: the catalog, the optimizer (for
 // costing rewrites), and the algorithm parameters J and k (§5).
@@ -63,9 +62,6 @@ type Rewriter struct {
 	DisableOptCost       bool
 	DisableGuessComplete bool
 
-	// memo caches merged candidates, probe results and plan costs across
-	// search iterations of one estimate generation; read it through memos.
-	memo *memoState
 	// cross caches single-view templates and OPTCOST bounds across queries;
 	// read it through crossMemo (memo.go).
 	cross crossMemo
@@ -75,17 +71,6 @@ type Rewriter struct {
 // J=4, k=2.
 func NewRewriter(cat *meta.Catalog, opt *optimizer.Optimizer) *Rewriter {
 	return &Rewriter{Cat: cat, Opt: opt, MaxViews: 4, MaxOpRepeat: 2}
-}
-
-// single builds the candidate for one view; each caller gets its own
-// shallow copy of the cached template, since callers mutate OptCost.
-func (r *Rewriter) single(v *meta.TableInfo) (*Candidate, error) {
-	t, err := r.singleTemplate(v)
-	if err != nil {
-		return nil, err
-	}
-	c := *t
-	return &c, nil
 }
 
 // sortedSigIDs caches a candidate's attribute signature IDs in sorted
@@ -122,15 +107,16 @@ func mergeSortedNames(a, b []string) (merged []string, overlap bool) {
 	return merged, false
 }
 
-// Merge attempts to merge two candidates (the MERGE function of
-// Algorithm 4, a standard view-merging step). A merged candidate's identity
-// is its *set* of constituent views, and its join tree is built
-// canonically (see buildMerged), so its cost is well-defined regardless of
-// the order the search discovered the set in — which the optimality of the
-// best-first search relies on. skip, when non-nil, suppresses already-seen
-// sets before the (costly) plan construction.
-func (r *Rewriter) Merge(a, b *Candidate, skip func(key string) bool) []*Candidate {
-	if len(a.Views)+len(b.Views) > r.MaxViews {
+// merge attempts to merge two candidates (the MERGE function of
+// Algorithm 4, a standard view-merging step), returning nil when they do
+// not merge. A merged candidate's identity is its *set* of constituent
+// views, and its join tree is built canonically (see buildMerged), so its
+// cost is well-defined regardless of the order the search discovered the
+// set in — which the optimality of the best-first search relies on. skip,
+// when non-nil, suppresses already-seen sets before the (costly) plan
+// construction.
+func (s *search) merge(a, b *Candidate, skip func(key string) bool) *Candidate {
+	if len(a.Views)+len(b.Views) > s.r.MaxViews {
 		return nil
 	}
 	// Reject merges of overlapping view sets; the merged sorted name list
@@ -150,24 +136,15 @@ func (r *Rewriter) Merge(a, b *Candidate, skip func(key string) bool) []*Candida
 	}
 	// The merged candidate depends only on the view set (the join tree is
 	// canonical), not on the pair the search discovered it through or the
-	// target — cache the construction per set key, nil marking a set with
-	// no canonical tree. Callers get shallow copies (they mutate OptCost):
-	// templates are shared, as prefixes, by every larger set built on them.
-	merges := r.memos().merges
-	t, ok := merges[key]
+	// target — build it once per search, nil marking a set with no
+	// canonical tree. Every target shares it, and every larger set built on
+	// it shares it as a prefix.
+	t, ok := s.merges[key]
 	if !ok {
-		views := append(append([]*meta.TableInfo(nil), a.Views...), b.Views...)
-		var err error
-		if t, err = r.buildMerged(views); err != nil {
-			t = nil
-		}
-		merges[key] = t
+		t, _ = s.buildMerged(append(append([]*meta.TableInfo(nil), a.Views...), b.Views...))
+		s.merges[key] = t
 	}
-	if t == nil {
-		return nil
-	}
-	c := *t
-	return []*Candidate{&c}
+	return t
 }
 
 // buildMerged constructs the canonical join tree of a view set: views
@@ -178,10 +155,10 @@ func (r *Rewriter) Merge(a, b *Candidate, skip func(key string) bool) []*Candida
 // The tree cut after j views is the canonical tree of those j views: they
 // sort in the same relative order, and a view the greedy step skipped as
 // unjoinable is skipped again, so the subset's pick is the same view. Each
-// prefix is therefore taken from the merges memo when present, and stored
-// when built — a set one view larger than a known set costs one join. The
-// templates it returns are shared; callers must not mutate them.
-func (r *Rewriter) buildMerged(views []*meta.TableInfo) (*Candidate, error) {
+// prefix is therefore taken from the search's merges when present, and
+// stored when built — a set one view larger than a known set costs one
+// join.
+func (s *search) buildMerged(views []*meta.TableInfo) (*Candidate, error) {
 	ordered := append([]*meta.TableInfo(nil), views...)
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].Stats.Bytes != ordered[j].Stats.Bytes {
@@ -189,26 +166,25 @@ func (r *Rewriter) buildMerged(views []*meta.TableInfo) (*Candidate, error) {
 		}
 		return ordered[i].Name < ordered[j].Name
 	})
-	merges := r.memos().merges
-	cur, err := r.singleTemplate(ordered[0])
+	cur, err := s.r.single(ordered[0])
 	if err != nil {
 		return nil, err
 	}
 	remaining := ordered[1:]
 	for len(remaining) > 0 {
-		i, side, sigID, err := r.pickNext(cur, remaining)
+		i, side, sigID, err := s.r.pickNext(cur, remaining)
 		if err != nil {
 			return nil, err
 		}
 		remaining = append(remaining[:i], remaining[i+1:]...)
 		names, _ := mergeSortedNames(cur.names, side.names)
 		key := strings.Join(names, "+")
-		next := merges[key]
+		next := s.merges[key]
 		if next == nil {
-			if next, err = r.mergeOn(cur, side, sigID, names, key); err != nil {
+			if next, err = s.r.mergeOn(cur, side, sigID, names, key); err != nil {
 				return nil, err
 			}
-			merges[key] = next
+			s.merges[key] = next
 		}
 		cur = next
 	}
@@ -220,7 +196,7 @@ func (r *Rewriter) buildMerged(views []*meta.TableInfo) (*Candidate, error) {
 // signature.
 func (r *Rewriter) pickNext(cur *Candidate, remaining []*meta.TableInfo) (int, *Candidate, string, error) {
 	for i, v := range remaining {
-		side, err := r.singleTemplate(v)
+		side, err := r.single(v)
 		if err != nil {
 			return 0, nil, "", err
 		}
@@ -336,19 +312,6 @@ func (r *Rewriter) relevantWith(q afk.Annotation, c *Candidate, useful map[strin
 	return false
 }
 
-// usefulSigsFor caches usefulSigs per target (by view name, the hash of its
-// annotation): the set depends only on the target's annotation, and every
-// OPTCOST the memo misses re-derives it.
-func (r *Rewriter) usefulSigsFor(q *optimizer.JobNode) map[string]bool {
-	useful := r.memos().useful
-	u, ok := useful[q.ViewName]
-	if !ok {
-		u = usefulSigs(q.Ann)
-		useful[q.ViewName] = u
-	}
-	return u
-}
-
 // usefulSigs collects the signature IDs of q's attributes, keys, filter
 // columns, and (recursively) every ingredient needed to derive them.
 func usefulSigs(q afk.Annotation) map[string]bool {
@@ -382,23 +345,6 @@ func usefulSigs(q afk.Annotation) map[string]bool {
 	return useful
 }
 
-// OptCost is the lower bound of §4.3 on the cost of any rewrite of target q
-// that uses this candidate's views: the cost of a synthesized single-local-
-// function UDF that applies the fix to the candidate — reading the
-// candidate's data plus, by the non-subsumable cost property, the cheapest
-// operation of the fix per row. Irrelevant candidates get +Inf.
-//
-// The bound is sound for the optimizer's COST: any rewrite using these
-// views reads at least their bytes and runs at least one local function
-// over their rows.
-//
-// c must be a candidate this Rewriter built (single or Merge): bounds come
-// from the cross-query memo, which stores them un-ablated, so
-// DisableOptCost applies after the lookup.
-func (r *Rewriter) OptCost(q *optimizer.JobNode, c *Candidate) float64 {
-	return r.ablate(r.bound(q, r.boundsOf(q), c))
-}
-
 // ablate applies DisableOptCost to a bound: every relevant candidate's
 // lower bound becomes zero.
 func (r *Rewriter) ablate(b float64) float64 {
@@ -408,9 +354,21 @@ func (r *Rewriter) ablate(b float64) float64 {
 	return b
 }
 
-// optCost computes OPTCOST from scratch: the memo's miss path.
-func (r *Rewriter) optCost(q *optimizer.JobNode, c *Candidate) float64 {
-	if !r.relevantWith(q.Ann, c, r.usefulSigsFor(q)) {
+// optCost is the lower bound of §4.3 on the cost of any rewrite of target q
+// that uses this candidate's views, computed from scratch (the memo's miss
+// path; tb holds q's useful signatures): the cost of a synthesized
+// single-local-function UDF that applies the fix to the candidate — reading
+// the candidate's data plus, by the non-subsumable cost property, the
+// cheapest operation of the fix per row. Irrelevant candidates get +Inf.
+//
+// The bound is sound for the optimizer's COST: any rewrite using these
+// views reads at least their bytes and runs at least one local function
+// over their rows.
+func (r *Rewriter) optCost(q *optimizer.JobNode, tb *targetBounds, c *Candidate) float64 {
+	if tb.useful == nil {
+		tb.useful = usefulSigs(q.Ann)
+	}
+	if !r.relevantWith(q.Ann, c, tb.useful) {
 		return inf
 	}
 	ops, empty := afk.FixOps(q.Ann, c.Ann)
@@ -428,20 +386,3 @@ func (r *Rewriter) optCost(q *optimizer.JobNode, c *Candidate) float64 {
 }
 
 var inf = math.Inf(1)
-
-// ProbeCandidate evaluates one view as a candidate for one target:
-// it returns the candidate's OPTCOST and, when the view is guessed complete
-// and REWRITEENUM succeeds, the rewrite plan with its cost. Exposed for
-// property tests and ablation experiments.
-func ProbeCandidate(r *Rewriter, q *optimizer.JobNode, v *meta.TableInfo) (float64, *plan.Node, float64) {
-	c, err := r.single(v)
-	if err != nil {
-		return inf, nil, inf
-	}
-	oc := r.OptCost(q, c)
-	if !afk.GuessComplete(q.Ann, c.Ann, r.Cat.FDs) {
-		return oc, nil, inf
-	}
-	p, cost := r.RewriteEnum(q, c)
-	return oc, p, cost
-}

@@ -37,8 +37,7 @@ func (r *Rewriter) DPRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result
 	}
 
 	for i, jn := range w.Nodes {
-		cands := r.explode(in, &res.Counters)
-		for _, c := range cands {
+		for _, c := range in.explode(&res.Counters) {
 			if !afk.GuessComplete(jn.Ann, c.Ann, r.Cat.FDs) {
 				continue
 			}
@@ -53,8 +52,18 @@ func (r *Rewriter) DPRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result
 			}
 		}
 	}
+	r.compose(w, res, func(i int) (*plan.Node, float64) { return rewrites[i].plan, rewrites[i].cost })
+	res.Runtime = time.Since(start)
+	return res
+}
 
-	// Dynamic-programming composition over the job DAG (topological order).
+// compose is the dynamic-programming pass DP and BFR-SYNTACTIC share: over
+// the job DAG in topological order, each target's best plan is its own
+// logical plan over its inputs' best plans, costed whole, unless
+// rewrite(i) offers a cheaper plan for target i. The sink's best is the
+// result.
+func (r *Rewriter) compose(w *optimizer.Work, res *Result, rewrite func(i int) (*plan.Node, float64)) {
+	n := len(w.Nodes)
 	bestPlan := make([]*plan.Node, n)
 	bestCost := make([]float64, n)
 	improved := make([]bool, n)
@@ -72,59 +81,52 @@ func (r *Rewriter) DPRewrite(w *optimizer.Work, views []*meta.TableInfo) *Result
 			bestPlan[i] = jn.Logical
 		}
 		bestCost[i] = composed
-		if c, err := r.planCost(bestPlan[i]); err == nil {
+		if c, err := r.compileCost(bestPlan[i]); err == nil {
 			bestCost[i] = c
 		}
-		if rewrites[i].plan != nil && rewrites[i].cost < bestCost[i] {
-			bestPlan[i] = rewrites[i].plan
-			bestCost[i] = rewrites[i].cost
-			improved[i] = true
+		if p, c := rewrite(i); p != nil && c < bestCost[i] {
+			bestPlan[i], bestCost[i], improved[i] = p, c, true
 		}
 	}
-
 	sink := w.Sink().Index
-	res.Plan = bestPlan[sink]
-	res.Cost = bestCost[sink]
-	res.Improved = improved[sink]
-	res.Runtime = time.Since(start)
-	return res
+	res.Plan, res.Cost, res.Improved = bestPlan[sink], bestCost[sink], improved[sink]
 }
 
 // explode generates the full candidate space for one target: every view,
 // then level-wise merges up to MaxViews constituents, capped at
 // DPCandidateCap.
-func (r *Rewriter) explode(in *initial, counters *Counters) []*Candidate {
+func (s *search) explode(counters *Counters) []*Candidate {
 	seen := make(map[string]bool)
 	var all []*Candidate
 	add := func(c *Candidate) bool {
-		if seen[c.Key()] {
+		if seen[c.key] {
 			return false
 		}
-		seen[c.Key()] = true
+		seen[c.key] = true
 		counters.CandidatesConsidered++
-		c.OptCost = 0 // DP does not use OPTCOST
 		all = append(all, c)
 		return true
 	}
 	var singles []*Candidate
-	for _, e := range in.entries {
-		c := *e.single
-		if add(&c) {
-			singles = append(singles, &c)
+	for _, e := range s.entries {
+		if add(e.single) {
+			singles = append(singles, e.single)
 		}
 	}
 	level := singles
-	for depth := 2; depth <= r.MaxViews && len(all) < DPCandidateCap; depth++ {
+	for depth := 2; depth <= s.r.MaxViews && len(all) < DPCandidateCap; depth++ {
 		var next []*Candidate
 		for _, a := range level {
 			for _, b := range singles {
-				for _, m := range r.Merge(a, b, func(key string) bool { return seen[key] }) {
-					if len(all) >= DPCandidateCap {
-						return all
-					}
-					if add(m) {
-						next = append(next, m)
-					}
+				m := s.merge(a, b, func(key string) bool { return seen[key] })
+				if m == nil {
+					continue
+				}
+				if len(all) >= DPCandidateCap {
+					return all
+				}
+				if add(m) {
+					next = append(next, m)
 				}
 			}
 		}

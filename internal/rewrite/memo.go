@@ -9,41 +9,8 @@ import (
 	"opportune/internal/plan"
 )
 
-// memoState holds the rewrite-layer memos of one estimate generation:
-// ClearEstimates bumps the generation, and memos replaces the whole state
-// on the first access under a new one — exactly the points where a serial
-// search would recompute against fresh statistics.
-type memoState struct {
-	gen    uint64
-	probe  map[string]probeHit        // (candidate key, target fingerprint) -> enum result
-	plans  map[string]float64         // plan fingerprint -> compiled total cost
-	merges map[string]*Candidate      // view-set key -> merged template (nil: no canonical tree)
-	useful map[string]map[string]bool // target view name -> useful signature IDs
-}
-
-// probeHit is a memoized REWRITEENUM outcome.
-type probeHit struct {
-	plan *plan.Node
-	cost float64
-}
-
-// memos returns the memo state of the optimizer's current estimate
-// generation, starting an empty one when the generation has moved.
-func (r *Rewriter) memos() *memoState {
-	if g := r.Opt.EstGen(); r.memo == nil || r.memo.gen != g {
-		r.memo = &memoState{
-			gen:    g,
-			probe:  make(map[string]probeHit),
-			plans:  make(map[string]float64),
-			merges: make(map[string]*Candidate),
-			useful: make(map[string]map[string]bool),
-		}
-	}
-	return r.memo
-}
-
-// crossMemo is the memo that outlives estimate generations (DESIGN §5.7):
-// what the search derives from catalog entries alone — each view's
+// crossMemo is the rewriter's one memo (DESIGN §5.7): what the search
+// derives from catalog entries alone, kept across queries — each view's
 // single-view candidate template and every OPTCOST bound, un-ablated.
 //
 // OPTCOST reads the target's annotation, the candidate's annotation and
@@ -66,8 +33,8 @@ type crossMemo struct {
 }
 
 // viewEntry is the memo's record of one catalog entry: its single-view
-// candidate template (shared, read-only) and the slot that indexes its
-// bound in every target's table.
+// candidate template and the slot that indexes its bound in every target's
+// table.
 type viewEntry struct {
 	single *Candidate
 	slot   int
@@ -77,11 +44,13 @@ type viewEntry struct {
 // targetBounds are one target's OPTCOST bounds: single-view candidates by
 // their view's slot, merged candidates by view-set key together with the
 // catalog entries the bound was computed from — it serves only a candidate
-// built from exactly those.
+// built from exactly those. useful is the target's usefulSigs, derived on
+// the first miss.
 type targetBounds struct {
 	single []slotBound
 	known  int // single bounds held
 	merged map[string]mergedBound
+	useful map[string]bool
 }
 
 type slotBound struct {
@@ -104,28 +73,37 @@ func (r *Rewriter) crossMemo() *crossMemo {
 	return &r.cross
 }
 
-// initial is INIT's view list for one search, shared by all its targets:
-// the memo entry of each view in order, leaving out views that fail to
-// annotate and repeats of a name (a view is one candidate per target).
-type initial struct {
+// search is the state of one search, shared by all its targets: INIT's view
+// list — the memo entry of each view in order, leaving out views that fail
+// to annotate and repeats of a name (a view is one candidate per target) —
+// and the merged templates built so far, by view-set key (nil: the set has
+// no canonical tree). Merged templates are not kept across searches.
+type search struct {
+	r       *Rewriter
 	entries []*viewEntry
 	names   map[string]bool
+	merges  map[string]*Candidate
 }
 
-// begin starts a search over views: it returns INIT's view list and prunes
-// the memo. Every entry of a view the search lists is kept; any other whose
-// view is no longer the catalog's current entry under its name — dropped,
-// evicted, invalidated or replaced — goes, with every bound over it, and so
-// does every target left without bounds. The memo's size thus follows the
+// begin starts a search over views: it returns the search's state and
+// prunes the memo. Every entry of a view the search lists is kept; any other
+// whose view is no longer the catalog's current entry under its name —
+// dropped, evicted, invalidated or replaced — goes, with every bound over
+// it, and so does every target left without bounds. The memo's size thus follows the
 // catalog. A change of cost.Params empties it.
-func (r *Rewriter) begin(views []*meta.TableInfo) *initial {
+func (r *Rewriter) begin(views []*meta.TableInfo) *search {
 	m := r.crossMemo()
 	if m.params != r.Opt.Params {
 		r.cross = crossMemo{hitCheck: m.hitCheck}
 		m = r.crossMemo()
 	}
 	m.search++
-	in := &initial{entries: make([]*viewEntry, 0, len(views)), names: make(map[string]bool, len(views))}
+	in := &search{
+		r:       r,
+		entries: make([]*viewEntry, 0, len(views)),
+		names:   make(map[string]bool, len(views)),
+		merges:  make(map[string]*Candidate),
+	}
 	for _, v := range views {
 		if in.names[v.Name] {
 			continue
@@ -212,8 +190,8 @@ func (r *Rewriter) entry(v *meta.TableInfo) (*viewEntry, error) {
 	return e, nil
 }
 
-// singleTemplate returns the shared, read-only candidate of one view.
-func (r *Rewriter) singleTemplate(v *meta.TableInfo) (*Candidate, error) {
+// single returns the candidate template of one view.
+func (r *Rewriter) single(v *meta.TableInfo) (*Candidate, error) {
 	e, err := r.entry(v)
 	if err != nil {
 		return nil, err
@@ -238,13 +216,13 @@ func (r *Rewriter) bound(q *optimizer.JobNode, tb *targetBounds, c *Candidate) f
 		if e := r.cross.views[c.Views[0]]; e != nil {
 			return r.singleBound(q, tb, e)
 		}
-		return r.optCost(q, c)
+		return r.optCost(q, tb, c)
 	}
 	if mb, ok := tb.merged[c.key]; ok && slices.Equal(mb.views, c.Views) {
 		r.checkHit(q, c, mb.bound)
 		return mb.bound
 	}
-	b := r.optCost(q, c)
+	b := r.optCost(q, tb, c)
 	tb.merged[c.key] = mergedBound{views: c.Views, bound: b}
 	return b
 }
@@ -256,7 +234,7 @@ func (r *Rewriter) singleBound(q *optimizer.JobNode, tb *targetBounds, e *viewEn
 		r.checkHit(q, e.single, b)
 		return b
 	}
-	b := r.optCost(q, e.single)
+	b := r.optCost(q, tb, e.single)
 	for len(tb.single) <= e.slot {
 		tb.single = append(tb.single, slotBound{})
 	}

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"slices"
 	"time"
 
 	"opportune/internal/meta"
@@ -25,51 +26,21 @@ func (r *Rewriter) SyntacticRewrite(w *optimizer.Work, views []*meta.TableInfo) 
 		}
 	}
 
-	n := len(w.Nodes)
-	bestPlan := make([]*plan.Node, n)
-	bestCost := make([]float64, n)
-	improved := make([]bool, n)
-	for i, jn := range w.Nodes {
-		subs := make(map[*plan.Node]*plan.Node)
-		composed := jn.EstCost.Total()
-		for _, dep := range jn.Deps {
-			subs[dep.Logical] = bestPlan[dep.Index]
-			composed += bestCost[dep.Index]
-			improved[i] = improved[i] || improved[dep.Index]
-		}
-		if improved[i] {
-			bestPlan[i] = plan.Substitute(jn.Logical, subs)
-		} else {
-			bestPlan[i] = jn.Logical
-		}
-		bestCost[i] = composed
-		if c, err := r.planCost(bestPlan[i]); err == nil {
-			bestCost[i] = c
-		}
-
+	r.compose(w, res, func(i int) (*plan.Node, float64) {
+		jn := w.Nodes[i]
 		v, ok := byFP[jn.PlanFP]
 		if !ok {
-			continue
+			return nil, inf
 		}
 		res.Counters.CandidatesConsidered++
 		res.Counters.RewriteAttempts++
 		scan := plan.Scan(v.Name)
-		if err := plan.Annotate(scan, r.Cat); err != nil {
-			continue
-		}
-		if !sameStrings(scan.OutCols, jn.OutCols) {
-			continue
+		if err := plan.Annotate(scan, r.Cat); err != nil || !slices.Equal(scan.OutCols, jn.OutCols) {
+			return nil, inf
 		}
 		res.Counters.RewritesFound++
-		bestPlan[i] = scan
-		bestCost[i] = 0 // already materialized
-		improved[i] = true
-	}
-
-	sink := w.Sink().Index
-	res.Plan = bestPlan[sink]
-	res.Cost = bestCost[sink]
-	res.Improved = improved[sink]
+		return scan, 0 // already materialized
+	})
 	res.Runtime = time.Since(start)
 	return res
 }

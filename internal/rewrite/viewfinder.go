@@ -34,12 +34,12 @@ func (c *Counters) Add(o Counters) {
 type viewFinder struct {
 	r      *Rewriter
 	q      *optimizer.JobNode
+	s      *search
 	bounds *targetBounds // q's OPTCOST bounds in the cross-query memo
 
-	pq      candHeap
-	seen    []*Candidate
-	initial *initial
-	dedup   map[string]bool // merged candidates seen (views: initial.names)
+	pq    candHeap
+	seen  []*Candidate
+	dedup map[string]bool // merged candidates seen (views: s.names)
 
 	counters *Counters
 
@@ -52,18 +52,14 @@ type viewFinder struct {
 
 // newViewFinder is INIT: all views become initial candidates ordered by
 // OPTCOST. Irrelevant candidates (OPTCOST = ∞) are dropped immediately —
-// they can never participate in a complete rewrite (see Relevant) — but
-// still count as considered. Bounds are read off the views' shared
-// templates, so only a view that joins the queue is copied into a
-// candidate of its own.
-func newViewFinder(r *Rewriter, q *optimizer.JobNode, in *initial, counters *Counters) *viewFinder {
-	vf := &viewFinder{r: r, q: q, bounds: r.boundsOf(q), initial: in, dedup: make(map[string]bool), counters: counters}
-	counters.CandidatesConsidered += len(in.entries)
-	for _, e := range in.entries {
+// they can never participate in a complete rewrite (see relevantWith) —
+// but still count as considered.
+func newViewFinder(r *Rewriter, q *optimizer.JobNode, s *search, counters *Counters) *viewFinder {
+	vf := &viewFinder{r: r, q: q, s: s, bounds: r.boundsOf(q), dedup: make(map[string]bool), counters: counters}
+	counters.CandidatesConsidered += len(s.entries)
+	for _, e := range s.entries {
 		if b := r.ablate(r.singleBound(q, vf.bounds, e)); b < inf {
-			c := *e.single
-			c.OptCost = b
-			vf.pq = append(vf.pq, &c)
+			vf.pq = append(vf.pq, queued{e.single, b})
 		}
 	}
 	heap.Init(&vf.pq)
@@ -75,7 +71,7 @@ func (vf *viewFinder) Peek() float64 {
 	if len(vf.pq) == 0 {
 		return inf
 	}
-	return vf.pq[0].OptCost
+	return vf.pq[0].bound
 }
 
 // Refine pops the head candidate, grows the space by merging it with Seen,
@@ -85,22 +81,25 @@ func (vf *viewFinder) Refine() (*plan.Node, float64) {
 	if len(vf.pq) == 0 {
 		return nil, inf
 	}
-	v := heap.Pop(&vf.pq).(*Candidate)
-	vf.poppedBounds = append(vf.poppedBounds, v.OptCost)
+	head := heap.Pop(&vf.pq).(queued)
+	v := head.Candidate
+	vf.poppedBounds = append(vf.poppedBounds, head.bound)
 	// Merge v with every seen candidate. Any rewrite from a merged
 	// candidate also uses v and its partner, so both lower bounds apply;
 	// taking the max keeps the queue monotone (the merged candidate can
-	// never need examining before its parents). Merge skips sets already
+	// never need examining before its parents). merge skips sets already
 	// seen, so each candidate it returns is new: it counts as considered,
 	// relevant or not.
-	skip := func(key string) bool { return vf.dedup[key] || vf.initial.names[key] }
-	for _, s := range vf.seen {
-		for _, m := range vf.r.Merge(v, s, skip) {
-			vf.dedup[m.Key()] = true
-			vf.counters.CandidatesConsidered++
-			if m.OptCost = math.Max(vf.r.ablate(vf.r.bound(vf.q, vf.bounds, m)), v.OptCost); m.OptCost < inf {
-				heap.Push(&vf.pq, m)
-			}
+	skip := func(key string) bool { return vf.dedup[key] || vf.s.names[key] }
+	for _, other := range vf.seen {
+		m := vf.s.merge(v, other, skip)
+		if m == nil {
+			continue
+		}
+		vf.dedup[m.key] = true
+		vf.counters.CandidatesConsidered++
+		if b := math.Max(vf.r.ablate(vf.r.bound(vf.q, vf.bounds, m)), head.bound); b < inf {
+			heap.Push(&vf.pq, queued{m, b})
 		}
 	}
 	vf.seen = append(vf.seen, v)
@@ -115,20 +114,27 @@ func (vf *viewFinder) Refine() (*plan.Node, float64) {
 	return nil, inf
 }
 
-// candHeap is a min-heap of candidates by OPTCOST (key-ordered on ties for
-// determinism).
-type candHeap []*Candidate
+// queued is one target's queue entry: a shared template and its OPTCOST
+// for that target.
+type queued struct {
+	*Candidate
+	bound float64
+}
+
+// candHeap is a min-heap of queue entries by OPTCOST (key-ordered on ties
+// for determinism).
+type candHeap []queued
 
 func (h candHeap) Len() int { return len(h) }
 func (h candHeap) Less(i, j int) bool {
-	if h[i].OptCost != h[j].OptCost {
-		return h[i].OptCost < h[j].OptCost
+	if h[i].bound != h[j].bound {
+		return h[i].bound < h[j].bound
 	}
-	return h[i].Key() < h[j].Key()
+	return h[i].key < h[j].key
 }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(*Candidate)) }
-func (h *candHeap) Pop() interface{} {
+func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *candHeap) Push(x any)   { *h = append(*h, x.(queued)) }
+func (h *candHeap) Pop() any {
 	old := *h
 	n := len(old)
 	x := old[n-1]
