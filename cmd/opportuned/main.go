@@ -3,7 +3,7 @@
 // queries, an admission stage cuts them into micro-batches (size or
 // latency triggered, weighted-fair across tenants), and the shared-scan
 // batch executor keeps every job output as an opportunistic view shared
-// by all tenants.
+// by all tenants; BFREWRITE rewrites each query over those views.
 //
 // Two modes:
 //
@@ -72,7 +72,7 @@ func main() {
 	svcCfg := service.Config{
 		BatchSize: *batch,
 		MaxWait:   *maxwait,
-		Mode:      session.ModeOriginal,
+		Mode:      session.ModeBFR,
 		Obs:       reg,
 	}
 	if *viewcap > 0 {
