@@ -218,7 +218,7 @@ var fuseReduceReasons = []string{"nondistributive_agg", "agg_udf", "unsupported_
 // either compiled its kernels or carries exactly one fallback reason,
 // cross-boundary jobs are a subset of fused jobs, and a run with no fused
 // reduce jobs cannot claim kernel work. Groups can be zero with rows zero
-// even when jobs ran (fault plans bypass the reduce kernel), but folded rows
+// even when jobs ran (every partition they fed was empty), but folded rows
 // without finalized groups — or more groups than rows — is a wiring bug.
 func checkFusedReduce(m obs.Snapshot) {
 	names := []string{

@@ -11,8 +11,9 @@
 //     fires the same faults at any Workers/ReduceTasks setting.
 //   - Map tasks are addressed by their global split index, which depends
 //     only on cost.Params.SplitRows — never on the worker pool.
-//   - Reduce tasks are addressed by a *virtual shard* of the group key
-//     (fnv32(key) mod VirtualShards), independent of the actual reduce
+//   - A reduce task is a *virtual shard*: the groups whose key hashes to
+//     it (fnv32a(key) mod VirtualShards). A reduce fault fails or slows the
+//     whole shard, and the shard's volume is the same at any actual reduce
 //     partition count R.
 //   - Read errors are addressed by dataset name with a bounded failure
 //     count, consumed in the engine's serial input-read order.
@@ -20,14 +21,15 @@
 // The currency of every fault is *simulated* seconds: slowdowns, retries,
 // and backoff are charged to the job's accounting (WastedSeconds), so
 // metrics stay byte-identical across parallelism settings and real
-// wall-clock never leaks into results.
+// wall-clock never leaks into results. Task faults are priced, not
+// replayed: the engine runs every task once and charges the attempts a
+// plan kills or slows as arithmetic on the task's nominal cost.
 package fault
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"os"
 )
@@ -40,7 +42,8 @@ const (
 	// crash or a lost machine in Hadoop terms).
 	KindPanic Kind = "panic"
 	// KindCorrupt corrupts a map task's intermediate output; the
-	// corruption is detected at shuffle ingest and the task re-executed.
+	// corruption is detected at shuffle ingest and the attempt is charged
+	// like a dead one.
 	KindCorrupt Kind = "corrupt"
 	// KindStraggler slows a task by Factor without failing it.
 	KindStraggler Kind = "straggler"
@@ -54,7 +57,7 @@ type Phase string
 const (
 	// PhaseMap addresses map tasks (Task = global split index).
 	PhaseMap Phase = "map"
-	// PhaseReduce addresses reduce groups (Task = virtual key shard).
+	// PhaseReduce addresses reduce tasks (Task = virtual key shard).
 	PhaseReduce Phase = "reduce"
 )
 
@@ -253,12 +256,17 @@ func IsInjected(err error) bool {
 	return errors.As(err, &f)
 }
 
-// Shard maps a reduce group key into the plan's virtual shard space.
+// Shard maps a reduce group key into the plan's virtual shard space by
+// 32-bit FNV-1a, inlined because the engine hashes every shuffle record of
+// a job that runs under a plan.
 func Shard(key string, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(shards))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(shards))
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 )
@@ -129,6 +130,29 @@ func TestShardStableAndBounded(t *testing.T) {
 	}
 	if Shard("anything", 1) != 0 || Shard("anything", 0) != 0 {
 		t.Error("degenerate shard counts must map to 0")
+	}
+}
+
+// TestShardIsFNV1a pins the inlined hash to hash/fnv's 32-bit FNV-1a, so a
+// plan addresses the same keys' shard it always has, and checks it hashes
+// without allocating.
+func TestShardIsFNV1a(t *testing.T) {
+	keys := []string{"", "wine", "red", "beer", "a-long-reduce-group-key", "\x00\xff\x80"}
+	for _, key := range keys {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		for _, shards := range []int{2, 7, DefaultVirtualShards} {
+			if got, want := Shard(key, shards), int(h.Sum32()%uint32(shards)); got != want {
+				t.Errorf("Shard(%q, %d) = %d, FNV-1a says %d", key, shards, got, want)
+			}
+		}
+	}
+	in := NewInjector(&Plan{VirtualShards: 16})
+	if in.Shards() != 16 || NewInjector(&Plan{}).Shards() != DefaultVirtualShards {
+		t.Errorf("Shards() = %d, want the plan's space", in.Shards())
+	}
+	if n := testing.AllocsPerRun(100, func() { in.Shard(keys[4]) }); n != 0 {
+		t.Errorf("Shard allocates %v times per key", n)
 	}
 }
 

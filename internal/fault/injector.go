@@ -49,6 +49,15 @@ func (in *Injector) Shard(key string) int {
 	return Shard(key, in.shards)
 }
 
+// Shards is the size of this plan's virtual shard space: the number of
+// reduce tasks a job has under it.
+func (in *Injector) Shards() int {
+	if in == nil {
+		return 1
+	}
+	return in.shards
+}
+
 func (in *Injector) matchTask(f Fault, job string, phase Phase, task int) bool {
 	if f.Job != "" && f.Job != job {
 		return false

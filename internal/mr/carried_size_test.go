@@ -131,8 +131,7 @@ func TestCarriedSizesMatchAWalk(t *testing.T) {
 }
 
 // TestPoolsExposeNoStaleEntries: a buffer taken from a pool exposes no key
-// or row of an earlier user at any index up to its capacity — including
-// after a GroupOut dropped a dead attempt's emissions by truncating.
+// or row of an earlier user at any index up to its capacity.
 func TestPoolsExposeNoStaleEntries(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the pools from being emptied mid-test
 	row := data.Row{value.NewStr("stale")}
@@ -153,15 +152,14 @@ func TestPoolsExposeNoStaleEntries(t *testing.T) {
 		}
 		putKeyedBuf(kb)
 
-		// A reduce partition: five rows from an attempt that died, rewound,
-		// then a single row from the attempt that lived.
+		// A reduce partition's arena, two groups deep.
 		o := GroupOut{job: &Job{OutputSchema: data.NewSchema("c")}, arena: getRowsBuf(300)}
 		for i := 0; i < 5+round; i++ {
 			o.Emit(row)
 		}
-		o.rewind()
-		o.Emit(row)
 		o.seal("k")
+		o.Emit(row)
+		o.seal("l")
 		firstRow := &o.arena[:1][0]
 		putRowsBuf(o.arena)
 		rb := getRowsBuf(300)

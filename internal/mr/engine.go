@@ -170,14 +170,6 @@ func (o *GroupOut) EmitBlock(rows []data.Row, bytes int64) {
 	o.block, o.bytes = rows, bytes
 }
 
-// rewind drops whatever the current group emitted so far (a dead attempt's
-// partial output, or a failed group's).
-func (o *GroupOut) rewind() {
-	clear(o.arena[o.start:]) // a pooled buffer is zero past its len (pool.go)
-	o.arena = o.arena[:o.start]
-	o.block, o.bytes = nil, 0
-}
-
 // seal closes the current group and starts the next one.
 func (o *GroupOut) seal(key string) redOut {
 	ro := redOut{key: key, rows: o.block, bytes: o.bytes}
@@ -260,10 +252,8 @@ type Job struct {
 	// grouper's sortKeys pass would reduce them in — sealing one group per
 	// distinct emitted key. false means a record violated the kernel's
 	// layout contract before anything was emitted; the engine then replays
-	// the partition through the grouper + Reduce interpreter. The engine
-	// bypasses BatchReduce entirely under an injected fault plan: scripted
-	// reduce faults address per-key groups, which a whole-partition kernel
-	// cannot replay at that granularity.
+	// the partition through the grouper + Reduce interpreter. It runs under
+	// an injected fault plan too: task recovery is priced, never replayed.
 	BatchReduce func(recs []Keyed, emit Emit) bool
 
 	Reduce       ReduceFunc   // nil for a map-only job
@@ -382,12 +372,12 @@ type Result struct {
 	RetriedShuffleBytes int64
 
 	// Task-level recovery tallies (zero without an injected fault plan).
-	// TaskRetries counts task/group attempts that died and were re-run in
+	// TaskRetries counts task attempts that died and were retried in
 	// place; Straggler/Speculative tasks count scripted slowdowns and the
 	// speculative copies raced against them (SpeculativeWins: races the
-	// copy won). Task retries re-execute from in-memory splits, so they
-	// move no extra bytes — their cost is pure simulated time, itemized in
-	// Faults.
+	// copy won). Task recovery is priced, not replayed: every task runs
+	// once, so recovery moves no extra bytes — its cost is pure simulated
+	// time, itemized in Faults.
 	TaskRetries      int
 	StragglerTasks   int
 	SpeculativeTasks int
@@ -449,8 +439,9 @@ type Engine struct {
 	// Faults, when set, scripts deterministic fault injection
 	// (internal/fault): task panics, corrupted task outputs, stragglers,
 	// and — via the store — read errors. Injected task failures recover at
-	// task granularity (retry with simulated backoff, speculation);
-	// genuine user-code panics keep the job-level MaxAttempts path.
+	// task granularity (retry with simulated backoff, speculation), priced
+	// after the phase's tasks ran once; genuine user-code panics and read
+	// errors keep the job-level MaxAttempts path.
 	Faults *fault.Injector
 
 	// TaskMaxAttempts bounds per-task retries of injected failures before
@@ -992,9 +983,8 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 	// Map phase: one task per input split, run on the worker pool. Task
 	// outputs stay in per-task buffers consumed in split order, so the
 	// effective map output — and every volume counter — is identical for any
-	// Workers value. Under an injected fault plan each task runs with
-	// task-level recovery; per-task recovery records are folded into res in
-	// split-index order so the waste sums are Workers-independent too.
+	// Workers value. Under an injected fault plan the tasks' recovery is
+	// priced afterwards, in split order.
 	msp := asp.Child("map")
 	ixs, built, err := e.openProbes(job, res)
 	if err != nil {
@@ -1002,23 +992,14 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 		return nil, err
 	}
 	tasks := make([]mapTaskOut, len(splits))
-	recs := make([]taskRecovery, len(splits))
 	mapErr := runTasks(e.workers(), len(splits), func(i int) error {
-		if e.Faults == nil {
-			runMapTask(job, splits[i], ixs, &tasks[i])
-			return nil
-		}
-		nominal := e.mapTaskCost(job, splits[i])
-		return e.runTaskAttempts(job, fault.PhaseMap, i, nominal, &recs[i], func() {
-			if tasks[i].out != nil {
-				putKeyedBuf(tasks[i].out)
-			}
-			tasks[i] = mapTaskOut{}
-			runMapTask(job, splits[i], ixs, &tasks[i])
-		})
+		runMapTask(job, splits[i], ixs, &tasks[i])
+		return nil
 	})
-	for i := range recs {
-		res.applyRecovery(&recs[i])
+	if e.Faults != nil {
+		if err := e.priceMapTasks(job, res, splits); mapErr == nil {
+			mapErr = err
+		}
 	}
 	var probed int64
 	for i := range tasks {
@@ -1121,13 +1102,6 @@ type redOut struct {
 	bytes int64
 }
 
-// groupRec is one key group's recovery record under an injected fault plan.
-type groupRec struct {
-	key string
-	rec taskRecovery
-	err error
-}
-
 // shuffleReduce hash-partitions the map-task outputs into R reduce
 // partitions, reduces the partitions concurrently, and materializes their
 // outputs in global key order. The single partition scan (task outputs in
@@ -1137,6 +1111,10 @@ type groupRec struct {
 // key-sorted runs out in global key order, making output row order
 // independent of R and Workers.
 func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *data.Relation, asp *obs.Span) error {
+	var recErr error
+	if e.Faults != nil {
+		recErr = e.priceReduceTasks(job, res, tasks)
+	}
 	r := e.reduceTasks()
 	ssp := asp.Child("shuffle")
 	total := 0
@@ -1188,17 +1166,9 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	rsp := asp.Child("reduce")
 	// Each reduce task buffers its output per key, in partition-local
 	// sorted key order; rows land in one pooled arena per partition, and
-	// redOut entries alias arena slices. Under a fault plan, recovery runs
-	// per key *group* (not per partition): group contents are independent
-	// of R, so retry and speculation waste lands on the same keys at any
-	// partitioning. Per-group recovery records are collected here and
-	// folded below in global key order, keeping float summation
-	// R-independent. A failed group does not stop the partition — remaining
-	// groups still run (and account), mirroring runTasks' run-every-task
-	// rule.
+	// redOut entries alias arena slices.
 	partOuts := make([][]redOut, r)
 	partArenas := make([][]data.Row, r)
-	grecs := make([][]groupRec, r)
 	fusedGroups := make([]int64, r)
 	fusedRows := make([]int64, r)
 	fusedBails := make([]int64, r)
@@ -1211,11 +1181,9 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 		groupHint = int(gh)
 	}
 	err := runTasks(e.workers(), r, func(pi int) error {
-		if job.BatchReduce != nil && e.Faults == nil {
+		if job.BatchReduce != nil {
 			// Fused reduce: the whole partition folds through the columnar
-			// agg kernel. Bypassed under a fault plan — scripted reduce
-			// faults address per-key groups, which a whole-partition kernel
-			// cannot retry at that granularity.
+			// agg kernel.
 			if outs, arena, ok := fusedReducePartition(job, parts[pi], &fusedGroups[pi], &fusedRows[pi]); ok {
 				partOuts[pi] = outs
 				partArenas[pi] = arena
@@ -1233,22 +1201,7 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 		o := GroupOut{job: job, arena: getRowsBuf(len(parts[pi]))}
 		outs := make([]redOut, 0, g.len())
 		for _, k := range g.keys {
-			grows := g.rows(g.id(k))
-			if e.Faults == nil {
-				job.Reduce(k, grows, &o)
-			} else {
-				gr := groupRec{key: k}
-				nominal := e.reduceGroupCost(job, k, grows)
-				gr.err = e.runTaskAttempts(job, fault.PhaseReduce, e.Faults.Shard(k), nominal, &gr.rec, func() {
-					o.rewind() // drop a dead attempt's partial emissions
-					job.Reduce(k, grows, &o)
-				})
-				grecs[pi] = append(grecs[pi], gr)
-				if gr.err != nil {
-					o.rewind()
-					continue
-				}
-			}
+			job.Reduce(k, g.rows(g.id(k)), &o)
 			outs = append(outs, o.seal(k))
 		}
 		partOuts[pi] = outs
@@ -1266,26 +1219,12 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 		res.FusedReduceRows += fusedRows[pi]
 		res.FusedReduceRuntimeFallbacks += fusedBails[pi]
 	}
+	if err == nil {
+		err = recErr // a reduce task outlasted its retry budget
+	}
 	if err != nil {
 		rsp.End()
-		return fmt.Errorf("mr: job %q failed: %v", job.Name, err)
-	}
-	if e.Faults != nil {
-		// Partition-local records are already key-sorted; a k-way merge
-		// folds them in global key order without re-sorting.
-		var gerr error
-		mergeRuns(grecs, func(g *groupRec) string { return g.key }, func(g *groupRec) {
-			res.applyRecovery(&g.rec)
-			// Lowest failing key wins, like runTasks' lowest task index:
-			// the reported error never depends on the partitioning.
-			if gerr == nil && g.err != nil {
-				gerr = g.err
-			}
-		})
-		if gerr != nil {
-			rsp.End()
-			return fmt.Errorf("mr: job %q failed: %w", job.Name, gerr)
-		}
+		return fmt.Errorf("mr: job %q failed: %w", job.Name, err)
 	}
 	// Merge: partitions hold disjoint keys and each partition's buffers are
 	// key-sorted, so a k-way merge reproduces the serial all-keys-sorted

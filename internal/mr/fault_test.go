@@ -2,12 +2,16 @@ package mr
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"opportune/internal/cost"
+	"opportune/internal/data"
 	"opportune/internal/fault"
 	"opportune/internal/storage"
+	"opportune/internal/value"
 )
 
 // newFaultedEngine builds an engine over the words fixture with one-row
@@ -231,6 +235,87 @@ func TestTaskBudgetExhaustionEscalatesToJobLevel(t *testing.T) {
 	// 2 job attempts × 1 task retry each (budget 2 per attempt).
 	if res.Attempts != 2 || res.TaskRetries != 2 {
 		t.Errorf("Attempts = %d, TaskRetries = %d, want 2 and 2", res.Attempts, res.TaskRetries)
+	}
+	checkInvariant(t, res)
+}
+
+// TestReduceTaskBudgetExhaustionEscalatesToJobLevel is the reduce-side
+// twin: a shard whose scripted failures outlast the task budget fails the
+// attempt with the injected fault in the error chain.
+func TestReduceTaskBudgetExhaustionEscalatesToJobLevel(t *testing.T) {
+	e, _ := newFaultedEngine(t, &fault.Plan{Faults: []fault.Fault{
+		{Phase: fault.PhaseReduce, Task: fault.Shard("red", fault.DefaultVirtualShards), Kind: fault.KindPanic, FailAttempts: 100},
+	}})
+	e.TaskMaxAttempts = 2
+	e.MaxAttempts = 2
+	_, res, err := e.Run(wordCountJob())
+	if err == nil {
+		t.Fatal("unsurvivable plan succeeded")
+	}
+	if !fault.IsInjected(err) || !strings.Contains(err.Error(), "injected panic: reduce task") {
+		t.Errorf("error lost the fault detail: %v", err)
+	}
+	if res.Attempts != 2 || res.TaskRetries != 2 {
+		t.Errorf("Attempts = %d, TaskRetries = %d, want 2 and 2", res.Attempts, res.TaskRetries)
+	}
+	checkInvariant(t, res)
+}
+
+// TestReduceFaultKillsTheWholeShard: a reduce task is a virtual shard, so a
+// scripted reduce panic kills every group the shard holds in one attempt —
+// one retry and one backoff, priced on the shard's whole volume — while the
+// reducer itself runs once per group: the dead attempt is priced, not run.
+func TestReduceFaultKillsTheWholeShard(t *testing.T) {
+	byShard := map[int][]string{}
+	var a, b, c string
+	for i := 0; a == ""; i++ {
+		w := fmt.Sprintf("w%d", i)
+		s := fault.Shard(w, fault.DefaultVirtualShards)
+		if len(byShard[s]) == 1 {
+			a, b = byShard[s][0], w
+		}
+		byShard[s] = append(byShard[s], w)
+	}
+	shard := fault.Shard(a, fault.DefaultVirtualShards)
+	for i := 0; c == ""; i++ {
+		if w := fmt.Sprintf("x%d", i); fault.Shard(w, fault.DefaultVirtualShards) != shard {
+			c = w
+		}
+	}
+	st := storage.NewStore()
+	rel := data.NewRelation(data.NewSchema("id", "text"))
+	rel.Append(data.Row{value.NewInt(0), value.NewStr(a + " " + b + " " + a)})
+	rel.Append(data.Row{value.NewInt(1), value.NewStr(c)})
+	st.Put("docs", storage.Base, rel)
+	e := New(st, cost.DefaultParams())
+	e.Faults = fault.NewInjector(&fault.Plan{Faults: []fault.Fault{
+		{Phase: fault.PhaseReduce, Task: shard, Kind: fault.KindPanic, FailAttempts: 1},
+	}})
+	job := wordCountJob()
+	reduce := job.Reduce
+	var calls atomic.Int64 // reduce partitions run concurrently
+	job.Reduce = func(key string, rows []data.Row, out *GroupOut) {
+		calls.Add(1)
+		reduce(key, rows, out)
+	}
+	_, res, err := e.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("reducer ran %d times, want once per group", n)
+	}
+	if res.TaskRetries != 1 || res.Faults.BackoffSeconds != e.Params.TaskBackoffBase {
+		t.Errorf("TaskRetries = %d, BackoffSeconds = %g, want one of each for the shard", res.TaskRetries, res.Faults.BackoffSeconds)
+	}
+	var bytes int64
+	for _, w := range []string{a, b, a} {
+		bytes += int64(data.Row{value.NewStr(w), value.NewInt(1)}.EncodedSize() + len(w))
+	}
+	p := e.Params
+	want := float64(bytes)*p.SortFactor + float64(bytes)/p.ShuffleRate + p.FnsSeconds(job.ReduceCost, 3)
+	if res.Faults.TaskRetrySeconds != want {
+		t.Errorf("TaskRetrySeconds = %g, want the shard's nominal cost %g", res.Faults.TaskRetrySeconds, want)
 	}
 	checkInvariant(t, res)
 }

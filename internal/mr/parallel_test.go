@@ -3,6 +3,7 @@ package mr
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"opportune/internal/cost"
@@ -174,12 +175,11 @@ func TestReducePanicChargesMoreThanMapPanic(t *testing.T) {
 		e := New(st, cost.DefaultParams())
 		e.MaxAttempts = 2
 		job := wordCountJob()
-		failed := false
+		var failed atomic.Bool // tasks run concurrently: exactly one call panics
 		if breakReduce {
 			orig := job.Reduce
 			job.Reduce = func(key string, rows []data.Row, out *GroupOut) {
-				if !failed {
-					failed = true
+				if failed.CompareAndSwap(false, true) {
 					panic("reduce bug")
 				}
 				orig(key, rows, out)
@@ -189,8 +189,7 @@ func TestReducePanicChargesMoreThanMapPanic(t *testing.T) {
 			job.MapFactory = func(ctx TaskCtx) MapFunc {
 				fn := orig(ctx)
 				return func(i int, r data.Row, emit Emit) {
-					if !failed {
-						failed = true
+					if failed.CompareAndSwap(false, true) {
 						panic("map bug")
 					}
 					fn(i, r, emit)

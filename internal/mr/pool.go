@@ -13,10 +13,10 @@ import (
 // job (see DESIGN.md, performance model). The invariant is that a pooled
 // buffer is zero from index 0 to cap: a user only ever writes below len, so
 // a put clears the written prefix b[:len(b)] and nothing else — whoever
-// truncates a buffer it has written to clears the dropped tail first
-// (GroupOut.rewind). Capacity is retained — that is the point of pooling —
-// but buffers that grew beyond poolMaxRetain are dropped so one huge job
-// cannot pin memory for the rest of the process.
+// truncates a buffer it has written to clears the dropped tail first (the
+// map-only materialize loop). Capacity is retained — that is the point of
+// pooling — but buffers that grew beyond poolMaxRetain are dropped so one
+// huge job cannot pin memory for the rest of the process.
 const poolMaxRetain = 1 << 17
 
 var keyedPool = sync.Pool{New: func() any { b := make([]Keyed, 0, 256); return &b }}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"opportune/internal/data"
 	"opportune/internal/fault"
 )
 
@@ -50,11 +49,8 @@ func (w FaultWaste) add(o FaultWaste) FaultWaste {
 	}
 }
 
-// taskRecovery accumulates one task's (or reduce group's) recovery events.
-// Tasks run concurrently, so each task writes its own record; the engine
-// folds records into the Result afterwards in a canonical order (map: split
-// index; reduce: global key order) to keep float summation — and therefore
-// every counter byte — independent of Workers and ReduceTasks.
+// taskRecovery accumulates one task's recovery events; applyRecovery folds
+// them into the Result once per task, in task order.
 type taskRecovery struct {
 	waste      FaultWaste
 	retries    int
@@ -94,82 +90,83 @@ func (e *Engine) backoff(attempt int) float64 {
 	return e.Params.TaskBackoffBase * math.Pow(factor, float64(attempt-1))
 }
 
-// mapTaskCost is one map task's nominal simulated cost: its split's share
-// of the input read plus its map CPU — the task-granular decomposition of
-// Breakdown.Cm, used to price task retries and speculation.
-func (e *Engine) mapTaskCost(job *Job, sp mapSplit) float64 {
-	var bytes int64
-	for _, r := range sp.rows {
-		bytes += int64(r.EncodedSize())
-	}
-	return float64(bytes)/e.Params.ReadRate + e.fnsSim(job.MapCost, int64(len(sp.rows)))
-}
-
-// reduceGroupCost is one key group's nominal simulated cost: its share of
-// sort/transfer plus its reduce CPU — the group-granular decomposition of
-// Cs+Ct+Cr. Groups (not partitions) are the recovery unit because group
-// contents are independent of the partition count R.
-func (e *Engine) reduceGroupCost(job *Job, key string, rows []data.Row) float64 {
-	var bytes int64
-	for _, r := range rows {
-		bytes += int64(r.EncodedSize() + len(key))
-	}
-	return float64(bytes)*e.Params.SortFactor + float64(bytes)/e.Params.ShuffleRate +
-		e.fnsSim(job.ReduceCost, int64(len(rows)))
-}
-
-// runTaskAttempts executes one task with task-level recovery: injected
-// failures (scripted panics and corrupted outputs) are retried up to the
-// task budget with exponential simulated backoff, each dead attempt's
-// nominal cost charged to the recovery record; genuine user-code panics
-// propagate unchanged so they keep escalating to the job-level retry path.
-// On success the task's scripted straggler slowdown (if any) is applied,
-// speculating a second copy when the slowdown crosses the threshold.
-func (e *Engine) runTaskAttempts(job *Job, phase fault.Phase, task int, nominal float64, rec *taskRecovery, run func()) error {
-	max := e.taskMaxAttempts()
-	for attempt := 1; ; attempt++ {
-		err := runInjected(e.Faults, job.Name, phase, task, attempt, run)
-		if err == nil {
-			e.applyStraggler(job.Name, phase, task, nominal, rec, run)
-			return nil
+// priceMapTasks prices the scripted recovery of every map task, in split
+// order: a task's nominal cost is its split's share of the input read plus
+// its map CPU — the task-granular decomposition of Breakdown.Cm.
+func (e *Engine) priceMapTasks(job *Job, res *Result, splits []mapSplit) error {
+	return e.priceTasks(job, res, fault.PhaseMap, len(splits), func(i int) float64 {
+		var bytes int64
+		for _, r := range splits[i].rows {
+			bytes += int64(r.EncodedSize())
 		}
-		rec.lastErr = err.Error()
-		if attempt >= max {
-			// Budget exhausted: escalate to the job level (which may still
-			// retry the whole job from durable inputs).
-			return err
-		}
-		rec.retries++
-		rec.waste.TaskRetrySeconds += nominal
-		rec.waste.BackoffSeconds += e.backoff(attempt)
-	}
+		return float64(bytes)/e.Params.ReadRate + e.fnsSim(job.MapCost, int64(len(splits[i].rows)))
+	})
 }
 
-// runInjected runs one task attempt under the injector. A scripted panic
-// kills the attempt before it does work; a scripted corruption lets the
-// attempt run, then discards its output at validation. Only *fault.Fired
-// panics are recovered here — anything else re-panics into the existing
-// job-level failure path.
-func runInjected(inj *fault.Injector, job string, phase fault.Phase, task, attempt int, run func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fd, ok := r.(*fault.Fired)
-			if !ok {
-				panic(r)
+// priceReduceTasks prices the scripted recovery of every reduce task. A
+// reduce task is a virtual shard — the records whose key fault.Shard maps
+// to it — so its volume, and its price, is the same at any ReduceTasks: its
+// share of sort/transfer plus its reduce CPU, the task-granular
+// decomposition of Cs+Ct+Cr. It reads the map outputs before the shuffle
+// routes them; an empty shard is no task and is not priced.
+func (e *Engine) priceReduceTasks(job *Job, res *Result, tasks []mapTaskOut) error {
+	bytes := make([]int64, e.Faults.Shards())
+	rows := make([]int64, len(bytes))
+	for i := range tasks {
+		for _, kr := range tasks[i].out {
+			s := e.Faults.Shard(kr.Key)
+			bytes[s] += int64(kr.Row.EncodedSize() + len(kr.Key))
+			rows[s]++
+		}
+	}
+	return e.priceTasks(job, res, fault.PhaseReduce, len(bytes), func(s int) float64 {
+		if rows[s] == 0 {
+			return -1
+		}
+		return float64(bytes[s])*e.Params.SortFactor + float64(bytes[s])/e.Params.ShuffleRate +
+			e.fnsSim(job.ReduceCost, rows[s])
+	})
+}
+
+// priceTasks prices the scripted recovery of tasks 0..n-1 of one phase, in
+// task order, into res; nominal gives a task's simulated cost, negative for
+// a task that does not exist. Nothing is replayed: every task already ran
+// once, and a retry or a speculative copy of a deterministic task would
+// reproduce the output that run produced, so recovery is arithmetic on the
+// nominal cost. Injected failures (panics and corrupted outputs) are
+// retried up to the task budget with exponential simulated backoff, each
+// dead attempt's nominal cost charged as waste; a task whose scripted
+// failures outlast the budget fails the attempt, and the lowest such task's
+// error is returned (the job level may still retry from durable inputs).
+// A task that succeeds pays its scripted straggler slowdown, if any.
+func (e *Engine) priceTasks(job *Job, res *Result, phase fault.Phase, n int, nominal func(task int) float64) error {
+	var first error
+	for task := 0; task < n; task++ {
+		c := nominal(task)
+		if c < 0 {
+			continue
+		}
+		var rec taskRecovery
+		for attempt := 1; ; attempt++ {
+			fd := e.Faults.TaskFailure(job.Name, phase, task, attempt)
+			if fd == nil {
+				e.applyStraggler(job.Name, phase, task, c, &rec)
+				break
 			}
-			err = fd
+			rec.lastErr = fd.Error()
+			if attempt >= e.taskMaxAttempts() {
+				if first == nil {
+					first = fd
+				}
+				break
+			}
+			rec.retries++
+			rec.waste.TaskRetrySeconds += c
+			rec.waste.BackoffSeconds += e.backoff(attempt)
 		}
-	}()
-	fd := inj.TaskFailure(job, phase, task, attempt)
-	if fd != nil && fd.Fault.Kind == fault.KindPanic {
-		panic(fd)
+		res.applyRecovery(&rec)
 	}
-	run()
-	if fd != nil {
-		// Corruption: the work happened, the output fails validation.
-		return fd
-	}
-	return nil
+	return first
 }
 
 // applyStraggler charges a task's scripted slowdown and, when it crosses
@@ -181,7 +178,7 @@ func runInjected(inj *fault.Injector, job string, phase fault.Phase, task, attem
 //	straggler finishes at F·C, the copy at L+C; first finisher wins and
 //	the loser is killed when the winner commits. Either way exactly one
 //	nominal C lands in Breakdown; everything else is waste.
-func (e *Engine) applyStraggler(jobName string, phase fault.Phase, task int, nominal float64, rec *taskRecovery, run func()) {
+func (e *Engine) applyStraggler(jobName string, phase fault.Phase, task int, nominal float64, rec *taskRecovery) {
 	f := e.Faults.Slowdown(jobName, phase, task)
 	if f <= 1 {
 		return
@@ -192,10 +189,6 @@ func (e *Engine) applyStraggler(jobName string, phase fault.Phase, task int, nom
 		return
 	}
 	rec.specs++
-	// The speculative copy really re-executes the task; determinism makes
-	// its output identical, so the committed output is the same bytes
-	// whichever copy wins and only the accounting needs the race outcome.
-	run()
 	lag := e.Params.SpeculationLagFactor * nominal
 	if f*nominal <= lag+nominal {
 		// Straggler wins: pay its slowdown; the copy burned from launch to

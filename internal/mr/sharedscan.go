@@ -54,9 +54,7 @@ type SharedScanResult struct {
 // reduce-side BatchCombine/BatchReduce agg kernels) run them over the
 // shared splits exactly as a standalone run would: splits are read-only to
 // map tasks, fused or not, and reduce partitions are private per consumer,
-// so one consumer's execution mode never leaks into another's. The fault
-// bypass applies here too: under an injected plan consumers fall back from
-// BatchReduce to the grouper interpreter, like standalone runs.
+// so one consumer's execution mode never leaks into another's.
 //
 // RunSharedScan does not publish metrics; callers decide attribution and
 // use RecordJob. Returned relations parallel Results. On failure Results
