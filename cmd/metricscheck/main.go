@@ -77,6 +77,7 @@ func main() {
 	checkFused(m)
 	checkFusedReduce(m)
 	checkProbe(m)
+	checkPlanCache(m)
 	if len(e.Spans) == 0 {
 		fail("no spans recorded")
 	}
@@ -305,6 +306,31 @@ func checkFusedReduce(m obs.Snapshot) {
 	}
 	if groups > rows {
 		fail("%d groups finalized from only %d folded records", groups, rows)
+	}
+}
+
+// checkPlanCache validates the session's plan-cache counters: the session
+// publishes session_plan_cache_hits_total{mode} beside
+// session_queries_total{mode} for every query (zeros included), so the two
+// families carry the same modes, and a mode cannot have more hits than
+// queries.
+func checkPlanCache(m obs.Snapshot) {
+	const queries, hits = "session_queries_total{", "session_plan_cache_hits_total{"
+	for k, v := range m.Counters {
+		switch {
+		case strings.HasPrefix(k, queries):
+			h, ok := m.Counters[hits+strings.TrimPrefix(k, queries)]
+			if !ok {
+				fail("%s has no plan-cache hit counter beside it", k)
+			}
+			if h < 0 || h > v {
+				fail("%d plan-cache hits for %d queries (%s)", h, v, k)
+			}
+		case strings.HasPrefix(k, hits):
+			if _, ok := m.Counters[queries+strings.TrimPrefix(k, hits)]; !ok {
+				fail("%s recorded without its query counter", k)
+			}
+		}
 	}
 }
 

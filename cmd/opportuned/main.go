@@ -199,7 +199,7 @@ func runStdin(svc *service.Service) {
 			}
 			fmt.Printf("%s: %s ok in %.3fs (admitted after %.3fs, %d jobs, %.3f sim-s)\n",
 				tenant, resp.ResultName, resp.Wall.Seconds(), resp.AdmitWait.Seconds(),
-				resp.Metrics.Jobs, resp.Metrics.TotalSeconds())
+				resp.Metrics.Jobs, resp.Metrics.ExecSeconds+resp.Metrics.StatsSeconds)
 		}(tenant)
 	}
 	wg.Wait()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
@@ -57,6 +58,7 @@ type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*TableInfo
 	byCanon map[string]*TableInfo // annotation fingerprint -> view
+	gen     atomic.Uint64         // table and view changes; see Gen
 
 	// FDs holds functional dependencies over signature IDs (record keys
 	// and derived attributes).
@@ -73,6 +75,16 @@ func NewCatalog() *Catalog {
 		FDs:     afk.NewFDSet(),
 		UDFs:    udf.NewRegistry(),
 	}
+}
+
+// Gen is the catalog's generation: it moves on every change to what
+// planning reads — a table or view registered or dropped, statistics
+// collected, a partitioning set, a delta marked, a functional dependency
+// added, a UDF registered or calibrated — and on no call that changes
+// nothing. A plan derived at one generation stays valid while it stands.
+// Every source only grows, so their sum moves whenever one of them does.
+func (c *Catalog) Gen() uint64 {
+	return c.gen.Load() + c.UDFs.Gen() + uint64(c.FDs.Len())
 }
 
 // ByAnnotation resolves a view whose annotation fingerprint matches. The
@@ -106,6 +118,7 @@ func (c *Catalog) RegisterBase(name string, cols []string, keyCol string, stats 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tables[name] = info
+	c.gen.Add(1)
 	return info
 }
 
@@ -119,6 +132,7 @@ func (c *Catalog) RegisterView(name string, cols []string, ann afk.Annotation, s
 	defer c.mu.Unlock()
 	c.tables[name] = info
 	c.byCanon[ann.Canon()] = info
+	c.gen.Add(1)
 	return info
 }
 
@@ -130,15 +144,22 @@ func (c *Catalog) SetPartitioning(name string, p afk.Partitioning) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur, ok := c.tables[name]
-	if !ok {
+	if !ok || cur.Part.Equal(p) {
 		return
 	}
 	upd := *cur
 	upd.Part = p.Clone()
-	c.tables[name] = &upd
+	c.replaceLocked(cur, &upd)
+}
+
+// replaceLocked publishes upd in cur's place, in the annotation index too
+// when cur is the indexed view.
+func (c *Catalog) replaceLocked(cur, upd *TableInfo) {
+	c.tables[cur.Name] = upd
 	if canon := upd.Ann.Canon(); c.byCanon[canon] == cur {
-		c.byCanon[canon] = &upd
+		c.byCanon[canon] = upd
 	}
+	c.gen.Add(1)
 }
 
 // MarkDelta marks a registered base table as an appended delta
@@ -147,10 +168,10 @@ func (c *Catalog) SetPartitioning(name string, p afk.Partitioning) {
 func (c *Catalog) MarkDelta(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur, ok := c.tables[name]; ok && !cur.IsView {
+	if cur, ok := c.tables[name]; ok && !cur.IsView && !cur.Delta {
 		upd := *cur
 		upd.Delta = true
-		c.tables[name] = &upd
+		c.replaceLocked(cur, &upd)
 	}
 }
 
@@ -190,8 +211,7 @@ func (c *Catalog) DropView(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t, ok := c.tables[name]; ok && t.IsView {
-		delete(c.tables, name)
-		c.dropCanonLocked(t)
+		c.dropLocked(t)
 	}
 }
 
@@ -201,17 +221,19 @@ func (c *Catalog) DropTable(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t, ok := c.tables[name]; ok && !t.IsView {
-		delete(c.tables, name)
+		c.dropLocked(t)
 	}
 }
 
-// dropCanonLocked unindexes a view's annotation fingerprint (only if it is
-// still the indexed one; another view may share the annotation).
-func (c *Catalog) dropCanonLocked(t *TableInfo) {
-	canon := t.Ann.Canon()
-	if c.byCanon[canon] == t {
+// dropLocked removes a table's entry and unindexes its annotation
+// fingerprint (only if it is still the indexed one; another view may share
+// the annotation).
+func (c *Catalog) dropLocked(t *TableInfo) {
+	delete(c.tables, t.Name)
+	if canon := t.Ann.Canon(); c.byCanon[canon] == t {
 		delete(c.byCanon, canon)
 	}
+	c.gen.Add(1)
 }
 
 // DropViews removes every view from the catalog, returning the count.
@@ -219,10 +241,9 @@ func (c *Catalog) DropViews() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for name, t := range c.tables {
+	for _, t := range c.tables {
 		if t.IsView {
-			delete(c.tables, name)
-			c.dropCanonLocked(t)
+			c.dropLocked(t)
 			n++
 		}
 	}
@@ -236,8 +257,7 @@ func (c *Catalog) SyncWithStore(st *storage.Store) {
 	defer c.mu.Unlock()
 	for name, t := range c.tables {
 		if t.IsView && !st.Has(name) {
-			delete(c.tables, name)
-			c.dropCanonLocked(t)
+			c.dropLocked(t)
 		}
 	}
 }
@@ -289,10 +309,7 @@ func (c *Catalog) CollectStats(eng *mr.Engine, name string, seed int64) (float64
 		upd := *cur
 		upd.Stats = cost.Stats{Rows: estRows, Bytes: ds.SizeBytes}
 		upd.Distinct = distinct
-		c.tables[name] = &upd
-		if canon := upd.Ann.Canon(); c.byCanon[canon] == cur {
-			c.byCanon[canon] = &upd
-		}
+		c.replaceLocked(cur, &upd)
 	}
 	c.mu.Unlock()
 

@@ -3,10 +3,12 @@ package meta
 import (
 	"testing"
 
+	"opportune/internal/afk"
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/mr"
 	"opportune/internal/storage"
+	"opportune/internal/udf"
 	"opportune/internal/value"
 )
 
@@ -138,5 +140,92 @@ func TestCollectStats(t *testing.T) {
 	c.RegisterView("ghost", []string{"a"}, base.Ann, cost.Stats{}, "")
 	if _, err := c.CollectStats(eng, "ghost", 1); err == nil {
 		t.Error("ghost table accepted")
+	}
+}
+
+// TestGenMovesOnEveryChange: every catalog mutator moves Gen when it
+// changes what planning reads and leaves it alone when it changes nothing.
+// Plan reuse (the session's plan cache) is only as sound as this table.
+func TestGenMovesOnEveryChange(t *testing.T) {
+	type fixture struct {
+		c   *Catalog
+		st  *storage.Store
+		eng *mr.Engine
+		d   *udf.Descriptor // registered, Scalar 2
+	}
+	setup := func(t *testing.T) fixture {
+		f := fixture{c: NewCatalog(), st: storage.NewStore()}
+		f.eng = mr.New(f.st, cost.DefaultParams())
+		rel := data.NewRelation(data.NewSchema("a"))
+		rel.Append(data.Row{value.NewInt(1)})
+		f.st.Put("b", storage.Base, rel)
+		f.st.Put("v", storage.View, rel)
+		base := f.c.RegisterBase("b", []string{"a"}, "", cost.Stats{}, nil)
+		f.c.RegisterView("v", []string{"a"}, base.Ann, cost.Stats{}, "")
+		f.c.SetPartitioning("b", afk.Partitioning{Sigs: []string{base.Ann.MustSig("a").ID()}, Parts: 4})
+		f.d = &udf.Descriptor{Name: "U", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"o"}, TrueScalar: 1,
+			Map: func(args, _ []value.V) [][]value.V { return [][]value.V{args} }}
+		if err := f.c.UDFs.Register(f.d); err != nil {
+			t.Fatal(err)
+		}
+		f.c.UDFs.SetScalar(f.d, 2)
+		return f
+	}
+	for _, tc := range []struct {
+		name string
+		op   func(t *testing.T, f fixture)
+		move bool
+		prep func(f fixture) // before Gen is read
+	}{
+		{"register_base", func(_ *testing.T, f fixture) { f.c.RegisterBase("b2", []string{"a"}, "", cost.Stats{}, nil) }, true, nil},
+		{"register_view", func(_ *testing.T, f fixture) {
+			f.c.RegisterView("v2", []string{"a"}, f.c.MustTable("b").Ann, cost.Stats{}, "")
+		}, true, nil},
+		{"drop_view", func(_ *testing.T, f fixture) { f.c.DropView("v") }, true, nil},
+		{"drop_view_absent", func(_ *testing.T, f fixture) { f.c.DropView("nope") }, false, nil},
+		{"drop_view_of_base", func(_ *testing.T, f fixture) { f.c.DropView("b") }, false, nil},
+		{"drop_table", func(_ *testing.T, f fixture) { f.c.DropTable("b") }, true, nil},
+		{"drop_table_absent", func(_ *testing.T, f fixture) { f.c.DropTable("nope") }, false, nil},
+		{"drop_table_of_view", func(_ *testing.T, f fixture) { f.c.DropTable("v") }, false, nil},
+		{"drop_views", func(_ *testing.T, f fixture) { f.c.DropViews() }, true, nil},
+		{"drop_views_none", func(_ *testing.T, f fixture) { f.c.DropViews() }, false, func(f fixture) { f.c.DropViews() }},
+		{"sync_evicting", func(_ *testing.T, f fixture) { f.st.Delete("v"); f.c.SyncWithStore(f.st) }, true, nil},
+		{"sync_nothing_evicted", func(_ *testing.T, f fixture) { f.c.SyncWithStore(f.st) }, false, nil},
+		{"collect_stats", func(t *testing.T, f fixture) {
+			if _, err := f.c.CollectStats(f.eng, "v", 1); err != nil {
+				t.Fatal(err)
+			}
+		}, true, nil},
+		{"collect_stats_unknown", func(_ *testing.T, f fixture) { f.c.CollectStats(f.eng, "nope", 1) }, false, nil},
+		{"set_partitioning", func(_ *testing.T, f fixture) { f.c.SetPartitioning("b", afk.Partitioning{}) }, true, nil},
+		{"set_partitioning_same", func(_ *testing.T, f fixture) {
+			f.c.SetPartitioning("b", f.c.MustTable("b").Part.Clone())
+		}, false, nil},
+		{"set_partitioning_unknown", func(_ *testing.T, f fixture) { f.c.SetPartitioning("nope", afk.Partitioning{Parts: 2}) }, false, nil},
+		{"mark_delta", func(_ *testing.T, f fixture) { f.c.MarkDelta("b") }, true, nil},
+		{"mark_delta_again", func(_ *testing.T, f fixture) { f.c.MarkDelta("b") }, false, func(f fixture) { f.c.MarkDelta("b") }},
+		{"mark_delta_unknown", func(_ *testing.T, f fixture) { f.c.MarkDelta("nope") }, false, nil},
+		{"mark_delta_of_view", func(_ *testing.T, f fixture) { f.c.MarkDelta("v") }, false, nil},
+		{"add_fd", func(_ *testing.T, f fixture) { f.c.FDs.Add([]string{"x"}, "y") }, true, nil},
+		{"add_fd_again", func(_ *testing.T, f fixture) { f.c.FDs.Add([]string{"x"}, "y") }, false, func(f fixture) { f.c.FDs.Add([]string{"x"}, "y") }},
+		{"register_udf", func(t *testing.T, f fixture) {
+			if err := f.c.UDFs.Register(f.d); err != nil {
+				t.Fatal(err)
+			}
+		}, true, nil},
+		{"set_scalar", func(_ *testing.T, f fixture) { f.c.UDFs.SetScalar(f.d, 3) }, true, nil},
+		{"set_scalar_same", func(_ *testing.T, f fixture) { f.c.UDFs.SetScalar(f.d, 2) }, false, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := setup(t)
+			if tc.prep != nil {
+				tc.prep(f)
+			}
+			before := f.c.Gen()
+			tc.op(t, f)
+			if moved := f.c.Gen() != before; moved != tc.move {
+				t.Errorf("Gen moved = %v, want %v", moved, tc.move)
+			}
+		})
 	}
 }

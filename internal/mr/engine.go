@@ -546,7 +546,7 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, st retryState, exec func(re
 			// moved before dying: a panic in reduce wastes the full map
 			// and shuffle work, not just the map-side read (the partial
 			// volumes in res stop at the phase that panicked).
-			attemptCost = e.partialCost(job, res)
+			attemptCost = e.jobCost(job, res).Total()
 		}
 		if err != nil && !deadlined && attempt < attempts {
 			asp.AddSim(attemptCost + res.Faults.Total())
@@ -588,12 +588,6 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, st retryState, exec func(re
 		res.SimSeconds = res.Breakdown.Total() + res.WastedSeconds
 		return rel, res, err
 	}
-}
-
-// partialCost prices the volumes one dead attempt consumed before failing —
-// the same charge Run puts into WastedSeconds per recovered failure.
-func (e *Engine) partialCost(job *Job, res *Result) float64 {
-	return e.jobCost(job, res).Total()
 }
 
 // jobCost prices the volumes an attempt measured with the job's local
@@ -671,13 +665,7 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	// a layout matched. Per job, hits + misses == keyed jobs and eliminated
 	// bytes ≤ shuffled bytes by construction; cmd/metricscheck enforces the
 	// summed invariants on every export.
-	keyed, localJobs := int64(0), int64(0)
-	if res.KeyedJob {
-		keyed = 1
-		if res.PartitionLocal {
-			localJobs = 1
-		}
-	}
+	keyed, localJobs := one(res.KeyedJob), one(res.KeyedJob && res.PartitionLocal)
 	reg.Counter("mr_keyed_jobs_total").Add(keyed)
 	reg.Counter("mr_partition_local_jobs_total").Add(localJobs)
 	reg.Counter("mr_partition_shuffle_jobs_total").Add(keyed - localJobs)
@@ -686,20 +674,11 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	// reason-label set so snapshot keys never depend on what fused. Per
 	// job, eligible == fused + Σ fallback{reason}; cmd/metricscheck
 	// enforces the summed balance on every export.
-	elig, fusedJobs := int64(0), int64(0)
-	if res.FusedEligible {
-		elig = 1
-		if res.FusedJob {
-			fusedJobs = 1
-		}
-	}
-	reg.Counter("mr_fused_eligible_total").Add(elig)
-	reg.Counter("mr_fused_jobs_total").Add(fusedJobs)
+	elig, fusedJobs := res.FusedEligible, res.FusedEligible && res.FusedJob
+	reg.Counter("mr_fused_eligible_total").Add(one(elig))
+	reg.Counter("mr_fused_jobs_total").Add(one(fusedJobs))
 	for _, reason := range FuseFallbackReasons {
-		v := int64(0)
-		if elig == 1 && fusedJobs == 0 && res.FuseFallbackReason == reason {
-			v = 1
-		}
+		v := one(elig && !fusedJobs && res.FuseFallbackReason == reason)
 		reg.Counter("mr_fused_fallback_total", "reason", reason).Add(v)
 	}
 	reg.Counter("mr_fused_batches_total").Add(res.FusedBatches)
@@ -708,27 +687,14 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	// Reduce-side fusion family, same unconditional-recording contract: per
 	// job, reduce-eligible == reduce-fused + Σ fallback{reason}, and
 	// cross-boundary jobs are a subset of reduce-fused jobs.
-	relig, rjobs := int64(0), int64(0)
-	if res.FusedReduceEligible {
-		relig = 1
-		if res.FusedReduceJob {
-			rjobs = 1
-		}
-	}
-	cross := int64(0)
-	if res.FusedCrossBoundary {
-		cross = 1
-	}
-	reg.Counter("mr_fused_reduce_eligible_total").Add(relig)
-	reg.Counter("mr_fused_reduce_jobs_total").Add(rjobs)
+	relig, rjobs := res.FusedReduceEligible, res.FusedReduceEligible && res.FusedReduceJob
+	reg.Counter("mr_fused_reduce_eligible_total").Add(one(relig))
+	reg.Counter("mr_fused_reduce_jobs_total").Add(one(rjobs))
 	for _, reason := range FuseReduceFallbackReasons {
-		v := int64(0)
-		if relig == 1 && rjobs == 0 && res.FusedReduceFallbackReason == reason {
-			v = 1
-		}
+		v := one(relig && !rjobs && res.FusedReduceFallbackReason == reason)
 		reg.Counter("mr_fused_reduce_fallback_total", "reason", reason).Add(v)
 	}
-	reg.Counter("mr_fused_reduce_crossboundary_jobs_total").Add(cross)
+	reg.Counter("mr_fused_reduce_crossboundary_jobs_total").Add(one(res.FusedCrossBoundary))
 	reg.Counter("mr_fused_reduce_batches_total").Add(res.FusedCombineBatches)
 	reg.Counter("mr_fused_reduce_groups_total").Add(res.FusedReduceGroups)
 	reg.Counter("mr_fused_reduce_rows_total").Add(res.FusedReduceRows)
@@ -742,11 +708,7 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	reg.Counter("mr_straggler_tasks_total").Add(int64(res.StragglerTasks))
 	reg.Counter("mr_speculative_tasks_total").Add(int64(res.SpeculativeTasks))
 	reg.Counter("mr_speculative_wins_total").Add(int64(res.SpeculativeWins))
-	deadlines := int64(0)
-	if errors.Is(err, ErrDeadlineExceeded) {
-		deadlines = 1
-	}
-	reg.Counter("mr_deadline_aborts_total").Add(deadlines)
+	reg.Counter("mr_deadline_aborts_total").Add(one(errors.Is(err, ErrDeadlineExceeded)))
 	fw := res.Faults
 	for _, c := range []struct {
 		component string
@@ -762,6 +724,14 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 		reg.FloatCounter("mr_breakdown_seconds_total", "component", c.component).Add(c.seconds)
 	}
 	reg.Histogram("mr_job_wall_seconds", nil).Observe(wallSeconds)
+}
+
+// one counts a flag: 1 when set, else 0.
+func one(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Keyed is one shuffle record: a partition key and its row. Exported so

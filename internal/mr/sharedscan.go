@@ -112,7 +112,7 @@ func (e *Engine) RunSharedScan(consumers []*Job) ([]*data.Relation, *SharedScanR
 			r.WastedSeconds, r.SimSeconds, r.RetriedInputBytes = st.wasted, st.wasted, st.retriedIn
 			return nil, &SharedScanResult{Results: []*Result{r}}, err
 		}
-		st.wasted += e.partialCost(primary, r)
+		st.wasted += e.jobCost(primary, r).Total()
 		st.retriedIn += r.InputBytes
 		st.recovered = err.Error()
 	}

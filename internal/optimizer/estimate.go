@@ -92,7 +92,7 @@ func (e *estimator) stats(n *plan.Node) cost.Stats {
 		s = e.stats(n.Inputs[0]).Scale(predSel(n.Pred))
 	case plan.KindJoin:
 		l, r := e.stats(n.Inputs[0]), e.stats(n.Inputs[1])
-		d := maxI(e.distinct(n.Inputs[0], n.LCol), e.distinct(n.Inputs[1], n.RCol))
+		d := max(e.distinct(n.Inputs[0], n.LCol), e.distinct(n.Inputs[1], n.RCol))
 		if d < 1 {
 			d = 1
 		}
@@ -165,7 +165,7 @@ func (e *estimator) groupCount(in *plan.Node, keys []string, rows int64) int64 {
 				d = 1
 			}
 		}
-		if g > rows/maxI(d, 1) {
+		if g > rows/max(d, 1) {
 			g = rows // cap early to avoid overflow
 		} else {
 			g *= d
@@ -246,11 +246,4 @@ func predSel(p expr.Pred) float64 {
 	default:
 		return selRange
 	}
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

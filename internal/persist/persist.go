@@ -450,7 +450,7 @@ func (sv *Saved) ApplyScalars(s *session.Session) []string {
 	var applied []string
 	for name, scalar := range sv.UDFScalars {
 		if d, ok := s.Cat.UDFs.Get(name); ok {
-			d.Scalar = scalar
+			s.Cat.UDFs.SetScalar(d, scalar)
 			applied = append(applied, name)
 		}
 	}

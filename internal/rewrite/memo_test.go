@@ -14,6 +14,7 @@ import (
 	"opportune/internal/persist"
 	"opportune/internal/rewrite"
 	"opportune/internal/session"
+	"opportune/internal/storage"
 	"opportune/internal/workload"
 )
 
@@ -40,9 +41,43 @@ func memoOracle(t *testing.T, s *session.Session) (hits func() int) {
 	})
 }
 
+// planOracle arms the session's plan-cache hit check: every hit is planned
+// afresh, and the fresh plan must match the served one on the chosen plan,
+// result name, cost bits, Improved and the search counters.
+func planOracle(t *testing.T, s *session.Session) (hits func() int) {
+	t.Helper()
+	n, failures := 0, 0
+	fail := func(format string, args ...any) {
+		if failures++; failures <= 5 {
+			t.Errorf(format, args...)
+		}
+	}
+	s.CheckPlanHit = func(served, fresh *session.Metrics, err error) {
+		n++
+		if err != nil {
+			fail("%s: planning a hit afresh: %v", served.ResultName, err)
+			return
+		}
+		g, w := served.Rewrite, fresh.Rewrite
+		if served.ResultName != fresh.ResultName || served.Mode != fresh.Mode || g.Plan.Fingerprint() != w.Plan.Fingerprint() ||
+			math.Float64bits(g.Cost) != math.Float64bits(w.Cost) || math.Float64bits(g.OriginalCost) != math.Float64bits(w.OriginalCost) ||
+			g.Improved != w.Improved || g.Counters != w.Counters {
+			fail("%s: the plan cache serves %s (cost %v of %v, improved %v, %+v); planned afresh: %s (cost %v of %v, improved %v, %+v)",
+				served.ResultName, g.Plan.Fingerprint(), g.Cost, g.OriginalCost, g.Improved, g.Counters,
+				w.Plan.Fingerprint(), w.Cost, w.OriginalCost, w.Improved, w.Counters)
+		}
+		if served.RewriteSeconds != 0 {
+			fail("%s: a hit reports %v s of search", served.ResultName, served.RewriteSeconds)
+		}
+	}
+	return func() int { return n }
+}
+
 // runScript runs the queries under ModeBFR through Run, or through RunBatch
 // in batches of batch queries when batch > 0, and requires every answer to
-// equal want's, the RewriteOff reference.
+// equal want's, the RewriteOff reference. Each query or batch runs three
+// times in a row: the first replay plans bare scans of the views the run
+// retained and stores them in the plan cache, the second is served from it.
 func runScript(t *testing.T, s *session.Session, qs []workload.Query, batch int, want map[string][]data.Row) {
 	t.Helper()
 	check := func(q workload.Query, m *session.Metrics) {
@@ -51,28 +86,29 @@ func runScript(t *testing.T, s *session.Session, qs []workload.Query, batch int,
 			t.Errorf("%s: answer differs from RewriteOff (%d rows, want %d)", q.Name, len(got), len(want[q.Name]))
 		}
 	}
-	if batch == 0 {
-		for _, q := range qs {
-			m, err := workload.Exec(s, q, session.ModeBFR)
+	step := max(batch, 1)
+	for i := 0; i < len(qs); i += step {
+		chunk := qs[i:min(i+step, len(qs))]
+		for range 3 {
+			if batch == 0 {
+				m, err := workload.Exec(s, chunk[0], session.ModeBFR)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(chunk[0], m)
+				continue
+			}
+			b, err := workload.Batch(chunk, session.ModeBFR)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(q, m)
-		}
-		return
-	}
-	for i := 0; i < len(qs); i += batch {
-		chunk := qs[i:min(i+batch, len(qs))]
-		b, err := workload.Batch(chunk, session.ModeBFR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.RunBatch(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, q := range chunk {
-			check(q, res.PerQuery[j])
+			res, err := s.RunBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, q := range chunk {
+				check(q, res.PerQuery[j])
+			}
 		}
 	}
 }
@@ -119,6 +155,21 @@ func reference(t *testing.T, rows []data.Row) map[string][]data.Row {
 	return out
 }
 
+// oracles arms both hit checks on s — the memo's and the plan cache's — and
+// returns checkMemoCurrent over them.
+func oracles(t *testing.T, s *session.Session) (done func()) {
+	t.Helper()
+	hits, planHits := memoOracle(t, s), planOracle(t, s)
+	return func() {
+		t.Helper()
+		if planHits() == 0 {
+			t.Error("the plan cache served no hit: the oracle checked nothing")
+		}
+		checkMemoCurrent(t, s, hits)
+		t.Logf("%d plan-cache hits checked", planHits())
+	}
+}
+
 // checkMemoCurrent searches once more over the catalog as it now stands
 // (the memo prunes at the start of a search) and requires the memo to hold
 // exactly the catalog's views, nothing stale, and to have served hits.
@@ -148,11 +199,12 @@ func checkMemoCurrent(t *testing.T, s *session.Session, hits func() int) {
 }
 
 // TestCrossQueryMemoOracle runs the workload's script with every memo hit
-// recomputed from scratch and every answer compared with RewriteOff, on
-// each path a catalog changes under the memo: Run and RunBatch in both
-// script orders, AppendRows maintenance, DropViews, a view budget that
-// evicts mid-script, and a Save/Open round trip. After each, the memo must
-// hold only current catalog entries.
+// and every plan-cache hit recomputed from scratch and every answer
+// compared with RewriteOff, on each path a catalog changes under the
+// caches: Run and RunBatch in both script orders, AppendRows maintenance,
+// DropViews, a view budget that evicts mid-script, a Save/Open round trip,
+// re-collected statistics and changed planner settings. After each, the
+// memo must hold only current catalog entries.
 func TestCrossQueryMemoOracle(t *testing.T) {
 	appended := workload.AppendBatch(workload.SmallScale(), 0, 200)
 	want, wantAppended := reference(t, nil), reference(t, appended)
@@ -175,14 +227,14 @@ func TestCrossQueryMemoOracle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSess(t)
-			hits := memoOracle(t, s)
+			done := oracles(t, s)
 			runScript(t, s, benchScript(tc.versionMajor), tc.batch, want)
-			checkMemoCurrent(t, s, hits)
+			done()
 		})
 	}
 	t.Run("append_rows", func(t *testing.T) {
 		s := newSess(t)
-		hits := memoOracle(t, s)
+		done := oracles(t, s)
 		script := benchScript(false)
 		runScript(t, s, script, 0, want)
 		rep, err := s.AppendRows("twtr", appended)
@@ -193,16 +245,16 @@ func TestCrossQueryMemoOracle(t *testing.T) {
 			t.Fatal("the append maintained no view: the memo saw no replaced entry")
 		}
 		runScript(t, s, script, 0, wantAppended)
-		checkMemoCurrent(t, s, hits)
+		done()
 	})
 	t.Run("drop_views", func(t *testing.T) {
 		s := newSess(t)
-		hits := memoOracle(t, s)
+		done := oracles(t, s)
 		script := benchScript(false)
 		runScript(t, s, script[:len(script)/2], 0, want)
 		s.DropViews()
 		runScript(t, s, script, 0, want)
-		checkMemoCurrent(t, s, hits)
+		done()
 	})
 	t.Run("evicting_budget", func(t *testing.T) {
 		// A quarter of the script's unlimited view footprint.
@@ -213,7 +265,7 @@ func TestCrossQueryMemoOracle(t *testing.T) {
 		reg := obs.NewRegistry()
 		s.Instrument(reg)
 		s.Store.ViewCapacityBytes = budget
-		hits := memoOracle(t, s)
+		done := oracles(t, s)
 		runScript(t, s, benchScript(false), 0, want)
 		evicted := int64(0)
 		for k, v := range reg.Snapshot().Counters {
@@ -224,7 +276,60 @@ func TestCrossQueryMemoOracle(t *testing.T) {
 		if evicted == 0 {
 			t.Fatal("the budget evicted nothing")
 		}
-		checkMemoCurrent(t, s, hits)
+		done()
+	})
+	t.Run("restats", func(t *testing.T) {
+		// Statistics collected again, and nothing else: the plans cached
+		// before must not be served after. Only the results stay stored, so
+		// each query's original cost is estimated from the bases' statistics.
+		s := newSess(t)
+		done := oracles(t, s)
+		script := benchScript(false)
+		runScript(t, s, script, 0, want)
+		b, err := workload.Batch(script, session.ModeBFR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := make(map[string]bool)
+		for _, q := range b {
+			results[q.ResultName] = true
+		}
+		for _, v := range s.Cat.Views() {
+			if !results[v.Name] {
+				s.Store.Delete(v.Name)
+				s.Cat.DropView(v.Name)
+			}
+		}
+		runScript(t, s, script, 0, want)
+		for i, name := range s.Store.List(storage.Base) {
+			if _, err := s.Cat.CollectStats(s.Eng, name, 9000+int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runScript(t, s, script, 0, want)
+		done()
+	})
+	t.Run("planner_config", func(t *testing.T) {
+		// Each setting the search reads, changed between replays of a warm
+		// script: a plan searched under one must not be served under another.
+		s := newSess(t)
+		done := oracles(t, s)
+		script := benchScript(false)
+		runScript(t, s, script, 0, want)
+		r := s.Rew
+		// Without OPTCOST's early termination the search reaches merged
+		// candidates, so J and k change its counters.
+		for _, set := range []func(){
+			func() { r.DisableOptCost = true },
+			func() { r.MaxViews = 1 },
+			func() { r.MaxViews, r.MaxOpRepeat = 4, 1 },
+			func() { r.MaxOpRepeat, r.DisableOptCost, r.DisableGuessComplete = 2, false, true },
+			func() { r.DisableGuessComplete = false; s.Opt.Params.ReadRate *= 2 },
+		} {
+			set()
+			runScript(t, s, script, 0, want)
+		}
+		done()
 	})
 	t.Run("save_open", func(t *testing.T) {
 		s := newSess(t)
@@ -242,9 +347,9 @@ func TestCrossQueryMemoOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		saved.ApplyScalars(s2)
-		hits := memoOracle(t, s2)
+		done := oracles(t, s2)
 		runScript(t, s2, script, 0, want)
-		checkMemoCurrent(t, s2, hits)
+		done()
 	})
 }
 

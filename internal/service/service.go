@@ -486,7 +486,8 @@ func (s *Service) deliver(req *request, m *session.Metrics, err error, admitted 
 	s.completed.Add(1)
 	s.cfg.Obs.Counter("service_queries_completed_total", "tenant", req.tenant).Inc()
 	if m != nil {
-		s.cfg.Obs.FloatCounter("service_tenant_sim_seconds_total", "tenant", req.tenant).Add(m.TotalSeconds())
+		// Simulated seconds only: RewriteSeconds is wall-clock.
+		s.cfg.Obs.FloatCounter("service_tenant_sim_seconds_total", "tenant", req.tenant).Add(m.ExecSeconds + m.StatsSeconds)
 	}
 	req.resolve(Response{Metrics: m, Err: err, AdmitWait: admitted.Sub(req.submitted)})
 }

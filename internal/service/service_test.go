@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -204,6 +205,56 @@ func TestServiceSizeTrigger(t *testing.T) {
 	}
 	if snap.Histograms["service_admission_wait_seconds"].Count != 4 {
 		t.Errorf("admission-wait samples = %d, want 4", snap.Histograms["service_admission_wait_seconds"].Count)
+	}
+}
+
+// TestServiceTenantSimSecondsDeterministic: service_tenant_sim_seconds_total
+// counts simulated seconds only — each query's ExecSeconds + StatsSeconds,
+// never the wall-clock rewrite search — so two identical runs publish the
+// same value bit for bit, plan-cache hits included.
+func TestServiceTenantSimSecondsDeterministic(t *testing.T) {
+	runOnce := func() (float64, float64) {
+		sess, _ := newTestSession(t, 0, 0)
+		reg := obs.NewRegistry()
+		svc := New(sess, Config{BatchSize: 4, MaxWait: 10 * time.Second, Mode: session.ModeBFR, Obs: reg})
+		qs := parityQueries()
+		var tickets []*Ticket
+		for range 3 { // the replays plan bare scans of the first pass's results
+			for _, q := range qs {
+				tk, err := svc.Submit("t1", q.SQL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tickets = append(tickets, tk)
+			}
+		}
+		var sum, search float64
+		for _, tk := range tickets {
+			resp := tk.Wait()
+			if resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			sum += resp.Metrics.ExecSeconds + resp.Metrics.StatsSeconds
+			search += resp.Metrics.RewriteSeconds
+		}
+		svc.Close()
+		if search == 0 {
+			t.Error("no query spent wall-clock in the rewrite search: the check is vacuous")
+		}
+		got := reg.Snapshot().FloatCounters["service_tenant_sim_seconds_total{tenant=t1}"]
+		if got != sum {
+			t.Errorf("service_tenant_sim_seconds_total = %v, the queries' simulated seconds sum to %v", got, sum)
+		}
+		hits := sess.Obs.Snapshot().Counters["session_plan_cache_hits_total{mode=bfr}"]
+		return got, float64(hits)
+	}
+	a, hitsA := runOnce()
+	b, hitsB := runOnce()
+	if math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("service_tenant_sim_seconds_total differs across identical runs: %v vs %v", a, b)
+	}
+	if hitsA == 0 || hitsA != hitsB {
+		t.Errorf("plan-cache hits %v and %v: want equal and nonzero", hitsA, hitsB)
 	}
 }
 

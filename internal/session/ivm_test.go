@@ -240,7 +240,9 @@ func maintainVsRecompute(t *testing.T, workers, reduceTasks int, fam ivmFamily, 
 // against appends beyond the planning lock. Plans executing against a base
 // that grows mid-flight must finish on the inputs they pinned at plan time;
 // no pinned view may disappear mid-plan, and afterwards the store's pin
-// bookkeeping and the view-bytes gauge must reconcile.
+// bookkeeping and the view-bytes gauge must reconcile. Every goroutine also
+// repeats statements under one result name, so plan-cache hits interleave
+// with appends and with other queries' retention.
 func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 	s := demo(t, 300)
 	s.Eng.Workers = 2
@@ -268,6 +270,12 @@ func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 					errs <- fmt.Errorf("run g%d i%d: %w", g, i, err)
 					return
 				}
+				for range 2 {
+					if _, err := s.Run(qThresh(float64(g%3)), fmt.Sprintf("rep-g%d", g), ModeBFR); err != nil {
+						errs <- fmt.Errorf("repeat g%d i%d: %w", g, i, err)
+						return
+					}
+				}
 			}
 		}(g)
 	}
@@ -278,8 +286,12 @@ func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				var qs []BatchQuery
 				for j := 0; j < 4; j++ {
-					qs = append(qs, BatchQuery{Plan: qThresh(float64(j % 3)),
-						ResultName: fmt.Sprintf("batch-g%d-i%d-%d", g, i, j), Mode: Mode(j % 2)})
+					// The ModeBFR half repeats its result names every round.
+					name := fmt.Sprintf("batch-g%d-i%d-%d", g, i, j)
+					if j%2 == 1 {
+						name = fmt.Sprintf("batch-g%d-rep%d", g, j)
+					}
+					qs = append(qs, BatchQuery{Plan: qThresh(float64(j % 3)), ResultName: name, Mode: Mode(j % 2)})
 				}
 				if _, err := s.RunBatch(qs); err != nil {
 					errs <- fmt.Errorf("batch g%d i%d: %w", g, i, err)
@@ -322,6 +334,8 @@ func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 	if _, ok := s.Cat.Table("~delta~logs"); ok || s.Store.Has("~delta~logs") {
 		t.Error("temporary delta table leaked")
 	}
+	hits := func() int64 { return reg.Counter("session_plan_cache_hits_total", "mode", "bfr").Value() }
+	t.Logf("%d plan-cache hits under concurrency", hits())
 
 	// The final state must answer queries identically to a clean system
 	// holding the same grown base.
@@ -353,6 +367,24 @@ func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 	}
 	if a != b {
 		t.Error("post-stress query result diverged from clean recompute")
+	}
+	// Quiesced, a statement repeated three times is served from the plan
+	// cache the third time, and answers what a clean system answers.
+	before := hits()
+	for range 3 {
+		m, err := s.Run(qThresh(0), "final-rep", ModeBFR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, err = multisetFP(s, m.ResultName); err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Error("repeated query result diverged from clean recompute")
+		}
+	}
+	if hits() == before {
+		t.Error("a statement repeated on a quiet catalog was never served from the plan cache")
 	}
 }
 

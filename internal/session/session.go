@@ -39,20 +39,14 @@ const (
 	ModeSyntactic
 )
 
+var modeNames = [...]string{ModeOriginal: "orig", ModeBFR: "bfr", ModeDP: "dp", ModeSyntactic: "syntactic"}
+
 // String names the mode.
 func (m Mode) String() string {
-	switch m {
-	case ModeOriginal:
-		return "orig"
-	case ModeBFR:
-		return "bfr"
-	case ModeDP:
-		return "dp"
-	case ModeSyntactic:
-		return "syntactic"
-	default:
-		return "unknown"
+	if int(m) < len(modeNames) {
+		return modeNames[m]
 	}
+	return "unknown"
 }
 
 // Session is one system instance. Run, RunBatch and AppendRows may be
@@ -71,10 +65,20 @@ type Session struct {
 	// planMu serializes compile/rewrite/executable-build; the optimizer's
 	// per-query estimate cache and the rewriter's counters are not
 	// thread-safe, and queries must be estimated one at a time anyway so
-	// each sees a consistent statistics snapshot.
+	// each sees a consistent statistics snapshot. It also guards plans.
 	planMu sync.Mutex
 
-	// ingestEpoch counts AppendRows calls. planQuery snapshots it and
+	// plans holds the plans of queries that execute nothing, derived at
+	// catalog generation plansGen (DESIGN §5.16).
+	plans    map[planKey]plannedQuery
+	plansGen uint64
+
+	// CheckPlanHit, when set, is called under planMu on every plan-cache
+	// hit with the Metrics the hit serves and those of planning the query
+	// afresh (nil, with the error, when that fails); tests compare them.
+	CheckPlanHit func(served, fresh *Metrics, err error)
+
+	// ingestEpoch counts AppendRows calls. planLocked snapshots it and
 	// retainViews discards materialization metadata planned under an older
 	// epoch — a plan raced an append and may describe pre-append contents.
 	ingestEpoch atomic.Int64
@@ -130,6 +134,8 @@ func New(params cost.Params) *Session {
 		Rew:       rewrite.NewRewriter(cat, opt),
 		Eval:      eval,
 		viewPlans: make(map[string]*plan.Node),
+		plans:     make(map[planKey]plannedQuery),
+		plansGen:  cat.Gen(),
 	}
 }
 
@@ -220,7 +226,7 @@ func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 		s.creditRewrite(m, p.chosen)
 		spans[qi].AddSim(m.ExecSeconds + m.StatsSeconds)
 		spans[qi].End()
-		s.record(m)
+		s.record(m, p.hits)
 		out.PerQuery[qi] = m
 	}
 	if share {
@@ -263,13 +269,14 @@ func (s *Session) retain(queries []BatchQuery, plans []plannedQuery, x *executio
 // record publishes per-query metrics. Counter values are deterministic
 // (simulated seconds, search counters, query counts); the rewrite search's
 // real runtime goes into a histogram only.
-func (s *Session) record(m *Metrics) {
+func (s *Session) record(m *Metrics, hits int64) {
 	reg := s.Obs
 	if reg == nil {
 		return
 	}
 	mode := m.Mode.String()
 	reg.Counter("session_queries_total", "mode", mode).Inc()
+	reg.Counter("session_plan_cache_hits_total", "mode", mode).Add(hits)
 	reg.FloatCounter("session_exec_sim_seconds_total", "mode", mode).Add(m.ExecSeconds)
 	reg.FloatCounter("session_stats_sim_seconds_total", "mode", mode).Add(m.StatsSeconds)
 	if m.Rewrite != nil {
@@ -287,7 +294,8 @@ func (s *Session) record(m *Metrics) {
 // plannedQuery carries one query's compilation: the chosen plan, its job
 // DAG and executable jobs (nil when the chosen plan is a bare scan of an
 // existing materialization and nothing needs to execute), the ingest epoch
-// the plan was derived under, and the pins planning took.
+// the plan was derived under, the pins planning took, and whether it came
+// from the plan cache (1) or not (0).
 type plannedQuery struct {
 	m      *Metrics
 	chosen *plan.Node
@@ -295,11 +303,28 @@ type plannedQuery struct {
 	jobs   []*mr.Job
 	epoch  int64
 	pins   []string
+	hits   int64
 }
 
-// plan compiles the queries in input order under one planMu hold, each by
-// planQuery, and returns their plans with the pins they took. On error the
-// pins taken so far are released.
+// planKey identifies a query's plan within one catalog generation: the
+// statement, its result name and mode, and every planner setting the
+// search reads.
+type planKey struct {
+	fp, result          string
+	mode                Mode
+	params              cost.Params
+	maxViews, maxRepeat int
+	noOptCost, noGuess  bool
+}
+
+// plan compiles the queries in input order under one planMu hold and
+// returns their plans with the pins they took; on error the pins taken so
+// far are released. Each plan's inputs and outputs are pinned (pinList) and
+// every scanned input is checked to exist before planMu is released, so
+// execution starts from pinned, validated inputs; the caller owes the
+// Unpin. An input can be missing only because the catalog still offered a
+// view the budget had already evicted (or DropViews dropped): the catalog
+// is synced and the query replanned in place, without that view.
 func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery, []string, error) {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
@@ -307,7 +332,24 @@ func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery,
 	var pins []string
 	for qi, q := range queries {
 		psp := spans[qi].Child("plan")
-		p, err := s.planQuery(q.Plan, q.ResultName, q.Mode)
+		p, err := s.planCached(q)
+		for ; err == nil; p, err = s.planCached(q) {
+			if p.jobs != nil {
+				p.pins = pinList(p.chosen, p.w, q.ResultName)
+				s.Store.Pin(p.pins)
+			}
+			ins := scanList(p.chosen)
+			i := slices.IndexFunc(ins, func(in string) bool { return !s.Store.Has(in) })
+			if i < 0 {
+				break
+			}
+			s.Store.Unpin(p.pins)
+			s.Cat.SyncWithStore(s.Store)
+			if _, listed := s.Cat.Table(ins[i]); listed {
+				err = fmt.Errorf("session: planned input %q: %w", ins[i], storage.ErrNotFound)
+				break
+			}
+		}
 		psp.End()
 		if err != nil {
 			s.Store.Unpin(pins)
@@ -321,54 +363,53 @@ func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery,
 	return plans, pins, nil
 }
 
-// planQuery compiles and (optionally) rewrites one query; the caller holds
-// planMu. It also pins the plan's inputs and outputs (pinList) and checks
-// that every scanned input exists before planMu is released, so execution
-// starts from pinned, validated inputs; the caller owes the Unpin. An input
-// can be missing only because the catalog still offered a view the budget
-// had already evicted (or DropViews dropped): the catalog is synced and the
-// query replanned in place, without that view.
-func (s *Session) planQuery(q *plan.Node, resultName string, mode Mode) (plannedQuery, error) {
-	for {
-		p, err := s.planLocked(q, resultName, mode)
-		if err != nil {
-			return p, err
-		}
-		if p.jobs != nil {
-			p.pins = pinList(p.chosen, p.w, resultName)
-			s.Store.Pin(p.pins)
-		}
-		ins := scanList(p.chosen)
-		i := slices.IndexFunc(ins, func(in string) bool { return !s.Store.Has(in) })
-		if i < 0 {
-			return p, nil
-		}
-		s.Store.Unpin(p.pins)
-		s.Cat.SyncWithStore(s.Store)
-		if _, listed := s.Cat.Table(ins[i]); listed {
-			return plannedQuery{}, fmt.Errorf("session: planned input %q: %w", ins[i], storage.ErrNotFound)
-		}
+// planCached is one planning pass through the plan cache; the caller holds
+// planMu. A query that executes nothing is planned once per catalog
+// generation: a hit serves a copy of its Metrics with RewriteSeconds 0, as
+// no search ran. A plan is stored only if the generation held throughout.
+func (s *Session) planCached(q BatchQuery) (plannedQuery, error) {
+	if gen := s.Cat.Gen(); gen != s.plansGen {
+		s.plans, s.plansGen = make(map[planKey]plannedQuery), gen
 	}
+	r := s.Rew
+	k := planKey{q.Plan.Fingerprint(), q.ResultName, q.Mode, s.Opt.Params,
+		r.MaxViews, r.MaxOpRepeat, r.DisableOptCost, r.DisableGuessComplete}
+	if p, ok := s.plans[k]; ok {
+		m := *p.m
+		m.RewriteSeconds = 0
+		p.m, p.hits = &m, 1
+		if s.CheckPlanHit != nil {
+			fresh, err := s.planLocked(q)
+			s.CheckPlanHit(p.m, fresh.m, err)
+		}
+		return p, nil
+	}
+	p, err := s.planLocked(q)
+	if err == nil && p.jobs == nil && s.Cat.Gen() == s.plansGen {
+		m := *p.m
+		s.plans[k] = plannedQuery{m: &m, chosen: p.chosen}
+	}
+	return p, err
 }
 
 // planLocked is one planning pass; the caller holds planMu.
-func (s *Session) planLocked(q *plan.Node, resultName string, mode Mode) (plannedQuery, error) {
-	p := plannedQuery{chosen: q, epoch: s.ingestEpoch.Load()}
+func (s *Session) planLocked(q BatchQuery) (plannedQuery, error) {
+	p := plannedQuery{chosen: q.Plan, epoch: s.ingestEpoch.Load()}
 	// Estimates are cached per query so every plan for the same logical
 	// output costs identically; statistics change between queries.
 	s.Opt.ClearEstimates()
 	var err error
-	if p.w, err = s.Opt.Compile(q); err != nil {
+	if p.w, err = s.Opt.Compile(q.Plan); err != nil {
 		return p, err
 	}
-	p.m = &Metrics{Mode: mode, ResultName: resultName}
+	p.m = &Metrics{Mode: q.Mode, ResultName: q.ResultName}
 
-	switch mode {
+	switch q.Mode {
 	case ModeOriginal:
 	case ModeBFR, ModeDP, ModeSyntactic:
 		views := s.Cat.Views()
 		var res *rewrite.Result
-		switch mode {
+		switch q.Mode {
 		case ModeBFR:
 			res = s.Rew.BFRewrite(p.w, views)
 		case ModeDP:
@@ -387,12 +428,12 @@ func (s *Session) planLocked(q *plan.Node, resultName string, mode Mode) (planne
 		p.m.ResultName = p.chosen.Dataset
 		return p, nil
 	}
-	if p.chosen != q {
+	if p.chosen != q.Plan {
 		if p.w, err = s.Opt.Compile(p.chosen); err != nil {
 			return p, fmt.Errorf("session: rewritten plan failed to compile: %w", err)
 		}
 	}
-	p.jobs, err = s.Opt.Executable(p.w, resultName)
+	p.jobs, err = s.Opt.Executable(p.w, q.ResultName)
 	return p, err
 }
 
@@ -462,7 +503,7 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 		if sigs, parts := s.Store.Partitioning(name); parts > 0 {
 			s.Cat.SetPartitioning(name, afk.Partitioning{Sigs: sigs, Parts: parts})
 		}
-		s.setViewPlan(name, jn.Logical)
+		s.RestoreViewPlan(name, jn.Logical)
 		sec, err := s.Cat.CollectStats(s.Eng, name, s.statsSeed.Add(1)+int64(i))
 		if errors.Is(err, storage.ErrNotFound) {
 			// Gone after the check above (a concurrent DropViews took the
@@ -480,9 +521,12 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 	return total, nil
 }
 
-// setViewPlan captures the producing logical plan of a retained view (used
-// by AppendRows to run the view's pipeline over an appended delta).
-func (s *Session) setViewPlan(name string, pl *plan.Node) {
+// RestoreViewPlan captures the producing logical plan of a view, making it
+// eligible for incremental maintenance on AppendRows (which runs the view's
+// pipeline over an appended delta) instead of blanket invalidation: at
+// retention, and when persist.Open reinstalls a plan an earlier session
+// captured.
+func (s *Session) RestoreViewPlan(name string, pl *plan.Node) {
 	c := pl.Clone()
 	s.viewMu.Lock()
 	s.viewPlans[name] = c
@@ -513,13 +557,6 @@ func (s *Session) ViewPlans() map[string]*plan.Node {
 		out[name] = pl.Clone()
 	}
 	return out
-}
-
-// RestoreViewPlan reinstalls a producing plan captured by an earlier
-// session (persist.Open calls this), making the view eligible for
-// incremental maintenance on AppendRows instead of blanket invalidation.
-func (s *Session) RestoreViewPlan(name string, pl *plan.Node) {
-	s.setViewPlan(name, pl)
 }
 
 // DropViews clears all opportunistic views from store and catalog

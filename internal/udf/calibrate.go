@@ -22,8 +22,9 @@ type CalibrationResult struct {
 // time a UDF is added, it executes on a 1% uniform random sample of the
 // given dataset and the measured per-tuple CPU cost is divided by the
 // baseline of its cheapest operation type. The descriptor's Scalar is set
-// and the (small) simulated overhead is reported so callers can charge it.
-func Calibrate(engine *mr.Engine, dataset string, d *Descriptor, argCols []string, params []value.V, seed int64) (*CalibrationResult, error) {
+// through the registry (SetScalar) and the (small) simulated overhead is
+// reported so callers can charge it.
+func (r *Registry) Calibrate(engine *mr.Engine, dataset string, d *Descriptor, argCols []string, params []value.V, seed int64) (*CalibrationResult, error) {
 	const frac = 0.01
 	sample, err := engine.Store.Sample(dataset, frac, seed)
 	if err != nil {
@@ -81,7 +82,7 @@ func Calibrate(engine *mr.Engine, dataset string, d *Descriptor, argCols []strin
 	if scalar < 1 {
 		scalar = 1
 	}
-	d.Scalar = scalar
+	r.SetScalar(d, scalar)
 	return &CalibrationResult{
 		UDF:         d.Name,
 		SampleRows:  res.InputRows,

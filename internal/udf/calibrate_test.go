@@ -25,10 +25,12 @@ func calibEngine(t *testing.T, rows int) *mr.Engine {
 func TestCalibrateRecoversScalar(t *testing.T) {
 	e := calibEngine(t, 2000)
 	d := sentimentUDF()
-	if err := (&Registry{byName: map[string]*Descriptor{}}).Register(d); err != nil {
+	reg := NewRegistry()
+	if err := reg.Register(d); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Calibrate(e, "twtr", d, []string{"text"}, nil, 7)
+	gen := reg.Gen()
+	res, err := reg.Calibrate(e, "twtr", d, []string{"text"}, nil, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +40,9 @@ func TestCalibrateRecoversScalar(t *testing.T) {
 	// The engine charges TrueScalar; calibration must recover ~it.
 	if d.Scalar < d.TrueScalar*0.99 || d.Scalar > d.TrueScalar*1.01 {
 		t.Errorf("calibrated Scalar = %g, want ≈ %g", d.Scalar, d.TrueScalar)
+	}
+	if reg.Gen() == gen {
+		t.Error("calibration installed a scalar without moving the registry's Gen")
 	}
 	if res.OverheadSec <= 0 {
 		t.Error("no calibration overhead recorded")
@@ -65,7 +70,7 @@ func TestCalibrateAggUDF(t *testing.T) {
 	if err := reg.Register(d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Calibrate(e, "twtr", d, []string{"user_id", "reply_to"}, nil, 3); err != nil {
+	if _, err := NewRegistry().Calibrate(e, "twtr", d, []string{"user_id", "reply_to"}, nil, 3); err != nil {
 		t.Fatal(err)
 	}
 	if d.Scalar < 1 {
@@ -76,10 +81,10 @@ func TestCalibrateAggUDF(t *testing.T) {
 func TestCalibrateErrors(t *testing.T) {
 	e := calibEngine(t, 100)
 	d := sentimentUDF()
-	if _, err := Calibrate(e, "missing", d, []string{"text"}, nil, 1); err == nil {
+	if _, err := NewRegistry().Calibrate(e, "missing", d, []string{"text"}, nil, 1); err == nil {
 		t.Error("missing dataset accepted")
 	}
-	if _, err := Calibrate(e, "twtr", d, []string{"nope"}, nil, 1); err == nil {
+	if _, err := NewRegistry().Calibrate(e, "twtr", d, []string{"nope"}, nil, 1); err == nil {
 		t.Error("missing column accepted")
 	}
 }
@@ -96,7 +101,7 @@ func TestProbeExecutesRealCode(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := Calibrate(e, "twtr", d, []string{"text"}, nil, 1); err == nil || !strings.Contains(err.Error(), "failed") {
+	if _, err := NewRegistry().Calibrate(e, "twtr", d, []string{"text"}, nil, 1); err == nil || !strings.Contains(err.Error(), "failed") {
 		t.Errorf("broken UDF calibrated without error: %v", err)
 	}
 }

@@ -272,7 +272,7 @@ func RegisterUDFs(s *session.Session) error {
 		if !ok {
 			return fmt.Errorf("workload: no calibration input for %s", d.Name)
 		}
-		if _, err := udf.Calibrate(s.Eng, ca.dataset, d, ca.args, ca.params, 1000+int64(i)); err != nil {
+		if _, err := s.Cat.UDFs.Calibrate(s.Eng, ca.dataset, d, ca.args, ca.params, 1000+int64(i)); err != nil {
 			return fmt.Errorf("workload: calibrating %s: %w", d.Name, err)
 		}
 	}

@@ -312,7 +312,7 @@ func (sys *System) CalibrateUDF(udfName, dataset string, argColumns []string, pa
 		return 0, err
 	}
 	sys.nCalib++
-	res, err := udf.Calibrate(sys.s.Eng, dataset, d, argColumns, vp, 7000+sys.nCalib)
+	res, err := sys.s.Cat.UDFs.Calibrate(sys.s.Eng, dataset, d, argColumns, vp, 7000+sys.nCalib)
 	if err != nil {
 		return 0, err
 	}
