@@ -14,6 +14,7 @@ import (
 	"os"
 	"strings"
 
+	"opportune/internal/mr"
 	"opportune/internal/obs"
 )
 
@@ -151,11 +152,6 @@ func checkPartition(m obs.Snapshot) {
 	}
 }
 
-// fuseReasons is the fixed label set of mr_fused_fallback_total; the engine
-// records every one (zeros included) whenever it records the family, so a
-// missing label is a wiring bug, not an empty run.
-var fuseReasons = []string{"explode_udf", "unsupported_op", "schema_mismatch", "probe"}
-
 // checkFused validates the fused map-pipeline counter family. The engine
 // records all of it unconditionally (zeros included) for every job, so if
 // one name is present they all must be; and the family must balance: every
@@ -187,7 +183,10 @@ func checkFused(m obs.Snapshot) {
 			elig, jobs, batches, rows, rtfb)
 	}
 	var fallback int64
-	for _, reason := range fuseReasons {
+	// mr.FuseFallbackReasons is the family's fixed label set; the engine
+	// records every one (zeros included) whenever it records the family, so
+	// a missing label is a wiring bug, not an empty run.
+	for _, reason := range mr.FuseFallbackReasons {
 		v, ok := m.Counters["mr_fused_fallback_total{reason="+reason+"}"]
 		if !ok {
 			fail("fused fallback reason %q missing from the family", reason)
@@ -210,13 +209,11 @@ func checkFused(m obs.Snapshot) {
 	}
 }
 
-// fuseReduceReasons is the fixed label set of mr_fused_reduce_fallback_total,
-// recorded zeros-included whenever the family is, like the map-side set.
-var fuseReduceReasons = []string{"nondistributive_agg", "agg_udf", "unsupported_op", "schema_mismatch"}
-
 // checkFusedReduce validates the reduce-side fusion counter family: all
-// eight names present together or not at all, every eligible reduce job
-// either compiled its kernels or carries exactly one fallback reason,
+// six names present together or not at all, with every label of
+// mr.FuseReduceFallbackReasons (recorded zeros-included whenever the family
+// is, like the map-side set) and no other; every eligible reduce job either
+// compiled its kernels or carries exactly one fallback reason,
 // cross-boundary jobs are a subset of fused jobs, and a run with no fused
 // reduce jobs cannot claim kernel work. Groups can be zero with rows zero
 // even when jobs ran (every partition they fed was empty), but folded rows
@@ -229,7 +226,6 @@ func checkFusedReduce(m obs.Snapshot) {
 		"mr_fused_reduce_batches_total",
 		"mr_fused_reduce_groups_total",
 		"mr_fused_reduce_rows_total",
-		"mr_fused_reduce_runtime_fallback_total",
 	}
 	present := 0
 	for _, n := range names {
@@ -258,7 +254,7 @@ func checkFusedReduce(m obs.Snapshot) {
 		}
 	}
 	var fallback int64
-	for _, reason := range fuseReduceReasons {
+	for _, reason := range mr.FuseReduceFallbackReasons {
 		v, ok := m.Counters["mr_fused_reduce_fallback_total{reason="+reason+"}"]
 		if !ok {
 			fail("fused reduce fallback reason %q missing from the family", reason)
@@ -273,7 +269,7 @@ func checkFusedReduce(m obs.Snapshot) {
 			continue
 		}
 		known := false
-		for _, reason := range fuseReduceReasons {
+		for _, reason := range mr.FuseReduceFallbackReasons {
 			if k == "mr_fused_reduce_fallback_total{reason="+reason+"}" {
 				known = true
 				break
@@ -289,7 +285,6 @@ func checkFusedReduce(m obs.Snapshot) {
 	batches := m.Counters["mr_fused_reduce_batches_total"]
 	groups := m.Counters["mr_fused_reduce_groups_total"]
 	rows := m.Counters["mr_fused_reduce_rows_total"]
-	rtfb := m.Counters["mr_fused_reduce_runtime_fallback_total"]
 	if jobs+fallback != elig {
 		fail("fused reduce family does not balance: jobs %d + fallbacks %d != eligible %d",
 			jobs, fallback, elig)
@@ -297,9 +292,9 @@ func checkFusedReduce(m obs.Snapshot) {
 	if cross > jobs {
 		fail("%d cross-boundary jobs exceed %d fused reduce jobs", cross, jobs)
 	}
-	if jobs == 0 && (batches > 0 || groups > 0 || rows > 0 || rtfb > 0) {
-		fail("fused reduce work recorded with zero fused reduce jobs (batches=%d groups=%d rows=%d runtime_fallback=%d)",
-			batches, groups, rows, rtfb)
+	if jobs == 0 && (batches > 0 || groups > 0 || rows > 0) {
+		fail("fused reduce work recorded with zero fused reduce jobs (batches=%d groups=%d rows=%d)",
+			batches, groups, rows)
 	}
 	if rows > 0 && groups == 0 {
 		fail("%d records folded by reduce kernels that finalized zero groups", rows)

@@ -88,12 +88,12 @@ func TestCarriedSizesMatchAWalk(t *testing.T) {
 				if v.combine {
 					// Keeps the first and the last row of each task-local
 					// group: the shuffle must carry the combined records' size.
-					job.Combine = func(_ string, rs []data.Row, emit func(data.Row)) {
+					job.Combine = rowCombine(func(_ string, rs []data.Row, emit func(data.Row)) {
 						emit(rs[0])
 						if len(rs) > 1 {
 							emit(rs[len(rs)-1])
 						}
-					}
+					})
 				}
 				if v.local {
 					job.PartitionKeyCols, job.PartitionParts = 1, 8

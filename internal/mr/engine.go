@@ -58,10 +58,10 @@ type BatchReport struct {
 	// Combined is true when the batch kernel fused across the shuffle
 	// boundary: its emissions are already combined per key (one record per
 	// group in first-seen order), so the engine must not run the job's
-	// combiner over them again. CombineRows then carries the pre-combine
-	// row count — what Result.CombineRows would have tallied had the
-	// combiner run row-at-a-time — keeping combine accounting identical
-	// between fused and interpreted executions.
+	// Combine over them again. CombineRows then carries the pre-combine row
+	// count — what Result.CombineRows would have tallied had Combine run
+	// over the per-row records — keeping combine accounting identical
+	// between the two map paths.
 	Combined    bool
 	CombineRows int64
 }
@@ -74,15 +74,12 @@ const (
 	// output with per-row tags; inherently row-oriented).
 	FuseExplodeUDF = "explode_udf"
 	// FuseUnsupportedOp: a chain contains an operator or predicate shape
-	// the fused compiler does not handle.
+	// the fused compiler does not handle; reduce side, the boundary is a
+	// join or a sort, which has no aggregate fold.
 	FuseUnsupportedOp = "unsupported_op"
 	// FuseSchemaMismatch: column resolution disagreed with the annotated
 	// output schema; the interpreter is the safe path.
 	FuseSchemaMismatch = "schema_mismatch"
-	// FuseNondistributiveAgg: a grouped aggregation whose aggregate set is
-	// not distributive over fixed-width partial state (reduce-side fusion
-	// only).
-	FuseNondistributiveAgg = "nondistributive_agg"
 	// FuseAggUDF: the reducer is an aggregate UDF running opaque user code
 	// over raw payload rows — no typed partial state to specialize on
 	// (reduce-side fusion only).
@@ -98,7 +95,7 @@ var FuseFallbackReasons = []string{FuseExplodeUDF, FuseUnsupportedOp, FuseSchema
 
 // FuseReduceFallbackReasons is the mr_fused_reduce_fallback_total label
 // taxonomy, fixed in recording order like FuseFallbackReasons.
-var FuseReduceFallbackReasons = []string{FuseNondistributiveAgg, FuseAggUDF, FuseUnsupportedOp, FuseSchemaMismatch}
+var FuseReduceFallbackReasons = []string{FuseAggUDF, FuseUnsupportedOp}
 
 // TaskCtx identifies one map task (one input split) deterministically:
 // which input it reads, the split ordinal within that input, the ordinal of
@@ -116,9 +113,6 @@ type TaskCtx struct {
 	// Job.Probes entry, in that order.
 	Probes []*Probe
 }
-
-// CombineFunc merges the rows one map task emitted under one key.
-type CombineFunc func(key string, rows []data.Row, emit func(data.Row))
 
 // ReduceFunc processes one shuffle group, writing its output rows to out.
 type ReduceFunc func(key string, rows []data.Row, out *GroupOut)
@@ -195,11 +189,11 @@ type Job struct {
 	// BatchMapFactory, when set, builds a per-task batch map function the
 	// engine prefers over the row-at-a-time MapFactory: the task's
 	// whole split is handed to it at once (the fused columnar path). The
-	// row path must still be provided — it is the fallback contract — and
-	// both must produce identical emissions. Nothing in production selects
-	// the row path for a job that has this hook; the differential tests get
-	// their interpreter reference by clearing it (and BatchCombine /
-	// BatchReduce) on compiled jobs.
+	// row path must still be provided — a batch that bails out mid-split
+	// replays through it — and both must produce identical emissions.
+	// Nothing in production selects the row path for a job that has this
+	// hook; the differential tests get their interpreter reference by
+	// clearing it on compiled jobs.
 	BatchMapFactory func(ctx TaskCtx) BatchMapFunc
 
 	// Probes lists the indexes the map side looks rows up in (TaskCtx.Probes).
@@ -220,7 +214,7 @@ type Job struct {
 	// Reduce-side fusion classification, the mirror taxonomy for the
 	// combiner/reducer: FusedReduceEligible marks any reduce job,
 	// FusedReduce one whose combine and reduce phases compiled into
-	// columnar agg kernels (BatchCombine/BatchReduce set), and
+	// columnar agg kernels (Combine/BatchReduce set), and
 	// FusedReduceFallback the single reason when eligible but not fused.
 	// FusedCrossBoundary additionally marks a partition-local job whose
 	// map kernel was fused *through* the (local) shuffle boundary into the
@@ -230,33 +224,22 @@ type Job struct {
 	FusedReduceFallback string
 	FusedCrossBoundary  bool
 
-	// Combine, when set on a reduce job, runs map-side per split: rows a
-	// split emitted under one key are merged before the shuffle (the
-	// classic MR combiner). It must be algebraic: Reduce over combined
-	// partials must equal Reduce over the raw rows.
-	Combine CombineFunc
+	// Combine, when set on a keyed job, is the map-side combiner (the
+	// classic MR combiner, compiled): it folds one map task's emissions per
+	// key before the shuffle, appending one combined record per key to
+	// scratch (pooled, handed over empty) in first-emission order, and
+	// returns them with the pre-combine row count. It must be algebraic:
+	// reducing the combined records must equal reducing the raw ones.
+	Combine func(in, scratch []Keyed) (combined []Keyed, combineRows int64)
 
-	// BatchCombine, when set alongside Combine, is the fused combiner: it
-	// replaces the grouper + row-at-a-time Combine fold over one map task's
-	// emissions. It appends the combined records to scratch (grouped per
-	// key in first-emission order — the grouper's order) and returns them
-	// with the pre-combine row count. ok=false means a record violated the
-	// kernel's layout contract: the kernel must not have touched the task
-	// output, scratch comes back as it was handed over (it is pooled), and
-	// the engine replays the task's combine through the interpreter.
-	BatchCombine func(in, scratch []Keyed) (combined []Keyed, combineRows int64, ok bool)
-
-	// BatchReduce, when set on a reduce job, is the fused reduce kernel: it
-	// folds one whole reduce partition (records in partition scan order)
-	// and emits finalized rows with keys in ascending order — the order the
-	// grouper's sortKeys pass would reduce them in — sealing one group per
-	// distinct emitted key. false means a record violated the kernel's
-	// layout contract before anything was emitted; the engine then replays
-	// the partition through the grouper + Reduce interpreter. It runs under
-	// an injected fault plan too: task recovery is priced, never replayed.
-	BatchReduce func(recs []Keyed, emit Emit) bool
-
-	Reduce       ReduceFunc   // nil for a map-only job
+	// A keyed job has exactly one reduce implementation. Reduce runs per
+	// shuffle group (joins, sorts, aggregate UDFs); BatchReduce, the
+	// compiled group-agg kernel, folds one whole reduce partition (records
+	// in partition scan order) and emits finalized rows with keys in
+	// ascending order — the order Reduce sees its groups in — sealing one
+	// group per distinct emitted key. Neither set means a map-only job.
+	Reduce       ReduceFunc
+	BatchReduce  func(recs []Keyed, emit Emit)
 	OutputSchema *data.Schema // schema of the materialized output
 
 	Output     string       // dataset name to materialize as
@@ -298,10 +281,13 @@ type Job struct {
 	OutputPartParts int
 }
 
+// keyed reports whether the job shuffles and reduces (else it is map-only).
+func (j *Job) keyed() bool { return j.Reduce != nil || j.BatchReduce != nil }
+
 // partitionLocal reports whether the partition-preserving shuffle path
 // applies to this job.
 func (j *Job) partitionLocal() bool {
-	return j.Reduce != nil && j.PartitionKeyCols > 0 && j.PartitionParts > 0
+	return j.keyed() && j.PartitionKeyCols > 0 && j.PartitionParts > 0
 }
 
 // Result reports the measured volumes and simulated time of one job run.
@@ -348,22 +334,18 @@ type Result struct {
 	FusedRuntimeFallbacks int64
 
 	// Reduce-side fusion observability, same wall-clock-only contract.
-	// FusedCombineBatches counts map tasks whose combine ran a fused fold
-	// (kernel combiner or cross-boundary map kernel); FusedReduceGroups and
-	// FusedReduceRows count key groups finalized and records folded by the
-	// fused reduce kernels; FusedReduceRuntimeFallbacks counts map-task
-	// combines and reduce partitions that hit the kernels' layout bailout
-	// and were replayed through the interpreter. All folded in split /
-	// partition order over disjoint data, so the tallies are independent of
-	// Workers and ReduceTasks.
-	FusedReduceEligible         bool
-	FusedReduceJob              bool
-	FusedReduceFallbackReason   string
-	FusedCrossBoundary          bool
-	FusedCombineBatches         int64
-	FusedReduceGroups           int64
-	FusedReduceRows             int64
-	FusedReduceRuntimeFallbacks int64
+	// FusedCombineBatches counts map tasks whose output was combined (by
+	// Combine or by a cross-boundary map kernel); FusedReduceGroups and
+	// FusedReduceRows count key groups finalized and records folded by
+	// BatchReduce. All folded in split / partition order over disjoint
+	// data, so the tallies are independent of Workers and ReduceTasks.
+	FusedReduceEligible       bool
+	FusedReduceJob            bool
+	FusedReduceFallbackReason string
+	FusedCrossBoundary        bool
+	FusedCombineBatches       int64
+	FusedReduceGroups         int64
+	FusedReduceRows           int64
 
 	// RetriedInputBytes and RetriedShuffleBytes are the volumes read and
 	// shuffled by failed attempts that were recovered from (zero when the
@@ -698,7 +680,6 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	reg.Counter("mr_fused_reduce_batches_total").Add(res.FusedCombineBatches)
 	reg.Counter("mr_fused_reduce_groups_total").Add(res.FusedReduceGroups)
 	reg.Counter("mr_fused_reduce_rows_total").Add(res.FusedReduceRows)
-	reg.Counter("mr_fused_reduce_runtime_fallback_total").Add(res.FusedReduceRuntimeFallbacks)
 	reg.FloatCounter("mr_sim_seconds_total").Add(res.SimSeconds)
 	reg.FloatCounter("mr_wasted_sim_seconds_total").Add(res.WastedSeconds)
 	// Fault/recovery counters are recorded unconditionally (zeros included)
@@ -752,15 +733,13 @@ type mapSplit struct {
 // emissions in emission order and their encoded size (Σ row.EncodedSize() +
 // len(key), summed by the task itself so nothing downstream walks the
 // records again), the rows its combiner consumed, the batch-execution report
-// when the job ran the fused path, and whether the combine fold itself ran
-// fused (or bailed out of the fused path).
+// when the job ran the fused path, and whether its output was combined.
 type mapTaskOut struct {
-	out          []Keyed
-	bytes        int64
-	combineRows  int64
-	batch        BatchReport
-	combFused    bool
-	combFallback bool
+	out         []Keyed
+	bytes       int64
+	combineRows int64
+	batch       BatchReport
+	combined    bool
 
 	probeRows, probeBytes int64 // what the task's index lookups matched
 }
@@ -811,7 +790,7 @@ func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 		ctx.Probes = append(ctx.Probes, &Probe{ix: ix})
 	}
 	out := getKeyedBuf(len(sp.rows))
-	keyed := job.Reduce != nil
+	keyed := job.keyed()
 	combines := job.Combine != nil && keyed
 	emit := func(key string, r data.Row) {
 		if len(r) != job.MapOutSchema.Len() {
@@ -854,43 +833,17 @@ func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 // combineMapOutput replaces one map task's emissions with their per-key
 // combination, in first-emission key order.
 func combineMapOutput(job *Job, t *mapTaskOut) {
+	t.combined = true
 	if t.batch.Combined {
 		// Cross-boundary kernel: the batch map already emitted combined
 		// records per key, with the pre-combine row count in the report so
-		// combine accounting matches the interpreted path exactly.
+		// combine accounting matches the per-row map path exactly.
 		t.combineRows = t.batch.CombineRows
-		t.combFused = true
 		return
 	}
-	if job.BatchCombine != nil {
-		combined, rows, ok := job.BatchCombine(t.out, getKeyedBuf(len(t.out)))
-		if ok {
-			putKeyedBuf(t.out)
-			t.out = combined
-			t.combineRows = rows
-			t.combFused = true
-			return
-		}
-		putKeyedBuf(combined)
-		t.combFallback = true
-	}
-	hint := len(t.out)
-	if job.EstGroups > 0 && job.EstGroups < int64(hint) {
-		hint = int(job.EstGroups)
-	}
-	g := getGrouper(hint)
-	g.build(t.out)
-	t.combineRows = int64(len(t.out))
-	combined := getKeyedBuf(g.len())
-	for id := int32(0); id < int32(g.len()); id++ {
-		key := g.keys[id]
-		job.Combine(key, g.rows(id), func(r data.Row) {
-			combined = append(combined, Keyed{key, r})
-		})
-	}
+	combined, rows := job.Combine(t.out, getKeyedBuf(len(t.out)))
 	putKeyedBuf(t.out)
-	t.out = combined
-	g.release()
+	t.out, t.combineRows = combined, rows
 }
 
 // validateJob checks the static requirements execution relies on.
@@ -901,10 +854,13 @@ func validateJob(job *Job) error {
 	if job.Output == "" {
 		return fmt.Errorf("mr: job %q has no output name", job.Name)
 	}
+	if job.Reduce != nil && job.BatchReduce != nil {
+		return fmt.Errorf("mr: job %q sets both Reduce and BatchReduce", job.Name)
+	}
 	// A map-only job materializes the mapper's emissions directly, so the
 	// two schemas must agree on width — otherwise every emitted row would
 	// be malformed under OutputSchema yet only the reduce path validated it.
-	if job.Reduce == nil && job.MapOutSchema != nil && job.OutputSchema != nil &&
+	if !job.keyed() && job.MapOutSchema != nil && job.OutputSchema != nil &&
 		job.MapOutSchema.Len() != job.OutputSchema.Len() {
 		return fmt.Errorf("mr: map-only job %q emits width %d (schema %s) but materializes schema %s",
 			job.Name, job.MapOutSchema.Len(), job.MapOutSchema, job.OutputSchema)
@@ -934,7 +890,7 @@ func (e *Engine) execute(job *Job, res *Result, asp *obs.Span, prior float64) (*
 // shared read). Splits are read-only here, so shared-scan consumers can
 // replay one split set serially without re-reading the store.
 func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp *obs.Span, prior float64) (*data.Relation, error) {
-	if job.Reduce != nil {
+	if job.keyed() {
 		res.KeyedJob = true
 		res.PartitionLocal = job.partitionLocal()
 	}
@@ -983,11 +939,8 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 		if tasks[i].batch.Fallback {
 			res.FusedRuntimeFallbacks++
 		}
-		if tasks[i].combFused {
+		if tasks[i].combined {
 			res.FusedCombineBatches++
-		}
-		if tasks[i].combFallback {
-			res.FusedReduceRuntimeFallbacks++
 		}
 	}
 	if len(ixs) > 0 {
@@ -1000,7 +953,7 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 		accrued += probeSim
 	}
 	msp.AddSim(e.fnsSim(job.MapCost, res.InputRows))
-	if job.Combine != nil && job.Reduce != nil {
+	if job.Combine != nil && job.keyed() {
 		// Combiners run inside map tasks: their wall-clock is folded into
 		// the map span, only the simulated seconds are reported separately.
 		csp := msp.Child("combine")
@@ -1017,7 +970,7 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 	}
 
 	out := data.NewRelation(job.OutputSchema)
-	if job.Reduce == nil {
+	if !job.keyed() {
 		// Map-only: emitted rows are the output, consumed in split order.
 		total := 0
 		for i := range tasks {
@@ -1141,7 +1094,6 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	partArenas := make([][]data.Row, r)
 	fusedGroups := make([]int64, r)
 	fusedRows := make([]int64, r)
-	fusedBails := make([]int64, r)
 	groupHint := 0
 	if job.EstGroups > 0 {
 		gh := job.EstGroups/int64(r) + 1
@@ -1152,33 +1104,25 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	}
 	err := runTasks(e.workers(), r, func(pi int) error {
 		if job.BatchReduce != nil {
-			// Fused reduce: the whole partition folds through the columnar
-			// agg kernel.
-			if outs, arena, ok := fusedReducePartition(job, parts[pi], &fusedGroups[pi], &fusedRows[pi]); ok {
-				partOuts[pi] = outs
-				partArenas[pi] = arena
-				putKeyedBuf(parts[pi])
-				parts[pi] = nil
-				return nil
+			// The whole partition folds through the compiled agg kernel.
+			partOuts[pi], partArenas[pi] = fusedReducePartition(job, parts[pi], &fusedGroups[pi], &fusedRows[pi])
+		} else {
+			g := getGrouper(groupHint)
+			g.build(parts[pi])
+			g.sortKeys() // deterministic reduce order
+			// The arena holds row-at-a-time emissions (at most one per input
+			// row for every such reducer); block emitters bypass it.
+			o := GroupOut{job: job, arena: getRowsBuf(len(parts[pi]))}
+			outs := make([]redOut, 0, g.len())
+			for _, k := range g.keys {
+				job.Reduce(k, g.rows(g.id(k)), &o)
+				outs = append(outs, o.seal(k))
 			}
-			fusedBails[pi]++
+			partOuts[pi], partArenas[pi] = outs, o.arena
+			g.release()
 		}
-		g := getGrouper(groupHint)
-		g.build(parts[pi])
-		g.sortKeys() // deterministic reduce order
-		// The arena holds row-at-a-time emissions (at most one per input row
-		// for every such reducer); block emitters bypass it.
-		o := GroupOut{job: job, arena: getRowsBuf(len(parts[pi]))}
-		outs := make([]redOut, 0, g.len())
-		for _, k := range g.keys {
-			job.Reduce(k, g.rows(g.id(k)), &o)
-			outs = append(outs, o.seal(k))
-		}
-		partOuts[pi] = outs
-		partArenas[pi] = o.arena
 		putKeyedBuf(parts[pi])
 		parts[pi] = nil
-		g.release()
 		return nil
 	})
 	rsp.AddSim(e.fnsSim(job.ReduceCost, res.ShuffleRows))
@@ -1187,7 +1131,6 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 		// the tallies are identical at any ReduceTasks setting.
 		res.FusedReduceGroups += fusedGroups[pi]
 		res.FusedReduceRows += fusedRows[pi]
-		res.FusedReduceRuntimeFallbacks += fusedBails[pi]
 	}
 	if err == nil {
 		err = recErr // a reduce task outlasted its retry budget
@@ -1220,17 +1163,14 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	return nil
 }
 
-// fusedReducePartition folds one reduce partition through the job's fused
-// agg kernel. The kernel's emissions arrive with keys in ascending order
-// (the order the interpreted path reduces and merges in), so sealing a
-// redOut run at every key change reproduces the grouper's per-key buffers
-// exactly; the k-way merge downstream is oblivious to which path filled
-// them. ok=false means the kernel hit its layout bailout pre-emission: the
-// arena is returned to the pool and the caller falls through to the
-// interpreter.
-func fusedReducePartition(job *Job, recs []Keyed, groups, rows *int64) ([]redOut, []data.Row, bool) {
+// fusedReducePartition folds one reduce partition through the job's
+// BatchReduce kernel. The kernel's emissions arrive with keys in ascending
+// order (the order a per-group Reduce sees them in), so sealing a redOut run
+// at every key change yields the same key-sorted runs; the k-way merge
+// downstream is oblivious to which kind of reducer filled them.
+func fusedReducePartition(job *Job, recs []Keyed, groups, rows *int64) ([]redOut, []data.Row) {
 	if len(recs) == 0 {
-		return nil, nil, true
+		return nil, nil
 	}
 	o := GroupOut{job: job, arena: getRowsBuf(len(recs))}
 	var outs []redOut
@@ -1244,16 +1184,13 @@ func fusedReducePartition(job *Job, recs []Keyed, groups, rows *int64) ([]redOut
 		}
 		o.Emit(row)
 	}
-	if !job.BatchReduce(recs, emit) {
-		putRowsBuf(o.arena)
-		return nil, nil, false
-	}
+	job.BatchReduce(recs, emit)
 	if sealed {
 		outs = append(outs, o.seal(cur))
 	}
 	*groups += int64(len(outs))
 	*rows += int64(len(recs))
-	return outs, o.arena, true
+	return outs, o.arena
 }
 
 // RunSequence executes jobs in order (callers supply a topological order of

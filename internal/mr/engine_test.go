@@ -68,6 +68,31 @@ func wordCountJob() *Job {
 	}
 }
 
+// rowCombine adapts a per-key row fold to the Job.Combine hook: it groups
+// one map task's records per key in first-emission order and appends what
+// fold emits for each key, under that key, to scratch.
+func rowCombine(fold func(key string, rows []data.Row, emit func(data.Row))) func(in, scratch []Keyed) ([]Keyed, int64) {
+	return func(in, scratch []Keyed) ([]Keyed, int64) {
+		g := getGrouper(len(in))
+		defer g.release()
+		g.build(in)
+		for id := int32(0); id < int32(g.len()); id++ {
+			key := g.keys[id]
+			fold(key, g.rows(id), func(r data.Row) { scratch = append(scratch, Keyed{key, r}) })
+		}
+		return scratch, int64(len(in))
+	}
+}
+
+// sumCombine is wordCountJob's combiner: one (word, Σn) partial per key.
+var sumCombine = rowCombine(func(_ string, rows []data.Row, emit func(data.Row)) {
+	var sum int64
+	for _, r := range rows {
+		sum += r[1].Int()
+	}
+	emit(data.Row{rows[0][0], value.NewInt(sum)})
+})
+
 func TestWordCount(t *testing.T) {
 	e, st := newEngine()
 	loadWords(st)

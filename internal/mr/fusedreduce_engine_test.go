@@ -2,6 +2,7 @@ package mr
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"opportune/internal/data"
@@ -11,28 +12,22 @@ import (
 	"opportune/internal/value"
 )
 
-// combineWordsJob is wordCountJob plus a classic combiner, the shape the
-// fused reduce kernels replace. setKernels=true attaches hand-written
-// BatchCombine/BatchReduce kernels that honor the engine contract
-// (first-emission combine order, ascending reduce order); they must be
-// indistinguishable from the interpreter in output AND accounting.
-func combineWordsJob(setKernels bool) *Job {
+// combineWordsJob is wordCountJob plus a combiner. The reference arm
+// (kernels=false) combines through rowCombine and reduces per group; the
+// kernel arm replaces both with hand-written Combine/BatchReduce kernels
+// that honor the engine contract (first-emission combine order, ascending
+// reduce order). The two must be indistinguishable in output AND
+// accounting.
+func combineWordsJob(kernels bool) *Job {
 	j := wordCountJob()
-	j.Combine = func(key string, rows []data.Row, emit func(data.Row)) {
-		var sum int64
-		for _, r := range rows {
-			sum += r[1].Int()
-		}
-		emit(data.Row{rows[0][0], value.NewInt(sum)})
-	}
 	j.CombineCost = j.ReduceCost
-	if !setKernels {
+	if !kernels {
+		j.Combine = sumCombine
 		return j
 	}
 	j.FusedReduceEligible = true
 	j.FusedReduce = true
-	j.BatchCombine = func(in, scratch []Keyed) ([]Keyed, int64, bool) {
-		scratch = scratch[:0]
+	j.Combine = func(in, scratch []Keyed) ([]Keyed, int64) {
 		idx := map[string]int{}
 		for _, rec := range in {
 			if g, ok := idx[rec.Key]; ok {
@@ -42,9 +37,10 @@ func combineWordsJob(setKernels bool) *Job {
 			idx[rec.Key] = len(scratch)
 			scratch = append(scratch, Keyed{Key: rec.Key, Row: data.Row{rec.Row[0], rec.Row[1]}})
 		}
-		return scratch, int64(len(in)), true
+		return scratch, int64(len(in))
 	}
-	j.BatchReduce = func(recs []Keyed, emit Emit) bool {
+	j.Reduce = nil
+	j.BatchReduce = func(recs []Keyed, emit Emit) {
 		sums := map[string]int64{}
 		for _, rec := range recs {
 			sums[rec.Key] += rec.Row[1].Int()
@@ -57,7 +53,6 @@ func combineWordsJob(setKernels bool) *Job {
 		for _, k := range keys {
 			emit(k, data.Row{value.NewStr(k), value.NewInt(sums[k])})
 		}
-		return true
 	}
 	return j
 }
@@ -71,7 +66,7 @@ func loadManyWords(st *storage.Store, rows int) {
 	st.Put("docs", storage.Base, rel)
 }
 
-func runCombineWords(t *testing.T, kernels, bailing bool) (*data.Relation, *Result, map[string]int64) {
+func runCombineWords(t *testing.T, kernels bool) (*data.Relation, *Result, map[string]int64) {
 	t.Helper()
 	e, st := newEngine()
 	loadManyWords(st, 120)
@@ -80,52 +75,44 @@ func runCombineWords(t *testing.T, kernels, bailing bool) (*data.Relation, *Resu
 	e.Workers = 4
 	reg := obs.NewRegistry()
 	e.Obs = reg
-	j := combineWordsJob(kernels)
-	if bailing {
-		// Kernels that always refuse: every split's combine and every
-		// partition's reduce must replay through the interpreter.
-		j.BatchCombine = func(in, scratch []Keyed) ([]Keyed, int64, bool) { return scratch, 0, false }
-		j.BatchReduce = func(recs []Keyed, emit Emit) bool { return false }
-	}
-	out, res, err := runRecorded(e, j)
+	out, res, err := runRecorded(e, combineWordsJob(kernels))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out, res, reg.Snapshot().Counters
 }
 
-// TestFusedReduceKernelParity pins the dispatch contract: batch kernels
-// replace the grouper+interpreter folds with identical output, identical
-// CombineRows accounting (mr_combine_rows_total must not move), and the
-// fused work tallied in the mr_fused_reduce_* family.
+// TestFusedReduceKernelParity pins the kernel contract: a Combine kernel
+// and a BatchReduce kernel replace the grouped row fold and the per-group
+// Reduce with identical output, identical CombineRows accounting
+// (mr_combine_rows_total must not move) and identical simulated time; only
+// the BatchReduce work is tallied in mr_fused_reduce_{groups,rows}_total.
 func TestFusedReduceKernelParity(t *testing.T) {
-	outI, resI, cI := runCombineWords(t, false, false)
-	outF, resF, cF := runCombineWords(t, true, false)
+	outI, resI, cI := runCombineWords(t, false)
+	outF, resF, cF := runCombineWords(t, true)
 	if outI.Fingerprint() != outF.Fingerprint() {
-		t.Error("fused kernel output differs from interpreter")
+		t.Error("kernel output differs from the per-group reference")
 	}
 	if resI.CombineRows == 0 || resI.CombineRows != resF.CombineRows {
-		t.Errorf("CombineRows: interpreter %d, fused %d (want equal, nonzero)", resI.CombineRows, resF.CombineRows)
+		t.Errorf("CombineRows: reference %d, kernels %d (want equal, nonzero)", resI.CombineRows, resF.CombineRows)
 	}
 	if cI["mr_combine_rows_total"] != cF["mr_combine_rows_total"] {
-		t.Errorf("mr_combine_rows_total: interpreter %d, fused %d",
+		t.Errorf("mr_combine_rows_total: reference %d, kernels %d",
 			cI["mr_combine_rows_total"], cF["mr_combine_rows_total"])
 	}
-	if resF.FusedCombineBatches == 0 {
-		t.Error("fused run folded no combine batches")
+	// 120 rows in 16-row splits: every one of the 8 map tasks combined.
+	if resI.FusedCombineBatches != 8 || resF.FusedCombineBatches != 8 {
+		t.Errorf("combined map tasks: reference %d, kernels %d, want 8", resI.FusedCombineBatches, resF.FusedCombineBatches)
 	}
 	if resF.FusedReduceGroups == 0 || resF.FusedReduceRows == 0 {
-		t.Errorf("fused run folded groups=%d rows=%d, want both > 0", resF.FusedReduceGroups, resF.FusedReduceRows)
+		t.Errorf("kernel run folded groups=%d rows=%d, want both > 0", resF.FusedReduceGroups, resF.FusedReduceRows)
 	}
-	if resF.FusedReduceRuntimeFallbacks != 0 {
-		t.Errorf("well-behaved kernels bailed %d times", resF.FusedReduceRuntimeFallbacks)
-	}
-	if resI.FusedCombineBatches != 0 || resI.FusedReduceGroups != 0 {
-		t.Error("interpreter run tallied fused work")
+	if resI.FusedReduceGroups != 0 || resI.FusedReduceRows != 0 {
+		t.Error("per-group Reduce run tallied kernel work")
 	}
 	// Wall-clock-only contract: the kernels must not change simulated time.
 	if resI.SimSeconds != resF.SimSeconds {
-		t.Errorf("SimSeconds moved: interpreter %v, fused %v", resI.SimSeconds, resF.SimSeconds)
+		t.Errorf("SimSeconds moved: reference %v, kernels %v", resI.SimSeconds, resF.SimSeconds)
 	}
 	if cF["mr_fused_reduce_jobs_total"] != 1 || cF["mr_fused_reduce_eligible_total"] != 1 {
 		t.Errorf("fused job counters = %d/%d, want 1/1",
@@ -133,44 +120,13 @@ func TestFusedReduceKernelParity(t *testing.T) {
 	}
 }
 
-// TestFusedReduceRuntimeFallback pins the layout-bailout path: kernels that
-// return false leave output and accounting exactly on the interpreter path,
-// with every refused split and partition counted as a runtime fallback.
-func TestFusedReduceRuntimeFallback(t *testing.T) {
-	outI, resI, cI := runCombineWords(t, false, false)
-	outB, resB, cB := runCombineWords(t, true, true)
-	if outI.Fingerprint() != outB.Fingerprint() {
-		t.Error("bailing kernels changed job output")
-	}
-	if resI.CombineRows != resB.CombineRows {
-		t.Errorf("CombineRows: interpreter %d, bailing %d", resI.CombineRows, resB.CombineRows)
-	}
-	if resB.FusedReduceRuntimeFallbacks == 0 {
-		t.Error("refusing kernels recorded no runtime fallbacks")
-	}
-	if resB.FusedCombineBatches != 0 || resB.FusedReduceGroups != 0 || resB.FusedReduceRows != 0 {
-		t.Errorf("bailing run still tallied fused work: batches=%d groups=%d rows=%d",
-			resB.FusedCombineBatches, resB.FusedReduceGroups, resB.FusedReduceRows)
-	}
-	// 120 rows / 16-row splits = 8 combine bails, plus 3 reduce partitions.
-	if want := int64(8 + 3); resB.FusedReduceRuntimeFallbacks != want {
-		t.Errorf("runtime fallbacks = %d, want %d", resB.FusedReduceRuntimeFallbacks, want)
-	}
-	if cB["mr_fused_reduce_runtime_fallback_total"] != resB.FusedReduceRuntimeFallbacks {
-		t.Error("runtime fallback counter does not match the result tally")
-	}
-	if cI["mr_fused_reduce_runtime_fallback_total"] != 0 {
-		t.Error("interpreter run recorded runtime fallbacks")
-	}
-}
-
 // TestFusedReduceRunsUnderFaults pins the chaos contract at the engine
 // level: under a plan that kills and slows map and reduce tasks, the reduce
 // kernel still folds every partition, and the kernel arm matches the
-// interpreter arm under the same plan on output and on the whole Result
-// outside the fused tallies — retries, speculation and waste included —
-// because recovery is priced from task volumes, never replayed through
-// whichever path ran.
+// per-group Reduce arm under the same plan on output and on the whole
+// Result outside the reduce-kernel tallies — retries, speculation and waste
+// included — because recovery is priced from task volumes, never replayed
+// through whichever reducer ran.
 func TestFusedReduceRunsUnderFaults(t *testing.T) {
 	plan := &fault.Plan{Faults: []fault.Fault{
 		{Phase: fault.PhaseMap, Task: 0, Kind: fault.KindPanic, FailAttempts: 1},
@@ -200,7 +156,7 @@ func TestFusedReduceRunsUnderFaults(t *testing.T) {
 	outF, resF := run(true, plan)
 	outI, resI := run(false, plan)
 	if outF.Fingerprint() != clean.Fingerprint() || outI.Fingerprint() != clean.Fingerprint() {
-		t.Error("faulted output differs from the clean interpreter run")
+		t.Error("faulted output differs from the clean reference run")
 	}
 	if resF.FusedReduceGroups == 0 || resF.FusedReduceRows == 0 || resF.FusedCombineBatches == 0 {
 		t.Errorf("reduce kernel did not run under the plan: groups=%d rows=%d combine batches=%d",
@@ -209,11 +165,27 @@ func TestFusedReduceRunsUnderFaults(t *testing.T) {
 	if resF.TaskRetries != 3 || resF.SpeculativeTasks != 1 {
 		t.Errorf("TaskRetries = %d, SpeculativeTasks = %d, want 3 and 1", resF.TaskRetries, resF.SpeculativeTasks)
 	}
-	// The fused classification and tallies are the only fields the arms
-	// may disagree on.
+	// The fused classification and the reduce kernel's tallies are the
+	// only fields the arms may disagree on.
 	resF.FusedReduceEligible, resF.FusedReduceJob = false, false
-	resF.FusedCombineBatches, resF.FusedReduceGroups, resF.FusedReduceRows = 0, 0, 0
+	resF.FusedReduceGroups, resF.FusedReduceRows = 0, 0
 	if resF != resI {
-		t.Errorf("kernel and interpreter arms priced the plan differently:\nkernel %+v\ninterp %+v", resF, resI)
+		t.Errorf("kernel and reference arms priced the plan differently:\nkernel %+v\nref    %+v", resF, resI)
+	}
+}
+
+// TestJobWithTwoReducersFails pins the one-reducer rule: a keyed job sets
+// Reduce or BatchReduce, and a job that sets both is rejected before it
+// reads anything rather than run on whichever the engine would pick.
+func TestJobWithTwoReducersFails(t *testing.T) {
+	e, st := newEngine()
+	loadManyWords(st, 20)
+	j := combineWordsJob(true)
+	j.Reduce = wordCountJob().Reduce
+	if _, _, err := e.Run(j); err == nil || !strings.Contains(err.Error(), "both Reduce and BatchReduce") {
+		t.Fatalf("job with two reducers: err = %v", err)
+	}
+	if st.Has(j.Output) {
+		t.Error("a rejected job materialized its output")
 	}
 }

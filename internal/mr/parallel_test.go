@@ -37,13 +37,7 @@ func runWithWorkers(t testing.TB, workers, reduceTasks, rows int) (*data.Relatio
 	e := New(st, params)
 	e.Workers = workers
 	job := wordCountJob()
-	job.Combine = func(key string, rs []data.Row, emit func(data.Row)) {
-		var sum int64
-		for _, r := range rs {
-			sum += r[1].Int()
-		}
-		emit(data.Row{rs[0][0], value.NewInt(sum)})
-	}
+	job.Combine = sumCombine
 	job.CombineCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
 	out, res, err := e.Run(job)
 	if err != nil {

@@ -50,8 +50,8 @@ type SharedScanResult struct {
 // splits; the retry is priced as if the inputs had been re-read (standalone
 // equivalence) even though no physical re-read happens.
 //
-// Consumers with fused batch kernels (Job.BatchMapFactory, and the
-// reduce-side BatchCombine/BatchReduce agg kernels) run them over the
+// Consumers with compiled kernels (Job.BatchMapFactory, and the
+// reduce-side Combine/BatchReduce agg kernels) run them over the
 // shared splits exactly as a standalone run would: splits are read-only to
 // map tasks, fused or not, and reduce partitions are private per consumer,
 // so one consumer's execution mode never leaks into another's.

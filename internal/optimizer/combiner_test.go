@@ -30,7 +30,7 @@ func TestCombinerShrinksShuffleSameResult(t *testing.T) {
 		}
 		if strip {
 			for _, job := range jobs {
-				job.Combine, job.BatchCombine = nil, nil
+				job.Combine = nil
 			}
 		}
 		results, err := f.eng.RunSequence(jobs)

@@ -349,7 +349,7 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 	o.classifyFusion(jn, job, progs)
 
 	var bf boundaryFactory
-	var spec *aggSpec
+	var agg *aggKernel
 	var err error
 	// retain: the boundary is passThrough, it keeps the rows it is handed.
 	retain := !o.isBoundary(boundary) || boundary.Kind == plan.KindSort
@@ -362,7 +362,7 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 		case plan.KindJoin:
 			bf, err = o.joinBoundary(jn, job)
 		case plan.KindGroupAgg:
-			bf, spec, err = o.groupAggBoundary(jn, job)
+			bf, agg, err = o.groupAggBoundary(jn, job)
 		case plan.KindUDF:
 			bf, err = o.aggUDFBoundary(jn, job)
 		case plan.KindSort:
@@ -390,7 +390,7 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 			pipes[input](r)
 		}
 	}
-	cross := o.classifyReduceFusion(jn, job, spec, progs)
+	cross := o.classifyReduceFusion(jn, job, agg, progs)
 	o.attachMapSide(job, interpreter, progs, bf, retain, cross)
 	return job, nil
 }
@@ -520,12 +520,12 @@ func joinGroup(ls, rs []data.Row, rKeep []int) ([]data.Row, int64) {
 	return rows, int64(len(rs))*lBytes + int64(len(ls))*rBytes + 4*int64(n)
 }
 
-// groupAggJob compiles a group-by with built-in aggregates as a two-phase
-// aggregation: the map side emits per-row partial states, a combiner merges
-// partials within each map split (shrinking the shuffle), and the reducer
-// merges and finalizes. All built-ins are algebraic (AVG decomposes into
-// sum+count partials).
-func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, *aggSpec, error) {
+// groupAggBoundary compiles a group-by with built-in aggregates as a
+// two-phase aggregation: the map side emits per-row partial states, the
+// combine kernel merges partials within each map split (shrinking the
+// shuffle), and the reduce kernel merges and finalizes (fusereduce.go). All
+// built-ins are algebraic (AVG decomposes into sum+count partials).
+func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, *aggKernel, error) {
 	boundary := jn.Logical
 	inCols := jn.streams[0].outNode.OutCols
 	keyIdx := make([]int, len(boundary.Keys))
@@ -575,34 +575,11 @@ func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory,
 			emit(enc.Key(out, keyIdxs), out)
 		}
 	}
-	mergeGroup := func(rows []data.Row) data.Row {
-		acc := rows[0].Clone()
-		for _, r := range rows[1:] {
-			for _, a := range aggs {
-				a.merge(acc, r)
-			}
-		}
-		for _, a := range aggs {
-			a.foldSum(acc, rows)
-		}
-		return acc
-	}
-	job.Combine = func(_ string, rows []data.Row, emit func(data.Row)) {
-		emit(mergeGroup(rows))
-	}
-	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
-		acc := mergeGroup(rows)
-		row := make(data.Row, 0, len(jn.OutCols))
-		row = append(row, acc[:nKeys]...)
-		for _, a := range aggs {
-			row = append(row, a.finalize(acc))
-		}
-		out.Emit(row)
-	}
+	k := &aggKernel{spec: &aggSpec{keyIdx: keyIdx, nKeys: nKeys, aggs: aggs, shufW: len(shufCols), outW: nKeys + len(aggs)}}
+	job.Combine, job.BatchReduce = k.batchCombine, k.batchReduce
 	job.CombineCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
-	spec := &aggSpec{keyIdx: keyIdx, nKeys: nKeys, aggs: aggs, shufW: len(shufCols), outW: nKeys + len(aggs)}
-	return bf, spec, nil
+	return bf, k, nil
 }
 
 func keyRange(n int) []int {
@@ -649,68 +626,6 @@ func (a aggPhys) initPartials(row, out data.Row) {
 	case plan.AggMin, plan.AggMax:
 		out[a.off] = row[a.src]
 	}
-}
-
-// merge folds row's partial state into acc (in place).
-func (a aggPhys) merge(acc, row data.Row) {
-	switch a.fn {
-	case plan.AggCount:
-		acc[a.off] = value.NewInt(acc[a.off].Int() + row[a.off].Int())
-	case plan.AggSum:
-		acc[a.off] = value.NewFloat(acc[a.off].Float() + row[a.off].Float())
-	case plan.AggAvg:
-		acc[a.off] = value.NewFloat(acc[a.off].Float() + row[a.off].Float())
-		acc[a.off+1] = value.NewInt(acc[a.off+1].Int() + row[a.off+1].Int())
-	case plan.AggMin, plan.AggMax:
-		v := row[a.off]
-		if v.IsNull() {
-			return
-		}
-		cur := acc[a.off]
-		if cur.IsNull() ||
-			(a.fn == plan.AggMin && value.Compare(v, cur) < 0) ||
-			(a.fn == plan.AggMax && value.Compare(v, cur) > 0) {
-			acc[a.off] = v
-		}
-	}
-}
-
-// foldSum replaces the float-sum partial at a.off with a Neumaier-
-// compensated fold over the whole group, overwriting the naive left fold
-// merge accumulated (COUNT/MIN/MAX partials and AVG's count column are
-// exact and keep merge's result). Combiner partials and the reducer's
-// final merge both pass through here, so the value finalize returns is
-// within 1 ulp of the exactly rounded group sum at any Workers x
-// ReduceTasks setting — and the group order the engine feeds is
-// deterministic, so the fold stays byte-identical across parallelism.
-func (a aggPhys) foldSum(acc data.Row, rows []data.Row) {
-	if a.fn != plan.AggSum && a.fn != plan.AggAvg {
-		return
-	}
-	var k value.Kahan
-	for _, r := range rows {
-		k.Add(r[a.off].Float())
-	}
-	acc[a.off] = value.NewFloat(k.Value())
-}
-
-// finalize converts the merged partial state into the output value.
-func (a aggPhys) finalize(acc data.Row) value.V {
-	switch a.fn {
-	case plan.AggCount:
-		return acc[a.off]
-	case plan.AggSum:
-		return acc[a.off]
-	case plan.AggAvg:
-		n := acc[a.off+1].Int()
-		if n == 0 {
-			return value.NullV
-		}
-		return value.NewFloat(acc[a.off].Float() / float64(n))
-	case plan.AggMin, plan.AggMax:
-		return acc[a.off]
-	}
-	return value.NullV
 }
 
 // payloadsPool recycles the agg-UDF reducer's per-group payload header

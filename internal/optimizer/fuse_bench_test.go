@@ -123,7 +123,7 @@ func BenchmarkFilterCompaction(b *testing.B) {
 // benchAggFixture compiles one grouped plan over a hash-partitioned 20k-row
 // twtr (8 parts on user_id), single-worker so the numbers measure CPU, not
 // scheduling.
-func benchAggFixture(b *testing.B, p *plan.Node) (*fixture, []*mr.Job) {
+func benchAggFixture(b *testing.B, p *plan.Node) (*fixture, *Work, []*mr.Job) {
 	b.Helper()
 	f := newFixture(b, 20000)
 	sig := afk.BaseSig("twtr", "user_id").ID()
@@ -139,16 +139,16 @@ func benchAggFixture(b *testing.B, p *plan.Node) (*fixture, []*mr.Job) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return f, jobs
+	return f, w, jobs
 }
 
 // benchRunJobs times the jobs as compiled, or — interp — as their own
 // interpreter reference (runArm).
-func benchRunJobs(b *testing.B, f *fixture, jobs []*mr.Job, interp bool) {
+func benchRunJobs(b *testing.B, f *fixture, w *Work, jobs []*mr.Job, interp bool) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := runArm(b, f.eng, jobs, interp); err != nil {
+		if _, err := runArm(b, f, w, jobs, interp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,17 +166,17 @@ func groupAggBenchPlan() *plan.Node {
 }
 
 // BenchmarkFusedGroupAgg compares the full reduce-fused execution (columnar
-// agg kernels, cross-boundary fold) against the interpreted reduce path
-// (arena grouper + row-at-a-time combine/reduce closures) end to end over
-// identical compiled jobs.
+// agg kernels, cross-boundary fold) against the row-fold reference
+// (aggref_test.go: row map side, grouped combine, per-group reduce) end to
+// end over identical compiled jobs.
 func BenchmarkFusedGroupAgg(b *testing.B) {
-	fF, jF := benchAggFixture(b, groupAggBenchPlan())
+	fF, wF, jF := benchAggFixture(b, groupAggBenchPlan())
 	if !jF[len(jF)-1].FusedReduce || !jF[len(jF)-1].FusedCrossBoundary {
 		b.Fatal("grouped plan did not reduce-fuse across the boundary")
 	}
-	fI, jI := benchAggFixture(b, groupAggBenchPlan())
-	b.Run("fused", func(b *testing.B) { benchRunJobs(b, fF, jF, false) })
-	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, jI, true) })
+	fI, wI, jI := benchAggFixture(b, groupAggBenchPlan())
+	b.Run("fused", func(b *testing.B) { benchRunJobs(b, fF, wF, jF, false) })
+	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, wI, jI, true) })
 }
 
 // BenchmarkPartitionLocalFusedChain stacks map work (UDF + filter) on the
@@ -192,11 +192,11 @@ func BenchmarkPartitionLocalFusedChain(b *testing.B) {
 			plan.AggSpec{Func: plan.AggCount, As: "n"},
 			plan.AggSpec{Func: plan.AggAvg, Col: "tweet_id", As: "m"})
 	}
-	fC, jC := benchAggFixture(b, chain())
+	fC, wC, jC := benchAggFixture(b, chain())
 	if !jC[len(jC)-1].FusedCrossBoundary {
 		b.Fatal("chain did not cross-fuse")
 	}
-	fI, jI := benchAggFixture(b, chain())
-	b.Run("cross", func(b *testing.B) { benchRunJobs(b, fC, jC, false) })
-	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, jI, true) })
+	fI, wI, jI := benchAggFixture(b, chain())
+	b.Run("cross", func(b *testing.B) { benchRunJobs(b, fC, wC, jC, false) })
+	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, wI, jI, true) })
 }

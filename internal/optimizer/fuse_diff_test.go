@@ -78,6 +78,77 @@ func fusionWorkload() []*plan.Node {
 			plan.AggSpec{Func: plan.AggSum, Col: "wine_score", As: "s"},
 			plan.AggSpec{Func: plan.AggAvg, Col: "tweet_id", As: "m"},
 			plan.AggSpec{Func: plan.AggMin, Col: "wine_score", As: "lo"}),
+		// NULL inputs (the nums table, nullsQueries): partition-local on g
+		// through the cross kernel, bare and filtered, and non-local on h
+		// through the combine kernel; every one then reduces on the kernel.
+		plan.GroupAgg(plan.Scan("nums"), []string{"g"}, nullAggs()...),
+		plan.GroupAgg(plan.Filter(plan.Scan("nums"), expr.NewCmp("id", expr.Ge, value.NewInt(40))), []string{"g"}, nullAggs()...),
+		plan.GroupAgg(plan.Scan("nums"), []string{"h"}, nullAggs()...),
+	}
+}
+
+// nullsQueries is how many queries at the end of fusionWorkload aggregate
+// nums, each grouping by its first column and computing nullAggs.
+const nullsQueries = 3
+
+// nullAggs puts every built-in over the nullable column x, beside COUNT(*).
+func nullAggs() []plan.AggSpec {
+	return []plan.AggSpec{
+		{Func: plan.AggCount, Col: "x", As: "n"},
+		{Func: plan.AggSum, Col: "x", As: "s"},
+		{Func: plan.AggAvg, Col: "x", As: "m"},
+		{Func: plan.AggMin, Col: "x", As: "lo"},
+		{Func: plan.AggMax, Col: "x", As: "hi"},
+		{Func: plan.AggCount, As: "rows"},
+	}
+}
+
+// putNums installs nums(id, g, h, x): 400 rows, g = id mod 8 (the table's
+// hash layout, 4 parts), h = id mod 5, and x a numeric column — Int on odd
+// ids, a fractional Float on even ones — that is NULL whenever g < 2 or
+// h = 0, and on every seventh row besides. Grouping by either key thus
+// yields groups whose x inputs are all NULL beside partly NULL ones.
+func putNums(f *fixture) {
+	rel := data.NewRelation(data.NewSchema("id", "g", "h", "x"))
+	for i := int64(0); i < 400; i++ {
+		g, h := i%8, i%5
+		x := value.NewFloat(float64(i)*0.37 - 50)
+		switch {
+		case g < 2 || h == 0 || i%7 == 0:
+			x = value.NullV
+		case i%2 == 1:
+			x = value.NewInt(i - 200)
+		}
+		rel.Append(data.Row{value.NewInt(i), value.NewInt(g), value.NewInt(h), x})
+	}
+	f.store.Put("nums", storage.Base, rel)
+	f.cat.RegisterBase("nums", []string{"id", "g", "h", "x"}, "id",
+		cost.Stats{Rows: 400, Bytes: rel.EncodedSize()}, map[string]int64{"id": 400, "g": 8, "h": 5, "x": 250})
+	sig := afk.BaseSig("nums", "g").ID()
+	f.store.SetPartitioning("nums", []string{sig}, 4)
+	f.cat.SetPartitioning("nums", afk.Partitioning{Sigs: []string{sig}, Parts: 4})
+}
+
+// checkNullGroups pins NULL semantics on the nums queries' output rows
+// (key, then nullAggs' columns): a group whose x inputs are all NULL has
+// COUNT(x) 0, SUM 0, AVG, MIN and MAX NULL, and still counts its rows;
+// any other group has a non-NULL AVG, MIN and MAX.
+func checkNullGroups(t *testing.T, qi int, rel *data.Relation) {
+	t.Helper()
+	allNull := 0
+	for _, r := range rel.Rows() {
+		n, sum, avg, lo, hi, rows := r[1], r[2], r[3], r[4], r[5], r[6]
+		if n.Int() == 0 {
+			allNull++
+			if sum.Float() != 0 || !avg.IsNull() || !lo.IsNull() || !hi.IsNull() || rows.Int() == 0 {
+				t.Errorf("query %d: all-NULL group %v: want COUNT 0, SUM 0, AVG/MIN/MAX NULL, rows > 0", qi, r)
+			}
+		} else if avg.IsNull() || lo.IsNull() || hi.IsNull() || n.Int() >= rows.Int() {
+			t.Errorf("query %d: partly NULL group %v: want AVG/MIN/MAX set and COUNT(x) < rows", qi, r)
+		}
+	}
+	if allNull == 0 || allNull == rel.Len() {
+		t.Errorf("query %d: %d of %d groups all-NULL, want some but not all", qi, allNull, rel.Len())
 	}
 }
 
@@ -88,42 +159,36 @@ type fusionOutcome struct {
 	fps    []uint64
 	rels   []*data.Relation
 	canons [][]string
+	cross  []bool // the query's grouped job ran the cross-boundary kernel
 	snap   obs.Snapshot
 }
 
-// stripKernels removes the fused kernels from compiled jobs, leaving the row
-// path Executable always attaches (the engine's fallback contract). The
-// interpreter arm of every fusion oracle is the fused arm's own compiled
-// jobs run this way: there is no production switch that selects it.
-func stripKernels(jobs []*mr.Job) {
-	for _, j := range jobs {
-		j.BatchMapFactory, j.BatchCombine, j.BatchReduce = nil, nil, nil
-	}
-}
-
-// checkInterpreted fails unless a run of stripped jobs did no kernel work.
-// It reads the tallies of work done (mr_fused_batches_total,
-// mr_fused_rows_total, mr_fused_reduce_{batches,groups,rows}_total), not the
-// jobs' classification stamps, which stripping leaves in place.
+// checkInterpreted fails unless a run of stripped jobs did no batch-map or
+// reduce-kernel work. It reads the tallies of work done
+// (mr_fused_batches_total, mr_fused_rows_total,
+// mr_fused_reduce_{groups,rows}_total), not the jobs' classification
+// stamps, which stripping leaves in place. The combine tally counts every
+// combined map task, the reference fold's included; stripKernels replaces
+// the Combine kernel of every job that has one.
 func checkInterpreted(t testing.TB, results []*mr.Result) {
 	t.Helper()
 	for _, r := range results {
-		if r.FusedBatches != 0 || r.FusedRows != 0 || r.FusedCombineBatches != 0 ||
-			r.FusedReduceGroups != 0 || r.FusedReduceRows != 0 {
-			t.Fatalf("interpreter arm ran fused kernels: batches=%d rows=%d combine batches=%d reduce groups=%d rows=%d",
-				r.FusedBatches, r.FusedRows, r.FusedCombineBatches, r.FusedReduceGroups, r.FusedReduceRows)
+		if r.FusedBatches != 0 || r.FusedRows != 0 || r.FusedReduceGroups != 0 || r.FusedReduceRows != 0 {
+			t.Fatalf("interpreter arm ran fused kernels: batches=%d rows=%d reduce groups=%d rows=%d",
+				r.FusedBatches, r.FusedRows, r.FusedReduceGroups, r.FusedReduceRows)
 		}
 	}
 }
 
-// runArm runs compiled jobs as one arm of a fusion oracle: as compiled, or —
-// interp — with the kernels stripped and the run checked to have used none.
-func runArm(t testing.TB, eng *mr.Engine, jobs []*mr.Job, interp bool) ([]*mr.Result, error) {
+// runArm runs w's compiled jobs as one arm of a fusion oracle: as compiled,
+// or — interp — as their interpreter reference (stripKernels), checked to
+// have used no kernel.
+func runArm(t testing.TB, f *fixture, w *Work, jobs []*mr.Job, interp bool) ([]*mr.Result, error) {
 	t.Helper()
 	if interp {
-		stripKernels(jobs)
+		stripKernels(t, f.opt, w, jobs)
 	}
-	results, err := eng.RunSequence(jobs)
+	results, err := f.eng.RunSequence(jobs)
 	if err == nil && interp {
 		checkInterpreted(t, results)
 	}
@@ -150,6 +215,7 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 	sig := afk.BaseSig("twtr", "user_id").ID()
 	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
+	putNums(f)
 	if err := f.cat.UDFs.Register(&udf.Descriptor{
 		Name: "UDF_TOKENIZE", NArgs: 1, Kind: udf.KindMap,
 		OutNames: []string{"word"}, Explode: true,
@@ -198,7 +264,12 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 		if err != nil {
 			t.Fatalf("query %d: executable: %v", qi, err)
 		}
-		if _, err := runArm(t, f.eng, jobs, interp); err != nil {
+		cross := false
+		for _, j := range jobs {
+			cross = cross || j.FusedCrossBoundary
+		}
+		out.cross = append(out.cross, cross)
+		if _, err := runArm(t, f, w, jobs, interp); err != nil {
 			t.Fatalf("query %d (interp=%v W=%d R=%d): %v", qi, interp, workers, reduceTasks, err)
 		}
 		rel, err := f.store.Read(name)
@@ -294,9 +365,6 @@ func TestFusionDifferentialOracle(t *testing.T) {
 			if n := refFused.snap.Counters["mr_fused_reduce_batches_total"]; n == 0 {
 				t.Error("fused arm ran no fused combine batches")
 			}
-			if n := refFused.snap.Counters["mr_fused_reduce_runtime_fallback_total"]; n != 0 {
-				t.Errorf("fused arm recorded %d reduce runtime fallbacks, want 0", n)
-			}
 			// The reduce kernels fold real groups fault-free and under chaos
 			// alike: recovery is priced, so the chaos grid below is the
 			// kernels' oracle too.
@@ -304,6 +372,17 @@ func TestFusionDifferentialOracle(t *testing.T) {
 			rows := refFused.snap.Counters["mr_fused_reduce_rows_total"]
 			if groups == 0 || rows == 0 {
 				t.Errorf("fused arm folded groups=%d rows=%d, want both > 0", groups, rows)
+			}
+			// NULL inputs: the nums queries went through the cross kernel
+			// (the two grouped by the layout key) and the combine kernel
+			// (the third), and their all-NULL groups come out as the
+			// reference says.
+			for i := 0; i < nullsQueries; i++ {
+				qi := len(refFused.rels) - nullsQueries + i
+				if want := i < 2; refFused.cross[qi] != want {
+					t.Errorf("nums query %d: cross-boundary = %v, want %v", qi, refFused.cross[qi], want)
+				}
+				checkNullGroups(t, qi, refInterp.rels[qi])
 			}
 			// Reason taxonomy: the wine-score aggregation carries an agg UDF,
 			// join/sort jobs have no distributive agg boundary.
@@ -391,7 +470,7 @@ func runOneFusionPlan(t *testing.T, interp bool, register func(*fixture), p *pla
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runArm(t, f.eng, jobs, interp); err != nil {
+	if _, err := runArm(t, f, w, jobs, interp); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := f.store.Read("one_res")

@@ -214,7 +214,7 @@ func runFuzzChain(t testing.TB, interp bool, p *plan.Node) ([]data.Row, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if _, err := runArm(t, f.eng, jobs, interp); err != nil {
+	if _, err := runArm(t, f, w, jobs, interp); err != nil {
 		t.Fatalf("interp=%v: run: %v", interp, err)
 	}
 	rel, err := f.store.Read("fz_res")
@@ -259,8 +259,8 @@ func FuzzFusedPipeline(f *testing.F) {
 // FuzzFusedAgg extends the differential fuzzer through the reduce side:
 // every generated chain ends in a GroupAgg, so the combine and reduce
 // kernels — and, when the group key matches the twtr layout, the
-// cross-boundary kernel — must reproduce the interpreter's grouped output
-// row for row in the grouper's deterministic order.
+// cross-boundary kernel — must reproduce the row-fold reference's grouped
+// output row for row, in ascending key order.
 func FuzzFusedAgg(f *testing.F) {
 	// Seeds: bare-scan group by user_id (cross-boundary), group by text,
 	// filter then group, UDF chain then group, two-key group, explode and

@@ -1,29 +1,30 @@
-// Reduce-side fusion: compile the combiner and reducer of a grouped
-// aggregation into columnar agg kernels instead of interpreting aggPhys
-// folds row by row (the second half of the Tupleware direction — PR 9 fused
-// the map side, this fuses the aggregation).
+// Reduce-side kernels: the combiner and reducer of every grouped aggregation
+// compile into columnar agg kernels — the only production implementation of
+// grouped aggregation (the second half of the Tupleware direction: compile
+// the workflow, don't interpret it).
 //
-//   - The combine kernel folds one map task's emissions straight into typed
-//     accumulator columns (int64 counts, float64 Neumaier sum+compensation
-//     pairs, value.V extrema) drawn from the pooled mr column buffers,
-//     grouped by dense id over the already-encoded keys with run-detection
-//     for adjacent equal keys — no grouper arena, no per-row partial
-//     Clone/merge, no re-boxing until the one combined record per group.
-//   - The reduce kernel folds a whole reduce partition the same way and
-//     emits finalized output rows with keys in ascending order — exactly
-//     the order grouper.sortKeys + the k-way merge would produce.
+//   - The combine kernel (mr.Job.Combine) folds one map task's emissions
+//     straight into typed accumulator columns (int64 counts, float64
+//     Neumaier sum+compensation pairs, value.V extrema) drawn from the
+//     pooled mr column buffers, grouped by dense id over the already-encoded
+//     keys with run-detection for adjacent equal keys — no grouper arena, no
+//     per-row partial Clone/merge, no re-boxing until the one combined
+//     record per group.
+//   - The reduce kernel (mr.Job.BatchReduce) folds a whole reduce partition
+//     the same way and emits finalized output rows with keys in ascending
+//     order — the order the engine merges reduce output in.
 //   - For partition-local keyed jobs the shuffle boundary is local, so the
 //     cross-boundary kernel runs the combine fold directly over the fused
 //     map pipeline's surviving selection: scan→filter→project→group→
 //     partial-finalize in one pass, with no per-row partial row ever built.
 //
-// Bit-identity with the interpreter is by construction: the SUM/AVG float
-// fold replicates value.Kahan's Neumaier recurrence operation for
-// operation in the same order aggPhys.foldSum visits rows, COUNT/AVG-count
-// are exact integer sums, and MIN/MAX replay merge's null-skipping
-// value.Compare replacement. A record whose partial state disagrees with
-// the compiled layout aborts the batch pre-emission and the interpreter
-// replays it (the runtime-fallback contract shared with map fusion).
+// The partial records the kernels fold are the ones aggPhys.initPartials and
+// the kernels themselves write (Int counts, Float sums, shufW wide), so the
+// kernels check no layout and never bail out. Sums fold by value.Kahan's
+// Neumaier recurrence, operation for operation; COUNT and AVG's count are
+// exact integer sums; MIN/MAX keep the null-skipping value.Compare
+// replacement. The row fold the differential oracles compare the kernels
+// with lives in aggref_test.go.
 package optimizer
 
 import (
@@ -50,63 +51,34 @@ type aggSpec struct {
 	outW   int // output-row width: keys + one column per aggregate
 }
 
-// distributive reports whether every aggregate folds over fixed-width
-// partial state the kernels specialize on. All current built-ins qualify;
-// the default arm is the nondistributive_agg classification guard for any
-// future holistic aggregate (MEDIAN, exact COUNT DISTINCT, ...).
-func (s *aggSpec) distributive() bool {
-	for _, a := range s.aggs {
-		switch a.fn {
-		case plan.AggCount, plan.AggSum, plan.AggAvg, plan.AggMin, plan.AggMax:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// classifyReduceFusion stamps the job's reduce-side fusion classification
-// and, when the job qualifies, attaches the fused combine/reduce kernels.
-// It returns the cross-boundary kernel for partition-local grouped jobs
-// (nil otherwise). Mirrors classifyFusion: never errors, and every
-// eligible-but-not-fused job carries exactly one fallback reason.
-func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, spec *aggSpec, progs []*fusedProg) *aggKernel {
-	if job.Reduce == nil {
+// classifyReduceFusion stamps the job's reduce-side fusion classification:
+// a grouped aggregation (k, its kernels already attached) is fused, any
+// other keyed job carries exactly one fallback reason. It returns k when
+// the map side should also run the combine fold (cross-boundary), nil
+// otherwise.
+func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, k *aggKernel, progs []*fusedProg) *aggKernel {
+	if job.Reduce == nil && job.BatchReduce == nil {
 		return nil // map-only: no reduce side to fuse
 	}
 	job.FusedReduceEligible = true
-	reason := ""
 	switch {
+	case k != nil:
+		job.FusedReduce = true
 	case jn.Logical.Kind == plan.KindUDF:
 		// Aggregate-UDF reducers run opaque user code over raw payload
 		// rows; there is no typed partial state to specialize on.
-		reason = mr.FuseAggUDF
-	case spec == nil:
-		reason = mr.FuseUnsupportedOp // join, sort: not an agg fold
-	case !spec.distributive():
-		reason = mr.FuseNondistributiveAgg
-	case spec.shufW != job.MapOutSchema.Len() || spec.outW != len(jn.OutCols):
-		reason = mr.FuseSchemaMismatch
+		job.FusedReduceFallback = mr.FuseAggUDF
+	default:
+		job.FusedReduceFallback = mr.FuseUnsupportedOp // join, sort: not an agg fold
 	}
-	if reason != "" {
-		job.FusedReduceFallback = reason
-		return nil
-	}
-	job.FusedReduce = true
-	k := &aggKernel{spec: spec}
-	if job.Combine != nil {
-		job.BatchCombine = k.batchCombine
-	}
-	job.BatchReduce = k.batchReduce
 	// Cross-shuffle fusion: a partition-local keyed job keeps every group's
 	// rows inside the split's local route, so the map kernel can run the
 	// combine fold in the same pass over its surviving selection. Requires
-	// a combiner (the fold it replaces), a single stream with a compiled
-	// program (bare scans carry the identity program), and the layout
-	// match. Byte-identity needs none of these conditions — combined
-	// per-split output is what the interpreted combiner produces anyway —
-	// but the partition-local case is where the boundary is provably local.
-	if job.Combine != nil && job.PartitionKeyCols > 0 && job.PartitionParts > 0 &&
+	// a single stream with a compiled program (bare scans carry the identity
+	// program) and the layout match. Byte-identity needs neither condition
+	// — combined per-split output is what Combine produces anyway — but the
+	// partition-local case is where the boundary is provably local.
+	if k != nil && job.PartitionKeyCols > 0 && job.PartitionParts > 0 &&
 		len(jn.streams) == 1 && progs[0] != nil {
 		job.FusedCrossBoundary = true
 		return k
@@ -133,23 +105,28 @@ type aggKernel struct {
 // columns over dense group ids, drawn from the pooled mr column buffers.
 // For SUM and AVG the sum is carried as a (running sum, compensation) pair
 // replicating value.Kahan's fields; COUNT and AVG's count are exact int64
-// sums; MIN/MAX carry the raw running extremum.
+// sums; MIN/MAX carry the raw running extremum. ids maps a group's key to
+// its dense id and firsts holds each group's first row, in id order.
 type aggAccs struct {
-	spec  *aggSpec
-	cols  []*data.Col
-	cnts  [][]int64
-	sums  [][]float64
-	comps [][]float64
-	vals  [][]value.V
+	spec   *aggSpec
+	cols   []*data.Col
+	cnts   [][]int64
+	sums   [][]float64
+	comps  [][]float64
+	vals   [][]value.V
+	ids    map[string]int32
+	firsts []int32
 }
 
 func newAggAccs(spec *aggSpec, n int) *aggAccs {
 	st := &aggAccs{
-		spec:  spec,
-		cnts:  make([][]int64, len(spec.aggs)),
-		sums:  make([][]float64, len(spec.aggs)),
-		comps: make([][]float64, len(spec.aggs)),
-		vals:  make([][]value.V, len(spec.aggs)),
+		spec:   spec,
+		cnts:   make([][]int64, len(spec.aggs)),
+		sums:   make([][]float64, len(spec.aggs)),
+		comps:  make([][]float64, len(spec.aggs)),
+		vals:   make([][]value.V, len(spec.aggs)),
+		ids:    getIDMap(),
+		firsts: mr.GetSel(n),
 	}
 	grab := func() *data.Col {
 		c := mr.GetCol(n)
@@ -178,6 +155,32 @@ func (st *aggAccs) release() {
 	for _, c := range st.cols {
 		mr.PutCol(c)
 	}
+	putIDMap(st.ids)
+	mr.PutSel(st.firsts)
+}
+
+// foldRecords groups partial records by key — dense ids in first-seen
+// order, with run detection: clustered inputs emit long runs of one key,
+// and adjacent equal keys skip the map entirely — and folds each into its
+// group.
+func (st *aggAccs) foldRecords(recs []mr.Keyed) {
+	prevKey, prevID := "", int32(-1)
+	for ri := range recs {
+		rec := &recs[ri]
+		g, ok := prevID, prevID >= 0 && rec.Key == prevKey
+		if !ok {
+			g, ok = st.ids[rec.Key]
+		}
+		if ok {
+			st.mergePartial(int(g), rec.Row)
+		} else {
+			g = int32(len(st.firsts))
+			st.ids[rec.Key] = g
+			st.firsts = append(st.firsts, int32(ri))
+			st.initPartial(int(g), rec.Row)
+		}
+		prevKey, prevID = rec.Key, g
+	}
 }
 
 // addSum runs one step of value.Kahan's Neumaier recurrence on group g's
@@ -194,62 +197,37 @@ func (st *aggAccs) addSum(i, g int, x float64) {
 	st.sums[i][g] = t
 }
 
-// sumKind reports whether a partial value may feed the float fold the way
-// aggPhys.merge/foldSum would (they call Float(), which accepts numeric
-// kinds and panics otherwise — a layout violation the kernel instead
-// surfaces as a pre-emission bailout so the interpreter owns the outcome).
-func sumKind(v value.V) bool { return v.IsNumeric() }
-
 // initPartial seeds group g from its first partial record. Seeding the sum
 // with the value and zero compensation is bit-identical to Kahan.Add on a
 // zero accumulator: t = 0+x = x and both compensation branches add exact
 // zeros.
-func (st *aggAccs) initPartial(g int, rec data.Row) bool {
+func (st *aggAccs) initPartial(g int, rec data.Row) {
 	for i, a := range st.spec.aggs {
 		switch a.fn {
 		case plan.AggCount:
-			if rec[a.off].Kind() != value.Int {
-				return false
-			}
 			st.cnts[i][g] = rec[a.off].Int()
 		case plan.AggSum:
-			if !sumKind(rec[a.off]) {
-				return false
-			}
 			st.sums[i][g] = rec[a.off].Float()
 		case plan.AggAvg:
-			if !sumKind(rec[a.off]) || rec[a.off+1].Kind() != value.Int {
-				return false
-			}
 			st.sums[i][g] = rec[a.off].Float()
 			st.cnts[i][g] = rec[a.off+1].Int()
 		case plan.AggMin, plan.AggMax:
 			st.vals[i][g] = rec[a.off]
 		}
 	}
-	return true
 }
 
-// mergePartial folds one more partial record into group g — aggPhys.merge
-// plus the foldSum pass, fused: counts add exactly, sums run the Neumaier
-// step, extrema replay the null-skipping Compare replacement.
-func (st *aggAccs) mergePartial(g int, rec data.Row) bool {
+// mergePartial folds one more partial record into group g: counts add
+// exactly, sums run the Neumaier step, extrema keep the null-skipping
+// Compare replacement.
+func (st *aggAccs) mergePartial(g int, rec data.Row) {
 	for i, a := range st.spec.aggs {
 		switch a.fn {
 		case plan.AggCount:
-			if rec[a.off].Kind() != value.Int {
-				return false
-			}
 			st.cnts[i][g] += rec[a.off].Int()
 		case plan.AggSum:
-			if !sumKind(rec[a.off]) {
-				return false
-			}
 			st.addSum(i, g, rec[a.off].Float())
 		case plan.AggAvg:
-			if !sumKind(rec[a.off]) || rec[a.off+1].Kind() != value.Int {
-				return false
-			}
 			st.addSum(i, g, rec[a.off].Float())
 			st.cnts[i][g] += rec[a.off+1].Int()
 		case plan.AggMin, plan.AggMax:
@@ -265,11 +243,10 @@ func (st *aggAccs) mergePartial(g int, rec data.Row) bool {
 			}
 		}
 	}
-	return true
 }
 
 // appendPartials appends group g's combined partial state in shuffle-record
-// layout (what the interpreted combiner emits for the group).
+// layout.
 func (st *aggAccs) appendPartials(out data.Row, g int) data.Row {
 	for i, a := range st.spec.aggs {
 		switch a.fn {
@@ -287,8 +264,8 @@ func (st *aggAccs) appendPartials(out data.Row, g int) data.Row {
 }
 
 // finalRow builds group g's finalized output row in out (empty, capacity
-// outW): keys from the group's first record, then aggPhys.finalize per
-// aggregate (AVG of an all-null group is Null, like the interpreter).
+// outW): keys from the group's first record, then one finalized value per
+// aggregate (AVG of an all-null group is Null).
 func (st *aggAccs) finalRow(out, first data.Row, g int) data.Row {
 	out = append(out, first[:st.spec.nKeys]...)
 	for i, a := range st.spec.aggs {
@@ -317,124 +294,43 @@ func (st *aggAccs) finalRow(out, first data.Row, g int) data.Row {
 // exactly the slab.
 func slabRow(slab []value.V, g, w int) data.Row { return slab[g*w : g*w : (g+1)*w] }
 
-// batchCombine is the fused combiner (mr.Job.BatchCombine): it folds one
-// map task's emissions into accumulator columns and appends one combined
-// record per group to scratch, in first-emission order — the grouper's
-// order. Group keys reuse the records' already-encoded key strings, so the
-// combine pass allocates nothing per row.
-func (k *aggKernel) batchCombine(in, scratch []mr.Keyed) ([]mr.Keyed, int64, bool) {
+// batchCombine is the combine kernel (mr.Job.Combine): it folds one map
+// task's emissions into accumulator columns and appends one combined record
+// per group to scratch, in first-emission order. Group keys reuse the
+// records' already-encoded key strings, so the combine pass allocates
+// nothing per row.
+func (k *aggKernel) batchCombine(in, scratch []mr.Keyed) ([]mr.Keyed, int64) {
 	spec := k.spec
 	st := newAggAccs(spec, len(in))
-	ids := getIDMap()
-	firsts := mr.GetSel(len(in))
-	bail := func() ([]mr.Keyed, int64, bool) {
-		st.release()
-		putIDMap(ids)
-		mr.PutSel(firsts)
-		return scratch, 0, false
-	}
-	ng := 0
-	prevKey := ""
-	prevID := int32(-1)
-	for ri := range in {
-		rec := &in[ri]
-		if len(rec.Row) != spec.shufW {
-			return bail()
-		}
-		var g int32
-		if prevID >= 0 && rec.Key == prevKey {
-			// Run detection: clustered inputs emit long runs of one key;
-			// adjacent equal keys skip the map entirely.
-			g = prevID
-		} else if id, ok := ids[rec.Key]; ok {
-			g = id
-		} else {
-			g = int32(ng)
-			ng++
-			ids[rec.Key] = g
-			firsts = append(firsts, int32(ri))
-			prevKey, prevID = rec.Key, g
-			if !st.initPartial(int(g), rec.Row) {
-				return bail()
-			}
-			continue
-		}
-		prevKey, prevID = rec.Key, g
-		if !st.mergePartial(int(g), rec.Row) {
-			return bail()
-		}
-	}
-	slab := make([]value.V, ng*spec.shufW)
-	for g := 0; g < ng; g++ {
-		first := &in[firsts[g]]
+	st.foldRecords(in)
+	slab := make([]value.V, len(st.firsts)*spec.shufW)
+	for g, fi := range st.firsts {
+		first := &in[fi]
 		out := append(slabRow(slab, g, spec.shufW), first.Row[:spec.nKeys]...)
 		scratch = append(scratch, mr.Keyed{Key: first.Key, Row: st.appendPartials(out, g)})
 	}
 	st.release()
-	putIDMap(ids)
-	mr.PutSel(firsts)
-	return scratch, int64(len(in)), true
+	return scratch, int64(len(in))
 }
 
-// batchReduce is the fused reduce kernel (mr.Job.BatchReduce): it folds one
-// whole reduce partition and emits finalized rows with keys in ascending
-// order, matching grouper.sortKeys + the engine's k-way merge. All folding
-// happens before the first emission, so a layout bailout is always
-// pre-emission.
-func (k *aggKernel) batchReduce(recs []mr.Keyed, emit mr.Emit) bool {
+// batchReduce is the reduce kernel (mr.Job.BatchReduce): it folds one whole
+// reduce partition and emits finalized rows with keys in ascending order,
+// the order the engine's k-way merge expects.
+func (k *aggKernel) batchReduce(recs []mr.Keyed, emit mr.Emit) {
 	spec := k.spec
 	st := newAggAccs(spec, len(recs))
-	ids := getIDMap()
-	firsts := mr.GetSel(len(recs))
-	bail := func() bool {
-		st.release()
-		putIDMap(ids)
-		mr.PutSel(firsts)
-		return false
-	}
-	ng := 0
-	prevKey := ""
-	prevID := int32(-1)
-	for ri := range recs {
-		rec := &recs[ri]
-		if len(rec.Row) != spec.shufW {
-			return bail()
-		}
-		var g int32
-		if prevID >= 0 && rec.Key == prevKey {
-			g = prevID
-		} else if id, ok := ids[rec.Key]; ok {
-			g = id
-		} else {
-			g = int32(ng)
-			ng++
-			ids[rec.Key] = g
-			firsts = append(firsts, int32(ri))
-			prevKey, prevID = rec.Key, g
-			if !st.initPartial(int(g), rec.Row) {
-				return bail()
-			}
-			continue
-		}
-		prevKey, prevID = rec.Key, g
-		if !st.mergePartial(int(g), rec.Row) {
-			return bail()
-		}
-	}
-	sorted := make([]string, 0, ng)
-	for key := range ids {
+	st.foldRecords(recs)
+	sorted := make([]string, 0, len(st.firsts))
+	for key := range st.ids {
 		sorted = append(sorted, key)
 	}
 	sort.Strings(sorted)
-	slab := make([]value.V, ng*spec.outW)
+	slab := make([]value.V, len(st.firsts)*spec.outW)
 	for _, key := range sorted {
-		g := int(ids[key])
-		emit(key, st.finalRow(slabRow(slab, g, spec.outW), recs[firsts[g]].Row, g))
+		g := int(st.ids[key])
+		emit(key, st.finalRow(slabRow(slab, g, spec.outW), recs[st.firsts[g]].Row, g))
 	}
 	st.release()
-	putIDMap(ids)
-	mr.PutSel(firsts)
-	return true
 }
 
 // batchCross runs the combine fold directly over a fused map pipeline's
@@ -445,46 +341,36 @@ func (k *aggKernel) batchReduce(recs []mr.Keyed, emit mr.Emit) bool {
 // and AVG treat null as +0 / uncounted, MIN/MAX seed with the raw first
 // value). Emits one combined record per group in first-seen order and
 // returns the pre-combine row count (the surviving selection's length).
-// Stage execution already succeeded, so there is no bailout here: partial
-// state is built by this kernel, never parsed from records.
 func (k *aggKernel) batchCross(p *fusedProg, rows []data.Row, bufs []*data.Col, sel []int32, emit mr.Emit) int64 {
 	spec := k.spec
 	st := newAggAccs(spec, len(sel))
-	ids := getIDMap()
-	firsts := mr.GetSel(len(sel))
 	keys := make([]string, 0, 64)
 	var keyBuf, prevBuf []byte
-	ng := 0
 	prevID := int32(-1)
 	for _, i := range sel {
 		keyBuf = keyBuf[:0]
 		for _, kx := range spec.keyIdx {
 			keyBuf = readRef(rows, bufs, p.outs[kx], i).AppendKey(keyBuf)
 		}
-		var g int32
-		if prevID >= 0 && bytes.Equal(keyBuf, prevBuf) {
-			g = prevID
-		} else if id, ok := ids[string(keyBuf)]; ok {
-			g = id
+		g, ok := prevID, prevID >= 0 && bytes.Equal(keyBuf, prevBuf)
+		if !ok {
+			g, ok = st.ids[string(keyBuf)]
+		}
+		if ok {
+			st.crossMerge(rows, bufs, p, int(g), i)
 		} else {
-			g = int32(ng)
-			ng++
+			g = int32(len(st.firsts))
 			ks := string(keyBuf)
-			ids[ks] = g
+			st.ids[ks] = g
 			keys = append(keys, ks)
-			firsts = append(firsts, i)
-			prevID = g
-			keyBuf, prevBuf = prevBuf, keyBuf
+			st.firsts = append(st.firsts, i)
 			st.crossInit(rows, bufs, p, int(g), i)
-			continue
 		}
 		prevID = g
 		keyBuf, prevBuf = prevBuf, keyBuf
-		st.crossMerge(rows, bufs, p, int(g), i)
 	}
-	slab := make([]value.V, ng*spec.shufW)
-	for g := 0; g < ng; g++ {
-		first := firsts[g]
+	slab := make([]value.V, len(st.firsts)*spec.shufW)
+	for g, first := range st.firsts {
 		out := slabRow(slab, g, spec.shufW)
 		for _, kx := range spec.keyIdx {
 			out = append(out, readRef(rows, bufs, p.outs[kx], first))
@@ -492,8 +378,6 @@ func (k *aggKernel) batchCross(p *fusedProg, rows []data.Row, bufs []*data.Col, 
 		emit(keys[g], st.appendPartials(out, g))
 	}
 	st.release()
-	putIDMap(ids)
-	mr.PutSel(firsts)
 	return int64(len(sel))
 }
 
@@ -507,7 +391,7 @@ func crossSrc(rows []data.Row, bufs []*data.Col, p *fusedProg, a aggPhys, i int3
 }
 
 // crossInit seeds group g from source row i with aggPhys.initPartials
-// semantics (the per-row partial the interpreted map would have emitted).
+// semantics (the per-row partial the row map path emits).
 func (st *aggAccs) crossInit(rows []data.Row, bufs []*data.Col, p *fusedProg, g int, i int32) {
 	for ai, a := range st.spec.aggs {
 		switch a.fn {
@@ -530,8 +414,8 @@ func (st *aggAccs) crossInit(rows []data.Row, bufs []*data.Col, p *fusedProg, g 
 	}
 }
 
-// crossMerge folds source row i into group g: initPartials + merge +
-// foldSum collapsed into one step per aggregate.
+// crossMerge folds source row i into group g: initPartials + mergePartial
+// collapsed into one step per aggregate.
 func (st *aggAccs) crossMerge(rows []data.Row, bufs []*data.Col, p *fusedProg, g int, i int32) {
 	for ai, a := range st.spec.aggs {
 		switch a.fn {

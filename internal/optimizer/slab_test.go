@@ -156,7 +156,7 @@ func TestMapSideAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 				if interp {
-					stripKernels(jobs)
+					stripKernels(t, f.opt, w, jobs)
 				}
 				job := jobs[0]
 				if wantFused := !interp && tc.name != "explode"; (job.BatchMapFactory != nil) != wantFused {
@@ -300,7 +300,7 @@ func TestUDFArgsAreValidOnlyForTheCall(t *testing.T) {
 		if jobs[0].BatchMapFactory == nil {
 			t.Fatal("the chain compiled no fused map side to compare against")
 		}
-		if _, err := runArm(t, f.eng, jobs, interp); err != nil {
+		if _, err := runArm(t, f, w, jobs, interp); err != nil {
 			t.Fatal(err)
 		}
 		rel, err := f.store.Read("res")

@@ -24,9 +24,9 @@
 // (a probe feeds the group-agg in delta order × stored order, a shuffle join
 // in key-group order); integer-valued aggregates (COUNT, MIN/MAX, sums of
 // integers) are exact.
-// Compensated (Kahan/Neumaier) summation in both the aggregate folds
-// (aggPhys.foldSum) and the merge (afk.Rollups) keeps that drift to at most one
-// rounding per append rather than one per input row — the fractional-SUM
+// Compensated summation in both the aggregate kernels (the Neumaier step,
+// optimizer's aggAccs.addSum) and the merge (afk.Rollups) keeps that drift to
+// within one rounding per append, not one per input row — the fractional-SUM
 // differential oracle asserts a tight ULP bound over a whole append chain.
 package session
 
@@ -354,9 +354,9 @@ func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape viewShape
 
 // mergeRows is the per-group fold MergeByKey applies: aggregate column i of
 // the output sits at nKeys+i and folds by its afk.Rollups entry, which
-// mirrors aggPhys finalization exactly (COUNT emits Int, SUM emits Float,
-// MIN/MAX emit the raw value and skip nulls), so a merged row is the row a
-// recompute's reduce would finalize from the union of both groups' inputs.
+// mirrors optimizer's aggAccs.finalRow exactly (COUNT emits Int, SUM emits
+// Float, MIN/MAX emit the raw value and skip nulls), so a merged row is the
+// row a recompute's reduce would finalize from the union of both groups' inputs.
 func (sh viewShape) mergeRows(old, delta data.Row) data.Row {
 	out := old.Clone()
 	for i, fold := range sh.folds {
