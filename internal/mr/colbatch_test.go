@@ -169,11 +169,10 @@ func batchEchoJob(bail func(split int) bool) *Job {
 		emit("", data.Row{r[0], value.NewInt(r[1].Int() * 2)})
 	}
 	return &Job{
-		Name:          "batch_echo",
-		Inputs:        []string{"batch_in"},
-		MapFactory:    perTask(rowMap),
-		FusedEligible: true,
-		Fused:         true,
+		Name:       "batch_echo",
+		Inputs:     []string{"batch_in"},
+		MapFactory: perTask(rowMap),
+		Fusion:     Fusion{FusedEligible: true, Fused: true},
 		BatchMapFactory: func(ctx TaskCtx) BatchMapFunc {
 			return func(input int, rows []data.Row, emit Emit) BatchReport {
 				if bail != nil && bail(ctx.Split) {
@@ -226,10 +225,10 @@ func TestEnginePrefersBatchMapFactory(t *testing.T) {
 	if resB.FusedRuntimeFallbacks != 0 {
 		t.Errorf("unexpected runtime fallbacks: %d", resB.FusedRuntimeFallbacks)
 	}
-	if !resB.FusedJob || !resB.FusedEligible {
+	if !resB.Fused || !resB.FusedEligible {
 		t.Errorf("fused flags not propagated: %+v", resB)
 	}
-	if resR.FusedBatches != 0 || resR.FusedJob {
+	if resR.FusedBatches != 0 || resR.Fused {
 		t.Errorf("row path reported fused work: %+v", resR)
 	}
 	if resB.InputRows != resR.InputRows || resB.OutputRows != resR.OutputRows {

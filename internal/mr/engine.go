@@ -174,6 +174,29 @@ func (o *GroupOut) seal(key string) redOut {
 	return ro
 }
 
+// Fusion is a job's fusion classification, stamped by the optimizer and
+// echoed in its Result. FusedEligible marks a job with at least one
+// fusable-shaped operator chain; Fused marks one whose chains all compiled
+// into fused kernels (BatchMapFactory set); FuseFallback carries the first
+// fallback reason (one of the Fuse* constants) when eligible but not fused.
+// The reduce-side trio mirrors it for the combiner/reducer:
+// FusedReduceEligible marks any reduce job, FusedReduce one whose combine
+// and reduce phases compiled into columnar agg kernels (Combine/BatchReduce
+// set), and FusedReduceFallback the single reason when eligible but not
+// fused. FusedCrossBoundary additionally marks a partition-local job whose
+// map kernel was fused *through* the (local) shuffle boundary into the
+// combine fold. Purely observational: the engine publishes it, never
+// branches on it.
+type Fusion struct {
+	FusedEligible       bool
+	Fused               bool
+	FuseFallback        string
+	FusedReduceEligible bool
+	FusedReduce         bool
+	FusedReduceFallback string
+	FusedCrossBoundary  bool
+}
+
 // Job is one MR job: map over the inputs, optional shuffle+reduce, output
 // materialized to the store.
 type Job struct {
@@ -201,28 +224,7 @@ type Job struct {
 	// count as input rows, and their bytes as input read.
 	Probes []ProbeSpec
 
-	// Fusion classification, stamped by the optimizer. FusedEligible marks
-	// a job with at least one fusable-shaped operator chain; Fused marks
-	// one whose chains all compiled into fused kernels (BatchMapFactory
-	// set); FuseFallback carries the first fallback reason (one of the
-	// Fuse* constants) when eligible but not fused. Purely observational:
-	// the engine publishes them, never branches on them.
-	FusedEligible bool
-	Fused         bool
-	FuseFallback  string
-
-	// Reduce-side fusion classification, the mirror taxonomy for the
-	// combiner/reducer: FusedReduceEligible marks any reduce job,
-	// FusedReduce one whose combine and reduce phases compiled into
-	// columnar agg kernels (Combine/BatchReduce set), and
-	// FusedReduceFallback the single reason when eligible but not fused.
-	// FusedCrossBoundary additionally marks a partition-local job whose
-	// map kernel was fused *through* the (local) shuffle boundary into the
-	// combine fold. Observational, like the map-side trio.
-	FusedReduceEligible bool
-	FusedReduce         bool
-	FusedReduceFallback string
-	FusedCrossBoundary  bool
+	Fusion // the optimizer's fusion classification
 
 	// Combine, when set on a keyed job, is the map-side combiner (the
 	// classic MR combiner, compiled): it folds one map task's emissions per
@@ -320,15 +322,13 @@ type Result struct {
 	PartitionLocal    bool
 
 	// Fusion observability (wall-clock-only: none of these feed simulated
-	// seconds or volumes). FusedEligible/FusedJob/FuseFallbackReason echo
-	// the job's classification; FusedBatches/FusedRows count map splits
-	// (and their rows) that completed on the fused columnar kernel, and
-	// FusedRuntimeFallbacks counts splits that bailed out mid-batch and
-	// were replayed through the row interpreter. Folded in split order, so
-	// the tallies are Workers-independent.
-	FusedEligible         bool
-	FusedJob              bool
-	FuseFallbackReason    string
+	// seconds or volumes). Fusion echoes the job's classification;
+	// FusedBatches/FusedRows count map splits (and their rows) that
+	// completed on the fused columnar kernel, and FusedRuntimeFallbacks
+	// counts splits that bailed out mid-batch and were replayed through the
+	// row interpreter. Folded in split order, so the tallies are
+	// Workers-independent.
+	Fusion
 	FusedBatches          int64
 	FusedRows             int64
 	FusedRuntimeFallbacks int64
@@ -339,13 +339,9 @@ type Result struct {
 	// FusedReduceRows count key groups finalized and records folded by
 	// BatchReduce. All folded in split / partition order over disjoint
 	// data, so the tallies are independent of Workers and ReduceTasks.
-	FusedReduceEligible       bool
-	FusedReduceJob            bool
-	FusedReduceFallbackReason string
-	FusedCrossBoundary        bool
-	FusedCombineBatches       int64
-	FusedReduceGroups         int64
-	FusedReduceRows           int64
+	FusedCombineBatches int64
+	FusedReduceGroups   int64
+	FusedReduceRows     int64
 
 	// RetriedInputBytes and RetriedShuffleBytes are the volumes read and
 	// shuffled by failed attempts that were recovered from (zero when the
@@ -353,23 +349,7 @@ type Result struct {
 	RetriedInputBytes   int64
 	RetriedShuffleBytes int64
 
-	// Task-level recovery tallies (zero without an injected fault plan).
-	// TaskRetries counts task attempts that died and were retried in
-	// place; Straggler/Speculative tasks count scripted slowdowns and the
-	// speculative copies raced against them (SpeculativeWins: races the
-	// copy won). Task recovery is priced, not replayed: every task runs
-	// once, so recovery moves no extra bytes — its cost is pure simulated
-	// time, itemized in Faults.
-	TaskRetries      int
-	StragglerTasks   int
-	SpeculativeTasks int
-	SpeculativeWins  int
-	Faults           FaultWaste
-
-	// RecoveredError is the message of the last failure this run recovered
-	// from (task-level or whole-job), "" for a clean run. Chaos tests
-	// assert on it to prove *which* injected fault fired.
-	RecoveredError string
+	Recovery // task-level recovery and the last error recovered from
 
 	// Breakdown prices the successful attempt; WastedSeconds is the
 	// simulated time of recovered-from failed attempts plus all task-level
@@ -514,13 +494,11 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, st retryState, exec func(re
 	}
 	wasted := st.wasted
 	retriedIn, retriedShuf := st.retriedIn, int64(0)
-	var fw FaultWaste
-	recovered := st.recovered
-	var taskRetries, stragglers, specs, specWins int
+	rec := Recovery{RecoveredError: st.recovered}
 	for attempt := st.attemptsUsed + 1; ; attempt++ {
 		res := &Result{Job: job.Name}
 		asp := root.Child("attempt")
-		rel, err := exec(res, asp, wasted+fw.Total())
+		rel, err := exec(res, asp, wasted+rec.Faults.Total())
 		deadlined := err != nil && errors.Is(err, ErrDeadlineExceeded)
 		var attemptCost float64
 		if err != nil {
@@ -536,12 +514,8 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, st retryState, exec func(re
 			wasted += attemptCost
 			retriedIn += res.InputBytes
 			retriedShuf += res.ShuffleBytes
-			fw = fw.add(res.Faults)
-			taskRetries += res.TaskRetries
-			stragglers += res.StragglerTasks
-			specs += res.SpeculativeTasks
-			specWins += res.SpeculativeWins
-			recovered = err.Error()
+			rec.add(res.Recovery)
+			rec.RecoveredError = err.Error()
 			continue
 		}
 		if deadlined {
@@ -556,14 +530,8 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, st retryState, exec func(re
 		}
 		asp.End()
 		res.Attempts = attempt
-		res.Faults = fw.add(res.Faults)
-		res.TaskRetries += taskRetries
-		res.StragglerTasks += stragglers
-		res.SpeculativeTasks += specs
-		res.SpeculativeWins += specWins
-		if res.RecoveredError == "" {
-			res.RecoveredError = recovered
-		}
+		rec.add(res.Recovery)
+		res.Recovery = rec
 		res.WastedSeconds = wasted + res.Faults.Total()
 		res.RetriedInputBytes = retriedIn
 		res.RetriedShuffleBytes = retriedShuf
@@ -588,7 +556,7 @@ func (e *Engine) jobCost(job *Job, res *Result) cost.Breakdown {
 		ReduceFns:         job.ReduceCost,
 		OutputBytes:       res.OutputBytes,
 	})
-	b.Cm += e.fnsSim(indexScan, res.IndexRows)
+	b.Cm += e.Params.FnsSeconds(indexScan, res.IndexRows)
 	return b
 }
 
@@ -604,14 +572,6 @@ func (e *Engine) runAttempt(job *Job, res *Result, sp *obs.Span, prior float64) 
 		}
 	}()
 	return e.execute(job, res, sp, prior)
-}
-
-// fnsSim is the simulated CPU seconds of local functions over rows — the
-// per-phase decomposition of what JobCost folds into Cm/Cr. It delegates to
-// cost.Params.FnsSeconds so fused and interpreted execution share one
-// accumulation order (bit-identical float counters across the two paths).
-func (e *Engine) fnsSim(fns []cost.LocalFn, rows int64) float64 {
-	return e.Params.FnsSeconds(fns, rows)
 }
 
 // RecordJob publishes one finished job's counters to the metrics registry.
@@ -656,11 +616,11 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	// reason-label set so snapshot keys never depend on what fused. Per
 	// job, eligible == fused + Σ fallback{reason}; cmd/metricscheck
 	// enforces the summed balance on every export.
-	elig, fusedJobs := res.FusedEligible, res.FusedEligible && res.FusedJob
+	elig, fusedJobs := res.FusedEligible, res.FusedEligible && res.Fused
 	reg.Counter("mr_fused_eligible_total").Add(one(elig))
 	reg.Counter("mr_fused_jobs_total").Add(one(fusedJobs))
 	for _, reason := range FuseFallbackReasons {
-		v := one(elig && !fusedJobs && res.FuseFallbackReason == reason)
+		v := one(elig && !fusedJobs && res.FuseFallback == reason)
 		reg.Counter("mr_fused_fallback_total", "reason", reason).Add(v)
 	}
 	reg.Counter("mr_fused_batches_total").Add(res.FusedBatches)
@@ -669,11 +629,11 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	// Reduce-side fusion family, same unconditional-recording contract: per
 	// job, reduce-eligible == reduce-fused + Σ fallback{reason}, and
 	// cross-boundary jobs are a subset of reduce-fused jobs.
-	relig, rjobs := res.FusedReduceEligible, res.FusedReduceEligible && res.FusedReduceJob
+	relig, rjobs := res.FusedReduceEligible, res.FusedReduceEligible && res.FusedReduce
 	reg.Counter("mr_fused_reduce_eligible_total").Add(one(relig))
 	reg.Counter("mr_fused_reduce_jobs_total").Add(one(rjobs))
 	for _, reason := range FuseReduceFallbackReasons {
-		v := one(relig && !rjobs && res.FusedReduceFallbackReason == reason)
+		v := one(relig && !rjobs && res.FusedReduceFallback == reason)
 		reg.Counter("mr_fused_reduce_fallback_total", "reason", reason).Add(v)
 	}
 	reg.Counter("mr_fused_reduce_crossboundary_jobs_total").Add(one(res.FusedCrossBoundary))
@@ -894,13 +854,7 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 		res.KeyedJob = true
 		res.PartitionLocal = job.partitionLocal()
 	}
-	res.FusedEligible = job.FusedEligible
-	res.FusedJob = job.Fused
-	res.FuseFallbackReason = job.FuseFallback
-	res.FusedReduceEligible = job.FusedReduceEligible
-	res.FusedReduceJob = job.FusedReduce
-	res.FusedReduceFallbackReason = job.FusedReduceFallback
-	res.FusedCrossBoundary = job.FusedCrossBoundary
+	res.Fusion = job.Fusion
 	accrued := float64(res.InputBytes) / e.Params.ReadRate
 	if err := e.deadlineCheck(job, res, prior, accrued); err != nil {
 		return nil, err
@@ -948,23 +902,23 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 		e.Store.CountProbe(probed)
 		res.InputBytes += probed
 		res.InputRows += res.ProbeRows
-		probeSim := float64(built+probed)/e.Params.ReadRate + e.fnsSim(indexScan, res.IndexRows)
+		probeSim := float64(built+probed)/e.Params.ReadRate + e.Params.FnsSeconds(indexScan, res.IndexRows)
 		msp.AddSim(probeSim)
 		accrued += probeSim
 	}
-	msp.AddSim(e.fnsSim(job.MapCost, res.InputRows))
+	msp.AddSim(e.Params.FnsSeconds(job.MapCost, res.InputRows))
 	if job.Combine != nil && job.keyed() {
 		// Combiners run inside map tasks: their wall-clock is folded into
 		// the map span, only the simulated seconds are reported separately.
 		csp := msp.Child("combine")
-		csp.AddSim(e.fnsSim(job.CombineCost, res.CombineRows))
+		csp.AddSim(e.Params.FnsSeconds(job.CombineCost, res.CombineRows))
 		csp.End()
 	}
 	msp.End()
 	if mapErr != nil {
 		return nil, fmt.Errorf("mr: job %q failed: %w", job.Name, mapErr)
 	}
-	accrued += e.fnsSim(job.MapCost, res.InputRows) + e.fnsSim(job.CombineCost, res.CombineRows)
+	accrued += e.Params.FnsSeconds(job.MapCost, res.InputRows) + e.Params.FnsSeconds(job.CombineCost, res.CombineRows)
 	if err := e.deadlineCheck(job, res, prior, accrued); err != nil {
 		return nil, err
 	}
@@ -994,7 +948,7 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 	}
 	accrued += float64(res.ShuffleBytes)*e.Params.SortFactor +
 		float64(res.ShuffleBytes-res.LocalShuffleBytes)/e.Params.ShuffleRate +
-		e.fnsSim(job.ReduceCost, res.ShuffleRows)
+		e.Params.FnsSeconds(job.ReduceCost, res.ShuffleRows)
 	if err := e.deadlineCheck(job, res, prior, accrued); err != nil {
 		return nil, err
 	}
@@ -1125,7 +1079,7 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 		parts[pi] = nil
 		return nil
 	})
-	rsp.AddSim(e.fnsSim(job.ReduceCost, res.ShuffleRows))
+	rsp.AddSim(e.Params.FnsSeconds(job.ReduceCost, res.ShuffleRows))
 	for pi := 0; pi < r; pi++ {
 		// Integer sums over disjoint partitions, folded in partition order:
 		// the tallies are identical at any ReduceTasks setting.

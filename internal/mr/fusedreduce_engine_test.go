@@ -167,7 +167,7 @@ func TestFusedReduceRunsUnderFaults(t *testing.T) {
 	}
 	// The fused classification and the reduce kernel's tallies are the
 	// only fields the arms may disagree on.
-	resF.FusedReduceEligible, resF.FusedReduceJob = false, false
+	resF.FusedReduceEligible, resF.FusedReduce = false, false
 	resF.FusedReduceGroups, resF.FusedReduceRows = 0, 0
 	if resF != resI {
 		t.Errorf("kernel and reference arms priced the plan differently:\nkernel %+v\nref    %+v", resF, resI)

@@ -1,66 +1,23 @@
 package mr
 
 // mergeRuns streams k key-sorted runs out in global key order (ties broken
-// by run index, so the merge is stable across runs). It replaces the old
-// concat-then-sort.Slice merge of per-partition outputs: partitions are
-// already sorted locally, so an O(n log k) heap merge does strictly less
-// work than the O(n log n) global sort and allocates nothing beyond the
-// k-entry head heap.
+// by run index, so the merge is stable across runs). k is the reduce task
+// count, a handful, so each step scans the k heads for the smallest key.
 func mergeRuns[T any](runs [][]T, key func(*T) string, emit func(*T)) {
-	type head struct{ run, pos int }
-	h := make([]head, 0, len(runs))
-	less := func(a, b head) bool {
-		ka, kb := key(&runs[a.run][a.pos]), key(&runs[b.run][b.pos])
-		if ka != kb {
-			return ka < kb
-		}
-		return a.run < b.run
-	}
-	up := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(h[i], h[p]) {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for ri := range runs {
-		if len(runs[ri]) > 0 {
-			h = append(h, head{run: ri})
-			up(len(h) - 1)
-		}
-	}
-	for len(h) > 0 {
-		top := h[0]
-		emit(&runs[top.run][top.pos])
-		if top.pos+1 < len(runs[top.run]) {
-			h[0].pos++
-			down(0)
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			if len(h) > 0 {
-				down(0)
+	pos := make([]int, len(runs))
+	for {
+		best, bestKey := -1, ""
+		for ri, run := range runs {
+			if pos[ri] < len(run) {
+				if k := key(&run[pos[ri]]); best < 0 || k < bestKey {
+					best, bestKey = ri, k
+				}
 			}
 		}
+		if best < 0 {
+			return
+		}
+		emit(&runs[best][pos[best]])
+		pos[best]++
 	}
 }

@@ -49,26 +49,34 @@ func (w FaultWaste) add(o FaultWaste) FaultWaste {
 	}
 }
 
-// taskRecovery accumulates one task's recovery events; applyRecovery folds
-// them into the Result once per task, in task order.
-type taskRecovery struct {
-	waste      FaultWaste
-	retries    int
-	stragglers int
-	specs      int
-	specWins   int
-	lastErr    string
+// Recovery is what a run recovered from: task-level tallies (zero without
+// an injected fault plan) and the last error. TaskRetries counts task
+// attempts that died and were retried in place; Straggler/Speculative tasks
+// count scripted slowdowns and the speculative copies raced against them
+// (SpeculativeWins: races the copy won). Task recovery is priced, not
+// replayed: every task runs once, so recovery moves no extra bytes — its
+// cost is pure simulated time, itemized in Faults. RecoveredError is the
+// message of the last failure recovered from (task-level or whole-job), ""
+// for a clean run; chaos tests assert on it to prove which fault fired.
+type Recovery struct {
+	TaskRetries      int
+	StragglerTasks   int
+	SpeculativeTasks int
+	SpeculativeWins  int
+	Faults           FaultWaste
+	RecoveredError   string
 }
 
-// applyRecovery folds one task's recovery record into the result.
-func (r *Result) applyRecovery(rec *taskRecovery) {
-	r.Faults = r.Faults.add(rec.waste)
-	r.TaskRetries += rec.retries
-	r.StragglerTasks += rec.stragglers
-	r.SpeculativeTasks += rec.specs
-	r.SpeculativeWins += rec.specWins
-	if rec.lastErr != "" {
-		r.RecoveredError = rec.lastErr
+// add folds a later recovery record into r: one task's into its job's, in
+// task order, or one attempt's into the run's.
+func (r *Recovery) add(o Recovery) {
+	r.Faults = r.Faults.add(o.Faults)
+	r.TaskRetries += o.TaskRetries
+	r.StragglerTasks += o.StragglerTasks
+	r.SpeculativeTasks += o.SpeculativeTasks
+	r.SpeculativeWins += o.SpeculativeWins
+	if o.RecoveredError != "" {
+		r.RecoveredError = o.RecoveredError
 	}
 }
 
@@ -99,7 +107,7 @@ func (e *Engine) priceMapTasks(job *Job, res *Result, splits []mapSplit) error {
 		for _, r := range splits[i].rows {
 			bytes += int64(r.EncodedSize())
 		}
-		return float64(bytes)/e.Params.ReadRate + e.fnsSim(job.MapCost, int64(len(splits[i].rows)))
+		return float64(bytes)/e.Params.ReadRate + e.Params.FnsSeconds(job.MapCost, int64(len(splits[i].rows)))
 	})
 }
 
@@ -124,7 +132,7 @@ func (e *Engine) priceReduceTasks(job *Job, res *Result, tasks []mapTaskOut) err
 			return -1
 		}
 		return float64(bytes[s])*e.Params.SortFactor + float64(bytes[s])/e.Params.ShuffleRate +
-			e.fnsSim(job.ReduceCost, rows[s])
+			e.Params.FnsSeconds(job.ReduceCost, rows[s])
 	})
 }
 
@@ -146,25 +154,25 @@ func (e *Engine) priceTasks(job *Job, res *Result, phase fault.Phase, n int, nom
 		if c < 0 {
 			continue
 		}
-		var rec taskRecovery
+		var rec Recovery
 		for attempt := 1; ; attempt++ {
 			fd := e.Faults.TaskFailure(job.Name, phase, task, attempt)
 			if fd == nil {
 				e.applyStraggler(job.Name, phase, task, c, &rec)
 				break
 			}
-			rec.lastErr = fd.Error()
+			rec.RecoveredError = fd.Error()
 			if attempt >= e.taskMaxAttempts() {
 				if first == nil {
 					first = fd
 				}
 				break
 			}
-			rec.retries++
-			rec.waste.TaskRetrySeconds += c
-			rec.waste.BackoffSeconds += e.backoff(attempt)
+			rec.TaskRetries++
+			rec.Faults.TaskRetrySeconds += c
+			rec.Faults.BackoffSeconds += e.backoff(attempt)
 		}
-		res.applyRecovery(&rec)
+		res.Recovery.add(rec)
 	}
 	return first
 }
@@ -178,30 +186,30 @@ func (e *Engine) priceTasks(job *Job, res *Result, phase fault.Phase, n int, nom
 //	straggler finishes at F·C, the copy at L+C; first finisher wins and
 //	the loser is killed when the winner commits. Either way exactly one
 //	nominal C lands in Breakdown; everything else is waste.
-func (e *Engine) applyStraggler(jobName string, phase fault.Phase, task int, nominal float64, rec *taskRecovery) {
+func (e *Engine) applyStraggler(jobName string, phase fault.Phase, task int, nominal float64, rec *Recovery) {
 	f := e.Faults.Slowdown(jobName, phase, task)
 	if f <= 1 {
 		return
 	}
-	rec.stragglers++
+	rec.StragglerTasks++
 	if e.DisableSpeculation || f < e.Params.SpeculationThreshold {
-		rec.waste.StragglerSeconds += (f - 1) * nominal
+		rec.Faults.StragglerSeconds += (f - 1) * nominal
 		return
 	}
-	rec.specs++
+	rec.SpeculativeTasks++
 	lag := e.Params.SpeculationLagFactor * nominal
 	if f*nominal <= lag+nominal {
 		// Straggler wins: pay its slowdown; the copy burned from launch to
 		// the straggler's commit.
-		rec.waste.StragglerSeconds += (f - 1) * nominal
+		rec.Faults.StragglerSeconds += (f - 1) * nominal
 		if burned := f*nominal - lag; burned > 0 {
-			rec.waste.SpeculationSeconds += burned
+			rec.Faults.SpeculationSeconds += burned
 		}
 	} else {
 		// Copy wins: its nominal run is the Breakdown cost; the straggler
 		// ran from 0 until the copy committed at lag+nominal, all wasted.
-		rec.specWins++
-		rec.waste.SpeculationSeconds += lag + nominal
+		rec.SpeculativeWins++
+		rec.Faults.SpeculationSeconds += lag + nominal
 	}
 }
 

@@ -32,13 +32,17 @@ package session
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/meta"
 	"opportune/internal/mr"
+	"opportune/internal/obs"
+	"opportune/internal/optimizer"
 	"opportune/internal/plan"
 	"opportune/internal/storage"
 	"opportune/internal/udf"
@@ -67,7 +71,8 @@ type AppendReport struct {
 // serializes against planning but not against executing plans: a running
 // plan pinned its inputs at plan time, keeps reading them (deletion
 // defers), and its retention discards what it materialized before the
-// append.
+// append. Only the views' delta jobs run one after another; the base
+// table's statistics and each view's merge overlap them (DESIGN §5.9).
 func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, error) {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
@@ -80,9 +85,14 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 	if !ok {
 		return nil, fmt.Errorf("session: %q not in store", table)
 	}
+	if i := slices.IndexFunc(rows, func(r data.Row) bool { return len(r) != len(info.Cols) }); i >= 0 {
+		return nil, fmt.Errorf("session: row %d has %d values, %q has %d columns", i, len(rows[i]), table, len(info.Cols))
+	}
 	epoch := s.ingestEpoch.Add(1)
 	s.Obs.Gauge("session_ingest_epoch").Set(float64(epoch))
 	s.Obs.Counter("session_append_rows_total", "table", table).Add(int64(len(rows)))
+	sp := s.Obs.StartSpan(table, "append")
+	defer sp.End()
 
 	rep := &AppendReport{Table: table, Rows: len(rows), Reasons: make(map[string]string)}
 
@@ -109,11 +119,18 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 	}
 	// Re-estimate per-column distincts on the grown base: appends change
 	// cardinalities, and stale counts misprice every downstream group-by.
-	sec, err := s.Cat.CollectStats(s.Eng, table, s.statsSeed.Add(1))
-	if err != nil {
-		return nil, err
-	}
-	rep.StatsSeconds += sec
+	// No delta plan reads them: its scans of the table read the delta.
+	var bg sync.WaitGroup
+	var baseSec float64
+	var baseErr error
+	seed, ssp := s.statsSeed.Add(1), sp.Child("stats")
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		baseSec, baseErr = s.Cat.CollectStats(s.Eng, table, seed)
+		ssp.AddSim(baseSec)
+		ssp.End()
+	}()
 
 	// The delta relation, installed lazily as a temporary base table the
 	// first time a view qualifies for maintenance, and marked as a delta so
@@ -130,6 +147,8 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 		deltaInstalled = true
 	}
 
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0)) // merges in flight
+	var views []*viewMaint
 	for _, v := range s.Cat.Views() {
 		// The annotation's lineage misses a table that no surviving attribute,
 		// key or predicate mentions (a global COUNT(*)); the plan still reads it.
@@ -137,45 +156,76 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 		if !slices.Contains(v.Ann.Bases(), table) && (pl == nil || !s.reads(pl, table)) {
 			continue
 		}
-		reason := ""
-		var shape viewShape
+		m := &viewMaint{v: v, tmpOut: "~maint~" + v.Name}
+		views = append(views, m)
 		if verdict := afk.Maintainable(v.Ann, table); !verdict.OK {
-			reason = verdict.Reason
+			m.reason = verdict.Reason
 		} else if pl == nil {
-			reason = "no captured producing plan"
+			m.reason = "no captured producing plan"
 		} else {
-			shape, reason = s.maintainShape(pl, table)
+			m.shape, m.reason = s.maintainShape(pl, table)
 		}
-		if reason == "" {
-			if !deltaInstalled {
-				installDelta()
-			}
-			msec, ssec, err := s.maintainView(v, pl, shape, table, deltaName)
-			if err != nil {
-				reason = fmt.Sprintf("maintenance failed: %v", err)
-				s.Obs.Counter("session_maintenance_fallbacks_total", "table", table).Inc()
-			} else {
-				rep.Maintained = append(rep.Maintained, v.Name)
-				rep.MaintainSeconds += msec
-				rep.StatsSeconds += ssec
-				s.Obs.Counter("session_views_maintained_total", "table", table).Inc()
-				s.Obs.FloatCounter("session_maintenance_sim_seconds_total", "table", table).Add(msec)
-				// The maintenance cost is the view's freshness lag: how long
-				// (in simulated seconds) it stayed stale after the append.
-				s.Obs.Histogram("session_view_freshness_lag_sim_seconds", nil).Observe(msec)
-				continue
-			}
+		if m.reason != "" {
+			continue
 		}
-		s.Store.Delete(v.Name)
-		s.Cat.DropView(v.Name)
-		s.dropViewPlan(v.Name)
-		rep.Invalidated = append(rep.Invalidated, v.Name)
-		rep.Reasons[v.Name] = reason
-		s.Obs.Counter("session_views_invalidated_total", "table", table).Inc()
+		if !deltaInstalled {
+			installDelta()
+		}
+		if m.err = s.deltaJobs(m, pl, table, deltaName, sp); m.err != nil {
+			continue
+		}
+		// The merge runs beside the next view's delta jobs; its seed is
+		// drawn here, in view order.
+		m.seed, m.span = s.statsSeed.Add(1), sp.Child("merge")
+		bg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer bg.Done()
+			m.err = s.mergeDelta(m)
+			<-slots
+		}()
+		if s.Store.ViewCapacityBytes > 0 {
+			// A refresh can evict, and eviction ranks views by the order
+			// they were touched: touch them as one view at a time would.
+			bg.Wait()
+		}
 	}
+	bg.Wait()
 	if deltaInstalled {
 		s.Store.Delete(deltaName)
 		s.Cat.DropTable(deltaName)
+	}
+
+	// Everything is reported in view order, so float sums add as they
+	// would one view at a time.
+	rep.StatsSeconds = baseSec
+	for _, m := range views {
+		name := m.v.Name
+		if m.err != nil {
+			m.reason = fmt.Sprintf("maintenance failed: %v", m.err)
+			s.Obs.Counter("session_maintenance_fallbacks_total", "table", table).Inc()
+		}
+		if m.reason == "" {
+			rep.Maintained = append(rep.Maintained, name)
+			rep.MaintainSeconds += m.maintSec
+			rep.StatsSeconds += m.statsSec
+			s.Obs.Counter("session_views_maintained_total", "table", table).Inc()
+			s.Obs.FloatCounter("session_maintenance_sim_seconds_total", "table", table).Add(m.maintSec)
+			// The maintenance cost is the view's freshness lag: how long
+			// (in simulated seconds) it stayed stale after the append.
+			s.Obs.Histogram("session_view_freshness_lag_sim_seconds", nil).Observe(m.maintSec)
+			continue
+		}
+		s.Store.Delete(name)
+		s.Cat.DropView(name)
+		s.dropViewPlan(name)
+		rep.Invalidated = append(rep.Invalidated, name)
+		rep.Reasons[name] = m.reason
+		s.Obs.Counter("session_views_invalidated_total", "table", table).Inc()
+	}
+	sp.AddSim(rep.MaintainSeconds + rep.StatsSeconds)
+	if baseErr != nil {
+		return nil, baseErr
 	}
 	return rep, nil
 }
@@ -270,14 +320,32 @@ func (s *Session) reads(n *plan.Node, table string) bool {
 	return found
 }
 
-// maintainView refreshes one view from the appended delta: run the view's
-// plan with its scan of the appended table retargeted at the delta — the
-// jobs that compiles to, e.g. one group-agg job whose map side probes the
-// joined table's index, through the session's unit executor — merge the
-// sink into the stored relation, refresh statistics. Returns (maintenance
-// sim seconds, stats sim seconds). Any error leaves the view droppable —
-// the caller falls back to invalidation, which is always safe.
-func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape viewShape, table, deltaName string) (float64, float64, error) {
+// viewMaint is one dependent view's maintenance in an append: the reason
+// it is invalidated, or its delta run — what the jobs wrote and pinned,
+// what the run cost — and the error that ended the run, if one did.
+type viewMaint struct {
+	v      *meta.TableInfo
+	reason string
+	shape  viewShape
+	w      *optimizer.Work
+	tmpOut string
+	pins   []string
+	seed   int64
+	span   *obs.Span
+
+	deltaSec, maintSec, statsSec float64
+	err                          error
+}
+
+// deltaJobs runs a view's plan with its scan of the appended table
+// retargeted at the delta — the jobs that compiles to, e.g. one group-agg
+// job whose map side probes the joined table's index — through the
+// session's unit executor. On success the run's pins and temporaries are
+// the merge's to release; any error leaves the view droppable — the caller
+// falls back to invalidation, which is always safe.
+func (s *Session) deltaJobs(m *viewMaint, pl *plan.Node, table, deltaName string, sp *obs.Span) error {
+	msp := sp.Child("maintain")
+	defer msp.End()
 	// Annotate recomputes every node annotation, so the compiled jobs are
 	// ordinary (delta-sized) instances of the plan's.
 	dp := pl.Clone()
@@ -287,56 +355,55 @@ func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape viewShape
 		}
 	})
 	s.Opt.ClearEstimates()
-	w, err := s.Opt.Compile(dp)
-	if err != nil {
-		return 0, 0, fmt.Errorf("delta compile: %w", err)
+	var err error
+	if m.w, err = s.Opt.Compile(dp); err != nil {
+		return fmt.Errorf("delta compile: %w", err)
 	}
-	tmpOut := "~maint~" + v.Name
-	jobs, err := s.Opt.Executable(w, tmpOut)
+	jobs, err := s.Opt.Executable(m.w, m.tmpOut)
 	if err != nil {
-		return 0, 0, fmt.Errorf("delta executable: %w", err)
+		return fmt.Errorf("delta executable: %w", err)
 	}
-
 	// Everything the delta jobs write — the sink under tmpOut, the
 	// intermediates of a multi-job plan under their content-addressed names —
 	// is pinned for the run, deleted on every exit path and never registered.
-	// A name the catalog lists is not a temporary: a sub-plan that does not
-	// read the delta re-materializes an existing view's own contents.
-	pins := append(pinList(dp, w, tmpOut), v.Name)
-	s.Store.Pin(pins)
-	defer func() {
-		s.Store.Unpin(pins)
-		for _, jn := range w.Nodes {
-			name := w.StoredName(jn, tmpOut)
-			if _, listed := s.Cat.Table(name); !listed {
-				s.Store.Delete(name)
-			}
-		}
-	}()
-	x, err := s.execute([]plannedQuery{{w: w, jobs: jobs}}, false)
+	m.pins = append(pinList(dp, m.w, m.tmpOut), m.v.Name)
+	s.Store.Pin(m.pins)
+	x, err := s.execute([]plannedQuery{{w: m.w, jobs: jobs}}, false)
 	if err != nil {
-		return 0, 0, fmt.Errorf("delta job: %w", err)
+		s.releaseDelta(m)
+		return fmt.Errorf("delta job: %w", err)
 	}
-	deltaSec, _ := x.attributed(0)
-	stored, err := s.Store.Read(v.Name)
+	m.deltaSec, _ = x.attributed(0)
+	msp.AddSim(m.deltaSec)
+	return nil
+}
+
+// mergeDelta merges a view's delta sink into the stored relation, samples
+// its statistics under the seed drawn for it and releases the delta run.
+// It runs beside the next view's delta jobs: neither reads what the other
+// writes.
+func (s *Session) mergeDelta(m *viewMaint) error {
+	defer m.span.End()
+	defer s.releaseDelta(m)
+	stored, err := s.Store.Read(m.v.Name)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	deltaOut, err := s.Store.Read(tmpOut)
+	deltaOut, err := s.Store.Read(m.tmpOut)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	var merged *data.Relation
-	if shape.nKeys == 0 {
+	if m.shape.nKeys == 0 {
 		merged, err = mr.MergeAppend(stored, deltaOut)
 	} else {
-		merged, err = mr.MergeByKey(stored, deltaOut, shape.nKeys, shape.mergeRows)
+		merged, err = mr.MergeByKey(stored, deltaOut, m.shape.nKeys, m.shape.mergeRows)
 	}
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	if _, err := s.Store.Refresh(v.Name, merged); err != nil {
-		return 0, 0, err
+	if _, err := s.Store.Refresh(m.v.Name, merged); err != nil {
+		return err
 	}
 	spec := cost.MaintenanceSpec{
 		ViewBytes:   stored.EncodedSize(),
@@ -344,12 +411,24 @@ func (s *Session) maintainView(v *meta.TableInfo, pl *plan.Node, shape viewShape
 		MergedBytes: merged.EncodedSize(),
 		MergedRows:  int64(merged.Len()),
 	}
-	maintSec := deltaSec + s.Eng.Params.MaintenanceCost(spec).Total()
-	statsSec, err := s.Cat.CollectStats(s.Eng, v.Name, s.statsSeed.Add(1))
-	if err != nil {
-		return 0, 0, err
+	mergeSec := s.Eng.Params.MaintenanceCost(spec).Total()
+	m.maintSec = m.deltaSec + mergeSec
+	m.statsSec, err = s.Cat.CollectStats(s.Eng, m.v.Name, m.seed)
+	m.span.AddSim(mergeSec + m.statsSec)
+	return err
+}
+
+// releaseDelta unpins a delta run and deletes what it wrote. A name the
+// catalog lists is not a temporary: a sub-plan that does not read the
+// delta re-materializes an existing view's own contents.
+func (s *Session) releaseDelta(m *viewMaint) {
+	s.Store.Unpin(m.pins)
+	for _, jn := range m.w.Nodes {
+		name := m.w.StoredName(jn, m.tmpOut)
+		if _, listed := s.Cat.Table(name); !listed {
+			s.Store.Delete(name)
+		}
 	}
-	return maintSec, statsSec, nil
 }
 
 // mergeRows is the per-group fold MergeByKey applies: aggregate column i of

@@ -242,12 +242,19 @@ func maintainVsRecompute(t *testing.T, workers, reduceTasks int, fam ivmFamily, 
 // no pinned view may disappear mid-plan, and afterwards the store's pin
 // bookkeeping and the view-bytes gauge must reconcile. Every goroutine also
 // repeats statements under one result name, so plan-cache hits interleave
-// with appends and with other queries' retention.
+// with appends and with other queries' retention. Three standing views are
+// maintained by every append, so their merges run beside the next view's
+// delta jobs and beside the concurrent runs' retention.
 func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 	s := demo(t, 300)
 	s.Eng.Workers = 2
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
+	for _, q := range ivmQueries() {
+		if _, err := s.Run(q.Plan, q.ResultName, q.Mode); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const runners = 6
 	const batchers = 2
@@ -304,9 +311,16 @@ func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for b := 0; b < appendBatches; b++ {
-			if _, err := s.AppendRows("logs", ivmBatch(10000+b*100, 11)); err != nil {
+			rep, err := s.AppendRows("logs", ivmBatch(10000+b*100, 11))
+			if err != nil {
 				errs <- fmt.Errorf("append %d: %w", b, err)
 				return
+			}
+			for _, q := range ivmQueries() {
+				if !slices.Contains(rep.Maintained, q.ResultName) {
+					errs <- fmt.Errorf("append %d: %s not maintained: %v", b, q.ResultName, rep.Reasons)
+					return
+				}
 			}
 		}
 	}()
@@ -367,6 +381,20 @@ func TestConcurrentAppendsWithRunsStress(t *testing.T) {
 	}
 	if a != b {
 		t.Error("post-stress query result diverged from clean recompute")
+	}
+	// The standing views, maintained through every append, hold what a
+	// recompute over the grown base holds.
+	for _, q := range ivmQueries() {
+		if _, err := ref.Run(q.Plan, q.ResultName, q.Mode); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Store.Read(q.ResultName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := ref.Store.Read(q.ResultName); !got.Equal(want) {
+			t.Errorf("%s: maintained contents differ from recompute", q.ResultName)
+		}
 	}
 	// Quiesced, a statement repeated three times is served from the plan
 	// cache the third time, and answers what a clean system answers.

@@ -155,7 +155,10 @@ func fromValues(in []value.V) []any {
 // registered so the rewriter can reason about grouping refinement.
 func (sys *System) CreateTable(name, keyColumn string, columns []string, rows [][]any) error {
 	rel := data.NewRelation(data.NewSchema(columns...))
-	for _, r := range rows {
+	for i, r := range rows {
+		if len(r) != len(columns) {
+			return fmt.Errorf("opportune: row %d has %d values, %q has %d columns", i, len(r), name, len(columns))
+		}
 		vr, err := toValues(r)
 		if err != nil {
 			return err

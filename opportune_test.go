@@ -392,3 +392,35 @@ func TestFacadeIngestMaintainsAggregateOverJoin(t *testing.T) {
 	appendBoth("fsq", fsq.Rows()[:25])
 	ask("fsq append")
 }
+
+// TestFacadeRejectsWrongWidthRows: a row whose width differs from the
+// table's is an error, not a crash, at CreateTable and at AppendRows, and
+// a rejected call leaves the system as it was.
+func TestFacadeRejectsWrongWidthRows(t *testing.T) {
+	sys := demoSystem(t)
+	if err := sys.CreateTable("short", "", []string{"a", "b"}, [][]any{{1, 2}, {3}}); err == nil {
+		t.Error("CreateTable took a one-value row into a two-column table")
+	}
+	if _, err := sys.ExecOne(`SELECT a FROM short`); err == nil {
+		t.Error("a rejected CreateTable left a queryable table behind")
+	}
+	const q = `SELECT user, COUNT(*) AS n FROM logs GROUP BY user`
+	before, err := sys.ExecOne(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := len(sys.Views())
+	if _, err := sys.AppendRows("logs", [][]any{{500, 1, "wine"}, {501, 2}}); err == nil {
+		t.Error("AppendRows took a two-value row into a three-column table")
+	}
+	if got := len(sys.Views()); got != views {
+		t.Errorf("a rejected append moved the views: %d, was %d", got, views)
+	}
+	after, err := sys.ExecOne(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after.Rows, before.Rows) {
+		t.Errorf("a rejected append changed an answer:\n got %v\nwant %v", after.Rows, before.Rows)
+	}
+}
