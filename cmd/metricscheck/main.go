@@ -157,14 +157,13 @@ func checkPartition(m obs.Snapshot) {
 // one name is present they all must be; and the family must balance: every
 // fusion-eligible job either compiled to a batch kernel or carries exactly
 // one fallback reason, and a run with no fused jobs cannot claim fused
-// batches, rows, or runtime bailouts.
+// batches or rows.
 func checkFused(m obs.Snapshot) {
 	elig, eligOK := m.Counters["mr_fused_eligible_total"]
 	jobs, jobsOK := m.Counters["mr_fused_jobs_total"]
 	batches, batchesOK := m.Counters["mr_fused_batches_total"]
 	rows, rowsOK := m.Counters["mr_fused_rows_total"]
-	rtfb, rtfbOK := m.Counters["mr_fused_runtime_fallback_total"]
-	if !eligOK && !jobsOK && !batchesOK && !rowsOK && !rtfbOK {
+	if !eligOK && !jobsOK && !batchesOK && !rowsOK {
 		// A run that executed no MR jobs records none of the family; but a
 		// stray labeled fallback without the core names is a wiring bug.
 		for k := range m.Counters {
@@ -174,13 +173,13 @@ func checkFused(m obs.Snapshot) {
 		}
 		return
 	}
-	if !eligOK || !jobsOK || !batchesOK || !rowsOK || !rtfbOK {
-		fail("partial fused counter family: eligible=%v jobs=%v batches=%v rows=%v runtime_fallback=%v",
-			eligOK, jobsOK, batchesOK, rowsOK, rtfbOK)
+	if !eligOK || !jobsOK || !batchesOK || !rowsOK {
+		fail("partial fused counter family: eligible=%v jobs=%v batches=%v rows=%v",
+			eligOK, jobsOK, batchesOK, rowsOK)
 	}
-	if elig < 0 || jobs < 0 || batches < 0 || rows < 0 || rtfb < 0 {
-		fail("negative fused counter (eligible=%d jobs=%d batches=%d rows=%d runtime_fallback=%d)",
-			elig, jobs, batches, rows, rtfb)
+	if elig < 0 || jobs < 0 || batches < 0 || rows < 0 {
+		fail("negative fused counter (eligible=%d jobs=%d batches=%d rows=%d)",
+			elig, jobs, batches, rows)
 	}
 	var fallback int64
 	// mr.FuseFallbackReasons is the family's fixed label set; the engine
@@ -200,9 +199,8 @@ func checkFused(m obs.Snapshot) {
 		fail("fused family does not balance: jobs %d + fallbacks %d != eligible %d",
 			jobs, fallback, elig)
 	}
-	if jobs == 0 && (batches > 0 || rows > 0 || rtfb > 0) {
-		fail("fused work recorded with zero fused jobs (batches=%d rows=%d runtime_fallback=%d)",
-			batches, rows, rtfb)
+	if jobs == 0 && (batches > 0 || rows > 0) {
+		fail("fused work recorded with zero fused jobs (batches=%d rows=%d)", batches, rows)
 	}
 	if batches == 0 && rows > 0 {
 		fail("%d fused rows recorded with zero fused batches", rows)

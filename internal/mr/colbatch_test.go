@@ -159,11 +159,8 @@ func batchEchoInput(st *storage.Store, n int) {
 }
 
 // batchEchoJob is a map-only job wired both ways: a row-mode Map and a
-// BatchMapFactory producing identical output. bail, when non-nil, tells the
-// batch fn which splits (by ctx.Split) to refuse — those replay through the
-// row path inside the batch fn and report Fallback, exactly the optimizer's
-// runtime-bailout shape.
-func batchEchoJob(bail func(split int) bool) *Job {
+// BatchMapFactory producing identical output.
+func batchEchoJob() *Job {
 	schema := data.NewSchema("id", "doubled")
 	rowMap := func(_ int, r data.Row, emit Emit) {
 		emit("", data.Row{r[0], value.NewInt(r[1].Int() * 2)})
@@ -173,18 +170,12 @@ func batchEchoJob(bail func(split int) bool) *Job {
 		Inputs:     []string{"batch_in"},
 		MapFactory: perTask(rowMap),
 		Fusion:     Fusion{FusedEligible: true, Fused: true},
-		BatchMapFactory: func(ctx TaskCtx) BatchMapFunc {
+		BatchMapFactory: func(TaskCtx) BatchMapFunc {
 			return func(input int, rows []data.Row, emit Emit) BatchReport {
-				if bail != nil && bail(ctx.Split) {
-					for _, r := range rows {
-						rowMap(input, r, emit)
-					}
-					return BatchReport{Fallback: true}
-				}
 				for _, r := range rows {
 					emit("", data.Row{r[0], value.NewInt(r[1].Int() * 2)})
 				}
-				return BatchReport{Fused: true, Rows: int64(len(rows))}
+				return BatchReport{}
 			}
 		},
 		MapOutSchema: schema,
@@ -203,11 +194,11 @@ func TestEnginePrefersBatchMapFactory(t *testing.T) {
 	e.Params.SplitRows = 64
 	batchEchoInput(st, 300) // 5 splits of 64/64/64/64/44
 
-	outB, resB, err := e.Run(batchEchoJob(nil))
+	outB, resB, err := e.Run(batchEchoJob())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowJob := batchEchoJob(nil)
+	rowJob := batchEchoJob()
 	rowJob.BatchMapFactory = nil
 	rowJob.Fused = false
 	rowJob.FuseFallback = FuseUnsupportedOp
@@ -222,9 +213,6 @@ func TestEnginePrefersBatchMapFactory(t *testing.T) {
 	if resB.FusedBatches != 5 || resB.FusedRows != 300 {
 		t.Errorf("FusedBatches=%d FusedRows=%d, want 5/300", resB.FusedBatches, resB.FusedRows)
 	}
-	if resB.FusedRuntimeFallbacks != 0 {
-		t.Errorf("unexpected runtime fallbacks: %d", resB.FusedRuntimeFallbacks)
-	}
 	if !resB.Fused || !resB.FusedEligible {
 		t.Errorf("fused flags not propagated: %+v", resB)
 	}
@@ -236,37 +224,28 @@ func TestEnginePrefersBatchMapFactory(t *testing.T) {
 	}
 }
 
-// TestEngineCountsRuntimeFallbacks proves per-split bailouts are tallied
-// without affecting output: splits that refuse the kernel replay as rows.
-func TestEngineCountsRuntimeFallbacks(t *testing.T) {
+// TestEngineRecordsFusedFamily proves the fused map tallies are published:
+// every split of a fused job with a batch kernel counts as a fused batch,
+// and the whole family is present with its fixed reason labels.
+func TestEngineRecordsFusedFamily(t *testing.T) {
 	e, st := newEngine()
 	e.Params.SplitRows = 64
 	batchEchoInput(st, 300)
 	reg := obs.NewRegistry()
 	e.Obs = reg
 
-	out, res, err := runRecorded(e, batchEchoJob(func(split int) bool { return split == 2 }))
+	out, _, err := runRecorded(e, batchEchoJob())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 300 {
 		t.Errorf("rows = %d, want 300", out.Len())
 	}
-	if res.FusedRuntimeFallbacks != 1 {
-		t.Errorf("FusedRuntimeFallbacks = %d, want 1", res.FusedRuntimeFallbacks)
-	}
-	if res.FusedBatches != 4 || res.FusedRows != 300-64 {
-		t.Errorf("FusedBatches=%d FusedRows=%d, want 4/%d", res.FusedBatches, res.FusedRows, 300-64)
-	}
 	snap := reg.Snapshot()
-	if snap.Counters["mr_fused_runtime_fallback_total"] != 1 {
-		t.Errorf("mr_fused_runtime_fallback_total = %d, want 1",
-			snap.Counters["mr_fused_runtime_fallback_total"])
-	}
 	if snap.Counters["mr_fused_jobs_total"] != 1 || snap.Counters["mr_fused_eligible_total"] != 1 {
 		t.Errorf("fused job counters wrong: %v", snap.Counters)
 	}
-	if snap.Counters["mr_fused_batches_total"] != 4 || snap.Counters["mr_fused_rows_total"] != 300-64 {
+	if snap.Counters["mr_fused_batches_total"] != 5 || snap.Counters["mr_fused_rows_total"] != 300 {
 		t.Errorf("fused batch counters wrong: %v", snap.Counters)
 	}
 	// The whole family is present even where it is zero, with the fixed

@@ -39,22 +39,14 @@ type MapFunc func(input int, r data.Row, emit Emit)
 
 // BatchMapFunc processes one whole map split at once — the fused columnar
 // path. input is the index into Job.Inputs; rows is the split, read-only.
-// The report says whether the batch actually ran fused or fell back to the
-// row interpreter at runtime. Emission-order and content must be identical
-// to calling the job's MapFunc row by row: the engine relies on that to
-// keep batch execution invisible to shuffle, accounting, and retries.
+// A batch never bails: it maps the whole split or fails the task.
+// Emission-order and content must be identical to calling the job's MapFunc
+// row by row: the engine relies on that to keep batch execution invisible
+// to shuffle, accounting, and retries.
 type BatchMapFunc func(input int, rows []data.Row, emit Emit) BatchReport
 
-// BatchReport is one batch map task's execution report.
+// BatchReport is one batch map task's combine report.
 type BatchReport struct {
-	// Fused is true when the whole split ran the fused columnar kernel.
-	Fused bool
-	// Rows is the number of input rows the fused kernel processed.
-	Rows int64
-	// Fallback is true when the kernel bailed out mid-batch (e.g. a UDF
-	// declared single-output emitted several rows) and the split was
-	// replayed through the row-at-a-time interpreter instead.
-	Fallback bool
 	// Combined is true when the batch kernel fused across the shuffle
 	// boundary: its emissions are already combined per key (one record per
 	// group in first-seen order), so the engine must not run the job's
@@ -185,8 +177,8 @@ func (o *GroupOut) seal(key string) redOut {
 // set), and FusedReduceFallback the single reason when eligible but not
 // fused. FusedCrossBoundary additionally marks a partition-local job whose
 // map kernel was fused *through* the (local) shuffle boundary into the
-// combine fold. Purely observational: the engine publishes it, never
-// branches on it.
+// combine fold. Purely observational: the engine publishes it and tallies
+// fused work by it, never executes differently for it.
 type Fusion struct {
 	FusedEligible       bool
 	Fused               bool
@@ -205,18 +197,18 @@ type Job struct {
 
 	// MapFactory builds a fresh MapFunc per map task: map-side state is
 	// task-local (race-free) yet schedule-independent, since the factory
-	// derives any counters or tags from the TaskCtx.
+	// derives any counters or tags from the TaskCtx. Every job has one; for
+	// a job with a BatchMapFactory it is the reference only.
 	MapFactory   func(ctx TaskCtx) MapFunc
 	MapOutSchema *data.Schema // schema of rows the map function emits
 
 	// BatchMapFactory, when set, builds a per-task batch map function the
-	// engine prefers over the row-at-a-time MapFactory: the task's
-	// whole split is handed to it at once (the fused columnar path). The
-	// row path must still be provided — a batch that bails out mid-split
-	// replays through it — and both must produce identical emissions.
-	// Nothing in production selects the row path for a job that has this
-	// hook; the differential tests get their interpreter reference by
-	// clearing it on compiled jobs.
+	// engine runs instead of the row-at-a-time MapFactory: the task's whole
+	// split is handed to it at once (the fused columnar path), and a batch
+	// never bails back to the row path. Production never runs MapFactory
+	// for a job that has this hook; the row path is the reference the
+	// differential tests run by clearing the hook on compiled jobs, and the
+	// two must produce identical emissions.
 	BatchMapFactory func(ctx TaskCtx) BatchMapFunc
 
 	// Probes lists the indexes the map side looks rows up in (TaskCtx.Probes).
@@ -323,15 +315,12 @@ type Result struct {
 
 	// Fusion observability (wall-clock-only: none of these feed simulated
 	// seconds or volumes). Fusion echoes the job's classification;
-	// FusedBatches/FusedRows count map splits (and their rows) that
-	// completed on the fused columnar kernel, and FusedRuntimeFallbacks
-	// counts splits that bailed out mid-batch and were replayed through the
-	// row interpreter. Folded in split order, so the tallies are
-	// Workers-independent.
+	// FusedBatches/FusedRows count the map splits (and their rows) of a
+	// fused job with a batch kernel — every one of which runs on it. Both
+	// depend only on the job and its splits, so they are Workers-independent.
 	Fusion
-	FusedBatches          int64
-	FusedRows             int64
-	FusedRuntimeFallbacks int64
+	FusedBatches int64
+	FusedRows    int64
 
 	// Reduce-side fusion observability, same wall-clock-only contract.
 	// FusedCombineBatches counts map tasks whose output was combined (by
@@ -568,7 +557,7 @@ func (e *Engine) runAttempt(job *Job, res *Result, sp *obs.Span, prior float64) 
 	defer func() {
 		if r := recover(); r != nil {
 			rel = nil
-			err = fmt.Errorf("mr: job %q failed: %v", job.Name, r)
+			err = fmt.Errorf("mr: job %q failed: %w", job.Name, panicError(r))
 		}
 	}()
 	return e.execute(job, res, sp, prior)
@@ -625,7 +614,6 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	}
 	reg.Counter("mr_fused_batches_total").Add(res.FusedBatches)
 	reg.Counter("mr_fused_rows_total").Add(res.FusedRows)
-	reg.Counter("mr_fused_runtime_fallback_total").Add(res.FusedRuntimeFallbacks)
 	// Reduce-side fusion family, same unconditional-recording contract: per
 	// job, reduce-eligible == reduce-fused + Σ fallback{reason}, and
 	// cross-boundary jobs are a subset of reduce-fused jobs.
@@ -692,8 +680,9 @@ type mapSplit struct {
 // mapTaskOut is what one map task produced: its (possibly combined)
 // emissions in emission order and their encoded size (Σ row.EncodedSize() +
 // len(key), summed by the task itself so nothing downstream walks the
-// records again), the rows its combiner consumed, the batch-execution report
-// when the job ran the fused path, and whether its output was combined.
+// records again), the rows its combiner consumed, the batch map's combine
+// report when the job ran the fused path, and whether its output was
+// combined.
 type mapTaskOut struct {
 	out         []Keyed
 	bytes       int64
@@ -882,16 +871,14 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 		}
 	}
 	var probed int64
+	fused := job.BatchMapFactory != nil && job.Fused
 	for i := range tasks {
 		res.ProbeRows += tasks[i].probeRows
 		probed += tasks[i].probeBytes
 		res.CombineRows += tasks[i].combineRows
-		if tasks[i].batch.Fused {
+		if fused {
 			res.FusedBatches++
-			res.FusedRows += tasks[i].batch.Rows
-		}
-		if tasks[i].batch.Fallback {
-			res.FusedRuntimeFallbacks++
+			res.FusedRows += int64(len(splits[i].rows))
 		}
 		if tasks[i].combined {
 			res.FusedCombineBatches++

@@ -58,10 +58,21 @@ func runTasks(w, n int, task func(i int) error) error {
 func runTask(task func(int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
+			err = panicError(r)
 		}
 	}()
 	return task(i)
+}
+
+// panicError is the error a recovered panic value becomes. An error value
+// is wrapped, so errors.Is still finds what user code panicked with (a
+// UDF's udf.ErrContract, say) once the job fails; anything else is
+// formatted.
+func panicError(r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("%w", err)
+	}
+	return fmt.Errorf("%v", r)
 }
 
 // partitionOf assigns a shuffle key to one of r reduce partitions.

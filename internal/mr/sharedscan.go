@@ -154,7 +154,7 @@ func (e *Engine) runSharedAttempt(job *Job, res *Result, scan *Result, splits []
 	defer func() {
 		if r := recover(); r != nil {
 			rel = nil
-			err = fmt.Errorf("mr: job %q failed: %v", job.Name, r)
+			err = fmt.Errorf("mr: job %q failed: %w", job.Name, panicError(r))
 		}
 	}()
 	res.InputBytes = scan.InputBytes

@@ -168,7 +168,6 @@ func (o *Optimizer) buildStage(op *plan.Node, inCols []string, job *mr.Job) (sta
 			argIdx[i] = ix
 		}
 		params := op.UDFParams
-		explode := d.Explode
 		return func(ctx mr.TaskCtx, next func(data.Row)) func(data.Row) {
 			// The exploded-row tag is the relation's record key: it only
 			// needs to be unique and deterministic. Each task counts up
@@ -184,9 +183,11 @@ func (o *Optimizer) buildStage(op *plan.Node, inCols []string, job *mr.Job) (sta
 				for i, ix := range argIdx {
 					args[i] = r[ix]
 				}
-				for _, outVals := range d.Map(args, params) {
+				outs := d.Map(args, params)
+				d.CheckMap(outs)
+				for _, outVals := range outs {
 					out = append(append(out[:0], r...), outVals...)
-					if explode {
+					if d.Explode {
 						rowTag++
 						out = append(out, value.NewInt(rowTag))
 					}
@@ -222,38 +223,21 @@ func passThrough(mr.TaskCtx) rowEmit {
 	return func(_ int, row data.Row, emit mr.Emit) { emit("", row) }
 }
 
-// attachMapSide wires a job's map side: the interpreted MapFactory always
-// (it is the engine's fallback contract), and — iff the job classified
-// fused — a BatchMapFactory running each stream's fused program with a
-// lazily-built interpreter replay for runtime bailouts. When a cross-
+// attachMapSide wires a job's batch map side, iff the job classified fused:
+// a BatchMapFactory running each stream's fused program. When a cross-
 // boundary agg kernel is supplied (partition-local grouped jobs), the batch
 // map instead runs scan→filter→project→group→partial-finalize in one pass,
 // emitting already-combined records; this path is attached even when the
 // map chain alone was not fusion-eligible (a bare scan runs the identity
-// program), in which case the report claims no mr_fused_* map work.
-func (o *Optimizer) attachMapSide(job *mr.Job, interpreter interpreterFn, progs []*fusedProg, bf boundaryFactory, retain bool, cross *aggKernel) {
-	job.MapFactory = func(ctx mr.TaskCtx) mr.MapFunc { return interpreter(ctx, bf(ctx)) }
+// program), in which case the engine tallies no mr_fused_* map work.
+func (o *Optimizer) attachMapSide(job *mr.Job, progs []*fusedProg, bf boundaryFactory, retain bool, cross *aggKernel) {
 	if cross != nil {
-		mapFused := job.Fused
-		job.BatchMapFactory = func(ctx mr.TaskCtx) mr.BatchMapFunc {
-			be := bf(ctx)
+		job.BatchMapFactory = func(mr.TaskCtx) mr.BatchMapFunc {
 			return func(input int, rows []data.Row, emit mr.Emit) mr.BatchReport {
-				sel, bufs, ok := runFusedStages(progs[input], rows)
-				if !ok {
-					replay := interpreter(ctx, be)
-					for _, r := range rows {
-						replay(input, r, emit)
-					}
-					return mr.BatchReport{Fallback: mapFused}
-				}
+				sel, bufs := runFusedStages(progs[input], rows)
 				n := cross.batchCross(progs[input], rows, bufs, sel, emit)
 				releaseFusedBufs(sel, bufs)
-				rep := mr.BatchReport{Combined: true, CombineRows: n}
-				if mapFused {
-					rep.Fused = true
-					rep.Rows = int64(len(rows))
-				}
-				return rep
+				return mr.BatchReport{Combined: true, CombineRows: n}
 			}
 		}
 		return
@@ -264,15 +248,8 @@ func (o *Optimizer) attachMapSide(job *mr.Job, interpreter interpreterFn, progs 
 	job.BatchMapFactory = func(ctx mr.TaskCtx) mr.BatchMapFunc {
 		be := bf(ctx)
 		return func(input int, rows []data.Row, emit mr.Emit) mr.BatchReport {
-			sink := func(row data.Row) { be(input, row, emit) }
-			if runFusedBatch(progs[input], rows, retain, sink) {
-				return mr.BatchReport{Fused: true, Rows: int64(len(rows))}
-			}
-			replay := interpreter(ctx, be)
-			for _, r := range rows {
-				replay(input, r, emit)
-			}
-			return mr.BatchReport{Fallback: true}
+			runFusedBatch(progs[input], rows, retain, func(row data.Row) { be(input, row, emit) })
+			return mr.BatchReport{}
 		}
 	}
 }
@@ -374,12 +351,14 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 			return nil, err
 		}
 	}
-	// Every compiled job uses a per-task MapFactory: instantiation is
-	// cheap (column resolution already happened), and it is what keeps
-	// stateful stages race-free under the engine's parallel map phase. The
-	// sinks are built once per task, not per row: the engine hands one task
-	// the same emitter on every call.
-	interpreter := func(ctx mr.TaskCtx, be rowEmit) mr.MapFunc {
+	// Every compiled job carries the row interpreter as its MapFactory, the
+	// reference the fusion oracles run by clearing the batch hook. It is
+	// per task: instantiation is cheap (column resolution already
+	// happened), and it is what keeps stateful stages race-free under the
+	// engine's parallel map phase. The sinks are built once per task, not
+	// per row: the engine hands one task the same emitter on every call.
+	job.MapFactory = func(ctx mr.TaskCtx) mr.MapFunc {
+		be := bf(ctx)
 		var emit mr.Emit
 		pipes := make([]pipeline, len(factories))
 		for i, pf := range factories {
@@ -391,13 +370,9 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 		}
 	}
 	cross := o.classifyReduceFusion(jn, job, agg, progs)
-	o.attachMapSide(job, interpreter, progs, bf, retain, cross)
+	o.attachMapSide(job, progs, bf, retain, cross)
 	return job, nil
 }
-
-// interpreterFn instantiates the row-at-a-time map side for one map task:
-// every stream's pipeline, bound to the task's boundary emitter.
-type interpreterFn func(ctx mr.TaskCtx, be rowEmit) mr.MapFunc
 
 // joinBoundary compiles an equi-join: both sides shuffle on the join key;
 // rows are padded to a shared width with a side tag (a co-group, §3.2).

@@ -17,9 +17,11 @@
 // selection, and only then reach the job's boundary emitter. Anything the
 // compiler can't prove fusable (exploding UDFs, unknown operator or
 // predicate shapes, schema disagreements) falls back to the row-at-a-time
-// interpreter — per job at compile time, per split at runtime if a UDF
-// violates its declared single-output contract mid-batch. Fallbacks are
-// never errors; they are counted in the mr_fused_* family.
+// interpreter, per job at compile time; such fallbacks are never errors and
+// are counted in the mr_fused_* family. At run time a fused job never
+// leaves its kernel: a UDF that breaks its declared shape fails the task
+// with udf.ErrContract (udf.CheckMap), exactly as it does on the
+// interpreter.
 package optimizer
 
 import (
@@ -83,11 +85,12 @@ type fusedFilter struct {
 }
 
 // fusedUDF is one compiled non-exploding map-UDF stage: gather argRefs,
-// call fn, scatter the single output row into outBufs at the row's index.
-// A zero-row return deselects the row (a filtering UDF); a multi-row return
-// aborts the batch to the interpreter.
+// call the UDF, scatter its single output row into outBufs at the row's
+// index. A zero-row return deselects the row (a filtering UDF); any other
+// shape than zero or one row of len(outBufs) values fails the task
+// (udf.CheckMap).
 type fusedUDF struct {
-	fn      udf.MapFn
+	d       *udf.Descriptor
 	params  []value.V
 	argRefs []colRef
 	outBufs []int
@@ -159,7 +162,7 @@ func (o *Optimizer) buildFused(st stream) (*fusedProg, string) {
 				// chain is inherently row-oriented.
 				return nil, mr.FuseExplodeUDF
 			}
-			u := &fusedUDF{fn: d.Map, params: op.UDFParams}
+			u := &fusedUDF{d: d, params: op.UDFParams}
 			for _, c := range op.UDFArgs {
 				ix, ok := indexOf(cols, c)
 				if !ok {
@@ -322,11 +325,8 @@ func b2i(b bool) int {
 // runFusedStages executes a fused program's stage sequence over one map
 // split and returns the surviving selection plus the UDF output buffers
 // (both pooled; the caller materializes rows from them and then calls
-// releaseFusedBufs). ok=false — with the scratch already released — means a
-// UDF declared single-output produced several rows at runtime; nothing was
-// emitted yet, so the caller can replay the whole split through the row
-// interpreter.
-func runFusedStages(p *fusedProg, rows []data.Row) (sel []int32, bufs []*data.Col, ok bool) {
+// releaseFusedBufs).
+func runFusedStages(p *fusedProg, rows []data.Row) (sel []int32, bufs []*data.Col) {
 	n := len(rows)
 	sel = mr.GetSel(n)
 	for i := 0; i < n; i++ {
@@ -355,26 +355,20 @@ func runFusedStages(p *fusedProg, rows []data.Row) (sel []int32, bufs []*data.Co
 			for k, r := range u.argRefs {
 				args[k] = readRef(rows, bufs, r, i)
 			}
-			outs := u.fn(args, u.params)
-			switch len(outs) {
-			case 0:
-				// Filtering UDF: the row drops out of the selection.
-			case 1:
-				for k, b := range u.outBufs {
-					bufs[b].Set(int(i), outs[0][k])
-				}
-				sel[w] = i
-				w++
-			default:
-				// Runtime contract violation: a non-Explode UDF multi-
-				// emitted. Nothing was sunk yet; bail to the interpreter.
-				releaseFusedBufs(sel, bufs)
-				return nil, nil, false
+			outs := u.d.Map(args, u.params)
+			u.d.CheckMap(outs)
+			if len(outs) == 0 {
+				continue // filtering UDF: the row drops out of the selection
 			}
+			for k, b := range u.outBufs {
+				bufs[b].Set(int(i), outs[0][k])
+			}
+			sel[w] = i
+			w++
 		}
 		sel = sel[:w]
 	}
-	return sel, bufs, true
+	return sel, bufs
 }
 
 // releaseFusedBufs returns a runFusedStages scratch set to the mr pools.
@@ -386,17 +380,12 @@ func releaseFusedBufs(sel []int32, bufs []*data.Col) {
 }
 
 // runFusedBatch executes a fused program over one map split, handing each
-// surviving output row to sink in input-row order. It returns false — with
-// zero rows emitted — on a runtime contract violation (see runFusedStages).
-// A sink that keeps its rows (retain) gets them cut from one slab sized for
-// the surviving selection — the split's single row allocation; a sink that
-// builds its own record from the row is handed one scratch row, overwritten
-// for the next.
-func runFusedBatch(p *fusedProg, rows []data.Row, retain bool, sink func(data.Row)) bool {
-	sel, bufs, ok := runFusedStages(p, rows)
-	if !ok {
-		return false
-	}
+// surviving output row to sink in input-row order. A sink that keeps its
+// rows (retain) gets them cut from one slab sized for the surviving
+// selection — the split's single row allocation; a sink that builds its own
+// record from the row is handed one scratch row, overwritten for the next.
+func runFusedBatch(p *fusedProg, rows []data.Row, retain bool, sink func(data.Row)) {
+	sel, bufs := runFusedStages(p, rows)
 	width := len(p.outs)
 	n := 1
 	if retain {
@@ -414,5 +403,4 @@ func runFusedBatch(p *fusedProg, rows []data.Row, retain bool, sink func(data.Ro
 		sink(out)
 	}
 	releaseFusedBufs(sel, bufs)
-	return true
 }

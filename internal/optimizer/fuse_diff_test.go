@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -338,9 +339,6 @@ func TestFusionDifferentialOracle(t *testing.T) {
 			if n := refFused.snap.Counters["mr_fused_fallback_total{reason=explode_udf}"]; n == 0 {
 				t.Error("exploding-UDF query did not record its compile-time fallback")
 			}
-			if n := refFused.snap.Counters["mr_fused_runtime_fallback_total"]; n != 0 {
-				t.Errorf("fused arm recorded %d runtime fallbacks, want 0", n)
-			}
 			// Balance rule on both arms (metricscheck's invariant).
 			for _, arm := range []fusionOutcome{refFused, refInterp} {
 				var fb int64
@@ -519,49 +517,68 @@ func TestFusionExplodeFallback(t *testing.T) {
 	}
 }
 
-// TestFusionRuntimeFallback pins the per-split runtime bailout: a UDF
-// declared single-output that multi-emits at runtime makes the fused kernel
-// abandon the batch with zero partial emissions and replay it through the
-// row interpreter. The job still counts as fused, the violating splits are
-// counted as runtime fallbacks, and output matches the interpreter arm
-// byte-for-byte.
-func TestFusionRuntimeFallback(t *testing.T) {
-	register := func(f *fixture) {
-		// Declared non-exploding, but emits twice for "coffee time" rows
-		// (1 in 5 of the fixture corpus) — a contract violation the kernel
-		// must survive.
-		if err := f.cat.UDFs.Register(&udf.Descriptor{
-			Name: "UDF_VIOLATOR", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"flag"},
-			Map: func(args, _ []value.V) [][]value.V {
-				if strings.Contains(args[0].Str(), "coffee") {
-					return [][]value.V{{value.NewInt(2)}, {value.NewInt(2)}}
-				}
-				return [][]value.V{{value.NewInt(1)}}
-			},
-			TrueScalar: 4,
-		}); err != nil {
-			t.Fatal(err)
+// TestFusionContractViolation pins the one UDF contract on both map paths:
+// a UDF that returns two rows without being declared Explode, or a row wider
+// or narrower than its declared outputs, fails the job with udf.ErrContract
+// — on the fused kernel and on its interpreter reference alike, at any
+// parallelism, for a map-only chain and under a grouped boundary. Only the
+// "coffee" rows (1 in 5 of the fixture corpus) break it.
+func TestFusionContractViolation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		outs [][]value.V
+	}{
+		{"two rows", [][]value.V{{value.NewInt(2)}, {value.NewInt(2)}}},
+		{"wide row", [][]value.V{{value.NewInt(2), value.NewInt(3)}}},
+		{"short row", [][]value.V{{}}},
+	} {
+		register := func(f *fixture) {
+			if err := f.cat.UDFs.Register(&udf.Descriptor{
+				Name: "UDF_VIOLATOR", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"flag"},
+				Map: func(args, _ []value.V) [][]value.V {
+					if strings.Contains(args[0].Str(), "coffee") {
+						return tc.outs
+					}
+					return [][]value.V{{value.NewInt(1)}}
+				},
+				TrueScalar: 4,
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	p := plan.Project(plan.Apply(plan.Scan("twtr"), "UDF_VIOLATOR", []string{"text"}),
-		"tweet_id", "flag")
-	fpF, cF := runOneFusionPlan(t, false, register, p)
-	fpI, cI := runOneFusionPlan(t, true, register, p)
-	if fpF != fpI {
-		t.Errorf("runtime fallback output diverges: fused-arm %d interp-arm %d", fpF, fpI)
-	}
-	if cF["mr_fused_jobs_total"] == 0 {
-		t.Error("violating chain should still classify and run as fused")
-	}
-	if cF["mr_fused_runtime_fallback_total"] == 0 {
-		t.Error("runtime contract violation not counted")
-	}
-	// Every split held a "coffee time" row (64-row splits over a 5-cycle
-	// corpus), so every batch bailed: no batch completed fused.
-	if cF["mr_fused_batches_total"] != 0 {
-		t.Errorf("all batches should have bailed, got %d fused batches", cF["mr_fused_batches_total"])
-	}
-	if cI["mr_fused_runtime_fallback_total"] != 0 {
-		t.Error("interpreter arm cannot record runtime fallbacks")
+		apply := plan.Apply(plan.Scan("twtr"), "UDF_VIOLATOR", []string{"text"})
+		plans := map[string]*plan.Node{
+			"map-only": plan.Project(apply, "tweet_id", "flag"),
+			"grouped":  plan.GroupAgg(apply, []string{"flag"}, plan.AggSpec{Func: plan.AggCount, As: "n"}),
+		}
+		for shape, p := range plans {
+			for _, workers := range []int{1, 4} {
+				for _, interp := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%s/W%d/interp=%v", tc.name, shape, workers, interp), func(t *testing.T) {
+						f := newFixture(t, 1000)
+						register(f)
+						f.eng.Params.SplitRows = 64
+						f.eng.Workers = workers
+						w, err := f.opt.Compile(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						jobs, err := f.opt.Executable(w, "one_res")
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !jobs[0].Fused {
+							t.Fatalf("violating chain classified %q, want fused", jobs[0].FuseFallback)
+						}
+						if _, err = runArm(t, f, w, jobs, interp); !errors.Is(err, udf.ErrContract) {
+							t.Fatalf("run error %v, want udf.ErrContract", err)
+						}
+						if _, err := f.store.Read("one_res"); err == nil {
+							t.Error("a failed job materialized its output")
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // every predicate kind, well-behaved map UDFs, a filtering UDF, a declared-
 // single-output UDF that violates its contract at runtime, and an exploding
 // UDF — so one input space reaches the fused fast path, the compile-time
-// fallback, and the runtime bailout. Returns nil when the bytes decode to a
+// fallback, and the contract failure. Returns nil when the bytes decode to a
 // bare scan (nothing to test).
 func fuzzChain(raw []byte) *plan.Node {
 	p, _ := fuzzChainCols(raw)
@@ -105,8 +106,8 @@ func fuzzChainCols(raw []byte) (*plan.Node, []string) {
 // aggregate is a compile- or run-time error on both arms, not a fusion
 // difference worth fuzzing). Grouping by user_id over a chain that keeps it
 // reaches the cross-boundary kernel; other keys reach the plain combine +
-// reduce kernels; explode/violator ops in the chain reach the fallback and
-// bailout paths under a grouped boundary.
+// reduce kernels; explode/violator ops in the chain reach the fallback path
+// and the contract failure under a grouped boundary.
 func fuzzAggChain(raw []byte) *plan.Node {
 	if len(raw) < 3 {
 		return nil
@@ -200,37 +201,59 @@ func fuzzFixture(t testing.TB) *fixture {
 	return f
 }
 
+// fuzzOutcome is what one arm made of a decoded chain: whether it compiled,
+// whether the run failed on udf.ErrContract, and otherwise its output rows.
+type fuzzOutcome struct {
+	compiled, contract bool
+	rows               []data.Row
+}
+
 // runFuzzChain compiles and executes one decoded chain on one arm (interp:
-// the compiled jobs with their kernels stripped) and returns the output rows
-// (nil, false when the chain does not compile — both arms must agree on that
-// too).
-func runFuzzChain(t testing.TB, interp bool, p *plan.Node) ([]data.Row, bool) {
+// the compiled jobs with their kernels stripped). A run may fail only on the
+// UDF contract; any other run error fails the test.
+func runFuzzChain(t testing.TB, interp bool, p *plan.Node) fuzzOutcome {
 	f := fuzzFixture(t)
 	w, err := f.opt.Compile(p)
 	if err != nil {
-		return nil, false
+		return fuzzOutcome{}
 	}
 	jobs, err := f.opt.Executable(w, "fz_res")
 	if err != nil {
-		return nil, false
+		return fuzzOutcome{}
 	}
-	if _, err := runArm(t, f, w, jobs, interp); err != nil {
+	if _, err := runArm(t, f, w, jobs, interp); errors.Is(err, udf.ErrContract) {
+		return fuzzOutcome{compiled: true, contract: true}
+	} else if err != nil {
 		t.Fatalf("interp=%v: run: %v", interp, err)
 	}
 	rel, err := f.store.Read("fz_res")
 	if err != nil {
 		t.Fatalf("interp=%v: read: %v", interp, err)
 	}
-	return rel.Rows(), true
+	return fuzzOutcome{compiled: true, rows: rel.Rows()}
+}
+
+// checkFuzzArms fails unless the two arms agree: both fail to compile, both
+// fail on the UDF contract, or both return the same rows in the same order.
+func checkFuzzArms(t *testing.T, fused, interp fuzzOutcome) {
+	t.Helper()
+	if fused.compiled != interp.compiled || fused.contract != interp.contract {
+		t.Fatalf("arms disagree: fused compiled=%v contract=%v, interp compiled=%v contract=%v",
+			fused.compiled, fused.contract, interp.compiled, interp.contract)
+	}
+	if !data.RowsEqual(fused.rows, interp.rows) {
+		t.Fatalf("fused and interpreted outputs diverge\nfused:  %v\ninterp: %v", fused.rows, interp.rows)
+	}
 }
 
 // FuzzFusedPipeline is the fusion differential fuzzer: for every generated
 // chain, fused execution must equal interpreted execution row for row — in
 // order, since map tasks are deterministic — including chains that fall
-// back at compile time (explode) or bail out per split at runtime
-// (contract violations).
+// back at compile time (explode); a chain whose violator meets a "wine" row
+// must fail with udf.ErrContract on both arms.
 func FuzzFusedPipeline(f *testing.F) {
-	// Seeds cover each op code, a mixed chain, and the two fallback paths.
+	// Seeds cover each op code, a mixed chain, the explode fallback and the
+	// contract failure.
 	f.Add([]byte{0x00, 0x07})                                     // project
 	f.Add([]byte{0x01, 0x21, 0x02, 0x35, 0x03, 0x02})             // cmp, attr-eq, opaque
 	f.Add([]byte{0x04, 0x02, 0x01, 0x49, 0x00, 0x05})             // udf, filter, project
@@ -242,17 +265,7 @@ func FuzzFusedPipeline(f *testing.F) {
 		if p == nil {
 			return
 		}
-		fused, okF := runFuzzChain(t, false, p)
-		interp, okI := runFuzzChain(t, true, p)
-		if okF != okI {
-			t.Fatalf("arms disagree on compilability: fused=%v interp=%v", okF, okI)
-		}
-		if !okF {
-			return
-		}
-		if !data.RowsEqual(fused, interp) {
-			t.Fatalf("fused and interpreted outputs diverge\nfused:  %v\ninterp: %v", fused, interp)
-		}
+		checkFuzzArms(t, runFuzzChain(t, false, p), runFuzzChain(t, true, p))
 	})
 }
 
@@ -260,7 +273,7 @@ func FuzzFusedPipeline(f *testing.F) {
 // every generated chain ends in a GroupAgg, so the combine and reduce
 // kernels — and, when the group key matches the twtr layout, the
 // cross-boundary kernel — must reproduce the row-fold reference's grouped
-// output row for row, in ascending key order.
+// output row for row, in ascending key order, or both fail on the contract.
 func FuzzFusedAgg(f *testing.F) {
 	// Seeds: bare-scan group by user_id (cross-boundary), group by text,
 	// filter then group, UDF chain then group, two-key group, explode and
@@ -278,16 +291,6 @@ func FuzzFusedAgg(f *testing.F) {
 		if p == nil {
 			return
 		}
-		fused, okF := runFuzzChain(t, false, p)
-		interp, okI := runFuzzChain(t, true, p)
-		if okF != okI {
-			t.Fatalf("arms disagree on compilability: fused=%v interp=%v", okF, okI)
-		}
-		if !okF {
-			return
-		}
-		if !data.RowsEqual(fused, interp) {
-			t.Fatalf("fused and interpreted grouped outputs diverge\nfused:  %v\ninterp: %v", fused, interp)
-		}
+		checkFuzzArms(t, runFuzzChain(t, false, p), runFuzzChain(t, true, p))
 	})
 }

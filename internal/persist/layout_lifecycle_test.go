@@ -130,7 +130,7 @@ func TestViewLayoutLifecycle(t *testing.T) {
 	checkLayout(t, s2, "logs", []string{userSig}, 16, "after maintenance")
 	checkLayout(t, s2, "vkey", []string{userSig}, viewParts, "after maintenance")
 
-	// Fallback: the same append could only invalidate the AVG view. It
+	// The fallback — the same append could only invalidate the AVG view. It
 	// must vanish from store and catalog alike — partition metadata cannot
 	// outlive the bytes it describes.
 	if len(rep.Invalidated) != 1 || rep.Invalidated[0] != "vavg" {

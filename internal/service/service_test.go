@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,6 +15,8 @@ import (
 	"opportune/internal/obs"
 	"opportune/internal/session"
 	"opportune/internal/storage"
+	"opportune/internal/udf"
+	"opportune/internal/value"
 	"opportune/internal/workload"
 )
 
@@ -712,6 +715,52 @@ func TestServicePartitionStress(t *testing.T) {
 	for _, b := range []string{"twtr", "fsq", "land"} {
 		if _, p := sess.Store.Partitioning(b); p != parts {
 			t.Errorf("%s lost its clustering after appends (parts=%d, want %d)", b, p, parts)
+		}
+	}
+}
+
+// TestServiceUDFContract: a query whose UDF breaks its declared single-
+// output contract fails its own ticket with udf.ErrContract, under
+// ModeOriginal and ModeBFR at Workers 1 and 4, while its batchmate still
+// answers — through the per-query fallback the failed batch takes.
+func TestServiceUDFContract(t *testing.T) {
+	for _, mode := range []session.Mode{session.ModeOriginal, session.ModeBFR} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/W%d", mode, workers), func(t *testing.T) {
+				sess, _ := newTestSession(t, workers, 0)
+				if err := sess.Cat.UDFs.Register(&udf.Descriptor{
+					Name: "UDF_BAD", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"bad"},
+					Map: func(args, _ []value.V) [][]value.V {
+						if strings.Contains(args[0].Str(), "wine") {
+							return [][]value.V{{value.NewInt(1)}, {value.NewInt(2)}}
+						}
+						return [][]value.V{{value.NewInt(0)}}
+					},
+					TrueScalar: 2,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				svcReg := obs.NewRegistry()
+				svc := New(sess, Config{BatchSize: 2, MaxWait: 10 * time.Second, Mode: mode, Obs: svcReg})
+				bad, err := svc.Submit("t1", "CREATE TABLE bad_svc AS SELECT tweet_id, bad FROM twtr APPLY UDF_BAD(text)")
+				if err != nil {
+					t.Fatal(err)
+				}
+				good, err := svc.Submit("t2", workload.IngestQueries()[1].SQL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp := bad.Wait(); !errors.Is(resp.Err, udf.ErrContract) {
+					t.Errorf("violating query: error %v, want udf.ErrContract", resp.Err)
+				}
+				if resp := good.Wait(); resp.Err != nil {
+					t.Errorf("batchmate failed: %v", resp.Err)
+				}
+				svc.Close()
+				if got := svcReg.Snapshot().Counters["service_exec_fallbacks_total"]; got != 1 {
+					t.Errorf("exec fallbacks = %d, want 1", got)
+				}
+			})
 		}
 	}
 }

@@ -1,0 +1,181 @@
+package session
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"opportune/internal/obs"
+	"opportune/internal/plan"
+	"opportune/internal/udf"
+	"opportune/internal/value"
+)
+
+// contractSession is joinDemo at the given parallelism plus BAD, a map UDF
+// declared single-output that returns two rows for a "tea" text: there is
+// none in the demo's logs and a quarter of ivmBatch's rows carry one. The
+// session is instrumented with the returned registry.
+func contractSession(t *testing.T, workers int) (*Session, *obs.Registry) {
+	t.Helper()
+	s := joinDemo(t, 90)
+	s.Eng.Workers = workers
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	if err := s.Cat.UDFs.Register(&udf.Descriptor{
+		Name: "BAD", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"bad"},
+		Map: func(args, _ []value.V) [][]value.V {
+			if strings.Contains(args[0].Str(), "tea") {
+				return [][]value.V{{value.NewInt(1)}, {value.NewInt(2)}}
+			}
+			return [][]value.V{{value.NewInt(0)}}
+		},
+		TrueScalar: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return s, reg
+}
+
+// badMap is a map-only chain over BAD: one job, classified fused.
+func badMap() *plan.Node {
+	return plan.Project(plan.Apply(plan.Scan("logs"), "BAD", []string{"text"}), "id", "bad")
+}
+
+// badExplode runs BAD after the exploding WORDS: one job, classified
+// explode_udf, so the row interpreter runs BAD.
+func badExplode() *plan.Node {
+	return plan.Project(plan.Apply(plan.Apply(plan.Scan("logs"), "WORDS", []string{"text"}),
+		"BAD", []string{"text"}), "id", "word", "bad")
+}
+
+// badJoin is a maintainable aggregate of BAD's output over a join with BAD
+// on the logs side: an append's delta plan probes the users index,
+// classified probe. (A COUNT alone would not read BAD's column, and BFR
+// would answer it from b_join: BAD is declared neither to filter nor to
+// explode.)
+func badJoin() *plan.Node {
+	return plan.GroupAgg(plan.JoinNodes(plan.Apply(plan.Scan("logs"), "BAD", []string{"text"}),
+		plan.Scan("users"), "user", "uid"), []string{"tier"}, plan.AggSpec{Func: plan.AggSum, Col: "bad", As: "b"})
+}
+
+// TestUDFContract: a UDF that breaks its declared single-output contract
+// fails its query with udf.ErrContract on every session path — Run on a
+// fused job and on an interpreted (explode_udf) one, RunBatch, and the
+// delta jobs of AppendRows (classified probe) — under ModeOriginal and
+// ModeBFR at Workers 1 and 4. An append keeps its failure independence:
+// only the violator's view is invalidated, with the contract as its reason,
+// the others are maintained, and the next Run of that query fails typed.
+// Every violating query computes BAD's column, so no rewrite can answer it
+// from a view that was built without BAD.
+func TestUDFContract(t *testing.T) {
+	for _, mode := range []Mode{ModeOriginal, ModeBFR} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/W%d", mode, workers), func(t *testing.T) {
+				t.Run("Run", func(t *testing.T) {
+					s, reg := contractSession(t, workers)
+					if _, err := s.AppendRows("logs", ivmBatch(700, 15)); err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range []struct {
+						name    string
+						p       *plan.Node
+						counter string // the classification the failed job records
+					}{
+						{"fused", badMap(), "mr_fused_jobs_total"},
+						{"explode_udf", badExplode(), "mr_fused_fallback_total{reason=explode_udf}"},
+					} {
+						before := reg.Snapshot().Counters[c.counter]
+						if _, err := s.Run(c.p, "bad_"+c.name, mode); !errors.Is(err, udf.ErrContract) {
+							t.Errorf("%s: Run error %v, want udf.ErrContract", c.name, err)
+						}
+						if reg.Snapshot().Counters[c.counter] == before {
+							t.Errorf("%s: the failed job did not record %s", c.name, c.counter)
+						}
+					}
+					good := BatchQuery{Plan: q(), ResultName: "good", Mode: mode}
+					_, err := s.RunBatch([]BatchQuery{good, {Plan: badMap(), ResultName: "bad_batch", Mode: mode}})
+					if !errors.Is(err, udf.ErrContract) {
+						t.Errorf("RunBatch error %v, want udf.ErrContract", err)
+					}
+					if _, err := s.Run(good.Plan, good.ResultName, mode); err != nil {
+						t.Errorf("a query that keeps the contract fails after the violations: %v", err)
+					}
+				})
+				t.Run("AppendRows", func(t *testing.T) {
+					// The views are built as written, as the maintenance
+					// tests build theirs: mode applies to the Run after.
+					s, reg := contractSession(t, workers)
+					views := append(pipelineQueries(), BatchQuery{Plan: badJoin(), ResultName: "bad_join"})
+					for _, v := range views {
+						if _, err := s.Run(v.Plan, v.ResultName, ModeOriginal); err != nil {
+							t.Fatal(err)
+						}
+					}
+					probes := reg.Snapshot().Counters["mr_fused_fallback_total{reason=probe}"]
+					rep, err := s.AppendRows("logs", ivmBatch(700, 15))
+					if err != nil {
+						t.Fatalf("AppendRows failed as a whole: %v", err)
+					}
+					if reg.Snapshot().Counters["mr_fused_fallback_total{reason=probe}"] == probes {
+						t.Error("no delta job was classified probe")
+					}
+					if !slices.Contains(rep.Invalidated, "bad_join") ||
+						!strings.Contains(rep.Reasons["bad_join"], udf.ErrContract.Error()) {
+						t.Errorf("bad_join: invalidated %v, reasons %v; want invalidated for the contract",
+							rep.Invalidated, rep.Reasons)
+					}
+					for _, v := range pipelineQueries() {
+						if !slices.Contains(rep.Maintained, v.ResultName) {
+							t.Errorf("%s not maintained beside the violator: reasons %v", v.ResultName, rep.Reasons)
+						}
+					}
+					checkStoreInvariant(t, s)
+					if _, err := s.Run(badJoin(), "bad_join", mode); !errors.Is(err, udf.ErrContract) {
+						t.Errorf("Run after the append: error %v, want udf.ErrContract", err)
+					}
+				})
+			})
+		}
+	}
+}
+
+// errBoom is what the PANIC UDF panics with.
+var errBoom = errors.New("boom")
+
+// TestUDFPanicKeepsItsError: a UDF that panics with an error value fails
+// Run and RunBatch with an error errors.Is still finds, at Workers 1 and 4
+// — the recovered value is wrapped, not formatted.
+func TestUDFPanicKeepsItsError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("W%d", workers), func(t *testing.T) {
+			s := demo(t, 90)
+			s.Eng.Workers = workers
+			if err := s.Cat.UDFs.Register(&udf.Descriptor{
+				Name: "PANIC", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"p"},
+				Map: func(args, _ []value.V) [][]value.V {
+					if args[0].Str() == "coffee" {
+						panic(errBoom)
+					}
+					return [][]value.V{{value.NewInt(1)}}
+				},
+				TrueScalar: 2,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			p := plan.Apply(plan.Scan("logs"), "PANIC", []string{"text"})
+			if _, err := s.Run(p, "p_run", ModeOriginal); !errors.Is(err, errBoom) {
+				t.Errorf("Run error %v, want errBoom", err)
+			}
+			grouped := plan.GroupAgg(p, []string{"user"}, plan.AggSpec{Func: plan.AggSum, Col: "p", As: "s"})
+			_, err := s.RunBatch([]BatchQuery{
+				{Plan: p, ResultName: "p_a", Mode: ModeOriginal},
+				{Plan: grouped, ResultName: "p_b", Mode: ModeOriginal},
+			})
+			if !errors.Is(err, errBoom) {
+				t.Errorf("RunBatch error %v, want errBoom", err)
+			}
+		})
+	}
+}

@@ -19,6 +19,7 @@
 package udf
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -53,8 +54,33 @@ const (
 // MapFn is the per-tuple local function of a KindMap UDF: it receives the
 // bound argument values and literal parameters and returns zero or more
 // output-value rows (each of width len(OutNames)). Returning no rows drops
-// the tuple (a filter); returning several explodes it.
+// the tuple (a filter); returning several explodes it, which only a UDF
+// declared Explode may do (CheckMap).
 type MapFn func(args, params []value.V) [][]value.V
+
+// ErrContract is the error a UDF fails its query with when what it returns
+// contradicts its declaration: the (A,F,K) annotation the rewriter reasons
+// with is only as true as the shape the UDF keeps.
+var ErrContract = errors.New("udf contract violated")
+
+// CheckMap enforces a KindMap UDF's declared output shape on one Map result:
+// a UDF not declared Explode returns at most one row, and every row has
+// len(OutNames) values. It is the one check both map paths — the fused
+// kernel and the row interpreter — run on every call. A violation panics
+// with an error wrapping ErrContract: the engine's path for failing user
+// code, which fails the map task and with it the job.
+func (d *Descriptor) CheckMap(outs [][]value.V) {
+	if len(outs) > 1 && !d.Explode {
+		panic(fmt.Errorf("%w: %s returned %d rows for one input but is not declared Explode",
+			ErrContract, d.Name, len(outs)))
+	}
+	for _, row := range outs {
+		if len(row) != len(d.OutNames) {
+			panic(fmt.Errorf("%w: %s returned a row of %d values, it declares %d outputs",
+				ErrContract, d.Name, len(row), len(d.OutNames)))
+		}
+	}
+}
 
 // PreMapFn is the optional map-side local function of a KindAgg UDF: it
 // turns one input tuple into a (group key, payload) pair, or drops it. The

@@ -204,9 +204,19 @@ func (sys *System) ClusterTable(table string, columns []string, buckets int) err
 	return nil
 }
 
+// ErrUDFContract is the error a query fails with when a UDF breaks its
+// declaration: a MapUDF not declared Explode returns two or more rows for
+// one input, any returned row's width differs from len(Outputs), or a UDF
+// returns a value of a type the system does not store. Test for it with
+// errors.Is.
+var ErrUDFContract = udf.ErrContract
+
 // MapUDF declares a per-tuple UDF (model operation types 1 and 2): it adds
 // Outputs columns computed from Args argument columns, may drop tuples
-// (Filters), and may emit several rows per input (Explode).
+// (Filters), and may emit several rows per input (Explode). Fn keeps that
+// declaration: without Explode it returns at most one row, and every row it
+// returns has len(Outputs) values; otherwise the query fails with
+// ErrUDFContract.
 //
 // Ownership: the args and params slices Fn receives are valid only for the
 // call — read them, do not keep or modify them; keep the values in them if
@@ -245,7 +255,7 @@ func (sys *System) RegisterMapUDF(m MapUDF) error {
 			for _, r := range rows {
 				vr, err := toValues(r)
 				if err != nil {
-					panic(fmt.Sprintf("opportune: UDF %s emitted %v", m.Name, err))
+					panic(fmt.Errorf("%w: UDF %s emitted %v", ErrUDFContract, m.Name, err))
 				}
 				out = append(out, vr)
 			}
@@ -295,7 +305,7 @@ func (sys *System) RegisterAggUDF(a AggUDF) error {
 			}
 			vr, err := toValues(out)
 			if err != nil {
-				panic(fmt.Sprintf("opportune: UDF %s emitted %v", a.Name, err))
+				panic(fmt.Errorf("%w: UDF %s emitted %v", ErrUDFContract, a.Name, err))
 			}
 			return vr
 		},

@@ -1,6 +1,7 @@
 package opportune
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -422,5 +423,46 @@ func TestFacadeRejectsWrongWidthRows(t *testing.T) {
 	}
 	if !reflect.DeepEqual(after.Rows, before.Rows) {
 		t.Errorf("a rejected append changed an answer:\n got %v\nwant %v", after.Rows, before.Rows)
+	}
+}
+
+// TestFacadeUDFContract: a UDF that breaks its declaration fails its query
+// with ErrUDFContract — a MapUDF not declared Explode that returns two rows,
+// one that returns a row of the wrong width, and a map or agg UDF that
+// returns a value of an unsupported type — while a well-behaved query on
+// the same system still answers.
+func TestFacadeUDFContract(t *testing.T) {
+	sys := demoSystem(t)
+	maps := map[string]func(args, _ []any) [][]any{
+		"TWO": func(args, _ []any) [][]any {
+			if args[0] == "coffee" {
+				return [][]any{{1}, {2}}
+			}
+			return [][]any{{0}}
+		},
+		"WIDE":  func(args, _ []any) [][]any { return [][]any{{0, 1}} },
+		"SHORT": func(args, _ []any) [][]any { return [][]any{{}} },
+		"ODD":   func(args, _ []any) [][]any { return [][]any{{struct{}{}}} },
+	}
+	for name, fn := range maps {
+		if err := sys.RegisterMapUDF(MapUDF{Name: name, Args: 1, Outputs: []string{"o_" + name}, Fn: fn}); err != nil {
+			t.Fatal(err)
+		}
+		sql := fmt.Sprintf("SELECT id, o_%s FROM logs APPLY %s(text)", name, name)
+		if _, err := sys.ExecOne(sql); !errors.Is(err, ErrUDFContract) {
+			t.Errorf("%s: error %v, want ErrUDFContract", name, err)
+		}
+	}
+	if err := sys.RegisterAggUDF(AggUDF{
+		Name: "ODDAGG", Args: 2, Keys: []string{"user"}, KeyArgs: []int{0}, Outputs: []string{"x"},
+		Reduce: func(_ []any, _ [][]any, _ []any) []any { return []any{struct{}{}} },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.ExecOne("SELECT user, x FROM logs APPLY ODDAGG(user, id)"); !errors.Is(err, ErrUDFContract) {
+		t.Errorf("ODDAGG: error %v, want ErrUDFContract", err)
+	}
+	if _, err := sys.ExecOne("SELECT user, SUM(score) AS s FROM logs APPLY WINE(text) GROUP BY user"); err != nil {
+		t.Errorf("a query that keeps the contract fails beside the violations: %v", err)
 	}
 }
