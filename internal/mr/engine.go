@@ -76,14 +76,11 @@ const (
 	// over raw payload rows — no typed partial state to specialize on
 	// (reduce-side fusion only).
 	FuseAggUDF = "agg_udf"
-	// FuseProbe: a chain contains an index probe (a delta join compiled
-	// map-side), which runs on the interpreter over the delta's few rows.
-	FuseProbe = "probe"
 )
 
 // FuseFallbackReasons enumerates the taxonomy in recording order, so the
 // counter family's key set is fixed regardless of which reasons fire.
-var FuseFallbackReasons = []string{FuseExplodeUDF, FuseUnsupportedOp, FuseSchemaMismatch, FuseProbe}
+var FuseFallbackReasons = []string{FuseExplodeUDF, FuseUnsupportedOp, FuseSchemaMismatch}
 
 // FuseReduceFallbackReasons is the mr_fused_reduce_fallback_total label
 // taxonomy, fixed in recording order like FuseFallbackReasons.
@@ -175,10 +172,10 @@ func (o *GroupOut) seal(key string) redOut {
 // FusedReduceEligible marks any reduce job, FusedReduce one whose combine
 // and reduce phases compiled into columnar agg kernels (Combine/BatchReduce
 // set), and FusedReduceFallback the single reason when eligible but not
-// fused. FusedCrossBoundary additionally marks a partition-local job whose
-// map kernel was fused *through* the (local) shuffle boundary into the
-// combine fold. Purely observational: the engine publishes it and tallies
-// fused work by it, never executes differently for it.
+// fused. FusedCrossBoundary additionally marks a job whose map kernel was
+// fused *through* the shuffle boundary into the combine fold. Purely
+// observational: the engine publishes it and tallies fused work by it,
+// never executes differently for it.
 type Fusion struct {
 	FusedEligible       bool
 	Fused               bool
@@ -736,7 +733,7 @@ func (e *Engine) splitInputs(job *Job, res *Result) ([]mapSplit, error) {
 func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 	ctx := sp.ctx
 	for _, ix := range ixs { // the attempt's own handles on the job's indexes
-		ctx.Probes = append(ctx.Probes, &Probe{ix: ix})
+		ctx.Probes = append(ctx.Probes, NewProbe(ix))
 	}
 	out := getKeyedBuf(len(sp.rows))
 	keyed := job.keyed()

@@ -23,6 +23,10 @@ type Probe struct {
 	rows, bytes int64
 }
 
+// NewProbe returns a map task's handle on an index, with nothing charged
+// yet: the engine opens one per task and job probe (TaskCtx.Probes).
+func NewProbe(ix *storage.Index) *Probe { return &Probe{ix: ix} }
+
 // Lookup returns the positions of the stored rows whose indexed column
 // encodes to key (data.KeyEncoder.KeyOf), ascending, charging them to the
 // task.

@@ -350,7 +350,7 @@ func (o *Optimizer) resolveParts(p afk.Partitioning) afk.Partitioning {
 // the bucket and that bucket count, or (0, 0) when the job must shuffle.
 func (o *Optimizer) partitionMatch(j *JobNode) (int, int) {
 	for _, st := range j.streams {
-		if st.hasProbe() {
+		if st.probes() > 0 {
 			return 0, 0 // a probe emits where its split sits, in no bucket
 		}
 	}

@@ -223,20 +223,21 @@ func passThrough(mr.TaskCtx) rowEmit {
 	return func(_ int, row data.Row, emit mr.Emit) { emit("", row) }
 }
 
-// attachMapSide wires a job's batch map side, iff the job classified fused:
-// a BatchMapFactory running each stream's fused program. When a cross-
-// boundary agg kernel is supplied (partition-local grouped jobs), the batch
-// map instead runs scan→filter→project→group→partial-finalize in one pass,
-// emitting already-combined records; this path is attached even when the
-// map chain alone was not fusion-eligible (a bare scan runs the identity
-// program), in which case the engine tallies no mr_fused_* map work.
+// attachMapSide wires a job's batch map side. With a cross-boundary agg
+// kernel (every single-stream group-agg whose map program compiled) the
+// batch map runs the program and folds its surviving selection straight
+// into the group partials, emitting already-combined records; this path is
+// attached even when the map chain alone was not fusion-eligible (a bare
+// scan runs the identity program), in which case the engine tallies no
+// mr_fused_* map work. Otherwise a job classified fused runs each stream's
+// program into its boundary emitter.
 func (o *Optimizer) attachMapSide(job *mr.Job, progs []*fusedProg, bf boundaryFactory, retain bool, cross *aggKernel) {
 	if cross != nil {
-		job.BatchMapFactory = func(mr.TaskCtx) mr.BatchMapFunc {
+		job.BatchMapFactory = func(ctx mr.TaskCtx) mr.BatchMapFunc {
 			return func(input int, rows []data.Row, emit mr.Emit) mr.BatchReport {
-				sel, bufs := runFusedStages(progs[input], rows)
-				n := cross.batchCross(progs[input], rows, bufs, sel, emit)
-				releaseFusedBufs(sel, bufs)
+				b := runFusedStages(progs[input], rows, ctx.Probes)
+				n := cross.batchCross(progs[input], &b, emit)
+				b.release()
 				return mr.BatchReport{Combined: true, CombineRows: n}
 			}
 		}
@@ -248,7 +249,7 @@ func (o *Optimizer) attachMapSide(job *mr.Job, progs []*fusedProg, bf boundaryFa
 	job.BatchMapFactory = func(ctx mr.TaskCtx) mr.BatchMapFunc {
 		be := bf(ctx)
 		return func(input int, rows []data.Row, emit mr.Emit) mr.BatchReport {
-			runFusedBatch(progs[input], rows, retain, func(row data.Row) { be(input, row, emit) })
+			runFusedBatch(progs[input], rows, ctx.Probes, retain, func(row data.Row) { be(input, row, emit) })
 			return mr.BatchReport{}
 		}
 	}
@@ -258,29 +259,20 @@ func (o *Optimizer) attachMapSide(job *mr.Job, progs []*fusedProg, bf boundaryFa
 // fusion classification. A job is eligible when any stream has operators to
 // fuse; it runs fused only when every operator stream compiled (all-or-
 // nothing per job, so a batch never mixes paths across streams of one
-// boundary). Bare-scan streams inside a fused job get identity programs.
-// The first failing stream's reason wins.
+// boundary). Bare-scan streams get identity programs. The first failing
+// stream's reason wins.
 func (o *Optimizer) classifyFusion(jn *JobNode, job *mr.Job, progs []*fusedProg) {
 	eligible, allFused := false, true
 	reason := ""
+	k := 0 // the job's index of the stream's first probe
 	for i, st := range jn.streams {
-		if len(st.ops) == 0 {
-			progs[i] = identityProg(len(st.srcCols))
-			continue
+		var r string
+		progs[i], r = o.buildFused(st, k)
+		k += st.probes()
+		eligible = eligible || len(st.ops) > 0
+		if r != "" && reason == "" {
+			allFused, reason = false, r
 		}
-		eligible = true
-		p, r := o.buildFused(st)
-		if p == nil {
-			allFused = false
-			if reason == "" {
-				reason = r
-				if reason == "" {
-					reason = mr.FuseUnsupportedOp
-				}
-			}
-			continue
-		}
-		progs[i] = p
 	}
 	job.FusedEligible = eligible
 	job.Fused = eligible && allFused

@@ -1,13 +1,16 @@
 package optimizer
 
 import (
+	"fmt"
 	"testing"
 
 	"opportune/internal/afk"
+	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/expr"
 	"opportune/internal/mr"
 	"opportune/internal/plan"
+	"opportune/internal/storage"
 	"opportune/internal/value"
 )
 
@@ -169,6 +172,47 @@ func BenchmarkFusedGroupAgg(b *testing.B) {
 		b.Fatal("grouped plan did not reduce-fuse across the boundary")
 	}
 	fI, wI, jI := benchAggFixture(b, groupAggBenchPlan())
+	b.Run("fused", func(b *testing.B) { benchRunJobs(b, fF, wF, jF, false) })
+	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, wI, jI, true) })
+}
+
+// BenchmarkProbeDeltaJob times an append's delta job of the ingest shape —
+// a COUNT per user over a 200-row delta joined to a stored log through its
+// hash index — fused (the probe opens a segment; the cross fold counts the
+// matches without building a joined row) against the same compiled job on
+// the row interpreter. The index is built before the timer starts, as a
+// warm append finds it.
+func BenchmarkProbeDeltaJob(b *testing.B) {
+	build := func() (*fixture, *Work, []*mr.Job) {
+		f := newFixture(b, 2000) // 200 tweets for each of 10 users
+		rel := data.NewRelation(data.NewSchema("uid", "name"))
+		for i := int64(0); i < 200; i++ {
+			rel.Append(data.Row{value.NewInt(i % 57), value.NewStr(fmt.Sprintf("u%d", i%57))})
+		}
+		f.store.Put("~delta~users", storage.Base, rel)
+		f.cat.RegisterBase("~delta~users", []string{"uid", "name"}, "", cost.Stats{Rows: 200, Bytes: rel.EncodedSize()}, nil)
+		f.cat.MarkDelta("~delta~users")
+		f.eng.Workers = 1
+		w, err := f.opt.Compile(plan.GroupAgg(plan.JoinNodes(plan.Scan("~delta~users"),
+			plan.ProjectAs(plan.Scan("twtr"), []string{"user_id", "tweet_id"}, []string{"poster", "tweet_id"}), "uid", "poster"),
+			[]string{"uid"}, plan.AggSpec{Func: plan.AggCount, As: "n"}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs, err := f.opt.Executable(w, "bench_probe")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(jobs) != 1 || len(jobs[0].Probes) != 1 || !jobs[0].Fused {
+			b.Fatal("the delta join did not compile as one fused probe job")
+		}
+		if _, _, err := f.store.Index("twtr", "user_id"); err != nil {
+			b.Fatal(err)
+		}
+		return f, w, jobs
+	}
+	fF, wF, jF := build()
+	fI, wI, jI := build()
 	b.Run("fused", func(b *testing.B) { benchRunJobs(b, fF, wF, jF, false) })
 	b.Run("interpreted", func(b *testing.B) { benchRunJobs(b, fI, wI, jI, true) })
 }

@@ -42,11 +42,12 @@ func fusionChaosPlan() *fault.Plan {
 // fusionWorkload covers every boundary kind and every fusable predicate and
 // stage shape: a 3-stage map-only chain, a string-compare filter, an
 // attribute-equality filter, group-agg over an opaque-filtered UDF chain, a
-// join with chains on both sides, an aggregate UDF, a sort, and — the
-// compile-time fallback — an exploding-UDF word count.
+// join with chains on both sides, an aggregate UDF, a sort, an
+// exploding-UDF word count (the compile-time fallback), and the delta joins
+// of probeShapes.
 func fusionWorkload() []*plan.Node {
 	scored := func() *plan.Node { return plan.Apply(plan.Scan("twtr"), "UDF_WINE_SCORE", []string{"text"}) }
-	return []*plan.Node{
+	ws := []*plan.Node{
 		plan.Project(plan.Filter(scored(), expr.NewCmp("wine_score", expr.Gt, value.NewFloat(0))),
 			"tweet_id", "user_id", "wine_score"),
 		plan.Project(plan.Filter(plan.Scan("twtr"), expr.NewCmp("text", expr.Gt, value.NewStr("bad day"))),
@@ -79,18 +80,73 @@ func fusionWorkload() []*plan.Node {
 			plan.AggSpec{Func: plan.AggSum, Col: "wine_score", As: "s"},
 			plan.AggSpec{Func: plan.AggAvg, Col: "tweet_id", As: "m"},
 			plan.AggSpec{Func: plan.AggMin, Col: "wine_score", As: "lo"}),
-		// NULL inputs (the nums table, nullsQueries): partition-local on g
-		// through the cross kernel, bare and filtered, and non-local on h
-		// through the combine kernel; every one then reduces on the kernel.
+	}
+	ws = append(ws, probeShapes()...)
+	return append(ws,
+		// NULL inputs (the nums table, nullsQueries): through the cross
+		// kernel partition-local on g, bare and filtered, and non-local on
+		// h; through the combine kernel behind an exploding UDF, whose map
+		// side runs on the interpreter. Every one reduces on the kernel.
 		plan.GroupAgg(plan.Scan("nums"), []string{"g"}, nullAggs()...),
 		plan.GroupAgg(plan.Filter(plan.Scan("nums"), expr.NewCmp("id", expr.Ge, value.NewInt(40))), []string{"g"}, nullAggs()...),
 		plan.GroupAgg(plan.Scan("nums"), []string{"h"}, nullAggs()...),
-	}
+		plan.GroupAgg(plan.Apply(plan.Scan("nums"), "UDF_PAIRS", []string{"id"}), []string{"h"}, nullAggs()...),
+	)
 }
 
 // nullsQueries is how many queries at the end of fusionWorkload aggregate
-// nums, each grouping by its first column and computing nullAggs.
-const nullsQueries = 3
+// nums, each grouping by h or g and computing nullAggs; all but the last
+// run the cross kernel.
+const nullsQueries = 4
+
+// probeShapes are delta joins compiled as index probes, over withDelta's
+// five-row ~delta~users (a repeated, a null and an unmatched uid) and
+// putBigDelta's 150-row ~delta~big (three map splits at 64 rows): the delta
+// on either side, a renamed key, a filter and a map UDF on the indexed
+// side, a UDF on the delta before the probe, two probes deep, a map-only
+// join at the root, and aggregates that read indexed-side columns.
+func probeShapes() []*plan.Node {
+	scan := plan.Scan
+	count := plan.AggSpec{Func: plan.AggCount, As: "n"}
+	return []*plan.Node{
+		plan.GroupAgg(plan.JoinNodes(scan("~delta~big"), scan("twtr"), "uid", "user_id"), []string{"name"}, count,
+			plan.AggSpec{Func: plan.AggSum, Col: "tweet_id", As: "s"},
+			plan.AggSpec{Func: plan.AggMax, Col: "text", As: "hi"}),
+		plan.GroupAgg(plan.JoinNodes(scan("twtr"), scan("~delta~users"), "user_id", "uid"), []string{"name"}, count,
+			plan.AggSpec{Func: plan.AggMin, Col: "tweet_id", As: "lo"}),
+		plan.GroupAgg(plan.JoinNodes(scan("~delta~users"),
+			plan.ProjectAs(scan("twtr"), []string{"tweet_id", "user_id"}, []string{"tweet_id", "poster"}), "uid", "poster"),
+			[]string{"name"}, count),
+		plan.GroupAgg(plan.JoinNodes(scan("~delta~big"),
+			plan.Filter(plan.Apply(scan("twtr"), "UDF_WINE_SCORE", []string{"text"}), expr.NewCmp("wine_score", expr.Gt, value.NewFloat(0))),
+			"uid", "user_id"), []string{"name"},
+			plan.AggSpec{Func: plan.AggAvg, Col: "wine_score", As: "m"},
+			plan.AggSpec{Func: plan.AggSum, Col: "wine_score", As: "s"}),
+		plan.GroupAgg(plan.JoinNodes(plan.JoinNodes(plan.Apply(scan("~delta~big"), "BUCKET", []string{"uid"}), scan("twtr"), "uid", "user_id"),
+			plan.ProjectAs(scan("users"), []string{"uid", "name"}, []string{"uid2", "name2"}), "uid", "uid2"),
+			[]string{"bucket", "name2"}, count, plan.AggSpec{Func: plan.AggSum, Col: "tweet_id", As: "s"}),
+		plan.Filter(plan.JoinNodes(scan("~delta~big"),
+			plan.Filter(scan("twtr"), expr.NewCmp("tweet_id", expr.Lt, value.NewInt(150))), "uid", "user_id"),
+			expr.NewCmp("name", expr.Ne, value.NewStr("n1"))),
+	}
+}
+
+// putBigDelta installs ~delta~big(uid, name), marked as a delta: 150 rows,
+// uid = i mod 13 (10..12 match no twtr user) and NULL on every seventh
+// row, name one of five.
+func putBigDelta(f *fixture) {
+	rel := data.NewRelation(data.NewSchema("uid", "name"))
+	for i := int64(0); i < 150; i++ {
+		uid := value.NewInt(i % 13)
+		if i%7 == 3 {
+			uid = value.NullV
+		}
+		rel.Append(data.Row{uid, value.NewStr(fmt.Sprintf("n%d", i%5))})
+	}
+	f.store.Put("~delta~big", storage.Base, rel)
+	f.cat.RegisterBase("~delta~big", []string{"uid", "name"}, "", cost.Stats{Rows: 150, Bytes: rel.EncodedSize()}, nil)
+	f.cat.MarkDelta("~delta~big")
+}
 
 // nullAggs puts every built-in over the nullable column x, beside COUNT(*).
 func nullAggs() []plan.AggSpec {
@@ -161,6 +217,7 @@ type fusionOutcome struct {
 	rels   []*data.Relation
 	canons [][]string
 	cross  []bool // the query's grouped job ran the cross-boundary kernel
+	probes int    // jobs that probe an index, every one classified fused
 	snap   obs.Snapshot
 }
 
@@ -217,17 +274,15 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
 	putNums(f)
+	withDelta(t, f, true)
+	putBigDelta(f)
+	registerTokenize(t, f)
 	if err := f.cat.UDFs.Register(&udf.Descriptor{
-		Name: "UDF_TOKENIZE", NArgs: 1, Kind: udf.KindMap,
-		OutNames: []string{"word"}, Explode: true,
+		Name: "UDF_PAIRS", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"copy"}, Explode: true,
 		Map: func(args, _ []value.V) [][]value.V {
-			var out [][]value.V
-			for _, w := range strings.Fields(args[0].Str()) {
-				out = append(out, []value.V{value.NewStr(w)})
-			}
-			return out
+			return [][]value.V{{value.NewInt(0)}, {value.NewInt(1)}}
 		},
-		TrueScalar: 3,
+		TrueScalar: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +323,12 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 		cross := false
 		for _, j := range jobs {
 			cross = cross || j.FusedCrossBoundary
+			if len(j.Probes) > 0 {
+				out.probes++
+				if !j.Fused {
+					t.Errorf("query %d: %s probes but fell back (%s)", qi, j.Name, j.FuseFallback)
+				}
+			}
 		}
 		out.cross = append(out.cross, cross)
 		if _, err := runArm(t, f, w, jobs, interp); err != nil {
@@ -371,13 +432,25 @@ func TestFusionDifferentialOracle(t *testing.T) {
 			if groups == 0 || rows == 0 {
 				t.Errorf("fused arm folded groups=%d rows=%d, want both > 0", groups, rows)
 			}
+			// Delta joins: every probe shape probed on the fused kernel and
+			// produced rows.
+			nProbes := len(probeShapes())
+			if refFused.probes != nProbes || refFused.snap.Counters["mr_probe_rows_total"] == 0 {
+				t.Errorf("%d probing jobs matched %d stored rows, want %d jobs and some rows",
+					refFused.probes, refFused.snap.Counters["mr_probe_rows_total"], nProbes)
+			}
+			for qi := len(refFused.rels) - nullsQueries - nProbes; qi < len(refFused.rels)-nullsQueries; qi++ {
+				if refFused.rels[qi].Len() == 0 {
+					t.Errorf("probe query %d produced no rows; it checks nothing", qi)
+				}
+			}
 			// NULL inputs: the nums queries went through the cross kernel
-			// (the two grouped by the layout key) and the combine kernel
-			// (the third), and their all-NULL groups come out as the
-			// reference says.
+			// (all but the exploding one, partition-local or not) and the
+			// combine kernel (the last), and their all-NULL groups come out
+			// as the reference says.
 			for i := 0; i < nullsQueries; i++ {
 				qi := len(refFused.rels) - nullsQueries + i
-				if want := i < 2; refFused.cross[qi] != want {
+				if want := i < nullsQueries-1; refFused.cross[qi] != want {
 					t.Errorf("nums query %d: cross-boundary = %v, want %v", qi, refFused.cross[qi], want)
 				}
 				checkNullGroups(t, qi, refInterp.rels[qi])
@@ -446,6 +519,26 @@ func TestFusionDifferentialOracle(t *testing.T) {
 	}
 }
 
+// registerTokenize registers UDF_TOKENIZE, an exploding UDF that emits one
+// row per word of its text argument.
+func registerTokenize(t testing.TB, f *fixture) {
+	t.Helper()
+	if err := f.cat.UDFs.Register(&udf.Descriptor{
+		Name: "UDF_TOKENIZE", NArgs: 1, Kind: udf.KindMap,
+		OutNames: []string{"word"}, Explode: true,
+		Map: func(args, _ []value.V) [][]value.V {
+			var out [][]value.V
+			for _, w := range strings.Fields(args[0].Str()) {
+				out = append(out, []value.V{value.NewStr(w)})
+			}
+			return out
+		},
+		TrueScalar: 3,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runOneFusionPlan executes a single plan on a fresh fixture arm and returns
 // the result fingerprint and counter snapshot.
 func runOneFusionPlan(t *testing.T, interp bool, register func(*fixture), p *plan.Node) (uint64, map[string]int64) {
@@ -483,22 +576,7 @@ func runOneFusionPlan(t *testing.T, interp bool, register func(*fixture), p *pla
 // eligible but not fused, reason explode_udf) and the output is still
 // identical to the interpreter arm.
 func TestFusionExplodeFallback(t *testing.T) {
-	register := func(f *fixture) {
-		if err := f.cat.UDFs.Register(&udf.Descriptor{
-			Name: "UDF_TOKENIZE", NArgs: 1, Kind: udf.KindMap,
-			OutNames: []string{"word"}, Explode: true,
-			Map: func(args, _ []value.V) [][]value.V {
-				var out [][]value.V
-				for _, w := range strings.Fields(args[0].Str()) {
-					out = append(out, []value.V{value.NewStr(w)})
-				}
-				return out
-			},
-			TrueScalar: 3,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	register := func(f *fixture) { registerTokenize(t, f) }
 	p := plan.GroupAgg(plan.Apply(plan.Scan("twtr"), "UDF_TOKENIZE", []string{"text"}),
 		[]string{"word"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
 	fpF, cF := runOneFusionPlan(t, false, register, p)

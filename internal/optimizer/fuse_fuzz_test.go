@@ -3,6 +3,7 @@ package optimizer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,24 +101,43 @@ func fuzzChainCols(raw []byte) (*plan.Node, []string) {
 	return p, cols
 }
 
+// probeMark, as a first byte, makes fuzzAggChain join the decoded chain
+// under withDelta's marked ~delta~users (probeMark+1: with the delta on the
+// right), so the chain becomes a probe's indexed side.
+const probeMark = 0xde
+
 // fuzzAggChain decodes a map chain plus a trailing GroupAgg: the last three
 // bytes choose the group keys and two aggregates over whatever columns the
 // chain left in scope (SUM/AVG restricted to numeric columns — a mistyped
 // aggregate is a compile- or run-time error on both arms, not a fusion
-// difference worth fuzzing). Grouping by user_id over a chain that keeps it
-// reaches the cross-boundary kernel; other keys reach the plain combine +
-// reduce kernels; explode/violator ops in the chain reach the fallback path
-// and the contract failure under a grouped boundary.
+// difference worth fuzzing). Every group-by whose chain compiled reaches
+// the cross-boundary kernel; explode/violator ops in the chain reach the
+// fallback path (the combine + reduce kernels) and the contract failure
+// under a grouped boundary. Behind probeMark the chain is a delta join's
+// indexed side: an index probe when it keeps user_id and is record-local.
 func fuzzAggChain(raw []byte) *plan.Node {
 	if len(raw) < 3 {
 		return nil
 	}
-	p, cols := fuzzChainCols(raw[:len(raw)-3])
+	probe := len(raw) > 3 && raw[0]&^1 == probeMark
+	chain := raw[:len(raw)-3]
+	if probe {
+		chain = chain[1:]
+	}
+	p, cols := fuzzChainCols(chain)
 	if p == nil {
 		p, cols = plan.Scan("twtr"), []string{"tweet_id", "user_id", "text"}
 	}
+	if probe && slices.Contains(cols, "user_id") {
+		delta, dcols := plan.Scan("~delta~users"), []string{"uid", "name"}
+		if raw[0] == probeMark {
+			p, cols = plan.JoinNodes(delta, p, "uid", "user_id"), append(dcols, cols...)
+		} else {
+			p, cols = plan.JoinNodes(p, delta, "user_id", "uid"), append(slices.Clone(cols), dcols...)
+		}
+	}
 	tail := raw[len(raw)-3:]
-	numeric := map[string]bool{"tweet_id": true, "user_id": true, "fz_len": true, "fz_keep": true, "fz_v": true}
+	numeric := map[string]bool{"tweet_id": true, "user_id": true, "uid": true, "fz_len": true, "fz_keep": true, "fz_v": true}
 	keys := []string{cols[int(tail[0])%len(cols)]}
 	if tail[0] >= 128 && len(cols) > 1 {
 		if second := cols[int(tail[0]/8)%len(cols)]; second != keys[0] {
@@ -152,11 +172,12 @@ func fuzzAggChain(raw []byte) *plan.Node {
 	return plan.GroupAgg(p, keys, aggs...)
 }
 
-// fuzzFixture registers the fuzz UDF/predicate set on a fresh fixture arm.
-// Every function is deterministic in its arguments: the differential oracle
-// depends on it.
+// fuzzFixture registers the fuzz UDF/predicate set, and withDelta's marked
+// delta, on a fresh fixture arm. Every function is deterministic in its
+// arguments: the differential oracle depends on it.
 func fuzzFixture(t testing.TB) *fixture {
 	f := newFixture(t, 200)
+	withDelta(t, f, true)
 	for _, d := range []*udf.Descriptor{
 		{Name: "UDF_FZ_LEN", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"fz_len"},
 			Map: func(args, _ []value.V) [][]value.V {
@@ -286,6 +307,13 @@ func FuzzFusedAgg(f *testing.F) {
 	f.Add([]byte{0x07, 0x02, 0x01, 0x00, 0x07})       // explode then group
 	f.Add([]byte{0x06, 0x02, 0x01, 0x0a, 0x18})       // violator then group
 	f.Add([]byte{0x03, 0x02, 0x05, 0x01, 0x01, 0x12}) // opaque, maybe-UDF, group
+	// Probe chains: the decoded chain is a delta join's indexed side.
+	f.Add([]byte{probeMark, 0x01, 0x09, 0x0a})                         // delta ⋈ twtr, key=name
+	f.Add([]byte{probeMark + 1, 0x01, 0x21, 0x03, 0x0a, 0x11})         // twtr filtered ⋈ delta
+	f.Add([]byte{probeMark, 0x04, 0x02, 0x01, 0x49, 0x01, 0x39, 0x29}) // UDF, filter: SUM/AVG of fz_len
+	f.Add([]byte{probeMark, 0x05, 0x00, 0x00, 0x0d, 0x2e})             // filtering UDF, project
+	f.Add([]byte{probeMark + 1, 0x06, 0x02, 0x09, 0x0a, 0x18})         // violator on the indexed side
+	f.Add([]byte{probeMark, 0x07, 0x02, 0x01, 0x00, 0x07})             // explode: a shuffle join
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p := fuzzAggChain(raw)
 		if p == nil {

@@ -13,10 +13,12 @@
 //   - The reduce kernel (mr.Job.BatchReduce) folds a whole reduce partition
 //     the same way and emits finalized output rows with keys in ascending
 //     order — the order the engine merges reduce output in.
-//   - For partition-local keyed jobs the shuffle boundary is local, so the
+//   - For every single-stream group-by whose map program compiled, the
 //     cross-boundary kernel runs the combine fold directly over the fused
-//     map pipeline's surviving selection: scan→filter→project→group→
-//     partial-finalize in one pass, with no per-row partial row ever built.
+//     map pipeline's surviving selection: scan→filter→probe→group→
+//     partial-finalize in one pass, with no per-row partial row (nor joined
+//     row) ever built. The records it emits per split are the ones Combine
+//     would have made, so partition-local or not, the shuffle cannot tell.
 //
 // The partial records the kernels fold are the ones aggPhys.initPartials and
 // the kernels themselves write (Int counts, Float sums, shufW wide), so the
@@ -71,15 +73,12 @@ func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, k *aggKernel,
 	default:
 		job.FusedReduceFallback = mr.FuseUnsupportedOp // join, sort: not an agg fold
 	}
-	// Cross-shuffle fusion: a partition-local keyed job keeps every group's
-	// rows inside the split's local route, so the map kernel can run the
-	// combine fold in the same pass over its surviving selection. Requires
-	// a single stream with a compiled program (bare scans carry the identity
-	// program) and the layout match. Byte-identity needs neither condition
-	// — combined per-split output is what Combine produces anyway — but the
-	// partition-local case is where the boundary is provably local.
-	if k != nil && job.PartitionKeyCols > 0 && job.PartitionParts > 0 &&
-		len(jn.streams) == 1 && progs[0] != nil {
+	// Cross-shuffle fusion: the map kernel runs the combine fold in the
+	// same pass over its surviving selection. It needs a single stream with
+	// a compiled program (bare scans carry the identity program) and
+	// nothing else: the fold emits, per split, the records Combine would
+	// have made of the per-row partials, so the shuffle cannot tell.
+	if k != nil && len(jn.streams) == 1 && progs[0] != nil {
 		job.FusedCrossBoundary = true
 		return k
 	}
@@ -334,15 +333,16 @@ func (k *aggKernel) batchReduce(recs []mr.Keyed, emit mr.Emit) {
 }
 
 // batchCross runs the combine fold directly over a fused map pipeline's
-// surviving selection — the cross-shuffle kernel for partition-local jobs.
-// Group keys are encoded once per new group via value.AppendKey into a
+// surviving selection (b, at the program's last segment) — the
+// cross-shuffle kernel. Group keys are encoded once per new group via value.AppendKey into a
 // reused byte buffer (map lookups on the []byte view never allocate), and
 // aggregate inputs fold with initPartials semantics (COUNT skips nulls, SUM
 // and AVG treat null as +0 / uncounted, MIN/MAX seed with the raw first
 // value). Emits one combined record per group in first-seen order and
 // returns the pre-combine row count (the surviving selection's length).
-func (k *aggKernel) batchCross(p *fusedProg, rows []data.Row, bufs []*data.Col, sel []int32, emit mr.Emit) int64 {
+func (k *aggKernel) batchCross(p *fusedProg, b *fusedBatch, emit mr.Emit) int64 {
 	spec := k.spec
+	sel := b.sel
 	st := newAggAccs(spec, len(sel))
 	keys := make([]string, 0, 64)
 	var keyBuf, prevBuf []byte
@@ -350,21 +350,21 @@ func (k *aggKernel) batchCross(p *fusedProg, rows []data.Row, bufs []*data.Col, 
 	for _, i := range sel {
 		keyBuf = keyBuf[:0]
 		for _, kx := range spec.keyIdx {
-			keyBuf = readRef(rows, bufs, p.outs[kx], i).AppendKey(keyBuf)
+			keyBuf = b.read(p.outs[kx], i).AppendKey(keyBuf)
 		}
 		g, ok := prevID, prevID >= 0 && bytes.Equal(keyBuf, prevBuf)
 		if !ok {
 			g, ok = st.ids[string(keyBuf)]
 		}
 		if ok {
-			st.crossMerge(rows, bufs, p, int(g), i)
+			st.crossMerge(b, p, int(g), i)
 		} else {
 			g = int32(len(st.firsts))
 			ks := string(keyBuf)
 			st.ids[ks] = g
 			keys = append(keys, ks)
 			st.firsts = append(st.firsts, i)
-			st.crossInit(rows, bufs, p, int(g), i)
+			st.crossInit(b, p, int(g), i)
 		}
 		prevID = g
 		keyBuf, prevBuf = prevBuf, keyBuf
@@ -373,7 +373,7 @@ func (k *aggKernel) batchCross(p *fusedProg, rows []data.Row, bufs []*data.Col, 
 	for g, first := range st.firsts {
 		out := slabRow(slab, g, spec.shufW)
 		for _, kx := range spec.keyIdx {
-			out = append(out, readRef(rows, bufs, p.outs[kx], first))
+			out = append(out, b.read(p.outs[kx], first))
 		}
 		emit(keys[g], st.appendPartials(out, g))
 	}
@@ -383,61 +383,61 @@ func (k *aggKernel) batchCross(p *fusedProg, rows []data.Row, bufs []*data.Col, 
 
 // crossSrc resolves aggregate a's input value for batch row i (Null for
 // COUNT(*)'s absent column).
-func crossSrc(rows []data.Row, bufs []*data.Col, p *fusedProg, a aggPhys, i int32) value.V {
+func crossSrc(b *fusedBatch, p *fusedProg, a aggPhys, i int32) value.V {
 	if a.src < 0 {
 		return value.NullV
 	}
-	return readRef(rows, bufs, p.outs[a.src], i)
+	return b.read(p.outs[a.src], i)
 }
 
 // crossInit seeds group g from source row i with aggPhys.initPartials
 // semantics (the per-row partial the row map path emits).
-func (st *aggAccs) crossInit(rows []data.Row, bufs []*data.Col, p *fusedProg, g int, i int32) {
+func (st *aggAccs) crossInit(b *fusedBatch, p *fusedProg, g int, i int32) {
 	for ai, a := range st.spec.aggs {
 		switch a.fn {
 		case plan.AggCount:
-			if a.src < 0 || !crossSrc(rows, bufs, p, a, i).IsNull() {
+			if a.src < 0 || !crossSrc(b, p, a, i).IsNull() {
 				st.cnts[ai][g] = 1
 			}
 		case plan.AggSum:
-			if v := crossSrc(rows, bufs, p, a, i); !v.IsNull() {
+			if v := crossSrc(b, p, a, i); !v.IsNull() {
 				st.sums[ai][g] = v.Float()
 			}
 		case plan.AggAvg:
-			if v := crossSrc(rows, bufs, p, a, i); !v.IsNull() {
+			if v := crossSrc(b, p, a, i); !v.IsNull() {
 				st.sums[ai][g] = v.Float()
 				st.cnts[ai][g] = 1
 			}
 		case plan.AggMin, plan.AggMax:
-			st.vals[ai][g] = crossSrc(rows, bufs, p, a, i)
+			st.vals[ai][g] = crossSrc(b, p, a, i)
 		}
 	}
 }
 
 // crossMerge folds source row i into group g: initPartials + mergePartial
 // collapsed into one step per aggregate.
-func (st *aggAccs) crossMerge(rows []data.Row, bufs []*data.Col, p *fusedProg, g int, i int32) {
+func (st *aggAccs) crossMerge(b *fusedBatch, p *fusedProg, g int, i int32) {
 	for ai, a := range st.spec.aggs {
 		switch a.fn {
 		case plan.AggCount:
-			if a.src < 0 || !crossSrc(rows, bufs, p, a, i).IsNull() {
+			if a.src < 0 || !crossSrc(b, p, a, i).IsNull() {
 				st.cnts[ai][g]++
 			}
 		case plan.AggSum:
 			x := 0.0
-			if v := crossSrc(rows, bufs, p, a, i); !v.IsNull() {
+			if v := crossSrc(b, p, a, i); !v.IsNull() {
 				x = v.Float()
 			}
 			st.addSum(ai, g, x)
 		case plan.AggAvg:
 			x := 0.0
-			if v := crossSrc(rows, bufs, p, a, i); !v.IsNull() {
+			if v := crossSrc(b, p, a, i); !v.IsNull() {
 				x = v.Float()
 				st.cnts[ai][g]++
 			}
 			st.addSum(ai, g, x)
 		case plan.AggMin, plan.AggMax:
-			v := crossSrc(rows, bufs, p, a, i)
+			v := crossSrc(b, p, a, i)
 			if v.IsNull() {
 				continue
 			}

@@ -15,12 +15,13 @@ import (
 )
 
 // runReduceFusionPlan executes one plan on a fresh partitioned fixture
-// (twtr hash-distributed on user_id, 8 parts) — with the fused kernels
-// stripped when interp is set — and returns the output rows, the per-job
-// results, and the counter snapshot.
+// (twtr hash-distributed on user_id, 8 parts; UDF_TOKENIZE registered) —
+// with the fused kernels stripped when interp is set — and returns the
+// output rows, the per-job results, and the counter snapshot.
 func runReduceFusionPlan(t *testing.T, interp bool, p *plan.Node) ([]data.Row, []*mr.Result, map[string]int64) {
 	t.Helper()
 	f := newFixture(t, 1000)
+	registerTokenize(t, f)
 	sig := afk.BaseSig("twtr", "user_id").ID()
 	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
@@ -201,8 +202,13 @@ func TestReduceFusionClassification(t *testing.T) {
 		reason string
 	}{
 		{"partition_local_cross", groupByUserPlan(), true, true, ""},
+		// The cross fold needs no layout match: a group-by on any key
+		// whose map program compiled folds on the map side.
 		{"nonlocal_group",
 			plan.GroupAgg(plan.Scan("twtr"), []string{"text"},
+				plan.AggSpec{Func: plan.AggCount, As: "n"}), true, true, ""},
+		{"explode_group",
+			plan.GroupAgg(plan.Apply(plan.Scan("twtr"), "UDF_TOKENIZE", []string{"text"}), []string{"word"},
 				plan.AggSpec{Func: plan.AggCount, As: "n"}), true, false, ""},
 		{"agg_udf", winersPlan(), false, false, "agg_udf"},
 		{"unsupported_op",

@@ -323,20 +323,7 @@ func TestRewrittenPlanOverViewIsCheaper(t *testing.T) {
 
 func TestExplodingUDFExecution(t *testing.T) {
 	f := newFixture(t, 10)
-	if err := f.cat.UDFs.Register(&udf.Descriptor{
-		Name: "UDF_TOKENIZE", NArgs: 1, Kind: udf.KindMap,
-		OutNames: []string{"word"}, Explode: true,
-		Map: func(args, _ []value.V) [][]value.V {
-			var out [][]value.V
-			for _, w := range strings.Fields(args[0].Str()) {
-				out = append(out, []value.V{value.NewStr(w)})
-			}
-			return out
-		},
-		TrueScalar: 3,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	registerTokenize(t, f)
 	p := plan.GroupAgg(
 		plan.Apply(plan.Scan("twtr"), "UDF_TOKENIZE", []string{"text"}),
 		[]string{"word"}, plan.AggSpec{Func: plan.AggCount, As: "n"})

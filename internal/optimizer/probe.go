@@ -17,6 +17,7 @@ import (
 // probe.
 type probeJoin struct {
 	delta int    // the input on the delta's path
+	key   string // its join column
 	other stream // the indexed side: a record-local chain over a stored dataset
 	col   string // the stored column the index is built on
 }
@@ -34,9 +35,9 @@ func (o *Optimizer) probeOf(n *plan.Node) (probeJoin, bool) {
 		if !o.onDeltaPath(n.Inputs[delta]) {
 			continue
 		}
-		other, key := n.Inputs[1-delta], n.RCol
+		other, key, probing := n.Inputs[1-delta], n.RCol, n.LCol
 		if delta == 1 {
-			key = n.LCol
+			key, probing = n.LCol, n.RCol
 		}
 		st, ok := o.localChain(other)
 		if !ok {
@@ -49,7 +50,7 @@ func (o *Optimizer) probeOf(n *plan.Node) (probeJoin, bool) {
 		keyID := other.Ann.MustSig(key).ID()
 		for _, c := range scan.OutCols {
 			if sig := scan.Ann.SigOf(c); sig != nil && sig.ID() == keyID {
-				return probeJoin{delta: delta, other: st, col: c}, true
+				return probeJoin{delta: delta, key: probing, other: st, col: c}, true
 			}
 		}
 		return probeJoin{}, false
@@ -112,19 +113,17 @@ func (o *Optimizer) localChain(n *plan.Node) (stream, bool) {
 // looks its join key up in the index of the other side's dataset — null
 // keys never join — the other side's chain runs on the matched rows, and
 // every survivor is emitted beside the input row in the shuffle join's
-// output layout. The index and the chain's costs go on job.
+// output layout. The index and the chain's costs go on job. It is the row
+// interpreter's form: the fused kernel compiles the same probe into a
+// segment (fuseChain) and makes the same lookups.
 func (o *Optimizer) probeStage(op *plan.Node, inCols []string, job *mr.Job) (stageFactory, error) {
 	pj, ok := o.probeOf(op)
 	if !ok {
 		return nil, fmt.Errorf("optimizer: join %s = %s is not a probe", op.LCol, op.RCol)
 	}
-	key := op.LCol
-	if pj.delta == 1 {
-		key = op.RCol
-	}
-	keyIx, ok := indexOf(inCols, key)
+	keyIx, ok := indexOf(inCols, pj.key)
 	if !ok {
-		return nil, fmt.Errorf("optimizer: join key %q missing from the probing stream", key)
+		return nil, fmt.Errorf("optimizer: join key %q missing from the probing stream", pj.key)
 	}
 	chain, fns, err := o.buildPipeline(pj.other, job)
 	if err != nil {
@@ -164,12 +163,13 @@ func (o *Optimizer) probeStage(op *plan.Node, inCols []string, job *mr.Job) (sta
 	}, nil
 }
 
-// hasProbe reports whether a stream runs a probe stage.
-func (st stream) hasProbe() bool {
+// probes is the number of probe stages a stream runs.
+func (st stream) probes() int {
+	n := 0
 	for _, op := range st.ops {
 		if op.Kind == plan.KindJoin {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }

@@ -30,8 +30,8 @@ func sortedRows(rel *data.Relation) []data.Row {
 // withDelta adds to the fixture a users table (uid repeats, and some uids
 // post nothing), "~delta~users" — appended users rows with repeated, null
 // and unknown uids, registered as a delta when marked — and BUCKET, a map
-// UDF computing an integer key.
-func withDelta(t *testing.T, f *fixture, marked bool) {
+// UDF computing an integer key (NULL of NULL).
+func withDelta(t testing.TB, f *fixture, marked bool) {
 	t.Helper()
 	put := func(name string, rows [][2]any) {
 		rel := data.NewRelation(data.NewSchema("uid", "name"))
@@ -48,6 +48,9 @@ func withDelta(t *testing.T, f *fixture, marked bool) {
 	if err := f.cat.UDFs.Register(&udf.Descriptor{
 		Name: "BUCKET", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"bucket"},
 		Map: func(args, _ []value.V) [][]value.V {
+			if args[0].IsNull() {
+				return [][]value.V{{value.NullV}}
+			}
 			return [][]value.V{{value.NewInt(args[0].Int() % 4)}}
 		},
 		TrueScalar: 1,
@@ -121,7 +124,7 @@ func TestProbeSelection(t *testing.T) {
 				var probes []mr.ProbeSpec
 				for _, j := range jobs {
 					probes = append(probes, j.Probes...)
-					if len(j.Probes) > 0 && (j.Fused || j.FuseFallback != mr.FuseProbe) {
+					if len(j.Probes) > 0 && (!j.Fused || j.BatchMapFactory == nil) {
 						t.Errorf("%s probes but classified fused=%v fallback=%q", j.Name, j.Fused, j.FuseFallback)
 					}
 				}

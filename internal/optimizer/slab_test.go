@@ -103,42 +103,66 @@ func slabFixture(t testing.TB, rows int) *fixture {
 // slabPlans are the map sides the budget covers: runFusedBatch into a
 // pass-through boundary (map-only, sort), each of the boundary emitters that
 // builds its own record (group-agg, agg-UDF with the default and a custom
-// PreMap, join), and an exploding chain, which only the interpreter runs.
+// PreMap, join), an exploding chain, which only the interpreter runs, and an
+// append's delta join: a 4 096-row delta probing prof's index.
 var slabPlans = []struct {
-	name string
-	plan func() *plan.Node
-	min  int // rows the first job's map side emits for the 4 096-row split, at least
+	name   string
+	plan   func() *plan.Node
+	min    int // rows the first job's map side emits for the 4 096-row split, at least
+	groups int // a group-by's fused map side folds them into this many records
 }{
 	{"map-only", func() *plan.Node {
 		return plan.Filter(plan.Apply(plan.Scan("clus"), "UDF_HALF", []string{"tweet_id"}), expr.NewCmp("half", expr.Ge, value.NewInt(100)))
-	}, 3800},
+	}, 3800, 0},
 	{"sort", func() *plan.Node {
 		return plan.Sort(plan.Apply(plan.Scan("clus"), "UDF_HALF", []string{"tweet_id"}), []string{"half"}, nil, -1)
-	}, 4096},
+	}, 4096, 0},
 	{"group-agg", func() *plan.Node {
 		return plan.GroupAgg(plan.Apply(plan.Scan("clus"), "UDF_HALF", []string{"tweet_id"}), []string{"user_id"},
 			plan.AggSpec{Func: plan.AggCount, As: "n"}, plan.AggSpec{Func: plan.AggSum, Col: "half", As: "s"},
 			plan.AggSpec{Func: plan.AggAvg, Col: "b", As: "m"}, plan.AggSpec{Func: plan.AggMin, Col: "text", As: "lo"})
-	}, 4096},
+	}, 4096, 16},
 	{"agg-udf", func() *plan.Node {
 		return plan.Apply(plan.Apply(plan.Scan("clus"), "UDF_HALF", []string{"tweet_id"}), "UDF_TOT", []string{"user_id", "half"})
-	}, 4096},
+	}, 4096, 0},
 	{"agg-udf-premap", func() *plan.Node {
 		return plan.Apply(plan.Apply(plan.Scan("clus"), "UDF_HALF", []string{"tweet_id"}), "UDF_PAIR", []string{"user_id", "tweet_id"})
-	}, 3000},
+	}, 3000, 0},
 	{"join", func() *plan.Node {
 		return plan.JoinNodes(plan.Apply(plan.Scan("clus"), "UDF_HALF", []string{"tweet_id"}), plan.Scan("prof"), "user_id", "uid")
-	}, 4096},
+	}, 4096, 0},
 	{"explode", func() *plan.Node {
 		return plan.Filter(plan.Apply(plan.Scan("clus"), "UDF_TWICE", []string{"tweet_id"}), expr.NewCmp("part", expr.Lt, value.NewInt(150)))
-	}, 6000},
+	}, 6000, 0},
+	{"probe", func() *plan.Node {
+		// Every delta row matches one prof row; SUM reads the indexed side.
+		return plan.GroupAgg(plan.JoinNodes(plan.Apply(plan.Scan("~delta~clus"), "UDF_HALF", []string{"tweet_id"}),
+			plan.Scan("prof"), "user_id", "uid"), []string{"grade"},
+			plan.AggSpec{Func: plan.AggCount, As: "n"}, plan.AggSpec{Func: plan.AggSum, Col: "uid", As: "s"},
+			plan.AggSpec{Func: plan.AggMax, Col: "half", As: "hi"})
+	}, 4096, 3},
+}
+
+// putDeltaClus registers a copy of clus as the appended delta
+// "~delta~clus", so a join of it compiles as an index probe.
+func putDeltaClus(t testing.TB, f *fixture) {
+	t.Helper()
+	rel, err := f.store.Read("clus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := rel.Schema().Cols()
+	f.store.Put("~delta~clus", storage.Base, rel)
+	f.cat.RegisterBase("~delta~clus", cols, "", cost.Stats{Rows: int64(rel.Len()), Bytes: rel.EncodedSize()}, nil)
+	f.cat.MarkDelta("~delta~clus")
 }
 
 // TestMapSideAllocBudget: what one map task allocates does not grow with the
 // rows it handles. A 4 096-row split with 16 distinct keys in runs and UDFs
 // that allocate nothing costs fewer than 100 allocations on every map side
-// — fused kernel or interpreter, into each kind of boundary — where a row
-// and its pieces used to be allocated one by one (more than 4 096).
+// — fused kernel or interpreter, into each kind of boundary, through an
+// index probe too — where a row and its pieces used to be allocated one by
+// one (more than 4 096).
 func TestMapSideAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -147,6 +171,7 @@ func TestMapSideAllocBudget(t *testing.T) {
 		for _, interp := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/interpreted=%v", tc.name, interp), func(t *testing.T) {
 				f := slabFixture(t, 4096)
+				putDeltaClus(t, f)
 				w, err := f.opt.Compile(tc.plan())
 				if err != nil {
 					t.Fatal(err)
@@ -167,11 +192,22 @@ func TestMapSideAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 				split := rel.Rows()
+				var probes []*mr.Probe
+				for _, ps := range job.Probes {
+					ix, _, err := f.store.Index(ps.Dataset, ps.Col)
+					if err != nil {
+						t.Fatal(err)
+					}
+					probes = append(probes, mr.NewProbe(ix))
+				}
+				if (len(probes) > 0) != (tc.name == "probe") {
+					t.Fatalf("job probes %v", job.Probes)
+				}
 				out := make([]mr.Keyed, 0, 3*len(split))
 				emit := func(key string, r data.Row) { out = append(out, mr.Keyed{Key: key, Row: r}) }
 				task := func() {
 					out = out[:0]
-					ctx := mr.TaskCtx{}
+					ctx := mr.TaskCtx{Probes: probes}
 					if job.BatchMapFactory != nil {
 						job.BatchMapFactory(ctx)(0, split, emit)
 						return
@@ -182,7 +218,11 @@ func TestMapSideAllocBudget(t *testing.T) {
 					}
 				}
 				allocs := testing.AllocsPerRun(5, task)
-				if len(out) < tc.min {
+				if tc.groups > 0 && !interp {
+					if len(out) != tc.groups {
+						t.Fatalf("fused map side emitted %d records, want one per group, %d", len(out), tc.groups)
+					}
+				} else if len(out) < tc.min {
 					t.Fatalf("map side emitted %d rows, expected at least %d", len(out), tc.min)
 				}
 				t.Logf("%d rows in, %d out: %.0f allocations", len(split), len(out), allocs)

@@ -51,22 +51,34 @@ func badExplode() *plan.Node {
 }
 
 // badJoin is a maintainable aggregate of BAD's output over a join with BAD
-// on the logs side: an append's delta plan probes the users index,
-// classified probe. (A COUNT alone would not read BAD's column, and BFR
-// would answer it from b_join: BAD is declared neither to filter nor to
-// explode.)
+// on the logs side: an append's delta plan probes the users index on the
+// fused kernel. (A COUNT alone would not read BAD's column, and BFR would
+// answer it from b_join: BAD is declared neither to filter nor to explode.)
 func badJoin() *plan.Node {
 	return plan.GroupAgg(plan.JoinNodes(plan.Apply(plan.Scan("logs"), "BAD", []string{"text"}),
 		plan.Scan("users"), "user", "uid"), []string{"tier"}, plan.AggSpec{Func: plan.AggSum, Col: "bad", As: "b"})
 }
 
+// fallbacks sums the fused map fallback family of a counter snapshot.
+func fallbacks(c map[string]int64) int64 {
+	var n int64
+	for k, v := range c {
+		if strings.HasPrefix(k, "mr_fused_fallback_total{") {
+			n += v
+		}
+	}
+	return n
+}
+
 // TestUDFContract: a UDF that breaks its declared single-output contract
 // fails its query with udf.ErrContract on every session path — Run on a
 // fused job and on an interpreted (explode_udf) one, RunBatch, and the
-// delta jobs of AppendRows (classified probe) — under ModeOriginal and
-// ModeBFR at Workers 1 and 4. An append keeps its failure independence:
-// only the violator's view is invalidated, with the contract as its reason,
-// the others are maintained, and the next Run of that query fails typed.
+// delta jobs of AppendRows, which all run fused (a view over an exploding
+// UDF is not maintained, so no delta job reaches the interpreter) — under
+// ModeOriginal and ModeBFR at Workers 1 and 4. An append keeps its failure
+// independence: only the violator's view is invalidated, with the contract
+// as its reason, the others are maintained, and the next Run of that query
+// fails typed.
 // Every violating query computes BAD's column, so no rewrite can answer it
 // from a view that was built without BAD.
 func TestUDFContract(t *testing.T) {
@@ -113,13 +125,19 @@ func TestUDFContract(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					probes := reg.Snapshot().Counters["mr_fused_fallback_total{reason=probe}"]
+					// Every delta job probes on the fused kernel: the append
+					// probes rows and records no fallback.
+					before := reg.Snapshot().Counters
 					rep, err := s.AppendRows("logs", ivmBatch(700, 15))
 					if err != nil {
 						t.Fatalf("AppendRows failed as a whole: %v", err)
 					}
-					if reg.Snapshot().Counters["mr_fused_fallback_total{reason=probe}"] == probes {
-						t.Error("no delta job was classified probe")
+					after := reg.Snapshot().Counters
+					if after["mr_probe_rows_total"] == before["mr_probe_rows_total"] {
+						t.Error("no delta job probed")
+					}
+					if n := fallbacks(after) - fallbacks(before); n != 0 {
+						t.Errorf("%d delta jobs ran on the interpreter, want none", n)
 					}
 					if !slices.Contains(rep.Invalidated, "bad_join") ||
 						!strings.Contains(rep.Reasons["bad_join"], udf.ErrContract.Error()) {
