@@ -1,4 +1,4 @@
-.PHONY: build test verify stress bench bench-test bench-smoke fuzz-smoke loc loc-check
+.PHONY: build test verify examples stress bench bench-test bench-smoke fuzz-smoke loc loc-check
 
 build:
 	go build ./...
@@ -11,6 +11,12 @@ test:
 # the allocation / layout / retention budgets without it.
 verify:
 	./scripts/verify.sh
+
+# The examples document the public API: run each one, failing on the first
+# non-zero exit (`go build ./...` only compiles them).
+EXAMPLES = $(sort $(dir $(wildcard examples/*/main.go)))
+examples:
+	@set -e; for d in $(EXAMPLES); do echo "go run ./$$d"; go run ./$$d > /dev/null; done
 
 # Lifecycle stress: the packages where pin / evict / retain / append
 # interleave, repeated with and without the race detector (the detector

@@ -88,7 +88,7 @@ func main() {
 		if err != nil {
 			log.Fatal(label, ": ", err)
 		}
-		fmt.Printf("%-34s %4d rows  %.4f sim-s  rewritten=%v\n", label, len(r.Rows), r.ExecSeconds, r.Rewritten)
+		fmt.Printf("%-34s %4d rows  %.4f sim-s  rewritten=%v\n", label, r.Len(), r.ExecSeconds, r.Rewritten)
 		return r
 	}
 

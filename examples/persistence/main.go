@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("day 1: %d wine lovers in %.4f sim-s; %d views retained\n",
-		len(r.Rows), r.ExecSeconds, len(sys.Views()))
+		r.Len(), r.ExecSeconds, len(sys.Views()))
 	if err := sys.Save(dir); err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("day 2 revision: %d rows in %.4f sim-s (rewritten=%v, from yesterday's views)\n\n",
-		len(r2.Rows), r2.ExecSeconds, r2.Rewritten)
+		r2.Len(), r2.ExecSeconds, r2.Rewritten)
 
 	// --- New data arrives: views are maintained or invalidated, exactly. ---
 	rep, err := sys2.AppendRows("tweets", [][]any{
@@ -88,5 +88,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("re-run sees fresh data: %d rows in %.4f sim-s (rewritten=%v — must recompute)\n",
-		len(r3.Rows), r3.ExecSeconds, r3.Rewritten)
+		r3.Len(), r3.ExecSeconds, r3.Rewritten)
 }

@@ -56,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("v1: %d wine lovers, %d MR jobs, %.3f simulated s (rewritten=%v)\n",
-		len(r1.Rows), r1.Jobs, r1.ExecSeconds, r1.Rewritten)
+		r1.Len(), r1.Jobs, r1.ExecSeconds, r1.Rewritten)
 	fmt.Printf("opportunistic views retained: %d\n\n", len(sys.Views()))
 
 	// The analyst revises the threshold — the defining pattern of
@@ -67,7 +67,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("v2: %d wine lovers, %d MR jobs, %.3f simulated s (rewritten=%v)\n",
-		len(r2.Rows), r2.Jobs, r2.ExecSeconds, r2.Rewritten)
+		r2.Len(), r2.Jobs, r2.ExecSeconds, r2.Rewritten)
+	// A Result is a handle on the stored answer: Row converts one row to
+	// Go values when it is read.
+	for i := 0; i < r2.Len(); i++ {
+		fmt.Printf("  %v\n", r2.Row(i))
+	}
 	fmt.Printf("speedup: %.0fx (%.4fs -> %.4fs); rewrite search took %.4fs wall\n",
 		r1.ExecSeconds/r2.ExecSeconds, r1.ExecSeconds, r2.ExecSeconds, r2.RewriteSeconds)
 }

@@ -69,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-18s %3d rows  %.3f sim-s  rewritten=%v\n", q.who, len(r.Rows), r.ExecSeconds, r.Rewritten)
+		fmt.Printf("%-18s %3d rows  %.3f sim-s  rewritten=%v\n", q.who, r.Len(), r.ExecSeconds, r.Rewritten)
 	}
 	fmt.Printf("\nopportunistic views in the system: %d\n", len(sys.Views()))
 	for _, v := range sys.Views() {
@@ -89,7 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nanalyst-3 (both):  %3d rows  %.4f sim-s  rewritten=%v (merged two analysts' views)\n",
-		len(r.Rows), r.ExecSeconds, r.Rewritten)
+		r.Len(), r.ExecSeconds, r.Rewritten)
 	if !r.Rewritten {
 		log.Fatal("expected the third analyst's query to be rewritten")
 	}

@@ -79,7 +79,7 @@ func TestGuessCompleteNecessityEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: compensated %q: %v", trial, compSQL, err)
 		}
-		if !sameRows(direct.Rows, viaView.Rows) {
+		if !sameRows(direct.Rows(), viaView.Rows()) {
 			// The pair does not actually admit this rewrite — the
 			// implication is vacuous (and our construction is broken).
 			t.Fatalf("trial %d: compensation over view diverged from direct run\n q: %s\n comp: %s",

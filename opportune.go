@@ -16,10 +16,18 @@
 //	    Name: "SCORE", Args: 1, Outputs: []string{"score"}, Weight: 10,
 //	    Fn: func(args, params []any) [][]any { ... },
 //	})
-//	res, _ := sys.Exec(`SELECT user, SUM(score) AS s FROM logs
-//	                    APPLY SCORE(text) GROUP BY user HAVING s > 1`)
+//	res, _ := sys.ExecOne(`SELECT user, SUM(score) AS s FROM logs
+//	                       APPLY SCORE(text) GROUP BY user HAVING s > 1`)
 //	// run a revised query: it is rewritten against the first run's views
-//	res2, _ := sys.Exec(`... HAVING s > 5`)
+//	res2, _ := sys.ExecOne(`... HAVING s > 5`)
+//	for i := 0; i < res2.Len(); i++ {
+//	    fmt.Println(res2.Row(i))
+//	}
+//
+// A query's answer is a stored relation, as in the paper, so a Result is a
+// snapshot handle on that relation rather than a copy of it: Exec
+// converts no cell into a Go value. Row boxes one row when it is called;
+// Rows boxes them all, afresh on every call.
 package opportune
 
 import (
@@ -332,11 +340,16 @@ func (sys *System) CalibrateUDF(udfName, dataset string, argColumns []string, pa
 	return res.Scalar, nil
 }
 
-// Result reports one executed statement.
+// Result reports one executed statement. It is a handle on the stored
+// relation the statement produced, not a copy of it: Exec boxes no cell,
+// and Row and Rows box cells only when called. The handle is a snapshot.
+// Stored relations are never mutated — a later AppendRows, DropViews,
+// eviction or re-run of the same CREATE TABLE installs a new relation or
+// drops the old one — so a Result reads the same rows for as long as it is
+// held. A zero Result has no rows.
 type Result struct {
-	Table   string // result table name
-	Columns []string
-	Rows    [][]any
+	Table   string   // result table name
+	Columns []string // the caller's copy of the result's column names
 
 	// ExecSeconds is the simulated cluster execution time (including the
 	// per-view statistics jobs); RewriteSeconds is the real runtime of the
@@ -346,6 +359,29 @@ type Result struct {
 	Rewritten      bool
 	Jobs           int
 	DataMovedBytes int64
+
+	rel *data.Relation
+}
+
+// Len returns the result's row count.
+func (r *Result) Len() int {
+	if r.rel == nil {
+		return 0
+	}
+	return r.rel.Len()
+}
+
+// Row returns row i, 0 <= i < Len(), as a fresh slice the caller owns.
+func (r *Result) Row(i int) []any { return fromValues(r.rel.Row(i)) }
+
+// Rows returns every row, nil for none, converted afresh on each call: the
+// caller owns what it gets and may modify it. Read a large result with Len
+// and Row instead to box one row at a time.
+func (r *Result) Rows() [][]any {
+	if r.rel == nil {
+		return nil
+	}
+	return resultRows(r.rel.Rows())
 }
 
 // Exec parses and runs a script (one or more ';'-separated statements)
@@ -358,37 +394,59 @@ func (sys *System) Exec(script string) ([]*Result, error) {
 	}
 	var out []*Result
 	for _, st := range stmts {
-		name := st.Table
-		if name == "" {
-			sys.nQuery++
-			name = fmt.Sprintf("_q%d", sys.nQuery)
-		}
-		m, err := sys.s.Run(st.Plan, name, sys.mode.mode())
+		r, err := sys.run(st)
 		if err != nil {
 			return out, err
-		}
-		rel, err := sys.s.Store.Read(m.ResultName)
-		if err != nil {
-			return out, err
-		}
-		r := &Result{
-			Table:          m.ResultName,
-			Columns:        rel.Schema().Cols(),
-			ExecSeconds:    m.ExecSeconds + m.StatsSeconds,
-			RewriteSeconds: m.RewriteSeconds,
-			Rewritten:      m.Rewrite != nil && m.Rewrite.Improved,
-			Jobs:           m.Jobs,
-			DataMovedBytes: m.DataMovedBytes,
-			Rows:           resultRows(rel.Rows()),
 		}
 		out = append(out, r)
 	}
 	return out, nil
 }
 
-// resultRows converts stored rows into a Result's rows, nil for none. All
-// rows are carved from one backing array; each is a full slice expression,
-// so an append to one row reallocates it instead of overwriting the next.
+// ExecOne runs a script expected to hold exactly one statement. A script
+// with any other number is rejected before anything runs.
+func (sys *System) ExecOne(script string) (*Result, error) {
+	stmts, err := hiveql.Parse(script)
+	if err != nil {
+		return nil, err
+	}
+	if len(stmts) != 1 {
+		return nil, fmt.Errorf("opportune: expected one statement, got %d", len(stmts))
+	}
+	return sys.run(stmts[0])
+}
+
+// run executes one parsed statement and returns a handle on its stored
+// result.
+func (sys *System) run(st *hiveql.Statement) (*Result, error) {
+	name := st.Table
+	if name == "" {
+		sys.nQuery++
+		name = fmt.Sprintf("_q%d", sys.nQuery)
+	}
+	m, err := sys.s.Run(st.Plan, name, sys.mode.mode())
+	if err != nil {
+		return nil, err
+	}
+	rel, err := sys.s.Store.Read(m.ResultName)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Table:          m.ResultName,
+		Columns:        slices.Clone(rel.Schema().Cols()),
+		ExecSeconds:    m.ExecSeconds + m.StatsSeconds,
+		RewriteSeconds: m.RewriteSeconds,
+		Rewritten:      m.Rewrite != nil && m.Rewrite.Improved,
+		Jobs:           m.Jobs,
+		DataMovedBytes: m.DataMovedBytes,
+		rel:            rel,
+	}, nil
+}
+
+// resultRows converts stored rows into boxed rows, nil for none. All rows
+// are carved from one backing array; each is a full slice expression, so
+// an append to one row reallocates it instead of overwriting the next.
 func resultRows(rows []data.Row) [][]any {
 	if len(rows) == 0 {
 		return nil
@@ -406,18 +464,6 @@ func resultRows(rows []data.Row) [][]any {
 		}
 	}
 	return out
-}
-
-// ExecOne runs a script expected to hold exactly one statement.
-func (sys *System) ExecOne(script string) (*Result, error) {
-	rs, err := sys.Exec(script)
-	if err != nil {
-		return nil, err
-	}
-	if len(rs) != 1 {
-		return nil, fmt.Errorf("opportune: expected one statement, got %d", len(rs))
-	}
-	return rs[0], nil
 }
 
 // ViewInfo describes one opportunistic materialized view.

@@ -48,8 +48,8 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if r1.Rewritten {
 		t.Error("first query rewritten with no views")
 	}
-	if len(r1.Rows) == 0 || len(r1.Columns) != 2 {
-		t.Fatalf("result shape: %v %d rows", r1.Columns, len(r1.Rows))
+	if r1.Len() == 0 || len(r1.Columns) != 2 {
+		t.Fatalf("result shape: %v %d rows", r1.Columns, r1.Len())
 	}
 	if len(sys.Views()) == 0 {
 		t.Fatal("no opportunistic views retained")
@@ -72,8 +72,8 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r2.Rows) != len(r3.Rows) {
-		t.Errorf("rewritten rows %d != original rows %d", len(r2.Rows), len(r3.Rows))
+	if r2.Len() != r3.Len() {
+		t.Errorf("rewritten rows %d != original rows %d", r2.Len(), r3.Len())
 	}
 }
 
@@ -136,7 +136,7 @@ func TestFacadeAggUDFAndValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]int64{}
-	for _, row := range r.Rows {
+	for _, row := range r.Rows() {
 		got[row[0].(string)] = row[1].(int64)
 	}
 	if got["a"] != 3 || got["b"] != 3 {
@@ -272,8 +272,8 @@ func TestFacadeClusterTable(t *testing.T) {
 	}
 	// The layout is execution-invisible except in time: the same rows out,
 	// value for value and in the same order.
-	if len(rc.Rows) == 0 || !reflect.DeepEqual(rc.Rows, rp.Rows) {
-		t.Fatalf("results differ:\nclustered %v\nplain     %v", rc.Rows, rp.Rows)
+	if rc.Len() == 0 || !reflect.DeepEqual(rc.Rows(), rp.Rows()) {
+		t.Fatalf("results differ:\nclustered %v\nplain     %v", rc.Rows(), rp.Rows())
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["mr_shuffle_bytes_eliminated_total"] == 0 {
@@ -332,8 +332,8 @@ func TestFacadeIngestMaintainsAggregateOverJoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(want.Rows) == 0 || !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("%s, %s: answer differs from a RewriteOff recompute (%d vs %d rows)", when, q.Name, len(got.Rows), len(want.Rows))
+			if want.Len() == 0 || !reflect.DeepEqual(got.Rows(), want.Rows()) {
+				t.Fatalf("%s, %s: answer differs from a RewriteOff recompute (%d vs %d rows)", when, q.Name, got.Len(), want.Len())
 			}
 		}
 	}
@@ -421,8 +421,8 @@ func TestFacadeRejectsWrongWidthRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(after.Rows, before.Rows) {
-		t.Errorf("a rejected append changed an answer:\n got %v\nwant %v", after.Rows, before.Rows)
+	if !reflect.DeepEqual(after.Rows(), before.Rows()) {
+		t.Errorf("a rejected append changed an answer:\n got %v\nwant %v", after.Rows(), before.Rows())
 	}
 }
 
