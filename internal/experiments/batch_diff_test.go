@@ -146,7 +146,7 @@ func checkBatchVsSequential(t *testing.T, label string, got, ref workloadRun) {
 	// sequential total.
 	seqSim, batchSim := 0.0, got.stats.SimSeconds
 	for i, m := range ref.ms {
-		seqSim += m.TotalSeconds()
+		seqSim += m.ExecSeconds + m.StatsSeconds + m.RewriteSeconds
 		batchSim += got.ms[i].StatsSeconds
 	}
 	if seqSim < 1.3*batchSim {

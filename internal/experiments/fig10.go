@@ -159,7 +159,7 @@ func synthesizeViews(s *session.Session, target int, exclude map[string]bool) ([
 		if !ok {
 			return fmt.Errorf("experiments: pool view %s unregistered", name)
 		}
-		canon := info.Ann.Canon()
+		canon := info.Canon()
 		if exclude[canon] || seen[canon] {
 			s.Store.Delete(name)
 			s.Cat.DropView(name)

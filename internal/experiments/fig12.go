@@ -134,7 +134,7 @@ func Table2(c Config) (*Table2Result, error) {
 			}
 			dropped := 0
 			for _, v := range s.Cat.Views() {
-				if targets[v.Ann.Canon()] || fps[v.PlanFP] {
+				if targets[v.Canon()] || fps[v.PlanFP] {
 					s.Store.Delete(v.Name)
 					s.Cat.DropView(v.Name)
 					dropped++

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
@@ -43,7 +42,13 @@ type TableInfo struct {
 	// an index probe of the join's other side. No query scans a delta, so
 	// no query probes.
 	Delta bool
+
+	canon string // Ann.Canon(), computed at registration
 }
+
+// Canon is the annotation's fingerprint, Ann.Canon(), computed once when
+// the dataset was registered.
+func (t *TableInfo) Canon() string { return t.canon }
 
 // DistinctOf returns the distinct count hint for a column, or 0.
 func (t *TableInfo) DistinctOf(col string) int64 {
@@ -58,7 +63,6 @@ type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*TableInfo
 	byCanon map[string]*TableInfo // annotation fingerprint -> view
-	gen     atomic.Uint64         // table and view changes; see Gen
 
 	// FDs holds functional dependencies over signature IDs (record keys
 	// and derived attributes).
@@ -75,16 +79,6 @@ func NewCatalog() *Catalog {
 		FDs:     afk.NewFDSet(),
 		UDFs:    udf.NewRegistry(),
 	}
-}
-
-// Gen is the catalog's generation: it moves on every change to what
-// planning reads — a table or view registered or dropped, statistics
-// collected, a partitioning set, a delta marked, a functional dependency
-// added, a UDF registered or calibrated — and on no call that changes
-// nothing. A plan derived at one generation stays valid while it stands.
-// Every source only grows, so their sum moves whenever one of them does.
-func (c *Catalog) Gen() uint64 {
-	return c.gen.Load() + c.UDFs.Gen() + uint64(c.FDs.Len())
 }
 
 // ByAnnotation resolves a view whose annotation fingerprint matches. The
@@ -113,26 +107,28 @@ func (c *Catalog) RegisterBase(name string, cols []string, keyCol string, stats 
 	}
 	info := &TableInfo{
 		Name: name, Cols: append([]string(nil), cols...), KeyCol: keyCol,
-		Ann: ann, Stats: stats, Distinct: distinct,
+		Ann: ann, Stats: stats, Distinct: distinct, canon: ann.Canon(),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tables[name] = info
-	c.gen.Add(1)
 	return info
 }
 
-// RegisterView records an opportunistic view's metadata.
+// RegisterView records an opportunistic view's metadata, replacing any
+// entry under the name.
 func (c *Catalog) RegisterView(name string, cols []string, ann afk.Annotation, stats cost.Stats, planFP string) *TableInfo {
 	info := &TableInfo{
 		Name: name, Cols: append([]string(nil), cols...),
-		Ann: ann, Stats: stats, IsView: true, PlanFP: planFP,
+		Ann: ann, Stats: stats, IsView: true, PlanFP: planFP, canon: ann.Canon(),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if cur, ok := c.tables[name]; ok {
+		c.dropLocked(cur)
+	}
 	c.tables[name] = info
-	c.byCanon[ann.Canon()] = info
-	c.gen.Add(1)
+	c.byCanon[info.canon] = info
 	return info
 }
 
@@ -156,10 +152,9 @@ func (c *Catalog) SetPartitioning(name string, p afk.Partitioning) {
 // when cur is the indexed view.
 func (c *Catalog) replaceLocked(cur, upd *TableInfo) {
 	c.tables[cur.Name] = upd
-	if canon := upd.Ann.Canon(); c.byCanon[canon] == cur {
-		c.byCanon[canon] = upd
+	if c.byCanon[upd.canon] == cur {
+		c.byCanon[upd.canon] = upd
 	}
-	c.gen.Add(1)
 }
 
 // MarkDelta marks a registered base table as an appended delta
@@ -181,15 +176,6 @@ func (c *Catalog) Table(name string) (*TableInfo, bool) {
 	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
 	return t, ok
-}
-
-// MustTable panics for unknown names (plan validation happened earlier).
-func (c *Catalog) MustTable(name string) *TableInfo {
-	t, ok := c.Table(name)
-	if !ok {
-		panic(fmt.Sprintf("meta: unknown table %q", name))
-	}
-	return t
 }
 
 // Views returns all view infos, sorted by name.
@@ -230,10 +216,9 @@ func (c *Catalog) DropTable(name string) {
 // the annotation).
 func (c *Catalog) dropLocked(t *TableInfo) {
 	delete(c.tables, t.Name)
-	if canon := t.Ann.Canon(); c.byCanon[canon] == t {
-		delete(c.byCanon, canon)
+	if c.byCanon[t.canon] == t {
+		delete(c.byCanon, t.canon)
 	}
-	c.gen.Add(1)
 }
 
 // DropViews removes every view from the catalog, returning the count.
@@ -251,15 +236,19 @@ func (c *Catalog) DropViews() int {
 }
 
 // SyncWithStore drops catalog views whose backing data was evicted from the
-// store (capacity reclamation), keeping metadata consistent.
-func (c *Catalog) SyncWithStore(st *storage.Store) {
+// store (capacity reclamation), keeping metadata consistent, and returns
+// the count.
+func (c *Catalog) SyncWithStore(st *storage.Store) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	n := 0
 	for name, t := range c.tables {
 		if t.IsView && !st.Has(name) {
 			c.dropLocked(t)
+			n++
 		}
 	}
+	return n
 }
 
 // CollectStats runs the lightweight statistics job for a stored dataset

@@ -1,6 +1,9 @@
 package meta
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"opportune/internal/afk"
@@ -39,13 +42,16 @@ func TestRegisterBaseAndFDs(t *testing.T) {
 	if c.FDs.Len() != before {
 		t.Error("keyless base added FDs")
 	}
-	// MustTable
-	defer func() {
-		if recover() == nil {
-			t.Error("MustTable(missing) did not panic")
-		}
-	}()
-	c.MustTable("missing")
+	// A layout and a delta mark publish copy-on-write, like statistics:
+	// the pointer handed out keeps its snapshot.
+	c.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{info.Ann.MustSig("user_id").ID()}, Parts: 4})
+	c.MarkDelta("twtr")
+	if got, _ := c.Table("twtr"); got == info || got.Part.Parts != 4 || !got.Delta {
+		t.Errorf("layout and delta mark not published: %+v", got)
+	}
+	if info.Part.Parts != 0 || info.Delta {
+		t.Errorf("published snapshot mutated: %+v", info)
+	}
 }
 
 func TestViews(t *testing.T) {
@@ -59,14 +65,27 @@ func TestViews(t *testing.T) {
 	}
 	c.DropView("v1")
 	c.DropView("twtr") // must not drop base
-	if len(c.Views()) != 1 {
-		t.Error("DropView wrong")
+	c.DropTable("v2")  // must not drop a view
+	c.MarkDelta("v2")  // must not mark a view
+	if vs := c.Views(); len(vs) != 1 || vs[0].Delta {
+		t.Errorf("DropView, DropTable or MarkDelta wrong: %+v", vs)
 	}
 	if _, ok := c.Table("twtr"); !ok {
 		t.Error("DropView removed base")
 	}
 	if n := c.DropViews(); n != 1 {
 		t.Errorf("DropViews = %d", n)
+	}
+	// Registering a view under a listed name replaces the entry and its
+	// place in the annotation index.
+	old := c.RegisterView("v", []string{"a"}, base.Ann, cost.Stats{}, "")
+	other := c.RegisterBase("b2", []string{"a"}, "", cost.Stats{}, nil)
+	c.RegisterView("v", []string{"a"}, other.Ann, cost.Stats{}, "")
+	if got, ok := c.ByAnnotation(old.Canon()); ok {
+		t.Errorf("the replaced view %s is still indexed under its old annotation", got.Name)
+	}
+	if got, ok := c.ByAnnotation(other.Canon()); !ok || got.Name != "v" || got.Canon() != other.Ann.Canon() {
+		t.Errorf("ByAnnotation(new) = %+v, %v", got, ok)
 	}
 }
 
@@ -79,7 +98,12 @@ func TestSyncWithStore(t *testing.T) {
 	st.Put("v1", storage.View, rel)
 	c.RegisterView("v1", []string{"a"}, base.Ann, cost.Stats{}, "")
 	c.RegisterView("vgone", []string{"a"}, base.Ann, cost.Stats{}, "")
-	c.SyncWithStore(st)
+	if n := c.SyncWithStore(st); n != 1 {
+		t.Errorf("SyncWithStore dropped %d views, want 1", n)
+	}
+	if n := c.SyncWithStore(st); n != 0 {
+		t.Errorf("a second SyncWithStore dropped %d views", n)
+	}
 	if _, ok := c.Table("v1"); !ok {
 		t.Error("synced away live view")
 	}
@@ -143,15 +167,53 @@ func TestCollectStats(t *testing.T) {
 	}
 }
 
-// TestGenMovesOnEveryChange: every catalog mutator moves Gen when it
-// changes what planning reads and leaves it alone when it changes nothing.
-// Plan reuse (the session's plan cache) is only as sound as this table.
+// gen renders everything planning reads from a catalog: each listed
+// dataset (its published pointer, annotation fingerprint, whether the
+// annotation index resolves to it, statistics, layout and delta mark), the
+// FD count and each UDF with its cost scalar.
+func gen(c *Catalog) string {
+	var b strings.Builder
+	c.mu.RLock()
+	names := make([]string, 0, len(c.tables))
+	for n := range c.tables {
+		names = append(names, n)
+	}
+	c.mu.RUnlock()
+	sort.Strings(names)
+	for _, n := range names {
+		ti, _ := c.Table(n)
+		idx, _ := c.ByAnnotation(ti.Canon())
+		fmt.Fprintf(&b, "%s %p view=%v canon=%s indexed=%v stats=%+v distinct=%v part=%+v delta=%v\n",
+			n, ti, ti.IsView, ti.Canon(), idx == ti, ti.Stats, ti.Distinct, ti.Part, ti.Delta)
+	}
+	fmt.Fprintf(&b, "fds=%d\n", c.FDs.Len())
+	for _, n := range c.UDFs.Names() {
+		d, _ := c.UDFs.Get(n)
+		fmt.Fprintf(&b, "udf %s %p scalar=%v\n", n, d, d.Scalar)
+	}
+	return b.String()
+}
+
+// TestGenMovesOnEveryChange: every catalog mutator changes what planning
+// reads (gen) when it has something to change, and leaves it alone — no
+// entry republished — when it changes nothing.
 func TestGenMovesOnEveryChange(t *testing.T) {
 	type fixture struct {
 		c   *Catalog
 		st  *storage.Store
 		eng *mr.Engine
 		d   *udf.Descriptor // registered, Scalar 2
+	}
+	newUDF := func(name string) *udf.Descriptor {
+		return &udf.Descriptor{Name: name, NArgs: 1, Kind: udf.KindMap, OutNames: []string{"o"}, TrueScalar: 1,
+			Map: func(args, _ []value.V) [][]value.V { return [][]value.V{args} }}
+	}
+	table := func(t *testing.T, c *Catalog, name string) *TableInfo {
+		ti, ok := c.Table(name)
+		if !ok {
+			t.Fatalf("%s not listed", name)
+		}
+		return ti
 	}
 	setup := func(t *testing.T) fixture {
 		f := fixture{c: NewCatalog(), st: storage.NewStore()}
@@ -163,8 +225,7 @@ func TestGenMovesOnEveryChange(t *testing.T) {
 		base := f.c.RegisterBase("b", []string{"a"}, "", cost.Stats{}, nil)
 		f.c.RegisterView("v", []string{"a"}, base.Ann, cost.Stats{}, "")
 		f.c.SetPartitioning("b", afk.Partitioning{Sigs: []string{base.Ann.MustSig("a").ID()}, Parts: 4})
-		f.d = &udf.Descriptor{Name: "U", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"o"}, TrueScalar: 1,
-			Map: func(args, _ []value.V) [][]value.V { return [][]value.V{args} }}
+		f.d = newUDF("U")
 		if err := f.c.UDFs.Register(f.d); err != nil {
 			t.Fatal(err)
 		}
@@ -175,11 +236,11 @@ func TestGenMovesOnEveryChange(t *testing.T) {
 		name string
 		op   func(t *testing.T, f fixture)
 		move bool
-		prep func(f fixture) // before Gen is read
+		prep func(f fixture) // before gen is read
 	}{
 		{"register_base", func(_ *testing.T, f fixture) { f.c.RegisterBase("b2", []string{"a"}, "", cost.Stats{}, nil) }, true, nil},
-		{"register_view", func(_ *testing.T, f fixture) {
-			f.c.RegisterView("v2", []string{"a"}, f.c.MustTable("b").Ann, cost.Stats{}, "")
+		{"register_view", func(t *testing.T, f fixture) {
+			f.c.RegisterView("v2", []string{"a"}, table(t, f.c, "b").Ann, cost.Stats{}, "")
 		}, true, nil},
 		{"drop_view", func(_ *testing.T, f fixture) { f.c.DropView("v") }, true, nil},
 		{"drop_view_absent", func(_ *testing.T, f fixture) { f.c.DropView("nope") }, false, nil},
@@ -198,8 +259,8 @@ func TestGenMovesOnEveryChange(t *testing.T) {
 		}, true, nil},
 		{"collect_stats_unknown", func(_ *testing.T, f fixture) { f.c.CollectStats(f.eng, "nope", 1) }, false, nil},
 		{"set_partitioning", func(_ *testing.T, f fixture) { f.c.SetPartitioning("b", afk.Partitioning{}) }, true, nil},
-		{"set_partitioning_same", func(_ *testing.T, f fixture) {
-			f.c.SetPartitioning("b", f.c.MustTable("b").Part.Clone())
+		{"set_partitioning_same", func(t *testing.T, f fixture) {
+			f.c.SetPartitioning("b", table(t, f.c, "b").Part.Clone())
 		}, false, nil},
 		{"set_partitioning_unknown", func(_ *testing.T, f fixture) { f.c.SetPartitioning("nope", afk.Partitioning{Parts: 2}) }, false, nil},
 		{"mark_delta", func(_ *testing.T, f fixture) { f.c.MarkDelta("b") }, true, nil},
@@ -209,7 +270,7 @@ func TestGenMovesOnEveryChange(t *testing.T) {
 		{"add_fd", func(_ *testing.T, f fixture) { f.c.FDs.Add([]string{"x"}, "y") }, true, nil},
 		{"add_fd_again", func(_ *testing.T, f fixture) { f.c.FDs.Add([]string{"x"}, "y") }, false, func(f fixture) { f.c.FDs.Add([]string{"x"}, "y") }},
 		{"register_udf", func(t *testing.T, f fixture) {
-			if err := f.c.UDFs.Register(f.d); err != nil {
+			if err := f.c.UDFs.Register(newUDF("U2")); err != nil {
 				t.Fatal(err)
 			}
 		}, true, nil},
@@ -221,10 +282,10 @@ func TestGenMovesOnEveryChange(t *testing.T) {
 			if tc.prep != nil {
 				tc.prep(f)
 			}
-			before := f.c.Gen()
+			before := gen(f.c)
 			tc.op(t, f)
-			if moved := f.c.Gen() != before; moved != tc.move {
-				t.Errorf("Gen moved = %v, want %v", moved, tc.move)
+			if after := gen(f.c); (after != before) != tc.move {
+				t.Errorf("gen moved = %v, want %v\nbefore:\n%safter:\n%s", after != before, tc.move, before, after)
 			}
 		})
 	}

@@ -635,19 +635,14 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	reg.Counter("mr_speculative_tasks_total").Add(int64(res.SpeculativeTasks))
 	reg.Counter("mr_speculative_wins_total").Add(int64(res.SpeculativeWins))
 	reg.Counter("mr_deadline_aborts_total").Add(one(errors.Is(err, ErrDeadlineExceeded)))
-	fw := res.Faults
+	const waste, bd = "mr_fault_waste_sim_seconds_total", "mr_breakdown_seconds_total"
+	fw, b := res.Faults, res.Breakdown
 	for _, c := range []struct {
-		component string
-		seconds   float64
-	}{{"retry", fw.TaskRetrySeconds}, {"backoff", fw.BackoffSeconds}, {"straggler", fw.StragglerSeconds}, {"speculation", fw.SpeculationSeconds}} {
-		reg.FloatCounter("mr_fault_waste_sim_seconds_total", "component", c.component).Add(c.seconds)
-	}
-	b := res.Breakdown
-	for _, c := range []struct {
-		component string
-		seconds   float64
-	}{{"cm", b.Cm}, {"cs", b.Cs}, {"ct", b.Ct}, {"cr", b.Cr}, {"cw", b.Cw}} {
-		reg.FloatCounter("mr_breakdown_seconds_total", "component", c.component).Add(c.seconds)
+		name, component string
+		seconds         float64
+	}{{waste, "retry", fw.TaskRetrySeconds}, {waste, "backoff", fw.BackoffSeconds}, {waste, "straggler", fw.StragglerSeconds},
+		{waste, "speculation", fw.SpeculationSeconds}, {bd, "cm", b.Cm}, {bd, "cs", b.Cs}, {bd, "ct", b.Ct}, {bd, "cr", b.Cr}, {bd, "cw", b.Cw}} {
+		reg.FloatCounter(c.name, "component", c.component).Add(c.seconds)
 	}
 	reg.Histogram("mr_job_wall_seconds", nil).Observe(wallSeconds)
 }

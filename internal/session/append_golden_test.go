@@ -62,7 +62,10 @@ func appendScript(t *testing.T, workers int) []appendEpoch {
 			Tables: make(map[string]tableSum), ViewFingerprint: make(map[string]string),
 		}
 		for _, name := range s.Store.List(storage.Base) {
-			info := s.Cat.MustTable(name)
+			info, ok := s.Cat.Table(name)
+			if !ok {
+				t.Fatalf("stored base %s is not in the catalog", name)
+			}
 			e.Tables[name] = tableSum{info.Stats, info.Distinct}
 		}
 		for _, info := range s.Cat.Views() {

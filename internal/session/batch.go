@@ -30,7 +30,6 @@ package session
 
 import (
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -340,20 +339,18 @@ func runUnit(eng *mr.Engine, u *batchUnit) {
 
 // runUnitsParallel executes units whose read phases can no longer fault,
 // level by level: every unit whose dependencies are satisfied runs
-// concurrently (bounded by parallel), then the next level. A dependency
-// cycle — only possible from pathological same-output plans — falls back
-// to sequential rank order, which is always safe.
-func runUnitsParallel(rest []*batchUnit, parallel int, run func(*batchUnit)) error {
-	remaining := rest
+// concurrently (bounded by parallel), then the next level. Units arrive in
+// rank order (buildUnits), so every level is in rank order too. A
+// dependency cycle — only possible from pathological same-output plans —
+// runs the remaining units one at a time in rank order, which is always
+// safe.
+func runUnitsParallel(remaining []*batchUnit, parallel int, run func(*batchUnit)) error {
 	for len(remaining) > 0 {
 		var ready, blocked []*batchUnit
 		for _, u := range remaining {
 			ok := true
 			for d := range u.deps {
-				if !d.done {
-					ok = false
-					break
-				}
+				ok = ok && d.done
 			}
 			if ok {
 				ready = append(ready, u)
@@ -362,17 +359,8 @@ func runUnitsParallel(rest []*batchUnit, parallel int, run func(*batchUnit)) err
 			}
 		}
 		if len(ready) == 0 {
-			sort.Slice(remaining, func(i, j int) bool { return remaining[i].rank < remaining[j].rank })
-			for _, u := range remaining {
-				run(u)
-				u.done = true
-				if u.err != nil {
-					return u.err
-				}
-			}
-			return nil
+			ready, blocked, parallel = remaining, nil, 1
 		}
-		sort.Slice(ready, func(i, j int) bool { return ready[i].rank < ready[j].rank })
 		sem := make(chan struct{}, parallel)
 		var wg sync.WaitGroup
 		for _, u := range ready {

@@ -3,6 +3,7 @@ package session_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -61,7 +62,10 @@ func TestQueriesNeverProbe(t *testing.T) {
 			}
 		}
 	}
-	twtr := indexed.Cat.MustTable("twtr")
+	twtr, ok := indexed.Cat.Table("twtr")
+	if !ok {
+		t.Fatal("twtr is not in the catalog")
+	}
 	delta := data.NewRelation(data.NewSchema(twtr.Cols...)).Extend(workload.AppendBatch(sc, 0, 20))
 	indexed.Store.Put("~delta~twtr", storage.Base, delta)
 	indexed.Cat.RegisterBase("~delta~twtr", twtr.Cols, twtr.KeyCol, twtr.Stats, twtr.Distinct)
@@ -135,5 +139,102 @@ func TestAppendRowsAllocs(t *testing.T) {
 	t.Logf("bytes allocated per warm append: %v", got)
 	if med := got[len(got)/2]; med > budget {
 		t.Errorf("a warm append allocates %d B (median of %v), budget %d B", med, got, budget)
+	}
+}
+
+// standingIngest is a session holding the four ingest views, installed
+// under ModeBFR, after one append. The append invalidates ing_activity's
+// result (a projection over a group-by is not maintainable); asked again,
+// the statement is a bare scan of the group-by view beneath it, which
+// appends maintain, and that plan is in the plan cache. It returns the
+// statement and the view it scans.
+func standingIngest(tb testing.TB, sc workload.Scale) (*session.Session, workload.Query, string) {
+	tb.Helper()
+	s, err := workload.NewSession(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.Eng.Workers = 1
+	qs := workload.IngestQueries()
+	for _, q := range qs {
+		if _, err := workload.Exec(s, q, session.ModeBFR); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := s.AppendRows("twtr", workload.AppendBatch(sc, 0, 200)); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := workload.Exec(s, qs[0], session.ModeBFR)
+	if err != nil || m.Jobs != 0 {
+		tb.Fatalf("%s asked again: %v, %+v: want a bare scan", qs[0].Name, err, m)
+	}
+	return s, qs[0], m.ResultName
+}
+
+// TestPlanHitAllocs pins the bytes one ask of a standing view's statement
+// allocates right after an append maintained the view, at the measured
+// value + 5 %. The view still stands under its annotation, so its cached
+// bare scan is served and no search runs; re-planning it (compile and
+// BFREWRITE over the catalog) allocates several times more.
+func TestPlanHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under the race detector")
+	}
+	// Measured: medians of 6 176–6 416 B per ask (parse included), the
+	// upper one + 5 %. Re-planning the ask after an append allocates ≈ 23 KB.
+	const budget = 6_740
+	sc := workload.DefaultScale()
+	s, q, view := standingIngest(t, sc)
+	var got []uint64
+	for epoch := 1; epoch <= 6; epoch++ {
+		rep, err := s.AppendRows("twtr", workload.AppendBatch(sc, epoch, 200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(rep.Maintained, view) {
+			t.Fatalf("the append did not maintain %s: %v", view, rep.Reasons)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m, err := workload.Exec(s, q, session.ModeBFR)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Jobs != 0 || m.ResultName != view {
+			t.Fatalf("epoch %d: %s ran %d jobs answering from %s, want a bare scan of %s", epoch, q.Name, m.Jobs, m.ResultName, view)
+		}
+		got = append(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	t.Logf("bytes allocated per ask after an append: %v", got)
+	if med := got[len(got)/2]; med > budget {
+		t.Errorf("asking a standing view after an append allocates %d B (median of %v), budget %d B", med, got, budget)
+	}
+}
+
+// BenchmarkStandingQuery asks a standing view's statement: hit serves its
+// cached bare scan, replan empties the plan cache first and so compiles
+// and searches, as every ask after an append did while any catalog change
+// emptied the cache. Run with -benchmem for the allocation side.
+func BenchmarkStandingQuery(b *testing.B) {
+	for _, arm := range []string{"hit", "replan"} {
+		b.Run(arm, func(b *testing.B) {
+			s, q, _ := standingIngest(b, workload.DefaultScale())
+			st, err := hiveql.ParseOne(q.SQL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for range b.N {
+				if arm == "replan" {
+					session.ForgetPlans(s)
+				}
+				if _, err := s.Run(st.Plan, st.Table, session.ModeBFR); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -223,6 +223,7 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 		rep.Reasons[name] = m.reason
 		s.Obs.Counter("session_views_invalidated_total", "table", table).Inc()
 	}
+	s.prunePlans()
 	sp.AddSim(rep.MaintainSeconds + rep.StatsSeconds)
 	if baseErr != nil {
 		return nil, baseErr

@@ -197,7 +197,7 @@ func maintainVsRecompute(t *testing.T, workers, reduceTasks int, fam ivmFamily, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		refSim += m.TotalSeconds()
+		refSim += m.ExecSeconds + m.StatsSeconds + m.RewriteSeconds
 	}
 	if chaos {
 		var fired int64

@@ -9,6 +9,7 @@ import (
 	"opportune/internal/data"
 	"opportune/internal/expr"
 	"opportune/internal/fault"
+	"opportune/internal/meta"
 	"opportune/internal/obs"
 	"opportune/internal/plan"
 	"opportune/internal/storage"
@@ -173,21 +174,24 @@ func TestAppendSpanTree(t *testing.T) {
 }
 
 // TestAppendRejectsWrongWidth: a row whose width is not the table's is an
-// error before anything moves — epoch, catalog generation, stored bytes and
-// views stay as they were — and the next append and query are right.
+// error before anything moves — epoch, published catalog entries, stored
+// bytes and views stay as they were — and the next append and query are
+// right.
 func TestAppendRejectsWrongWidth(t *testing.T) {
 	s := pipelineSession(t, 2)
 	type state struct {
 		epoch    int64
-		gen      uint64
+		tables   []*meta.TableInfo
 		bytes    int64
 		views    []string
 		contents []uint64
 	}
 	snap := func() state {
-		st := state{epoch: s.ingestEpoch.Load(), gen: s.Cat.Gen()}
+		st := state{epoch: s.ingestEpoch.Load()}
 		for _, kind := range []storage.Kind{storage.Base, storage.View} {
 			for _, name := range s.Store.List(kind) {
+				info, _ := s.Cat.Table(name)
+				st.tables = append(st.tables, info)
 				ds, _ := s.Store.Meta(name)
 				st.bytes += ds.SizeBytes
 				st.contents = append(st.contents, ds.Relation().Fingerprint())
@@ -208,7 +212,7 @@ func TestAppendRejectsWrongWidth(t *testing.T) {
 			t.Fatalf("a %d-value row appended to a 3-column table: %+v", len(bad), rep)
 		}
 		after := snap()
-		if after.epoch != before.epoch || after.gen != before.gen || after.bytes != before.bytes ||
+		if after.epoch != before.epoch || !slices.Equal(after.tables, before.tables) || after.bytes != before.bytes ||
 			!slices.Equal(after.views, before.views) || !slices.Equal(after.contents, before.contents) {
 			t.Errorf("a rejected append moved state:\nbefore %+v\nafter  %+v", before, after)
 		}

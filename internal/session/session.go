@@ -7,6 +7,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -68,10 +69,9 @@ type Session struct {
 	// each sees a consistent statistics snapshot. It also guards plans.
 	planMu sync.Mutex
 
-	// plans holds the plans of queries that execute nothing, derived at
-	// catalog generation plansGen (DESIGN §5.16).
-	plans    map[planKey]plannedQuery
-	plansGen uint64
+	// plans holds the plans of queries that execute nothing: bare scans,
+	// each valid while its dataset stands (DESIGN §5.16).
+	plans map[planKey]plannedQuery
 
 	// CheckPlanHit, when set, is called under planMu on every plan-cache
 	// hit with the Metrics the hit serves and those of planning the query
@@ -135,7 +135,6 @@ func New(params cost.Params) *Session {
 		Eval:      eval,
 		viewPlans: make(map[string]*plan.Node),
 		plans:     make(map[planKey]plannedQuery),
-		plansGen:  cat.Gen(),
 	}
 }
 
@@ -152,12 +151,6 @@ type Metrics struct {
 	ResultName     string
 
 	Rewrite *rewrite.Result // nil for ModeOriginal
-}
-
-// TotalSeconds is the headline number: execution plus statistics collection
-// plus rewrite-search time.
-func (m Metrics) TotalSeconds() float64 {
-	return m.ExecSeconds + m.StatsSeconds + m.RewriteSeconds
 }
 
 // Run compiles, (optionally) rewrites, and executes a query plan,
@@ -208,7 +201,11 @@ func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 		// have claimed views retained a moment ago: drop their catalog
 		// entries.
 		s.Store.EnforceBudget()
-		s.Cat.SyncWithStore(s.Store)
+		if s.Cat.SyncWithStore(s.Store) > 0 {
+			s.planMu.Lock()
+			s.prunePlans()
+			s.planMu.Unlock()
+		}
 	}
 	if err != nil {
 		for qi, q := range queries {
@@ -304,11 +301,11 @@ type plannedQuery struct {
 	epoch  int64
 	pins   []string
 	hits   int64
+	canon  string // a plan-cache entry's: its scanned dataset's Canon()
 }
 
-// planKey identifies a query's plan within one catalog generation: the
-// statement, its result name and mode, and every planner setting the
-// search reads.
+// planKey identifies a query's plan: the statement, its result name and
+// mode, and every planner setting the search reads.
 type planKey struct {
 	fp, result          string
 	mode                Mode
@@ -344,7 +341,9 @@ func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery,
 				break
 			}
 			s.Store.Unpin(p.pins)
-			s.Cat.SyncWithStore(s.Store)
+			if s.Cat.SyncWithStore(s.Store) > 0 {
+				s.prunePlans()
+			}
 			if _, listed := s.Cat.Table(ins[i]); listed {
 				err = fmt.Errorf("session: planned input %q: %w", ins[i], storage.ErrNotFound)
 				break
@@ -364,17 +363,15 @@ func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery,
 }
 
 // planCached is one planning pass through the plan cache; the caller holds
-// planMu. A query that executes nothing is planned once per catalog
-// generation: a hit serves a copy of its Metrics with RewriteSeconds 0, as
-// no search ran. A plan is stored only if the generation held throughout.
+// planMu. A query that executes nothing is a bare scan at cost 0, which no
+// catalog change can beat: its plan is stored and served while it stands.
+// A hit serves a copy of its Metrics with RewriteSeconds 0, as no search
+// ran.
 func (s *Session) planCached(q BatchQuery) (plannedQuery, error) {
-	if gen := s.Cat.Gen(); gen != s.plansGen {
-		s.plans, s.plansGen = make(map[planKey]plannedQuery), gen
-	}
 	r := s.Rew
 	k := planKey{q.Plan.Fingerprint(), q.ResultName, q.Mode, s.Opt.Params,
 		r.MaxViews, r.MaxOpRepeat, r.DisableOptCost, r.DisableGuessComplete}
-	if p, ok := s.plans[k]; ok {
+	if p, ok := s.plans[k]; ok && s.stands(p) {
 		m := *p.m
 		m.RewriteSeconds = 0
 		p.m, p.hits = &m, 1
@@ -384,12 +381,26 @@ func (s *Session) planCached(q BatchQuery) (plannedQuery, error) {
 		}
 		return p, nil
 	}
+	delete(s.plans, k)
 	p, err := s.planLocked(q)
-	if err == nil && p.jobs == nil && s.Cat.Gen() == s.plansGen {
+	if t, listed := s.Cat.Table(p.chosen.Dataset); err == nil && p.jobs == nil && listed {
 		m := *p.m
-		s.plans[k] = plannedQuery{m: &m, chosen: p.chosen}
+		s.plans[k] = plannedQuery{m: &m, chosen: p.chosen, canon: t.Canon()}
 	}
 	return p, err
+}
+
+// stands reports whether a cached plan's scanned dataset is still listed
+// under the annotation it had when the plan was stored.
+func (s *Session) stands(p plannedQuery) bool {
+	t, listed := s.Cat.Table(p.chosen.Dataset)
+	return listed && t.Canon() == p.canon
+}
+
+// prunePlans deletes the plan-cache entries that no longer stand; the
+// caller holds planMu.
+func (s *Session) prunePlans() {
+	maps.DeleteFunc(s.plans, func(_ planKey, p plannedQuery) bool { return !s.stands(p) })
 }
 
 // planLocked is one planning pass; the caller holds planMu.
@@ -488,9 +499,10 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 	var total float64
 	for i, jn := range w.Nodes {
 		// The sink was materialized under the caller's result name; that is
-		// the dataset future queries can reuse.
+		// the dataset future queries can reuse. A name listed under another
+		// annotation is a result re-run by another statement: stale.
 		name := w.StoredName(jn, resultName)
-		if _, known := s.Cat.Table(name); known {
+		if t, known := s.Cat.Table(name); known && t.Canon() == jn.Logical.AnnCanon() {
 			continue // stats already collected for this materialization
 		}
 		if !s.Store.Has(name) {
@@ -567,4 +579,7 @@ func (s *Session) DropViews() {
 	s.viewMu.Lock()
 	s.viewPlans = make(map[string]*plan.Node)
 	s.viewMu.Unlock()
+	s.planMu.Lock()
+	clear(s.plans)
+	s.planMu.Unlock()
 }

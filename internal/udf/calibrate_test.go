@@ -29,7 +29,6 @@ func TestCalibrateRecoversScalar(t *testing.T) {
 	if err := reg.Register(d); err != nil {
 		t.Fatal(err)
 	}
-	gen := reg.Gen()
 	res, err := reg.Calibrate(e, "twtr", d, []string{"text"}, nil, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +39,6 @@ func TestCalibrateRecoversScalar(t *testing.T) {
 	// The engine charges TrueScalar; calibration must recover ~it.
 	if d.Scalar < d.TrueScalar*0.99 || d.Scalar > d.TrueScalar*1.01 {
 		t.Errorf("calibrated Scalar = %g, want ≈ %g", d.Scalar, d.TrueScalar)
-	}
-	if reg.Gen() == gen {
-		t.Error("calibration installed a scalar without moving the registry's Gen")
 	}
 	if res.OverheadSec <= 0 {
 		t.Error("no calibration overhead recorded")

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
@@ -354,12 +353,7 @@ func (d *Descriptor) Annotate(in afk.Annotation, argCols []string, params []valu
 type Registry struct {
 	mu     sync.RWMutex
 	byName map[string]*Descriptor
-	gen    atomic.Uint64 // registrations and scalar changes; see Gen
 }
-
-// Gen counts the registry's changes to what planning reads: every Register
-// and every SetScalar that installs a new value.
-func (r *Registry) Gen() uint64 { return r.gen.Load() }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -381,7 +375,6 @@ func (r *Registry) Register(d *Descriptor) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.byName[d.Name] = d
-	r.gen.Add(1)
 	return nil
 }
 
@@ -390,10 +383,7 @@ func (r *Registry) Register(d *Descriptor) error {
 func (r *Registry) SetScalar(d *Descriptor, scalar float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if d.Scalar != scalar {
-		d.Scalar = scalar
-		r.gen.Add(1)
-	}
+	d.Scalar = scalar
 }
 
 func defaultMapOps(d *Descriptor) []cost.OpType {
