@@ -50,17 +50,17 @@ fuzz-smoke:
 	./scripts/fuzz_smoke.sh
 
 # Non-test Go lines per internal package (the ROADMAP line budget), then the
-# mr + optimizer + session subtotal ROADMAP direction 4 tracks.
+# mr + optimizer + session subtotal ROADMAP direction 6 tracks.
 loc:
 	@find internal -name '*.go' ! -name '*_test.go' | xargs wc -l | awk '$$2 != "total" {split($$2, p, "/"); n[p[2]] += $$1; t += $$1} END {for (k in n) printf "%7d internal/%s\n", n[k], k; printf "%7d total\n", t}' | sort -k2
 	@printf '%7d mr + optimizer + session\n' $$(cat $(EXECUTOR_SRC) | wc -l)
 
-# Line ratchets: "one plan, one executor" (ROADMAP direction 4) only ever
+# Line ratchets: "one plan, one executor" (ROADMAP direction 6) only ever
 # lowers the mr + optimizer + session subtotal, and "a smaller rewriter"
-# (direction 3) the internal/rewrite total. Each change that shrinks one
+# (direction 7(c)) the internal/rewrite total. Each change that shrinks one
 # sets its maximum to the result; growing past it fails CI.
 EXECUTOR_SRC     = $(shell find internal/mr internal/optimizer internal/session -name '*.go' ! -name '*_test.go')
-EXECUTOR_LOC_MAX = 6190
+EXECUTOR_LOC_MAX = 5957
 REWRITE_SRC      = $(shell find internal/rewrite -name '*.go' ! -name '*_test.go')
 REWRITE_LOC_MAX  = 1634
 loc-check:

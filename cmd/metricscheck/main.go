@@ -154,24 +154,16 @@ func checkPartition(m obs.Snapshot) {
 
 // checkFused validates the fused map-pipeline counter family. The engine
 // records all of it unconditionally (zeros included) for every job, so if
-// one name is present they all must be; and the family must balance: every
-// fusion-eligible job either compiled to a batch kernel or carries exactly
-// one fallback reason, and a run with no fused jobs cannot claim fused
-// batches or rows.
+// one name is present they all must be; every job's map side is a fused
+// batch function, so the job counters agree, and a run with no fused jobs
+// cannot claim fused batches or rows.
 func checkFused(m obs.Snapshot) {
 	elig, eligOK := m.Counters["mr_fused_eligible_total"]
 	jobs, jobsOK := m.Counters["mr_fused_jobs_total"]
 	batches, batchesOK := m.Counters["mr_fused_batches_total"]
 	rows, rowsOK := m.Counters["mr_fused_rows_total"]
 	if !eligOK && !jobsOK && !batchesOK && !rowsOK {
-		// A run that executed no MR jobs records none of the family; but a
-		// stray labeled fallback without the core names is a wiring bug.
-		for k := range m.Counters {
-			if strings.HasPrefix(k, "mr_fused_fallback_total{") {
-				fail("fallback reasons recorded without the fused counter family")
-			}
-		}
-		return
+		return // a run that executed no MR jobs records none of the family
 	}
 	if !eligOK || !jobsOK || !batchesOK || !rowsOK {
 		fail("partial fused counter family: eligible=%v jobs=%v batches=%v rows=%v",
@@ -181,23 +173,8 @@ func checkFused(m obs.Snapshot) {
 		fail("negative fused counter (eligible=%d jobs=%d batches=%d rows=%d)",
 			elig, jobs, batches, rows)
 	}
-	var fallback int64
-	// mr.FuseFallbackReasons is the family's fixed label set; the engine
-	// records every one (zeros included) whenever it records the family, so
-	// a missing label is a wiring bug, not an empty run.
-	for _, reason := range mr.FuseFallbackReasons {
-		v, ok := m.Counters["mr_fused_fallback_total{reason="+reason+"}"]
-		if !ok {
-			fail("fused fallback reason %q missing from the family", reason)
-		}
-		if v < 0 {
-			fail("mr_fused_fallback_total{reason=%s} negative", reason)
-		}
-		fallback += v
-	}
-	if jobs+fallback != elig {
-		fail("fused family does not balance: jobs %d + fallbacks %d != eligible %d",
-			jobs, fallback, elig)
+	if jobs != elig {
+		fail("fused family does not balance: jobs %d != eligible %d", jobs, elig)
 	}
 	if jobs == 0 && (batches > 0 || rows > 0) {
 		fail("fused work recorded with zero fused jobs (batches=%d rows=%d)", batches, rows)

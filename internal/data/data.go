@@ -248,24 +248,6 @@ func (rel *Relation) Get(r int, col string) value.V {
 	return rel.rows[r][rel.schema.MustIndex(col)]
 }
 
-// SortBy sorts rows in place by the named columns ascending (value.Compare
-// order), stably.
-func (rel *Relation) SortBy(cols ...string) {
-	idxs := make([]int, len(cols))
-	for i, c := range cols {
-		idxs[i] = rel.schema.MustIndex(c)
-	}
-	sort.SliceStable(rel.rows, func(a, b int) bool {
-		for _, ix := range idxs {
-			c := value.Compare(rel.rows[a][ix], rel.rows[b][ix])
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-}
-
 // KeyEncoder builds composite grouping keys into one reusable buffer, so a
 // tight loop (a map task keying every row) performs at most one allocation
 // per key — the returned string — instead of one per column, and none when

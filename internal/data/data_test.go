@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,24 @@ func TestRelationAppendAndGet(t *testing.T) {
 		}
 	}()
 	rel.Append(Row{value.NewInt(1)})
+}
+
+// SortBy sorts rows in place by the named columns ascending (value.Compare
+// order), stably: the tests' way to reorder a relation.
+func (rel *Relation) SortBy(cols ...string) {
+	idxs := make([]int, len(cols))
+	for i, c := range cols {
+		idxs[i] = rel.schema.MustIndex(c)
+	}
+	sort.SliceStable(rel.rows, func(a, b int) bool {
+		for _, ix := range idxs {
+			c := value.Compare(rel.rows[a][ix], rel.rows[b][ix])
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
 }
 
 func TestSortBy(t *testing.T) {

@@ -95,26 +95,6 @@ func (e *Evaluator) Compile(p Pred, schema *data.Schema) (Compiled, error) {
 	}
 }
 
-// CompileAll binds a conjunction to a schema.
-func (e *Evaluator) CompileAll(preds []Pred, schema *data.Schema) (Compiled, error) {
-	compiled := make([]Compiled, len(preds))
-	for i, p := range preds {
-		c, err := e.Compile(p, schema)
-		if err != nil {
-			return nil, err
-		}
-		compiled[i] = c
-	}
-	return func(r data.Row) bool {
-		for _, c := range compiled {
-			if !c(r) {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
 func sign(c int) int {
 	switch {
 	case c < 0:

@@ -86,24 +86,3 @@ func TestCompileErrors(t *testing.T) {
 		t.Error("opaque with missing column accepted")
 	}
 }
-
-func TestCompileAll(t *testing.T) {
-	s, rows := testSchemaRows()
-	e := NewEvaluator()
-	c, err := e.CompileAll([]Pred{
-		NewCmp("score", Gt, value.NewFloat(0.05)),
-		NewCmp("id", Lt, value.NewInt(3)),
-	}, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{true, true, false}
-	for i, r := range rows {
-		if got := c(r); got != want[i] {
-			t.Errorf("row %d: got %v", i, got)
-		}
-	}
-	if _, err := e.CompileAll([]Pred{NewCmp("missing", Eq, value.NewInt(1))}, s); err == nil {
-		t.Error("CompileAll with bad pred accepted")
-	}
-}

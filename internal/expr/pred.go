@@ -363,20 +363,6 @@ func (s Set) ImpliesAll(o Set) bool {
 	return true
 }
 
-// Minus returns the predicates of s not present (canonically) in o — the
-// filter compensation needed to turn a view with filters o into a target
-// with filters s.
-func (s Set) Minus(o Set) []Pred {
-	var out []Pred
-	for k, p := range s {
-		if _, ok := o[k]; !ok {
-			out = append(out, p)
-		}
-	}
-	sortPreds(out)
-	return out
-}
-
 // Reduced returns the set with implication-redundant predicates removed: a
 // predicate implied by another member is dropped (one representative of a
 // mutually-implying pair survives, chosen by canonical order). Reduced sets

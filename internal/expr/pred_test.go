@@ -162,10 +162,6 @@ func TestSetOperations(t *testing.T) {
 	if NewSet(p1).Equal(NewSet(p2)) {
 		t.Error("Equal on different sets")
 	}
-	diff := NewSet(p1, p2, p3).Minus(NewSet(p2))
-	if len(diff) != 2 {
-		t.Errorf("Minus = %v", diff)
-	}
 }
 
 func TestImpliesAll(t *testing.T) {

@@ -252,16 +252,16 @@ func probeCount(failures int) *Job {
 		Name:   "probecount",
 		Inputs: []string{"docs"},
 		Probes: []ProbeSpec{{Dataset: "lexicon", Col: "word"}},
-		MapFactory: func(ctx TaskCtx) MapFunc {
+		BatchMapFactory: func(ctx TaskCtx) BatchMapFunc {
 			var enc data.KeyEncoder
-			return func(_ int, r data.Row, emit Emit) {
+			return batchOf(func(_ int, r data.Row, emit Emit) {
 				for _, w := range strings.Fields(r[1].Str()) {
 					for _, pos := range ctx.Probes[0].Lookup(enc.KeyOf(value.NewStr(w))) {
 						class := ctx.Probes[0].Row(pos)[1]
 						emit(class.Str(), data.Row{class, value.NewInt(1)})
 					}
 				}
-			}
+			})
 		},
 		MapOutSchema: data.NewSchema("class", "n"),
 		Reduce: func(key string, rows []data.Row, out *GroupOut) {
@@ -360,7 +360,7 @@ func TestMapOnlySchemaMismatchFails(t *testing.T) {
 	job := &Job{
 		Name:   "badproject",
 		Inputs: []string{"docs"},
-		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
+		BatchMapFactory: perRow(func(_ int, r data.Row, emit Emit) {
 			emit("", data.Row{r[0]})
 		}),
 		MapOutSchema: data.NewSchema("id"),

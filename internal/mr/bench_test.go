@@ -39,11 +39,11 @@ func benchGroupJob(schema *data.Schema, rows, groups int) *Job {
 		Name:         "bench-shuffle-group",
 		Inputs:       []string{"bench_in"},
 		MapOutSchema: schema,
-		MapFactory: func(TaskCtx) MapFunc {
+		BatchMapFactory: func(TaskCtx) BatchMapFunc {
 			var enc data.KeyEncoder
-			return func(_ int, r data.Row, emit Emit) {
+			return batchOf(func(_ int, r data.Row, emit Emit) {
 				emit(enc.Key(r, keyIdxs), r)
-			}
+			})
 		},
 		Reduce: func(_ string, rows []data.Row, out *GroupOut) {
 			out.Emit(data.Row{rows[0][0], rows[0][2], value.NewInt(int64(len(rows)))})
@@ -133,15 +133,15 @@ func BenchmarkMaterializeLarge(b *testing.B) {
 	st, schema := benchInput(200000, 5000)
 	produce := &Job{
 		Name: "bench-materialize", Inputs: []string{"bench_in"},
-		MapFactory:   perTask(func(_ int, r data.Row, emit Emit) { emit("", r) }),
-		MapOutSchema: schema, OutputSchema: schema,
+		BatchMapFactory: perRow(func(_ int, r data.Row, emit Emit) { emit("", r) }),
+		MapOutSchema:    schema, OutputSchema: schema,
 		Output: "bench_big", OutputKind: storage.View,
 		MapCost: []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 	}
 	consume := &Job{
 		Name: "bench-consume", Inputs: []string{"bench_big"},
-		MapFactory:   perTask(func(int, data.Row, Emit) {}),
-		MapOutSchema: schema, OutputSchema: schema,
+		BatchMapFactory: perRow(func(int, data.Row, Emit) {}),
+		MapOutSchema:    schema, OutputSchema: schema,
 		Output: "bench_none", OutputKind: storage.View,
 		MapCost: []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 	}

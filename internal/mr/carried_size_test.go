@@ -62,15 +62,15 @@ func TestCarriedSizesMatchAWalk(t *testing.T) {
 					OutputSchema: schema,
 					Output:       "carried_out",
 					OutputKind:   storage.View,
-					MapFactory: func(TaskCtx) MapFunc {
+					BatchMapFactory: func(TaskCtx) BatchMapFunc {
 						var enc data.KeyEncoder
-						return func(_ int, r data.Row, emit Emit) {
+						return batchOf(func(_ int, r data.Row, emit Emit) {
 							key := enc.Key(r, keyIdxs)
 							if r[1].Int()%7 == 0 {
 								key = "?" // not a key encoding: the local route must refuse it
 							}
 							emit(key, r)
-						}
+						})
 					},
 				}
 				if !v.mapOnly {

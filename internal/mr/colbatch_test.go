@@ -158,18 +158,12 @@ func batchEchoInput(st *storage.Store, n int) {
 	st.Put("batch_in", storage.Base, rel)
 }
 
-// batchEchoJob is a map-only job wired both ways: a row-mode Map and a
-// BatchMapFactory producing identical output.
+// batchEchoJob is a map-only job whose batch map function doubles val.
 func batchEchoJob() *Job {
 	schema := data.NewSchema("id", "doubled")
-	rowMap := func(_ int, r data.Row, emit Emit) {
-		emit("", data.Row{r[0], value.NewInt(r[1].Int() * 2)})
-	}
 	return &Job{
-		Name:       "batch_echo",
-		Inputs:     []string{"batch_in"},
-		MapFactory: perTask(rowMap),
-		Fusion:     Fusion{FusedEligible: true, Fused: true},
+		Name:   "batch_echo",
+		Inputs: []string{"batch_in"},
 		BatchMapFactory: func(TaskCtx) BatchMapFunc {
 			return func(input int, rows []data.Row, emit Emit) BatchReport {
 				for _, r := range rows {
@@ -186,47 +180,9 @@ func batchEchoJob() *Job {
 	}
 }
 
-// TestEnginePrefersBatchMapFactory proves the engine runs the batch path
-// when a job carries one — every split through the kernel, output identical
-// to the row path, volumes untouched, and the fused telemetry filled in.
-func TestEnginePrefersBatchMapFactory(t *testing.T) {
-	e, st := newEngine()
-	e.Params.SplitRows = 64
-	batchEchoInput(st, 300) // 5 splits of 64/64/64/64/44
-
-	outB, resB, err := e.Run(batchEchoJob())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowJob := batchEchoJob()
-	rowJob.BatchMapFactory = nil
-	rowJob.Fused = false
-	rowJob.FuseFallback = FuseUnsupportedOp
-	rowJob.Output = "row_out"
-	outR, resR, err := e.Run(rowJob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outB.Fingerprint() != outR.Fingerprint() {
-		t.Error("batch and row map paths disagree on output")
-	}
-	if resB.FusedBatches != 5 || resB.FusedRows != 300 {
-		t.Errorf("FusedBatches=%d FusedRows=%d, want 5/300", resB.FusedBatches, resB.FusedRows)
-	}
-	if !resB.Fused || !resB.FusedEligible {
-		t.Errorf("fused flags not propagated: %+v", resB)
-	}
-	if resR.FusedBatches != 0 || resR.Fused {
-		t.Errorf("row path reported fused work: %+v", resR)
-	}
-	if resB.InputRows != resR.InputRows || resB.OutputRows != resR.OutputRows {
-		t.Errorf("volume accounting differs between paths: %+v vs %+v", resB, resR)
-	}
-}
-
 // TestEngineRecordsFusedFamily proves the fused map tallies are published:
-// every split of a fused job with a batch kernel counts as a fused batch,
-// and the whole family is present with its fixed reason labels.
+// every job counts once as eligible and once as fused, and every split of
+// it as a fused batch.
 func TestEngineRecordsFusedFamily(t *testing.T) {
 	e, st := newEngine()
 	e.Params.SplitRows = 64
@@ -247,13 +203,5 @@ func TestEngineRecordsFusedFamily(t *testing.T) {
 	}
 	if snap.Counters["mr_fused_batches_total"] != 5 || snap.Counters["mr_fused_rows_total"] != 300 {
 		t.Errorf("fused batch counters wrong: %v", snap.Counters)
-	}
-	// The whole family is present even where it is zero, with the fixed
-	// reason label set.
-	for _, reason := range FuseFallbackReasons {
-		key := "mr_fused_fallback_total{reason=" + reason + "}"
-		if v, ok := snap.Counters[key]; !ok || v != 0 {
-			t.Errorf("%s = %d (present=%v), want 0 and present", key, v, ok)
-		}
 	}
 }

@@ -30,19 +30,13 @@ import (
 // the rows it was handed copies them.
 type Emit func(key string, r data.Row)
 
-// MapFunc processes one input row. input is the index into Job.Inputs,
-// letting joins tag which side a row came from (MR joins are a co-group of
-// multiple relations on a common key, §3.2). Job.MapFactory builds one per
-// map task, so per-task state (scratch buffers, row tags) lives in the
+// BatchMapFunc is a job's map function: it processes one whole map split at
+// once. input is the index into Job.Inputs, letting joins tag which side a
+// row came from (MR joins are a co-group of multiple relations on a common
+// key, §3.2); rows is the split, read-only. A batch never bails: it maps the
+// whole split or fails the task. Job.BatchMapFactory builds one per map
+// task, so per-task state (scratch buffers, row tags) lives in the
 // factory's closure and needs no synchronization.
-type MapFunc func(input int, r data.Row, emit Emit)
-
-// BatchMapFunc processes one whole map split at once — the fused columnar
-// path. input is the index into Job.Inputs; rows is the split, read-only.
-// A batch never bails: it maps the whole split or fails the task.
-// Emission-order and content must be identical to calling the job's MapFunc
-// row by row: the engine relies on that to keep batch execution invisible
-// to shuffle, accounting, and retries.
 type BatchMapFunc func(input int, rows []data.Row, emit Emit) BatchReport
 
 // BatchReport is one batch map task's combine report.
@@ -53,43 +47,31 @@ type BatchReport struct {
 	// Combine over them again. CombineRows then carries the pre-combine row
 	// count — what Result.CombineRows would have tallied had Combine run
 	// over the per-row records — keeping combine accounting identical
-	// between the two map paths.
+	// whichever side of the shuffle combined.
 	Combined    bool
 	CombineRows int64
 }
 
-// Fusion fallback reasons, the label taxonomy of the
-// mr_fused_fallback_total counter. Every eligible-but-not-fused job carries
-// exactly one of these.
+// Reduce-side fusion fallback reasons, the label taxonomy of the
+// mr_fused_reduce_fallback_total counter. Every reduce job that has no
+// compiled agg kernels carries exactly one of these.
 const (
-	// FuseExplodeUDF: a chain contains an exploding map UDF (multi-row
-	// output with per-row tags; inherently row-oriented).
-	FuseExplodeUDF = "explode_udf"
-	// FuseUnsupportedOp: a chain contains an operator or predicate shape
-	// the fused compiler does not handle; reduce side, the boundary is a
-	// join or a sort, which has no aggregate fold.
+	// FuseUnsupportedOp: the boundary is a join or a sort, which has no
+	// aggregate fold.
 	FuseUnsupportedOp = "unsupported_op"
-	// FuseSchemaMismatch: column resolution disagreed with the annotated
-	// output schema; the interpreter is the safe path.
-	FuseSchemaMismatch = "schema_mismatch"
 	// FuseAggUDF: the reducer is an aggregate UDF running opaque user code
-	// over raw payload rows — no typed partial state to specialize on
-	// (reduce-side fusion only).
+	// over raw payload rows — no typed partial state to specialize on.
 	FuseAggUDF = "agg_udf"
 )
 
-// FuseFallbackReasons enumerates the taxonomy in recording order, so the
-// counter family's key set is fixed regardless of which reasons fire.
-var FuseFallbackReasons = []string{FuseExplodeUDF, FuseUnsupportedOp, FuseSchemaMismatch}
-
-// FuseReduceFallbackReasons is the mr_fused_reduce_fallback_total label
-// taxonomy, fixed in recording order like FuseFallbackReasons.
+// FuseReduceFallbackReasons enumerates the taxonomy in recording order, so
+// the counter family's key set is fixed regardless of which reasons fire.
 var FuseReduceFallbackReasons = []string{FuseAggUDF, FuseUnsupportedOp}
 
 // TaskCtx identifies one map task (one input split) deterministically:
 // which input it reads, the split ordinal within that input, the ordinal of
 // the split's first row within that input, and the ordinal of that row
-// counting across all inputs in input order. Map factories seed per-task
+// counting across all inputs in input order. Map functions seed per-task
 // state from it (e.g. unique row tags) so task-local state never depends on
 // goroutine scheduling.
 type TaskCtx struct {
@@ -163,23 +145,17 @@ func (o *GroupOut) seal(key string) redOut {
 	return ro
 }
 
-// Fusion is a job's fusion classification, stamped by the optimizer and
-// echoed in its Result. FusedEligible marks a job with at least one
-// fusable-shaped operator chain; Fused marks one whose chains all compiled
-// into fused kernels (BatchMapFactory set); FuseFallback carries the first
-// fallback reason (one of the Fuse* constants) when eligible but not fused.
-// The reduce-side trio mirrors it for the combiner/reducer:
+// Fusion is a job's reduce-side fusion classification, stamped by the
+// optimizer and echoed in its Result (every job's map side is a compiled
+// batch function, so the map side has nothing to classify).
 // FusedReduceEligible marks any reduce job, FusedReduce one whose combine
 // and reduce phases compiled into columnar agg kernels (Combine/BatchReduce
-// set), and FusedReduceFallback the single reason when eligible but not
-// fused. FusedCrossBoundary additionally marks a job whose map kernel was
-// fused *through* the shuffle boundary into the combine fold. Purely
-// observational: the engine publishes it and tallies fused work by it,
+// set), and FusedReduceFallback the single reason (one of the Fuse*
+// constants) when eligible but not fused. FusedCrossBoundary additionally
+// marks a job whose map kernel was fused *through* the shuffle boundary
+// into the combine fold. Purely observational: the engine publishes it,
 // never executes differently for it.
 type Fusion struct {
-	FusedEligible       bool
-	Fused               bool
-	FuseFallback        string
 	FusedReduceEligible bool
 	FusedReduce         bool
 	FusedReduceFallback string
@@ -192,21 +168,13 @@ type Job struct {
 	Name   string
 	Inputs []string // dataset names read from the store
 
-	// MapFactory builds a fresh MapFunc per map task: map-side state is
-	// task-local (race-free) yet schedule-independent, since the factory
-	// derives any counters or tags from the TaskCtx. Every job has one; for
-	// a job with a BatchMapFactory it is the reference only.
-	MapFactory   func(ctx TaskCtx) MapFunc
-	MapOutSchema *data.Schema // schema of rows the map function emits
-
-	// BatchMapFactory, when set, builds a per-task batch map function the
-	// engine runs instead of the row-at-a-time MapFactory: the task's whole
-	// split is handed to it at once (the fused columnar path), and a batch
-	// never bails back to the row path. Production never runs MapFactory
-	// for a job that has this hook; the row path is the reference the
-	// differential tests run by clearing the hook on compiled jobs, and the
-	// two must produce identical emissions.
+	// BatchMapFactory builds a fresh map function per map task, which the
+	// engine hands the task's whole split at once; every job has one. Map-
+	// side state is task-local (race-free) yet schedule-independent, since
+	// the factory derives any counters or tags from the TaskCtx. The
+	// optimizer compiles it from the job's fused programs.
 	BatchMapFactory func(ctx TaskCtx) BatchMapFunc
+	MapOutSchema    *data.Schema // schema of rows the map function emits
 
 	// Probes lists the indexes the map side looks rows up in (TaskCtx.Probes).
 	// The engine opens each once per attempt; the stored rows lookups match
@@ -312,9 +280,9 @@ type Result struct {
 
 	// Fusion observability (wall-clock-only: none of these feed simulated
 	// seconds or volumes). Fusion echoes the job's classification;
-	// FusedBatches/FusedRows count the map splits (and their rows) of a
-	// fused job with a batch kernel — every one of which runs on it. Both
-	// depend only on the job and its splits, so they are Workers-independent.
+	// FusedBatches/FusedRows count the map splits (and their rows), every
+	// one of which runs on the job's batch map function. Both depend only
+	// on the job and its splits, so they are Workers-independent.
 	Fusion
 	FusedBatches int64
 	FusedRows    int64
@@ -598,17 +566,11 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	reg.Counter("mr_partition_local_jobs_total").Add(localJobs)
 	reg.Counter("mr_partition_shuffle_jobs_total").Add(keyed - localJobs)
 	reg.Counter("mr_shuffle_bytes_eliminated_total").Add(res.LocalShuffleBytes)
-	// Fusion family, recorded unconditionally (zeros included) with a fixed
-	// reason-label set so snapshot keys never depend on what fused. Per
-	// job, eligible == fused + Σ fallback{reason}; cmd/metricscheck
-	// enforces the summed balance on every export.
-	elig, fusedJobs := res.FusedEligible, res.FusedEligible && res.Fused
-	reg.Counter("mr_fused_eligible_total").Add(one(elig))
-	reg.Counter("mr_fused_jobs_total").Add(one(fusedJobs))
-	for _, reason := range FuseFallbackReasons {
-		v := one(elig && !fusedJobs && res.FuseFallback == reason)
-		reg.Counter("mr_fused_fallback_total", "reason", reason).Add(v)
-	}
+	// Fusion family: every job's map side is a fused batch function, so
+	// every job counts once as eligible and once as fused
+	// (cmd/metricscheck checks the two agree).
+	reg.Counter("mr_fused_eligible_total").Inc()
+	reg.Counter("mr_fused_jobs_total").Inc()
 	reg.Counter("mr_fused_batches_total").Add(res.FusedBatches)
 	reg.Counter("mr_fused_rows_total").Add(res.FusedRows)
 	// Reduce-side fusion family, same unconditional-recording contract: per
@@ -673,8 +635,7 @@ type mapSplit struct {
 // emissions in emission order and their encoded size (Σ row.EncodedSize() +
 // len(key), summed by the task itself so nothing downstream walks the
 // records again), the rows its combiner consumed, the batch map's combine
-// report when the job ran the fused path, and whether its output was
-// combined.
+// report, and whether its output was combined.
 type mapTaskOut struct {
 	out         []Keyed
 	bytes       int64
@@ -721,10 +682,11 @@ func (e *Engine) splitInputs(job *Job, res *Result) ([]mapSplit, error) {
 	return splits, nil
 }
 
-// runMapTask maps one split, then (for reduce jobs with a combiner) merges
-// the split's emissions per key before they enter the shuffle, so shuffle
-// volume reflects the combined output (the point of combiners). Key order
-// within the task is first-emission order, matching serial execution.
+// runMapTask maps one split through the job's batch map function, then (for
+// reduce jobs with a combiner) merges the split's emissions per key before
+// they enter the shuffle, so shuffle volume reflects the combined output
+// (the point of combiners). Key order within the task is first-emission
+// order, matching serial execution.
 func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 	ctx := sp.ctx
 	for _, ix := range ixs { // the attempt's own handles on the job's indexes
@@ -745,19 +707,7 @@ func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 		}
 		out = append(out, Keyed{key, r})
 	}
-	if job.BatchMapFactory != nil {
-		// Fused path: the whole split moves through one specialized batch
-		// kernel. Emission order and content are contractually identical to
-		// the row loop below, so everything downstream (combiner, shuffle,
-		// accounting, task retries) is oblivious to which path ran.
-		bf := job.BatchMapFactory(ctx)
-		t.batch = bf(ctx.Input, sp.rows, emit)
-	} else {
-		fn := job.MapFactory(ctx)
-		for _, r := range sp.rows {
-			fn(ctx.Input, r, emit)
-		}
-	}
+	t.batch = job.BatchMapFactory(ctx)(ctx.Input, sp.rows, emit)
 	for _, p := range ctx.Probes {
 		t.probeRows += p.rows
 		t.probeBytes += p.bytes
@@ -778,7 +728,7 @@ func combineMapOutput(job *Job, t *mapTaskOut) {
 	if t.batch.Combined {
 		// Cross-boundary kernel: the batch map already emitted combined
 		// records per key, with the pre-combine row count in the report so
-		// combine accounting matches the per-row map path exactly.
+		// combine accounting matches Combine over per-row records exactly.
 		t.combineRows = t.batch.CombineRows
 		return
 	}
@@ -789,7 +739,7 @@ func combineMapOutput(job *Job, t *mapTaskOut) {
 
 // validateJob checks the static requirements execution relies on.
 func validateJob(job *Job) error {
-	if job.MapFactory == nil {
+	if job.BatchMapFactory == nil {
 		return fmt.Errorf("mr: job %q has no map function", job.Name)
 	}
 	if job.Output == "" {
@@ -863,15 +813,12 @@ func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp
 		}
 	}
 	var probed int64
-	fused := job.BatchMapFactory != nil && job.Fused
 	for i := range tasks {
 		res.ProbeRows += tasks[i].probeRows
 		probed += tasks[i].probeBytes
 		res.CombineRows += tasks[i].combineRows
-		if fused {
-			res.FusedBatches++
-			res.FusedRows += int64(len(splits[i].rows))
-		}
+		res.FusedBatches++
+		res.FusedRows += int64(len(splits[i].rows))
 		if tasks[i].combined {
 			res.FusedCombineBatches++
 		}

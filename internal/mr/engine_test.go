@@ -27,10 +27,25 @@ func loadWords(st *storage.Store) {
 	st.Put("docs", storage.Base, rel)
 }
 
-// perTask is the MapFactory of a stateless map function: every task shares
-// fn.
-func perTask(fn MapFunc) func(TaskCtx) MapFunc {
-	return func(TaskCtx) MapFunc { return fn }
+// rowMap is a map function stated per row, the shape most engine tests
+// write their map side in.
+type rowMap func(input int, r data.Row, emit Emit)
+
+// batchOf adapts a per-row map function into a batch map function that
+// calls it on each row of the split, in order.
+func batchOf(fn rowMap) BatchMapFunc {
+	return func(input int, rows []data.Row, emit Emit) BatchReport {
+		for _, r := range rows {
+			fn(input, r, emit)
+		}
+		return BatchReport{}
+	}
+}
+
+// perRow is the BatchMapFactory of a stateless per-row map function: every
+// task shares fn.
+func perRow(fn rowMap) func(TaskCtx) BatchMapFunc {
+	return func(TaskCtx) BatchMapFunc { return batchOf(fn) }
 }
 
 // runRecorded runs one job and publishes its record, the way RunSequence
@@ -47,7 +62,7 @@ func wordCountJob() *Job {
 	return &Job{
 		Name:   "wordcount",
 		Inputs: []string{"docs"},
-		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
+		BatchMapFactory: perRow(func(_ int, r data.Row, emit Emit) {
 			for _, w := range strings.Fields(r[1].Str()) {
 				emit(w, data.Row{value.NewStr(w), value.NewInt(1)})
 			}
@@ -142,7 +157,7 @@ func TestMapOnlyJob(t *testing.T) {
 	job := &Job{
 		Name:   "project",
 		Inputs: []string{"docs"},
-		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
+		BatchMapFactory: perRow(func(_ int, r data.Row, emit Emit) {
 			emit("", data.Row{r[0]})
 		}),
 		MapOutSchema: schema,
@@ -181,7 +196,7 @@ func TestMultiInputCoGroupJoin(t *testing.T) {
 	job := &Job{
 		Name:   "join",
 		Inputs: []string{"users", "homes"},
-		MapFactory: perTask(func(input int, r data.Row, emit Emit) {
+		BatchMapFactory: perRow(func(input int, r data.Row, emit Emit) {
 			emit(r[0].String(), data.Row{value.NewInt(int64(input)), r[0], r[1]})
 		}),
 		MapOutSchema: mapOut,
@@ -224,7 +239,7 @@ func TestRunErrors(t *testing.T) {
 	if _, _, err := e.Run(&Job{Name: "x", Output: "o"}); err == nil {
 		t.Error("nil map accepted")
 	}
-	if _, _, err := e.Run(&Job{Name: "x", MapFactory: perTask(func(int, data.Row, Emit) {})}); err == nil {
+	if _, _, err := e.Run(&Job{Name: "x", BatchMapFactory: perRow(func(int, data.Row, Emit) {})}); err == nil {
 		t.Error("empty output name accepted")
 	}
 	job := wordCountJob()
@@ -262,7 +277,7 @@ func TestRunSequenceAndAggregate(t *testing.T) {
 	filter := &Job{
 		Name:   "popular",
 		Inputs: []string{"wc"},
-		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
+		BatchMapFactory: perRow(func(_ int, r data.Row, emit Emit) {
 			if r[1].Int() >= 2 {
 				emit("", r)
 			}
@@ -310,7 +325,7 @@ func TestMapEmitWidthBecomesJobFailure(t *testing.T) {
 	e, st := newEngine()
 	loadWords(st)
 	job := wordCountJob()
-	job.MapFactory = perTask(func(_ int, r data.Row, emit Emit) {
+	job.BatchMapFactory = perRow(func(_ int, r data.Row, emit Emit) {
 		emit("k", data.Row{r[0]}) // wrong width
 	})
 	_, res, err := e.Run(job)
@@ -328,15 +343,17 @@ func TestFlakyUDFRetriesFromDurableInputs(t *testing.T) {
 	e.MaxAttempts = 3
 	failures := 2
 	job := wordCountJob()
-	orig := job.MapFactory
-	job.MapFactory = func(ctx TaskCtx) MapFunc {
+	orig := job.BatchMapFactory
+	job.BatchMapFactory = func(ctx TaskCtx) BatchMapFunc {
 		fn := orig(ctx)
-		return func(i int, r data.Row, emit Emit) {
-			if failures > 0 && r[0].Int() == 1 {
-				failures--
-				panic("transient UDF failure")
+		return func(i int, rows []data.Row, emit Emit) BatchReport {
+			for _, r := range rows {
+				if failures > 0 && r[0].Int() == 1 {
+					failures--
+					panic("transient UDF failure")
+				}
 			}
-			fn(i, r, emit)
+			return fn(i, rows, emit)
 		}
 	}
 	out, res, err := e.Run(job)
@@ -362,7 +379,7 @@ func TestFlakyUDFRetriesFromDurableInputs(t *testing.T) {
 	// permanent failure exhausts attempts
 	e.MaxAttempts = 2
 	job2 := wordCountJob()
-	job2.MapFactory = perTask(func(int, data.Row, Emit) { panic("permanent") })
+	job2.BatchMapFactory = perRow(func(int, data.Row, Emit) { panic("permanent") })
 	if _, res, err := e.Run(job2); err == nil || res.Attempts != 2 {
 		t.Errorf("permanent failure: err=%v res=%+v", err, res)
 	}

@@ -81,7 +81,7 @@ func TestParallelMapOnlyDeterminism(t *testing.T) {
 		job := &Job{
 			Name:   "lens",
 			Inputs: []string{"docs"},
-			MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
+			BatchMapFactory: perRow(func(_ int, r data.Row, emit Emit) {
 				emit("", data.Row{r[0], value.NewInt(int64(len(r[1].Str())))})
 			}),
 			MapOutSchema: schema,
@@ -109,8 +109,8 @@ func TestParallelMapOnlyDeterminism(t *testing.T) {
 }
 
 // TestMapFactoryTaskCtx checks that per-task map state is seeded from the
-// deterministic TaskCtx: tags derived from GlobalRow must be unique and
-// identical at any worker count.
+// deterministic TaskCtx handed to BatchMapFactory: tags derived from
+// GlobalRow must be unique and identical at any worker count.
 func TestMapFactoryTaskCtx(t *testing.T) {
 	mk := func(workers int) *data.Relation {
 		st := storage.NewStore()
@@ -123,13 +123,16 @@ func TestMapFactoryTaskCtx(t *testing.T) {
 		job := &Job{
 			Name:   "tagger",
 			Inputs: []string{"docs"},
-			MapFactory: func(ctx TaskCtx) MapFunc {
+			BatchMapFactory: func(ctx TaskCtx) BatchMapFunc {
 				tag := ctx.GlobalRow << 20
-				return func(_ int, r data.Row, emit Emit) {
-					for _, w := range strings.Fields(r[1].Str()) {
-						tag++
-						emit("", data.Row{value.NewStr(w), value.NewInt(tag)})
+				return func(_ int, rows []data.Row, emit Emit) BatchReport {
+					for _, r := range rows {
+						for _, w := range strings.Fields(r[1].Str()) {
+							tag++
+							emit("", data.Row{value.NewStr(w), value.NewInt(tag)})
+						}
 					}
+					return BatchReport{}
 				}
 			},
 			MapOutSchema: schema,
@@ -146,7 +149,7 @@ func TestMapFactoryTaskCtx(t *testing.T) {
 	}
 	serial, parallel := mk(1), mk(8)
 	if serial.Fingerprint() != parallel.Fingerprint() {
-		t.Error("MapFactory tags depend on worker count")
+		t.Error("per-task tags depend on worker count")
 	}
 	seen := make(map[int64]bool, parallel.Len())
 	for _, r := range parallel.Rows() {
@@ -179,14 +182,14 @@ func TestReducePanicChargesMoreThanMapPanic(t *testing.T) {
 				orig(key, rows, out)
 			}
 		} else {
-			orig := job.MapFactory
-			job.MapFactory = func(ctx TaskCtx) MapFunc {
+			orig := job.BatchMapFactory
+			job.BatchMapFactory = func(ctx TaskCtx) BatchMapFunc {
 				fn := orig(ctx)
-				return func(i int, r data.Row, emit Emit) {
+				return func(i int, rows []data.Row, emit Emit) BatchReport {
 					if failed.CompareAndSwap(false, true) {
 						panic("map bug")
 					}
-					fn(i, r, emit)
+					return fn(i, rows, emit)
 				}
 			}
 		}
@@ -232,7 +235,7 @@ func TestRunSequenceParallelAggregates(t *testing.T) {
 		second := &Job{
 			Name:   "lengths",
 			Inputs: []string{"wc"},
-			MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
+			BatchMapFactory: perRow(func(_ int, r data.Row, emit Emit) {
 				emit(fmt.Sprint(len(r[0].Str())), data.Row{value.NewInt(int64(len(r[0].Str()))), r[1]})
 			}),
 			MapOutSchema: data.NewSchema("len", "count"),

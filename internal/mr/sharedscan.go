@@ -50,11 +50,11 @@ type SharedScanResult struct {
 // splits; the retry is priced as if the inputs had been re-read (standalone
 // equivalence) even though no physical re-read happens.
 //
-// Consumers with compiled kernels (Job.BatchMapFactory, and the
-// reduce-side Combine/BatchReduce agg kernels) run them over the
-// shared splits exactly as a standalone run would: splits are read-only to
-// map tasks, fused or not, and reduce partitions are private per consumer,
-// so one consumer's execution mode never leaks into another's.
+// Consumers run their compiled kernels (Job.BatchMapFactory, and the
+// reduce-side Combine/BatchReduce agg kernels) over the shared splits
+// exactly as a standalone run would: splits are read-only to map tasks, and
+// reduce partitions are private per consumer, so one consumer's execution
+// never leaks into another's.
 //
 // RunSharedScan does not publish metrics; callers decide attribution and
 // use RecordJob. Returned relations parallel Results. On failure Results

@@ -18,7 +18,7 @@ func projectJob() *Job {
 	return &Job{
 		Name:   "project-ids",
 		Inputs: []string{"docs"},
-		MapFactory: perTask(func(_ int, r data.Row, emit Emit) {
+		BatchMapFactory: perRow(func(_ int, r data.Row, emit Emit) {
 			emit("", data.Row{r[0]})
 		}),
 		MapOutSchema: schema,
@@ -34,11 +34,11 @@ func longWordsJob() *Job {
 	j := wordCountJob()
 	j.Name = "longwords"
 	j.Output = "lw"
-	base := j.MapFactory
-	j.MapFactory = func(ctx TaskCtx) MapFunc {
+	base := j.BatchMapFactory
+	j.BatchMapFactory = func(ctx TaskCtx) BatchMapFunc {
 		fn := base(ctx)
-		return func(input int, r data.Row, emit Emit) {
-			fn(input, r, func(key string, row data.Row) {
+		return func(input int, rows []data.Row, emit Emit) BatchReport {
+			return fn(input, rows, func(key string, row data.Row) {
 				if len(key) > 3 {
 					emit(key, row)
 				}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"opportune/internal/data"
@@ -115,26 +116,31 @@ func refReduce(spec *aggSpec) mr.ReduceFunc {
 	}
 }
 
-// stripKernels turns compiled jobs into their interpreter reference: the
-// map side loses its batch kernel (leaving the row path Executable always
-// attaches), and every group-agg job's Combine and BatchReduce kernels are
-// replaced by the row fold above. The aggSpec comes from groupAggBoundary
-// itself, so the reference reads the very layout the kernels were built
-// for. jobs must be Executable(w, ...)'s output, one per w.Nodes entry.
-func stripKernels(t testing.TB, o *Optimizer, w *Work, jobs []*mr.Job) {
+// stripKernels turns compiled jobs into their interpreter reference: each
+// job's batch map function becomes the row interpreter (interpretedMap)
+// over the same streams and into the same boundary emitter, and every
+// group-agg job's Combine and BatchReduce kernels are replaced by the row
+// fold above. The boundary is compiled afresh onto a scratch job, so the
+// reference reads the very layout the kernels were built for. jobs must be
+// Executable(w, ...)'s output, one per w.Nodes entry. It returns the count
+// of splits the interpreter maps.
+func stripKernels(t testing.TB, o *Optimizer, w *Work, jobs []*mr.Job) *atomic.Int64 {
 	t.Helper()
 	if len(jobs) != len(w.Nodes) {
 		t.Fatalf("%d jobs for %d job nodes", len(jobs), len(w.Nodes))
 	}
+	splits := new(atomic.Int64)
 	for i, j := range jobs {
-		j.BatchMapFactory = nil
-		if j.BatchReduce == nil {
-			continue
-		}
-		_, k, err := o.groupAggBoundary(w.Nodes[i], &mr.Job{})
+		bf, k, retain, err := o.boundaryOf(w.Nodes[i], &mr.Job{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Combine, j.Reduce, j.BatchReduce = refCombine(k.spec), refReduce(k.spec), nil
+		if j.BatchMapFactory, err = o.interpretedMap(w.Nodes[i], bf, retain, splits); err != nil {
+			t.Fatal(err)
+		}
+		if j.BatchReduce != nil {
+			j.Combine, j.Reduce, j.BatchReduce = refCombine(k.spec), refReduce(k.spec), nil
+		}
 	}
+	return splits
 }

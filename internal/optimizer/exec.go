@@ -59,158 +59,15 @@ func (s *rowSlab) next(w int) data.Row {
 	return row
 }
 
-// pipeline is a compiled map-side operator chain instantiated for one map
-// task: it pushes one source row through the chain, which hands zero or more
-// rows of the boundary-input schema to the sink the pipeline was bound to.
-type pipeline func(r data.Row)
-
-// pipelineFactory instantiates a pipeline for one map task. Column
-// resolution and predicate compilation happen once at build time; per-task
-// state (the exploding-UDF row tag, seeded from the TaskCtx so tags are
-// unique yet schedule-independent, and each stage's scratch row) is created
-// per instantiation. retain says the sink keeps the rows it is handed.
-type pipelineFactory func(ctx mr.TaskCtx, sink func(data.Row), retain bool) pipeline
-
-// stageFactory instantiates one operator for one map task, bound to the
-// stage after it. A stage that builds rows (Project, UDF) builds them in one
-// scratch row it owns and overwrites for the next: a row handed downstream
-// is valid only for that call, so no tuple is materialized between
-// operators.
-type stageFactory func(ctx mr.TaskCtx, next func(data.Row)) func(data.Row)
-
-// buildPipeline compiles a stream's operator chain against its source
-// columns into a per-task factory, also returning the engine-side
-// local-function costs. Probe stages register their indexes, and the costs
-// of the chains they run, on job.
-func (o *Optimizer) buildPipeline(st stream, job *mr.Job) (pipelineFactory, []cost.LocalFn, error) {
-	cols := st.srcCols
-	var stages []stageFactory
-	var fns []cost.LocalFn
-	builds := false // some stage builds rows; otherwise source rows pass through
-	for _, op := range st.ops {
-		sf, err := o.buildStage(op, cols, job)
-		if err != nil {
-			return nil, nil, err
-		}
-		stages = append(stages, sf)
-		builds = builds || op.Kind != plan.KindFilter
-		cols = op.OutCols
-		fns = append(fns, o.localFn(op, true))
-	}
-	return func(ctx mr.TaskCtx, sink func(data.Row), retain bool) pipeline {
-		fn := sink
-		if builds && retain {
-			// The chain's output lives in a stage's scratch row. A sink that
-			// keeps rows gets each survivor's one materialization instead,
-			// cut from the task's slab after the last filter has run — so a
-			// selective chain never pins the rows it dropped.
-			var slab rowSlab
-			fn = func(r data.Row) {
-				out := slab.next(len(r))
-				copy(out, r)
-				sink(out)
-			}
-		}
-		for i := len(stages) - 1; i >= 0; i-- {
-			fn = stages[i](ctx, fn)
-		}
-		return fn
-	}, fns, nil
-}
-
-// buildStage compiles a single pipeline operator given its input columns.
-func (o *Optimizer) buildStage(op *plan.Node, inCols []string, job *mr.Job) (stageFactory, error) {
-	inSchema := data.NewSchema(inCols...)
-	switch op.Kind {
-	case plan.KindProject:
-		idxs := make([]int, len(op.Cols))
-		for i, c := range op.Cols {
-			ix, ok := inSchema.Index(c)
-			if !ok {
-				return nil, fmt.Errorf("optimizer: project column %q missing at execution", c)
-			}
-			idxs[i] = ix
-		}
-		return func(_ mr.TaskCtx, next func(data.Row)) func(data.Row) {
-			out := make(data.Row, len(idxs))
-			return func(r data.Row) {
-				for i, ix := range idxs {
-					out[i] = r[ix]
-				}
-				next(out)
-			}
-		}, nil
-
-	case plan.KindFilter:
-		pred, err := o.Eval.Compile(op.Pred, inSchema)
-		if err != nil {
-			return nil, err
-		}
-		return func(_ mr.TaskCtx, next func(data.Row)) func(data.Row) {
-			return func(r data.Row) {
-				if pred(r) {
-					next(r)
-				}
-			}
-		}, nil
-
-	case plan.KindUDF:
-		d, ok := o.Cat.UDFs.Get(op.UDFName)
-		if !ok || d.Kind != udf.KindMap {
-			return nil, fmt.Errorf("optimizer: %q is not a map UDF", op.UDFName)
-		}
-		argIdx := make([]int, len(op.UDFArgs))
-		for i, c := range op.UDFArgs {
-			ix, ok := inSchema.Index(c)
-			if !ok {
-				return nil, fmt.Errorf("optimizer: UDF arg column %q missing at execution", c)
-			}
-			argIdx[i] = ix
-		}
-		params := op.UDFParams
-		return func(ctx mr.TaskCtx, next func(data.Row)) func(data.Row) {
-			// The exploded-row tag is the relation's record key: it only
-			// needs to be unique and deterministic. Each task counts up
-			// from its first input row's global ordinal shifted past any
-			// plausible per-task emission count, so tags never collide
-			// across tasks and never depend on scheduling.
-			rowTag := ctx.GlobalRow << 20
-			// args is the UDF's for the call only (the fused path's contract
-			// too); what it returns is copied out before the next call.
-			args := make([]value.V, len(argIdx))
-			out := make(data.Row, 0, len(inCols)+len(d.OutNames)+1)
-			return func(r data.Row) {
-				for i, ix := range argIdx {
-					args[i] = r[ix]
-				}
-				outs := d.Map(args, params)
-				d.CheckMap(outs)
-				for _, outVals := range outs {
-					out = append(append(out[:0], r...), outVals...)
-					if d.Explode {
-						rowTag++
-						out = append(out, value.NewInt(rowTag))
-					}
-					next(out)
-				}
-			}
-		}, nil
-
-	case plan.KindJoin:
-		return o.probeStage(op, inCols, job)
-	}
-	return nil, fmt.Errorf("optimizer: operator %s cannot run map-side", op.Kind)
-}
-
-// rowEmit forwards one pipeline-output row into the job's shuffle/output
-// boundary: key building, side tagging, partial-state construction. It is
-// the single emission contract shared by the interpreted and fused map
-// paths — both produce boundary-input rows, and the same rowEmit turns them
-// into shuffle records, so the two paths emit byte-identical streams by
-// construction. A boundary that builds its own record (join, group-agg,
-// agg-UDF) writes it straight into its per-task slab and may be handed a
-// scratch row, valid for the call; a pass-through boundary (sort, map-only)
-// emits the row itself, so its producers hand it rows to keep (retain).
+// rowEmit forwards one program-output row into the job's shuffle/output
+// boundary: key building, side tagging, partial-state construction. The
+// fused kernel and the row interpreter the oracles run (interp_test.go)
+// both produce boundary-input rows and hand them to the same rowEmit, so the
+// two emit byte-identical streams by construction. A boundary that builds
+// its own record (join, group-agg, agg-UDF) writes it straight into its
+// per-task slab and may be handed a scratch row, valid for the call; a
+// pass-through boundary (sort, map-only) emits the row itself, so its
+// producers hand it rows to keep (retain).
 type rowEmit func(input int, row data.Row, emit mr.Emit)
 
 // boundaryFactory instantiates per-task boundary state (the key encoder and
@@ -223,19 +80,16 @@ func passThrough(mr.TaskCtx) rowEmit {
 	return func(_ int, row data.Row, emit mr.Emit) { emit("", row) }
 }
 
-// attachMapSide wires a job's batch map side. With a cross-boundary agg
-// kernel (every single-stream group-agg whose map program compiled) the
-// batch map runs the program and folds its surviving selection straight
-// into the group partials, emitting already-combined records; this path is
-// attached even when the map chain alone was not fusion-eligible (a bare
-// scan runs the identity program), in which case the engine tallies no
-// mr_fused_* map work. Otherwise a job classified fused runs each stream's
-// program into its boundary emitter.
+// attachMapSide wires a job's batch map side — every job has one. With a
+// cross-boundary agg kernel (every single-stream group-agg) the batch map
+// runs the program and folds its surviving selection straight into the
+// group partials, emitting already-combined records. Otherwise it runs each
+// stream's program into its boundary emitter.
 func (o *Optimizer) attachMapSide(job *mr.Job, progs []*fusedProg, bf boundaryFactory, retain bool, cross *aggKernel) {
 	if cross != nil {
 		job.BatchMapFactory = func(ctx mr.TaskCtx) mr.BatchMapFunc {
 			return func(input int, rows []data.Row, emit mr.Emit) mr.BatchReport {
-				b := runFusedStages(progs[input], rows, ctx.Probes)
+				b := runFusedStages(progs[input], rows, ctx)
 				n := cross.batchCross(progs[input], &b, emit)
 				b.release()
 				return mr.BatchReport{Combined: true, CombineRows: n}
@@ -243,45 +97,17 @@ func (o *Optimizer) attachMapSide(job *mr.Job, progs []*fusedProg, bf boundaryFa
 		}
 		return
 	}
-	if !job.Fused {
-		return
-	}
 	job.BatchMapFactory = func(ctx mr.TaskCtx) mr.BatchMapFunc {
 		be := bf(ctx)
 		return func(input int, rows []data.Row, emit mr.Emit) mr.BatchReport {
-			runFusedBatch(progs[input], rows, ctx.Probes, retain, func(row data.Row) { be(input, row, emit) })
+			runFusedBatch(progs[input], rows, ctx, retain, func(row data.Row) { be(input, row, emit) })
 			return mr.BatchReport{}
 		}
 	}
 }
 
-// classifyFusion compiles each stream's fused program and stamps the job's
-// fusion classification. A job is eligible when any stream has operators to
-// fuse; it runs fused only when every operator stream compiled (all-or-
-// nothing per job, so a batch never mixes paths across streams of one
-// boundary). Bare-scan streams get identity programs. The first failing
-// stream's reason wins.
-func (o *Optimizer) classifyFusion(jn *JobNode, job *mr.Job, progs []*fusedProg) {
-	eligible, allFused := false, true
-	reason := ""
-	k := 0 // the job's index of the stream's first probe
-	for i, st := range jn.streams {
-		var r string
-		progs[i], r = o.buildFused(st, k)
-		k += st.probes()
-		eligible = eligible || len(st.ops) > 0
-		if r != "" && reason == "" {
-			allFused, reason = false, r
-		}
-	}
-	job.FusedEligible = eligible
-	job.Fused = eligible && allFused
-	if eligible && !job.Fused {
-		job.FuseFallback = reason
-	}
-}
-
-// executableJob compiles one JobNode into an engine job.
+// executableJob compiles one JobNode into an engine job: one fused program
+// per stream, then the boundary, then the batch map side that joins them.
 func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) {
 	boundary := jn.Logical
 	job := &mr.Job{
@@ -304,66 +130,51 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 		job.OutputPartSigs = append([]string(nil), op.Sigs...)
 		job.OutputPartParts = op.Parts
 	}
-	factories := make([]pipelineFactory, len(jn.streams))
+	progs := make([]*fusedProg, len(jn.streams))
 	for i, st := range jn.streams {
-		pf, fns, err := o.buildPipeline(st, job)
+		p, err := o.buildFused(st, job)
 		if err != nil {
 			return nil, err
 		}
-		factories[i] = pf
+		progs[i] = p
 		job.Inputs = append(job.Inputs, st.inputName())
-		job.MapCost = append(job.MapCost, fns...)
 	}
-	progs := make([]*fusedProg, len(jn.streams))
-	o.classifyFusion(jn, job, progs)
+	bf, agg, retain, err := o.boundaryOf(jn, job)
+	if err != nil {
+		return nil, err
+	}
+	cross := o.classifyReduceFusion(jn, job, agg)
+	o.attachMapSide(job, progs, bf, retain, cross)
+	return job, nil
+}
 
+// boundaryOf compiles a job's boundary onto job (its map output schema,
+// reduce side and their costs) and returns the per-task emitter the map
+// side feeds, the group-agg kernel when there is one, and whether the
+// emitter keeps the rows it is handed (a pass-through: map-only or sort).
+func (o *Optimizer) boundaryOf(jn *JobNode, job *mr.Job) (boundaryFactory, *aggKernel, bool, error) {
+	boundary := jn.Logical
+	if !o.isBoundary(boundary) {
+		// Map-only job: single stream, program output is the job output.
+		job.MapOutSchema = job.OutputSchema
+		return passThrough, nil, true, nil
+	}
 	var bf boundaryFactory
 	var agg *aggKernel
 	var err error
-	// retain: the boundary is passThrough, it keeps the rows it is handed.
-	retain := !o.isBoundary(boundary) || boundary.Kind == plan.KindSort
-	if !o.isBoundary(boundary) {
-		// Map-only job: single stream, pipeline output is the job output.
-		job.MapOutSchema = job.OutputSchema
-		bf = passThrough
-	} else {
-		switch boundary.Kind {
-		case plan.KindJoin:
-			bf, err = o.joinBoundary(jn, job)
-		case plan.KindGroupAgg:
-			bf, agg, err = o.groupAggBoundary(jn, job)
-		case plan.KindUDF:
-			bf, err = o.aggUDFBoundary(jn, job)
-		case plan.KindSort:
-			bf, err = o.sortBoundary(jn, job)
-		default:
-			err = fmt.Errorf("optimizer: unexpected boundary %s", boundary.Kind)
-		}
-		if err != nil {
-			return nil, err
-		}
+	switch boundary.Kind {
+	case plan.KindJoin:
+		bf, err = o.joinBoundary(jn, job)
+	case plan.KindGroupAgg:
+		bf, agg, err = o.groupAggBoundary(jn, job)
+	case plan.KindUDF:
+		bf, err = o.aggUDFBoundary(jn, job)
+	case plan.KindSort:
+		bf, err = o.sortBoundary(jn, job)
+	default:
+		err = fmt.Errorf("optimizer: unexpected boundary %s", boundary.Kind)
 	}
-	// Every compiled job carries the row interpreter as its MapFactory, the
-	// reference the fusion oracles run by clearing the batch hook. It is
-	// per task: instantiation is cheap (column resolution already
-	// happened), and it is what keeps stateful stages race-free under the
-	// engine's parallel map phase. The sinks are built once per task, not
-	// per row: the engine hands one task the same emitter on every call.
-	job.MapFactory = func(ctx mr.TaskCtx) mr.MapFunc {
-		be := bf(ctx)
-		var emit mr.Emit
-		pipes := make([]pipeline, len(factories))
-		for i, pf := range factories {
-			pipes[i] = pf(ctx, func(row data.Row) { be(i, row, emit) }, retain)
-		}
-		return func(input int, r data.Row, e mr.Emit) {
-			emit = e
-			pipes[input](r)
-		}
-	}
-	cross := o.classifyReduceFusion(jn, job, agg, progs)
-	o.attachMapSide(job, progs, bf, retain, cross)
-	return job, nil
+	return bf, agg, boundary.Kind == plan.KindSort, err
 }
 
 // joinBoundary compiles an equi-join: both sides shuffle on the join key;
@@ -665,10 +476,7 @@ func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, e
 				if !keep {
 					return
 				}
-				if len(keys)+len(payload) > width {
-					panic(fmt.Sprintf("optimizer: %s PreMap returned %d key and %d payload values, the shuffle row holds %d",
-						d.Name, len(keys), len(payload), width))
-				}
+				d.CheckPreMap(keys, payload)
 				out = slab.next(width) // cells past the payload stay Null
 				copy(out[copy(out, keys):], payload)
 			}

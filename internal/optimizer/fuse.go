@@ -1,11 +1,13 @@
-// Map-pipeline fusion: compile a stream's Project/Filter/map-UDF/probe
-// chain into one schema-specialized batch kernel instead of interpreting it
-// stage by stage (the Tupleware direction — compile the workflow, don't
-// interpret it). A fused kernel processes a whole map split as a columnar
-// batch:
+// Map-pipeline fusion: every compiled job's map side is one fused program,
+// a stream's Project/Filter/map-UDF/probe chain compiled into a
+// schema-specialized batch kernel (the Tupleware direction — compile the
+// workflow, don't interpret it). A fused kernel processes a whole map split
+// as a columnar batch:
 //
 //   - Projections compile away entirely: they only remap column references,
-//     so no row is ever materialized between stages.
+//     so no row is ever materialized between stages. A bare scan's program
+//     is the identity, and a program whose outputs are its source row hands
+//     the stored row itself to the boundary (stored rows are immutable).
 //   - Filters compact a selection vector in place, with type-specialized
 //     comparison fast paths for the numeric and string column kinds that
 //     replicate value.Compare exactly.
@@ -13,27 +15,30 @@
 //     column buffers (internal/data.Col) drawn from the mr arenas; argument
 //     slices are reused across rows (no workload UDF retains them — the
 //     fuzz oracle would catch one that did).
-//   - An index probe (an append's delta join, DESIGN §5.15) ends a segment:
-//     each match becomes a row of the next segment as two pooled indices,
-//     the probing row and the stored position, and the indexed side's chain
-//     runs over those. A joined value is read only where a later stage, the
-//     boundary or the cross fold reads it.
+//   - An index probe (an append's delta join, DESIGN §5.15) or an exploding
+//     map UDF ends a segment. Each probe match becomes a row of the next
+//     segment as two pooled indices, the probing row and the stored
+//     position, and the indexed side's chain runs over those; each row an
+//     exploding UDF emits becomes one as the index of the row it came from
+//     plus its output values and row tag. A joined value is read only where
+//     a later stage, the boundary or the cross fold reads it.
 //
 // Rows materialize at most once, in the final loop over the surviving
 // selection, and only then reach the job's boundary emitter — a group-by's
 // cross fold (fusereduce.go) reads the selection without building any.
-// Anything the compiler can't prove fusable (exploding UDFs, unknown
-// operator or predicate shapes, schema disagreements) falls back to the
-// row-at-a-time interpreter, per job at compile time; such fallbacks are
-// never errors and are counted in the mr_fused_* family. At run time a fused job never
-// leaves its kernel: a UDF that breaks its declared shape fails the task
-// with udf.ErrContract (udf.CheckMap), exactly as it does on the
-// interpreter.
+// A chain the compiler cannot compile (an unknown operator, predicate or
+// column) fails Executable: there is no second map path to fall back to.
+// At run time a kernel never leaves its program: a UDF that breaks its
+// declared shape fails the task with udf.ErrContract (udf.CheckMap). The
+// row interpreter the fusion oracles compare the kernels with lives in
+// interp_test.go.
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 
+	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/expr"
 	"opportune/internal/mr"
@@ -44,9 +49,9 @@ import (
 
 // colRef names where a virtual column lives during fused execution, in the
 // row space of segment lvl: a column of that segment's base row (src >= 0:
-// the split row in segment 0, the stored row a probe matched in a later
-// one) or a fused-UDF output buffer (buf >= 0). Projection is just
-// re-labeling these.
+// the split row in segment 0, the stored row a probe matched or the row an
+// exploding UDF emitted in a later one) or a fused-UDF output buffer
+// (buf >= 0). Projection is just re-labeling these.
 type colRef struct {
 	src int
 	buf int
@@ -86,11 +91,11 @@ type fusedFilter struct {
 	argRefs []colRef
 }
 
-// fusedUDF is one compiled non-exploding map-UDF stage: gather argRefs,
-// call the UDF, scatter its single output row into outBufs at the row's
-// index. A zero-row return deselects the row (a filtering UDF); any other
-// shape than zero or one row of len(outBufs) values fails the task
-// (udf.CheckMap).
+// fusedUDF is one compiled map-UDF stage: gather argRefs, call the UDF. A
+// non-exploding one scatters its single output row into outBufs at the
+// row's index, and a zero-row return deselects the row (a filtering UDF);
+// an exploding one opens a segment of the rows it emits (explode). Any
+// other shape than the declared one fails the task (udf.CheckMap).
 type fusedUDF struct {
 	d       *udf.Descriptor
 	params  []value.V
@@ -107,89 +112,106 @@ type fusedProbe struct {
 	key colRef
 }
 
-// fusedStage is one executable stage: exactly one of filter/udf/probe is
-// set (projections compiled away into the reference maps).
+// fusedStage is one executable stage: exactly one of filter/udf/explode/
+// probe is set (projections compiled away into the reference maps).
 type fusedStage struct {
-	filter *fusedFilter
-	udf    *fusedUDF
-	probe  *fusedProbe
+	filter  *fusedFilter
+	udf     *fusedUDF
+	explode *fusedUDF
+	probe   *fusedProbe
 }
 
 // fusedProg is one stream's fused program: the stage sequence, the output
 // column references (the boundary-input schema), the segment each UDF
-// output buffer belongs to (one buffer per UDF output column), and the
-// probes compiled so far (the segment being compiled).
+// output buffer belongs to (one buffer per UDF output column), the segment
+// being compiled, and whether the outputs are the source row itself.
 type fusedProg struct {
-	stages []fusedStage
-	outs   []colRef
-	bufLvl []int
-	lvl    int
+	stages   []fusedStage
+	outs     []colRef
+	bufLvl   []int
+	lvl      int
+	identity bool
 }
 
 // buildFused compiles a stream's operator chain into a fused program (a
-// bare scan's is the identity); k is the job's index of the stream's first
-// probe. On any unfusable construct it returns (nil, reason) with reason one
-// of the mr.Fuse* taxonomy — falling back is a classification, never an
-// error.
-func (o *Optimizer) buildFused(st stream, k int) (*fusedProg, string) {
+// bare scan's is the identity). Like every map-side compile it registers
+// the job's probes and appends its map-side costs to job.MapCost: each
+// probe's indexed-side chain when the probe compiles, then the stream's own
+// operators — the order the engine folds the simulated seconds in.
+func (o *Optimizer) buildFused(st stream, job *mr.Job) (*fusedProg, error) {
 	p := &fusedProg{}
-	outs, reason := o.fuseChain(p, st, &k)
-	if reason != "" {
-		return nil, reason
+	outs, fns, err := o.fuseChain(p, st, job)
+	if err != nil {
+		return nil, err
 	}
+	job.MapCost = append(job.MapCost, fns...)
 	p.outs = outs
-	return p, ""
+	p.identity = p.lvl == 0 && len(outs) == len(st.srcCols)
+	for i, r := range outs {
+		p.identity = p.identity && r == colRef{src: i, buf: -1}
+	}
+	return p, nil
 }
 
 // fuseChain compiles one operator chain over the base rows of the segment
-// being compiled into p's stages and returns its output references. A probe
-// join opens the next segment: the indexed side's chain compiles over the
+// being compiled into p's stages and returns its output references and its
+// operators' engine-side costs. A probe join or an exploding UDF opens the
+// next segment. Behind a probe the indexed side's chain compiles over the
 // stored rows the probe matched, and the join's output is the two sides'
 // references side by side in the shuffle join's layout — no joined row is
-// ever built.
-func (o *Optimizer) fuseChain(p *fusedProg, st stream, k *int) ([]colRef, string) {
+// ever built. Behind an exploding UDF the chain's columns so far stay where
+// they are, and its outputs and row tag are the new segment's base row.
+func (o *Optimizer) fuseChain(p *fusedProg, st stream, job *mr.Job) ([]colRef, []cost.LocalFn, error) {
 	cols := st.srcCols
 	refs := make([]colRef, len(cols))
 	for i := range refs {
 		refs[i] = colRef{src: i, buf: -1, lvl: p.lvl}
 	}
+	var fns []cost.LocalFn
+	resolve := func(what string, names []string) ([]colRef, error) {
+		out := make([]colRef, len(names))
+		for i, c := range names {
+			ix, ok := indexOf(cols, c)
+			if !ok {
+				return nil, fmt.Errorf("optimizer: %s column %q missing at execution", what, c)
+			}
+			out[i] = refs[ix]
+		}
+		return out, nil
+	}
 	for _, op := range st.ops {
 		switch op.Kind {
 		case plan.KindProject:
-			next := make([]colRef, len(op.Cols))
-			for i, c := range op.Cols {
-				ix, ok := indexOf(cols, c)
-				if !ok {
-					return nil, mr.FuseSchemaMismatch
-				}
-				next[i] = refs[ix]
+			next, err := resolve("project", op.Cols)
+			if err != nil {
+				return nil, nil, err
 			}
 			refs = next
 
 		case plan.KindFilter:
-			f, ok := o.buildFusedFilter(op.Pred, cols, refs)
-			if !ok {
-				return nil, mr.FuseUnsupportedOp
+			f, err := o.buildFusedFilter(op.Pred, cols, refs)
+			if err != nil {
+				return nil, nil, err
 			}
 			p.stages = append(p.stages, fusedStage{filter: f})
 
 		case plan.KindUDF:
 			d, ok := o.Cat.UDFs.Get(op.UDFName)
 			if !ok || d.Kind != udf.KindMap {
-				return nil, mr.FuseUnsupportedOp
+				return nil, nil, fmt.Errorf("optimizer: %q is not a map UDF", op.UDFName)
 			}
+			args, err := resolve("UDF arg", op.UDFArgs)
+			if err != nil {
+				return nil, nil, err
+			}
+			u := &fusedUDF{d: d, params: op.UDFParams, argRefs: args}
 			if d.Explode {
-				// Exploding UDFs emit several tagged rows per input; the
-				// chain is inherently row-oriented.
-				return nil, mr.FuseExplodeUDF
-			}
-			u := &fusedUDF{d: d, params: op.UDFParams}
-			for _, c := range op.UDFArgs {
-				ix, ok := indexOf(cols, c)
-				if !ok {
-					return nil, mr.FuseSchemaMismatch
+				p.stages = append(p.stages, fusedStage{explode: u})
+				p.lvl++
+				for k := 0; k <= len(d.OutNames); k++ { // the outputs, then the tag
+					refs = append(refs, colRef{src: k, buf: -1, lvl: p.lvl})
 				}
-				u.argRefs = append(u.argRefs, refs[ix])
+				break
 			}
 			for range d.OutNames {
 				u.outBufs = append(u.outBufs, len(p.bufLvl))
@@ -201,19 +223,20 @@ func (o *Optimizer) fuseChain(p *fusedProg, st stream, k *int) ([]colRef, string
 		case plan.KindJoin:
 			pj, ok := o.probeOf(op)
 			if !ok {
-				return nil, mr.FuseUnsupportedOp
+				return nil, nil, fmt.Errorf("optimizer: join %s = %s is not a probe", op.LCol, op.RCol)
 			}
-			ix, ok := indexOf(cols, pj.key)
-			if !ok {
-				return nil, mr.FuseSchemaMismatch
+			key, err := resolve("join key", []string{pj.key})
+			if err != nil {
+				return nil, nil, err
 			}
-			p.stages = append(p.stages, fusedStage{probe: &fusedProbe{k: *k, key: refs[ix]}})
-			*k++
+			p.stages = append(p.stages, fusedStage{probe: &fusedProbe{k: len(job.Probes), key: key[0]}})
+			job.Probes = append(job.Probes, mr.ProbeSpec{Dataset: pj.other.srcDataset, Col: pj.col})
 			p.lvl++
-			other, reason := o.fuseChain(p, pj.other, k)
-			if reason != "" {
-				return nil, reason
+			other, otherFns, err := o.fuseChain(p, pj.other, job)
+			if err != nil {
+				return nil, nil, err
 			}
+			job.MapCost = append(job.MapCost, otherFns...)
 			l, r := refs, other
 			if pj.delta == 1 {
 				l, r = other, refs
@@ -221,34 +244,32 @@ func (o *Optimizer) fuseChain(p *fusedProg, st stream, k *int) ([]colRef, string
 			refs = append([]colRef(nil), l...)
 			for _, ix := range keptRight(op.OutCols, len(op.Inputs[0].OutCols), op.Inputs[1].OutCols) {
 				if ix < 0 {
-					return nil, mr.FuseSchemaMismatch
+					return nil, nil, fmt.Errorf("optimizer: join output missing from the indexed side")
 				}
 				refs = append(refs, r[ix])
 			}
 
 		default:
-			return nil, mr.FuseUnsupportedOp
+			return nil, nil, fmt.Errorf("optimizer: operator %s cannot run map-side", op.Kind)
 		}
 		if len(op.OutCols) != len(refs) {
-			// The annotated schema disagrees with what we derived; the
-			// interpreter (which validates widths at emit time) is the safe
-			// path.
-			return nil, mr.FuseSchemaMismatch
+			return nil, nil, fmt.Errorf("optimizer: %s derives %d columns, its schema has %d", op.Kind, len(refs), len(op.OutCols))
 		}
 		cols = op.OutCols
+		fns = append(fns, o.localFn(op, true))
 	}
-	return refs, ""
+	return refs, fns, nil
 }
 
 // buildFusedFilter compiles one predicate against the current reference
-// map, mirroring expr.Evaluator.Compile's resolution rules.
-func (o *Optimizer) buildFusedFilter(pr expr.Pred, cols []string, refs []colRef) (*fusedFilter, bool) {
+// map, mirroring expr.Evaluator.Compile's resolution rules and errors.
+func (o *Optimizer) buildFusedFilter(pr expr.Pred, cols []string, refs []colRef) (*fusedFilter, error) {
 	f := &fusedFilter{kind: pr.Kind}
 	switch pr.Kind {
 	case expr.KindCmp:
 		ix, ok := indexOf(cols, pr.Attr)
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("optimizer: filter column %q missing at execution", pr.Attr)
 		}
 		f.ref = refs[ix]
 		f.op = pr.Op
@@ -267,53 +288,57 @@ func (o *Optimizer) buildFusedFilter(pr expr.Pred, cols []string, refs []colRef)
 		i1, ok1 := indexOf(cols, pr.Attr)
 		i2, ok2 := indexOf(cols, pr.Attr2)
 		if !ok1 || !ok2 {
-			return nil, false
+			return nil, fmt.Errorf("optimizer: filter columns %q, %q missing at execution", pr.Attr, pr.Attr2)
 		}
 		f.ref = refs[i1]
 		f.ref2 = refs[i2]
 	case expr.KindOpaque:
 		fn, ok := o.Eval.Opaque(pr.Name)
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("optimizer: opaque predicate %q not registered", pr.Name)
 		}
 		f.fn = fn
 		for _, a := range pr.Args {
 			ix, ok := indexOf(cols, a)
 			if !ok {
-				return nil, false
+				return nil, fmt.Errorf("optimizer: filter column %q missing at execution", a)
 			}
 			f.argRefs = append(f.argRefs, refs[ix])
 		}
 	default:
-		return nil, false
+		return nil, fmt.Errorf("optimizer: invalid predicate kind %d", pr.Kind)
 	}
-	return f, true
+	return f, nil
 }
 
 // fusedBatch is one map split's fused execution state: the split, the
-// surviving selection, the UDF output buffers, and one match set per probe
-// run so far. Selection indices and buffer slots address the current
-// segment's row space: the split's rows in segment 0, a probe's matches in
-// the segment it opens. Everything but the split is pooled (release).
+// surviving selection, the UDF output buffers, and one segment per probe or
+// exploding UDF run so far. Selection indices and buffer slots address the
+// current segment's row space: the split's rows in segment 0, a probe's
+// matches or an exploding UDF's emitted rows in the segment it opens.
+// Everything but the split and the emitted values is pooled (release).
 type fusedBatch struct {
 	rows []data.Row
 	sel  []int32
 	bufs []*data.Col
-	segs []probeSeg // segment s >= 1 is segs[s-1]
+	segs []segment // segment s >= 1 is segs[s-1]
 }
 
-// probeSeg is one probe's matches, in lookup order: match m joins row
-// from[m] of the previous segment with the stored row at pos[m] of the
-// probe's index.
-type probeSeg struct {
+// segment is the row space a probe or an exploding UDF opens: row m of it
+// extends row from[m] of the previous segment with a base row of its own —
+// the stored row at pos[m] of the probe's index, or the m-th row the UDF
+// emitted, vals[m*w:(m+1)*w] (its outputs, then its tag).
+type segment struct {
 	probe     *mr.Probe
 	from, pos []int32
+	vals      []value.V
+	w         int
 }
 
 // read resolves a column of row i of the current segment. A column of an
-// earlier segment is reached through the probes' from vectors, and a stored
-// column through its match's position: a value is read only when something
-// reads it.
+// earlier segment is reached through the segments' from vectors, and a
+// stored column through its match's position: a value is read only when
+// something reads it.
 func (b *fusedBatch) read(r colRef, i int32) value.V {
 	for lvl := len(b.segs); lvl > r.lvl; lvl-- {
 		i = b.segs[lvl-1].from[i]
@@ -325,7 +350,10 @@ func (b *fusedBatch) read(r colRef, i int32) value.V {
 		return b.rows[i][r.src]
 	}
 	s := &b.segs[r.lvl-1]
-	return s.probe.Row(s.pos[i])[r.src]
+	if s.probe != nil {
+		return s.probe.Row(s.pos[i])[r.src]
+	}
+	return s.vals[int(i)*s.w+r.src]
 }
 
 // apply compacts the selection in place, keeping rows the predicate holds
@@ -431,6 +459,35 @@ func (u *fusedUDF) call(b *fusedBatch, argBuf *[]value.V) {
 	b.sel = b.sel[:w]
 }
 
+// explode runs an exploding UDF stage over the selection and opens the
+// segment of the rows it emits, in selection order: each is recorded as the
+// row it came from plus its output values and its tag. Tags are the row
+// interpreter's: the task's first global row shifted past any plausible
+// per-task emission count, plus one before each emitted row, so they are
+// unique and never depend on scheduling.
+func (u *fusedUDF) explode(b *fusedBatch, tagBase int64, argBuf *[]value.V) {
+	if cap(*argBuf) < len(u.argRefs) {
+		*argBuf = make([]value.V, len(u.argRefs))
+	}
+	args := (*argBuf)[:len(u.argRefs)]
+	w := len(u.d.OutNames) + 1
+	from := mr.GetSel(len(b.sel))
+	vals := make([]value.V, 0, len(b.sel)*w)
+	for _, i := range b.sel {
+		for k, r := range u.argRefs {
+			args[k] = b.read(r, i)
+		}
+		outs := u.d.Map(args, u.params)
+		u.d.CheckMap(outs)
+		for _, out := range outs {
+			from = append(from, i)
+			vals = append(append(vals, out...), value.NewInt(tagBase+int64(len(from))))
+		}
+	}
+	b.sel = identitySel(b.sel, len(from))
+	b.segs = append(b.segs, segment{from: from, vals: vals, w: w})
+}
+
 // run opens the next segment: each selected row with a non-null key looks
 // it up once, in selection order — the lookups, and so the probed rows and
 // bytes, are the interpreter's — and every match becomes a row of the new
@@ -450,7 +507,7 @@ func (fp *fusedProbe) run(b *fusedBatch, probes []*mr.Probe) {
 		}
 	}
 	b.sel = identitySel(b.sel, len(from))
-	b.segs = append(b.segs, probeSeg{probe: probe, from: from, pos: pos})
+	b.segs = append(b.segs, segment{probe: probe, from: from, pos: pos})
 }
 
 // identitySel fills sel (recycled) with 0..n-1.
@@ -478,10 +535,10 @@ func (b *fusedBatch) allocBufs(p *fusedProg) {
 }
 
 // runFusedStages executes a fused program's stage sequence over one map
-// split with the task's probe handles and returns the batch state at the
-// last segment (pooled: the caller reads the outputs from it, then calls
-// release).
-func runFusedStages(p *fusedProg, rows []data.Row, probes []*mr.Probe) fusedBatch {
+// split of task ctx (its probe handles, its first global row) and returns
+// the batch state at the last segment (pooled: the caller reads the outputs
+// from it, then calls release).
+func runFusedStages(p *fusedProg, rows []data.Row, ctx mr.TaskCtx) fusedBatch {
 	b := fusedBatch{rows: rows, sel: identitySel(mr.GetSel(len(rows)), len(rows))}
 	if len(p.bufLvl) > 0 {
 		b.bufs = make([]*data.Col, len(p.bufLvl))
@@ -494,8 +551,11 @@ func runFusedStages(p *fusedProg, rows []data.Row, probes []*mr.Probe) fusedBatc
 			stg.filter.apply(&b, &argBuf)
 		case stg.udf != nil:
 			stg.udf.call(&b, &argBuf)
+		case stg.explode != nil:
+			stg.explode.explode(&b, ctx.GlobalRow<<20, &argBuf)
+			b.allocBufs(p)
 		default:
-			stg.probe.run(&b, probes)
+			stg.probe.run(&b, ctx.Probes)
 			b.allocBufs(p)
 		}
 	}
@@ -509,18 +569,29 @@ func (b *fusedBatch) release() {
 	}
 	for _, s := range b.segs {
 		mr.PutSel(s.from)
-		mr.PutSel(s.pos)
+		if s.probe != nil {
+			mr.PutSel(s.pos)
+		}
 	}
 	mr.PutSel(b.sel)
 }
 
 // runFusedBatch executes a fused program over one map split, handing each
-// surviving output row to sink in input-row order. A sink that keeps its
-// rows (retain) gets them cut from one slab sized for the surviving
-// selection — the split's single row allocation; a sink that builds its own
-// record from the row is handed one scratch row, overwritten for the next.
-func runFusedBatch(p *fusedProg, rows []data.Row, probes []*mr.Probe, retain bool, sink func(data.Row)) {
-	b := runFusedStages(p, rows, probes)
+// surviving output row to sink in input-row order. An identity program
+// hands over the stored rows themselves (they are immutable). Otherwise a
+// sink that keeps its rows (retain) gets them cut from one slab sized for
+// the surviving selection — the split's single row allocation; a sink that
+// builds its own record from the row is handed one scratch row,
+// overwritten for the next.
+func runFusedBatch(p *fusedProg, rows []data.Row, ctx mr.TaskCtx, retain bool, sink func(data.Row)) {
+	b := runFusedStages(p, rows, ctx)
+	if p.identity {
+		for _, i := range b.sel {
+			sink(rows[i])
+		}
+		b.release()
+		return
+	}
 	width := len(p.outs)
 	n := 1
 	if retain {

@@ -38,9 +38,7 @@ func BenchmarkFusedMapChain(b *testing.B) {
 		b.Fatal(err)
 	}
 	job := jobs[len(jobs)-1]
-	if job.BatchMapFactory == nil || !job.Fused {
-		b.Fatalf("chain did not fuse (fallback %q)", job.FuseFallback)
-	}
+	interp := interpreterOf(b, f, w)
 	rel, err := f.store.Read("twtr")
 	if err != nil {
 		b.Fatal(err)
@@ -59,15 +57,24 @@ func BenchmarkFusedMapChain(b *testing.B) {
 	b.Run("interpreted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mf := job.MapFactory(ctx)
-			for _, r := range rows {
-				mf(0, r, emit)
-			}
+			interp.BatchMapFactory(ctx)(0, rows, emit)
 		}
 	})
 	if sunk == 0 {
 		b.Fatal("benchmark emitted nothing")
 	}
+}
+
+// interpreterOf compiles w's sink job a second time and strips it to its
+// row-interpreter reference (stripKernels).
+func interpreterOf(b *testing.B, f *fixture, w *Work) *mr.Job {
+	b.Helper()
+	jobs, err := f.opt.Executable(w, "bench_interp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	stripKernels(b, f.opt, w, jobs)
+	return jobs[len(jobs)-1]
 }
 
 // BenchmarkFilterCompaction isolates the branch-free selection-vector
@@ -86,9 +93,7 @@ func BenchmarkFilterCompaction(b *testing.B) {
 		b.Fatal(err)
 	}
 	job := jobs[len(jobs)-1]
-	if job.BatchMapFactory == nil || !job.Fused {
-		b.Fatalf("filter did not fuse (fallback %q)", job.FuseFallback)
-	}
+	interp := interpreterOf(b, f, w)
 	rel, err := f.store.Read("twtr")
 	if err != nil {
 		b.Fatal(err)
@@ -106,10 +111,7 @@ func BenchmarkFilterCompaction(b *testing.B) {
 	b.Run("interpreted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mf := job.MapFactory(ctx)
-			for _, r := range rows {
-				mf(0, r, emit)
-			}
+			interp.BatchMapFactory(ctx)(0, rows, emit)
 		}
 	})
 	if sunk == 0 {
@@ -203,8 +205,8 @@ func BenchmarkProbeDeltaJob(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(jobs) != 1 || len(jobs[0].Probes) != 1 || !jobs[0].Fused {
-			b.Fatal("the delta join did not compile as one fused probe job")
+		if len(jobs) != 1 || len(jobs[0].Probes) != 1 {
+			b.Fatal("the delta join did not compile as one probe job")
 		}
 		if _, _, err := f.store.Index("twtr", "user_id"); err != nil {
 			b.Fatal(err)

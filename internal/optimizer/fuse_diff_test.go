@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"opportune/internal/afk"
@@ -43,8 +44,8 @@ func fusionChaosPlan() *fault.Plan {
 // stage shape: a 3-stage map-only chain, a string-compare filter, an
 // attribute-equality filter, group-agg over an opaque-filtered UDF chain, a
 // join with chains on both sides, an aggregate UDF, a sort, an
-// exploding-UDF word count (the compile-time fallback), and the delta joins
-// of probeShapes.
+// exploding-UDF word count (an explode segment into the cross kernel), and
+// the delta joins of probeShapes.
 func fusionWorkload() []*plan.Node {
 	scored := func() *plan.Node { return plan.Apply(plan.Scan("twtr"), "UDF_WINE_SCORE", []string{"text"}) }
 	ws := []*plan.Node{
@@ -85,8 +86,8 @@ func fusionWorkload() []*plan.Node {
 	return append(ws,
 		// NULL inputs (the nums table, nullsQueries): through the cross
 		// kernel partition-local on g, bare and filtered, and non-local on
-		// h; through the combine kernel behind an exploding UDF, whose map
-		// side runs on the interpreter. Every one reduces on the kernel.
+		// h, bare and behind an exploding UDF. Every one reduces on the
+		// kernel.
 		plan.GroupAgg(plan.Scan("nums"), []string{"g"}, nullAggs()...),
 		plan.GroupAgg(plan.Filter(plan.Scan("nums"), expr.NewCmp("id", expr.Ge, value.NewInt(40))), []string{"g"}, nullAggs()...),
 		plan.GroupAgg(plan.Scan("nums"), []string{"h"}, nullAggs()...),
@@ -95,8 +96,8 @@ func fusionWorkload() []*plan.Node {
 }
 
 // nullsQueries is how many queries at the end of fusionWorkload aggregate
-// nums, each grouping by h or g and computing nullAggs; all but the last
-// run the cross kernel.
+// nums, each grouping by h or g and computing nullAggs; all run the cross
+// kernel.
 const nullsQueries = 4
 
 // probeShapes are delta joins compiled as index probes, over withDelta's
@@ -217,24 +218,27 @@ type fusionOutcome struct {
 	rels   []*data.Relation
 	canons [][]string
 	cross  []bool // the query's grouped job ran the cross-boundary kernel
-	probes int    // jobs that probe an index, every one classified fused
+	probes int    // jobs that probe an index
 	snap   obs.Snapshot
 }
 
-// checkInterpreted fails unless a run of stripped jobs did no batch-map or
-// reduce-kernel work. It reads the tallies of work done
-// (mr_fused_batches_total, mr_fused_rows_total,
-// mr_fused_reduce_{groups,rows}_total), not the jobs' classification
-// stamps, which stripping leaves in place. The combine tally counts every
-// combined map task, the reference fold's included; stripKernels replaces
-// the Combine kernel of every job that has one.
-func checkInterpreted(t testing.TB, results []*mr.Result) {
+// checkInterpreted fails unless a run of stripped jobs mapped every split
+// on the row interpreter (splits, stripKernels' tally, against the engine's
+// mr_fused_batches_total: every job's map side is a batch function) and did
+// no reduce-kernel work (mr_fused_reduce_{groups,rows}_total). It reads the
+// tallies of work done, not the jobs' classification stamps, which
+// stripping leaves in place.
+func checkInterpreted(t testing.TB, results []*mr.Result, splits int64) {
 	t.Helper()
+	var batches int64
 	for _, r := range results {
-		if r.FusedBatches != 0 || r.FusedRows != 0 || r.FusedReduceGroups != 0 || r.FusedReduceRows != 0 {
-			t.Fatalf("interpreter arm ran fused kernels: batches=%d rows=%d reduce groups=%d rows=%d",
-				r.FusedBatches, r.FusedRows, r.FusedReduceGroups, r.FusedReduceRows)
+		batches += r.FusedBatches
+		if r.FusedReduceGroups != 0 || r.FusedReduceRows != 0 {
+			t.Fatalf("interpreter arm ran reduce kernels: groups=%d rows=%d", r.FusedReduceGroups, r.FusedReduceRows)
 		}
+	}
+	if splits != batches {
+		t.Fatalf("interpreter mapped %d of %d splits", splits, batches)
 	}
 }
 
@@ -243,12 +247,13 @@ func checkInterpreted(t testing.TB, results []*mr.Result) {
 // have used no kernel.
 func runArm(t testing.TB, f *fixture, w *Work, jobs []*mr.Job, interp bool) ([]*mr.Result, error) {
 	t.Helper()
+	var splits *atomic.Int64
 	if interp {
-		stripKernels(t, f.opt, w, jobs)
+		splits = stripKernels(t, f.opt, w, jobs)
 	}
 	results, err := f.eng.RunSequence(jobs)
 	if err == nil && interp {
-		checkInterpreted(t, results)
+		checkInterpreted(t, results, splits.Load())
 	}
 	return results, err
 }
@@ -277,15 +282,7 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 	withDelta(t, f, true)
 	putBigDelta(f)
 	registerTokenize(t, f)
-	if err := f.cat.UDFs.Register(&udf.Descriptor{
-		Name: "UDF_PAIRS", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"copy"}, Explode: true,
-		Map: func(args, _ []value.V) [][]value.V {
-			return [][]value.V{{value.NewInt(0)}, {value.NewInt(1)}}
-		},
-		TrueScalar: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	registerPairs(t, f)
 	f.opt.Eval.RegisterOpaque("fz_has_wine", func(args []value.V) bool {
 		return strings.Contains(args[0].Str(), "wine")
 	})
@@ -325,9 +322,6 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 			cross = cross || j.FusedCrossBoundary
 			if len(j.Probes) > 0 {
 				out.probes++
-				if !j.Fused {
-					t.Errorf("query %d: %s probes but fell back (%s)", qi, j.Name, j.FuseFallback)
-				}
 			}
 		}
 		out.cross = append(out.cross, cross)
@@ -389,28 +383,16 @@ func TestFusionDifferentialOracle(t *testing.T) {
 			if tc.plan != nil && refFused.snap.Counters["mr_task_retries_total"] == 0 {
 				t.Error("chaos plan injected no task retries on the fused arm")
 			}
-			// The fused arm really fused: jobs ran batches, and the explode
-			// query fell back at compile time for the documented reason.
-			if n := refFused.snap.Counters["mr_fused_jobs_total"]; n == 0 {
-				t.Error("fused arm ran no fused jobs")
-			}
+			// Every job ran on a batch map function, every split of it a
+			// batch (metricscheck's invariant: the job counters agree).
 			if n := refFused.snap.Counters["mr_fused_batches_total"]; n == 0 {
 				t.Error("fused arm ran no fused batches")
 			}
-			if n := refFused.snap.Counters["mr_fused_fallback_total{reason=explode_udf}"]; n == 0 {
-				t.Error("exploding-UDF query did not record its compile-time fallback")
+			if e, j := refFused.snap.Counters["mr_fused_eligible_total"], refFused.snap.Counters["mr_fused_jobs_total"]; j == 0 || e != j {
+				t.Errorf("fusion family: eligible %d, jobs %d; want equal and > 0", e, j)
 			}
-			// Balance rule on both arms (metricscheck's invariant).
-			for _, arm := range []fusionOutcome{refFused, refInterp} {
-				var fb int64
-				for k, v := range arm.snap.Counters {
-					if strings.HasPrefix(k, "mr_fused_fallback_total{") {
-						fb += v
-					}
-				}
-				if e, j := arm.snap.Counters["mr_fused_eligible_total"], arm.snap.Counters["mr_fused_jobs_total"]; e != j+fb {
-					t.Errorf("fusion family does not balance: eligible %d != jobs %d + fallback %d", e, j, fb)
-				}
+			if r, in := refFused.snap.Counters["mr_fused_rows_total"], refFused.snap.Counters["mr_input_rows_total"]-refFused.snap.Counters["mr_probe_rows_total"]; r != in {
+				t.Errorf("fused arm mapped %d of %d split rows on its kernels", r, in)
 			}
 
 			// Reduce-side fusion: grouped jobs fused their combine and reduce
@@ -445,13 +427,12 @@ func TestFusionDifferentialOracle(t *testing.T) {
 				}
 			}
 			// NULL inputs: the nums queries went through the cross kernel
-			// (all but the exploding one, partition-local or not) and the
-			// combine kernel (the last), and their all-NULL groups come out
-			// as the reference says.
+			// (partition-local or not, the exploding one included), and
+			// their all-NULL groups come out as the reference says.
 			for i := 0; i < nullsQueries; i++ {
 				qi := len(refFused.rels) - nullsQueries + i
-				if want := i < nullsQueries-1; refFused.cross[qi] != want {
-					t.Errorf("nums query %d: cross-boundary = %v, want %v", qi, refFused.cross[qi], want)
+				if !refFused.cross[qi] {
+					t.Errorf("nums query %d did not run the cross-boundary kernel", qi)
 				}
 				checkNullGroups(t, qi, refInterp.rels[qi])
 			}
@@ -539,59 +520,90 @@ func registerTokenize(t testing.TB, f *fixture) {
 	}
 }
 
-// runOneFusionPlan executes a single plan on a fresh fixture arm and returns
-// the result fingerprint and counter snapshot.
-func runOneFusionPlan(t *testing.T, interp bool, register func(*fixture), p *plan.Node) (uint64, map[string]int64) {
+// registerPairs registers UDF_PAIRS, an exploding UDF that emits two rows,
+// copy 0 and copy 1, per input.
+func registerPairs(t testing.TB, f *fixture) {
 	t.Helper()
-	f := newFixture(t, 1000)
-	if register != nil {
-		register(f)
-	}
-	f.eng.Params.SplitRows = 64
-	f.eng.Workers = 4
-	f.eng.Params.ReduceTasks = 3
-	reg := obs.NewRegistry()
-	f.eng.Obs = reg
-	f.store.SetObs(reg)
-	w, err := f.opt.Compile(p)
-	if err != nil {
+	if err := f.cat.UDFs.Register(&udf.Descriptor{
+		Name: "UDF_PAIRS", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"copy"}, Explode: true,
+		Map: func(args, _ []value.V) [][]value.V {
+			return [][]value.V{{value.NewInt(0)}, {value.NewInt(1)}}
+		},
+		TrueScalar: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := f.opt.Executable(w, "one_res")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runArm(t, f, w, jobs, interp); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := f.store.Read("one_res")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rel.Fingerprint(), reg.Snapshot().Counters
 }
 
-// TestFusionExplodeFallback pins the compile-time fallback path: an
-// exploding UDF in the chain forces the whole job to row mode (classified
-// eligible but not fused, reason explode_udf) and the output is still
-// identical to the interpreter arm.
-func TestFusionExplodeFallback(t *testing.T) {
-	register := func(f *fixture) { registerTokenize(t, f) }
-	p := plan.GroupAgg(plan.Apply(plan.Scan("twtr"), "UDF_TOKENIZE", []string{"text"}),
-		[]string{"word"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
-	fpF, cF := runOneFusionPlan(t, false, register, p)
-	fpI, _ := runOneFusionPlan(t, true, register, p)
-	if fpF != fpI {
-		t.Errorf("explode fallback output diverges: fused-arm %d interp-arm %d", fpF, fpI)
+// TestFusionExplode pins exploding UDFs on the fused kernel: each chain
+// below compiles to one job whose map side opens an explode segment, and at
+// Workers {1, 4} × ReduceTasks {1, 3} its output is byte-identical to the
+// row interpreter's, row tags included, and to the serial run. A group-by
+// over an explode runs the cross-boundary kernel.
+func TestFusionExplode(t *testing.T) {
+	tok := func() *plan.Node { return plan.Apply(plan.Scan("twtr"), "UDF_TOKENIZE", []string{"text"}) }
+	plans := map[string]*plan.Node{
+		// Tags out: the map-only output carries each emitted row's tag.
+		"map-only": plan.Project(plan.Apply(plan.Filter(plan.Scan("twtr"), expr.NewCmp("tweet_id", expr.Ge, value.NewInt(5))),
+			"UDF_TOKENIZE", []string{"text"}), "tweet_id", "word", "_udf_tokenize_row"),
+		// Two explode segments, a filter on the second's rows, every
+		// column (both tags) out.
+		"two-explodes": plan.Filter(plan.Apply(tok(), "UDF_PAIRS", []string{"word"}), expr.NewCmp("copy", expr.Eq, value.NewInt(1))),
+		// A non-exploding UDF behind an explode writes its buffer in the
+		// explode segment's row space.
+		"udf-after": plan.Filter(plan.Apply(tok(), "UDF_WINE_SCORE", []string{"word"}), expr.NewCmp("wine_score", expr.Gt, value.NewFloat(0))),
+		"group-by": plan.GroupAgg(tok(), []string{"word"}, plan.AggSpec{Func: plan.AggCount, As: "n"},
+			plan.AggSpec{Func: plan.AggMax, Col: "_udf_tokenize_row", As: "last"}),
+		"sort": plan.Sort(tok(), []string{"_udf_tokenize_row"}, []bool{true}, 40),
 	}
-	if cF["mr_fused_jobs_total"] != 0 {
-		t.Errorf("exploding chain must not fuse, got %d fused jobs", cF["mr_fused_jobs_total"])
-	}
-	if cF["mr_fused_eligible_total"] == 0 {
-		t.Error("exploding chain should still classify as fusion-eligible")
-	}
-	if cF["mr_fused_fallback_total{reason=explode_udf}"] == 0 {
-		t.Error("explode fallback reason not recorded")
+	for name, p := range plans {
+		t.Run(name, func(t *testing.T) {
+			var ref *data.Relation
+			for _, w := range []int{1, 4} {
+				for _, r := range []int{1, 3} {
+					var arms [2]*data.Relation
+					for ai, interp := range []bool{false, true} {
+						f := newFixture(t, 1000)
+						registerTokenize(t, f)
+						registerPairs(t, f)
+						f.eng.Params.SplitRows = 64
+						f.eng.Workers = w
+						f.eng.Params.ReduceTasks = r
+						wk, err := f.opt.Compile(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						jobs, err := f.opt.Executable(wk, "one_res")
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(jobs) != 1 {
+							t.Fatalf("%d jobs, want one", len(jobs))
+						}
+						if name == "group-by" && !jobs[0].FusedCrossBoundary {
+							t.Error("group-by over an explode does not run the cross-boundary kernel")
+						}
+						if _, err := runArm(t, f, wk, jobs, interp); err != nil {
+							t.Fatal(err)
+						}
+						if arms[ai], err = f.store.Read("one_res"); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if arms[0].Len() == 0 {
+						t.Fatal("the chain produced no rows; it checks nothing")
+					}
+					if !arms[0].Equal(arms[1]) {
+						t.Errorf("W=%d R=%d: fused and interpreted outputs differ", w, r)
+					}
+					if ref == nil {
+						ref = arms[0]
+					} else if !arms[0].Equal(ref) {
+						t.Errorf("W=%d R=%d: fused output differs from the serial run", w, r)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -644,9 +656,6 @@ func TestFusionContractViolation(t *testing.T) {
 						jobs, err := f.opt.Executable(w, "one_res")
 						if err != nil {
 							t.Fatal(err)
-						}
-						if !jobs[0].Fused {
-							t.Fatalf("violating chain classified %q, want fused", jobs[0].FuseFallback)
 						}
 						if _, err = runArm(t, f, w, jobs, interp); !errors.Is(err, udf.ErrContract) {
 							t.Fatalf("run error %v, want udf.ErrContract", err)

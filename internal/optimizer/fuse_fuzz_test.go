@@ -19,8 +19,8 @@ import (
 // over the fixture's twtr schema: Projects over column subsets, Filters of
 // every predicate kind, well-behaved map UDFs, a filtering UDF, a declared-
 // single-output UDF that violates its contract at runtime, and an exploding
-// UDF — so one input space reaches the fused fast path, the compile-time
-// fallback, and the contract failure. Returns nil when the bytes decode to a
+// UDF — so one input space reaches the fused fast path, explode segments,
+// and the contract failure. Returns nil when the bytes decode to a
 // bare scan (nothing to test).
 func fuzzChain(raw []byte) *plan.Node {
 	p, _ := fuzzChainCols(raw)
@@ -89,7 +89,7 @@ func fuzzChainCols(raw []byte) (*plan.Node, []string) {
 		case 6: // contract violator: declared single-output, multi-emits
 			p = plan.Apply(p, "UDF_FZ_VIOLATOR", []string{pick()})
 			cols = append(append([]string{}, cols...), "fz_v")
-		default: // exploding UDF — compile-time fallback
+		default: // exploding UDF — an explode segment
 			p = plan.Apply(p, "UDF_FZ_SPLIT", []string{pick()})
 			cols = append(append([]string{}, cols...), "fz_tok")
 		}
@@ -110,11 +110,11 @@ const probeMark = 0xde
 // bytes choose the group keys and two aggregates over whatever columns the
 // chain left in scope (SUM/AVG restricted to numeric columns — a mistyped
 // aggregate is a compile- or run-time error on both arms, not a fusion
-// difference worth fuzzing). Every group-by whose chain compiled reaches
-// the cross-boundary kernel; explode/violator ops in the chain reach the
-// fallback path (the combine + reduce kernels) and the contract failure
-// under a grouped boundary. Behind probeMark the chain is a delta join's
-// indexed side: an index probe when it keeps user_id and is record-local.
+// difference worth fuzzing). Every group-by reaches the cross-boundary
+// kernel, through explode segments too; violator ops in the chain reach
+// the contract failure under a grouped boundary. Behind probeMark the
+// chain is a delta join's indexed side: an index probe when it keeps
+// user_id and is record-local.
 func fuzzAggChain(raw []byte) *plan.Node {
 	if len(raw) < 3 {
 		return nil
@@ -269,11 +269,11 @@ func checkFuzzArms(t *testing.T, fused, interp fuzzOutcome) {
 
 // FuzzFusedPipeline is the fusion differential fuzzer: for every generated
 // chain, fused execution must equal interpreted execution row for row — in
-// order, since map tasks are deterministic — including chains that fall
-// back at compile time (explode); a chain whose violator meets a "wine" row
-// must fail with udf.ErrContract on both arms.
+// order, since map tasks are deterministic — including chains that open
+// explode segments; a chain whose violator meets a "wine" row must fail
+// with udf.ErrContract on both arms.
 func FuzzFusedPipeline(f *testing.F) {
-	// Seeds cover each op code, a mixed chain, the explode fallback and the
+	// Seeds cover each op code, a mixed chain, an explode segment and the
 	// contract failure.
 	f.Add([]byte{0x00, 0x07})                                     // project
 	f.Add([]byte{0x01, 0x21, 0x02, 0x35, 0x03, 0x02})             // cmp, attr-eq, opaque

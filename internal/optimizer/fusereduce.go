@@ -13,11 +13,10 @@
 //   - The reduce kernel (mr.Job.BatchReduce) folds a whole reduce partition
 //     the same way and emits finalized output rows with keys in ascending
 //     order — the order the engine merges reduce output in.
-//   - For every single-stream group-by whose map program compiled, the
-//     cross-boundary kernel runs the combine fold directly over the fused
-//     map pipeline's surviving selection: scan→filter→probe→group→
-//     partial-finalize in one pass, with no per-row partial row (nor joined
-//     row) ever built. The records it emits per split are the ones Combine
+//   - For every single-stream group-by, the cross-boundary kernel runs the
+//     combine fold directly over the fused map program's surviving
+//     selection: scan→filter→probe/explode→group→partial-finalize in one
+//     pass, with no per-row partial row (nor joined row) ever built. The records it emits per split are the ones Combine
 //     would have made, so partition-local or not, the shuffle cannot tell.
 //
 // The partial records the kernels fold are the ones aggPhys.initPartials and
@@ -58,7 +57,7 @@ type aggSpec struct {
 // other keyed job carries exactly one fallback reason. It returns k when
 // the map side should also run the combine fold (cross-boundary), nil
 // otherwise.
-func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, k *aggKernel, progs []*fusedProg) *aggKernel {
+func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, k *aggKernel) *aggKernel {
 	if job.Reduce == nil && job.BatchReduce == nil {
 		return nil // map-only: no reduce side to fuse
 	}
@@ -74,11 +73,11 @@ func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, k *aggKernel,
 		job.FusedReduceFallback = mr.FuseUnsupportedOp // join, sort: not an agg fold
 	}
 	// Cross-shuffle fusion: the map kernel runs the combine fold in the
-	// same pass over its surviving selection. It needs a single stream with
-	// a compiled program (bare scans carry the identity program) and
+	// same pass over its surviving selection. It needs a single stream
+	// (every stream has a program; a bare scan's is the identity) and
 	// nothing else: the fold emits, per split, the records Combine would
 	// have made of the per-row partials, so the shuffle cannot tell.
-	if k != nil && len(jn.streams) == 1 && progs[0] != nil {
+	if k != nil && len(jn.streams) == 1 {
 		job.FusedCrossBoundary = true
 		return k
 	}

@@ -202,14 +202,14 @@ func TestReduceFusionClassification(t *testing.T) {
 		reason string
 	}{
 		{"partition_local_cross", groupByUserPlan(), true, true, ""},
-		// The cross fold needs no layout match: a group-by on any key
-		// whose map program compiled folds on the map side.
+		// The cross fold needs no layout match: a single-stream group-by on
+		// any key folds on the map side, behind an explode segment too.
 		{"nonlocal_group",
 			plan.GroupAgg(plan.Scan("twtr"), []string{"text"},
 				plan.AggSpec{Func: plan.AggCount, As: "n"}), true, true, ""},
 		{"explode_group",
 			plan.GroupAgg(plan.Apply(plan.Scan("twtr"), "UDF_TOKENIZE", []string{"text"}), []string{"word"},
-				plan.AggSpec{Func: plan.AggCount, As: "n"}), true, false, ""},
+				plan.AggSpec{Func: plan.AggCount, As: "n"}), true, true, ""},
 		{"agg_udf", winersPlan(), false, false, "agg_udf"},
 		{"unsupported_op",
 			plan.Sort(plan.Scan("twtr"), []string{"tweet_id"}, []bool{true}, 10), false, false, "unsupported_op"},

@@ -1,10 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
-
-	"opportune/internal/data"
-	"opportune/internal/mr"
 	"opportune/internal/plan"
 	"opportune/internal/udf"
 )
@@ -107,60 +103,6 @@ func (o *Optimizer) localChain(n *plan.Node) (stream, bool) {
 		}
 		ops = append(ops, cur)
 	}
-}
-
-// probeStage compiles a probe join (probeOf) for one stream: each input row
-// looks its join key up in the index of the other side's dataset — null
-// keys never join — the other side's chain runs on the matched rows, and
-// every survivor is emitted beside the input row in the shuffle join's
-// output layout. The index and the chain's costs go on job. It is the row
-// interpreter's form: the fused kernel compiles the same probe into a
-// segment (fuseChain) and makes the same lookups.
-func (o *Optimizer) probeStage(op *plan.Node, inCols []string, job *mr.Job) (stageFactory, error) {
-	pj, ok := o.probeOf(op)
-	if !ok {
-		return nil, fmt.Errorf("optimizer: join %s = %s is not a probe", op.LCol, op.RCol)
-	}
-	keyIx, ok := indexOf(inCols, pj.key)
-	if !ok {
-		return nil, fmt.Errorf("optimizer: join key %q missing from the probing stream", pj.key)
-	}
-	chain, fns, err := o.buildPipeline(pj.other, job)
-	if err != nil {
-		return nil, err
-	}
-	job.MapCost = append(job.MapCost, fns...)
-	nl := len(op.Inputs[0].OutCols)
-	rKeep := keptRight(op.OutCols, nl, op.Inputs[1].OutCols)
-	k := len(job.Probes)
-	job.Probes = append(job.Probes, mr.ProbeSpec{Dataset: pj.other.srcDataset, Col: pj.col})
-	delta, width := pj.delta, len(op.OutCols)
-	return func(ctx mr.TaskCtx, next func(data.Row)) func(data.Row) {
-		probe := ctx.Probes[k]
-		var enc data.KeyEncoder
-		out := make(data.Row, width)
-		var in data.Row // the row being probed, valid for its call
-		joined := chain(ctx, func(m data.Row) {
-			l, r := in, m
-			if delta == 1 {
-				l, r = m, in
-			}
-			copy(out, l)
-			for i, ix := range rKeep {
-				out[nl+i] = r[ix]
-			}
-			next(out)
-		}, false)
-		return func(r data.Row) {
-			if r[keyIx].IsNull() {
-				return
-			}
-			in = r
-			for _, pos := range probe.Lookup(enc.KeyOf(r[keyIx])) {
-				joined(probe.Row(pos))
-			}
-		}
-	}, nil
 }
 
 // probes is the number of probe stages a stream runs.

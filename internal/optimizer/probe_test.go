@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -124,9 +125,6 @@ func TestProbeSelection(t *testing.T) {
 				var probes []mr.ProbeSpec
 				for _, j := range jobs {
 					probes = append(probes, j.Probes...)
-					if len(j.Probes) > 0 && (!j.Fused || j.BatchMapFactory == nil) {
-						t.Errorf("%s probes but classified fused=%v fallback=%q", j.Name, j.Fused, j.FuseFallback)
-					}
 				}
 				if marked && (len(jobs) != c.jobs || !slices.Equal(probes, c.probes)) {
 					t.Fatalf("%d jobs probing %v, want %d probing %v", len(jobs), probes, c.jobs, c.probes)
@@ -170,5 +168,38 @@ func TestProbeEstimate(t *testing.T) {
 	}
 	if est[0] >= est[1] {
 		t.Errorf("probing plan estimated at %g s, the shuffle join at %g s", est[0], est[1])
+	}
+}
+
+// TestProbeMapCostOrder pins the order a probe job's map-side costs are
+// appended in, which fixes the order the engine folds its simulated map
+// seconds in (and so their bits): each probe's indexed-side chain as its
+// probe compiles, then the stream's own operators, probes included.
+func TestProbeMapCostOrder(t *testing.T) {
+	f := newFixture(t, 60)
+	withDelta(t, f, true)
+	bucket := plan.Apply(plan.Scan("~delta~users"), "BUCKET", []string{"uid"})
+	wine := plan.Apply(plan.Scan("twtr"), "UDF_WINE_SCORE", []string{"text"})
+	pos := plan.Filter(wine, expr.NewCmp("wine_score", expr.Gt, value.NewFloat(0)))
+	join1 := plan.JoinNodes(bucket, pos, "uid", "user_id")
+	renamed := plan.ProjectAs(plan.Scan("users"), []string{"uid", "name"}, []string{"uid2", "name2"})
+	join2 := plan.JoinNodes(join1, renamed, "uid", "uid2")
+	w, err := f.opt.Compile(plan.GroupAgg(join2, []string{"bucket"}, plan.AggSpec{Func: plan.AggSum, Col: "wine_score", As: "s"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := f.opt.Executable(w, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || len(jobs[0].Probes) != 2 {
+		t.Fatalf("%d jobs probing %v, want one job with two probes", len(jobs), jobs[0].Probes)
+	}
+	var want []cost.LocalFn
+	for _, op := range []*plan.Node{wine, pos, renamed, bucket, join1, join2} {
+		want = append(want, f.opt.localFn(op, true))
+	}
+	if got := jobs[0].MapCost; !reflect.DeepEqual(got, want) {
+		t.Errorf("map costs %v, want %v", got, want)
 	}
 }

@@ -103,7 +103,8 @@ func slabFixture(t testing.TB, rows int) *fixture {
 // slabPlans are the map sides the budget covers: runFusedBatch into a
 // pass-through boundary (map-only, sort), each of the boundary emitters that
 // builds its own record (group-agg, agg-UDF with the default and a custom
-// PreMap, join), an exploding chain, which only the interpreter runs, and an
+// PreMap, join), an exploding chain, the identity program of a bare scan
+// (its stored rows handed through into an agg-UDF boundary), and an
 // append's delta join: a 4 096-row delta probing prof's index.
 var slabPlans = []struct {
 	name   string
@@ -134,6 +135,9 @@ var slabPlans = []struct {
 	{"explode", func() *plan.Node {
 		return plan.Filter(plan.Apply(plan.Scan("clus"), "UDF_TWICE", []string{"tweet_id"}), expr.NewCmp("part", expr.Lt, value.NewInt(150)))
 	}, 6000, 0},
+	{"bare-scan", func() *plan.Node {
+		return plan.Apply(plan.Scan("clus"), "UDF_TOT", []string{"user_id", "a"})
+	}, 4096, 0},
 	{"probe", func() *plan.Node {
 		// Every delta row matches one prof row; SUM reads the indexed side.
 		return plan.GroupAgg(plan.JoinNodes(plan.Apply(plan.Scan("~delta~clus"), "UDF_HALF", []string{"tweet_id"}),
@@ -184,9 +188,6 @@ func TestMapSideAllocBudget(t *testing.T) {
 					stripKernels(t, f.opt, w, jobs)
 				}
 				job := jobs[0]
-				if wantFused := !interp && tc.name != "explode"; (job.BatchMapFactory != nil) != wantFused {
-					t.Fatalf("fused map side attached = %v, want %v", job.BatchMapFactory != nil, wantFused)
-				}
 				rel, err := f.store.Read(job.Inputs[0])
 				if err != nil {
 					t.Fatal(err)
@@ -207,15 +208,7 @@ func TestMapSideAllocBudget(t *testing.T) {
 				emit := func(key string, r data.Row) { out = append(out, mr.Keyed{Key: key, Row: r}) }
 				task := func() {
 					out = out[:0]
-					ctx := mr.TaskCtx{Probes: probes}
-					if job.BatchMapFactory != nil {
-						job.BatchMapFactory(ctx)(0, split, emit)
-						return
-					}
-					fn := job.MapFactory(ctx)
-					for _, r := range split {
-						fn(0, r, emit)
-					}
+					job.BatchMapFactory(mr.TaskCtx{Probes: probes})(0, split, emit)
 				}
 				allocs := testing.AllocsPerRun(5, task)
 				if tc.groups > 0 && !interp {
@@ -250,8 +243,8 @@ func heapAfterGC() uint64 {
 // sorted LIMIT 10 and a map-only explode-then-filter that keeps one output
 // row in 200, over 40 000 rows: with only the view (and the base table) left
 // reachable, the heap has grown by far less than one split's slab — the
-// sort/LIMIT reducer copies what it keeps, and the interpreter cuts a
-// retained row only after the chain's last filter.
+// sort/LIMIT reducer copies what it keeps, and the fused kernel cuts the
+// rows it hands a keeping sink only after the chain's last filter.
 func TestRetentionViewsPinNoMapSideSlab(t *testing.T) {
 	const rows = 40000
 	const splitSlab = 4096 * 9 * 24 // one split of "clus" + one UDF column, in cells
@@ -334,9 +327,6 @@ func TestUDFArgsAreValidOnlyForTheCall(t *testing.T) {
 		jobs, err := f.opt.Executable(w, "res")
 		if err != nil {
 			t.Fatal(err)
-		}
-		if jobs[0].BatchMapFactory == nil {
-			t.Fatal("the chain compiled no fused map side to compare against")
 		}
 		if _, err := runArm(t, f, w, jobs, interp); err != nil {
 			t.Fatal(err)

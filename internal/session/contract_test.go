@@ -14,9 +14,11 @@ import (
 )
 
 // contractSession is joinDemo at the given parallelism plus BAD, a map UDF
-// declared single-output that returns two rows for a "tea" text: there is
-// none in the demo's logs and a quarter of ivmBatch's rows carry one. The
-// session is instrumented with the returned registry.
+// declared single-output that returns two rows for a "tea" text, and
+// BADWORDS, an exploding UDF that returns a row of two values, one more
+// than it declares, for each word of a "tea" text: there is none in the
+// demo's logs and a quarter of ivmBatch's rows carry one. The session is
+// instrumented with the returned registry.
 func contractSession(t *testing.T, workers int) (*Session, *obs.Registry) {
 	t.Helper()
 	s := joinDemo(t, 90)
@@ -35,6 +37,23 @@ func contractSession(t *testing.T, workers int) (*Session, *obs.Registry) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Cat.UDFs.Register(&udf.Descriptor{
+		Name: "BADWORDS", NArgs: 1, Kind: udf.KindMap, OutNames: []string{"word"}, Explode: true,
+		Map: func(args, _ []value.V) [][]value.V {
+			var out [][]value.V
+			for _, w := range strings.Fields(args[0].Str()) {
+				row := []value.V{value.NewStr(w)}
+				if strings.Contains(args[0].Str(), "tea") {
+					row = append(row, value.NewInt(1))
+				}
+				out = append(out, row)
+			}
+			return out
+		},
+		TrueScalar: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
 	return s, reg
 }
 
@@ -43,11 +62,10 @@ func badMap() *plan.Node {
 	return plan.Project(plan.Apply(plan.Scan("logs"), "BAD", []string{"text"}), "id", "bad")
 }
 
-// badExplode runs BAD after the exploding WORDS: one job, classified
-// explode_udf, so the row interpreter runs BAD.
+// badExplode is a map-only chain over BADWORDS: one job, whose fused
+// kernel opens an explode segment.
 func badExplode() *plan.Node {
-	return plan.Project(plan.Apply(plan.Apply(plan.Scan("logs"), "WORDS", []string{"text"}),
-		"BAD", []string{"text"}), "id", "word", "bad")
+	return plan.Project(plan.Apply(plan.Scan("logs"), "BADWORDS", []string{"text"}), "id", "word")
 }
 
 // badJoin is a maintainable aggregate of BAD's output over a join with BAD
@@ -59,22 +77,10 @@ func badJoin() *plan.Node {
 		plan.Scan("users"), "user", "uid"), []string{"tier"}, plan.AggSpec{Func: plan.AggSum, Col: "bad", As: "b"})
 }
 
-// fallbacks sums the fused map fallback family of a counter snapshot.
-func fallbacks(c map[string]int64) int64 {
-	var n int64
-	for k, v := range c {
-		if strings.HasPrefix(k, "mr_fused_fallback_total{") {
-			n += v
-		}
-	}
-	return n
-}
-
 // TestUDFContract: a UDF that breaks its declared single-output contract
-// fails its query with udf.ErrContract on every session path — Run on a
-// fused job and on an interpreted (explode_udf) one, RunBatch, and the
-// delta jobs of AppendRows, which all run fused (a view over an exploding
-// UDF is not maintained, so no delta job reaches the interpreter) — under
+// fails its query with udf.ErrContract on every session path — Run of a
+// single-output and of an exploding violator, RunBatch, and the delta jobs
+// of AppendRows — under
 // ModeOriginal and ModeBFR at Workers 1 and 4. An append keeps its failure
 // independence: only the violator's view is invalidated, with the contract
 // as its reason, the others are maintained, and the next Run of that query
@@ -96,7 +102,7 @@ func TestUDFContract(t *testing.T) {
 						counter string // the classification the failed job records
 					}{
 						{"fused", badMap(), "mr_fused_jobs_total"},
-						{"explode_udf", badExplode(), "mr_fused_fallback_total{reason=explode_udf}"},
+						{"explode_udf", badExplode(), "mr_fused_jobs_total"},
 					} {
 						before := reg.Snapshot().Counters[c.counter]
 						if _, err := s.Run(c.p, "bad_"+c.name, mode); !errors.Is(err, udf.ErrContract) {
@@ -125,8 +131,7 @@ func TestUDFContract(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					// Every delta job probes on the fused kernel: the append
-					// probes rows and records no fallback.
+					// The delta jobs probe on the fused kernel.
 					before := reg.Snapshot().Counters
 					rep, err := s.AppendRows("logs", ivmBatch(700, 15))
 					if err != nil {
@@ -135,9 +140,6 @@ func TestUDFContract(t *testing.T) {
 					after := reg.Snapshot().Counters
 					if after["mr_probe_rows_total"] == before["mr_probe_rows_total"] {
 						t.Error("no delta job probed")
-					}
-					if n := fallbacks(after) - fallbacks(before); n != 0 {
-						t.Errorf("%d delta jobs ran on the interpreter, want none", n)
 					}
 					if !slices.Contains(rep.Invalidated, "bad_join") ||
 						!strings.Contains(rep.Reasons["bad_join"], udf.ErrContract.Error()) {
@@ -195,5 +197,49 @@ func TestUDFPanicKeepsItsError(t *testing.T) {
 				t.Errorf("RunBatch error %v, want errBoom", err)
 			}
 		})
+	}
+}
+
+// TestPreMapContract: an aggregate UDF's PreMap that returns a key of other
+// than len(KeyNames) values, or a payload longer than PayloadCols, fails
+// its query with udf.ErrContract at Workers 1 and 4 — instead of shifting
+// payload values into the group key, or dying on an untyped panic. Only
+// the "coffee" rows (a third of the demo's logs) break it.
+func TestPreMapContract(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		key, payload int // values the PreMap returns for a "coffee" row
+	}{
+		{"short key", 1, 1},
+		{"long key", 3, 0},
+		{"long payload", 2, 2},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/W%d", tc.name, workers), func(t *testing.T) {
+				s := demo(t, 90)
+				s.Eng.Workers = workers
+				if err := s.Cat.UDFs.Register(&udf.Descriptor{
+					Name: "PAIRS", NArgs: 2, Kind: udf.KindAgg, KeyNames: []string{"u", "t"}, DerivedKeys: true,
+					PayloadCols: 1, OutNames: []string{"n"}, TrueScalar: 1,
+					PreMap: func(args, _ []value.V) ([]value.V, []value.V, bool) {
+						if args[1].Str() != "coffee" {
+							return []value.V{args[0], args[1]}, []value.V{value.NewInt(1)}, true
+						}
+						key := []value.V{args[0], args[1], args[0]}[:tc.key]
+						payload := []value.V{value.NewInt(1), value.NewInt(2)}[:tc.payload]
+						return key, payload, true
+					},
+					Reduce: func(_ []value.V, ps [][]value.V, _ []value.V) []value.V {
+						return []value.V{value.NewInt(int64(len(ps)))}
+					},
+				}); err != nil {
+					t.Fatal(err)
+				}
+				p := plan.Apply(plan.Scan("logs"), "PAIRS", []string{"user", "text"})
+				if _, err := s.Run(p, "pairs", ModeOriginal); !errors.Is(err, udf.ErrContract) {
+					t.Errorf("Run error %v, want udf.ErrContract", err)
+				}
+			})
+		}
 	}
 }

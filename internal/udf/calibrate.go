@@ -46,14 +46,17 @@ func (r *Registry) Calibrate(engine *mr.Engine, dataset string, d *Descriptor, a
 	job := &mr.Job{
 		Name:   "calibrate-" + d.Name,
 		Inputs: []string{sampleName},
-		MapFactory: func(mr.TaskCtx) mr.MapFunc {
+		BatchMapFactory: func(mr.TaskCtx) mr.BatchMapFunc {
 			args := make([]value.V, len(idxs))
-			return func(_ int, r data.Row, emit mr.Emit) {
-				for i, ix := range idxs {
-					args[i] = r[ix]
+			return func(_ int, rows []data.Row, emit mr.Emit) mr.BatchReport {
+				for _, r := range rows {
+					for i, ix := range idxs {
+						args[i] = r[ix]
+					}
+					d.probe(args, params)
+					emit("", data.Row{value.NewInt(1)})
 				}
-				d.probe(args, params)
-				emit("", data.Row{value.NewInt(1)})
+				return mr.BatchReport{}
 			}
 		},
 		MapOutSchema: outSchema,

@@ -64,8 +64,8 @@ var ErrContract = errors.New("udf contract violated")
 
 // CheckMap enforces a KindMap UDF's declared output shape on one Map result:
 // a UDF not declared Explode returns at most one row, and every row has
-// len(OutNames) values. It is the one check both map paths — the fused
-// kernel and the row interpreter — run on every call. A violation panics
+// len(OutNames) values. The fused map kernel, and the row interpreter the
+// tests compare it with, run it after every call. A violation panics
 // with an error wrapping ErrContract: the engine's path for failing user
 // code, which fails the map task and with it the job.
 func (d *Descriptor) CheckMap(outs [][]value.V) {
@@ -81,11 +81,26 @@ func (d *Descriptor) CheckMap(outs [][]value.V) {
 	}
 }
 
+// CheckPreMap is CheckMap for a KindAgg UDF's PreMap: the key it returns
+// has exactly len(KeyNames) values and the payload at most PayloadCols. A
+// violation panics with an error wrapping ErrContract, so the query fails
+// typed instead of shifting payload values into the group key.
+func (d *Descriptor) CheckPreMap(key, payload []value.V) {
+	if len(key) != len(d.KeyNames) {
+		panic(fmt.Errorf("%w: %s PreMap returned a key of %d values, it declares %d key columns",
+			ErrContract, d.Name, len(key), len(d.KeyNames)))
+	}
+	if len(payload) > d.PayloadCols {
+		panic(fmt.Errorf("%w: %s PreMap returned a payload of %d values, it declares %d",
+			ErrContract, d.Name, len(payload), d.PayloadCols))
+	}
+}
+
 // PreMapFn is the optional map-side local function of a KindAgg UDF: it
 // turns one input tuple into a (group key, payload) pair, or drops it. The
 // pair is written straight into the shuffle record: len(key) is
-// len(KeyNames) and len(payload) at most PayloadCols (shorter is Null-padded,
-// longer fails the job).
+// len(KeyNames) and len(payload) at most PayloadCols (shorter is Null-padded);
+// anything else fails the query with ErrContract (CheckPreMap).
 type PreMapFn func(args, params []value.V) (key, payload []value.V, keep bool)
 
 // ReduceFn is the per-group local function of a KindAgg UDF: it receives
