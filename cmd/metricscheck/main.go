@@ -187,7 +187,9 @@ func checkFused(m obs.Snapshot) {
 // checkFusedReduce validates the reduce-side fusion counter family: all
 // six names present together or not at all, with every label of
 // mr.FuseReduceFallbackReasons (recorded zeros-included whenever the family
-// is, like the map-side set) and no other; every eligible reduce job either
+// is, like the map-side set) and no other; the engine derives eligibility
+// from the job shuffling at all, so eligible jobs are exactly
+// mr_keyed_jobs_total; every eligible reduce job either
 // compiled its kernels or carries exactly one fallback reason,
 // cross-boundary jobs are a subset of fused jobs, and a run with no fused
 // reduce jobs cannot claim kernel work. Groups can be zero with rows zero
@@ -260,6 +262,9 @@ func checkFusedReduce(m obs.Snapshot) {
 	batches := m.Counters["mr_fused_reduce_batches_total"]
 	groups := m.Counters["mr_fused_reduce_groups_total"]
 	rows := m.Counters["mr_fused_reduce_rows_total"]
+	if keyed := m.Counters["mr_keyed_jobs_total"]; elig != keyed {
+		fail("fused reduce eligibility is derived from keyed jobs: eligible %d != keyed %d", elig, keyed)
+	}
 	if jobs+fallback != elig {
 		fail("fused reduce family does not balance: jobs %d + fallbacks %d != eligible %d",
 			jobs, fallback, elig)

@@ -76,6 +76,14 @@ func batchRun(t *testing.T, queries []workload.Query, plan *fault.Plan, workers,
 	return r
 }
 
+// sameMetrics compares two runs' Metrics field by field, but their result
+// relations by contents: each session holds its own.
+func sameMetrics(a, b *session.Metrics) bool {
+	x, y := *a, *b
+	x.Result, y.Result = nil, nil
+	return x == y && a.Result.Fingerprint() == b.Result.Fingerprint()
+}
+
 func resultFP(t *testing.T, s *session.Session, name string) uint64 {
 	t.Helper()
 	ds, ok := s.Store.Meta(name)
@@ -114,7 +122,7 @@ func checkBatchVsSequential(t *testing.T, label string, got, ref workloadRun) {
 		t.Errorf("%s: batch results differ from sequential", label)
 	}
 	for i := range ref.ms {
-		if *got.ms[i] != *ref.ms[i] { // ModeOriginal: Rewrite is nil on both
+		if !sameMetrics(got.ms[i], ref.ms[i]) { // ModeOriginal: Rewrite is nil on both
 			t.Errorf("%s: query %d metrics differ:\n batch %+v\n seq   %+v", label, i, got.ms[i], ref.ms[i])
 		}
 	}
@@ -198,7 +206,7 @@ func TestBatchParityDifferential(t *testing.T) {
 				continue
 			}
 			for qi := range ref.ms {
-				if *got.ms[qi] != *ref.ms[qi] {
+				if !sameMetrics(got.ms[qi], ref.ms[qi]) {
 					t.Errorf("workers=%d R=%d: query %d metrics differ from workers=1 R=1 under chaos", g.w, g.r, qi)
 				}
 			}

@@ -22,15 +22,14 @@ import (
 // the injected failures are deterministic at any Workers/ReduceTasks.
 func flakyWordCount(failures int) *Job {
 	job := wordCountJob()
-	orig := job.Reduce
 	n := 0
-	job.Reduce = func(key string, rows []data.Row, out *GroupOut) {
+	job.Reduce = perGroup(func(key string, rows []data.Row, out *ReduceOut) {
 		if key == "wine" && n < failures {
 			n++
 			panic("transient reduce failure")
 		}
-		orig(key, rows, out)
-	}
+		sumReduce(key, rows, out)
+	})
 	return job
 }
 
@@ -264,13 +263,13 @@ func probeCount(failures int) *Job {
 			})
 		},
 		MapOutSchema: data.NewSchema("class", "n"),
-		Reduce: func(key string, rows []data.Row, out *GroupOut) {
+		Reduce: perGroup(func(key string, rows []data.Row, out *ReduceOut) {
 			if key == "color" && n < failures {
 				n++
 				panic("transient reduce failure")
 			}
-			out.Emit(data.Row{rows[0][0], value.NewInt(int64(len(rows)))})
-		},
+			out.Emit(key, data.Row{rows[0][0], value.NewInt(int64(len(rows)))})
+		}),
 		OutputSchema: data.NewSchema("class", "count"),
 		Output:       "pc",
 		OutputKind:   storage.View,

@@ -45,9 +45,9 @@ func benchGroupJob(schema *data.Schema, rows, groups int) *Job {
 				emit(enc.Key(r, keyIdxs), r)
 			})
 		},
-		Reduce: func(_ string, rows []data.Row, out *GroupOut) {
-			out.Emit(data.Row{rows[0][0], rows[0][2], value.NewInt(int64(len(rows)))})
-		},
+		Reduce: perGroup(func(key string, rows []data.Row, out *ReduceOut) {
+			out.Emit(key, data.Row{rows[0][0], rows[0][2], value.NewInt(int64(len(rows)))})
+		}),
 		OutputSchema: outSchema,
 		Output:       "bench_out",
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},

@@ -74,16 +74,16 @@ func TestCarriedSizesMatchAWalk(t *testing.T) {
 					},
 				}
 				if !v.mapOnly {
-					job.Reduce = func(key string, rs []data.Row, out *GroupOut) {
+					job.Reduce = perGroup(func(key string, rs []data.Row, out *ReduceOut) {
 						n := walkSize(rs) + int64(len(key)*len(rs))
 						shuffled.Add(n)
 						if _, ok := data.KeyPrefix(key, 1); ok {
 							routable.Add(n)
 						}
 						for _, r := range rs {
-							out.Emit(r)
+							out.Emit(key, r)
 						}
-					}
+					})
 				}
 				if v.combine {
 					// Keeps the first and the last row of each task-local
@@ -152,14 +152,13 @@ func TestPoolsExposeNoStaleEntries(t *testing.T) {
 		}
 		putKeyedBuf(kb)
 
-		// A reduce partition's arena, two groups deep.
-		o := GroupOut{job: &Job{OutputSchema: data.NewSchema("c")}, arena: getRowsBuf(300)}
+		// A reduce partition's arena, two runs deep.
+		o := ReduceOut{job: &Job{OutputSchema: data.NewSchema("c")}, arena: getRowsBuf(300)}
 		for i := 0; i < 5+round; i++ {
-			o.Emit(row)
+			o.Emit("k", row)
 		}
-		o.seal("k")
-		o.Emit(row)
-		o.seal("l")
+		o.Emit("l", row)
+		o.seal()
 		firstRow := &o.arena[:1][0]
 		putRowsBuf(o.arena)
 		rb := getRowsBuf(300)

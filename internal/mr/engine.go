@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"opportune/internal/cost"
@@ -85,78 +86,108 @@ type TaskCtx struct {
 	Probes []*Probe
 }
 
-// ReduceFunc processes one shuffle group, writing its output rows to out.
-type ReduceFunc func(key string, rows []data.Row, out *GroupOut)
-
-// GroupOut receives one reduce group's output. A reducer either emits row
-// by row (Emit measures each row as it arrives) or hands over the group's
-// whole output at once (EmitBlock, with the size the reducer worked out
-// while building it). Either way the rows are measured exactly once, here in
-// the parallel reduce phase: the output relation, Result.OutputBytes,
-// Store.Put and the consuming job's InputBytes all carry that number along
-// instead of walking the rows again.
-type GroupOut struct {
+// ReduceOut receives one reduce partition's output: a run of rows per key,
+// keys strictly ascending (the order the engine merges partitions in). A
+// kernel either emits a key's rows one by one (Emit measures each row as it
+// arrives) or hands over the key's whole run at once (EmitBlock, with the
+// size the kernel worked out while building it). Either way the rows are
+// measured exactly once, here in the parallel reduce phase: the output
+// relation, Result.OutputBytes, Store.Put and the consuming job's
+// InputBytes all carry that number along instead of walking the rows again.
+type ReduceOut struct {
 	job   *Job
+	hint  int        // group-table pre-size for EachGroup
 	arena []data.Row // the partition's row buffer; Emit appends here
-	start int        // arena length when the current group began
-	block []data.Row // set by EmitBlock: the current group's entire output
-	bytes int64      // encoded size of the current group's output
+	runs  []redOut   // keys ascending; the last may be open
+	open  bool       // the last run takes Emits, at arena[start:]
+	start int
 }
 
-func (o *GroupOut) checkWidth(row data.Row) {
+func (o *ReduceOut) checkWidth(row data.Row) {
 	if len(row) != o.job.OutputSchema.Len() {
 		panic(fmt.Sprintf("mr: job %q reduce emitted width %d, schema %s", o.job.Name, len(row), o.job.OutputSchema))
 	}
 }
 
-// Emit adds one output row to the current group.
-func (o *GroupOut) Emit(row data.Row) {
+// last returns the latest run's key, and whether there is one.
+func (o *ReduceOut) last() (string, bool) {
+	if len(o.runs) == 0 {
+		return "", false
+	}
+	return o.runs[len(o.runs)-1].key, true
+}
+
+// seal closes the open run, if any.
+func (o *ReduceOut) seal() {
+	if o.open {
+		o.runs[len(o.runs)-1].rows = o.arena[o.start:len(o.arena):len(o.arena)]
+		o.open = false
+	}
+}
+
+// next seals the open run and appends ro, whose key must sort after it.
+func (o *ReduceOut) next(ro redOut) {
+	o.seal()
+	if k, ok := o.last(); ok && ro.key < k {
+		panic(fmt.Sprintf("mr: job %q reduce emitted key %q after %q: keys must ascend", o.job.Name, ro.key, k))
+	}
+	o.runs = append(o.runs, ro)
+}
+
+// Emit adds one output row to key's run.
+func (o *ReduceOut) Emit(key string, row data.Row) {
 	o.checkWidth(row)
-	if o.block != nil {
+	if k, ok := o.last(); !ok || key != k {
+		o.next(redOut{key: key})
+		o.open, o.start = true, len(o.arena)
+	} else if !o.open {
 		panic(fmt.Sprintf("mr: job %q reduce called Emit after EmitBlock", o.job.Name))
 	}
 	o.arena = append(o.arena, row)
-	o.bytes += int64(row.EncodedSize())
+	o.runs[len(o.runs)-1].bytes += int64(row.EncodedSize())
 }
 
-// EmitBlock makes rows the current group's entire output; bytes must equal
+// EmitBlock makes rows key's entire run; bytes must equal
 // Σ rows[i].EncodedSize(). The engine keeps the slice itself (no copy into
 // the partition buffer), so the caller must not touch it afterwards, and a
-// group that uses EmitBlock emits nothing else. Rows of one block may share
-// a backing array: a row retained by a consumer then pins at most its own
-// group's block.
-func (o *GroupOut) EmitBlock(rows []data.Row, bytes int64) {
-	if o.block != nil || len(o.arena) != o.start {
+// key that uses EmitBlock emits nothing else. Rows of one block may share a
+// backing array: a row retained by a consumer then pins at most its own
+// key's block.
+func (o *ReduceOut) EmitBlock(key string, rows []data.Row, bytes int64) {
+	if k, ok := o.last(); ok && key == k {
 		panic(fmt.Sprintf("mr: job %q reduce mixed EmitBlock with other emissions", o.job.Name))
 	}
 	for _, row := range rows {
 		o.checkWidth(row)
 	}
-	o.block, o.bytes = rows, bytes
+	o.next(redOut{key: key, rows: rows, bytes: bytes})
 }
 
-// seal closes the current group and starts the next one.
-func (o *GroupOut) seal(key string) redOut {
-	ro := redOut{key: key, rows: o.block, bytes: o.bytes}
-	if o.block == nil {
-		ro.rows = o.arena[o.start:len(o.arena):len(o.arena)]
+// EachGroup visits recs' key groups in ascending key order, each with its
+// rows in scan order (a view valid during the call only). The group table
+// is pooled and pre-sized from Job.EstGroups, so grouping a warm partition
+// allocates nothing per group.
+func (o *ReduceOut) EachGroup(recs []Keyed, fn func(key string, rows []data.Row)) {
+	g := getGrouper(min(o.hint, len(recs)))
+	g.build(recs)
+	g.sortKeys()
+	o.runs = slices.Grow(o.runs, g.len()) // at most one run per group
+	for _, k := range g.keys {
+		fn(k, g.rows(g.id(k)))
 	}
-	o.start, o.block, o.bytes = len(o.arena), nil, 0
-	return ro
+	g.release()
 }
 
 // Fusion is a job's reduce-side fusion classification, stamped by the
 // optimizer and echoed in its Result (every job's map side is a compiled
-// batch function, so the map side has nothing to classify).
-// FusedReduceEligible marks any reduce job, FusedReduce one whose combine
-// and reduce phases compiled into columnar agg kernels (Combine/BatchReduce
-// set), and FusedReduceFallback the single reason (one of the Fuse*
-// constants) when eligible but not fused. FusedCrossBoundary additionally
-// marks a job whose map kernel was fused *through* the shuffle boundary
-// into the combine fold. Purely observational: the engine publishes it,
-// never executes differently for it.
+// batch function, so the map side has nothing to classify). Every keyed job
+// is eligible; FusedReduce marks one whose combine and reduce compiled into
+// columnar agg kernels, and FusedReduceFallback carries the single reason
+// (one of the Fuse* constants) of any other keyed job. FusedCrossBoundary
+// additionally marks a job whose map kernel was fused *through* the
+// shuffle boundary into the combine fold. Purely observational: the engine
+// publishes it, never executes differently for it.
 type Fusion struct {
-	FusedReduceEligible bool
 	FusedReduce         bool
 	FusedReduceFallback string
 	FusedCrossBoundary  bool
@@ -191,14 +222,14 @@ type Job struct {
 	// reducing the combined records must equal reducing the raw ones.
 	Combine func(in, scratch []Keyed) (combined []Keyed, combineRows int64)
 
-	// A keyed job has exactly one reduce implementation. Reduce runs per
-	// shuffle group (joins, sorts, aggregate UDFs); BatchReduce, the
-	// compiled group-agg kernel, folds one whole reduce partition (records
-	// in partition scan order) and emits finalized rows with keys in
-	// ascending order — the order Reduce sees its groups in — sealing one
-	// group per distinct emitted key. Neither set means a map-only job.
-	Reduce       ReduceFunc
-	BatchReduce  func(recs []Keyed, emit Emit)
+	// Reduce is the reduce kernel; a job without one is map-only. It gets
+	// one whole reduce partition, recs in partition scan order (each key's
+	// records in map-emission order), which it may reorder in place, and
+	// writes out a run of rows per key with keys strictly ascending:
+	// ReduceOut seals a run whenever the key changes, and an EmitBlock is
+	// its key's whole run. Kernels that work per key group visit them
+	// through out.EachGroup.
+	Reduce       func(recs []Keyed, out *ReduceOut)
 	OutputSchema *data.Schema // schema of the materialized output
 
 	Output     string       // dataset name to materialize as
@@ -241,7 +272,7 @@ type Job struct {
 }
 
 // keyed reports whether the job shuffles and reduces (else it is map-only).
-func (j *Job) keyed() bool { return j.Reduce != nil || j.BatchReduce != nil }
+func (j *Job) keyed() bool { return j.Reduce != nil }
 
 // partitionLocal reports whether the partition-preserving shuffle path
 // applies to this job.
@@ -290,9 +321,10 @@ type Result struct {
 	// Reduce-side fusion observability, same wall-clock-only contract.
 	// FusedCombineBatches counts map tasks whose output was combined (by
 	// Combine or by a cross-boundary map kernel); FusedReduceGroups and
-	// FusedReduceRows count key groups finalized and records folded by
-	// BatchReduce. All folded in split / partition order over disjoint
-	// data, so the tallies are independent of Workers and ReduceTasks.
+	// FusedReduceRows count the output runs sealed and records reduced by a
+	// FusedReduce job's kernel. All folded in split / partition order over
+	// disjoint data, so the tallies are independent of Workers and
+	// ReduceTasks.
 	FusedCombineBatches int64
 	FusedReduceGroups   int64
 	FusedReduceRows     int64
@@ -573,10 +605,11 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	reg.Counter("mr_fused_jobs_total").Inc()
 	reg.Counter("mr_fused_batches_total").Add(res.FusedBatches)
 	reg.Counter("mr_fused_rows_total").Add(res.FusedRows)
-	// Reduce-side fusion family, same unconditional-recording contract: per
-	// job, reduce-eligible == reduce-fused + Σ fallback{reason}, and
-	// cross-boundary jobs are a subset of reduce-fused jobs.
-	relig, rjobs := res.FusedReduceEligible, res.FusedReduceEligible && res.FusedReduce
+	// Reduce-side fusion family, same unconditional-recording contract:
+	// every keyed job is reduce-eligible; per job, reduce-eligible ==
+	// reduce-fused + Σ fallback{reason}, and cross-boundary jobs are a
+	// subset of reduce-fused jobs.
+	relig, rjobs := res.KeyedJob, res.KeyedJob && res.FusedReduce
 	reg.Counter("mr_fused_reduce_eligible_total").Add(one(relig))
 	reg.Counter("mr_fused_reduce_jobs_total").Add(one(rjobs))
 	for _, reason := range FuseReduceFallbackReasons {
@@ -744,9 +777,6 @@ func validateJob(job *Job) error {
 	}
 	if job.Output == "" {
 		return fmt.Errorf("mr: job %q has no output name", job.Name)
-	}
-	if job.Reduce != nil && job.BatchReduce != nil {
-		return fmt.Errorf("mr: job %q sets both Reduce and BatchReduce", job.Name)
 	}
 	// A map-only job materializes the mapper's emissions directly, so the
 	// two schemas must agree on width — otherwise every emitted row would
@@ -967,50 +997,37 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 		float64(res.ShuffleBytes-res.LocalShuffleBytes)/e.Params.ShuffleRate)
 	ssp.End()
 	rsp := asp.Child("reduce")
-	// Each reduce task buffers its output per key, in partition-local
-	// sorted key order; rows land in one pooled arena per partition, and
-	// redOut entries alias arena slices.
+	// Each reduce task runs the job's kernel over its whole partition; the
+	// kernel's runs come back in ascending key order, rows landing in one
+	// pooled arena per partition (redOut entries alias arena slices) unless
+	// handed over as blocks.
 	partOuts := make([][]redOut, r)
 	partArenas := make([][]data.Row, r)
-	fusedGroups := make([]int64, r)
-	fusedRows := make([]int64, r)
 	groupHint := 0
 	if job.EstGroups > 0 {
-		gh := job.EstGroups/int64(r) + 1
-		if gh > int64(total) {
-			gh = int64(total)
-		}
-		groupHint = int(gh)
+		groupHint = int(min(job.EstGroups/int64(r)+1, int64(total)))
 	}
 	err := runTasks(e.workers(), r, func(pi int) error {
-		if job.BatchReduce != nil {
-			// The whole partition folds through the compiled agg kernel.
-			partOuts[pi], partArenas[pi] = fusedReducePartition(job, parts[pi], &fusedGroups[pi], &fusedRows[pi])
-		} else {
-			g := getGrouper(groupHint)
-			g.build(parts[pi])
-			g.sortKeys() // deterministic reduce order
-			// The arena holds row-at-a-time emissions (at most one per input
-			// row for every such reducer); block emitters bypass it.
-			o := GroupOut{job: job, arena: getRowsBuf(len(parts[pi]))}
-			outs := make([]redOut, 0, g.len())
-			for _, k := range g.keys {
-				job.Reduce(k, g.rows(g.id(k)), &o)
-				outs = append(outs, o.seal(k))
-			}
-			partOuts[pi], partArenas[pi] = outs, o.arena
-			g.release()
+		if len(parts[pi]) > 0 {
+			// The arena holds row-at-a-time emissions (at most one per
+			// record for every such kernel); block emitters bypass it.
+			o := ReduceOut{job: job, hint: groupHint, arena: getRowsBuf(len(parts[pi]))}
+			job.Reduce(parts[pi], &o)
+			o.seal()
+			partOuts[pi], partArenas[pi] = o.runs, o.arena
 		}
 		putKeyedBuf(parts[pi])
 		parts[pi] = nil
 		return nil
 	})
 	rsp.AddSim(e.Params.FnsSeconds(job.ReduceCost, res.ShuffleRows))
-	for pi := 0; pi < r; pi++ {
-		// Integer sums over disjoint partitions, folded in partition order:
-		// the tallies are identical at any ReduceTasks setting.
-		res.FusedReduceGroups += fusedGroups[pi]
-		res.FusedReduceRows += fusedRows[pi]
+	if job.FusedReduce {
+		// Kernel tallies (observational): integer sums over disjoint
+		// partitions, identical at any ReduceTasks setting.
+		res.FusedReduceRows = res.ShuffleRows
+		for _, outs := range partOuts {
+			res.FusedReduceGroups += int64(len(outs))
+		}
 	}
 	if err == nil {
 		err = recErr // a reduce task outlasted its retry budget
@@ -1041,36 +1058,6 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	}
 	rsp.End()
 	return nil
-}
-
-// fusedReducePartition folds one reduce partition through the job's
-// BatchReduce kernel. The kernel's emissions arrive with keys in ascending
-// order (the order a per-group Reduce sees them in), so sealing a redOut run
-// at every key change yields the same key-sorted runs; the k-way merge
-// downstream is oblivious to which kind of reducer filled them.
-func fusedReducePartition(job *Job, recs []Keyed, groups, rows *int64) ([]redOut, []data.Row) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	o := GroupOut{job: job, arena: getRowsBuf(len(recs))}
-	var outs []redOut
-	cur, sealed := "", false
-	emit := func(key string, row data.Row) {
-		if !sealed || key != cur {
-			if sealed {
-				outs = append(outs, o.seal(cur))
-			}
-			cur, sealed = key, true
-		}
-		o.Emit(row)
-	}
-	job.BatchReduce(recs, emit)
-	if sealed {
-		outs = append(outs, o.seal(cur))
-	}
-	*groups += int64(len(outs))
-	*rows += int64(len(recs))
-	return outs, o.arena
 }
 
 // RunSequence executes jobs in order (callers supply a topological order of

@@ -48,6 +48,18 @@ func perRow(fn rowMap) func(TaskCtx) BatchMapFunc {
 	return func(TaskCtx) BatchMapFunc { return batchOf(fn) }
 }
 
+// groupFn is a reduce side stated per key group, the shape most engine
+// tests write their reduce side in; it emits under the group's key.
+type groupFn func(key string, rows []data.Row, out *ReduceOut)
+
+// perGroup is the partition kernel of a per-group reduce function: it
+// visits the partition's groups through out.EachGroup.
+func perGroup(fn groupFn) func([]Keyed, *ReduceOut) {
+	return func(recs []Keyed, out *ReduceOut) {
+		out.EachGroup(recs, func(key string, rows []data.Row) { fn(key, rows, out) })
+	}
+}
+
 // runRecorded runs one job and publishes its record, the way RunSequence
 // and the session executor do.
 func runRecorded(e *Engine, job *Job) (*data.Relation, *Result, error) {
@@ -68,19 +80,22 @@ func wordCountJob() *Job {
 			}
 		}),
 		MapOutSchema: mapOut,
-		Reduce: func(key string, rows []data.Row, out *GroupOut) {
-			var sum int64
-			for _, r := range rows {
-				sum += r[1].Int()
-			}
-			out.Emit(data.Row{rows[0][0], value.NewInt(sum)})
-		},
+		Reduce:       perGroup(sumReduce),
 		OutputSchema: data.NewSchema("word", "count"),
 		Output:       "wc",
 		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 		ReduceCost:   []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
 	}
+}
+
+// sumReduce is wordCountJob's reducer: one (word, Σn) row per key.
+func sumReduce(key string, rows []data.Row, out *ReduceOut) {
+	var sum int64
+	for _, r := range rows {
+		sum += r[1].Int()
+	}
+	out.Emit(key, data.Row{rows[0][0], value.NewInt(sum)})
 }
 
 // rowCombine adapts a per-key row fold to the Job.Combine hook: it groups
@@ -200,7 +215,7 @@ func TestMultiInputCoGroupJoin(t *testing.T) {
 			emit(r[0].String(), data.Row{value.NewInt(int64(input)), r[0], r[1]})
 		}),
 		MapOutSchema: mapOut,
-		Reduce: func(_ string, rows []data.Row, out *GroupOut) {
+		Reduce: perGroup(func(key string, rows []data.Row, out *ReduceOut) {
 			var names, cities []value.V
 			var uid value.V
 			for _, r := range rows {
@@ -213,10 +228,10 @@ func TestMultiInputCoGroupJoin(t *testing.T) {
 			}
 			for _, n := range names {
 				for _, c := range cities {
-					out.Emit(data.Row{uid, n, c})
+					out.Emit(key, data.Row{uid, n, c})
 				}
 			}
-		},
+		}),
 		OutputSchema: data.NewSchema("uid", "name", "city"),
 		Output:       "joined",
 		OutputKind:   storage.View,
@@ -406,11 +421,13 @@ func BenchmarkWordCountJob(b *testing.B) {
 
 // blockWordCount is wordCountJob with a reducer that hands its output over
 // as one pre-measured block per group: the word once per occurrence.
-func blockWordCount(reduce ReduceFunc) *Job {
+func blockWordCount(reduce groupFn) *Job {
 	job := wordCountJob()
 	job.OutputSchema = data.NewSchema("word", "i")
 	job.Output = "wc_block"
-	job.Reduce = reduce
+	if reduce != nil {
+		job.Reduce = perGroup(reduce)
+	}
 	return job
 }
 
@@ -443,9 +460,10 @@ func TestEmitBlockTakesTheSliceAndItsSize(t *testing.T) {
 			e.Faults = fault.NewInjector(plan)
 		}
 		var calls atomic.Int64 // reduce partitions run concurrently
-		out, res, err := e.Run(blockWordCount(func(_ string, rows []data.Row, out *GroupOut) {
+		out, res, err := e.Run(blockWordCount(func(key string, rows []data.Row, out *ReduceOut) {
 			calls.Add(1)
-			out.EmitBlock(occurrenceBlock(rows))
+			block, n := occurrenceBlock(rows)
+			out.EmitBlock(key, block, n)
 		}))
 		if err != nil {
 			t.Fatal(err)
@@ -471,30 +489,68 @@ func TestEmitBlockTakesTheSliceAndItsSize(t *testing.T) {
 	}
 }
 
-// TestEmitBlockRejectsMixedEmission: a group emits row by row or as one
-// block, never both — the engine could not keep the group's order otherwise.
+// TestEmitBlockRejectsMixedEmission: a key emits row by row or as one
+// block, never both — the engine could not keep the key's run otherwise.
 func TestEmitBlockRejectsMixedEmission(t *testing.T) {
-	for name, reduce := range map[string]ReduceFunc{
-		"emit-then-block": func(_ string, rows []data.Row, out *GroupOut) {
-			out.Emit(data.Row{rows[0][0], value.NewInt(0)})
-			out.EmitBlock(occurrenceBlock(rows))
+	block := func(key string, rows []data.Row, out *ReduceOut) {
+		b, n := occurrenceBlock(rows)
+		out.EmitBlock(key, b, n)
+	}
+	row := func(rows []data.Row) data.Row { return data.Row{rows[0][0], value.NewInt(0)} }
+	for name, reduce := range map[string]func([]Keyed, *ReduceOut){
+		"emit-then-block": perGroup(func(key string, rows []data.Row, out *ReduceOut) {
+			out.Emit(key, row(rows))
+			block(key, rows, out)
+		}),
+		"block-then-emit": perGroup(func(key string, rows []data.Row, out *ReduceOut) {
+			block(key, rows, out)
+			out.Emit(key, row(rows))
+		}),
+		"block-twice": perGroup(func(key string, rows []data.Row, out *ReduceOut) {
+			block(key, rows, out)
+			block(key, rows, out)
+		}),
+		"wrong-width": perGroup(func(key string, rows []data.Row, out *ReduceOut) {
+			out.EmitBlock(key, []data.Row{{rows[0][0]}}, 0)
+		}),
+	} {
+		runBroken(t, name, reduce)
+	}
+}
+
+// TestReduceOutRejectsKeysOutOfOrder pins the rest of the reduce contract:
+// within a partition keys strictly ascend, so a key's rows form one run —
+// the k-way merge could not keep the global key order otherwise.
+func TestReduceOutRejectsKeysOutOfOrder(t *testing.T) {
+	row := func(rows []data.Row) data.Row { return data.Row{rows[0][0], value.NewInt(0)} }
+	for name, reduce := range map[string]func([]Keyed, *ReduceOut){
+		"keys-descend": func(recs []Keyed, out *ReduceOut) {
+			var keys []string
+			out.EachGroup(recs, func(key string, _ []data.Row) { keys = append(keys, key) })
+			for i := len(keys) - 1; i >= 0; i-- {
+				out.Emit(keys[i], data.Row{value.NewStr(keys[i]), value.NewInt(0)})
+			}
 		},
-		"block-then-emit": func(_ string, rows []data.Row, out *GroupOut) {
-			out.EmitBlock(occurrenceBlock(rows))
-			out.Emit(data.Row{rows[0][0], value.NewInt(0)})
-		},
-		"block-twice": func(_ string, rows []data.Row, out *GroupOut) {
-			out.EmitBlock(occurrenceBlock(rows))
-			out.EmitBlock(occurrenceBlock(rows))
-		},
-		"wrong-width": func(_ string, rows []data.Row, out *GroupOut) {
-			out.EmitBlock([]data.Row{{rows[0][0]}}, 0)
+		"key-in-two-runs": func(recs []Keyed, out *ReduceOut) {
+			for pass := 0; pass < 2; pass++ {
+				out.EachGroup(recs, func(key string, rows []data.Row) { out.Emit(key, row(rows)) })
+			}
 		},
 	} {
-		e, st := newEngine()
-		loadWords(st)
-		if _, _, err := e.Run(blockWordCount(reduce)); err == nil {
-			t.Errorf("%s: job succeeded", name)
-		}
+		runBroken(t, name, reduce)
+	}
+}
+
+// runBroken runs blockWordCount's input through a kernel that breaks the
+// reduce contract, every key in one partition, and fails unless the job does.
+func runBroken(t *testing.T, name string, reduce func([]Keyed, *ReduceOut)) {
+	t.Helper()
+	e, st := newEngine()
+	loadWords(st)
+	e.Params.ReduceTasks = 1
+	job := blockWordCount(nil)
+	job.Reduce = reduce
+	if _, _, err := e.Run(job); err == nil {
+		t.Errorf("%s: job succeeded", name)
 	}
 }

@@ -292,12 +292,11 @@ func TestReduceFaultKillsTheWholeShard(t *testing.T) {
 		{Phase: fault.PhaseReduce, Task: shard, Kind: fault.KindPanic, FailAttempts: 1},
 	}})
 	job := wordCountJob()
-	reduce := job.Reduce
 	var calls atomic.Int64 // reduce partitions run concurrently
-	job.Reduce = func(key string, rows []data.Row, out *GroupOut) {
+	job.Reduce = perGroup(func(key string, rows []data.Row, out *ReduceOut) {
 		calls.Add(1)
-		reduce(key, rows, out)
-	}
+		sumReduce(key, rows, out)
+	})
 	_, res, err := e.Run(job)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"sort"
-	"strings"
 	"testing"
 
 	"opportune/internal/data"
@@ -13,11 +12,11 @@ import (
 )
 
 // combineWordsJob is wordCountJob plus a combiner. The reference arm
-// (kernels=false) combines through rowCombine and reduces per group; the
-// kernel arm replaces both with hand-written Combine/BatchReduce kernels
-// that honor the engine contract (first-emission combine order, ascending
-// reduce order). The two must be indistinguishable in output AND
-// accounting.
+// (kernels=false) combines through rowCombine and reduces per group through
+// ReduceOut.EachGroup; the kernel arm, stamped FusedReduce, replaces both
+// with hand-written Combine and Reduce kernels that honor the engine
+// contract (first-emission combine order, ascending reduce order) without
+// the grouper. The two must be indistinguishable in output AND accounting.
 func combineWordsJob(kernels bool) *Job {
 	j := wordCountJob()
 	j.CombineCost = j.ReduceCost
@@ -25,7 +24,6 @@ func combineWordsJob(kernels bool) *Job {
 		j.Combine = sumCombine
 		return j
 	}
-	j.FusedReduceEligible = true
 	j.FusedReduce = true
 	j.Combine = func(in, scratch []Keyed) ([]Keyed, int64) {
 		idx := map[string]int{}
@@ -39,8 +37,7 @@ func combineWordsJob(kernels bool) *Job {
 		}
 		return scratch, int64(len(in))
 	}
-	j.Reduce = nil
-	j.BatchReduce = func(recs []Keyed, emit Emit) {
+	j.Reduce = func(recs []Keyed, out *ReduceOut) {
 		sums := map[string]int64{}
 		for _, rec := range recs {
 			sums[rec.Key] += rec.Row[1].Int()
@@ -51,7 +48,7 @@ func combineWordsJob(kernels bool) *Job {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			emit(k, data.Row{value.NewStr(k), value.NewInt(sums[k])})
+			out.Emit(k, data.Row{value.NewStr(k), value.NewInt(sums[k])})
 		}
 	}
 	return j
@@ -83,10 +80,11 @@ func runCombineWords(t *testing.T, kernels bool) (*data.Relation, *Result, map[s
 }
 
 // TestFusedReduceKernelParity pins the kernel contract: a Combine kernel
-// and a BatchReduce kernel replace the grouped row fold and the per-group
-// Reduce with identical output, identical CombineRows accounting
-// (mr_combine_rows_total must not move) and identical simulated time; only
-// the BatchReduce work is tallied in mr_fused_reduce_{groups,rows}_total.
+// and a FusedReduce job's Reduce kernel replace the grouped row fold and
+// the per-group reference with identical output, identical CombineRows
+// accounting (mr_combine_rows_total must not move) and identical simulated
+// time; only the fused job's work is tallied in
+// mr_fused_reduce_{groups,rows}_total.
 func TestFusedReduceKernelParity(t *testing.T) {
 	outI, resI, cI := runCombineWords(t, false)
 	outF, resF, cF := runCombineWords(t, true)
@@ -108,7 +106,7 @@ func TestFusedReduceKernelParity(t *testing.T) {
 		t.Errorf("kernel run folded groups=%d rows=%d, want both > 0", resF.FusedReduceGroups, resF.FusedReduceRows)
 	}
 	if resI.FusedReduceGroups != 0 || resI.FusedReduceRows != 0 {
-		t.Error("per-group Reduce run tallied kernel work")
+		t.Error("per-group reference run tallied kernel work")
 	}
 	// Wall-clock-only contract: the kernels must not change simulated time.
 	if resI.SimSeconds != resF.SimSeconds {
@@ -123,7 +121,7 @@ func TestFusedReduceKernelParity(t *testing.T) {
 // TestFusedReduceRunsUnderFaults pins the chaos contract at the engine
 // level: under a plan that kills and slows map and reduce tasks, the reduce
 // kernel still folds every partition, and the kernel arm matches the
-// per-group Reduce arm under the same plan on output and on the whole
+// per-group reference arm under the same plan on output and on the whole
 // Result outside the reduce-kernel tallies — retries, speculation and waste
 // included — because recovery is priced from task volumes, never replayed
 // through whichever reducer ran.
@@ -167,25 +165,9 @@ func TestFusedReduceRunsUnderFaults(t *testing.T) {
 	}
 	// The fused classification and the reduce kernel's tallies are the
 	// only fields the arms may disagree on.
-	resF.FusedReduceEligible, resF.FusedReduce = false, false
+	resF.FusedReduce = false
 	resF.FusedReduceGroups, resF.FusedReduceRows = 0, 0
 	if resF != resI {
 		t.Errorf("kernel and reference arms priced the plan differently:\nkernel %+v\nref    %+v", resF, resI)
-	}
-}
-
-// TestJobWithTwoReducersFails pins the one-reducer rule: a keyed job sets
-// Reduce or BatchReduce, and a job that sets both is rejected before it
-// reads anything rather than run on whichever the engine would pick.
-func TestJobWithTwoReducersFails(t *testing.T) {
-	e, st := newEngine()
-	loadManyWords(st, 20)
-	j := combineWordsJob(true)
-	j.Reduce = wordCountJob().Reduce
-	if _, _, err := e.Run(j); err == nil || !strings.Contains(err.Error(), "both Reduce and BatchReduce") {
-		t.Fatalf("job with two reducers: err = %v", err)
-	}
-	if st.Has(j.Output) {
-		t.Error("a rejected job materialized its output")
 	}
 }

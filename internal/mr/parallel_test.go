@@ -174,13 +174,12 @@ func TestReducePanicChargesMoreThanMapPanic(t *testing.T) {
 		job := wordCountJob()
 		var failed atomic.Bool // tasks run concurrently: exactly one call panics
 		if breakReduce {
-			orig := job.Reduce
-			job.Reduce = func(key string, rows []data.Row, out *GroupOut) {
+			job.Reduce = perGroup(func(key string, rows []data.Row, out *ReduceOut) {
 				if failed.CompareAndSwap(false, true) {
 					panic("reduce bug")
 				}
-				orig(key, rows, out)
-			}
+				sumReduce(key, rows, out)
+			})
 		} else {
 			orig := job.BatchMapFactory
 			job.BatchMapFactory = func(ctx TaskCtx) BatchMapFunc {
@@ -239,13 +238,7 @@ func TestRunSequenceParallelAggregates(t *testing.T) {
 				emit(fmt.Sprint(len(r[0].Str())), data.Row{value.NewInt(int64(len(r[0].Str()))), r[1]})
 			}),
 			MapOutSchema: data.NewSchema("len", "count"),
-			Reduce: func(key string, rows []data.Row, out *GroupOut) {
-				var sum int64
-				for _, r := range rows {
-					sum += r[1].Int()
-				}
-				out.Emit(data.Row{rows[0][0], value.NewInt(sum)})
-			},
+			Reduce:       perGroup(sumReduce),
 			OutputSchema: data.NewSchema("len", "total"),
 			Output:       "lens_by_count",
 			OutputKind:   storage.View,

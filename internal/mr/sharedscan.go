@@ -51,7 +51,7 @@ type SharedScanResult struct {
 // equivalence) even though no physical re-read happens.
 //
 // Consumers run their compiled kernels (Job.BatchMapFactory, and the
-// reduce-side Combine/BatchReduce agg kernels) over the shared splits
+// reduce-side Combine and Reduce kernels) over the shared splits
 // exactly as a standalone run would: splits are read-only to map tasks, and
 // reduce partitions are private per consumer, so one consumer's execution
 // never leaks into another's.

@@ -102,45 +102,56 @@ func refCombine(spec *aggSpec) func(in, scratch []mr.Keyed) ([]mr.Keyed, int64) 
 	}
 }
 
-// refReduce is the reference per-group reducer: merge the group's partial
-// records, then emit the keys and one finalized value per aggregate.
-func refReduce(spec *aggSpec) mr.ReduceFunc {
-	return func(_ string, rows []data.Row, out *mr.GroupOut) {
-		acc := mergeGroup(spec.aggs, rows)
-		row := make(data.Row, 0, spec.outW)
-		row = append(row, acc[:spec.nKeys]...)
-		for _, a := range spec.aggs {
-			row = append(row, a.finalize(acc))
-		}
-		out.Emit(row)
+// refReduce is the reference reduce kernel: for each key group, through
+// the engine's grouping helper, merge the group's partial records, then
+// emit the keys and one finalized value per aggregate. It adds the records
+// it folds to rows.
+func refReduce(spec *aggSpec, rows *atomic.Int64) func([]mr.Keyed, *mr.ReduceOut) {
+	return func(recs []mr.Keyed, out *mr.ReduceOut) {
+		rows.Add(int64(len(recs)))
+		out.EachGroup(recs, func(key string, group []data.Row) {
+			acc := mergeGroup(spec.aggs, group)
+			row := make(data.Row, 0, spec.outW)
+			row = append(row, acc[:spec.nKeys]...)
+			for _, a := range spec.aggs {
+				row = append(row, a.finalize(acc))
+			}
+			out.Emit(key, row)
+		})
 	}
+}
+
+// interpTally counts what a stripped job set ran on the reference: the
+// splits the row interpreter mapped and the records the row fold reduced.
+type interpTally struct {
+	splits, reduceRows atomic.Int64
 }
 
 // stripKernels turns compiled jobs into their interpreter reference: each
 // job's batch map function becomes the row interpreter (interpretedMap)
 // over the same streams and into the same boundary emitter, and every
-// group-agg job's Combine and BatchReduce kernels are replaced by the row
-// fold above. The boundary is compiled afresh onto a scratch job, so the
+// group-agg job's Combine and Reduce kernels are replaced by the row fold
+// above. The boundary is compiled afresh onto a scratch job, so the
 // reference reads the very layout the kernels were built for. jobs must be
-// Executable(w, ...)'s output, one per w.Nodes entry. It returns the count
-// of splits the interpreter maps.
-func stripKernels(t testing.TB, o *Optimizer, w *Work, jobs []*mr.Job) *atomic.Int64 {
+// Executable(w, ...)'s output, one per w.Nodes entry. It returns the tally
+// of what ran on the reference.
+func stripKernels(t testing.TB, o *Optimizer, w *Work, jobs []*mr.Job) *interpTally {
 	t.Helper()
 	if len(jobs) != len(w.Nodes) {
 		t.Fatalf("%d jobs for %d job nodes", len(jobs), len(w.Nodes))
 	}
-	splits := new(atomic.Int64)
+	tally := new(interpTally)
 	for i, j := range jobs {
 		bf, k, retain, err := o.boundaryOf(w.Nodes[i], &mr.Job{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.BatchMapFactory, err = o.interpretedMap(w.Nodes[i], bf, retain, splits); err != nil {
+		if j.BatchMapFactory, err = o.interpretedMap(w.Nodes[i], bf, retain, &tally.splits); err != nil {
 			t.Fatal(err)
 		}
-		if j.BatchReduce != nil {
-			j.Combine, j.Reduce, j.BatchReduce = refCombine(k.spec), refReduce(k.spec), nil
+		if k != nil {
+			j.Combine, j.Reduce = refCombine(k.spec), refReduce(k.spec, &tally.reduceRows)
 		}
 	}
-	return splits
+	return tally
 }

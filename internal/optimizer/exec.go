@@ -2,8 +2,7 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"opportune/internal/cost"
 	"opportune/internal/data"
@@ -222,23 +221,30 @@ func (o *Optimizer) joinBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 		}
 	}
 	rKeep := keptRight(jn.OutCols, len(lCols), rCols)
-	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
-		nl := 0
-		for _, r := range rows {
-			if r[0].Int() == 0 {
-				nl++
+	job.Reduce = func(recs []mr.Keyed, out *mr.ReduceOut) {
+		var sides []data.Row // one side split buffer for the partition
+		out.EachGroup(recs, func(key string, rows []data.Row) {
+			nl := 0
+			for _, r := range rows {
+				if r[0].Int() == 0 {
+					nl++
+				}
 			}
-		}
-		sides := make([]data.Row, len(rows))
-		ls, rs := sides[:0:nl], sides[nl:nl]
-		for _, r := range rows {
-			if r[0].Int() == 0 {
-				ls = append(ls, r[1:1+len(lCols)])
-			} else {
-				rs = append(rs, r[1+len(lCols):])
+			if nl == 0 || nl == len(rows) {
+				return // one side only: nothing joins
 			}
-		}
-		out.EmitBlock(joinGroup(ls, rs, rKeep))
+			sides = append(sides[:0], rows...)
+			ls, rs := sides[:0:nl], sides[nl:nl]
+			for _, r := range rows {
+				if r[0].Int() == 0 {
+					ls = append(ls, r[1:1+len(lCols)])
+				} else {
+					rs = append(rs, r[1+len(lCols):])
+				}
+			}
+			rows, n := joinGroup(ls, rs, rKeep)
+			out.EmitBlock(key, rows, n)
+		})
 	}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup, cost.OpFilter}, Scalar: 1}}
 	job.MapCost = append(job.MapCost, cost.LocalFn{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1})
@@ -354,7 +360,7 @@ func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory,
 		}
 	}
 	k := &aggKernel{spec: &aggSpec{keyIdx: keyIdx, nKeys: nKeys, aggs: aggs, shufW: len(shufCols), outW: nKeys + len(aggs)}}
-	job.Combine, job.BatchReduce = k.batchCombine, k.batchReduce
+	job.Combine, job.Reduce = k.batchCombine, k.batchReduce
 	job.CombineCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
 	return bf, k, nil
@@ -385,15 +391,26 @@ func (a aggPhys) width() int {
 	return 1
 }
 
+// partial is the count and sum one input value v contributes: COUNT(*)
+// counts every row and the rest skip nulls; SUM and AVG add v, +0 for null.
+func (a aggPhys) partial(v value.V) (n int64, sum float64) {
+	if a.src >= 0 && v.IsNull() {
+		return 0, 0
+	}
+	if a.fn == plan.AggSum || a.fn == plan.AggAvg {
+		sum = v.Float()
+	}
+	return 1, sum
+}
+
 // initPartials writes the partial state of one input row into the shuffle
 // row out (fresh from the slab: all Null), at the aggregate's partial columns.
 func (a aggPhys) initPartials(row, out data.Row) {
-	n, sum := int64(1), 0.0
-	if a.src >= 0 && row[a.src].IsNull() {
-		n = 0
-	} else if a.fn == plan.AggSum || a.fn == plan.AggAvg {
-		sum = row[a.src].Float()
+	var v value.V
+	if a.src >= 0 {
+		v = row[a.src]
 	}
+	n, sum := a.partial(v)
 	switch a.fn {
 	case plan.AggCount:
 		out[a.off] = value.NewInt(n)
@@ -402,16 +419,12 @@ func (a aggPhys) initPartials(row, out data.Row) {
 	case plan.AggAvg:
 		out[a.off], out[a.off+1] = value.NewFloat(sum), value.NewInt(n)
 	case plan.AggMin, plan.AggMax:
-		out[a.off] = row[a.src]
+		out[a.off] = v
 	}
 }
 
-// payloadsPool recycles the agg-UDF reducer's per-group payload header
-// slices (cleared before they go back: the pool never holds a row).
-var payloadsPool = sync.Pool{New: func() any { return new([][]value.V) }}
-
-// aggUDFBoundary compiles an aggregate UDF: PreMap map-side, Reduce per
-// group.
+// aggUDFBoundary compiles an aggregate UDF: PreMap map-side, then a reduce
+// kernel that calls the UDF's Reduce once per key group.
 func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, error) {
 	boundary := jn.Logical
 	d, ok := o.Cat.UDFs.Get(boundary.UDFName)
@@ -483,25 +496,25 @@ func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, e
 			emit(enc.Key(out, keyIdxs), out)
 		}
 	}
-	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
-		keys := rows[0][:nKeys]
-		// The header slice is pooled; it is valid for Reduce during the call only.
-		pp := payloadsPool.Get().(*[][]value.V)
-		payloads := (*pp)[:0]
-		for _, r := range rows {
-			payloads = append(payloads, r[nKeys:])
-		}
-		outVals := d.Reduce(keys, payloads, params)
-		clear(payloads)
-		*pp = payloads
-		payloadsPool.Put(pp)
-		if outVals == nil {
-			return
-		}
-		row := make(data.Row, 0, nKeys+len(outVals))
-		row = append(row, keys...)
-		row = append(row, outVals...)
-		out.Emit(row)
+	job.Reduce = func(recs []mr.Keyed, out *mr.ReduceOut) {
+		// One payload header for the partition (valid for Reduce during the
+		// call only), and output rows cut from one slab.
+		var payloads [][]value.V
+		var slab rowSlab
+		out.EachGroup(recs, func(key string, rows []data.Row) {
+			keys := rows[0][:nKeys]
+			payloads = payloads[:0]
+			for _, r := range rows {
+				payloads = append(payloads, r[nKeys:])
+			}
+			outVals := d.Reduce(keys, payloads, params)
+			if outVals == nil {
+				return
+			}
+			row := slab.next(nKeys + len(outVals))
+			copy(row[copy(row, keys):], outVals)
+			out.Emit(key, row)
+		})
 	}
 	job.MapCost = append(job.MapCost, cost.LocalFn{Ops: d.MapOps, Scalar: d.TrueScalar})
 	job.ReduceCost = []cost.LocalFn{{Ops: d.ReduceOps, Scalar: d.TrueScalar}}
@@ -509,8 +522,9 @@ func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, e
 }
 
 // sortBoundary compiles ORDER BY [LIMIT] as a single-reducer total sort
-// (the naive Hive strategy): every row shuffles under one key; the reducer
-// sorts and truncates.
+// (the naive Hive strategy): every row shuffles under one key, so the one
+// non-empty partition is the whole input, and the kernel sorts it in place
+// and truncates.
 func (o *Optimizer) sortBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, error) {
 	boundary := jn.Logical
 	inCols := jn.streams[0].outNode.OutCols
@@ -525,23 +539,23 @@ func (o *Optimizer) sortBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 	desc := boundary.SortDesc
 	limit := boundary.Limit
 	job.MapOutSchema = data.NewSchema(inCols...)
-	job.Reduce = func(_ string, rows []data.Row, out *mr.GroupOut) {
-		sorted := append([]data.Row(nil), rows...)
-		sort.SliceStable(sorted, func(a, b int) bool {
+	job.EstGroups = 1 // every row shuffles under one key
+	job.Reduce = func(recs []mr.Keyed, out *mr.ReduceOut) {
+		slices.SortStableFunc(recs, func(a, b mr.Keyed) int {
 			for i, ix := range sortIdx {
-				c := value.Compare(sorted[a][ix], sorted[b][ix])
+				c := value.Compare(a.Row[ix], b.Row[ix])
 				if len(desc) > i && desc[i] {
 					c = -c
 				}
 				if c != 0 {
-					return c < 0
+					return c
 				}
 			}
-			return false
+			return 0
 		})
-		if limit < 0 || limit >= int64(len(sorted)) {
-			for _, r := range sorted { // every shuffled row is kept
-				out.Emit(r)
+		if limit < 0 || limit >= int64(len(recs)) {
+			for _, kr := range recs { // every shuffled row is kept
+				out.Emit(kr.Key, kr.Row)
 			}
 			return
 		}
@@ -552,10 +566,10 @@ func (o *Optimizer) sortBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 		var bytes int64
 		for i := range kept {
 			kept[i] = slab[i*w : (i+1)*w : (i+1)*w]
-			copy(kept[i], sorted[i])
+			copy(kept[i], recs[i].Row)
 			bytes += int64(kept[i].EncodedSize())
 		}
-		out.EmitBlock(kept, bytes)
+		out.EmitBlock("", kept, bytes)
 	}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
 	return passThrough, nil

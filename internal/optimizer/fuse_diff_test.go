@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"opportune/internal/afk"
@@ -223,22 +222,23 @@ type fusionOutcome struct {
 }
 
 // checkInterpreted fails unless a run of stripped jobs mapped every split
-// on the row interpreter (splits, stripKernels' tally, against the engine's
-// mr_fused_batches_total: every job's map side is a batch function) and did
-// no reduce-kernel work (mr_fused_reduce_{groups,rows}_total). It reads the
-// tallies of work done, not the jobs' classification stamps, which
-// stripping leaves in place.
-func checkInterpreted(t testing.TB, results []*mr.Result, splits int64) {
+// on the row interpreter (stripKernels' splits tally against the engine's
+// FusedBatches: every job's map side is a batch function) and reduced every
+// record of its group-aggs on the row fold (the reduceRows tally against
+// the engine's FusedReduceRows, which it books to each job stamped
+// FusedReduce — a stamp stripping leaves in place).
+func checkInterpreted(t testing.TB, results []*mr.Result, tally *interpTally) {
 	t.Helper()
-	var batches int64
+	var batches, reduced int64
 	for _, r := range results {
 		batches += r.FusedBatches
-		if r.FusedReduceGroups != 0 || r.FusedReduceRows != 0 {
-			t.Fatalf("interpreter arm ran reduce kernels: groups=%d rows=%d", r.FusedReduceGroups, r.FusedReduceRows)
-		}
+		reduced += r.FusedReduceRows
 	}
-	if splits != batches {
-		t.Fatalf("interpreter mapped %d of %d splits", splits, batches)
+	if n := tally.splits.Load(); n != batches {
+		t.Fatalf("interpreter mapped %d of %d splits", n, batches)
+	}
+	if n := tally.reduceRows.Load(); n != reduced {
+		t.Fatalf("row fold reduced %d of the %d group-agg records", n, reduced)
 	}
 }
 
@@ -247,13 +247,13 @@ func checkInterpreted(t testing.TB, results []*mr.Result, splits int64) {
 // have used no kernel.
 func runArm(t testing.TB, f *fixture, w *Work, jobs []*mr.Job, interp bool) ([]*mr.Result, error) {
 	t.Helper()
-	var splits *atomic.Int64
+	var tally *interpTally
 	if interp {
-		splits = stripKernels(t, f.opt, w, jobs)
+		tally = stripKernels(t, f.opt, w, jobs)
 	}
 	results, err := f.eng.RunSequence(jobs)
 	if err == nil && interp {
-		checkInterpreted(t, results, splits.Load())
+		checkInterpreted(t, results, tally)
 	}
 	return results, err
 }

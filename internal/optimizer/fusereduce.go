@@ -10,19 +10,25 @@
 //     keys with run-detection for adjacent equal keys — no grouper arena, no
 //     per-row partial Clone/merge, no re-boxing until the one combined
 //     record per group.
-//   - The reduce kernel (mr.Job.BatchReduce) folds a whole reduce partition
-//     the same way and emits finalized output rows with keys in ascending
-//     order — the order the engine merges reduce output in.
+//   - The reduce kernel (mr.Job.Reduce, the one reduce hook every keyed job
+//     sets) folds a whole reduce partition the same way and emits finalized
+//     output rows with keys in ascending order — one run per key, the
+//     order the engine merges reduce output in — as the join, agg-UDF and
+//     sort kernels of exec.go do.
 //   - For every single-stream group-by, the cross-boundary kernel runs the
 //     combine fold directly over the fused map program's surviving
 //     selection: scan→filter→probe/explode→group→partial-finalize in one
-//     pass, with no per-row partial row (nor joined row) ever built. The records it emits per split are the ones Combine
-//     would have made, so partition-local or not, the shuffle cannot tell.
+//     pass, with no per-row partial row (nor joined row) ever built. The
+//     records it emits per split are the ones Combine would have made, so
+//     partition-local or not, the shuffle cannot tell.
 //
 // The partial records the kernels fold are the ones aggPhys.initPartials and
 // the kernels themselves write (Int counts, Float sums, shufW wide), so the
-// kernels check no layout and never bail out. Sums fold by value.Kahan's
-// Neumaier recurrence, operation for operation; COUNT and AVG's count are
+// kernels check no layout and never bail out. Every kernel folds through
+// one step, aggAccs.fold, from the zeroed accumulators: records through
+// their partials (recPartial), the cross kernel through each input value's
+// aggPhys.partial. Sums fold by value.Kahan's Neumaier recurrence,
+// operation for operation, from a zero sum; COUNT and AVG's count are
 // exact integer sums; MIN/MAX keep the null-skipping value.Compare
 // replacement. The row fold the differential oracles compare the kernels
 // with lives in aggref_test.go.
@@ -58,10 +64,9 @@ type aggSpec struct {
 // the map side should also run the combine fold (cross-boundary), nil
 // otherwise.
 func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, k *aggKernel) *aggKernel {
-	if job.Reduce == nil && job.BatchReduce == nil {
+	if job.Reduce == nil {
 		return nil // map-only: no reduce side to fuse
 	}
-	job.FusedReduceEligible = true
 	switch {
 	case k != nil:
 		job.FusedReduce = true
@@ -169,16 +174,59 @@ func (st *aggAccs) foldRecords(recs []mr.Keyed) {
 		if !ok {
 			g, ok = st.ids[rec.Key]
 		}
-		if ok {
-			st.mergePartial(int(g), rec.Row)
-		} else {
+		if !ok {
 			g = int32(len(st.firsts))
 			st.ids[rec.Key] = g
 			st.firsts = append(st.firsts, int32(ri))
-			st.initPartial(int(g), rec.Row)
+		}
+		for i, a := range st.spec.aggs {
+			n, x, v := a.recPartial(rec.Row)
+			st.fold(i, int(g), n, x, v)
 		}
 		prevKey, prevID = rec.Key, g
 	}
+}
+
+// fold is the one fold step of aggregate i's group g: n adds to a count
+// (COUNT, AVG's), x runs the Neumaier step on a sum (SUM, AVG), and v is
+// an extremum candidate (MIN, MAX; Null is skipped). A group's first input
+// folds into the zeroed state newAggAccs hands out — counts and sums 0,
+// extrema Null — which is what value.Kahan.Add does on a zero accumulator.
+// A -0.0 first sum then lands as +0.0, but what leaves the kernel is
+// sum+comp with comp never -0.0, which is +0.0 either way.
+func (st *aggAccs) fold(i, g int, n int64, x float64, v value.V) {
+	switch a := st.spec.aggs[i]; a.fn {
+	case plan.AggCount:
+		st.cnts[i][g] += n
+	case plan.AggSum:
+		st.addSum(i, g, x)
+	case plan.AggAvg:
+		st.addSum(i, g, x)
+		st.cnts[i][g] += n
+	case plan.AggMin, plan.AggMax:
+		cur := st.vals[i][g]
+		if !v.IsNull() && (cur.IsNull() ||
+			(a.fn == plan.AggMin && value.Compare(v, cur) < 0) ||
+			(a.fn == plan.AggMax && value.Compare(v, cur) > 0)) {
+			st.vals[i][g] = v
+		}
+	}
+}
+
+// recPartial reads aggregate a's partial state back out of a shuffle
+// record, as fold takes it.
+func (a aggPhys) recPartial(rec data.Row) (n int64, x float64, v value.V) {
+	switch a.fn {
+	case plan.AggCount:
+		n = rec[a.off].Int()
+	case plan.AggSum:
+		x = rec[a.off].Float()
+	case plan.AggAvg:
+		x, n = rec[a.off].Float(), rec[a.off+1].Int()
+	default:
+		v = rec[a.off]
+	}
+	return n, x, v
 }
 
 // addSum runs one step of value.Kahan's Neumaier recurrence on group g's
@@ -193,54 +241,6 @@ func (st *aggAccs) addSum(i, g int, x float64) {
 		st.comps[i][g] += (x - t) + s
 	}
 	st.sums[i][g] = t
-}
-
-// initPartial seeds group g from its first partial record. Seeding the sum
-// with the value and zero compensation is bit-identical to Kahan.Add on a
-// zero accumulator: t = 0+x = x and both compensation branches add exact
-// zeros.
-func (st *aggAccs) initPartial(g int, rec data.Row) {
-	for i, a := range st.spec.aggs {
-		switch a.fn {
-		case plan.AggCount:
-			st.cnts[i][g] = rec[a.off].Int()
-		case plan.AggSum:
-			st.sums[i][g] = rec[a.off].Float()
-		case plan.AggAvg:
-			st.sums[i][g] = rec[a.off].Float()
-			st.cnts[i][g] = rec[a.off+1].Int()
-		case plan.AggMin, plan.AggMax:
-			st.vals[i][g] = rec[a.off]
-		}
-	}
-}
-
-// mergePartial folds one more partial record into group g: counts add
-// exactly, sums run the Neumaier step, extrema keep the null-skipping
-// Compare replacement.
-func (st *aggAccs) mergePartial(g int, rec data.Row) {
-	for i, a := range st.spec.aggs {
-		switch a.fn {
-		case plan.AggCount:
-			st.cnts[i][g] += rec[a.off].Int()
-		case plan.AggSum:
-			st.addSum(i, g, rec[a.off].Float())
-		case plan.AggAvg:
-			st.addSum(i, g, rec[a.off].Float())
-			st.cnts[i][g] += rec[a.off+1].Int()
-		case plan.AggMin, plan.AggMax:
-			v := rec[a.off]
-			if v.IsNull() {
-				continue
-			}
-			cur := st.vals[i][g]
-			if cur.IsNull() ||
-				(a.fn == plan.AggMin && value.Compare(v, cur) < 0) ||
-				(a.fn == plan.AggMax && value.Compare(v, cur) > 0) {
-				st.vals[i][g] = v
-			}
-		}
-	}
 }
 
 // appendPartials appends group g's combined partial state in shuffle-record
@@ -311,10 +311,10 @@ func (k *aggKernel) batchCombine(in, scratch []mr.Keyed) ([]mr.Keyed, int64) {
 	return scratch, int64(len(in))
 }
 
-// batchReduce is the reduce kernel (mr.Job.BatchReduce): it folds one whole
+// batchReduce is the reduce kernel (mr.Job.Reduce): it folds one whole
 // reduce partition and emits finalized rows with keys in ascending order,
 // the order the engine's k-way merge expects.
-func (k *aggKernel) batchReduce(recs []mr.Keyed, emit mr.Emit) {
+func (k *aggKernel) batchReduce(recs []mr.Keyed, out *mr.ReduceOut) {
 	spec := k.spec
 	st := newAggAccs(spec, len(recs))
 	st.foldRecords(recs)
@@ -326,18 +326,18 @@ func (k *aggKernel) batchReduce(recs []mr.Keyed, emit mr.Emit) {
 	slab := make([]value.V, len(st.firsts)*spec.outW)
 	for _, key := range sorted {
 		g := int(st.ids[key])
-		emit(key, st.finalRow(slabRow(slab, g, spec.outW), recs[st.firsts[g]].Row, g))
+		out.Emit(key, st.finalRow(slabRow(slab, g, spec.outW), recs[st.firsts[g]].Row, g))
 	}
 	st.release()
 }
 
 // batchCross runs the combine fold directly over a fused map pipeline's
 // surviving selection (b, at the program's last segment) — the
-// cross-shuffle kernel. Group keys are encoded once per new group via value.AppendKey into a
-// reused byte buffer (map lookups on the []byte view never allocate), and
-// aggregate inputs fold with initPartials semantics (COUNT skips nulls, SUM
-// and AVG treat null as +0 / uncounted, MIN/MAX seed with the raw first
-// value). Emits one combined record per group in first-seen order and
+// cross-shuffle kernel. Group keys are encoded once per new group via
+// value.AppendKey into a reused byte buffer (map lookups on the []byte view
+// never allocate), and each aggregate input folds as the per-row partial
+// aggPhys.partial makes of it (COUNT skips nulls, SUM and AVG treat null as
+// +0 / uncounted, MIN/MAX take the raw value). Emits one combined record per group in first-seen order and
 // returns the pre-combine row count (the surviving selection's length).
 func (k *aggKernel) batchCross(p *fusedProg, b *fusedBatch, emit mr.Emit) int64 {
 	spec := k.spec
@@ -355,15 +355,20 @@ func (k *aggKernel) batchCross(p *fusedProg, b *fusedBatch, emit mr.Emit) int64 
 		if !ok {
 			g, ok = st.ids[string(keyBuf)]
 		}
-		if ok {
-			st.crossMerge(b, p, int(g), i)
-		} else {
+		if !ok {
 			g = int32(len(st.firsts))
 			ks := string(keyBuf)
 			st.ids[ks] = g
 			keys = append(keys, ks)
 			st.firsts = append(st.firsts, i)
-			st.crossInit(b, p, int(g), i)
+		}
+		for ai, a := range spec.aggs {
+			v := value.NullV // COUNT(*) reads no column
+			if a.src >= 0 {
+				v = b.read(p.outs[a.src], i)
+			}
+			n, x := a.partial(v)
+			st.fold(ai, int(g), n, x, v)
 		}
 		prevID = g
 		keyBuf, prevBuf = prevBuf, keyBuf
@@ -378,74 +383,4 @@ func (k *aggKernel) batchCross(p *fusedProg, b *fusedBatch, emit mr.Emit) int64 
 	}
 	st.release()
 	return int64(len(sel))
-}
-
-// crossSrc resolves aggregate a's input value for batch row i (Null for
-// COUNT(*)'s absent column).
-func crossSrc(b *fusedBatch, p *fusedProg, a aggPhys, i int32) value.V {
-	if a.src < 0 {
-		return value.NullV
-	}
-	return b.read(p.outs[a.src], i)
-}
-
-// crossInit seeds group g from source row i with aggPhys.initPartials
-// semantics (the per-row partial the row map path emits).
-func (st *aggAccs) crossInit(b *fusedBatch, p *fusedProg, g int, i int32) {
-	for ai, a := range st.spec.aggs {
-		switch a.fn {
-		case plan.AggCount:
-			if a.src < 0 || !crossSrc(b, p, a, i).IsNull() {
-				st.cnts[ai][g] = 1
-			}
-		case plan.AggSum:
-			if v := crossSrc(b, p, a, i); !v.IsNull() {
-				st.sums[ai][g] = v.Float()
-			}
-		case plan.AggAvg:
-			if v := crossSrc(b, p, a, i); !v.IsNull() {
-				st.sums[ai][g] = v.Float()
-				st.cnts[ai][g] = 1
-			}
-		case plan.AggMin, plan.AggMax:
-			st.vals[ai][g] = crossSrc(b, p, a, i)
-		}
-	}
-}
-
-// crossMerge folds source row i into group g: initPartials + mergePartial
-// collapsed into one step per aggregate.
-func (st *aggAccs) crossMerge(b *fusedBatch, p *fusedProg, g int, i int32) {
-	for ai, a := range st.spec.aggs {
-		switch a.fn {
-		case plan.AggCount:
-			if a.src < 0 || !crossSrc(b, p, a, i).IsNull() {
-				st.cnts[ai][g]++
-			}
-		case plan.AggSum:
-			x := 0.0
-			if v := crossSrc(b, p, a, i); !v.IsNull() {
-				x = v.Float()
-			}
-			st.addSum(ai, g, x)
-		case plan.AggAvg:
-			x := 0.0
-			if v := crossSrc(b, p, a, i); !v.IsNull() {
-				x = v.Float()
-				st.cnts[ai][g]++
-			}
-			st.addSum(ai, g, x)
-		case plan.AggMin, plan.AggMax:
-			v := crossSrc(b, p, a, i)
-			if v.IsNull() {
-				continue
-			}
-			cur := st.vals[ai][g]
-			if cur.IsNull() ||
-				(a.fn == plan.AggMin && value.Compare(v, cur) < 0) ||
-				(a.fn == plan.AggMax && value.Compare(v, cur) > 0) {
-				st.vals[ai][g] = v
-			}
-		}
-	}
 }

@@ -106,8 +106,13 @@ func (c Config) withDefaults() Config {
 type Response struct {
 	Tenant     string
 	ResultName string
-	Metrics    *session.Metrics
-	Err        error
+	// Result is the answer, the relation stored under ResultName when the
+	// query finished (taken from session.Metrics.Result). It is kept apart
+	// from Metrics, whose Result is nil, so a caller that keeps Metrics for
+	// their numbers does not keep every answer alive.
+	Result  *data.Relation
+	Metrics *session.Metrics
+	Err     error
 	// AdmitWait is intake-to-execution latency; Wall is intake-to-response.
 	AdmitWait time.Duration
 	Wall      time.Duration
@@ -489,7 +494,11 @@ func (s *Service) deliver(req *request, m *session.Metrics, err error, admitted 
 		// Simulated seconds only: RewriteSeconds is wall-clock.
 		s.cfg.Obs.FloatCounter("service_tenant_sim_seconds_total", "tenant", req.tenant).Add(m.ExecSeconds + m.StatsSeconds)
 	}
-	req.resolve(Response{Metrics: m, Err: err, AdmitWait: admitted.Sub(req.submitted)})
+	resp := Response{Metrics: m, Err: err, AdmitWait: admitted.Sub(req.submitted)}
+	if m != nil {
+		resp.Result, m.Result = m.Result, nil
+	}
+	req.resolve(resp)
 }
 
 // refreshHotPins re-ranks stored views by retention score (benefit plus

@@ -15,6 +15,7 @@ import (
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
+	"opportune/internal/data"
 	"opportune/internal/expr"
 	"opportune/internal/fault"
 	"opportune/internal/meta"
@@ -149,6 +150,10 @@ type Metrics struct {
 	Jobs           int
 	DataMovedBytes int64
 	ResultName     string
+	// Result is the stored relation under ResultName, taken while the
+	// query's pins were held (a budget may evict the dataset right after)
+	// and without counting a read.
+	Result *data.Relation
 
 	Rewrite *rewrite.Result // nil for ModeOriginal
 }
@@ -194,6 +199,11 @@ func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 		}
 		if x, err = s.execute(plans, share); err == nil {
 			err = s.retain(queries, plans, x, spans, esps)
+		}
+		for _, p := range plans {
+			if d, ok := s.Store.Meta(p.m.ResultName); ok && err == nil {
+				p.m.Result = d.Relation() // while the pins hold; not a counted read
+			}
 		}
 		s.Store.Unpin(pins)
 		// On failure too: outputs were admitted over budget under the pins,

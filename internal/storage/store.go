@@ -62,7 +62,8 @@ type Dataset struct {
 func (d *Dataset) Rows() int64 { return int64(d.rel.Len()) }
 
 // Relation exposes the backing relation without I/O accounting; reserved
-// for offline operations (persistence), not query execution.
+// for offline operations (persistence) and for handing a finished query
+// its own result, not for query execution.
 func (d *Dataset) Relation() *data.Relation { return d.rel }
 
 // ErrNotFound is wrapped by every lookup of a dataset the store does not

@@ -428,9 +428,9 @@ func (sys *System) run(st *hiveql.Statement) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel, err := sys.s.Store.Read(m.ResultName)
-	if err != nil {
-		return nil, err
+	rel := m.Result
+	if rel == nil { // a bare scan of a view evicted while it ran
+		return nil, fmt.Errorf("opportune: result %q: %w", m.ResultName, storage.ErrNotFound)
 	}
 	return &Result{
 		Table:          m.ResultName,

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"opportune/internal/data"
+	"opportune/internal/hiveql"
+	"opportune/internal/service"
+	"opportune/internal/session"
 	"opportune/internal/storage"
 	"opportune/internal/value"
 )
@@ -296,4 +299,90 @@ func BenchmarkExecResult(b *testing.B) {
 			})
 		}
 	}
+}
+
+// TestResultSurvivesItsOwnEviction: a query answers even when the view
+// budget evicts its result the moment the query's pins are released —
+// under Session.Run, RunBatch, the service and Exec. The answer is taken
+// while the pins hold, and taking it counts no store read.
+func TestResultSurvivesItsOwnEviction(t *testing.T) {
+	const sql = `CREATE TABLE q1 AS SELECT g, COUNT(*) AS n FROM t GROUP BY g`
+	newSys := func(t *testing.T) *System {
+		t.Helper()
+		sys := New()
+		rows := make([][]any, 100)
+		for i := range rows {
+			rows[i] = []any{int64(i), int64(i % 7)}
+		}
+		if err := sys.CreateTable("t", "id", []string{"id", "g"}, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SetViewStorageBudget(1, "lru"); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	check := func(t *testing.T, sys *System, rel *data.Relation) {
+		t.Helper()
+		if sys.s.Store.Has("q1") {
+			t.Fatal("the budget kept q1: the test evicts nothing")
+		}
+		if rel == nil || rel.Len() != 7 {
+			t.Fatalf("result %v, want the 7 groups", rel)
+		}
+	}
+	st, err := hiveql.ParseOne(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runReads storage.Counters // what Session.Run counts, for Exec to match
+	t.Run("Run", func(t *testing.T) {
+		sys := newSys(t)
+		m, err := sys.s.Run(st.Plan, st.Table, session.ModeBFR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, sys, m.Result)
+		runReads = sys.s.Store.Counters()
+	})
+	t.Run("RunBatch", func(t *testing.T) {
+		sys := newSys(t)
+		out, err := sys.s.RunBatch([]session.BatchQuery{{Plan: st.Plan, ResultName: st.Table, Mode: session.ModeBFR}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, sys, out.PerQuery[0].Result)
+	})
+	t.Run("service", func(t *testing.T) {
+		sys := newSys(t)
+		svc := service.New(sys.s, service.Config{})
+		defer svc.Close()
+		tk, err := svc.Submit("a", sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := tk.Wait()
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		if resp.Metrics.Result != nil {
+			t.Error("the response's Metrics keep the answer alive")
+		}
+		check(t, sys, resp.Result)
+	})
+	t.Run("Exec", func(t *testing.T) {
+		sys := newSys(t)
+		r, err := sys.ExecOne(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, sys, r.rel)
+		if r.Table != "q1" || len(r.Rows()) != 7 {
+			t.Errorf("Exec answered %q with %d rows", r.Table, len(r.Rows()))
+		}
+		// Exec counts the reads its Session.Run counts, and not one more.
+		if got := sys.s.Store.Counters(); runReads.ReadOps == 0 || got != runReads {
+			t.Errorf("Exec counted %+v, Session.Run %+v", got, runReads)
+		}
+	})
 }
