@@ -250,18 +250,6 @@ func (p Params) ScanSeconds(bytes int64) float64 {
 	return float64(bytes) / p.ReadRate
 }
 
-// SharedScanSavings is the simulated seconds an n-consumer shared scan
-// saves over n independent scans of the same input: the scan is paid once
-// instead of n times, so the saving is (n-1) scans. Per-consumer map CPU,
-// combine, shuffle, reduce, and write costs are unaffected — MRShare's
-// grouping only amortizes Cm's read term.
-func (p Params) SharedScanSavings(bytes int64, consumers int) float64 {
-	if consumers <= 1 {
-		return 0
-	}
-	return float64(consumers-1) * p.ScanSeconds(bytes)
-}
-
 // MaintenanceSpec describes one incremental view-maintenance step: the
 // delta pipeline has already been costed as an ordinary job (JobCost over
 // the appended rows only); this covers the merge that folds the delta

@@ -167,11 +167,12 @@ func checkBatchVsSequential(t *testing.T, label string, got, ref workloadRun) {
 // on the accounting that ships. Fault-free, the entire workload as one
 // shared-scan batch must hold checkBatchVsSequential against
 // one-query-at-a-time execution at Workers ∈ {1,4,8} × ReduceTasks ∈ {1,3}.
-// Under the scripted chaos plan ghosts and shared-scan secondaries never
-// read, so faults land on different jobs than sequentially and the
-// counters have no sequential counterpart; there the results must still be
-// byte-identical to sequential, and per-query Metrics and the full
-// (int + float) counter snapshot identical across the grid.
+// Under the scripted chaos plan ghosts never read and shared-scan
+// secondaries read only on a retry, so faults land on different jobs than
+// sequentially and the counters have no sequential counterpart; there the
+// results must still be byte-identical to sequential, and per-query
+// Metrics and the full (int + float) counter snapshot identical across the
+// grid.
 func TestBatchParityDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full workload 14 times")

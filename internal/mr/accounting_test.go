@@ -41,7 +41,7 @@ func TestWastedSecondsInvariant(t *testing.T) {
 	e, st := newEngine()
 	loadWords(st)
 	e.MaxAttempts = 3
-	_, res, err := e.Run(flakyWordCount(2))
+	_, res, err := runOne(e, flakyWordCount(2))
 	if err != nil {
 		t.Fatalf("job did not recover: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestWastedSecondsInvariant(t *testing.T) {
 	// Clean runs keep the same invariant with zero waste.
 	e2, st2 := newEngine()
 	loadWords(st2)
-	_, clean, err := e2.Run(wordCountJob())
+	_, clean, err := runOne(e2, wordCountJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestWastedSecondsInvariant(t *testing.T) {
 	e3, st3 := newEngine()
 	loadWords(st3)
 	e3.MaxAttempts = 2
-	_, failed, err := e3.Run(flakyWordCount(100))
+	_, failed, err := runOne(e3, flakyWordCount(100))
 	if err == nil {
 		t.Fatal("permanent failure succeeded")
 	}
@@ -139,7 +139,7 @@ func TestWastedSecondsInvariantUnderFaultPlans(t *testing.T) {
 			if tc.deadline > 0 {
 				e.DisableSpeculation = true // let the straggler blow the budget
 			}
-			_, res, err := e.Run(wordCountJob())
+			_, res, err := runOne(e, wordCountJob())
 			if tc.wantErr == nil {
 				if err != nil {
 					t.Fatalf("run did not recover: %v", err)
@@ -293,7 +293,7 @@ func TestEngineStoreByteReconciliation(t *testing.T) {
 		e.Workers = cfg.workers
 		e.MaxAttempts = 3
 		before := st.Counters()
-		_, pres, err := e.Run(probeCount(2))
+		_, pres, err := runOne(e, probeCount(2))
 		if err != nil {
 			t.Fatalf("workers=%d: probe job did not recover: %v", cfg.workers, err)
 		}
@@ -301,7 +301,7 @@ func TestEngineStoreByteReconciliation(t *testing.T) {
 			t.Errorf("workers=%d: probe job: store read %d bytes, engine accounts %d", cfg.workers, got, pres.InputBytes+pres.RetriedInputBytes)
 		}
 		before = st.Counters()
-		_, res, err := e.Run(flakyWordCount(2))
+		_, res, err := runOne(e, flakyWordCount(2))
 		if err != nil {
 			t.Fatalf("workers=%d: job did not recover: %v", cfg.workers, err)
 		}
@@ -322,6 +322,27 @@ func TestEngineStoreByteReconciliation(t *testing.T) {
 		if got := after.BytesWritten - before.BytesWritten; got != res.OutputBytes {
 			t.Errorf("workers=%d: store wrote %d bytes, engine accounts %d", cfg.workers, got, res.OutputBytes)
 		}
+
+		// A shared scan whose second job panics twice: each of its retries
+		// re-reads the input, so the store serves the scan once plus every
+		// retried read.
+		before = st.Counters()
+		_, run, err := e.Run(projectJob(), flakyWordCount(2))
+		if err != nil {
+			t.Fatalf("workers=%d: shared scan did not recover: %v", cfg.workers, err)
+		}
+		scan, second := run.Results[0].InputBytes, run.Results[1]
+		if second.Attempts != 3 || second.RetriedInputBytes != 2*scan {
+			t.Errorf("workers=%d: secondary Attempts = %d, RetriedInputBytes = %d; want 3, %d",
+				cfg.workers, second.Attempts, second.RetriedInputBytes, 2*scan)
+		}
+		want := scan
+		for _, r := range run.Results {
+			want += r.RetriedInputBytes
+		}
+		if got := st.Counters().BytesRead - before.BytesRead; got != want {
+			t.Errorf("workers=%d: shared scan: store read %d bytes, engine accounts %d", cfg.workers, got, want)
+		}
 	}
 }
 
@@ -336,7 +357,7 @@ func TestRetriedAccountingWorkerIndependent(t *testing.T) {
 		e := New(st, params)
 		e.Workers = workers
 		e.MaxAttempts = 3
-		_, res, err := e.Run(flakyWordCount(2))
+		_, res, err := runOne(e, flakyWordCount(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +388,7 @@ func TestMapOnlySchemaMismatchFails(t *testing.T) {
 		Output:       "bad",
 		OutputKind:   storage.View,
 	}
-	_, _, err := e.Run(job)
+	_, _, err := runOne(e, job)
 	if err == nil || !strings.Contains(err.Error(), "map-only") {
 		t.Fatalf("schema mismatch accepted: err = %v", err)
 	}

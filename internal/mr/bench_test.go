@@ -68,7 +68,7 @@ func BenchmarkShuffleGroup(b *testing.B) {
 	job := benchGroupJob(schema, 20000, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Run(job); err != nil {
+		if _, _, err := runOne(e, job); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func BenchmarkPartitionLocalGroup(b *testing.B) {
 	job.PartitionParts = 32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, res, err := e.Run(job); err != nil {
+		if _, res, err := runOne(e, job); err != nil {
 			b.Fatal(err)
 		} else if res.LocalShuffleBytes == 0 {
 			b.Fatal("partition-local path not taken")
@@ -150,7 +150,7 @@ func BenchmarkMaterializeLarge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := e.RunSequence([]*Job{produce, consume})
+		results, err := runSequence(e, produce, consume)
 		if err != nil {
 			b.Fatal(err)
 		}

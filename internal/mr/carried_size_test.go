@@ -98,7 +98,7 @@ func TestCarriedSizesMatchAWalk(t *testing.T) {
 				if v.local {
 					job.PartitionKeyCols, job.PartitionParts = 1, 8
 				}
-				rel, res, err := e.Run(job)
+				rel, res, err := runOne(e, job)
 				if err != nil {
 					t.Fatal(err)
 				}

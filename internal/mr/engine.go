@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"time"
 
 	"opportune/internal/cost"
 	"opportune/internal/data"
@@ -285,9 +284,12 @@ func (j *Job) partitionLocal() bool {
 // failed attempts consumed before dying are accounted separately in
 // RetriedInputBytes/RetriedShuffleBytes (failed attempts never write), and
 // their simulated time in WastedSeconds, so
-// Breakdown.Total() + WastedSeconds == SimSeconds always holds and
-// engine-side reads reconcile with storage.Store counters:
-// Store.BytesRead == Σ(InputBytes + RetriedInputBytes) absent samples.
+// Breakdown.Total() + WastedSeconds == SimSeconds always holds. Engine-side
+// reads reconcile with storage.Store counters, absent samples: a job run
+// alone reads Store.BytesRead == InputBytes + RetriedInputBytes, and since
+// every retry re-reads, a shared scan reads
+// Store.BytesRead == ScanBytes + Σ RetriedInputBytes over its Results, with
+// ScanBytes, the first Result's InputBytes, read once (index probes aside).
 type Result struct {
 	Job          string
 	InputBytes   int64
@@ -434,57 +436,87 @@ func New(store *storage.Store, params cost.Params) *Engine {
 	return &Engine{Store: store, Params: params}
 }
 
-// Run executes one job: reads inputs, maps, shuffles (if reducing),
-// reduces, and materializes the output. The output relation is returned
-// along with measured volumes and simulated seconds. Panics in user code
-// (map/combine/reduce local functions) fail the attempt; the job restarts
-// from its durable inputs up to MaxAttempts times, with failed attempts'
-// simulated time charged to the result.
+// ScanResult reports one Run: a Result per job and what sharing the scan
+// saved.
+type ScanResult struct {
+	// Results holds one Result per job, in the order the jobs were passed.
+	// Each is priced as that job run alone — Cm includes the full scan for
+	// every job — so callers that want physical attribution subtract the
+	// scan from all but the first.
+	Results []*Result
+
+	// SavedBytes is the input the jobs after the first did not read:
+	// (jobs-1) scans, zero for a job run alone.
+	SavedBytes int64
+}
+
+// Run is the engine's one job entry, an MRShare-style shared scan: every
+// job must read the identical input list, which is read and split once;
+// then each job's map/combine/shuffle/reduce/materialize pipeline runs over
+// the shared splits, one job after another. A job run alone is a shared
+// scan of one. Every job is validated before anything runs, so a job that
+// fails validation runs no attempt and yields no Result.
 //
-// Run records the job's phase spans live but publishes no counters: the
-// caller hands the Result to RecordJob (RunSequence does, in job order), so
-// concurrently executed jobs can still be published in one fixed order.
-func (e *Engine) Run(job *Job) (*data.Relation, *Result, error) {
-	root := e.Obs.StartSpan(job.Name, "job")
-	rel, res, err := e.retryLoop(job, root, retryState{}, func(res *Result, sp *obs.Span, prior float64) (*data.Relation, error) {
-		return e.runAttempt(job, res, sp, prior)
-	})
-	root.AddSim(res.SimSeconds)
-	root.End()
-	return rel, res, err
+// Each job gets a Result priced as a run of that job alone (volumes,
+// Breakdown, SimSeconds), so simulated seconds stay comparable across
+// execution strategies; the physical saving is ScanResult.SavedBytes.
+// Panics in user code (map/combine/reduce local functions) fail the
+// attempt, and the job restarts up to MaxAttempts times, with failed
+// attempts' simulated time charged to its Result. The first job's first
+// attempt reads the inputs, later jobs' first attempts take that read, and
+// every retry re-reads from the store, as a restarted Hadoop job restarts
+// from its durable inputs. A read fault therefore lands on whichever
+// attempt is reading, exactly as for the same job run alone. Task-level
+// faults fire inside each job's own pipeline, addressed by job name, phase
+// and task or shard index.
+//
+// Run records each job's phase spans live but publishes no counters: the
+// caller hands each Result to RecordJob, so concurrently executed jobs can
+// still be published in one fixed order. Returned relations parallel
+// Results. On failure Results still reports every job that ran, the failed
+// one last.
+func (e *Engine) Run(jobs ...*Job) ([]*data.Relation, *ScanResult, error) {
+	if len(jobs) == 0 {
+		return nil, nil, errors.New("mr: run with no jobs")
+	}
+	for _, job := range jobs {
+		if err := validateJob(job, jobs[0]); err != nil {
+			return nil, nil, err
+		}
+	}
+	var read *inputRead // the first read of the inputs, kept for later jobs
+	out := &ScanResult{Results: make([]*Result, 0, len(jobs))}
+	rels := make([]*data.Relation, 0, len(jobs))
+	for _, job := range jobs {
+		root := e.Obs.StartSpan(job.Name, "job")
+		rel, res, err := e.retryLoop(job, root, &read)
+		root.AddSim(res.SimSeconds)
+		root.End()
+		out.Results = append(out.Results, res)
+		if err != nil {
+			return nil, out, err
+		}
+		rels = append(rels, rel)
+	}
+	out.SavedBytes = int64(len(jobs)-1) * read.bytes
+	return rels, out, nil
 }
 
-// retryState seeds the job-level retry loop with recovery accounting that
-// already happened before the loop started. RunSharedScan uses it to charge
-// a shared split phase's read retries to the primary consumer exactly as a
-// standalone Run would have.
-type retryState struct {
-	// attemptsUsed is how many failed attempts were already consumed; the
-	// loop's first attempt is numbered attemptsUsed+1 and the MaxAttempts
-	// budget covers the total.
-	attemptsUsed int
-	wasted       float64 // simulated seconds of those failed attempts
-	retriedIn    int64
-	recovered    string
-}
-
-// retryLoop is the job-level retry engine behind Run: it executes attempts
-// via exec until one succeeds (or the budget/deadline is exhausted) and
-// folds failed attempts' partial work into the final Result. Keeping this
-// in one place is what guarantees a shared-scan consumer's accounting is
-// bit-identical to a standalone run — both paths price retries here.
-func (e *Engine) retryLoop(job *Job, root *obs.Span, st retryState, exec func(res *Result, sp *obs.Span, prior float64) (*data.Relation, error)) (*data.Relation, *Result, error) {
+// retryLoop runs one job's attempts until one succeeds (or the budget or
+// deadline is exhausted) and folds failed attempts' partial work into the
+// final Result. read is the Run's first read of the inputs (see attempt).
+func (e *Engine) retryLoop(job *Job, root *obs.Span, read **inputRead) (*data.Relation, *Result, error) {
 	attempts := e.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	wasted := st.wasted
-	retriedIn, retriedShuf := st.retriedIn, int64(0)
-	rec := Recovery{RecoveredError: st.recovered}
-	for attempt := st.attemptsUsed + 1; ; attempt++ {
+	var wasted float64
+	var retriedIn, retriedShuf int64
+	var rec Recovery
+	for attempt := 1; ; attempt++ {
 		res := &Result{Job: job.Name}
 		asp := root.Child("attempt")
-		rel, err := exec(res, asp, wasted+rec.Faults.Total())
+		rel, err := e.attempt(job, read, attempt == 1, res, asp, wasted+rec.Faults.Total())
 		deadlined := err != nil && errors.Is(err, ErrDeadlineExceeded)
 		var attemptCost float64
 		if err != nil {
@@ -546,27 +578,155 @@ func (e *Engine) jobCost(job *Job, res *Result) cost.Breakdown {
 	return b
 }
 
-// runAttempt is one execution attempt; user-code panics become errors (the
-// partial volume accounting in res survives for wasted-time charging).
-// prior is the simulated waste carried from earlier failed attempts, needed
-// by the deadline checks inside execute.
-func (e *Engine) runAttempt(job *Job, res *Result, sp *obs.Span, prior float64) (rel *data.Relation, err error) {
+// attempt is one execution attempt of job. It reads the inputs from the
+// store unless it is the job's first attempt and the Run's first read is
+// already in hand (*read); a read it makes while none is in hand becomes
+// that read. User-code panics become errors (the partial volume accounting
+// in res survives for wasted-time charging). prior is the simulated waste
+// carried from earlier failed attempts, needed by the deadline checks.
+func (e *Engine) attempt(job *Job, read **inputRead, first bool, res *Result, asp *obs.Span, prior float64) (rel *data.Relation, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rel = nil
 			err = fmt.Errorf("mr: job %q failed: %w", job.Name, panicError(r))
 		}
 	}()
-	return e.execute(job, res, sp, prior)
+	// Split phase: read every input and cut it into map tasks.
+	ssp := asp.Child("split")
+	in := *read
+	if !first || in == nil {
+		if in, err = e.readInputs(job); err == nil && *read == nil {
+			*read = in
+		}
+	}
+	res.InputBytes, res.InputRows = in.bytes, in.rows
+	ssp.AddSim(float64(res.InputBytes) / e.Params.ReadRate)
+	ssp.End()
+	if err != nil {
+		return nil, err
+	}
+	if job.keyed() {
+		res.KeyedJob = true
+		res.PartitionLocal = job.partitionLocal()
+	}
+	res.Fusion = job.Fusion
+	accrued := float64(res.InputBytes) / e.Params.ReadRate
+	if err := e.deadlineCheck(job, res, prior, accrued); err != nil {
+		return nil, err
+	}
+
+	// Map phase: one task per input split, run on the worker pool. Task
+	// outputs stay in per-task buffers consumed in split order, so the
+	// effective map output — and every volume counter — is identical for any
+	// Workers value. Under an injected fault plan the tasks' recovery is
+	// priced afterwards, in split order.
+	msp := asp.Child("map")
+	ixs, built, err := e.openProbes(job, res)
+	if err != nil {
+		msp.End()
+		return nil, err
+	}
+	tasks := make([]mapTaskOut, len(in.splits))
+	mapErr := runTasks(e.workers(), len(in.splits), func(i int) error {
+		runMapTask(job, in.splits[i], ixs, &tasks[i])
+		return nil
+	})
+	if e.Faults != nil {
+		if err := e.priceMapTasks(job, res, in.splits); mapErr == nil {
+			mapErr = err
+		}
+	}
+	var probed int64
+	for i := range tasks {
+		res.ProbeRows += tasks[i].probeRows
+		probed += tasks[i].probeBytes
+		res.CombineRows += tasks[i].combineRows
+		res.FusedBatches++
+		res.FusedRows += int64(len(in.splits[i].rows))
+		if tasks[i].combined {
+			res.FusedCombineBatches++
+		}
+	}
+	if len(ixs) > 0 {
+		// What the lookups matched is read, and mapped, like any input.
+		e.Store.CountProbe(probed)
+		res.InputBytes += probed
+		res.InputRows += res.ProbeRows
+		probeSim := float64(built+probed)/e.Params.ReadRate + e.Params.FnsSeconds(indexScan, res.IndexRows)
+		msp.AddSim(probeSim)
+		accrued += probeSim
+	}
+	msp.AddSim(e.Params.FnsSeconds(job.MapCost, res.InputRows))
+	if job.Combine != nil && job.keyed() {
+		// Combiners run inside map tasks: their wall-clock is folded into
+		// the map span, only the simulated seconds are reported separately.
+		csp := msp.Child("combine")
+		csp.AddSim(e.Params.FnsSeconds(job.CombineCost, res.CombineRows))
+		csp.End()
+	}
+	msp.End()
+	if mapErr != nil {
+		return nil, fmt.Errorf("mr: job %q failed: %w", job.Name, mapErr)
+	}
+	accrued += e.Params.FnsSeconds(job.MapCost, res.InputRows) + e.Params.FnsSeconds(job.CombineCost, res.CombineRows)
+	if err := e.deadlineCheck(job, res, prior, accrued); err != nil {
+		return nil, err
+	}
+
+	out := data.NewRelation(job.OutputSchema)
+	if !job.keyed() {
+		// Map-only: emitted rows are the output, consumed in split order.
+		total := 0
+		for i := range tasks {
+			total += len(tasks[i].out)
+		}
+		out.Grow(total)
+		rows := getRowsBuf(0)
+		for i := range tasks {
+			for _, kr := range tasks[i].out {
+				rows = append(rows, kr.Row)
+			}
+			out.AppendSized(rows, tasks[i].bytes)
+			clear(rows)
+			rows = rows[:0]
+			putKeyedBuf(tasks[i].out)
+			tasks[i].out = nil
+		}
+		putRowsBuf(rows)
+	} else if err := e.shuffleReduce(job, res, tasks, out, asp); err != nil {
+		return nil, err
+	}
+	accrued += float64(res.ShuffleBytes)*e.Params.SortFactor +
+		float64(res.ShuffleBytes-res.LocalShuffleBytes)/e.Params.ShuffleRate +
+		e.Params.FnsSeconds(job.ReduceCost, res.ShuffleRows)
+	if err := e.deadlineCheck(job, res, prior, accrued); err != nil {
+		return nil, err
+	}
+
+	wsp := asp.Child("materialize")
+	res.OutputRows = int64(out.Len())
+	res.OutputBytes = out.EncodedSize()
+
+	// Materialize (every job output is retained: opportunistic views).
+	e.Store.Put(job.Output, job.OutputKind, out)
+	if len(job.OutputPartSigs) > 0 && job.OutputPartParts > 0 {
+		e.Store.SetPartitioning(job.Output, job.OutputPartSigs, job.OutputPartParts)
+	}
+	wsp.AddSim(float64(res.OutputBytes) / e.Params.WriteRate)
+	wsp.End()
+
+	// Simulated execution time from measured volumes.
+	res.Breakdown = e.jobCost(job, res)
+	return out, nil
 }
 
 // RecordJob publishes one finished job's counters to the metrics registry.
 // Counter values are deterministic (volumes, simulated seconds, attempt
 // counts); real wall-clock (wallSeconds) goes only into the histogram.
 // Callers publish the jobs they ran in sequential job order — the session
-// executor after running them in parallel, RunSequence as it goes — which
-// keeps float-counter summation order, and therefore every byte of the
-// snapshot, independent of execution parallelism.
+// executor does, after running them in parallel — which keeps float-counter
+// summation order, and therefore every byte of the snapshot, independent
+// of execution parallelism.
 func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	reg := e.Obs
 	if reg == nil {
@@ -679,22 +839,29 @@ type mapTaskOut struct {
 	probeRows, probeBytes int64 // what the task's index lookups matched
 }
 
-// splitInputs reads every input (charging the read volume to res) and cuts
-// the rows into map tasks of Params.SplitRows rows each.
-func (e *Engine) splitInputs(job *Job, res *Result) ([]mapSplit, error) {
+// inputRead is one read of a job's inputs cut into map tasks of
+// Params.SplitRows rows each, with the volume read.
+type inputRead struct {
+	splits      []mapSplit
+	bytes, rows int64
+}
+
+// readInputs reads every input of job from the store and cuts it into map
+// tasks. A failed read returns the volume read before it with the error.
+func (e *Engine) readInputs(job *Job) (*inputRead, error) {
 	splitRows := e.Params.SplitRows
 	if splitRows <= 0 {
 		splitRows = 1 << 62
 	}
-	var splits []mapSplit
+	in := &inputRead{}
 	var globalRow int64
 	for i, name := range job.Inputs {
 		rel, err := e.Store.Read(name)
 		if err != nil {
-			return nil, fmt.Errorf("mr: job %q: %w", job.Name, err)
+			return in, fmt.Errorf("mr: job %q: %w", job.Name, err)
 		}
-		res.InputBytes += rel.EncodedSize()
-		res.InputRows += int64(rel.Len())
+		in.bytes += rel.EncodedSize()
+		in.rows += int64(rel.Len())
 		rows := rel.Rows()
 		chunk := len(rows)
 		if splitRows < int64(chunk) {
@@ -705,14 +872,14 @@ func (e *Engine) splitInputs(job *Job, res *Result) ([]mapSplit, error) {
 			if end > len(rows) {
 				end = len(rows)
 			}
-			splits = append(splits, mapSplit{
+			in.splits = append(in.splits, mapSplit{
 				ctx:  TaskCtx{Input: i, Split: sp, StartRow: int64(start), GlobalRow: globalRow + int64(start)},
 				rows: rows[start:end],
 			})
 		}
 		globalRow += int64(len(rows))
 	}
-	return splits, nil
+	return in, nil
 }
 
 // runMapTask maps one split through the job's batch map function, then (for
@@ -770,8 +937,9 @@ func combineMapOutput(job *Job, t *mapTaskOut) {
 	t.out, t.combineRows = combined, rows
 }
 
-// validateJob checks the static requirements execution relies on.
-func validateJob(job *Job) error {
+// validateJob checks the static requirements execution relies on, and that
+// job reads the same inputs as first, the Run's first job.
+func validateJob(job, first *Job) error {
 	if job.BatchMapFactory == nil {
 		return fmt.Errorf("mr: job %q has no map function", job.Name)
 	}
@@ -786,144 +954,11 @@ func validateJob(job *Job) error {
 		return fmt.Errorf("mr: map-only job %q emits width %d (schema %s) but materializes schema %s",
 			job.Name, job.MapOutSchema.Len(), job.MapOutSchema, job.OutputSchema)
 	}
+	if !slices.Equal(job.Inputs, first.Inputs) {
+		return fmt.Errorf("mr: shared scan: job %q reads %q, %q reads %q",
+			job.Name, job.Inputs, first.Name, first.Inputs)
+	}
 	return nil
-}
-
-func (e *Engine) execute(job *Job, res *Result, asp *obs.Span, prior float64) (*data.Relation, error) {
-	if err := validateJob(job); err != nil {
-		return nil, err
-	}
-
-	// Split phase: read every input and cut it into map tasks.
-	ssp := asp.Child("split")
-	splits, err := e.splitInputs(job, res)
-	ssp.AddSim(float64(res.InputBytes) / e.Params.ReadRate)
-	ssp.End()
-	if err != nil {
-		return nil, err
-	}
-	return e.executeFromSplits(job, res, splits, asp, prior)
-}
-
-// executeFromSplits runs the map→shuffle→reduce→materialize pipeline over
-// already-read input splits. res must carry the input volumes the splits
-// represent (splitInputs fills them; RunSharedScan copies them from the
-// shared read). Splits are read-only here, so shared-scan consumers can
-// replay one split set serially without re-reading the store.
-func (e *Engine) executeFromSplits(job *Job, res *Result, splits []mapSplit, asp *obs.Span, prior float64) (*data.Relation, error) {
-	if job.keyed() {
-		res.KeyedJob = true
-		res.PartitionLocal = job.partitionLocal()
-	}
-	res.Fusion = job.Fusion
-	accrued := float64(res.InputBytes) / e.Params.ReadRate
-	if err := e.deadlineCheck(job, res, prior, accrued); err != nil {
-		return nil, err
-	}
-
-	// Map phase: one task per input split, run on the worker pool. Task
-	// outputs stay in per-task buffers consumed in split order, so the
-	// effective map output — and every volume counter — is identical for any
-	// Workers value. Under an injected fault plan the tasks' recovery is
-	// priced afterwards, in split order.
-	msp := asp.Child("map")
-	ixs, built, err := e.openProbes(job, res)
-	if err != nil {
-		msp.End()
-		return nil, err
-	}
-	tasks := make([]mapTaskOut, len(splits))
-	mapErr := runTasks(e.workers(), len(splits), func(i int) error {
-		runMapTask(job, splits[i], ixs, &tasks[i])
-		return nil
-	})
-	if e.Faults != nil {
-		if err := e.priceMapTasks(job, res, splits); mapErr == nil {
-			mapErr = err
-		}
-	}
-	var probed int64
-	for i := range tasks {
-		res.ProbeRows += tasks[i].probeRows
-		probed += tasks[i].probeBytes
-		res.CombineRows += tasks[i].combineRows
-		res.FusedBatches++
-		res.FusedRows += int64(len(splits[i].rows))
-		if tasks[i].combined {
-			res.FusedCombineBatches++
-		}
-	}
-	if len(ixs) > 0 {
-		// What the lookups matched is read, and mapped, like any input.
-		e.Store.CountProbe(probed)
-		res.InputBytes += probed
-		res.InputRows += res.ProbeRows
-		probeSim := float64(built+probed)/e.Params.ReadRate + e.Params.FnsSeconds(indexScan, res.IndexRows)
-		msp.AddSim(probeSim)
-		accrued += probeSim
-	}
-	msp.AddSim(e.Params.FnsSeconds(job.MapCost, res.InputRows))
-	if job.Combine != nil && job.keyed() {
-		// Combiners run inside map tasks: their wall-clock is folded into
-		// the map span, only the simulated seconds are reported separately.
-		csp := msp.Child("combine")
-		csp.AddSim(e.Params.FnsSeconds(job.CombineCost, res.CombineRows))
-		csp.End()
-	}
-	msp.End()
-	if mapErr != nil {
-		return nil, fmt.Errorf("mr: job %q failed: %w", job.Name, mapErr)
-	}
-	accrued += e.Params.FnsSeconds(job.MapCost, res.InputRows) + e.Params.FnsSeconds(job.CombineCost, res.CombineRows)
-	if err := e.deadlineCheck(job, res, prior, accrued); err != nil {
-		return nil, err
-	}
-
-	out := data.NewRelation(job.OutputSchema)
-	if !job.keyed() {
-		// Map-only: emitted rows are the output, consumed in split order.
-		total := 0
-		for i := range tasks {
-			total += len(tasks[i].out)
-		}
-		out.Grow(total)
-		rows := getRowsBuf(0)
-		for i := range tasks {
-			for _, kr := range tasks[i].out {
-				rows = append(rows, kr.Row)
-			}
-			out.AppendSized(rows, tasks[i].bytes)
-			clear(rows)
-			rows = rows[:0]
-			putKeyedBuf(tasks[i].out)
-			tasks[i].out = nil
-		}
-		putRowsBuf(rows)
-	} else if err := e.shuffleReduce(job, res, tasks, out, asp); err != nil {
-		return nil, err
-	}
-	accrued += float64(res.ShuffleBytes)*e.Params.SortFactor +
-		float64(res.ShuffleBytes-res.LocalShuffleBytes)/e.Params.ShuffleRate +
-		e.Params.FnsSeconds(job.ReduceCost, res.ShuffleRows)
-	if err := e.deadlineCheck(job, res, prior, accrued); err != nil {
-		return nil, err
-	}
-
-	wsp := asp.Child("materialize")
-	res.OutputRows = int64(out.Len())
-	res.OutputBytes = out.EncodedSize()
-
-	// Materialize (every job output is retained: opportunistic views).
-	e.Store.Put(job.Output, job.OutputKind, out)
-	if len(job.OutputPartSigs) > 0 && job.OutputPartParts > 0 {
-		e.Store.SetPartitioning(job.Output, job.OutputPartSigs, job.OutputPartParts)
-	}
-	wsp.AddSim(float64(res.OutputBytes) / e.Params.WriteRate)
-	wsp.End()
-
-	// Simulated execution time from measured volumes.
-	res.Breakdown = e.jobCost(job, res)
-	return out, nil
 }
 
 // redOut is one reduce key's buffered output and its encoded size. rows is
@@ -1058,22 +1093,4 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	}
 	rsp.End()
 	return nil
-}
-
-// RunSequence executes jobs in order (callers supply a topological order of
-// the job DAG; each job's output is in the store before its consumers run),
-// recording each one as it finishes, the failed one included. It returns
-// the successful jobs' results.
-func (e *Engine) RunSequence(jobs []*Job) ([]*Result, error) {
-	var results []*Result
-	for _, j := range jobs {
-		start := time.Now()
-		_, res, err := e.Run(j)
-		e.RecordJob(res, err, time.Since(start).Seconds())
-		if err != nil {
-			return results, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
 }

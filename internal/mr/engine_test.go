@@ -60,12 +60,42 @@ func perGroup(fn groupFn) func([]Keyed, *ReduceOut) {
 	}
 }
 
-// runRecorded runs one job and publishes its record, the way RunSequence
-// and the session executor do.
+// runOne runs job alone, a shared scan of one, and returns its relation and
+// Result (nil when the job failed validation).
+func runOne(e *Engine, job *Job) (*data.Relation, *Result, error) {
+	rels, run, err := e.Run(job)
+	if run == nil {
+		return nil, nil, err
+	}
+	if err != nil {
+		return nil, run.Results[0], err
+	}
+	return rels[0], run.Results[0], nil
+}
+
+// runRecorded runs one job alone and publishes its record, the way the
+// session executor does.
 func runRecorded(e *Engine, job *Job) (*data.Relation, *Result, error) {
-	rel, res, err := e.Run(job)
-	e.RecordJob(res, err, 0)
+	rel, res, err := runOne(e, job)
+	if res != nil {
+		e.RecordJob(res, err, 0)
+	}
 	return rel, res, err
+}
+
+// runSequence runs jobs alone one after another, each job's output in the
+// store before the next starts, recording each as it finishes, the failed
+// one included. It returns the successful jobs' results.
+func runSequence(e *Engine, jobs ...*Job) ([]*Result, error) {
+	var results []*Result
+	for _, j := range jobs {
+		_, res, err := runRecorded(e, j)
+		if err != nil {
+			return results, err
+		}
+		results = append(results, res)
+	}
+	return results, nil
 }
 
 // wordCountJob is the canonical MR job: tokenize in map, sum in reduce.
@@ -126,7 +156,7 @@ var sumCombine = rowCombine(func(_ string, rows []data.Row, emit func(data.Row))
 func TestWordCount(t *testing.T) {
 	e, st := newEngine()
 	loadWords(st)
-	out, res, err := e.Run(wordCountJob())
+	out, res, err := runOne(e, wordCountJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +211,7 @@ func TestMapOnlyJob(t *testing.T) {
 		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 	}
-	out, res, err := e.Run(job)
+	out, res, err := runOne(e, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +266,7 @@ func TestMultiInputCoGroupJoin(t *testing.T) {
 		Output:       "joined",
 		OutputKind:   storage.View,
 	}
-	out, _, err := e.Run(job)
+	out, _, err := runOne(e, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +281,15 @@ func TestMultiInputCoGroupJoin(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	e, _ := newEngine()
-	if _, _, err := e.Run(&Job{Name: "x", Output: "o"}); err == nil {
+	if _, _, err := runOne(e, &Job{Name: "x", Output: "o"}); err == nil {
 		t.Error("nil map accepted")
 	}
-	if _, _, err := e.Run(&Job{Name: "x", BatchMapFactory: perRow(func(int, data.Row, Emit) {})}); err == nil {
+	if _, _, err := runOne(e, &Job{Name: "x", BatchMapFactory: perRow(func(int, data.Row, Emit) {})}); err == nil {
 		t.Error("empty output name accepted")
 	}
 	job := wordCountJob()
 	job.Inputs = []string{"missing"}
-	if _, _, err := e.Run(job); err == nil {
+	if _, _, err := runOne(e, job); err == nil {
 		t.Error("missing input accepted")
 	}
 }
@@ -268,7 +298,7 @@ func TestDeterministicOutput(t *testing.T) {
 	run := func() uint64 {
 		e, st := newEngine()
 		loadWords(st)
-		out, _, err := e.Run(wordCountJob())
+		out, _, err := runOne(e, wordCountJob())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +333,7 @@ func TestRunSequenceAndAggregate(t *testing.T) {
 		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpFilter}, Scalar: 1}},
 	}
-	results, err := e.RunSequence([]*Job{wc, filter})
+	results, err := runSequence(e, wc, filter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +355,8 @@ func TestRunSequenceAndAggregate(t *testing.T) {
 	// failure propagates, and the failed job is recorded
 	bad := wordCountJob()
 	bad.Inputs = []string{"missing"}
-	if _, err := e.RunSequence([]*Job{bad}); err == nil {
-		t.Error("RunSequence swallowed error")
+	if _, err := runSequence(e, bad); err == nil {
+		t.Error("runSequence swallowed error")
 	}
 	if snap := reg.Snapshot(); snap.Counters["mr_jobs_total"] != 3 || snap.Counters["mr_job_failures_total"] != 1 {
 		t.Errorf("after the failed sequence: %d jobs, %d failures recorded; want 3, 1",
@@ -343,7 +373,7 @@ func TestMapEmitWidthBecomesJobFailure(t *testing.T) {
 	job.BatchMapFactory = perRow(func(_ int, r data.Row, emit Emit) {
 		emit("k", data.Row{r[0]}) // wrong width
 	})
-	_, res, err := e.Run(job)
+	_, res, err := runOne(e, job)
 	if err == nil || !strings.Contains(err.Error(), "failed") {
 		t.Fatalf("wrong-width emit: err = %v", err)
 	}
@@ -371,7 +401,7 @@ func TestFlakyUDFRetriesFromDurableInputs(t *testing.T) {
 			return fn(i, rows, emit)
 		}
 	}
-	out, res, err := e.Run(job)
+	out, res, err := runOne(e, job)
 	if err != nil {
 		t.Fatalf("job did not recover: %v", err)
 	}
@@ -384,7 +414,7 @@ func TestFlakyUDFRetriesFromDurableInputs(t *testing.T) {
 	// failed attempts' simulated time is charged
 	e2, st2 := newEngine()
 	loadWords(st2)
-	_, clean, err := e2.Run(wordCountJob())
+	_, clean, err := runOne(e2, wordCountJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +425,7 @@ func TestFlakyUDFRetriesFromDurableInputs(t *testing.T) {
 	e.MaxAttempts = 2
 	job2 := wordCountJob()
 	job2.BatchMapFactory = perRow(func(int, data.Row, Emit) { panic("permanent") })
-	if _, res, err := e.Run(job2); err == nil || res.Attempts != 2 {
+	if _, res, err := runOne(e, job2); err == nil || res.Attempts != 2 {
 		t.Errorf("permanent failure: err=%v res=%+v", err, res)
 	}
 }
@@ -413,7 +443,7 @@ func BenchmarkWordCountJob(b *testing.B) {
 	b.SetBytes(rel.EncodedSize() / int64(rel.Len()) * 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Run(wordCountJob()); err != nil {
+		if _, _, err := runOne(e, wordCountJob()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -460,7 +490,7 @@ func TestEmitBlockTakesTheSliceAndItsSize(t *testing.T) {
 			e.Faults = fault.NewInjector(plan)
 		}
 		var calls atomic.Int64 // reduce partitions run concurrently
-		out, res, err := e.Run(blockWordCount(func(key string, rows []data.Row, out *ReduceOut) {
+		out, res, err := runOne(e, blockWordCount(func(key string, rows []data.Row, out *ReduceOut) {
 			calls.Add(1)
 			block, n := occurrenceBlock(rows)
 			out.EmitBlock(key, block, n)
@@ -550,7 +580,7 @@ func runBroken(t *testing.T, name string, reduce func([]Keyed, *ReduceOut)) {
 	e.Params.ReduceTasks = 1
 	job := blockWordCount(nil)
 	job.Reduce = reduce
-	if _, _, err := e.Run(job); err == nil {
+	if _, _, err := runOne(e, job); err == nil {
 		t.Errorf("%s: job succeeded", name)
 	}
 }

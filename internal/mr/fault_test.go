@@ -44,7 +44,7 @@ func TestInjectedMapPanicRecoversAtTaskLevel(t *testing.T) {
 	e, _ := newFaultedEngine(t, &fault.Plan{Faults: []fault.Fault{
 		{Phase: fault.PhaseMap, Task: 1, Kind: fault.KindPanic, FailAttempts: 2},
 	}})
-	out, res, err := e.Run(wordCountJob())
+	out, res, err := runOne(e, wordCountJob())
 	if err != nil {
 		t.Fatalf("task-level recovery failed: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestInjectedMapPanicRecoversAtTaskLevel(t *testing.T) {
 	// Output identical to a fault-free run.
 	eClean, stClean := newEngine()
 	loadWords(stClean)
-	clean, _, err := eClean.Run(wordCountJob())
+	clean, _, err := runOne(eClean, wordCountJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestInjectedReduceGroupPanicRecovers(t *testing.T) {
 	e, _ := newFaultedEngine(t, &fault.Plan{Faults: []fault.Fault{
 		{Phase: fault.PhaseReduce, Task: shard, Kind: fault.KindPanic, FailAttempts: 1},
 	}})
-	out, res, err := e.Run(wordCountJob())
+	out, res, err := runOne(e, wordCountJob())
 	if err != nil {
 		t.Fatalf("reduce group recovery failed: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestCorruptMapOutputReexecutes(t *testing.T) {
 	e, _ := newFaultedEngine(t, &fault.Plan{Faults: []fault.Fault{
 		{Phase: fault.PhaseMap, Task: 0, Kind: fault.KindCorrupt, FailAttempts: 1},
 	}})
-	out, res, err := e.Run(wordCountJob())
+	out, res, err := runOne(e, wordCountJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSpeculationStrictlyReducesSimSeconds(t *testing.T) {
 	run := func(disable bool) *Result {
 		e, _ := newFaultedEngine(t, plan)
 		e.DisableSpeculation = disable
-		_, res, err := e.Run(wordCountJob())
+		_, res, err := runOne(e, wordCountJob())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestStragglerBelowThresholdJustRunsSlow(t *testing.T) {
 	e, _ := newFaultedEngine(t, &fault.Plan{Faults: []fault.Fault{
 		{Phase: fault.PhaseMap, Task: 0, Kind: fault.KindStraggler, Factor: 1.5},
 	}})
-	_, res, err := e.Run(wordCountJob())
+	_, res, err := runOne(e, wordCountJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestStorageReadFaultRecoversViaJobRetry(t *testing.T) {
 	}})
 	e.MaxAttempts = 3
 	before := st.Counters()
-	out, res, err := e.Run(wordCountJob())
+	out, res, err := runOne(e, wordCountJob())
 	if err != nil {
 		t.Fatalf("read fault not recovered: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestTaskBudgetExhaustionEscalatesToJobLevel(t *testing.T) {
 	}})
 	e.TaskMaxAttempts = 2
 	e.MaxAttempts = 2
-	_, res, err := e.Run(wordCountJob())
+	_, res, err := runOne(e, wordCountJob())
 	if err == nil {
 		t.Fatal("unsurvivable plan succeeded")
 	}
@@ -248,7 +248,7 @@ func TestReduceTaskBudgetExhaustionEscalatesToJobLevel(t *testing.T) {
 	}})
 	e.TaskMaxAttempts = 2
 	e.MaxAttempts = 2
-	_, res, err := e.Run(wordCountJob())
+	_, res, err := runOne(e, wordCountJob())
 	if err == nil {
 		t.Fatal("unsurvivable plan succeeded")
 	}
@@ -297,7 +297,7 @@ func TestReduceFaultKillsTheWholeShard(t *testing.T) {
 		calls.Add(1)
 		sumReduce(key, rows, out)
 	})
-	_, res, err := e.Run(job)
+	_, res, err := runOne(e, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestDeadlineAbortCarriesPartialAccounting(t *testing.T) {
 	e.DisableSpeculation = true // the straggler runs to completion, blowing the budget
 	e.MaxAttempts = 3
 	e.DeadlineSimSeconds = 1e-9
-	_, res, err := e.Run(wordCountJob())
+	_, res, err := runOne(e, wordCountJob())
 	if err == nil {
 		t.Fatal("deadline did not trip")
 	}
@@ -354,7 +354,7 @@ func TestDeadlineGenerousEnoughIsInert(t *testing.T) {
 	e, st := newEngine()
 	loadWords(st)
 	e.DeadlineSimSeconds = 1e9
-	_, res, err := e.Run(wordCountJob())
+	_, res, err := runOne(e, wordCountJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestFaultedResultParallelismIndependent(t *testing.T) {
 		e, _ := newFaultedEngine(t, plan)
 		e.Workers = workers
 		e.Params.ReduceTasks = reduceTasks
-		out, res, err := e.Run(wordCountJob())
+		out, res, err := runOne(e, wordCountJob())
 		if err != nil {
 			t.Fatalf("workers=%d R=%d: %v", workers, reduceTasks, err)
 		}

@@ -144,7 +144,7 @@ func TestFusedReduceRunsUnderFaults(t *testing.T) {
 			e.Faults = fault.NewInjector(plan)
 			st.SetFaults(e.Faults)
 		}
-		out, res, err := e.Run(combineWordsJob(kernels))
+		out, res, err := runOne(e, combineWordsJob(kernels))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func runWithWorkers(t testing.TB, workers, reduceTasks, rows int) (*data.Relatio
 	job := wordCountJob()
 	job.Combine = sumCombine
 	job.CombineCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
-	out, res, err := e.Run(job)
+	out, res, err := runOne(e, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestParallelMapOnlyDeterminism(t *testing.T) {
 			OutputKind:   storage.View,
 			MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 		}
-		out, _, err := e.Run(job)
+		out, _, err := runOne(e, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestMapFactoryTaskCtx(t *testing.T) {
 			OutputKind:   storage.View,
 			MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 		}
-		out, _, err := e.Run(job)
+		out, _, err := runOne(e, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestReducePanicChargesMoreThanMapPanic(t *testing.T) {
 				}
 			}
 		}
-		_, res, err := e.Run(job)
+		_, res, err := runOne(e, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestReducePanicChargesMoreThanMapPanic(t *testing.T) {
 	st := storage.NewStore()
 	loadCorpus(st, 200)
 	e := New(st, cost.DefaultParams())
-	_, clean, err := e.Run(wordCountJob())
+	_, clean, err := runOne(e, wordCountJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestRunSequenceParallelAggregates(t *testing.T) {
 			MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 			ReduceCost:   []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
 		}
-		results, err := e.RunSequence([]*Job{wc, second})
+		results, err := runSequence(e, wc, second)
 		if err != nil {
 			t.Fatal(err)
 		}

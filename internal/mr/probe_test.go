@@ -27,7 +27,7 @@ func TestProbeJobAccounting(t *testing.T) {
 		e := New(st, params)
 		e.Workers = workers
 		var err error
-		if _, first, err = e.Run(probeCount(0)); err != nil {
+		if _, first, err = runOne(e, probeCount(0)); err != nil {
 			t.Fatal(err)
 		}
 		e.Obs = reg
@@ -89,7 +89,7 @@ func TestProbeReadFault(t *testing.T) {
 	e.Faults = inj
 	st.SetFaults(inj)
 	before := st.Counters()
-	_, res, err := e.Run(probeCount(0))
+	_, res, err := runOne(e, probeCount(0))
 	var fired *fault.Fired
 	if !errors.As(err, &fired) {
 		t.Fatalf("err = %v, want the scripted read fault", err)

@@ -8,6 +8,7 @@ import (
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/fault"
+	"opportune/internal/obs"
 	"opportune/internal/storage"
 	"opportune/internal/value"
 )
@@ -48,19 +49,20 @@ func longWordsJob() *Job {
 	return j
 }
 
-// TestSharedScanMatchesStandalone proves the meta-job's contract: every
-// consumer's relation and Result are identical to what standalone Runs
-// produce, and the reported saving is (n-1) scans.
+// TestSharedScanMatchesStandalone proves the shared scan's contract: every
+// job's relation and Result are identical to what the job run alone
+// produces, the store reads the input once, and the reported saving is
+// (n-1) scans.
 func TestSharedScanMatchesStandalone(t *testing.T) {
 	mk := func() []*Job { return []*Job{wordCountJob(), projectJob(), longWordsJob()} }
 
-	// Standalone reference: each job on a fresh engine over the same data.
+	// Reference: each job alone on a fresh engine over the same data.
 	var wantRes []*Result
 	var wantFP []uint64
 	for _, job := range mk() {
 		e, _ := newEngine()
 		loadWords(e.Store)
-		rel, res, err := e.Run(job)
+		rel, res, err := runOne(e, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +73,7 @@ func TestSharedScanMatchesStandalone(t *testing.T) {
 	e, st := newEngine()
 	loadWords(st)
 	jobs := mk()
-	rels, out, err := e.RunSharedScan(jobs)
+	rels, out, err := e.Run(jobs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,75 +82,68 @@ func TestSharedScanMatchesStandalone(t *testing.T) {
 	}
 	for i := range jobs {
 		if rels[i].Fingerprint() != wantFP[i] {
-			t.Errorf("consumer %d: relation differs from standalone run", i)
+			t.Errorf("job %d: relation differs from its run alone", i)
 		}
 		if !reflect.DeepEqual(out.Results[i], wantRes[i]) {
-			t.Errorf("consumer %d: result differs:\n shared    %+v\n standalone %+v", i, out.Results[i], wantRes[i])
+			t.Errorf("job %d: result differs:\n shared %+v\n alone  %+v", i, out.Results[i], wantRes[i])
 		}
 		checkInvariant(t, out.Results[i])
 		if !st.Has(jobs[i].Output) {
-			t.Errorf("consumer %d: output %q not materialized", i, jobs[i].Output)
+			t.Errorf("job %d: output %q not materialized", i, jobs[i].Output)
 		}
 	}
-	if out.ScanBytes != wantRes[0].InputBytes || out.ScanRows != wantRes[0].InputRows {
-		t.Errorf("scan volumes = %d/%d, want %d/%d", out.ScanBytes, out.ScanRows, wantRes[0].InputBytes, wantRes[0].InputRows)
-	}
-	if out.SavedBytes != 2*out.ScanBytes {
-		t.Errorf("SavedBytes = %d, want %d", out.SavedBytes, 2*out.ScanBytes)
-	}
-	if want := e.Params.SharedScanSavings(out.ScanBytes, 3); out.SavedSeconds != want {
-		t.Errorf("SavedSeconds = %g, want %g", out.SavedSeconds, want)
+	scan := wantRes[0].InputBytes
+	if out.SavedBytes != 2*scan {
+		t.Errorf("SavedBytes = %d, want %d", out.SavedBytes, 2*scan)
 	}
 	// The physical read happened once: the store counted one scan of the
 	// input, not three.
-	if got := st.Counters().BytesRead; got != out.ScanBytes {
-		t.Errorf("store read %d bytes, want one scan = %d", got, out.ScanBytes)
+	if got := st.Counters().BytesRead; got != scan {
+		t.Errorf("store read %d bytes, want one scan = %d", got, scan)
 	}
 }
 
-// TestSharedScanReadFaultChargesPrimary proves a read fault during the
-// shared split phase lands on the first consumer with standalone-identical
-// accounting, while later consumers (whose standalone runs would have read
-// after the fault budget drained) stay clean.
+// TestSharedScanReadFaultChargesPrimary: a read fault on the shared scan
+// lands on the first job, whose retry re-reads the input, while a later
+// job (which takes that read) stays clean — for a scan of one, a job run
+// alone, as for a scan of two.
 func TestSharedScanReadFaultChargesPrimary(t *testing.T) {
 	plan := &fault.Plan{Faults: []fault.Fault{
 		{Kind: fault.KindReadError, Dataset: "docs", FailReads: 1},
 	}}
-
-	// Standalone reference: the first job against a fresh injector.
-	eA, _ := newFaultedEngine(t, plan)
-	eA.MaxAttempts = 3
-	_, want, err := eA.Run(wordCountJob())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Attempts != 2 || want.RetriedInputBytes != 0 {
-		// The fault fires on the first of three per-input reads; the failed
+	for _, jobs := range [][]*Job{{wordCountJob()}, {wordCountJob(), projectJob()}} {
+		e, st := newFaultedEngine(t, plan)
+		e.MaxAttempts = 3
+		_, out, err := e.Run(jobs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := out.Results[0]
+		// The fault fires on the first attempt's one read; the failed
 		// attempt read nothing, so only the attempt count moves.
-		t.Fatalf("unexpected standalone shape: %+v", want)
+		if first.Attempts != 2 || first.RetriedInputBytes != 0 {
+			t.Errorf("%d jobs: first job Attempts = %d, RetriedInputBytes = %d; want 2, 0",
+				len(jobs), first.Attempts, first.RetriedInputBytes)
+		}
+		if !strings.Contains(first.RecoveredError, "injected read error") {
+			t.Errorf("%d jobs: RecoveredError = %q", len(jobs), first.RecoveredError)
+		}
+		for _, res := range out.Results[1:] {
+			if res.Attempts != 1 || res.RecoveredError != "" {
+				t.Errorf("secondary saw the fault: %+v", res)
+			}
+		}
+		for _, res := range out.Results {
+			checkInvariant(t, res)
+		}
+		if got := st.Counters().BytesRead; got != first.InputBytes {
+			t.Errorf("%d jobs: store read %d bytes, want one scan = %d", len(jobs), got, first.InputBytes)
+		}
 	}
-
-	eB, _ := newFaultedEngine(t, plan)
-	eB.MaxAttempts = 3
-	_, out, err := eB.RunSharedScan([]*Job{wordCountJob(), projectJob()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.Results[0], want) {
-		t.Errorf("primary result differs:\n shared    %+v\n standalone %+v", out.Results[0], want)
-	}
-	if !strings.Contains(out.Results[0].RecoveredError, "injected read error") {
-		t.Errorf("RecoveredError = %q", out.Results[0].RecoveredError)
-	}
-	if out.Results[1].Attempts != 1 || out.Results[1].RecoveredError != "" {
-		t.Errorf("secondary saw the fault: %+v", out.Results[1])
-	}
-	checkInvariant(t, out.Results[0])
-	checkInvariant(t, out.Results[1])
 }
 
-// TestSharedScanRejectsMismatchedInputs: the meta-job is only defined for
-// identical input lists.
+// TestSharedScanRejectsMismatchedInputs: a shared scan is only defined for
+// identical input lists, and for at least one job.
 func TestSharedScanRejectsMismatchedInputs(t *testing.T) {
 	e, st := newEngine()
 	loadWords(st)
@@ -158,10 +153,45 @@ func TestSharedScanRejectsMismatchedInputs(t *testing.T) {
 
 	bad := projectJob()
 	bad.Inputs = []string{"other"}
-	if _, _, err := e.RunSharedScan([]*Job{wordCountJob(), bad}); err == nil {
+	if _, _, err := e.Run(wordCountJob(), bad); err == nil {
 		t.Fatal("mismatched inputs accepted")
 	}
-	if _, _, err := e.RunSharedScan(nil); err == nil {
-		t.Fatal("empty consumer list accepted")
+	if _, _, err := e.Run(); err == nil {
+		t.Fatal("empty job list accepted")
+	}
+}
+
+// TestRunValidatesBeforeRunning: a job that fails validation fails the Run
+// before anything runs — no attempt, no read, no span, no output, no Result
+// to record — whether it runs alone or second in a scan of two.
+func TestRunValidatesBeforeRunning(t *testing.T) {
+	invalid := func() *Job {
+		j := projectJob()
+		j.BatchMapFactory = nil
+		return j
+	}
+	for _, jobs := range [][]*Job{{invalid()}, {wordCountJob(), invalid()}} {
+		e, st := newEngine()
+		loadWords(st)
+		e.Obs = obs.NewRegistry()
+		before := st.Counters()
+		rels, out, err := e.Run(jobs...)
+		if err == nil || !strings.Contains(err.Error(), "no map function") {
+			t.Fatalf("%d jobs: err = %v, want a validation error", len(jobs), err)
+		}
+		if rels != nil || out != nil {
+			t.Errorf("%d jobs: Run returned %v, %+v for an invalid job", len(jobs), rels, out)
+		}
+		if got := st.Counters(); got != before {
+			t.Errorf("%d jobs: store counters moved: %+v → %+v", len(jobs), before, got)
+		}
+		if spans := e.Obs.Spans(); len(spans) != 0 {
+			t.Errorf("%d jobs: %d spans recorded, want none", len(jobs), len(spans))
+		}
+		for _, j := range jobs {
+			if st.Has(j.Output) {
+				t.Errorf("%d jobs: output %q materialized", len(jobs), j.Output)
+			}
+		}
 	}
 }

@@ -37,7 +37,7 @@ func TestCombinerShrinksShuffleSameResult(t *testing.T) {
 				job.Combine = nil
 			}
 		}
-		results, err := f.eng.RunSequence(jobs)
+		results, err := runJobs(f.eng, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestCombinerNullHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.eng.RunSequence(jobs); err != nil {
+	if _, err := runJobs(f.eng, jobs); err != nil {
 		t.Fatal(err)
 	}
 	out, _ := f.store.Read("g")

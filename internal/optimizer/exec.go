@@ -223,6 +223,7 @@ func (o *Optimizer) joinBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 	rKeep := keptRight(jn.OutCols, len(lCols), rCols)
 	job.Reduce = func(recs []mr.Keyed, out *mr.ReduceOut) {
 		var sides []data.Row // one side split buffer for the partition
+		var rproj []value.V  // and one right-side projection buffer
 		out.EachGroup(recs, func(key string, rows []data.Row) {
 			nl := 0
 			for _, r := range rows {
@@ -242,7 +243,7 @@ func (o *Optimizer) joinBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, err
 					rs = append(rs, r[1+len(lCols):])
 				}
 			}
-			rows, n := joinGroup(ls, rs, rKeep)
+			rows, n := joinGroup(ls, rs, rKeep, &rproj)
 			out.EmitBlock(key, rows, n)
 		})
 	}
@@ -269,8 +270,9 @@ func keptRight(outCols []string, nl int, rCols []string) []int {
 // that retains a single row keeps its whole group's slab alive, and no more
 // than that. The size needs no walk over the output: every left row appears
 // |rs| times, every kept right value |ls| times, and each row carries its
-// 4-byte header.
-func joinGroup(ls, rs []data.Row, rKeep []int) ([]data.Row, int64) {
+// 4-byte header. scratch is the caller's buffer for the right side's
+// projection, reused across groups; the output never aliases it.
+func joinGroup(ls, rs []data.Row, rKeep []int, scratch *[]value.V) ([]data.Row, int64) {
 	n := len(ls) * len(rs)
 	if n == 0 {
 		return nil, 0
@@ -279,7 +281,8 @@ func joinGroup(ls, rs []data.Row, rKeep []int) ([]data.Row, int64) {
 	w := nl + len(rKeep)
 	// Project the right side once, so the cross product below is two copies
 	// per row; the projection doubles as the right-side measurement.
-	rproj := make([]value.V, len(rs)*len(rKeep))
+	rproj := slices.Grow((*scratch)[:0], len(rs)*len(rKeep))[:len(rs)*len(rKeep)]
+	*scratch = rproj
 	var lBytes, rBytes int64
 	for j, r := range rs {
 		dst := rproj[j*len(rKeep) : (j+1)*len(rKeep)]
@@ -508,6 +511,7 @@ func (o *Optimizer) aggUDFBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, e
 				payloads = append(payloads, r[nKeys:])
 			}
 			outVals := d.Reduce(keys, payloads, params)
+			d.CheckReduce(outVals)
 			if outVals == nil {
 				return
 			}

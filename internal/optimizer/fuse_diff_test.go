@@ -251,7 +251,7 @@ func runArm(t testing.TB, f *fixture, w *Work, jobs []*mr.Job, interp bool) ([]*
 	if interp {
 		tally = stripKernels(t, f.opt, w, jobs)
 	}
-	results, err := f.eng.RunSequence(jobs)
+	results, err := runJobs(f.eng, jobs)
 	if err == nil && interp {
 		checkInterpreted(t, results, tally)
 	}

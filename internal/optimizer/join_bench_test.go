@@ -48,7 +48,7 @@ func BenchmarkJoinReduceFanout(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rel, res, err := eng.Run(jobs[0])
+		rel, res, err := runJob(eng, jobs[0])
 		if err != nil {
 			b.Fatal(err)
 		}

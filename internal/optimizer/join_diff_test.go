@@ -267,7 +267,7 @@ func runJoinCase(t *testing.T, jc joinCase, chaos bool, workers, reduceTasks int
 		t.Fatalf("executable: %v", err)
 	}
 	f.store.ResetCounters()
-	rel, res, err := f.eng.Run(jobs[0])
+	rel, res, err := runJob(f.eng, jobs[0])
 	if err != nil {
 		t.Fatalf("run (chaos=%v W=%d R=%d): %v", chaos, workers, reduceTasks, err)
 	}
@@ -380,6 +380,7 @@ func TestJoinGroupClosedFormSize(t *testing.T) {
 		}
 		return rows
 	}
+	var scratch []value.V // shared by every iteration, as by a partition's groups
 	for iter := 0; iter < 300; iter++ {
 		lw, rw := 1+rng.Intn(5), 1+rng.Intn(5)
 		ls, rs := randRows(rng.Intn(8), lw), randRows(rng.Intn(8), rw)
@@ -390,7 +391,7 @@ func TestJoinGroupClosedFormSize(t *testing.T) {
 			}
 		}
 		rng.Shuffle(len(rKeep), func(i, j int) { rKeep[i], rKeep[j] = rKeep[j], rKeep[i] })
-		rows, bytes := joinGroup(ls, rs, rKeep)
+		rows, bytes := joinGroup(ls, rs, rKeep, &scratch)
 		var want []data.Row
 		for _, l := range ls {
 			for _, r := range rs {

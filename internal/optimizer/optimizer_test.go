@@ -3,6 +3,7 @@ package optimizer
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"opportune/internal/cost"
 	"opportune/internal/data"
@@ -68,6 +69,34 @@ func newFixture(t testing.TB, rows int) *fixture {
 	params := cost.DefaultParams()
 	eng := mr.New(st, params)
 	return &fixture{store: st, cat: cat, eng: eng, opt: New(cat, params, expr.NewEvaluator())}
+}
+
+// runJob runs job alone on eng and returns its relation and Result.
+func runJob(eng *mr.Engine, job *mr.Job) (*data.Relation, *mr.Result, error) {
+	rels, run, err := eng.Run(job)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rels[0], run.Results[0], nil
+}
+
+// runJobs runs compiled jobs alone in job order, each output in the store
+// before the next job starts, recording each as it finishes (the failed one
+// included). It returns the successful jobs' results.
+func runJobs(eng *mr.Engine, jobs []*mr.Job) ([]*mr.Result, error) {
+	var results []*mr.Result
+	for _, j := range jobs {
+		start := time.Now()
+		_, run, err := eng.Run(j)
+		if run != nil {
+			eng.RecordJob(run.Results[0], err, time.Since(start).Seconds())
+		}
+		if err != nil {
+			return results, err
+		}
+		results = append(results, run.Results[0])
+	}
+	return results, nil
 }
 
 // winersPlan: per-user wine score sum for active users, thresholded.
@@ -149,7 +178,7 @@ func TestExecuteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := f.eng.RunSequence(jobs)
+	results, err := runJobs(f.eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +233,7 @@ func TestExecuteJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.eng.RunSequence(jobs); err != nil {
+	if _, err := runJobs(f.eng, jobs); err != nil {
 		t.Fatal(err)
 	}
 	out, _ := f.store.Read("joined")
@@ -245,7 +274,7 @@ func TestExecuteGroupAggFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.eng.RunSequence(jobs); err != nil {
+	if _, err := runJobs(f.eng, jobs); err != nil {
 		t.Fatal(err)
 	}
 	out, _ := f.store.Read("gagg")
@@ -283,7 +312,7 @@ func TestRewrittenPlanOverViewIsCheaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := f.eng.RunSequence(jobs)
+	orig, err := runJobs(f.eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +335,7 @@ func TestRewrittenPlanOverViewIsCheaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewr, err := f.eng.RunSequence(jobs2)
+	rewr, err := runJobs(f.eng, jobs2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +364,7 @@ func TestExplodingUDFExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.eng.RunSequence(jobs); err != nil {
+	if _, err := runJobs(f.eng, jobs); err != nil {
 		t.Fatal(err)
 	}
 	out, _ := f.store.Read("wc")

@@ -132,7 +132,7 @@ func TestProbeSelection(t *testing.T) {
 				if !marked && len(probes) > 0 {
 					t.Fatalf("an unmarked delta probed %v", probes)
 				}
-				if _, err := f.eng.RunSequence(jobs); err != nil {
+				if _, err := runJobs(f.eng, jobs); err != nil {
 					t.Fatal(err)
 				}
 				out, err := f.store.Read("out")

@@ -274,7 +274,7 @@ func TestRetentionViewsPinNoMapSideSlab(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.eng.RunSequence(jobs); err != nil {
+			if _, err := runJobs(f.eng, jobs); err != nil {
 				t.Fatal(err)
 			}
 			view, err := f.store.Read("res")

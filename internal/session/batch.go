@@ -99,9 +99,9 @@ type batchUnit struct {
 	consumers []*batchConsumer
 	deps      map[*batchUnit]struct{}
 
-	shared *mr.SharedScanResult
-	err    error
-	done   bool
+	saved int64 // scan bytes the consumers after the first did not read
+	err   error
+	done  bool
 }
 
 // execution is one run of planned queries' jobs: the consumers in rank
@@ -307,33 +307,27 @@ func executeBatch(eng *mr.Engine, units []*batchUnit, parallel int) error {
 	return runUnitsParallel(units[i:], parallel, func(u *batchUnit) { runUnit(eng, u) })
 }
 
-// runUnit executes one unit: a plain engine run for singletons, a shared-
-// scan meta-job otherwise. Neither publishes counters: execute records
-// every consumer that ran, in rank order, once the DAG is done.
+// runUnit executes one unit as one engine run, a shared scan of its
+// consumers (of one, for a singleton). It publishes no counters: execute
+// records every consumer that ran, in rank order, once the DAG is done.
 func runUnit(eng *mr.Engine, u *batchUnit) {
 	t0 := time.Now()
-	if len(u.consumers) == 1 {
-		c := u.consumers[0]
-		_, c.res, c.err = eng.Run(c.job)
-		c.wall = time.Since(t0).Seconds()
-		u.err = c.err
-		return
-	}
 	jobs := make([]*mr.Job, len(u.consumers))
 	for i, c := range u.consumers {
 		jobs[i] = c.job
 	}
-	_, ssr, err := eng.RunSharedScan(jobs)
-	u.shared, u.err = ssr, err
-	if ssr == nil {
+	_, run, err := eng.Run(jobs...)
+	u.err = err
+	if run == nil {
 		return
 	}
+	u.saved = run.SavedBytes
 	wall := time.Since(t0).Seconds() / float64(len(u.consumers))
-	for i, res := range ssr.Results {
+	for i, res := range run.Results {
 		u.consumers[i].res, u.consumers[i].wall = res, wall
 	}
 	if err != nil {
-		u.consumers[len(ssr.Results)-1].err = err
+		u.consumers[len(run.Results)-1].err = err
 	}
 }
 
@@ -433,10 +427,10 @@ func (s *Session) batchStats(st *BatchStats, queries int, x *execution) {
 		}
 	}
 	for _, u := range x.units {
-		if u.shared != nil {
+		if len(u.consumers) > 1 {
 			st.SharedScans++
 			st.SharedScanConsumers += len(u.consumers)
-			st.ScanBytesSaved += u.shared.SavedBytes
+			st.ScanBytesSaved += u.saved
 		}
 	}
 	st.SavedSimSeconds = st.AttributedSimSeconds - st.SimSeconds
@@ -450,7 +444,7 @@ func (s *Session) batchStats(st *BatchStats, queries int, x *execution) {
 	s.Obs.Counter("batch_scan_bytes_saved_total").Add(st.ScanBytesSaved)
 	h := s.Obs.Histogram("batch_shared_scan_fanin", obs.DefFaninBuckets)
 	for _, u := range x.units {
-		if u.shared != nil {
+		if len(u.consumers) > 1 {
 			h.Observe(float64(len(u.consumers)))
 		}
 	}

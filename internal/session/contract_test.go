@@ -243,3 +243,72 @@ func TestPreMapContract(t *testing.T) {
 		}
 	}
 }
+
+// TestReduceContract: an aggregate UDF's Reduce that returns a row of other
+// than len(OutNames) values fails its query with udf.ErrContract through
+// Run and RunBatch at Workers 1 and 4 — instead of dying on the engine's
+// untyped width panic — retains no view for it and leaves no pin. A nil
+// return drops the group and fails nothing.
+func TestReduceContract(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		width int // values Reduce returns for every group; -1 is nil
+	}{
+		{"wide", 2},
+		{"empty", 0},
+		{"nil", -1},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/W%d", tc.name, workers), func(t *testing.T) {
+				s := demo(t, 90)
+				s.Eng.Workers = workers
+				if err := s.Cat.UDFs.Register(&udf.Descriptor{
+					Name: "COUNTS", NArgs: 1, Kind: udf.KindAgg, KeyNames: []string{"u"}, KeyArgs: []int{0},
+					OutNames: []string{"n"}, TrueScalar: 1,
+					Reduce: func(_ []value.V, ps [][]value.V, _ []value.V) []value.V {
+						if tc.width < 0 {
+							return nil
+						}
+						out := make([]value.V, tc.width)
+						for i := range out {
+							out[i] = value.NewInt(int64(len(ps)))
+						}
+						return out
+					},
+				}); err != nil {
+					t.Fatal(err)
+				}
+				p := plan.Apply(plan.Scan("logs"), "COUNTS", []string{"user"})
+				views := len(s.Cat.Views())
+				_, runErr := s.Run(p, "counts", ModeOriginal)
+				_, batchErr := s.RunBatch([]BatchQuery{
+					{Plan: q(), ResultName: "good", Mode: ModeOriginal},
+					{Plan: p, ResultName: "counts_batch", Mode: ModeOriginal},
+				})
+				if tc.width < 0 {
+					if runErr != nil || batchErr != nil {
+						t.Fatalf("a Reduce returning nil failed: Run %v, RunBatch %v", runErr, batchErr)
+					}
+					return
+				}
+				if !errors.Is(runErr, udf.ErrContract) {
+					t.Errorf("Run error %v, want udf.ErrContract", runErr)
+				}
+				if !errors.Is(batchErr, udf.ErrContract) {
+					t.Errorf("RunBatch error %v, want udf.ErrContract", batchErr)
+				}
+				for _, name := range []string{"counts", "counts_batch"} {
+					if _, listed := s.Cat.Table(name); listed || s.Store.Has(name) {
+						t.Errorf("the failed query's result %s was retained", name)
+					}
+				}
+				if got := len(s.Cat.Views()); got != views {
+					t.Errorf("catalog holds %d views after the failures, %d before", got, views)
+				}
+				if pins := s.Store.Pins(); len(pins) != 0 {
+					t.Errorf("pins left behind: %v", pins)
+				}
+			})
+		}
+	}
+}

@@ -80,8 +80,10 @@ func checkProbeVsShuffle(t *testing.T, s *Session, pl *plan.Node, a ivmAppend) i
 					probes += len(j.Probes)
 				}
 			}
-			if _, err := s.Eng.RunSequence(jobs); err != nil {
-				t.Fatalf("delta plan (marked %v): %v", marked, err)
+			for _, j := range jobs {
+				if _, _, err := s.Eng.Run(j); err != nil {
+					t.Fatalf("delta plan (marked %v): %v", marked, err)
+				}
 			}
 			out, err := s.Store.Read(sink)
 			if err != nil {

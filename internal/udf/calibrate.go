@@ -2,6 +2,7 @@ package udf
 
 import (
 	"fmt"
+	"time"
 
 	"opportune/internal/cost"
 	"opportune/internal/data"
@@ -65,11 +66,15 @@ func (r *Registry) Calibrate(engine *mr.Engine, dataset string, d *Descriptor, a
 		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: d.MapOps, Scalar: d.TrueScalar}},
 	}
-	results, err := engine.RunSequence([]*mr.Job{job})
+	start := time.Now()
+	_, run, err := engine.Run(job)
+	if run != nil {
+		engine.RecordJob(run.Results[0], err, time.Since(start).Seconds())
+	}
 	if err != nil {
 		return nil, fmt.Errorf("udf: calibrate %s: %w", d.Name, err)
 	}
-	res := results[0]
+	res := run.Results[0]
 	// Remove calibration scratch datasets; they are not physical design.
 	engine.Store.Delete(sampleName)
 	engine.Store.Delete(job.Output)

@@ -96,6 +96,17 @@ func (d *Descriptor) CheckPreMap(key, payload []value.V) {
 	}
 }
 
+// CheckReduce is CheckMap for a KindAgg UDF's Reduce: a non-nil result has
+// exactly len(OutNames) values (nil drops the group). A violation panics
+// with an error wrapping ErrContract, so the query fails typed instead of
+// materializing a row of the wrong width.
+func (d *Descriptor) CheckReduce(out []value.V) {
+	if out != nil && len(out) != len(d.OutNames) {
+		panic(fmt.Errorf("%w: %s Reduce returned %d values, it declares %d outputs",
+			ErrContract, d.Name, len(out), len(d.OutNames)))
+	}
+}
+
 // PreMapFn is the optional map-side local function of a KindAgg UDF: it
 // turns one input tuple into a (group key, payload) pair, or drops it. The
 // pair is written straight into the shuffle record: len(key) is
@@ -105,7 +116,8 @@ type PreMapFn func(args, params []value.V) (key, payload []value.V, keep bool)
 
 // ReduceFn is the per-group local function of a KindAgg UDF: it receives
 // the group key and all payload rows and returns the aggregate output
-// values (width len(OutNames)), or nil to drop the group.
+// values (width len(OutNames)), or nil to drop the group; any other width
+// fails the query with ErrContract (CheckReduce).
 type ReduceFn func(key []value.V, payloads [][]value.V, params []value.V) []value.V
 
 // Descriptor declares one UDF: executable code plus its model annotation.
