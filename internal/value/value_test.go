@@ -2,6 +2,9 @@ package value
 
 import (
 	"math"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -211,5 +214,37 @@ func TestFloatSpecials(t *testing.T) {
 	}
 	if inf.EncodedSize() != 9 {
 		t.Error("inf size")
+	}
+}
+
+// TestStrCellsKeepTheirBytesAcrossGC: strings built at run time and held only
+// through V cells, beside cells of every other kind, survive collections —
+// the cell's data pointer is what the collector traces — and read back
+// unchanged after memory freed around them has been reused.
+func TestStrCellsKeepTheirBytesAcrossGC(t *testing.T) {
+	const n = 5000
+	build := func(i int) string { return strings.Repeat(strconv.Itoa(i), 1+i%7) + "|" }
+	cells := make([]V, 0, 5*n)
+	for i := 0; i < n; i++ {
+		s := build(i)
+		cells = append(cells, NewStr(s), NewInt(int64(i)), NewStr(s[len(s):]), NewFloat(float64(i)/2), NullV)
+	}
+	for round := 0; round < 3; round++ {
+		runtime.GC()
+		junk := make([]string, n)
+		for i := range junk {
+			junk[i] = strings.Repeat("x", 1+i%40)
+		}
+		runtime.KeepAlive(junk)
+	}
+	runtime.GC()
+	for i := 0; i < n; i++ {
+		c := cells[5*i : 5*i+5]
+		if got, want := c[0].Str(), build(i); got != want {
+			t.Fatalf("cell %d reads %q after GC, want %q", i, got, want)
+		}
+		if c[1].Int() != int64(i) || c[2].Kind() != Str || c[2].Str() != "" || c[3].Float() != float64(i)/2 || !c[4].IsNull() {
+			t.Fatalf("cells beside string %d changed after GC: %v", i, c)
+		}
 	}
 }
