@@ -53,8 +53,9 @@ const (
 // MapFn is the per-tuple local function of a KindMap UDF: it receives the
 // bound argument values and literal parameters and returns zero or more
 // output-value rows (each of width len(OutNames)). Returning no rows drops
-// the tuple (a filter); returning several explodes it, which only a UDF
-// declared Explode may do (CheckMap).
+// the tuple (a filter), which only a UDF declared Filters or Explode may do;
+// returning several explodes it, which only a UDF declared Explode may do
+// (CheckMap).
 type MapFn func(args, params []value.V) [][]value.V
 
 // ErrContract is the error a UDF fails its query with when what it returns
@@ -63,8 +64,10 @@ type MapFn func(args, params []value.V) [][]value.V
 var ErrContract = errors.New("udf contract violated")
 
 // CheckMap enforces a KindMap UDF's declared output shape on one Map result:
-// a UDF not declared Explode returns at most one row, and every row has
-// len(OutNames) values. The fused map kernel, and the row interpreter the
+// a UDF not declared Explode returns at most one row, and at least one
+// unless it is declared Filters, and every row has len(OutNames) values.
+// (Whether a zero-row Explode is a filter under the annotation is still
+// open; it passes.) The fused map kernel, and the row interpreter the
 // tests compare it with, run it after every call. A violation panics
 // with an error wrapping ErrContract: the engine's path for failing user
 // code, which fails the map task and with it the job.
@@ -72,6 +75,10 @@ func (d *Descriptor) CheckMap(outs [][]value.V) {
 	if len(outs) > 1 && !d.Explode {
 		panic(fmt.Errorf("%w: %s returned %d rows for one input but is not declared Explode",
 			ErrContract, d.Name, len(outs)))
+	}
+	if len(outs) == 0 && !d.Filters && !d.Explode {
+		panic(fmt.Errorf("%w: %s returned no row for one input but is not declared Filters",
+			ErrContract, d.Name))
 	}
 	for _, row := range outs {
 		if len(row) != len(d.OutNames) {
