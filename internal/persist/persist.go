@@ -5,8 +5,14 @@
 //
 // Layout under the target directory:
 //
-//	catalog.json       — tables, annotations, stats, FDs, UDF scalars
-//	tables/<name>.tbl  — binary relation data (see data.Relation.Write)
+//	catalog.json            — tables, annotations, stats, FDs, UDF scalars
+//	tables/<name>.g<n>.tbl  — binary relation data (see data.Relation.Write)
+//
+// A save is crash-atomic: catalog.json is the commit record. Save writes
+// every table to a file the catalog in place does not name, syncs it,
+// then replaces catalog.json through a synced temporary file and a
+// rename, and only then removes the files the replaced catalog named. A
+// save that stops at any point leaves the previous one readable.
 //
 // UDF code cannot be persisted; callers re-register the same UDF library
 // after Open, and the saved calibration scalars are re-applied to matching
@@ -16,8 +22,11 @@ package persist
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
@@ -88,6 +97,17 @@ type tableDTO struct {
 	// for base tables and in catalogs written before plans were persisted
 	// (those views invalidate on append, the old behavior).
 	Plan *planDTO `json:"plan,omitempty"`
+	// File is the table's data file under tables/. Empty in catalogs
+	// written before saves were crash-atomic, whose files are <name>.tbl.
+	File string `json:"file,omitempty"`
+}
+
+// file is the name of the table's data file under tables/.
+func (t *tableDTO) file() string {
+	if t.File == "" {
+		return t.Name + ".tbl"
+	}
+	return t.File
 }
 
 // aggDTO is one aggregate spec of a persisted GroupAgg node.
@@ -313,11 +333,14 @@ func planFromDTO(d planDTO) (*plan.Node, error) {
 }
 
 // Save writes the session's datasets and catalog under dir (created if
-// needed). UDF calibration scalars are saved by name.
+// needed). UDF calibration scalars are saved by name. If Save fails, the
+// save dir held before (if any) still opens as it was.
 func Save(s *session.Session, dir string) error {
-	if err := os.MkdirAll(filepath.Join(dir, "tables"), 0o755); err != nil {
+	tables := filepath.Join(dir, "tables")
+	if err := os.MkdirAll(tables, 0o755); err != nil {
 		return err
 	}
+	old := savedFiles(dir)
 	cat := catalogDTO{Version: 1, UDFScalars: map[string]float64{}}
 	for _, name := range s.Cat.UDFs.Names() {
 		if d, ok := s.Cat.UDFs.Get(name); ok && d.Scalar > 0 {
@@ -328,6 +351,7 @@ func Save(s *session.Session, dir string) error {
 		cat.FDs = append(cat.FDs, fdDTO{From: from, To: to})
 	})
 	plans := s.ViewPlans()
+	var rels []*data.Relation
 	for _, kind := range []storage.Kind{storage.Base, storage.View} {
 		for _, name := range s.Store.List(kind) {
 			info, ok := s.Cat.Table(name)
@@ -352,24 +376,120 @@ func Save(s *session.Session, dir string) error {
 				dto.Plan = &pd
 			}
 			cat.Tables = append(cat.Tables, dto)
-			f, err := os.Create(filepath.Join(dir, "tables", name+".tbl"))
-			if err != nil {
-				return err
-			}
-			err = ds.Relation().Write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("persist: writing %s: %w", name, err)
-			}
+			rels = append(rels, ds.Relation())
 		}
+	}
+	// Generation g names every file of this save <name>.g<g>.tbl; take the
+	// first g none of whose names the catalog in place references.
+	for g := 1; ; g++ {
+		clash := false
+		for i := range cat.Tables {
+			cat.Tables[i].File = cat.Tables[i].Name + ".g" + strconv.Itoa(g) + ".tbl"
+			clash = clash || old[cat.Tables[i].File]
+		}
+		if !clash {
+			break
+		}
+	}
+	for i, t := range cat.Tables {
+		if err := writeSynced(filepath.Join(tables, t.File), rels[i].Write); err != nil {
+			return fmt.Errorf("persist: writing %s: %w", t.Name, err)
+		}
+	}
+	if err := syncDir(tables); err != nil {
+		return err
 	}
 	b, err := json.MarshalIndent(cat, "", " ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "catalog.json"), b, 0o644)
+	tmp := filepath.Join(dir, "catalog.json.tmp")
+	if err := writeSynced(tmp, func(w io.Writer) error { _, err := w.Write(b); return err }); err != nil {
+		return fmt.Errorf("persist: writing catalog: %w", err)
+	}
+	if err := commit(tmp, filepath.Join(dir, "catalog.json")); err != nil {
+		return fmt.Errorf("persist: committing catalog: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		return err
+	}
+	// Committed. A file the replaced catalog named and this one does not
+	// is garbage now; one left behind by a failed removal costs only space.
+	for f := range old {
+		if !slices.ContainsFunc(cat.Tables, func(t tableDTO) bool { return t.File == f }) {
+			_ = os.Remove(filepath.Join(tables, f))
+		}
+	}
+	return nil
+}
+
+// failWrite is a test seam: when set, it runs before each step of Save
+// that writes (each table file, the catalog's temporary file, its rename),
+// and a non-nil result fails the step as a crash there would stop it.
+var failWrite func(path string) error
+
+// writeSynced creates path, fills it with write, and syncs and closes it.
+func writeSynced(path string, write func(io.Writer) error) error {
+	if failWrite != nil {
+		if err := failWrite(path); err != nil {
+			return err
+		}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// commit renames the synced catalog into place: the save's commit point.
+func commit(tmp, path string) error {
+	if failWrite != nil {
+		if err := failWrite(path); err != nil {
+			return err
+		}
+	}
+	return os.Rename(tmp, path)
+}
+
+// syncDir makes the directory entries created or renamed in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// savedFiles is the set of data files the catalog in dir references: none
+// when there is no catalog, or one Open could not read either.
+func savedFiles(dir string) map[string]bool {
+	files := map[string]bool{}
+	b, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		return files
+	}
+	var cat catalogDTO
+	if json.Unmarshal(b, &cat) != nil {
+		return files
+	}
+	for _, t := range cat.Tables {
+		if f := t.file(); filepath.Base(f) == f {
+			files[f] = true
+		}
+	}
+	return files
 }
 
 // Open restores a session from dir. UDFs must be re-registered by the
@@ -388,7 +508,11 @@ func Open(dir string, params cost.Params) (*session.Session, *Saved, error) {
 	}
 	s := session.New(params)
 	for _, t := range cat.Tables {
-		f, err := os.Open(filepath.Join(dir, "tables", t.Name+".tbl"))
+		name := t.file()
+		if filepath.Base(name) != name {
+			return nil, nil, fmt.Errorf("persist: %s: data file %q is not a name under tables/", t.Name, name)
+		}
+		f, err := os.Open(filepath.Join(dir, "tables", name))
 		if err != nil {
 			return nil, nil, err
 		}
