@@ -38,9 +38,6 @@ func (s *Schema) Len() int { return len(s.cols) }
 // Cols returns the column names in order. The caller must not mutate it.
 func (s *Schema) Cols() []string { return s.cols }
 
-// Col returns the name of column i.
-func (s *Schema) Col(i int) string { return s.cols[i] }
-
 // Index returns the position of a column and whether it exists.
 func (s *Schema) Index(name string) (int, bool) {
 	i, ok := s.idx[name]
@@ -327,27 +324,6 @@ func KeyPrefix(key string, cols int) (string, bool) {
 		}
 	}
 	return key[:pos], true
-}
-
-// GroupBy partitions rows by the values of the named columns, returning a
-// map from group key to row indexes, plus the ordered list of keys (order of
-// first appearance, for determinism).
-func (rel *Relation) GroupBy(cols ...string) (map[string][]int, []string) {
-	idxs := make([]int, len(cols))
-	for i, c := range cols {
-		idxs[i] = rel.schema.MustIndex(c)
-	}
-	groups := make(map[string][]int)
-	var order []string
-	var enc KeyEncoder
-	for i, r := range rel.rows {
-		k := enc.Key(r, idxs)
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	return groups, order
 }
 
 // DistinctCount returns the number of distinct values in the named column.

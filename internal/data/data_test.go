@@ -407,3 +407,27 @@ func TestRelationExtendConcurrentReader(t *testing.T) {
 	<-done
 	checkIDs(t, "final relation", rel, (appends+1)*batch)
 }
+
+// Col returns the name of column i.
+func (s *Schema) Col(i int) string { return s.cols[i] }
+
+// GroupBy partitions rows by the values of the named columns, returning a
+// map from group key to row indexes, plus the ordered list of keys (order of
+// first appearance, for determinism).
+func (rel *Relation) GroupBy(cols ...string) (map[string][]int, []string) {
+	idxs := make([]int, len(cols))
+	for i, c := range cols {
+		idxs[i] = rel.schema.MustIndex(c)
+	}
+	groups := make(map[string][]int)
+	var order []string
+	var enc KeyEncoder
+	for i, r := range rel.rows {
+		k := enc.Key(r, idxs)
+		if _, seen := groups[k]; !seen {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], i)
+	}
+	return groups, order
+}
