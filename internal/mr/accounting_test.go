@@ -272,7 +272,6 @@ func probeCount(failures int) *Job {
 		}),
 		OutputSchema: data.NewSchema("class", "count"),
 		Output:       "pc",
-		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 		ReduceCost:   []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
 	}
@@ -386,7 +385,6 @@ func TestMapOnlySchemaMismatchFails(t *testing.T) {
 		MapOutSchema: data.NewSchema("id"),
 		OutputSchema: data.NewSchema("id", "extra"), // width mismatch
 		Output:       "bad",
-		OutputKind:   storage.View,
 	}
 	_, _, err := runOne(e, job)
 	if err == nil || !strings.Contains(err.Error(), "map-only") {

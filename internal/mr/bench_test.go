@@ -135,14 +135,14 @@ func BenchmarkMaterializeLarge(b *testing.B) {
 		Name: "bench-materialize", Inputs: []string{"bench_in"},
 		BatchMapFactory: perRow(func(_ int, r data.Row, emit Emit) { emit("", r) }),
 		MapOutSchema:    schema, OutputSchema: schema,
-		Output: "bench_big", OutputKind: storage.View,
+		Output:  "bench_big",
 		MapCost: []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 	}
 	consume := &Job{
 		Name: "bench-consume", Inputs: []string{"bench_big"},
 		BatchMapFactory: perRow(func(int, data.Row, Emit) {}),
 		MapOutSchema:    schema, OutputSchema: schema,
-		Output: "bench_none", OutputKind: storage.View,
+		Output:  "bench_none",
 		MapCost: []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 	}
 	e := New(st, cost.DefaultParams())

@@ -8,7 +8,6 @@ import (
 
 	"opportune/internal/cost"
 	"opportune/internal/data"
-	"opportune/internal/storage"
 	"opportune/internal/value"
 )
 
@@ -61,7 +60,6 @@ func TestCarriedSizesMatchAWalk(t *testing.T) {
 					MapOutSchema: schema,
 					OutputSchema: schema,
 					Output:       "carried_out",
-					OutputKind:   storage.View,
 					BatchMapFactory: func(TaskCtx) BatchMapFunc {
 						var enc data.KeyEncoder
 						return batchOf(func(_ int, r data.Row, emit Emit) {
@@ -88,12 +86,12 @@ func TestCarriedSizesMatchAWalk(t *testing.T) {
 				if v.combine {
 					// Keeps the first and the last row of each task-local
 					// group: the shuffle must carry the combined records' size.
-					job.Combine = rowCombine(func(_ string, rs []data.Row, emit func(data.Row)) {
+					combineInMap(job, rowCombine(func(_ string, rs []data.Row, emit func(data.Row)) {
 						emit(rs[0])
 						if len(rs) > 1 {
 							emit(rs[len(rs)-1])
 						}
-					})
+					}))
 				}
 				if v.local {
 					job.PartitionKeyCols, job.PartitionParts = 1, 8

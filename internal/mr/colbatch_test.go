@@ -175,7 +175,6 @@ func batchEchoJob() *Job {
 		MapOutSchema: schema,
 		OutputSchema: schema,
 		Output:       "batch_out",
-		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 	}
 }

@@ -41,13 +41,12 @@ type BatchMapFunc func(input int, rows []data.Row, emit Emit) BatchReport
 
 // BatchReport is one batch map task's combine report.
 type BatchReport struct {
-	// Combined is true when the batch kernel fused across the shuffle
-	// boundary: its emissions are already combined per key (one record per
-	// group in first-seen order), so the engine must not run the job's
-	// Combine over them again. CombineRows then carries the pre-combine row
-	// count — what Result.CombineRows would have tallied had Combine run
-	// over the per-row records — keeping combine accounting identical
-	// whichever side of the shuffle combined.
+	// Combined is true when the batch map combined its own split: its
+	// emissions are one record per key (first-seen order), the map-side
+	// combine of a group-by, whose compiled map kernel folds the split
+	// straight into group partials. CombineRows then carries the
+	// pre-combine row count, the rows the fold consumed, which the engine
+	// adds to Result.CombineRows when the task emitted anything.
 	Combined    bool
 	CombineRows int64
 }
@@ -182,14 +181,13 @@ func (o *ReduceOut) EachGroup(recs []Keyed, fn func(key string, rows []data.Row)
 // batch function, so the map side has nothing to classify). Every keyed job
 // is eligible; FusedReduce marks one whose combine and reduce compiled into
 // columnar agg kernels, and FusedReduceFallback carries the single reason
-// (one of the Fuse* constants) of any other keyed job. FusedCrossBoundary
-// additionally marks a job whose map kernel was fused *through* the
-// shuffle boundary into the combine fold. Purely observational: the engine
-// publishes it, never executes differently for it.
+// (one of the Fuse* constants) of any other keyed job. A FusedReduce job's
+// map kernel also runs the combine fold, through the shuffle boundary.
+// Purely observational: the engine publishes it, never executes
+// differently for it.
 type Fusion struct {
 	FusedReduce         bool
 	FusedReduceFallback string
-	FusedCrossBoundary  bool
 }
 
 // Job is one MR job: map over the inputs, optional shuffle+reduce, output
@@ -213,14 +211,6 @@ type Job struct {
 
 	Fusion // the optimizer's fusion classification
 
-	// Combine, when set on a keyed job, is the map-side combiner (the
-	// classic MR combiner, compiled): it folds one map task's emissions per
-	// key before the shuffle, appending one combined record per key to
-	// scratch (pooled, handed over empty) in first-emission order, and
-	// returns them with the pre-combine row count. It must be algebraic:
-	// reducing the combined records must equal reducing the raw ones.
-	Combine func(in, scratch []Keyed) (combined []Keyed, combineRows int64)
-
 	// Reduce is the reduce kernel; a job without one is map-only. It gets
 	// one whole reduce partition, recs in partition scan order (each key's
 	// records in map-emission order), which it may reorder in place, and
@@ -231,11 +221,11 @@ type Job struct {
 	Reduce       func(recs []Keyed, out *ReduceOut)
 	OutputSchema *data.Schema // schema of the materialized output
 
-	Output     string       // dataset name to materialize as
-	OutputKind storage.Kind // normally storage.View
+	Output string // dataset name to materialize as (a storage.View)
 
 	// Costing metadata: local-function descriptors for the simulated CPU
-	// time of this job's map, combine, and reduce sides.
+	// time of this job's map, combine, and reduce sides. A keyed job with a
+	// CombineCost (a group-by: its map kernel combines) gets a combine span.
 	MapCost     []cost.LocalFn
 	CombineCost []cost.LocalFn
 	ReduceCost  []cost.LocalFn
@@ -321,8 +311,8 @@ type Result struct {
 	FusedRows    int64
 
 	// Reduce-side fusion observability, same wall-clock-only contract.
-	// FusedCombineBatches counts map tasks whose output was combined (by
-	// Combine or by a cross-boundary map kernel); FusedReduceGroups and
+	// FusedCombineBatches counts map tasks that emitted combined records
+	// (BatchReport.Combined); FusedReduceGroups and
 	// FusedReduceRows count the output runs sealed and records reduced by a
 	// FusedReduce job's kernel. All folded in split / partition order over
 	// disjoint data, so the tallies are independent of Workers and
@@ -657,8 +647,8 @@ func (e *Engine) attempt(job *Job, read **inputRead, first bool, res *Result, as
 		accrued += probeSim
 	}
 	msp.AddSim(e.Params.FnsSeconds(job.MapCost, res.InputRows))
-	if job.Combine != nil && job.keyed() {
-		// Combiners run inside map tasks: their wall-clock is folded into
+	if job.keyed() && len(job.CombineCost) > 0 {
+		// The combine runs inside map tasks: its wall-clock is folded into
 		// the map span, only the simulated seconds are reported separately.
 		csp := msp.Child("combine")
 		csp.AddSim(e.Params.FnsSeconds(job.CombineCost, res.CombineRows))
@@ -708,7 +698,7 @@ func (e *Engine) attempt(job *Job, read **inputRead, first bool, res *Result, as
 	res.OutputBytes = out.EncodedSize()
 
 	// Materialize (every job output is retained: opportunistic views).
-	e.Store.Put(job.Output, job.OutputKind, out)
+	e.Store.Put(job.Output, storage.View, out)
 	if len(job.OutputPartSigs) > 0 && job.OutputPartParts > 0 {
 		e.Store.SetPartitioning(job.Output, job.OutputPartSigs, job.OutputPartParts)
 	}
@@ -767,8 +757,9 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 	reg.Counter("mr_fused_rows_total").Add(res.FusedRows)
 	// Reduce-side fusion family, same unconditional-recording contract:
 	// every keyed job is reduce-eligible; per job, reduce-eligible ==
-	// reduce-fused + Σ fallback{reason}, and cross-boundary jobs are a
-	// subset of reduce-fused jobs.
+	// reduce-fused + Σ fallback{reason}. Every reduce-fused job's map
+	// kernel combines across the boundary, so the cross-boundary count
+	// repeats the reduce-fused one.
 	relig, rjobs := res.KeyedJob, res.KeyedJob && res.FusedReduce
 	reg.Counter("mr_fused_reduce_eligible_total").Add(one(relig))
 	reg.Counter("mr_fused_reduce_jobs_total").Add(one(rjobs))
@@ -776,7 +767,7 @@ func (e *Engine) RecordJob(res *Result, err error, wallSeconds float64) {
 		v := one(relig && !rjobs && res.FusedReduceFallback == reason)
 		reg.Counter("mr_fused_reduce_fallback_total", "reason", reason).Add(v)
 	}
-	reg.Counter("mr_fused_reduce_crossboundary_jobs_total").Add(one(res.FusedCrossBoundary))
+	reg.Counter("mr_fused_reduce_crossboundary_jobs_total").Add(one(rjobs))
 	reg.Counter("mr_fused_reduce_batches_total").Add(res.FusedCombineBatches)
 	reg.Counter("mr_fused_reduce_groups_total").Add(res.FusedReduceGroups)
 	reg.Counter("mr_fused_reduce_rows_total").Add(res.FusedReduceRows)
@@ -827,13 +818,12 @@ type mapSplit struct {
 // mapTaskOut is what one map task produced: its (possibly combined)
 // emissions in emission order and their encoded size (Σ row.EncodedSize() +
 // len(key), summed by the task itself so nothing downstream walks the
-// records again), the rows its combiner consumed, the batch map's combine
-// report, and whether its output was combined.
+// records again), the rows its map-side combine consumed, and whether its
+// output was combined.
 type mapTaskOut struct {
 	out         []Keyed
 	bytes       int64
 	combineRows int64
-	batch       BatchReport
 	combined    bool
 
 	probeRows, probeBytes int64 // what the task's index lookups matched
@@ -882,11 +872,11 @@ func (e *Engine) readInputs(job *Job) (*inputRead, error) {
 	return in, nil
 }
 
-// runMapTask maps one split through the job's batch map function, then (for
-// reduce jobs with a combiner) merges the split's emissions per key before
-// they enter the shuffle, so shuffle volume reflects the combined output
-// (the point of combiners). Key order within the task is first-emission
-// order, matching serial execution.
+// runMapTask maps one split through the job's batch map function,
+// counting each emission's bytes as it arrives. A batch that reports
+// Combined (a group-by's kernel) emitted its split already combined per key;
+// the task takes the pre-combine row count from the report when it emitted
+// anything.
 func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 	ctx := sp.ctx
 	for _, ix := range ixs { // the attempt's own handles on the job's indexes
@@ -894,47 +884,25 @@ func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 	}
 	out := getKeyedBuf(len(sp.rows))
 	keyed := job.keyed()
-	combines := job.Combine != nil && keyed
 	emit := func(key string, r data.Row) {
 		if len(r) != job.MapOutSchema.Len() {
 			panic(fmt.Sprintf("mr: job %q map emitted width %d, schema %s", job.Name, len(r), job.MapOutSchema))
 		}
-		if !combines { // a combiner's input never reaches the shuffle
-			t.bytes += int64(r.EncodedSize())
-			if keyed { // a map-only job's key is ignored
-				t.bytes += int64(len(key))
-			}
+		t.bytes += int64(r.EncodedSize())
+		if keyed { // a map-only job's key is ignored
+			t.bytes += int64(len(key))
 		}
 		out = append(out, Keyed{key, r})
 	}
-	t.batch = job.BatchMapFactory(ctx)(ctx.Input, sp.rows, emit)
+	rep := job.BatchMapFactory(ctx)(ctx.Input, sp.rows, emit)
 	for _, p := range ctx.Probes {
 		t.probeRows += p.rows
 		t.probeBytes += p.bytes
 	}
 	t.out = out
-	if combines && len(t.out) > 0 {
-		combineMapOutput(job, t)
-		for _, kr := range t.out {
-			t.bytes += int64(kr.Row.EncodedSize() + len(kr.Key))
-		}
+	if rep.Combined && len(out) > 0 {
+		t.combined, t.combineRows = true, rep.CombineRows
 	}
-}
-
-// combineMapOutput replaces one map task's emissions with their per-key
-// combination, in first-emission key order.
-func combineMapOutput(job *Job, t *mapTaskOut) {
-	t.combined = true
-	if t.batch.Combined {
-		// Cross-boundary kernel: the batch map already emitted combined
-		// records per key, with the pre-combine row count in the report so
-		// combine accounting matches Combine over per-row records exactly.
-		t.combineRows = t.batch.CombineRows
-		return
-	}
-	combined, rows := job.Combine(t.out, getKeyedBuf(len(t.out)))
-	putKeyedBuf(t.out)
-	t.out, t.combineRows = combined, rows
 }
 
 // validateJob checks the static requirements execution relies on, and that

@@ -113,7 +113,6 @@ func wordCountJob() *Job {
 		Reduce:       perGroup(sumReduce),
 		OutputSchema: data.NewSchema("word", "count"),
 		Output:       "wc",
-		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 		ReduceCost:   []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
 	}
@@ -128,19 +127,38 @@ func sumReduce(key string, rows []data.Row, out *ReduceOut) {
 	out.Emit(key, data.Row{rows[0][0], value.NewInt(sum)})
 }
 
-// rowCombine adapts a per-key row fold to the Job.Combine hook: it groups
-// one map task's records per key in first-emission order and appends what
-// fold emits for each key, under that key, to scratch.
-func rowCombine(fold func(key string, rows []data.Row, emit func(data.Row))) func(in, scratch []Keyed) ([]Keyed, int64) {
-	return func(in, scratch []Keyed) ([]Keyed, int64) {
+// combineInMap makes job combine inside its batch map, the way a group-by's
+// compiled map kernel does: each task's emissions go through combine before
+// they reach the engine, and the task reports Combined with the rows
+// combine consumed.
+func combineInMap(job *Job, combine func(in []Keyed) []Keyed) {
+	factory := job.BatchMapFactory
+	job.BatchMapFactory = func(ctx TaskCtx) BatchMapFunc {
+		m := factory(ctx)
+		return func(input int, rows []data.Row, emit Emit) BatchReport {
+			var in []Keyed
+			m(input, rows, func(key string, r data.Row) { in = append(in, Keyed{key, r}) })
+			for _, kr := range combine(in) {
+				emit(kr.Key, kr.Row)
+			}
+			return BatchReport{Combined: true, CombineRows: int64(len(in))}
+		}
+	}
+}
+
+// rowCombine adapts a per-key row fold to combineInMap: it groups one map
+// task's records per key in first-emission order and returns what fold
+// emits for each key, under that key.
+func rowCombine(fold func(key string, rows []data.Row, emit func(data.Row))) func(in []Keyed) []Keyed {
+	return func(in []Keyed) (out []Keyed) {
 		g := getGrouper(len(in))
 		defer g.release()
 		g.build(in)
 		for id := int32(0); id < int32(g.len()); id++ {
 			key := g.keys[id]
-			fold(key, g.rows(id), func(r data.Row) { scratch = append(scratch, Keyed{key, r}) })
+			fold(key, g.rows(id), func(r data.Row) { out = append(out, Keyed{key, r}) })
 		}
-		return scratch, int64(len(in))
+		return out
 	}
 }
 
@@ -208,7 +226,6 @@ func TestMapOnlyJob(t *testing.T) {
 		MapOutSchema: schema,
 		OutputSchema: schema,
 		Output:       "ids",
-		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 	}
 	out, res, err := runOne(e, job)
@@ -264,7 +281,6 @@ func TestMultiInputCoGroupJoin(t *testing.T) {
 		}),
 		OutputSchema: data.NewSchema("uid", "name", "city"),
 		Output:       "joined",
-		OutputKind:   storage.View,
 	}
 	out, _, err := runOne(e, job)
 	if err != nil {
@@ -330,7 +346,6 @@ func TestRunSequenceAndAggregate(t *testing.T) {
 		MapOutSchema: filterSchema,
 		OutputSchema: filterSchema,
 		Output:       "popular",
-		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpFilter}, Scalar: 1}},
 	}
 	results, err := runSequence(e, wc, filter)

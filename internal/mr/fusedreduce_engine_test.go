@@ -11,32 +11,33 @@ import (
 	"opportune/internal/value"
 )
 
-// combineWordsJob is wordCountJob plus a combiner. The reference arm
-// (kernels=false) combines through rowCombine and reduces per group through
-// ReduceOut.EachGroup; the kernel arm, stamped FusedReduce, replaces both
-// with hand-written Combine and Reduce kernels that honor the engine
-// contract (first-emission combine order, ascending reduce order) without
-// the grouper. The two must be indistinguishable in output AND accounting.
+// combineWordsJob is wordCountJob plus a map-side combine. The reference
+// arm (kernels=false) combines in its batch map through rowCombine and
+// reduces per group through ReduceOut.EachGroup; the kernel arm, stamped
+// FusedReduce, replaces both with hand-written combine and Reduce kernels
+// that honor the engine contract (first-emission combine order, ascending
+// reduce order) without the grouper. The two must be indistinguishable in
+// output AND accounting.
 func combineWordsJob(kernels bool) *Job {
 	j := wordCountJob()
 	j.CombineCost = j.ReduceCost
 	if !kernels {
-		j.Combine = sumCombine
+		combineInMap(j, sumCombine)
 		return j
 	}
 	j.FusedReduce = true
-	j.Combine = func(in, scratch []Keyed) ([]Keyed, int64) {
+	combineInMap(j, func(in []Keyed) (out []Keyed) {
 		idx := map[string]int{}
 		for _, rec := range in {
 			if g, ok := idx[rec.Key]; ok {
-				scratch[g].Row[1] = value.NewInt(scratch[g].Row[1].Int() + rec.Row[1].Int())
+				out[g].Row[1] = value.NewInt(out[g].Row[1].Int() + rec.Row[1].Int())
 				continue
 			}
-			idx[rec.Key] = len(scratch)
-			scratch = append(scratch, Keyed{Key: rec.Key, Row: data.Row{rec.Row[0], rec.Row[1]}})
+			idx[rec.Key] = len(out)
+			out = append(out, Keyed{Key: rec.Key, Row: data.Row{rec.Row[0], rec.Row[1]}})
 		}
-		return scratch, int64(len(in))
-	}
+		return out
+	})
 	j.Reduce = func(recs []Keyed, out *ReduceOut) {
 		sums := map[string]int64{}
 		for _, rec := range recs {
@@ -79,8 +80,8 @@ func runCombineWords(t *testing.T, kernels bool) (*data.Relation, *Result, map[s
 	return out, res, reg.Snapshot().Counters
 }
 
-// TestFusedReduceKernelParity pins the kernel contract: a Combine kernel
-// and a FusedReduce job's Reduce kernel replace the grouped row fold and
+// TestFusedReduceKernelParity pins the kernel contract: a combining map
+// kernel and a FusedReduce job's Reduce kernel replace the grouped row fold and
 // the per-group reference with identical output, identical CombineRows
 // accounting (mr_combine_rows_total must not move) and identical simulated
 // time; only the fused job's work is tallied in

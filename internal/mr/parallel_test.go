@@ -37,7 +37,7 @@ func runWithWorkers(t testing.TB, workers, reduceTasks, rows int) (*data.Relatio
 	e := New(st, params)
 	e.Workers = workers
 	job := wordCountJob()
-	job.Combine = sumCombine
+	combineInMap(job, sumCombine)
 	job.CombineCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
 	out, res, err := runOne(e, job)
 	if err != nil {
@@ -87,7 +87,6 @@ func TestParallelMapOnlyDeterminism(t *testing.T) {
 			MapOutSchema: schema,
 			OutputSchema: schema,
 			Output:       "lens",
-			OutputKind:   storage.View,
 			MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 		}
 		out, _, err := runOne(e, job)
@@ -138,7 +137,6 @@ func TestMapFactoryTaskCtx(t *testing.T) {
 			MapOutSchema: schema,
 			OutputSchema: schema,
 			Output:       "tags",
-			OutputKind:   storage.View,
 			MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 		}
 		out, _, err := runOne(e, job)
@@ -241,7 +239,6 @@ func TestRunSequenceParallelAggregates(t *testing.T) {
 			Reduce:       perGroup(sumReduce),
 			OutputSchema: data.NewSchema("len", "total"),
 			Output:       "lens_by_count",
-			OutputKind:   storage.View,
 			MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}},
 			ReduceCost:   []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}},
 		}

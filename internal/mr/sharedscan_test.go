@@ -25,7 +25,6 @@ func projectJob() *Job {
 		MapOutSchema: schema,
 		OutputSchema: schema,
 		Output:       "ids",
-		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: []cost.OpType{cost.OpFilter}, Scalar: 1}},
 	}
 }

@@ -29,13 +29,10 @@ func TestCombinerShrinksShuffleSameResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		if strip {
-			// Without a combiner the map side emits one partial per row: the
-			// cross kernel, which folds them on the map side, gives way to
-			// the row interpreter.
-			stripKernels(t, f.opt, w, jobs)
-			for _, job := range jobs {
-				job.Combine = nil
-			}
+			// Without a map-side combine the map side emits one partial per
+			// row: the compiled kernel, which folds them on the map side,
+			// gives way to the reference arm with its combine left out.
+			stripJobs(t, f.opt, w, jobs, false)
 		}
 		results, err := runJobs(f.eng, jobs)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"opportune/internal/data"
 	"opportune/internal/mr"
 	"opportune/internal/plan"
-	"opportune/internal/storage"
 	"opportune/internal/udf"
 	"opportune/internal/value"
 )
@@ -59,14 +58,15 @@ func (s *rowSlab) next(w int) data.Row {
 }
 
 // rowEmit forwards one program-output row into the job's shuffle/output
-// boundary: key building, side tagging, partial-state construction. The
-// fused kernel and the row interpreter the oracles run (interp_test.go)
-// both produce boundary-input rows and hand them to the same rowEmit, so the
-// two emit byte-identical streams by construction. A boundary that builds
-// its own record (join, group-agg, agg-UDF) writes it straight into its
-// per-task slab and may be handed a scratch row, valid for the call; a
-// pass-through boundary (sort, map-only) emits the row itself, so its
-// producers hand it rows to keep (retain).
+// boundary: key building, side tagging. The fused kernel and the row
+// interpreter the oracles run (interp_test.go) both produce boundary-input
+// rows and hand them to the same rowEmit, so the two emit byte-identical
+// streams by construction. A boundary that builds its own record (join,
+// agg-UDF) writes it straight into its per-task slab and may be handed a
+// scratch row, valid for the call; a pass-through boundary (sort, map-only)
+// emits the row itself, so its producers hand it rows to keep (retain). A
+// group-by has no rowEmit: its map kernel folds the program's output
+// straight into group partials (batchCross).
 type rowEmit func(input int, row data.Row, emit mr.Emit)
 
 // boundaryFactory instantiates per-task boundary state (the key encoder and
@@ -79,17 +79,17 @@ func passThrough(mr.TaskCtx) rowEmit {
 	return func(_ int, row data.Row, emit mr.Emit) { emit("", row) }
 }
 
-// attachMapSide wires a job's batch map side — every job has one. With a
-// cross-boundary agg kernel (every single-stream group-agg) the batch map
-// runs the program and folds its surviving selection straight into the
-// group partials, emitting already-combined records. Otherwise it runs each
-// stream's program into its boundary emitter.
-func (o *Optimizer) attachMapSide(job *mr.Job, progs []*fusedProg, bf boundaryFactory, retain bool, cross *aggKernel) {
-	if cross != nil {
+// attachMapSide wires a job's batch map side — every job has one. For a
+// group-by (agg, its kernel) the batch map runs the program and folds its
+// surviving selection straight into the group partials, emitting the
+// split's combined records. Otherwise it runs each stream's program into
+// its boundary emitter.
+func (o *Optimizer) attachMapSide(job *mr.Job, progs []*fusedProg, bf boundaryFactory, retain bool, agg *aggKernel) {
+	if agg != nil {
 		job.BatchMapFactory = func(ctx mr.TaskCtx) mr.BatchMapFunc {
 			return func(input int, rows []data.Row, emit mr.Emit) mr.BatchReport {
 				b := runFusedStages(progs[input], rows, ctx)
-				n := cross.batchCross(progs[input], &b, emit)
+				n := agg.batchCross(progs[input], &b, emit)
 				b.release()
 				return mr.BatchReport{Combined: true, CombineRows: n}
 			}
@@ -112,7 +112,6 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 	job := &mr.Job{
 		Name:         fmt.Sprintf("job%d-%s", jn.Index, boundary.Kind),
 		Output:       outName,
-		OutputKind:   storage.View,
 		OutputSchema: data.NewSchema(jn.OutCols...),
 		// Cardinality hint from the estimator: pre-size only, the engine
 		// never lets it affect results or accounting. Every group holds at
@@ -142,14 +141,14 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 	if err != nil {
 		return nil, err
 	}
-	cross := o.classifyReduceFusion(jn, job, agg)
-	o.attachMapSide(job, progs, bf, retain, cross)
+	classifyReduceFusion(jn, job, agg)
+	o.attachMapSide(job, progs, bf, retain, agg)
 	return job, nil
 }
 
 // boundaryOf compiles a job's boundary onto job (its map output schema,
 // reduce side and their costs) and returns the per-task emitter the map
-// side feeds, the group-agg kernel when there is one, and whether the
+// side feeds, or for a group-by its agg kernel instead, and whether the
 // emitter keeps the rows it is handed (a pass-through: map-only or sort).
 func (o *Optimizer) boundaryOf(jn *JobNode, job *mr.Job) (boundaryFactory, *aggKernel, bool, error) {
 	boundary := jn.Logical
@@ -165,7 +164,7 @@ func (o *Optimizer) boundaryOf(jn *JobNode, job *mr.Job) (boundaryFactory, *aggK
 	case plan.KindJoin:
 		bf, err = o.joinBoundary(jn, job)
 	case plan.KindGroupAgg:
-		bf, agg, err = o.groupAggBoundary(jn, job)
+		agg, err = o.groupAggBoundary(jn, job)
 	case plan.KindUDF:
 		bf, err = o.aggUDFBoundary(jn, job)
 	case plan.KindSort:
@@ -308,18 +307,18 @@ func joinGroup(ls, rs []data.Row, rKeep []int, scratch *[]value.V) ([]data.Row, 
 }
 
 // groupAggBoundary compiles a group-by with built-in aggregates as a
-// two-phase aggregation: the map side emits per-row partial states, the
-// combine kernel merges partials within each map split (shrinking the
-// shuffle), and the reduce kernel merges and finalizes (fusereduce.go). All
-// built-ins are algebraic (AVG decomposes into sum+count partials).
-func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory, *aggKernel, error) {
+// two-phase aggregation: the map kernel folds each split into one partial
+// record per group (the map-side combine, shrinking the shuffle), and the
+// reduce kernel merges and finalizes (fusereduce.go). All built-ins are
+// algebraic (AVG decomposes into sum+count partials).
+func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (*aggKernel, error) {
 	boundary := jn.Logical
 	inCols := jn.streams[0].outNode.OutCols
 	keyIdx := make([]int, len(boundary.Keys))
 	for i, k := range boundary.Keys {
 		ix, ok := indexOf(inCols, k)
 		if !ok {
-			return nil, nil, fmt.Errorf("optimizer: group key %q missing from stream", k)
+			return nil, fmt.Errorf("optimizer: group key %q missing from stream", k)
 		}
 		keyIdx[i] = ix
 	}
@@ -334,7 +333,7 @@ func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory,
 		if a.Col != "" {
 			ix, ok := indexOf(inCols, a.Col)
 			if !ok {
-				return nil, nil, fmt.Errorf("optimizer: aggregate column %q missing from stream", a.Col)
+				return nil, fmt.Errorf("optimizer: aggregate column %q missing from stream", a.Col)
 			}
 			srcIdx = ix
 		}
@@ -346,27 +345,11 @@ func (o *Optimizer) groupAggBoundary(jn *JobNode, job *mr.Job) (boundaryFactory,
 	}
 	job.MapOutSchema = data.NewSchema(shufCols...)
 	nKeys := len(keyIdx)
-	keyIdxs := keyRange(nKeys)
-
-	bf := func(mr.TaskCtx) rowEmit {
-		var enc data.KeyEncoder
-		var slab rowSlab
-		return func(_ int, row data.Row, emit mr.Emit) {
-			out := slab.next(len(shufCols))
-			for i, ix := range keyIdx {
-				out[i] = row[ix]
-			}
-			for _, a := range aggs {
-				a.initPartials(row, out)
-			}
-			emit(enc.Key(out, keyIdxs), out)
-		}
-	}
 	k := &aggKernel{spec: &aggSpec{keyIdx: keyIdx, nKeys: nKeys, aggs: aggs, shufW: len(shufCols), outW: nKeys + len(aggs)}}
-	job.Combine, job.Reduce = k.batchCombine, k.batchReduce
+	job.Reduce = k.batchReduce
 	job.CombineCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
 	job.ReduceCost = []cost.LocalFn{{Ops: []cost.OpType{cost.OpGroup}, Scalar: 1}}
-	return bf, k, nil
+	return k, nil
 }
 
 func keyRange(n int) []int {
@@ -404,26 +387,6 @@ func (a aggPhys) partial(v value.V) (n int64, sum float64) {
 		sum = v.Float()
 	}
 	return 1, sum
-}
-
-// initPartials writes the partial state of one input row into the shuffle
-// row out (fresh from the slab: all Null), at the aggregate's partial columns.
-func (a aggPhys) initPartials(row, out data.Row) {
-	var v value.V
-	if a.src >= 0 {
-		v = row[a.src]
-	}
-	n, sum := a.partial(v)
-	switch a.fn {
-	case plan.AggCount:
-		out[a.off] = value.NewInt(n)
-	case plan.AggSum:
-		out[a.off] = value.NewFloat(sum)
-	case plan.AggAvg:
-		out[a.off], out[a.off+1] = value.NewFloat(sum), value.NewInt(n)
-	case plan.AggMin, plan.AggMax:
-		out[a.off] = v
-	}
 }
 
 // aggUDFBoundary compiles an aggregate UDF: PreMap map-side, then a reduce

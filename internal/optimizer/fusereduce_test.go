@@ -7,6 +7,7 @@ import (
 	"opportune/internal/afk"
 	"opportune/internal/cost"
 	"opportune/internal/data"
+	"opportune/internal/expr"
 	"opportune/internal/mr"
 	"opportune/internal/obs"
 	"opportune/internal/plan"
@@ -61,33 +62,52 @@ func groupByUserPlan() *plan.Node {
 
 // TestFusedCombineRowsParity pins combine accounting: it must be
 // byte-for-byte identical whether the combine fold ran through the row-fold
-// reference or the cross-boundary map kernel —
+// reference or the group-by's compiled map kernel —
 // mr_combine_rows_total is an accounting counter, not an execution-strategy
-// counter.
+// counter. The filtered group-by empties most splits: a map task that
+// emits nothing counts no combined batch, on either arm.
 func TestFusedCombineRowsParity(t *testing.T) {
-	p := groupByUserPlan()
-	rowsFull, resFull, cFull := runReduceFusionPlan(t, false, p)
-	rowsInt, resInt, cInt := runReduceFusionPlan(t, true, p)
+	const kept, splitRows = 200, 64 // runReduceFusionPlan's SplitRows
+	for _, tc := range []struct {
+		name    string
+		plan    *plan.Node
+		batches int64 // map tasks that emitted: every split, or the kept rows'
+	}{
+		{"all_splits", groupByUserPlan(), (1000 + splitRows - 1) / splitRows},
+		{"empty_splits", plan.GroupAgg(plan.Filter(plan.Scan("twtr"), expr.NewCmp("tweet_id", expr.Lt, value.NewInt(kept))),
+			[]string{"user_id"},
+			plan.AggSpec{Func: plan.AggCount, As: "n"},
+			plan.AggSpec{Func: plan.AggAvg, Col: "tweet_id", As: "m"}), (kept + splitRows - 1) / splitRows},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rowsFull, resFull, cFull := runReduceFusionPlan(t, false, tc.plan)
+			rowsInt, resInt, cInt := runReduceFusionPlan(t, true, tc.plan)
 
-	if !data.RowsEqual(rowsFull, rowsInt) {
-		t.Fatalf("output rows differ across arms:\nfull  %v\ninterp %v", rowsFull, rowsInt)
-	}
-	if cInt["mr_combine_rows_total"] == 0 {
-		t.Fatal("workload exercised no combiner")
-	}
-	if cFull["mr_combine_rows_total"] != cInt["mr_combine_rows_total"] {
-		t.Errorf("mr_combine_rows_total diverges: full=%d interp=%d",
-			cFull["mr_combine_rows_total"], cInt["mr_combine_rows_total"])
-	}
-	for i := range resInt {
-		if resFull[i].CombineRows != resInt[i].CombineRows {
-			t.Errorf("job %d CombineRows diverges: full=%d interp=%d",
-				i, resFull[i].CombineRows, resInt[i].CombineRows)
-		}
-	}
-	// The full arm really crossed the boundary.
-	if cFull["mr_fused_reduce_crossboundary_jobs_total"] == 0 {
-		t.Error("full arm did not cross-fuse the partition-local job")
+			if !data.RowsEqual(rowsFull, rowsInt) {
+				t.Fatalf("output rows differ across arms:\nfull  %v\ninterp %v", rowsFull, rowsInt)
+			}
+			if cInt["mr_combine_rows_total"] == 0 {
+				t.Fatal("workload exercised no combiner")
+			}
+			for _, name := range []string{"mr_combine_rows_total", "mr_fused_reduce_batches_total", "mr_shuffle_bytes_total"} {
+				if cFull[name] != cInt[name] {
+					t.Errorf("%s diverges: full=%d interp=%d", name, cFull[name], cInt[name])
+				}
+			}
+			if n := cFull["mr_fused_reduce_batches_total"]; n != tc.batches {
+				t.Errorf("%d combined map tasks, want the %d that emitted", n, tc.batches)
+			}
+			for i := range resInt {
+				if resFull[i].CombineRows != resInt[i].CombineRows {
+					t.Errorf("job %d CombineRows diverges: full=%d interp=%d",
+						i, resFull[i].CombineRows, resInt[i].CombineRows)
+				}
+			}
+			// The full arm really crossed the boundary.
+			if cFull["mr_fused_reduce_crossboundary_jobs_total"] == 0 {
+				t.Error("full arm did not cross-fuse the group-by")
+			}
+		})
 	}
 }
 

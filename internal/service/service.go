@@ -104,7 +104,9 @@ func (c Config) withDefaults() Config {
 
 // Response is the outcome of one submitted query.
 type Response struct {
-	Tenant     string
+	Tenant string
+	// ResultName is the dataset that holds Result: the CREATE TABLE name,
+	// _svcN for a bare SELECT, or the stored view a bare scan answered from.
 	ResultName string
 	// Result is the answer, the relation stored under ResultName when the
 	// query finished (taken from session.Metrics.Result). It is kept apart
@@ -137,7 +139,9 @@ type request struct {
 
 func (r *request) resolve(resp Response) {
 	resp.Tenant = r.tenant
-	resp.ResultName = r.resultName
+	if resp.ResultName == "" {
+		resp.ResultName = r.resultName
+	}
 	resp.Wall = time.Since(r.submitted)
 	r.ticket.ch <- resp
 }
@@ -184,6 +188,10 @@ type Service struct {
 	// the post-drain cleanup, never concurrent).
 	hotPins map[string]int64
 
+	// nBare counts the bare SELECTs parsed so far, whose results are
+	// stored as _svcN (planner-only).
+	nBare int
+
 	// btMu guards btotals, the running sum of every batch's BatchStats.
 	btMu    sync.Mutex
 	btotals session.BatchStats
@@ -211,9 +219,9 @@ func New(sess *session.Session, cfg Config) *Service {
 	return s
 }
 
-// Submit queues one SQL query (CREATE TABLE ... AS SELECT ...) for the
-// tenant. It blocks while the tenant's intake queue is full and fails
-// only after Close.
+// Submit queues one SQL query for the tenant: CREATE TABLE ... AS SELECT
+// ..., or a bare SELECT, whose result is stored as _svcN. It blocks while
+// the tenant's intake queue is full and fails only after Close.
 func (s *Service) Submit(tenant, sql string) (*Ticket, error) {
 	req := &request{tenant: tenant, sql: sql, ticket: &Ticket{ch: make(chan Response, 1)}}
 	s.mu.Lock()
@@ -413,6 +421,10 @@ func (s *Service) parse(reqs []*request) []*request {
 		}
 		req.plan = st.Plan
 		req.resultName = st.Table
+		if req.resultName == "" { // a bare SELECT: store its answer under a name of its own
+			s.nBare++
+			req.resultName = fmt.Sprintf("_svc%d", s.nBare)
+		}
 		out = append(out, req)
 	}
 	return out
@@ -495,8 +507,8 @@ func (s *Service) deliver(req *request, m *session.Metrics, err error, admitted 
 		s.cfg.Obs.FloatCounter("service_tenant_sim_seconds_total", "tenant", req.tenant).Add(m.ExecSeconds + m.StatsSeconds)
 	}
 	resp := Response{Metrics: m, Err: err, AdmitWait: admitted.Sub(req.submitted)}
-	if m != nil {
-		resp.Result, m.Result = m.Result, nil
+	if m != nil { // a query answered by a bare scan names the dataset it read
+		resp.Result, resp.ResultName, m.Result = m.Result, m.ResultName, nil
 	}
 	req.resolve(resp)
 }

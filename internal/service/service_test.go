@@ -6,11 +6,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"opportune/internal/data"
 	"opportune/internal/hiveql"
 	"opportune/internal/obs"
 	"opportune/internal/session"
@@ -765,6 +768,86 @@ func TestServiceUDFContract(t *testing.T) {
 					t.Errorf("exec fallbacks = %d, want 1", got)
 				}
 			})
+		}
+	}
+}
+
+// rowStrings is rel's rows rendered and sorted: its row multiset.
+func rowStrings(rel *data.Relation) []string {
+	out := make([]string, 0, rel.Len())
+	for _, r := range rel.Rows() {
+		out = append(out, fmt.Sprint(r))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestServiceBareSelect: a bare SELECT (no CREATE TABLE) submitted through
+// the service is answered, with the rows the query gives without
+// rewriting, though a named query before it left views a rewrite can
+// answer from. A result the query computed is stored under a name of its
+// own, one per request even for the same text in one batch; one a stored
+// view answers as it stands (a bare scan) is named by that view. Either
+// way the Response names the dataset that holds its Result.
+func TestServiceBareSelect(t *testing.T) {
+	named := workload.IngestQueries()[0].SQL
+	computed := "SELECT user_id, COUNT(*) AS n, MAX(ts) AS last_ts FROM twtr GROUP BY user_id"
+	scanned := named[strings.Index(named, "SELECT"):] // the named query's own SELECT
+	ref, _ := newTestSession(t, 0, 0)
+	want := map[string][]string{}
+	for _, q := range []string{computed, scanned} {
+		st, err := hiveql.ParseOne(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ref.Run(st.Plan, fmt.Sprintf("ref%d", len(want)), session.ModeOriginal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q] = rowStrings(m.Result)
+	}
+
+	sess, _ := newTestSession(t, 0, 0)
+	st, err := hiveql.ParseOne(named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(st.Plan, st.Table, session.ModeBFR); err != nil {
+		t.Fatal(err)
+	}
+	// One batch: the size trigger fires on the third request.
+	cases := []struct{ q, name string }{{computed, ""}, {computed, ""}, {scanned, "ing_activity"}}
+	svc := New(sess, Config{BatchSize: len(cases), MaxWait: 10 * time.Second, Mode: session.ModeBFR})
+	defer svc.Close()
+	var tickets []*Ticket
+	for _, tc := range cases {
+		tk, err := svc.Submit("t1", tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	names := map[string]bool{}
+	for i, tc := range cases {
+		resp := tickets[i].Wait()
+		if resp.Err != nil {
+			t.Fatalf("%q: %v", tc.q, resp.Err)
+		}
+		if resp.Result == nil {
+			t.Fatalf("%q: no result, no error", tc.q)
+		}
+		if tc.name == "" && (!strings.HasPrefix(resp.ResultName, "_svc") || names[resp.ResultName]) {
+			t.Errorf("%q: result name %q, want a fresh one", tc.q, resp.ResultName)
+		}
+		if tc.name != "" && resp.ResultName != tc.name {
+			t.Errorf("%q: result name %q, want %q", tc.q, resp.ResultName, tc.name)
+		}
+		names[resp.ResultName] = true
+		if rel, err := sess.Store.Read(resp.ResultName); err != nil || rel != resp.Result {
+			t.Errorf("%q: %q does not hold the result (%v)", tc.q, resp.ResultName, err)
+		}
+		if got := rowStrings(resp.Result); !slices.Equal(got, want[tc.q]) {
+			t.Errorf("%q: %d rows differ from the unrewritten %d", tc.q, len(got), len(want[tc.q]))
 		}
 	}
 }

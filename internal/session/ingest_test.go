@@ -33,8 +33,8 @@ func jobGraph(t *testing.T, s *session.Session, sql string) string {
 	}
 	var sb strings.Builder
 	for _, j := range jobs {
-		fmt.Fprintf(&sb, "%s %v -> %s probes %v cross %v est %.9g\n",
-			j.Name, j.Inputs, j.Output, j.Probes, j.FusedCrossBoundary, w.TotalCost())
+		fmt.Fprintf(&sb, "%s %v -> %s probes %v fused reduce %v est %.9g\n",
+			j.Name, j.Inputs, j.Output, j.Probes, j.FusedReduce, w.TotalCost())
 	}
 	return sb.String()
 }

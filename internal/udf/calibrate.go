@@ -67,7 +67,6 @@ func (r *Registry) Calibrate(engine *mr.Engine, dataset string, d *Descriptor, a
 		MapOutSchema: outSchema,
 		OutputSchema: outSchema,
 		Output:       outName,
-		OutputKind:   storage.View,
 		MapCost:      []cost.LocalFn{{Ops: d.MapOps, Scalar: d.TrueScalar}},
 	}
 	start := time.Now()
