@@ -1,8 +1,10 @@
 // Package meta is the materialized-view metadata store (§2.1): for every
 // base log and every opportunistic view it records the schema, the (A,F,K)
-// annotation, cardinality statistics, and the syntactic fingerprint of the
-// producing plan. It also owns the system-wide functional dependencies and
-// the UDF registry the annotation process consults.
+// annotation, cardinality statistics, and the producing plan with its
+// syntactic fingerprint — one record per view. It also owns the
+// system-wide functional dependencies, the UDF registry the annotation
+// process consults, and the ingest epoch that orders view registration
+// against appends.
 package meta
 
 import (
@@ -14,6 +16,7 @@ import (
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/mr"
+	"opportune/internal/plan"
 	"opportune/internal/storage"
 	"opportune/internal/udf"
 )
@@ -29,6 +32,11 @@ type TableInfo struct {
 	// PlanFP is the syntactic fingerprint of the plan that produced a view;
 	// the caching baseline (BFR-SYNTACTIC) matches on it.
 	PlanFP string
+	// Plan is a view's producing logical plan, which AppendRows re-runs
+	// over an appended delta to maintain the view. Nil for base tables and
+	// for views restored without one: those are invalidated on append.
+	// Shared by every copy of the entry and never mutated.
+	Plan *plan.Node
 	// Distinct holds (estimated) distinct-value counts per column, used by
 	// the optimizer's cardinality estimation.
 	Distinct map[string]int64
@@ -63,6 +71,7 @@ type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*TableInfo
 	byCanon map[string]*TableInfo // annotation fingerprint -> view
+	epoch   int64                 // appends begun (BeginAppend)
 
 	// FDs holds functional dependencies over signature IDs (record keys
 	// and derived attributes).
@@ -115,21 +124,65 @@ func (c *Catalog) RegisterBase(name string, cols []string, keyCol string, stats 
 	return info
 }
 
-// RegisterView records an opportunistic view's metadata, replacing any
-// entry under the name.
-func (c *Catalog) RegisterView(name string, cols []string, ann afk.Annotation, stats cost.Stats, planFP string) *TableInfo {
-	info := &TableInfo{
-		Name: name, Cols: append([]string(nil), cols...),
-		Ann: ann, Stats: stats, IsView: true, PlanFP: planFP, canon: ann.Canon(),
+// Source returns a dataset's annotation, columns and stored layout
+// (plan.Catalog).
+func (c *Catalog) Source(name string) (afk.Annotation, []string, afk.Partitioning, bool) {
+	t, ok := c.Table(name)
+	if !ok {
+		return afk.Annotation{}, nil, afk.Partitioning{}, false
 	}
+	return t.Ann, t.Cols, t.Part, true
+}
+
+// Deps returns the functional dependencies (plan.Catalog).
+func (c *Catalog) Deps() *afk.FDSet { return c.FDs }
+
+// UDF looks a registered UDF up (plan.Catalog).
+func (c *Catalog) UDF(name string) (*udf.Descriptor, bool) { return c.UDFs.Get(name) }
+
+// Epoch is the number of appends begun. Work planned under one epoch may
+// register views while the epoch stands (RegisterView).
+func (c *Catalog) Epoch() int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.epoch
+}
+
+// BeginAppend starts an append, before it changes any stored bytes and
+// before it lists the views to maintain: from here on no work planned
+// under an earlier epoch registers a view, and every view registered
+// before is in the list. Returns the new epoch.
+func (c *Catalog) BeginAppend() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur, ok := c.tables[name]; ok {
+	c.epoch++
+	return c.epoch
+}
+
+// RegisterView publishes the entry t describes as a view, with its layout,
+// distinct counts and producing plan in the one step, and returns it with
+// added true. A name already listed under the same annotation keeps its
+// entry, returned with added false; any other entry under the name is
+// replaced. When an append has begun since epoch, the work t describes
+// may predate it: nothing is registered and RegisterView returns nil.
+func (c *Catalog) RegisterView(t TableInfo, epoch int64) (info *TableInfo, added bool) {
+	t.Cols = append([]string(nil), t.Cols...)
+	t.Part = t.Part.Clone()
+	t.IsView, t.canon = true, t.Ann.Canon()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if epoch != c.epoch {
+		return nil, false
+	}
+	if cur, ok := c.tables[t.Name]; ok {
+		if cur.canon == t.canon {
+			return cur, false
+		}
 		c.dropLocked(cur)
 	}
-	c.tables[name] = info
-	c.byCanon[info.canon] = info
-	return info
+	c.tables[t.Name] = &t
+	c.byCanon[t.canon] = &t
+	return &t, true
 }
 
 // SetPartitioning installs (or, with the zero value, clears) a dataset's

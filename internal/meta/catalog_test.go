@@ -2,14 +2,17 @@ package meta
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"opportune/internal/afk"
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/mr"
+	"opportune/internal/plan"
 	"opportune/internal/storage"
 	"opportune/internal/udf"
 	"opportune/internal/value"
@@ -57,8 +60,8 @@ func TestRegisterBaseAndFDs(t *testing.T) {
 func TestViews(t *testing.T) {
 	c := NewCatalog()
 	base := c.RegisterBase("twtr", []string{"a"}, "", cost.Stats{}, nil)
-	c.RegisterView("v2", []string{"a"}, base.Ann, cost.Stats{Rows: 1}, "fp2")
-	c.RegisterView("v1", []string{"a"}, base.Ann, cost.Stats{Rows: 2}, "fp1")
+	view(c, "v2", base.Ann, cost.Stats{Rows: 1})
+	view(c, "v1", base.Ann, cost.Stats{Rows: 2})
 	vs := c.Views()
 	if len(vs) != 2 || vs[0].Name != "v1" {
 		t.Errorf("Views = %v", vs)
@@ -76,16 +79,93 @@ func TestViews(t *testing.T) {
 	if n := c.DropViews(); n != 1 {
 		t.Errorf("DropViews = %d", n)
 	}
-	// Registering a view under a listed name replaces the entry and its
-	// place in the annotation index.
-	old := c.RegisterView("v", []string{"a"}, base.Ann, cost.Stats{}, "")
+	// Registering a view under a name listed with another annotation
+	// replaces the entry and its place in the annotation index; under the
+	// same annotation, the listed entry stays.
+	old := view(c, "v", base.Ann, cost.Stats{})
 	other := c.RegisterBase("b2", []string{"a"}, "", cost.Stats{}, nil)
-	c.RegisterView("v", []string{"a"}, other.Ann, cost.Stats{}, "")
+	view(c, "v", other.Ann, cost.Stats{})
 	if got, ok := c.ByAnnotation(old.Canon()); ok {
 		t.Errorf("the replaced view %s is still indexed under its old annotation", got.Name)
 	}
 	if got, ok := c.ByAnnotation(other.Canon()); !ok || got.Name != "v" || got.Canon() != other.Ann.Canon() {
 		t.Errorf("ByAnnotation(new) = %+v, %v", got, ok)
+	}
+	cur, _ := c.Table("v")
+	if again, added := c.RegisterView(TableInfo{Name: "v", Ann: other.Ann, Stats: cost.Stats{Rows: 9}}, c.Epoch()); again != cur || added {
+		t.Errorf("re-registering under the listed annotation: %+v, added %v; want the listed %+v", again, added, cur)
+	}
+	// The layout, distinct counts and producing plan publish with the entry.
+	pl := plan.Scan("twtr")
+	part := afk.Partitioning{Sigs: []string{base.Ann.MustSig("a").ID()}, Parts: 4}
+	w, added := c.RegisterView(TableInfo{Name: "w", Cols: []string{"a"}, Ann: base.Ann,
+		Part: part, Distinct: map[string]int64{"a": 3}, Plan: pl}, c.Epoch())
+	if got, _ := c.Table("w"); !added || got != w || !w.IsView || w.Plan != pl || !w.Part.Equal(part) || w.DistinctOf("a") != 3 {
+		t.Errorf("registered entry %+v (added %v) does not carry its layout, distinct counts and plan", w, added)
+	}
+}
+
+// view registers a one-column view under the current epoch.
+func view(c *Catalog, name string, ann afk.Annotation, stats cost.Stats) *TableInfo {
+	info, _ := c.RegisterView(TableInfo{Name: name, Cols: []string{"a"}, Ann: ann, Stats: stats}, c.Epoch())
+	return info
+}
+
+// TestRegisterViewRefusesStaleEpoch: once an append has begun, work
+// planned under an earlier epoch registers nothing, and every view whose
+// registration was accepted is in the list the append reads next — the
+// step an append's maintenance relies on to see every view it must
+// maintain or invalidate.
+func TestRegisterViewRefusesStaleEpoch(t *testing.T) {
+	c := NewCatalog()
+	base := c.RegisterBase("b", []string{"a"}, "", cost.Stats{}, nil)
+	planned := c.Epoch()
+	if e := c.BeginAppend(); e != planned+1 || c.Epoch() != e {
+		t.Fatalf("BeginAppend = %d, Epoch = %d; want %d", e, c.Epoch(), planned+1)
+	}
+	if info, added := c.RegisterView(TableInfo{Name: "v", Cols: []string{"a"}, Ann: base.Ann}, planned); info != nil || added {
+		t.Errorf("stale registration accepted: %+v", info)
+	}
+	if _, ok := c.Table("v"); ok || len(c.Views()) != 0 {
+		t.Error("stale registration listed")
+	}
+
+	const writers, perWriter = 4, 200
+	planned = c.Epoch()
+	var wg sync.WaitGroup
+	accepted := make([][]string, writers)
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWriter {
+				name := fmt.Sprintf("v%d_%d", w, i)
+				if info, _ := c.RegisterView(TableInfo{Name: name, Cols: []string{"a"}, Ann: base.Ann}, planned); info != nil {
+					accepted[w] = append(accepted[w], name)
+				}
+			}
+		}()
+	}
+	for len(c.Views()) == 0 {
+		runtime.Gosched() // let some registrations land before the append
+	}
+	c.BeginAppend()
+	listed := map[string]bool{}
+	for _, v := range c.Views() {
+		listed[v.Name] = true
+	}
+	wg.Wait()
+	n := 0
+	for _, names := range accepted {
+		for _, name := range names {
+			n++
+			if !listed[name] {
+				t.Errorf("%s registered before the append began but missing from its view list", name)
+			}
+		}
+	}
+	if n != len(listed) || len(c.Views()) != n {
+		t.Errorf("%d registrations accepted, %d listed at the append, %d listed now", n, len(listed), len(c.Views()))
 	}
 }
 
@@ -96,8 +176,8 @@ func TestSyncWithStore(t *testing.T) {
 	rel := data.NewRelation(data.NewSchema("a"))
 	rel.Append(data.Row{value.NewInt(1)})
 	st.Put("v1", storage.View, rel)
-	c.RegisterView("v1", []string{"a"}, base.Ann, cost.Stats{}, "")
-	c.RegisterView("vgone", []string{"a"}, base.Ann, cost.Stats{}, "")
+	view(c, "v1", base.Ann, cost.Stats{})
+	view(c, "vgone", base.Ann, cost.Stats{})
 	if n := c.SyncWithStore(st); n != 1 {
 		t.Errorf("SyncWithStore dropped %d views, want 1", n)
 	}
@@ -121,7 +201,7 @@ func TestCollectStats(t *testing.T) {
 	}
 	st.Put("v", storage.View, rel)
 	base := c.RegisterBase("b", []string{"user_id", "score"}, "", cost.Stats{}, nil)
-	stale := c.RegisterView("v", []string{"user_id", "score"}, base.Ann, cost.Stats{}, "")
+	stale, _ := c.RegisterView(TableInfo{Name: "v", Cols: []string{"user_id", "score"}, Ann: base.Ann}, c.Epoch())
 	eng := mr.New(st, cost.DefaultParams())
 
 	overhead, err := c.CollectStats(eng, "v", 11)
@@ -161,7 +241,7 @@ func TestCollectStats(t *testing.T) {
 		t.Error("missing table accepted")
 	}
 	// registered in catalog but not in store
-	c.RegisterView("ghost", []string{"a"}, base.Ann, cost.Stats{}, "")
+	view(c, "ghost", base.Ann, cost.Stats{})
 	if _, err := c.CollectStats(eng, "ghost", 1); err == nil {
 		t.Error("ghost table accepted")
 	}
@@ -223,7 +303,7 @@ func TestGenMovesOnEveryChange(t *testing.T) {
 		f.st.Put("b", storage.Base, rel)
 		f.st.Put("v", storage.View, rel)
 		base := f.c.RegisterBase("b", []string{"a"}, "", cost.Stats{}, nil)
-		f.c.RegisterView("v", []string{"a"}, base.Ann, cost.Stats{}, "")
+		view(f.c, "v", base.Ann, cost.Stats{})
 		f.c.SetPartitioning("b", afk.Partitioning{Sigs: []string{base.Ann.MustSig("a").ID()}, Parts: 4})
 		f.d = newUDF("U")
 		if err := f.c.UDFs.Register(f.d); err != nil {
@@ -240,8 +320,14 @@ func TestGenMovesOnEveryChange(t *testing.T) {
 	}{
 		{"register_base", func(_ *testing.T, f fixture) { f.c.RegisterBase("b2", []string{"a"}, "", cost.Stats{}, nil) }, true, nil},
 		{"register_view", func(t *testing.T, f fixture) {
-			f.c.RegisterView("v2", []string{"a"}, table(t, f.c, "b").Ann, cost.Stats{}, "")
+			view(f.c, "v2", table(t, f.c, "b").Ann, cost.Stats{})
 		}, true, nil},
+		{"register_view_listed", func(t *testing.T, f fixture) {
+			view(f.c, "v", table(t, f.c, "b").Ann, cost.Stats{Rows: 7})
+		}, false, nil},
+		{"register_view_stale", func(t *testing.T, f fixture) {
+			f.c.RegisterView(TableInfo{Name: "v2", Cols: []string{"a"}, Ann: table(t, f.c, "b").Ann}, 0)
+		}, false, func(f fixture) { f.c.BeginAppend() }},
 		{"drop_view", func(_ *testing.T, f fixture) { f.c.DropView("v") }, true, nil},
 		{"drop_view_absent", func(_ *testing.T, f fixture) { f.c.DropView("nope") }, false, nil},
 		{"drop_view_of_base", func(_ *testing.T, f fixture) { f.c.DropView("b") }, false, nil},

@@ -319,8 +319,8 @@ func TestRewrittenPlanOverViewIsCheaper(t *testing.T) {
 	// register the agg view in the catalog as the system would
 	aggNode := w.Nodes[0]
 	ds, _ := f.store.Meta(aggNode.ViewName)
-	f.cat.RegisterView(aggNode.ViewName, aggNode.OutCols, aggNode.Ann,
-		cost.Stats{Rows: ds.Rows(), Bytes: ds.SizeBytes}, aggNode.PlanFP)
+	f.cat.RegisterView(meta.TableInfo{Name: aggNode.ViewName, Cols: aggNode.OutCols, Ann: aggNode.Ann,
+		Stats: cost.Stats{Rows: ds.Rows(), Bytes: ds.SizeBytes}, PlanFP: aggNode.PlanFP}, f.cat.Epoch())
 
 	// rewritten query: filter over the view
 	rw := plan.Filter(plan.Scan(aggNode.ViewName), expr.NewCmp("total", expr.Gt, value.NewFloat(1)))

@@ -32,6 +32,7 @@ import (
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/expr"
+	"opportune/internal/meta"
 	"opportune/internal/plan"
 	"opportune/internal/session"
 	"opportune/internal/storage"
@@ -350,7 +351,6 @@ func Save(s *session.Session, dir string) error {
 	s.Cat.FDs.Each(func(from []string, to string) {
 		cat.FDs = append(cat.FDs, fdDTO{From: from, To: to})
 	})
-	plans := s.ViewPlans()
 	var rels []*data.Relation
 	for _, kind := range []storage.Kind{storage.Base, storage.View} {
 		for _, name := range s.Store.List(kind) {
@@ -371,8 +371,8 @@ func Save(s *session.Session, dir string) error {
 			if sigs, parts := s.Store.Partitioning(name); parts > 0 {
 				dto.PartSigs, dto.PartParts = sigs, parts
 			}
-			if pl, ok := plans[name]; ok && info.IsView {
-				pd := planToDTO(pl)
+			if info.Plan != nil {
+				pd := planToDTO(info.Plan)
 				dto.Plan = &pd
 			}
 			cat.Tables = append(cat.Tables, dto)
@@ -533,25 +533,26 @@ func Open(dir string, params cost.Params) (*session.Session, *Saved, error) {
 			return nil, nil, fmt.Errorf("persist: %s: %w", t.Name, err)
 		}
 		stats := cost.Stats{Rows: t.Rows, Bytes: t.Bytes}
+		var part afk.Partitioning
+		if t.PartParts > 0 && len(t.PartSigs) > 0 {
+			part = afk.Partitioning{Sigs: t.PartSigs, Parts: t.PartParts}
+			s.Store.SetPartitioning(t.Name, t.PartSigs, t.PartParts)
+		}
 		if t.IsView {
-			info := s.Cat.RegisterView(t.Name, t.Cols, ann, stats, t.PlanFP)
-			info.Distinct = t.Distinct
+			info := meta.TableInfo{Name: t.Name, Cols: t.Cols, Ann: ann, Stats: stats,
+				PlanFP: t.PlanFP, Distinct: t.Distinct, Part: part}
 			if t.Plan != nil {
-				pl, err := planFromDTO(*t.Plan)
-				if err != nil {
+				if info.Plan, err = planFromDTO(*t.Plan); err != nil {
 					return nil, nil, fmt.Errorf("persist: %s plan: %w", t.Name, err)
 				}
-				s.RestoreViewPlan(t.Name, pl)
 			}
+			s.Cat.RegisterView(info, s.Cat.Epoch())
 		} else {
 			// RegisterBase would rebuild a fresh base annotation (identical
 			// by construction) and reinstall key FDs; FDs are restored
 			// explicitly below, so duplicates are deduplicated there.
 			s.Cat.RegisterBase(t.Name, t.Cols, t.KeyCol, stats, t.Distinct)
-		}
-		if t.PartParts > 0 && len(t.PartSigs) > 0 {
-			s.Store.SetPartitioning(t.Name, t.PartSigs, t.PartParts)
-			s.Cat.SetPartitioning(t.Name, afk.Partitioning{Sigs: t.PartSigs, Parts: t.PartParts})
+			s.Cat.SetPartitioning(t.Name, part)
 		}
 	}
 	for _, fd := range cat.FDs {

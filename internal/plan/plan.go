@@ -11,9 +11,20 @@ import (
 
 	"opportune/internal/afk"
 	"opportune/internal/expr"
-	"opportune/internal/meta"
+	"opportune/internal/udf"
 	"opportune/internal/value"
 )
+
+// Catalog is what annotation reads of the metadata store, meta.Catalog,
+// which keeps each view's producing plan and so cannot be imported here.
+type Catalog interface {
+	// Source returns a dataset's annotation, columns and stored layout.
+	Source(name string) (afk.Annotation, []string, afk.Partitioning, bool)
+	// Deps returns the functional dependencies annotation adds to.
+	Deps() *afk.FDSet
+	// UDF looks a registered UDF up.
+	UDF(name string) (*udf.Descriptor, bool)
+}
 
 // Kind enumerates operator kinds.
 type Kind uint8
@@ -185,7 +196,7 @@ func Sort(in *Node, cols []string, desc []bool, limit int64) *Node {
 // Annotate computes (A,F,K) annotations and output column lists bottom-up.
 // It returns an error for invalid plans (unknown tables/columns/UDFs,
 // ambiguous join column names).
-func Annotate(n *Node, cat *meta.Catalog) error {
+func Annotate(n *Node, cat Catalog) error {
 	if n.annotated {
 		return nil
 	}
@@ -196,13 +207,13 @@ func Annotate(n *Node, cat *meta.Catalog) error {
 	}
 	switch n.Kind {
 	case KindScan:
-		t, ok := cat.Table(n.Dataset)
+		ann, cols, part, ok := cat.Source(n.Dataset)
 		if !ok {
 			return fmt.Errorf("plan: unknown dataset %q", n.Dataset)
 		}
-		n.Ann = t.Ann
-		n.OutCols = append([]string(nil), t.Cols...)
-		n.Part = t.Part.Clone()
+		n.Ann = ann
+		n.OutCols = append([]string(nil), cols...)
+		n.Part = part.Clone()
 
 	case KindProject:
 		in := n.Inputs[0]
@@ -265,7 +276,7 @@ func Annotate(n *Node, cat *meta.Catalog) error {
 			s := r.Ann.MustSig(c)
 			if _, dup := l.Ann.A[s.ID()]; dup {
 				role := afk.DerivedSig("rolecopy:"+c, "", []*afk.Sig{s})
-				cat.FDs.Add([]string{s.ID()}, role.ID())
+				cat.Deps().Add([]string{s.ID()}, role.ID())
 				rebinds[c] = role
 			}
 		}
@@ -318,7 +329,7 @@ func Annotate(n *Node, cat *meta.Catalog) error {
 				inputs = []*afk.Sig{s}
 			}
 			sig := afk.AggSig("agg_"+string(a.Func), "", inputs, ctxF, keySigs)
-			cat.FDs.Add(keyIDs, sig.ID())
+			cat.Deps().Add(keyIDs, sig.ID())
 			aggAttrs = append(aggAttrs, afk.Attr{Name: a.As, Sig: sig})
 			n.OutCols = append(n.OutCols, a.As)
 		}
@@ -333,11 +344,11 @@ func Annotate(n *Node, cat *meta.Catalog) error {
 
 	case KindUDF:
 		in := n.Inputs[0]
-		d, ok := cat.UDFs.Get(n.UDFName)
+		d, ok := cat.UDF(n.UDFName)
 		if !ok {
 			return fmt.Errorf("plan: unknown UDF %q", n.UDFName)
 		}
-		ann, err := d.Annotate(in.Ann, n.UDFArgs, n.UDFParams, cat.FDs)
+		ann, err := d.Annotate(in.Ann, n.UDFArgs, n.UDFParams, cat.Deps())
 		if err != nil {
 			return fmt.Errorf("plan: %w", err)
 		}
@@ -377,16 +388,15 @@ func Annotate(n *Node, cat *meta.Catalog) error {
 // so the layout carries through; grouping UDFs are boundary operators whose
 // output is bucketed on their key columns — provided every key survives
 // into the output annotation — and otherwise clear the property.
-func udfPart(d descriptorLike, in afk.Partitioning, ann afk.Annotation) afk.Partitioning {
-	if !d.IsAgg() {
+func udfPart(d *udf.Descriptor, in afk.Partitioning, ann afk.Annotation) afk.Partitioning {
+	if d.Kind != udf.KindAgg {
 		return in.Clone()
 	}
-	keys := d.KeyCols()
-	if len(keys) == 0 {
+	if len(d.KeyNames) == 0 {
 		return afk.Partitioning{}
 	}
-	sigs := make([]string, 0, len(keys))
-	for _, k := range keys {
+	sigs := make([]string, 0, len(d.KeyNames))
+	for _, k := range d.KeyNames {
 		s := ann.SigOf(k)
 		if s == nil {
 			return afk.Partitioning{}
@@ -397,7 +407,7 @@ func udfPart(d descriptorLike, in afk.Partitioning, ann afk.Annotation) afk.Part
 }
 
 // udfOutCols derives the physical column order of a UDF application.
-func udfOutCols(d descriptorLike, inCols []string, ann afk.Annotation) []string {
+func udfOutCols(d *udf.Descriptor, inCols []string, ann afk.Annotation) []string {
 	var out []string
 	have := make(map[string]bool)
 	add := func(c string) {
@@ -406,11 +416,11 @@ func udfOutCols(d descriptorLike, inCols []string, ann afk.Annotation) []string 
 			out = append(out, c)
 		}
 	}
-	if d.IsAgg() {
-		for _, k := range d.KeyCols() {
+	if d.Kind == udf.KindAgg {
+		for _, k := range d.KeyNames {
 			add(k)
 		}
-		for _, o := range d.Outs() {
+		for _, o := range d.OutNames {
 			add(o)
 		}
 		return out
@@ -418,7 +428,7 @@ func udfOutCols(d descriptorLike, inCols []string, ann afk.Annotation) []string 
 	for _, c := range inCols {
 		add(c)
 	}
-	for _, o := range d.Outs() {
+	for _, o := range d.OutNames {
 		add(o)
 	}
 	// Exploding UDFs add a hidden row-key column; pick up any annotation
@@ -427,14 +437,6 @@ func udfOutCols(d descriptorLike, inCols []string, ann afk.Annotation) []string 
 		add(c)
 	}
 	return out
-}
-
-// descriptorLike decouples udfOutCols from the udf package's struct layout
-// (and keeps it testable).
-type descriptorLike interface {
-	IsAgg() bool
-	KeyCols() []string
-	Outs() []string
 }
 
 // Fingerprint is the syntactic identity of the plan: operator structure,

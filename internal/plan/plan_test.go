@@ -1,4 +1,4 @@
-package plan
+package plan_test
 
 import (
 	"strings"
@@ -7,6 +7,7 @@ import (
 	"opportune/internal/cost"
 	"opportune/internal/expr"
 	"opportune/internal/meta"
+	"opportune/internal/plan"
 	"opportune/internal/udf"
 	"opportune/internal/value"
 )
@@ -48,11 +49,11 @@ func testCatalog(t *testing.T) *meta.Catalog {
 
 func TestAnnotateScanProjectFilter(t *testing.T) {
 	cat := testCatalog(t)
-	p := Filter(
-		Project(Scan("twtr"), "user_id", "text"),
+	p := plan.Filter(
+		plan.Project(plan.Scan("twtr"), "user_id", "text"),
 		expr.NewCmp("user_id", expr.Gt, value.NewInt(10)),
 	)
-	if err := Annotate(p, cat); err != nil {
+	if err := plan.Annotate(p, cat); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.OutCols) != 2 {
@@ -69,21 +70,21 @@ func TestAnnotateScanProjectFilter(t *testing.T) {
 
 func TestAnnotateErrors(t *testing.T) {
 	cat := testCatalog(t)
-	cases := []*Node{
-		Scan("nope"),
-		Project(Scan("twtr"), "missing"),
-		Filter(Scan("twtr"), expr.NewCmp("missing", expr.Eq, value.NewInt(1))),
-		JoinNodes(Scan("twtr"), Scan("fsq"), "missing", "user_id"),
-		JoinNodes(Scan("twtr"), Scan("fsq"), "user_id", "missing"),
-		GroupAgg(Scan("twtr"), []string{"missing"}),
-		GroupAgg(Scan("twtr"), []string{"user_id"}, AggSpec{Func: AggCount, Col: "", As: ""}),
-		GroupAgg(Scan("twtr"), []string{"user_id"}, AggSpec{Func: AggSum, Col: "", As: "s"}),
-		GroupAgg(Scan("twtr"), []string{"user_id"}, AggSpec{Func: AggSum, Col: "missing", As: "s"}),
-		Apply(Scan("twtr"), "NOPE", []string{"text"}),
-		Apply(Scan("twtr"), "UDF_SENT", []string{"missing"}),
+	cases := []*plan.Node{
+		plan.Scan("nope"),
+		plan.Project(plan.Scan("twtr"), "missing"),
+		plan.Filter(plan.Scan("twtr"), expr.NewCmp("missing", expr.Eq, value.NewInt(1))),
+		plan.JoinNodes(plan.Scan("twtr"), plan.Scan("fsq"), "missing", "user_id"),
+		plan.JoinNodes(plan.Scan("twtr"), plan.Scan("fsq"), "user_id", "missing"),
+		plan.GroupAgg(plan.Scan("twtr"), []string{"missing"}),
+		plan.GroupAgg(plan.Scan("twtr"), []string{"user_id"}, plan.AggSpec{Func: plan.AggCount, Col: "", As: ""}),
+		plan.GroupAgg(plan.Scan("twtr"), []string{"user_id"}, plan.AggSpec{Func: plan.AggSum, Col: "", As: "s"}),
+		plan.GroupAgg(plan.Scan("twtr"), []string{"user_id"}, plan.AggSpec{Func: plan.AggSum, Col: "missing", As: "s"}),
+		plan.Apply(plan.Scan("twtr"), "NOPE", []string{"text"}),
+		plan.Apply(plan.Scan("twtr"), "UDF_SENT", []string{"missing"}),
 	}
 	for i, p := range cases {
-		if err := Annotate(p, cat); err == nil {
+		if err := plan.Annotate(p, cat); err == nil {
 			t.Errorf("case %d: bad plan annotated", i)
 		}
 	}
@@ -93,18 +94,18 @@ func TestAnnotateJoinSharedKey(t *testing.T) {
 	cat := testCatalog(t)
 	// user_id of twtr and fsq are DIFFERENT base sigs; join keeps both names?
 	// fsq side's user_id collides with twtr's -> ambiguous error expected.
-	p := JoinNodes(Scan("twtr"), Scan("fsq"), "user_id", "user_id")
-	if err := Annotate(p, cat); err == nil {
+	p := plan.JoinNodes(plan.Scan("twtr"), plan.Scan("fsq"), "user_id", "user_id")
+	if err := plan.Annotate(p, cat); err == nil {
 		t.Error("ambiguous column accepted")
 	} else if !strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("unexpected error: %v", err)
 	}
 	// After projecting away the collision it works.
-	p2 := JoinNodes(
-		Project(Scan("twtr"), "user_id", "text"),
-		Project(Scan("fsq"), "checkin_id", "location_id"),
+	p2 := plan.JoinNodes(
+		plan.Project(plan.Scan("twtr"), "user_id", "text"),
+		plan.Project(plan.Scan("fsq"), "checkin_id", "location_id"),
 		"user_id", "checkin_id") // silly join, but name-collision free
-	if err := Annotate(p2, cat); err != nil {
+	if err := plan.Annotate(p2, cat); err != nil {
 		t.Fatal(err)
 	}
 	if len(p2.OutCols) != 4 {
@@ -125,11 +126,11 @@ func TestAnnotateJoinSharedKey(t *testing.T) {
 func TestAnnotateJoinSameSigDedups(t *testing.T) {
 	cat := testCatalog(t)
 	// Self-join-ish: both sides derive from twtr.user_id (same signature).
-	l := GroupAgg(Scan("twtr"), []string{"user_id"}, AggSpec{Func: AggCount, As: "n"})
-	r := GroupAgg(Filter(Scan("twtr"), expr.NewCmp("user_id", expr.Gt, value.NewInt(5))),
-		[]string{"user_id"}, AggSpec{Func: AggCount, As: "m"})
-	p := JoinNodes(l, r, "user_id", "user_id")
-	if err := Annotate(p, cat); err != nil {
+	l := plan.GroupAgg(plan.Scan("twtr"), []string{"user_id"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
+	r := plan.GroupAgg(plan.Filter(plan.Scan("twtr"), expr.NewCmp("user_id", expr.Gt, value.NewInt(5))),
+		[]string{"user_id"}, plan.AggSpec{Func: plan.AggCount, As: "m"})
+	p := plan.JoinNodes(l, r, "user_id", "user_id")
+	if err := plan.Annotate(p, cat); err != nil {
 		t.Fatal(err)
 	}
 	// user_id appears once in OutCols
@@ -146,11 +147,11 @@ func TestAnnotateJoinSameSigDedups(t *testing.T) {
 
 func TestAnnotateGroupAgg(t *testing.T) {
 	cat := testCatalog(t)
-	p := GroupAgg(Scan("twtr"), []string{"user_id"},
-		AggSpec{Func: AggCount, As: "n"},
-		AggSpec{Func: AggSum, Col: "reply_to", As: "s"},
+	p := plan.GroupAgg(plan.Scan("twtr"), []string{"user_id"},
+		plan.AggSpec{Func: plan.AggCount, As: "n"},
+		plan.AggSpec{Func: plan.AggSum, Col: "reply_to", As: "s"},
 	)
-	if err := Annotate(p, cat); err != nil {
+	if err := plan.Annotate(p, cat); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.OutCols) != 3 || p.OutCols[0] != "user_id" {
@@ -165,9 +166,9 @@ func TestAnnotateGroupAgg(t *testing.T) {
 		t.Error("keys->agg FD missing")
 	}
 	// grouping context: same agg over filtered input differs
-	p2 := GroupAgg(Filter(Scan("twtr"), expr.NewCmp("user_id", expr.Gt, value.NewInt(1))),
-		[]string{"user_id"}, AggSpec{Func: AggCount, As: "n"})
-	if err := Annotate(p2, cat); err != nil {
+	p2 := plan.GroupAgg(plan.Filter(plan.Scan("twtr"), expr.NewCmp("user_id", expr.Gt, value.NewInt(1))),
+		[]string{"user_id"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
+	if err := plan.Annotate(p2, cat); err != nil {
 		t.Fatal(err)
 	}
 	if p2.Ann.MustSig("n").ID() == nSig.ID() {
@@ -177,15 +178,15 @@ func TestAnnotateGroupAgg(t *testing.T) {
 
 func TestAnnotateUDFNodes(t *testing.T) {
 	cat := testCatalog(t)
-	p := Apply(Scan("twtr"), "UDF_SENT", []string{"text"})
-	if err := Annotate(p, cat); err != nil {
+	p := plan.Apply(plan.Scan("twtr"), "UDF_SENT", []string{"text"})
+	if err := plan.Annotate(p, cat); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.OutCols) != 5 || p.OutCols[4] != "score" {
 		t.Errorf("OutCols = %v", p.OutCols)
 	}
-	agg := Apply(p, "UDF_USERSUM", []string{"user_id", "score"})
-	if err := Annotate(agg, cat); err != nil {
+	agg := plan.Apply(p, "UDF_USERSUM", []string{"user_id", "score"})
+	if err := plan.Annotate(agg, cat); err != nil {
 		t.Fatal(err)
 	}
 	if len(agg.OutCols) != 2 || agg.OutCols[0] != "user_id" || agg.OutCols[1] != "total" {
@@ -198,9 +199,9 @@ func TestAnnotateUDFNodes(t *testing.T) {
 
 func TestFingerprint(t *testing.T) {
 	cat := testCatalog(t)
-	mk := func(lit int64) *Node {
-		p := Filter(Project(Scan("twtr"), "user_id"), expr.NewCmp("user_id", expr.Gt, value.NewInt(lit)))
-		if err := Annotate(p, cat); err != nil {
+	mk := func(lit int64) *plan.Node {
+		p := plan.Filter(plan.Project(plan.Scan("twtr"), "user_id"), expr.NewCmp("user_id", expr.Gt, value.NewInt(lit)))
+		if err := plan.Annotate(p, cat); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -212,16 +213,16 @@ func TestFingerprint(t *testing.T) {
 		t.Error("different literal, same fingerprint")
 	}
 	// op order matters syntactically (the caching-baseline property, §8.3.4)
-	a := Filter(Filter(Scan("twtr"), expr.NewCmp("user_id", expr.Gt, value.NewInt(1))), expr.NewCmp("reply_to", expr.Gt, value.NewInt(2)))
-	b := Filter(Filter(Scan("twtr"), expr.NewCmp("reply_to", expr.Gt, value.NewInt(2))), expr.NewCmp("user_id", expr.Gt, value.NewInt(1)))
+	a := plan.Filter(plan.Filter(plan.Scan("twtr"), expr.NewCmp("user_id", expr.Gt, value.NewInt(1))), expr.NewCmp("reply_to", expr.Gt, value.NewInt(2)))
+	b := plan.Filter(plan.Filter(plan.Scan("twtr"), expr.NewCmp("reply_to", expr.Gt, value.NewInt(2))), expr.NewCmp("user_id", expr.Gt, value.NewInt(1)))
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("filter order ignored syntactically")
 	}
 	// ... but the ANNOTATIONS are equal (the semantic win of the paper)
-	if err := Annotate(a, cat); err != nil {
+	if err := plan.Annotate(a, cat); err != nil {
 		t.Fatal(err)
 	}
-	if err := Annotate(b, cat); err != nil {
+	if err := plan.Annotate(b, cat); err != nil {
 		t.Fatal(err)
 	}
 	if !a.Ann.Equal(b.Ann) {
@@ -231,9 +232,9 @@ func TestFingerprint(t *testing.T) {
 
 func TestCloneAndSubstitute(t *testing.T) {
 	cat := testCatalog(t)
-	scan := Scan("twtr")
-	p := Filter(Project(scan, "user_id", "text"), expr.NewCmp("user_id", expr.Gt, value.NewInt(1)))
-	if err := Annotate(p, cat); err != nil {
+	scan := plan.Scan("twtr")
+	p := plan.Filter(plan.Project(scan, "user_id", "text"), expr.NewCmp("user_id", expr.Gt, value.NewInt(1)))
+	if err := plan.Annotate(p, cat); err != nil {
 		t.Fatal(err)
 	}
 	c := p.Clone()
@@ -241,9 +242,9 @@ func TestCloneAndSubstitute(t *testing.T) {
 	if p.Inputs[0].Cols[0] != "user_id" {
 		t.Error("Clone aliases")
 	}
-	// Substitute the scan with a view scan
-	repl := map[*Node]*Node{scan: Scan("some_view")}
-	s := Substitute(p, repl)
+	// plan.Substitute the scan with a view scan
+	repl := map[*plan.Node]*plan.Node{scan: plan.Scan("some_view")}
+	s := plan.Substitute(p, repl)
 	if s.Inputs[0].Inputs[0].Dataset != "some_view" {
 		t.Error("Substitute missed")
 	}
@@ -253,10 +254,10 @@ func TestCloneAndSubstitute(t *testing.T) {
 }
 
 func TestWalkOrder(t *testing.T) {
-	p := Filter(Project(Scan("twtr"), "user_id"), expr.NewCmp("user_id", expr.Gt, value.NewInt(1)))
-	var kinds []Kind
-	Walk(p, func(n *Node) { kinds = append(kinds, n.Kind) })
-	want := []Kind{KindScan, KindProject, KindFilter}
+	p := plan.Filter(plan.Project(plan.Scan("twtr"), "user_id"), expr.NewCmp("user_id", expr.Gt, value.NewInt(1)))
+	var kinds []plan.Kind
+	plan.Walk(p, func(n *plan.Node) { kinds = append(kinds, n.Kind) })
+	want := []plan.Kind{plan.KindScan, plan.KindProject, plan.KindFilter}
 	if len(kinds) != 3 {
 		t.Fatalf("kinds = %v", kinds)
 	}
@@ -268,23 +269,23 @@ func TestWalkOrder(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	p := JoinNodes(Scan("a"), GroupAgg(Scan("b"), []string{"k"}), "x", "k")
+	p := plan.JoinNodes(plan.Scan("a"), plan.GroupAgg(plan.Scan("b"), []string{"k"}), "x", "k")
 	s := p.String()
 	for _, want := range []string{"join", "scan a", "groupagg", "scan b"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String missing %q:\n%s", want, s)
 		}
 	}
-	if KindScan.String() != "scan" || Kind(99).String() != "kind(99)" {
+	if plan.KindScan.String() != "scan" || plan.Kind(99).String() != "kind(99)" {
 		t.Error("Kind names")
 	}
 }
 
 func TestSortNodeAnnotation(t *testing.T) {
 	cat := testCatalog(t)
-	base := Project(Scan("twtr"), "user_id", "reply_to")
-	s := Sort(base, []string{"reply_to"}, []bool{true}, 10)
-	if err := Annotate(s, cat); err != nil {
+	base := plan.Project(plan.Scan("twtr"), "user_id", "reply_to")
+	s := plan.Sort(base, []string{"reply_to"}, []bool{true}, 10)
+	if err := plan.Annotate(s, cat); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Ann.Limited {
@@ -294,8 +295,8 @@ func TestSortNodeAnnotation(t *testing.T) {
 		t.Errorf("OutCols = %v", s.OutCols)
 	}
 	// pure sort: no taint, annotation identical to input
-	s2 := Sort(Project(Scan("twtr"), "user_id", "reply_to"), []string{"user_id"}, nil, -1)
-	if err := Annotate(s2, cat); err != nil {
+	s2 := plan.Sort(plan.Project(plan.Scan("twtr"), "user_id", "reply_to"), []string{"user_id"}, nil, -1)
+	if err := plan.Annotate(s2, cat); err != nil {
 		t.Fatal(err)
 	}
 	if s2.Ann.Limited {
@@ -306,7 +307,7 @@ func TestSortNodeAnnotation(t *testing.T) {
 	}
 	// fingerprints distinguish sort specs
 	mk := func(desc bool, lim int64) string {
-		n := Sort(Scan("twtr"), []string{"user_id"}, []bool{desc}, lim)
+		n := plan.Sort(plan.Scan("twtr"), []string{"user_id"}, []bool{desc}, lim)
 		return n.Fingerprint()
 	}
 	if mk(true, 5) == mk(false, 5) || mk(true, 5) == mk(true, 6) {
@@ -323,20 +324,20 @@ func TestSortNodeAnnotation(t *testing.T) {
 		t.Errorf("String = %q", s.String())
 	}
 	// errors
-	bad := Sort(Scan("twtr"), []string{"missing"}, nil, -1)
-	if err := Annotate(bad, cat); err == nil {
+	bad := plan.Sort(plan.Scan("twtr"), []string{"missing"}, nil, -1)
+	if err := plan.Annotate(bad, cat); err == nil {
 		t.Error("sort on missing column accepted")
 	}
-	bad2 := Sort(Scan("twtr"), []string{"user_id"}, []bool{true, false}, -1)
-	if err := Annotate(bad2, cat); err == nil {
+	bad2 := plan.Sort(plan.Scan("twtr"), []string{"user_id"}, []bool{true, false}, -1)
+	if err := plan.Annotate(bad2, cat); err == nil {
 		t.Error("mismatched desc flags accepted")
 	}
 }
 
 func TestProjectAsValidation(t *testing.T) {
 	cat := testCatalog(t)
-	p := ProjectAs(Scan("twtr"), []string{"user_id", "text"}, []string{"uid", "msg"})
-	if err := Annotate(p, cat); err != nil {
+	p := plan.ProjectAs(plan.Scan("twtr"), []string{"user_id", "text"}, []string{"uid", "msg"})
+	if err := plan.Annotate(p, cat); err != nil {
 		t.Fatal(err)
 	}
 	if p.OutCols[0] != "uid" || p.Ann.SigOf("uid") == nil || p.Ann.SigOf("user_id") != nil {
@@ -346,8 +347,8 @@ func TestProjectAsValidation(t *testing.T) {
 	if p.Ann.MustSig("uid").ID() != "b:twtr.user_id" {
 		t.Error("rename changed identity")
 	}
-	bad := ProjectAs(Scan("twtr"), []string{"user_id"}, []string{"a", "b"})
-	if err := Annotate(bad, cat); err == nil {
+	bad := plan.ProjectAs(plan.Scan("twtr"), []string{"user_id"}, []string{"a", "b"})
+	if err := plan.Annotate(bad, cat); err == nil {
 		t.Error("length-mismatched rename accepted")
 	}
 }

@@ -7,3 +7,7 @@ func ForgetPlans(s *Session) {
 	clear(s.plans)
 	s.planMu.Unlock()
 }
+
+// BeforeRegister makes s call fn just before its retention registers each
+// materialization as a view; nil removes the hook.
+func BeforeRegister(s *Session, fn func(name string)) { s.beforeRegister = fn }

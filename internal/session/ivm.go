@@ -69,10 +69,10 @@ type AppendReport struct {
 // incrementally maintained when their annotation and producing plan admit
 // it, and invalidated otherwise. AppendRows holds planMu throughout, so it
 // serializes against planning but not against executing plans: a running
-// plan pinned its inputs at plan time, keeps reading them (deletion
-// defers), and its retention discards what it materialized before the
-// append. Only the views' delta jobs run one after another; the base
-// table's statistics and each view's merge overlap them (DESIGN §5.9).
+// plan pinned its inputs at plan time (deletion defers), and the catalog
+// refuses to register what it materialized once the append has begun.
+// Only the views' delta jobs run one after another; the base table's
+// statistics and each view's merge overlap them (DESIGN §5.9).
 func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, error) {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
@@ -88,7 +88,7 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 	if i := slices.IndexFunc(rows, func(r data.Row) bool { return len(r) != len(info.Cols) }); i >= 0 {
 		return nil, fmt.Errorf("session: row %d has %d values, %q has %d columns", i, len(rows[i]), table, len(info.Cols))
 	}
-	epoch := s.ingestEpoch.Add(1)
+	epoch := s.Cat.BeginAppend()
 	s.Obs.Gauge("session_ingest_epoch").Set(float64(epoch))
 	s.Obs.Counter("session_append_rows_total", "table", table).Add(int64(len(rows)))
 	sp := s.Obs.StartSpan(table, "append")
@@ -152,7 +152,7 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 	for _, v := range s.Cat.Views() {
 		// The annotation's lineage misses a table that no surviving attribute,
 		// key or predicate mentions (a global COUNT(*)); the plan still reads it.
-		pl := s.viewPlan(v.Name)
+		pl := v.Plan
 		if !slices.Contains(v.Ann.Bases(), table) && (pl == nil || !s.reads(pl, table)) {
 			continue
 		}
@@ -218,7 +218,6 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 		}
 		s.Store.Delete(name)
 		s.Cat.DropView(name)
-		s.dropViewPlan(name)
 		rep.Invalidated = append(rep.Invalidated, name)
 		rep.Reasons[name] = m.reason
 		s.Obs.Counter("session_views_invalidated_total", "table", table).Inc()

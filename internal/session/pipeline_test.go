@@ -187,7 +187,7 @@ func TestAppendRejectsWrongWidth(t *testing.T) {
 		contents []uint64
 	}
 	snap := func() state {
-		st := state{epoch: s.ingestEpoch.Load()}
+		st := state{epoch: s.Cat.Epoch()}
 		for _, kind := range []storage.Kind{storage.Base, storage.View} {
 			for _, name := range s.Store.List(kind) {
 				info, _ := s.Cat.Table(name)

@@ -79,20 +79,11 @@ type Session struct {
 	// afresh (nil, with the error, when that fails); tests compare them.
 	CheckPlanHit func(served, fresh *Metrics, err error)
 
-	// ingestEpoch counts AppendRows calls. planLocked snapshots it and
-	// retainViews discards materialization metadata planned under an older
-	// epoch — a plan raced an append and may describe pre-append contents.
-	ingestEpoch atomic.Int64
-
-	// viewMu guards viewPlans: producing logical plans per retained view,
-	// captured at registration so AppendRows can re-run a view's pipeline
-	// over an appended delta. Plans survive persistence (ViewPlans /
-	// RestoreViewPlan); a view without a captured plan always falls back
-	// to invalidation.
-	viewMu    sync.Mutex
-	viewPlans map[string]*plan.Node
-
 	statsSeed atomic.Int64
+
+	// beforeRegister, when set, is called just before retention registers
+	// each materialization as a view; tests run an append there.
+	beforeRegister func(name string)
 
 	// Obs receives session-level metrics and per-query spans when set via
 	// Instrument; nil costs one pointer check per query.
@@ -128,14 +119,13 @@ func New(params cost.Params) *Session {
 	eval := expr.NewEvaluator()
 	opt := optimizer.New(cat, params, eval)
 	return &Session{
-		Store:     st,
-		Cat:       cat,
-		Eng:       mr.New(st, params),
-		Opt:       opt,
-		Rew:       rewrite.NewRewriter(cat, opt),
-		Eval:      eval,
-		viewPlans: make(map[string]*plan.Node),
-		plans:     make(map[planKey]plannedQuery),
+		Store: st,
+		Cat:   cat,
+		Eng:   mr.New(st, params),
+		Opt:   opt,
+		Rew:   rewrite.NewRewriter(cat, opt),
+		Eval:  eval,
+		plans: make(map[planKey]plannedQuery),
 	}
 }
 
@@ -165,8 +155,8 @@ type Metrics struct {
 // The chosen plan's inputs are pinned and validated before planning
 // releases planMu, so a concurrent AppendRows (which holds planMu
 // throughout) can no longer invalidate them between planning and
-// execution: a run that raced an append reads the pre-append contents it
-// pinned, and retainViews discards what it materialized.
+// execution, and the catalog refuses to register what a run materialized
+// once an append has begun since it was planned.
 func (s *Session) Run(q *plan.Node, resultName string, mode Mode) (*Metrics, error) {
 	out, err := s.run([]BatchQuery{{Plan: q, ResultName: resultName, Mode: mode}}, false)
 	if err != nil {
@@ -330,8 +320,9 @@ type planKey struct {
 // every scanned input is checked to exist before planMu is released, so
 // execution starts from pinned, validated inputs; the caller owes the
 // Unpin. An input can be missing only because the catalog still offered a
-// view the budget had already evicted (or DropViews dropped): the catalog
-// is synced and the query replanned in place, without that view.
+// view the budget evicted, or DropViews or a stale run's retention deleted:
+// the catalog is synced and the query replanned in place. A view listed
+// after the sync is back in the store; only a missing base table is an error.
 func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery, []string, error) {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
@@ -354,7 +345,7 @@ func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery,
 			if s.Cat.SyncWithStore(s.Store) > 0 {
 				s.prunePlans()
 			}
-			if _, listed := s.Cat.Table(ins[i]); listed {
+			if t, listed := s.Cat.Table(ins[i]); listed && !t.IsView {
 				err = fmt.Errorf("session: planned input %q: %w", ins[i], storage.ErrNotFound)
 				break
 			}
@@ -415,7 +406,7 @@ func (s *Session) prunePlans() {
 
 // planLocked is one planning pass; the caller holds planMu.
 func (s *Session) planLocked(q BatchQuery) (plannedQuery, error) {
-	p := plannedQuery{chosen: q.Plan, epoch: s.ingestEpoch.Load()}
+	p := plannedQuery{chosen: q.Plan, epoch: s.Cat.Epoch()}
 	// Estimates are cached per query so every plan for the same logical
 	// output costs identically; statistics change between queries.
 	s.Opt.ClearEstimates()
@@ -486,53 +477,53 @@ func scanList(chosen *plan.Node) []string {
 // simulated seconds the sampling jobs cost. The caller holds the plan's
 // pins and syncs the catalog with the store once they are released.
 //
-// epoch is the ingest epoch the plan was derived under. When an AppendRows
-// intervened between planning and retention, the materializations may
-// describe pre-append base contents; registering them would resurrect
-// exactly the staleness AppendRows just cleaned up, so they are discarded
-// instead (the caller's result dataset stays readable but unregistered).
+// epoch is the ingest epoch the plan was derived under. The catalog
+// refuses a registration once an append has begun since: the
+// materialization may describe pre-append base contents, and registering
+// it would resurrect exactly the staleness the append cleans up. A refused
+// materialization is discarded; the caller's result stays readable but
+// unregistered.
 func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64) (float64, error) {
-	if epoch != s.ingestEpoch.Load() {
-		for _, jn := range w.Nodes {
-			if jn != w.Sink() {
-				s.Store.Delete(jn.ViewName)
-			}
-		}
-		// An unregistered result is plain bytes: the store must not keep a
-		// layout claim the catalog has no entry to match.
-		if _, known := s.Cat.Table(resultName); !known {
-			s.Store.SetPartitioning(resultName, nil, 0)
-		}
-		s.Obs.Counter("session_stale_retention_discarded_total").Inc()
-		return 0, nil
-	}
 	var total float64
+	stale := false
 	for i, jn := range w.Nodes {
 		// The sink was materialized under the caller's result name; that is
-		// the dataset future queries can reuse. A name listed under another
-		// annotation is a result re-run by another statement: stale.
+		// the dataset future queries can reuse.
 		name := w.StoredName(jn, resultName)
-		if t, known := s.Cat.Table(name); known && t.Canon() == jn.Logical.AnnCanon() {
-			continue // stats already collected for this materialization
-		}
 		if !s.Store.Has(name) {
 			continue // evicted by the reclamation policy
 		}
-		s.Cat.RegisterView(name, jn.OutCols, jn.Ann, cost.Stats{}, jn.PlanFP)
-		// Surface the layout the engine declared at materialize time (reduce
-		// outputs are hash-bucketed by their key) as catalog metadata, so
-		// future plans scanning this view can match it and skip the shuffle.
-		if sigs, parts := s.Store.Partitioning(name); parts > 0 {
-			s.Cat.SetPartitioning(name, afk.Partitioning{Sigs: sigs, Parts: parts})
+		if s.beforeRegister != nil {
+			s.beforeRegister(name)
 		}
-		s.RestoreViewPlan(name, jn.Logical)
+		// The engine declared the layout at materialize time (reduce outputs
+		// are hash-bucketed by their key); as catalog metadata it lets future
+		// plans scanning this view skip the shuffle.
+		sigs, parts := s.Store.Partitioning(name)
+		info, added := s.Cat.RegisterView(meta.TableInfo{
+			Name: name, Cols: jn.OutCols, Ann: jn.Ann, PlanFP: jn.PlanFP,
+			Part: afk.Partitioning{Sigs: sigs, Parts: parts}, Plan: jn.Logical.Clone(),
+		}, epoch)
+		if info == nil {
+			stale = true
+			if jn != w.Sink() {
+				s.Store.Delete(name)
+			} else if _, listed := s.Cat.Table(name); !listed {
+				// An unregistered result is plain bytes: the store must not
+				// keep a layout claim the catalog has no entry to match.
+				s.Store.SetPartitioning(name, nil, 0)
+			}
+			continue
+		}
+		if !added {
+			continue // stats already collected for this materialization
+		}
 		sec, err := s.Cat.CollectStats(s.Eng, name, s.statsSeed.Add(1)+int64(i))
 		if errors.Is(err, storage.ErrNotFound) {
 			// Gone after the check above (a concurrent DropViews took the
 			// catalog entry; the pins rule out eviction): the query
 			// succeeded, the view is just not retained.
 			s.Cat.DropView(name)
-			s.dropViewPlan(name)
 			continue
 		}
 		if err != nil {
@@ -540,45 +531,10 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 		}
 		total += sec
 	}
-	return total, nil
-}
-
-// RestoreViewPlan captures the producing logical plan of a view, making it
-// eligible for incremental maintenance on AppendRows (which runs the view's
-// pipeline over an appended delta) instead of blanket invalidation: at
-// retention, and when persist.Open reinstalls a plan an earlier session
-// captured.
-func (s *Session) RestoreViewPlan(name string, pl *plan.Node) {
-	c := pl.Clone()
-	s.viewMu.Lock()
-	s.viewPlans[name] = c
-	s.viewMu.Unlock()
-}
-
-// viewPlan returns the captured producing plan of a view, or nil.
-func (s *Session) viewPlan(name string) *plan.Node {
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	return s.viewPlans[name]
-}
-
-func (s *Session) dropViewPlan(name string) {
-	s.viewMu.Lock()
-	delete(s.viewPlans, name)
-	s.viewMu.Unlock()
-}
-
-// ViewPlans returns a deep copy of every captured producing plan, keyed by
-// view name. Persistence snapshots these alongside the catalog so a
-// restored session can keep maintaining its views.
-func (s *Session) ViewPlans() map[string]*plan.Node {
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	out := make(map[string]*plan.Node, len(s.viewPlans))
-	for name, pl := range s.viewPlans {
-		out[name] = pl.Clone()
+	if stale {
+		s.Obs.Counter("session_stale_retention_discarded_total").Inc()
 	}
-	return out
+	return total, nil
 }
 
 // DropViews clears all opportunistic views from store and catalog
@@ -586,9 +542,6 @@ func (s *Session) ViewPlans() map[string]*plan.Node {
 func (s *Session) DropViews() {
 	s.Store.DropViews()
 	s.Cat.DropViews()
-	s.viewMu.Lock()
-	s.viewPlans = make(map[string]*plan.Node)
-	s.viewMu.Unlock()
 	s.planMu.Lock()
 	clear(s.plans)
 	s.planMu.Unlock()

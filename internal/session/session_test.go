@@ -320,7 +320,7 @@ func TestStaleRetentionDropsLayoutClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ingestEpoch.Add(1) // an AppendRows landed between planning and retention
+	s.Cat.BeginAppend() // an AppendRows began between planning and retention
 	x, err := s.execute(plans, false)
 	if err == nil {
 		err = s.retain(queries, plans, x, spans, spans)
@@ -337,6 +337,70 @@ func TestStaleRetentionDropsLayoutClaim(t *testing.T) {
 	}
 	if sigs, parts := s.Store.Partitioning("res"); parts != 0 {
 		t.Errorf("store claims layout (%v, %d) for an unregistered result", sigs, parts)
+	}
+}
+
+// TestAppendBetweenPlanAndRegister: an append that begins after a run
+// planned and before the run registers its materializations wins. The
+// catalog refuses what the run computed over the pre-append base, so the
+// next rewritten run of the query answers what a clean recompute over the
+// grown base answers, the catalog lists only stored views, and the refusal
+// counts once for the plan, not once per job.
+func TestAppendBetweenPlanAndRegister(t *testing.T) {
+	s := demo(t, 300)
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	// Two jobs: the per-user sums, then a histogram of them.
+	q := func() *plan.Node {
+		return plan.GroupAgg(qThresh(0), []string{"s"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
+	}
+	batch := ivmBatch(10000, 11)
+	appended := false
+	BeforeRegister(s, func(string) {
+		if !appended {
+			appended = true
+			if _, err := s.AppendRows("logs", batch); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	m, err := s.Run(q(), "raced", ModeOriginal)
+	BeforeRegister(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !appended || m.Jobs != 2 {
+		t.Fatalf("setup: appended %v, %d jobs; want an append inside a two-job run", appended, m.Jobs)
+	}
+	if got := reg.Counter("session_stale_retention_discarded_total").Value(); got != 1 {
+		t.Errorf("stale retention counted %d times, want once for the plan", got)
+	}
+	if _, listed := s.Cat.Table("raced"); listed || !s.Store.Has("raced") {
+		t.Errorf("raced result: listed %v, stored %v; want readable and unregistered", listed, s.Store.Has("raced"))
+	}
+
+	ref := demo(t, 300)
+	if _, err := ref.AppendRows("logs", batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(q(), "after", ModeOriginal); err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.Run(q(), "after", ModeBFR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := multisetFP(s, after.ResultName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := multisetFP(ref, "after"); got != want {
+		t.Error("a run after the raced one answers other rows than a clean recompute")
+	}
+	for _, v := range s.Cat.Views() {
+		if !s.Store.Has(v.Name) {
+			t.Errorf("catalog lists view %s missing from the store", v.Name)
+		}
 	}
 }
 

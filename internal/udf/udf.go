@@ -178,15 +178,6 @@ type Descriptor struct {
 	Scalar float64
 }
 
-// IsAgg reports whether this is a grouping UDF.
-func (d *Descriptor) IsAgg() bool { return d.Kind == KindAgg }
-
-// KeyCols returns the group-key output column names (KindAgg).
-func (d *Descriptor) KeyCols() []string { return d.KeyNames }
-
-// Outs returns the non-key output column names.
-func (d *Descriptor) Outs() []string { return d.OutNames }
-
 // EffectiveScalar is the calibrated scalar the optimizer should use.
 func (d *Descriptor) EffectiveScalar() float64 {
 	if d.Scalar > 0 {

@@ -339,7 +339,8 @@ func TestFacadeIngestMaintainsAggregateOverJoin(t *testing.T) {
 	}
 	ask("install")
 	var grouped, joined string
-	for name, pl := range sys.Session().ViewPlans() {
+	for _, v := range sys.Session().Cat.Views() {
+		name, pl := v.Name, v.Plan
 		switch {
 		case pl.Kind == plan.KindJoin:
 			joined = name
