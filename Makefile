@@ -1,4 +1,4 @@
-.PHONY: build test verify examples stress bench bench-test bench-smoke fuzz-smoke loc loc-check
+.PHONY: build test verify examples stress bench bench-test bench-smoke fuzz-smoke loc loc-check reach
 
 build:
 	go build ./...
@@ -52,6 +52,12 @@ bench-smoke:
 fuzz-smoke:
 	./scripts/fuzz_smoke.sh
 
+# Statement reach of the user paths (every entry point built with -cover,
+# runs merged with go tool covdata): reach per package and the functions
+# under internal/ no run reached. A report, not a gate (ROADMAP 18).
+reach:
+	./scripts/reach.sh
+
 # Non-test Go lines per internal package (the ROADMAP line budget), then the
 # mr + optimizer + session subtotal ROADMAP direction 6 tracks.
 loc:
@@ -63,7 +69,7 @@ loc:
 # (direction 7(c)) the internal/rewrite total. Each change that shrinks one
 # sets its maximum to the result; growing past it fails CI.
 EXECUTOR_SRC     = $(shell find internal/mr internal/optimizer internal/session -name '*.go' ! -name '*_test.go')
-EXECUTOR_LOC_MAX = 5599
+EXECUTOR_LOC_MAX = 5559
 REWRITE_SRC      = $(shell find internal/rewrite -name '*.go' ! -name '*_test.go')
 REWRITE_LOC_MAX  = 1634
 loc-check:

@@ -162,7 +162,6 @@ func synthesizeViews(s *session.Session, target int, exclude map[string]bool) ([
 		canon := info.Canon()
 		if exclude[canon] || seen[canon] {
 			s.Store.Delete(name)
-			s.Cat.DropView(name)
 			return nil
 		}
 		seen[canon] = true

@@ -136,7 +136,6 @@ func Table2(c Config) (*Table2Result, error) {
 			for _, v := range s.Cat.Views() {
 				if targets[v.Canon()] || fps[v.PlanFP] {
 					s.Store.Delete(v.Name)
-					s.Cat.DropView(v.Name)
 					dropped++
 				}
 			}

@@ -135,10 +135,8 @@ func Table1(c Config) (*Table1Result, error) {
 		for _, v := range s.Cat.Views() {
 			if !before[v.Name] {
 				s.Store.Delete(v.Name)
-				s.Cat.DropView(v.Name)
 			}
 		}
-		s.Cat.SyncWithStore(s.Store)
 	}
 	return res, nil
 }

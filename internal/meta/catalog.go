@@ -41,9 +41,12 @@ type TableInfo struct {
 	// the optimizer's cardinality estimation.
 	Distinct map[string]int64
 	// Part is the relation's physical hash-layout property; the zero value
-	// means layout unknown. It is metadata about the *stored bytes*, so it
-	// is installed when the data is written (workload install, view
-	// retention) and must be dropped or re-declared whenever they change.
+	// means layout unknown. It is metadata about the *stored bytes*, kept
+	// only here (the store holds none), so it is installed when the data is
+	// written (workload install, view retention) and must be dropped or
+	// re-declared whenever they change. Partition-local routing still
+	// buckets every record by its key, so a wrong claim changes accounting,
+	// never answers.
 	Part afk.Partitioning
 	// Delta marks the appended rows of a base table, registered for the span
 	// of one AppendRows: the optimizer compiles a join on a delta's path as
@@ -254,16 +257,6 @@ func (c *Catalog) DropView(name string) {
 	}
 }
 
-// DropTable removes a base-table entry (e.g. the temporary delta table of
-// incremental view maintenance). Views are untouched — use DropView.
-func (c *Catalog) DropTable(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.tables[name]; ok && !t.IsView {
-		c.dropLocked(t)
-	}
-}
-
 // dropLocked removes a table's entry and unindexes its annotation
 // fingerprint (only if it is still the indexed one; another view may share
 // the annotation).
@@ -274,34 +267,15 @@ func (c *Catalog) dropLocked(t *TableInfo) {
 	}
 }
 
-// DropViews removes every view from the catalog, returning the count.
-func (c *Catalog) DropViews() int {
+// Forget drops whatever entry is listed under name. The store reports
+// every removal here (storage.Store.OnRemove, wired by session.New), under
+// its own lock: Forget must never call the store.
+func (c *Catalog) Forget(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, t := range c.tables {
-		if t.IsView {
-			c.dropLocked(t)
-			n++
-		}
+	if t, ok := c.tables[name]; ok {
+		c.dropLocked(t)
 	}
-	return n
-}
-
-// SyncWithStore drops catalog views whose backing data was evicted from the
-// store (capacity reclamation), keeping metadata consistent, and returns
-// the count.
-func (c *Catalog) SyncWithStore(st *storage.Store) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for name, t := range c.tables {
-		if t.IsView && !st.Has(name) {
-			c.dropLocked(t)
-			n++
-		}
-	}
-	return n
 }
 
 // CollectStats runs the lightweight statistics job for a stored dataset
@@ -312,7 +286,7 @@ func (c *Catalog) SyncWithStore(st *storage.Store) int {
 // returned.
 func (c *Catalog) CollectStats(eng *mr.Engine, name string, seed int64) (float64, error) {
 	// Both misses wrap storage.ErrNotFound: under a capacity budget a
-	// concurrent plan can evict the dataset (and sync its catalog entry away)
+	// concurrent plan can evict the dataset (which forgets its catalog entry)
 	// at any point before the sample, and view retention skips such views.
 	if _, ok := c.Table(name); !ok {
 		return 0, fmt.Errorf("meta: unknown table %q: %w", name, storage.ErrNotFound)
@@ -332,7 +306,7 @@ func (c *Catalog) CollectStats(eng *mr.Engine, name string, seed int64) (float64
 			frac = 1
 		}
 	}
-	sample, err := eng.Store.Sample(name, frac, seed)
+	sample, err := eng.Store.Sample(ds, frac, seed)
 	if err != nil {
 		return 0, err
 	}

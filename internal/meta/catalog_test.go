@@ -68,16 +68,16 @@ func TestViews(t *testing.T) {
 	}
 	c.DropView("v1")
 	c.DropView("twtr") // must not drop base
-	c.DropTable("v2")  // must not drop a view
 	c.MarkDelta("v2")  // must not mark a view
 	if vs := c.Views(); len(vs) != 1 || vs[0].Delta {
-		t.Errorf("DropView, DropTable or MarkDelta wrong: %+v", vs)
+		t.Errorf("DropView or MarkDelta wrong: %+v", vs)
 	}
 	if _, ok := c.Table("twtr"); !ok {
 		t.Error("DropView removed base")
 	}
-	if n := c.DropViews(); n != 1 {
-		t.Errorf("DropViews = %d", n)
+	c.Forget("v2")
+	if vs := c.Views(); len(vs) != 0 {
+		t.Errorf("Forget left %+v", vs)
 	}
 	// Registering a view under a name listed with another annotation
 	// replaces the entry and its place in the annotation index; under the
@@ -169,26 +169,32 @@ func TestRegisterViewRefusesStaleEpoch(t *testing.T) {
 	}
 }
 
-func TestSyncWithStore(t *testing.T) {
+// TestForget: wired to a store's OnRemove, Forget unlists every dataset the
+// store removes — evicted, deleted or dropped, view or base — and only those.
+func TestForget(t *testing.T) {
 	c := NewCatalog()
 	st := storage.NewStore()
-	base := c.RegisterBase("b", []string{"a"}, "", cost.Stats{}, nil)
+	st.OnRemove = c.Forget
 	rel := data.NewRelation(data.NewSchema("a"))
 	rel.Append(data.Row{value.NewInt(1)})
-	st.Put("v1", storage.View, rel)
-	view(c, "v1", base.Ann, cost.Stats{})
-	view(c, "vgone", base.Ann, cost.Stats{})
-	if n := c.SyncWithStore(st); n != 1 {
-		t.Errorf("SyncWithStore dropped %d views, want 1", n)
+	base := c.RegisterBase("b", []string{"a"}, "", cost.Stats{}, nil)
+	st.Put("b", storage.Base, rel)
+	for _, name := range []string{"v1", "v2", "v3", "v4"} {
+		st.Put(name, storage.View, rel)
+		view(c, name, base.Ann, cost.Stats{})
 	}
-	if n := c.SyncWithStore(st); n != 0 {
-		t.Errorf("a second SyncWithStore dropped %d views", n)
+	st.ViewCapacityBytes = 3 * rel.EncodedSize()
+	st.EnforceBudget() // evicts v1
+	st.ViewCapacityBytes = 0
+	st.Delete("v2")
+	st.DropViews()
+	st.Put("v5", storage.View, rel) // bytes without an entry stay unlisted
+	if vs := c.Views(); len(vs) != 0 {
+		t.Errorf("views the store removed are still listed: %v", vs)
 	}
-	if _, ok := c.Table("v1"); !ok {
-		t.Error("synced away live view")
-	}
-	if _, ok := c.Table("vgone"); ok {
-		t.Error("kept evicted view")
+	st.Delete("b")
+	if _, ok := c.Table("b"); ok {
+		t.Error("the deleted base table is still listed")
 	}
 }
 
@@ -300,6 +306,7 @@ func TestGenMovesOnEveryChange(t *testing.T) {
 		f.eng = mr.New(f.st, cost.DefaultParams())
 		rel := data.NewRelation(data.NewSchema("a"))
 		rel.Append(data.Row{value.NewInt(1)})
+		f.st.OnRemove = f.c.Forget
 		f.st.Put("b", storage.Base, rel)
 		f.st.Put("v", storage.View, rel)
 		base := f.c.RegisterBase("b", []string{"a"}, "", cost.Stats{}, nil)
@@ -331,13 +338,14 @@ func TestGenMovesOnEveryChange(t *testing.T) {
 		{"drop_view", func(_ *testing.T, f fixture) { f.c.DropView("v") }, true, nil},
 		{"drop_view_absent", func(_ *testing.T, f fixture) { f.c.DropView("nope") }, false, nil},
 		{"drop_view_of_base", func(_ *testing.T, f fixture) { f.c.DropView("b") }, false, nil},
-		{"drop_table", func(_ *testing.T, f fixture) { f.c.DropTable("b") }, true, nil},
-		{"drop_table_absent", func(_ *testing.T, f fixture) { f.c.DropTable("nope") }, false, nil},
-		{"drop_table_of_view", func(_ *testing.T, f fixture) { f.c.DropTable("v") }, false, nil},
-		{"drop_views", func(_ *testing.T, f fixture) { f.c.DropViews() }, true, nil},
-		{"drop_views_none", func(_ *testing.T, f fixture) { f.c.DropViews() }, false, func(f fixture) { f.c.DropViews() }},
-		{"sync_evicting", func(_ *testing.T, f fixture) { f.st.Delete("v"); f.c.SyncWithStore(f.st) }, true, nil},
-		{"sync_nothing_evicted", func(_ *testing.T, f fixture) { f.c.SyncWithStore(f.st) }, false, nil},
+		{"forget", func(_ *testing.T, f fixture) { f.c.Forget("v") }, true, nil},
+		{"forget_absent", func(_ *testing.T, f fixture) { f.c.Forget("nope") }, false, nil},
+		{"drop_table", func(_ *testing.T, f fixture) { f.st.Delete("b") }, true, nil},
+		{"drop_table_absent", func(_ *testing.T, f fixture) { f.st.Delete("nope") }, false, nil},
+		{"drop_views", func(_ *testing.T, f fixture) { f.st.DropViews() }, true, nil},
+		{"drop_views_none", func(_ *testing.T, f fixture) { f.st.DropViews() }, false, func(f fixture) { f.st.DropViews() }},
+		{"evict", func(_ *testing.T, f fixture) { f.st.ViewCapacityBytes = 1; f.st.EnforceBudget() }, true, nil},
+		{"evict_nothing", func(_ *testing.T, f fixture) { f.st.ViewCapacityBytes = 1 << 20; f.st.EnforceBudget() }, false, nil},
 		{"collect_stats", func(t *testing.T, f fixture) {
 			if _, err := f.c.CollectStats(f.eng, "v", 1); err != nil {
 				t.Fatal(err)

@@ -250,14 +250,6 @@ type Job struct {
 	// oracle suite proves it).
 	PartitionKeyCols int
 	PartitionParts   int
-
-	// OutputPartSigs and OutputPartParts declare the layout of the bytes
-	// this job writes (reducers hash-bucket their output by these key
-	// signatures): after materializing, the engine installs the property on
-	// the store so downstream jobs can match it. Empty means the output
-	// makes no layout promise.
-	OutputPartSigs  []string
-	OutputPartParts int
 }
 
 // keyed reports whether the job shuffles and reduces (else it is map-only).
@@ -699,9 +691,6 @@ func (e *Engine) attempt(job *Job, read **inputRead, first bool, res *Result, as
 
 	// Materialize (every job output is retained: opportunistic views).
 	e.Store.Put(job.Output, storage.View, out)
-	if len(job.OutputPartSigs) > 0 && job.OutputPartParts > 0 {
-		e.Store.SetPartitioning(job.Output, job.OutputPartSigs, job.OutputPartParts)
-	}
 	wsp.AddSim(float64(res.OutputBytes) / e.Params.WriteRate)
 	wsp.End()
 

@@ -325,6 +325,11 @@ func (o *Optimizer) estimateJobCost(j *JobNode, est *estimator) cost.Breakdown {
 	return o.Params.JobCost(spec)
 }
 
+// OutputPart is the layout of the bytes a job node writes (reducers
+// hash-bucket their output by its key): an opportunistic byproduct the
+// catalog records, so plans scanning the view can skip the shuffle.
+func (o *Optimizer) OutputPart(jn *JobNode) afk.Partitioning { return o.resolveParts(jn.Logical.Part) }
+
 // resolveParts concretizes a plan-level layout: Parts == 0 on a partitioned
 // node means "bucketed on these keys, count chosen by the writer", which the
 // optimizer resolves to the configured bucket count (the one compiled jobs

@@ -119,15 +119,9 @@ func (o *Optimizer) executableJob(jn *JobNode, outName string) (*mr.Job, error) 
 		// does not (a join's output is its key count times the fan-out).
 		EstGroups: min(jn.Est.Rows, jn.EstSpec.ShuffleRows),
 	}
-	// Execute the layout match found at estimation time, and declare the
-	// layout of the bytes this job writes (reducers write bucket files —
-	// the opportunistic byproduct downstream jobs can exploit).
+	// Execute the layout match found at estimation time.
 	job.PartitionKeyCols = jn.PartKeyCols
 	job.PartitionParts = jn.PartParts
-	if op := o.resolveParts(boundary.Part); op.IsPartitioned() {
-		job.OutputPartSigs = append([]string(nil), op.Sigs...)
-		job.OutputPartParts = op.Parts
-	}
 	progs := make([]*fusedProg, len(jn.streams))
 	for i, st := range jn.streams {
 		p, err := o.buildFused(st, job)

@@ -126,7 +126,6 @@ func benchAggFixture(b *testing.B, p *plan.Node) (*fixture, *Work, []*mr.Job) {
 	b.Helper()
 	f := newFixture(b, 20000)
 	sig := afk.BaseSig("twtr", "user_id").ID()
-	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
 	f.eng.Params.SplitRows = 2048
 	f.eng.Workers = 1

@@ -182,7 +182,6 @@ func putNums(f *fixture) {
 	f.cat.RegisterBase("nums", []string{"id", "g", "h", "x"}, "id",
 		cost.Stats{Rows: 400, Bytes: rel.EncodedSize()}, map[string]int64{"id": 400, "g": 8, "h": 5, "x": 250})
 	sig := afk.BaseSig("nums", "g").ID()
-	f.store.SetPartitioning("nums", []string{sig}, 4)
 	f.cat.SetPartitioning("nums", afk.Partitioning{Sigs: []string{sig}, Parts: 4})
 }
 
@@ -276,7 +275,6 @@ func runFusionWorkload(t *testing.T, chaos *fault.Plan, workers, reduceTasks int
 	// Hash layout on twtr(user_id): grouped-by-user_id queries take the
 	// partition-local path and their boundaries become cross-fusable.
 	sig := afk.BaseSig("twtr", "user_id").ID()
-	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
 	putNums(f)
 	withDelta(t, f, true)

@@ -216,7 +216,6 @@ func fuzzFixture(t testing.TB) *fixture {
 	// Hash layout on twtr(user_id): grouped chains keyed by user_id become
 	// partition-local, putting the cross-boundary kernel in the fuzz space.
 	sig := afk.BaseSig("twtr", "user_id").ID()
-	f.store.SetPartitioning("twtr", []string{sig}, 4)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 4})
 	f.eng.Params.SplitRows = 32 // several map splits per run
 	return f

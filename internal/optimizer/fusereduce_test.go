@@ -24,7 +24,6 @@ func runReduceFusionPlan(t *testing.T, interp bool, p *plan.Node) ([]data.Row, [
 	f := newFixture(t, 1000)
 	registerTokenize(t, f)
 	sig := afk.BaseSig("twtr", "user_id").ID()
-	f.store.SetPartitioning("twtr", []string{sig}, 8)
 	f.cat.SetPartitioning("twtr", afk.Partitioning{Sigs: []string{sig}, Parts: 8})
 	f.eng.Params.SplitRows = 64
 	f.eng.Params.ReduceTasks = 3

@@ -29,7 +29,6 @@ func layoutSession(t *testing.T, rows int) *session.Session {
 	s.Cat.RegisterBase("logs", []string{"id", "user", "amt"}, "id",
 		cost.Stats{Rows: int64(rows), Bytes: rel.EncodedSize()}, map[string]int64{"user": 7})
 	userSig := afk.BaseSig("logs", "user").ID()
-	s.Store.SetPartitioning("logs", []string{userSig}, 16)
 	s.Cat.SetPartitioning("logs", afk.Partitioning{Sigs: []string{userSig}, Parts: 16})
 
 	p := plan.GroupAgg(plan.Scan("logs"), []string{"user"},
@@ -47,15 +46,10 @@ func layoutSession(t *testing.T, rows int) *session.Session {
 	return s
 }
 
-// checkLayout asserts one dataset's declared layout on both the store (the
-// bytes' ground truth) and the catalog (what plan annotation consults),
-// and that the two agree.
+// checkLayout asserts one dataset's layout on its catalog entry, the one
+// record of it (what plan annotation consults).
 func checkLayout(t *testing.T, s *session.Session, name string, wantSigs []string, wantParts int, stage string) {
 	t.Helper()
-	sigs, parts := s.Store.Partitioning(name)
-	if !reflect.DeepEqual(sigs, wantSigs) || parts != wantParts {
-		t.Errorf("%s: store layout of %s = (%v, %d), want (%v, %d)", stage, name, sigs, parts, wantSigs, wantParts)
-	}
 	info, ok := s.Cat.Table(name)
 	if !ok {
 		t.Fatalf("%s: %s missing from catalog", stage, name)
@@ -117,9 +111,9 @@ func TestViewLayoutLifecycle(t *testing.T) {
 	checkLayout(t, s2, "vavg", []string{userSig}, viewParts, "after round-trip")
 
 	// Incremental maintenance: the captured plan also survived the
-	// round-trip, so the append refreshes the view in place — and Refresh
-	// preserves the layout claim, because a key-merge never moves a group
-	// out of its bucket.
+	// round-trip, so the append refreshes the view in place — and its entry
+	// keeps the layout claim, because a key-merge never moves a group out
+	// of its bucket.
 	rep, err := s2.AppendRows("logs", appendBatch(1000, 41))
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +132,6 @@ func TestViewLayoutLifecycle(t *testing.T) {
 	}
 	if s2.Store.Has("vavg") {
 		t.Error("invalidated view still in store")
-	}
-	if sigs, parts := s2.Store.Partitioning("vavg"); sigs != nil || parts != 0 {
-		t.Errorf("stale store layout (%v, %d) for dropped view", sigs, parts)
 	}
 	if _, ok := s2.Cat.Table("vavg"); ok {
 		t.Error("invalidated view still in catalog")

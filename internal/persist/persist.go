@@ -365,11 +365,9 @@ func Save(s *session.Session, dir string) error {
 				Rows: info.Stats.Rows, Bytes: info.Stats.Bytes,
 				Distinct: info.Distinct, Ann: annToDTO(info.Ann),
 			}
-			// The store's declaration is authoritative: it tracks the bytes
-			// being written out, including layouts declared after the catalog
-			// entry was registered.
-			if sigs, parts := s.Store.Partitioning(name); parts > 0 {
-				dto.PartSigs, dto.PartParts = sigs, parts
+			// The catalog entry is the one record of the stored layout.
+			if info.Part.IsPartitioned() {
+				dto.PartSigs, dto.PartParts = info.Part.Sigs, info.Part.Parts
 			}
 			if info.Plan != nil {
 				pd := planToDTO(info.Plan)
@@ -536,7 +534,6 @@ func Open(dir string, params cost.Params) (*session.Session, *Saved, error) {
 		var part afk.Partitioning
 		if t.PartParts > 0 && len(t.PartSigs) > 0 {
 			part = afk.Partitioning{Sigs: t.PartSigs, Parts: t.PartParts}
-			s.Store.SetPartitioning(t.Name, t.PartSigs, t.PartParts)
 		}
 		if t.IsView {
 			info := meta.TableInfo{Name: t.Name, Cols: t.Cols, Ann: ann, Stats: stats,

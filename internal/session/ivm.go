@@ -102,21 +102,13 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 	// updates size/eviction bookkeeping.
 	old := ds.Relation()
 	rel := old.Extend(rows)
-	// Re-Put deliberately resets the store's layout property (fresh bytes
-	// make no promise), but an append preserves a hash layout: the bucket a
-	// row belongs to is a function of its key values alone, so the grown
-	// relation satisfies the same property the ingest path maintains.
-	// Re-declare it on both store and catalog.
-	baseSigs, baseParts := s.Store.Partitioning(table)
 	s.Store.Put(table, storage.Base, rel)
-	if baseParts > 0 {
-		s.Store.SetPartitioning(table, baseSigs, baseParts)
-	}
 	s.Cat.RegisterBase(table, info.Cols, info.KeyCol,
 		cost.Stats{Rows: int64(rel.Len()), Bytes: rel.EncodedSize()}, info.Distinct)
-	if baseParts > 0 {
-		s.Cat.SetPartitioning(table, afk.Partitioning{Sigs: baseSigs, Parts: baseParts})
-	}
+	// An append preserves a hash layout: the bucket a row belongs to is a
+	// function of its key values alone, so the grown relation keeps the
+	// layout the table was declared with.
+	s.Cat.SetPartitioning(table, info.Part)
 	// Re-estimate per-column distincts on the grown base: appends change
 	// cardinalities, and stale counts misprice every downstream group-by.
 	// No delta plan reads them: its scans of the table read the delta.
@@ -193,7 +185,6 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 	bg.Wait()
 	if deltaInstalled {
 		s.Store.Delete(deltaName)
-		s.Cat.DropTable(deltaName)
 	}
 
 	// Everything is reported in view order, so float sums add as they
@@ -217,7 +208,6 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 			continue
 		}
 		s.Store.Delete(name)
-		s.Cat.DropView(name)
 		rep.Invalidated = append(rep.Invalidated, name)
 		rep.Reasons[name] = m.reason
 		s.Obs.Counter("session_views_invalidated_total", "table", table).Inc()

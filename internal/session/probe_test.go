@@ -39,10 +39,7 @@ func checkProbeVsShuffle(t *testing.T, s *Session, pl *plan.Node, a ivmAppend) i
 	deltaName, sink := "~delta~"+a.table, "~probe~out"
 	delta := data.NewRelation(data.NewSchema(info.Cols...)).Extend(a.rows)
 	s.Store.Put(deltaName, storage.Base, delta)
-	defer func() {
-		s.Store.Delete(deltaName)
-		s.Cat.DropTable(deltaName)
-	}()
+	defer s.Store.Delete(deltaName)
 	roots := []*plan.Node{pl}
 	if pl.Kind == plan.KindGroupAgg && pl.Inputs[0].Kind != plan.KindScan {
 		roots = append(roots, pl.Inputs[0])

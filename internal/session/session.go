@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"opportune/internal/afk"
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/expr"
@@ -118,6 +117,7 @@ func New(params cost.Params) *Session {
 	cat := meta.NewCatalog()
 	eval := expr.NewEvaluator()
 	opt := optimizer.New(cat, params, eval)
+	st.OnRemove = cat.Forget
 	return &Session{
 		Store: st,
 		Cat:   cat,
@@ -169,8 +169,8 @@ func (s *Session) Run(q *plan.Node, resultName string, mode Mode) (*Metrics, err
 // loop for N queries: plan them under one planMu hold, run their jobs as
 // one unit DAG (execute), then finalize each query in input order — its
 // job records, retention and statistics, spans and metrics — and release
-// the pins with one Unpin → EnforceBudget → SyncWithStore, on success and
-// on failure alike. share applies RunBatch's cross-query transform (dedupe
+// the pins with one Unpin → EnforceBudget, on success and on failure
+// alike. share applies RunBatch's cross-query transform (dedupe
 // and shared scans); Run shares nothing.
 func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 	start := time.Now()
@@ -197,15 +197,8 @@ func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 		}
 		s.Store.Unpin(pins)
 		// On failure too: outputs were admitted over budget under the pins,
-		// and evictions deferred by them land at Unpin. The budget may also
-		// have claimed views retained a moment ago: drop their catalog
-		// entries.
+		// and evictions deferred by them land here.
 		s.Store.EnforceBudget()
-		if s.Cat.SyncWithStore(s.Store) > 0 {
-			s.planMu.Lock()
-			s.prunePlans()
-			s.planMu.Unlock()
-		}
 	}
 	if err != nil {
 		for qi, q := range queries {
@@ -319,10 +312,10 @@ type planKey struct {
 // far are released. Each plan's inputs and outputs are pinned (pinList) and
 // every scanned input is checked to exist before planMu is released, so
 // execution starts from pinned, validated inputs; the caller owes the
-// Unpin. An input can be missing only because the catalog still offered a
-// view the budget evicted, or DropViews or a stale run's retention deleted:
-// the catalog is synced and the query replanned in place. A view listed
-// after the sync is back in the store; only a missing base table is an error.
+// Unpin. An input can be missing because it was removed after planning
+// read the catalog, or because retention registered a view whose bytes a
+// delete had just removed (DESIGN §5.9): such a view is dropped and the
+// query replanned in place. Only a missing base table is an error.
 func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery, []string, error) {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
@@ -342,13 +335,11 @@ func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery,
 				break
 			}
 			s.Store.Unpin(p.pins)
-			if s.Cat.SyncWithStore(s.Store) > 0 {
-				s.prunePlans()
-			}
 			if t, listed := s.Cat.Table(ins[i]); listed && !t.IsView {
 				err = fmt.Errorf("session: planned input %q: %w", ins[i], storage.ErrNotFound)
 				break
 			}
+			s.Cat.DropView(ins[i])
 		}
 		psp.End()
 		if err != nil {
@@ -475,7 +466,7 @@ func scanList(chosen *plan.Node) []string {
 // retainViews registers every new materialization of an executed plan as an
 // opportunistic view and samples its statistics, in node order. Returns the
 // simulated seconds the sampling jobs cost. The caller holds the plan's
-// pins and syncs the catalog with the store once they are released.
+// pins.
 //
 // epoch is the ingest epoch the plan was derived under. The catalog
 // refuses a registration once an append has begun since: the
@@ -496,22 +487,14 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 		if s.beforeRegister != nil {
 			s.beforeRegister(name)
 		}
-		// The engine declared the layout at materialize time (reduce outputs
-		// are hash-bucketed by their key); as catalog metadata it lets future
-		// plans scanning this view skip the shuffle.
-		sigs, parts := s.Store.Partitioning(name)
 		info, added := s.Cat.RegisterView(meta.TableInfo{
 			Name: name, Cols: jn.OutCols, Ann: jn.Ann, PlanFP: jn.PlanFP,
-			Part: afk.Partitioning{Sigs: sigs, Parts: parts}, Plan: jn.Logical.Clone(),
+			Part: s.Opt.OutputPart(jn), Plan: jn.Logical.Clone(),
 		}, epoch)
 		if info == nil {
 			stale = true
 			if jn != w.Sink() {
 				s.Store.Delete(name)
-			} else if _, listed := s.Cat.Table(name); !listed {
-				// An unregistered result is plain bytes: the store must not
-				// keep a layout claim the catalog has no entry to match.
-				s.Store.SetPartitioning(name, nil, 0)
 			}
 			continue
 		}
@@ -520,8 +503,8 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 		}
 		sec, err := s.Cat.CollectStats(s.Eng, name, s.statsSeed.Add(1)+int64(i))
 		if errors.Is(err, storage.ErrNotFound) {
-			// Gone after the check above (a concurrent DropViews took the
-			// catalog entry; the pins rule out eviction): the query
+			// Deleted after the check above (a concurrent DropViews; the pins
+			// rule out eviction), before or after the registration: the query
 			// succeeded, the view is just not retained.
 			s.Cat.DropView(name)
 			continue
@@ -541,7 +524,6 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 // (experiments do this between phases).
 func (s *Session) DropViews() {
 	s.Store.DropViews()
-	s.Cat.DropViews()
 	s.planMu.Lock()
 	clear(s.plans)
 	s.planMu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"opportune/internal/cost"
 	"opportune/internal/data"
 	"opportune/internal/expr"
+	"opportune/internal/meta"
 	"opportune/internal/obs"
 	"opportune/internal/plan"
 	"opportune/internal/storage"
@@ -149,20 +150,57 @@ func TestDropViews(t *testing.T) {
 	}
 }
 
+// TestEvictionKeepsCatalogConsistent: an eviction unlists its view as it
+// happens, during a run or from an EnforceBudget with no run after it.
 func TestEvictionKeepsCatalogConsistent(t *testing.T) {
 	s := demo(t, 400)
+	listedStored := func(step string) {
+		t.Helper()
+		for _, v := range s.Cat.Views() {
+			if !s.Store.Has(v.Name) {
+				t.Errorf("%s: catalog lists evicted view %s", step, v.Name)
+			}
+		}
+	}
 	s.Store.ViewCapacityBytes = 600 // tiny: most views evicted
 	if _, err := s.Run(q(), "res", ModeOriginal); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range s.Cat.Views() {
-		if !s.Store.Has(v.Name) {
-			t.Errorf("catalog lists evicted view %s", v.Name)
-		}
-	}
+	listedStored("run")
 	// queries still run and rewrite correctly afterwards
 	if _, err := s.Run(q(), "res2", ModeBFR); err != nil {
 		t.Fatal(err)
+	}
+	before := len(s.Cat.Views())
+	s.Store.ViewCapacityBytes = 1
+	s.Store.EnforceBudget()
+	if n := len(s.Cat.Views()); n >= before {
+		t.Fatalf("the budget evicted nothing: %d views listed before, %d after", before, n)
+	}
+	listedStored("enforce budget")
+}
+
+// TestDeletePinnedViewUnlistsAtRequest: deleting a view a running plan
+// pins unlists it at once, so no new plan reads it; its bytes stay
+// readable for the pin holder until the last Unpin removes them.
+func TestDeletePinnedViewUnlistsAtRequest(t *testing.T) {
+	s := demo(t, 100)
+	if _, err := s.Run(q(), "res", ModeOriginal); err != nil {
+		t.Fatal(err)
+	}
+	s.Store.Pin([]string{"res"})
+	if s.Store.Delete("res") {
+		t.Error("Delete of a pinned view removed it at once")
+	}
+	if isListed(s, "res") {
+		t.Error("the deleted view is still listed")
+	}
+	if _, err := s.Store.Read("res"); err != nil {
+		t.Errorf("the pinned view's bytes are gone before its Unpin: %v", err)
+	}
+	s.Store.Unpin([]string{"res"})
+	if s.Store.Has("res") {
+		t.Error("the last Unpin did not remove the deleted view")
 	}
 }
 
@@ -309,8 +347,8 @@ func TestAppendRowsReestimatesDistincts(t *testing.T) {
 }
 
 // TestStaleRetentionDropsLayoutClaim: a plan that raced an append keeps its
-// result readable but unregistered — and then the store must not go on
-// claiming a layout for it that no catalog entry matches.
+// result readable but unregistered — so no layout is claimed for it, as
+// the catalog entry is the one record of a dataset's layout.
 func TestStaleRetentionDropsLayoutClaim(t *testing.T) {
 	s := demo(t, 100)
 	byUser := plan.GroupAgg(plan.Scan("logs"), []string{"user"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
@@ -334,9 +372,6 @@ func TestStaleRetentionDropsLayoutClaim(t *testing.T) {
 	}
 	if _, known := s.Cat.Table("res"); known {
 		t.Fatal("stale result registered")
-	}
-	if sigs, parts := s.Store.Partitioning("res"); parts != 0 {
-		t.Errorf("store claims layout (%v, %d) for an unregistered result", sigs, parts)
 	}
 }
 
@@ -404,9 +439,39 @@ func TestAppendBetweenPlanAndRegister(t *testing.T) {
 	}
 }
 
+// registerAbsent lists info again after its bytes were removed: what a
+// retention that lost a race with a delete leaves until its CollectStats
+// drops the entry, the one window in which the catalog lists missing bytes.
+func registerAbsent(t *testing.T, s *Session, info *meta.TableInfo) {
+	t.Helper()
+	if info.IsView {
+		s.Cat.RegisterView(*info, s.Cat.Epoch())
+	} else {
+		s.Cat.RegisterBase(info.Name, info.Cols, info.KeyCol, info.Stats, info.Distinct)
+	}
+	if s.Store.Has(info.Name) || !isListed(s, info.Name) {
+		t.Fatalf("%s is not listed without its bytes: the case under test did not arise", info.Name)
+	}
+}
+
+// deleteListed deletes a dataset's bytes, which unlists it, and lists it
+// again (registerAbsent).
+func deleteListed(t *testing.T, s *Session, name string) {
+	t.Helper()
+	info, ok := s.Cat.Table(name)
+	if !ok {
+		t.Fatalf("%s is not listed", name)
+	}
+	s.Store.Delete(name)
+	if isListed(s, name) {
+		t.Fatalf("deleting %s did not unlist it", name)
+	}
+	registerAbsent(t, s, info)
+}
+
 // TestRunReplansAroundVanishedView: the catalog can offer a view the store
-// no longer holds (evicted by a concurrent plan's EnforceBudget and not yet
-// synced away). Planning pins and validates its inputs before it releases
+// no longer holds (registered by a retention that lost a race with a
+// delete). Planning pins and validates its inputs before it releases
 // planMu, so Run must drop the entry and replan in place — never fail, never
 // hand back a result that is not there, never leak the pins of the
 // abandoned plan. A missing base table cannot be planned around and is a
@@ -433,16 +498,15 @@ func TestRunReplansAroundVanishedView(t *testing.T) {
 	}
 	// Every view gone behind the catalog's back: the rewrite over the
 	// retained aggregate is abandoned for the original plan.
-	s.Store.DropViews()
-	if len(s.Cat.Views()) == 0 {
-		t.Fatal("setup: catalog entries gone with the store's views")
+	for _, v := range s.Cat.Views() {
+		deleteListed(t, s, v.Name)
 	}
 	run(2, "second")
 	// The identical view gone: the bare-scan answer is abandoned too.
-	s.Store.Delete("second")
+	deleteListed(t, s, "second")
 	run(2, "third")
 
-	s.Store.Delete("logs")
+	deleteListed(t, s, "logs")
 	if _, err := s.Run(qThresh(1), "fourth", ModeOriginal); !errors.Is(err, storage.ErrNotFound) {
 		t.Errorf("run over a missing base: err = %v, want storage.ErrNotFound", err)
 	}

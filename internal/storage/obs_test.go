@@ -14,11 +14,11 @@ func TestStoreObsCounters(t *testing.T) {
 	s.SetObs(reg)
 
 	base := rel(10)
-	s.Put("base", Base, base)
+	d := s.Put("base", Base, base)
 	if _, err := s.Read("base"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Sample("base", 1, 1); err != nil {
+	if _, err := s.Sample(d, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 

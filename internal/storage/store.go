@@ -41,15 +41,6 @@ type Dataset struct {
 	UseCount    int64   // number of reads
 	Benefit     float64 // accumulated cost-benefit score (set by the rewriter)
 
-	// Physical layout: the stored bytes are hash-distributed over PartParts
-	// buckets on the ordered key signature IDs PartSigs (empty = layout
-	// unknown). Writers declare it via SetPartitioning after materializing;
-	// Refresh preserves it (maintenance rewrites the same logical artifact,
-	// bucket by bucket), while Put resets it — fresh contents make no layout
-	// promise until their writer declares one.
-	PartSigs  []string
-	PartParts int
-
 	rel *data.Relation
 
 	// indexes holds the hash indexes built over rel, by column (Store.Index).
@@ -127,6 +118,12 @@ type Store struct {
 	// serves no bytes, so engine-side accounting still reconciles with the
 	// Counters exactly.
 	faults ReadFaultInjector
+
+	// OnRemove, when set, hears of every removal: an eviction, and a Delete
+	// or DropViews at the request (a pinned dataset's bytes stay readable)
+	// and again when the last Unpin removes them. It runs under the store's
+	// lock and must not call the store.
+	OnRemove func(name string)
 }
 
 // SetFaults attaches (or with nil detaches) a read-fault injector.
@@ -199,8 +196,7 @@ func (s *Store) Unpin(names []string) {
 		if s.pinned[n] <= 1 {
 			delete(s.pinned, n)
 			if s.doomed[n] {
-				delete(s.doomed, n)
-				delete(s.datasets, n)
+				s.removeLocked(n)
 				dropped = true
 			}
 		} else {
@@ -281,6 +277,24 @@ func (s *Store) EnforceBudget() {
 func (s *Store) Put(name string, kind Kind, rel *data.Relation) *Dataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.putLocked(name, kind, rel)
+}
+
+// Refresh is Put under an existing dataset's kind (incremental view
+// maintenance rewrites a view under its established identity). Errors if
+// the dataset does not exist.
+func (s *Store) Refresh(name string, rel *data.Relation) (*Dataset, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, ok := s.datasets[name]
+	if !ok {
+		return nil, fmt.Errorf("storage: refresh of unknown dataset %q", name)
+	}
+	return s.putLocked(name, old.Kind, rel), nil
+}
+
+// putLocked is Put; the caller holds s.mu.
+func (s *Store) putLocked(name string, kind Kind, rel *data.Relation) *Dataset {
 	s.seq++
 	d := &Dataset{
 		Name:        name,
@@ -308,43 +322,6 @@ func (s *Store) Put(name string, kind Kind, rel *data.Relation) *Dataset {
 	return d
 }
 
-// Refresh replaces the contents of an existing dataset in place, keeping its
-// kind and retention metadata (incremental view maintenance rewrites a view
-// under its established identity). The full new size is counted as written,
-// like any materialization. Errors if the dataset does not exist.
-func (s *Store) Refresh(name string, rel *data.Relation) (*Dataset, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, ok := s.datasets[name]
-	if !ok {
-		return nil, fmt.Errorf("storage: refresh of unknown dataset %q", name)
-	}
-	s.seq++
-	d := &Dataset{
-		Name:        name,
-		Kind:        old.Kind,
-		SizeBytes:   rel.EncodedSize(),
-		CreatedSeq:  old.CreatedSeq,
-		LastUsedSeq: s.seq,
-		UseCount:    old.UseCount,
-		Benefit:     old.Benefit,
-		PartSigs:    old.PartSigs,
-		PartParts:   old.PartParts,
-		rel:         rel,
-	}
-	s.datasets[name] = d
-	delete(s.doomed, name)
-	s.counters.BytesWritten += d.SizeBytes
-	s.counters.WriteOps++
-	s.obsWriteOps.Inc()
-	s.obsWriteBytes.Add(d.SizeBytes)
-	if d.Kind == View && s.ViewCapacityBytes > 0 {
-		s.evictLocked(name)
-	}
-	s.obsViewBytes.Set(float64(s.viewBytesLocked()))
-	return d, nil
-}
-
 // evictLocked removes views (never the just-written `keep` view, never base
 // data) until view bytes fit the budget.
 func (s *Store) evictLocked(keep string) {
@@ -363,45 +340,12 @@ func (s *Store) evictLocked(keep string) {
 			return
 		}
 		victim := s.Policy.pick(views)
-		delete(s.datasets, victim.Name)
+		s.removeLocked(victim.Name)
 		if s.obsReg != nil {
 			s.obsReg.Counter("storage_evictions_total", "policy", s.Policy.String()).Inc()
 			s.obsReg.Counter("storage_evicted_bytes_total", "policy", s.Policy.String()).Add(victim.SizeBytes)
 		}
 	}
-}
-
-// SetPartitioning declares (or, with empty sigs or parts <= 0, clears) the
-// stored layout of a dataset. Returns false for unknown names. The caller
-// is the writer that just laid the bytes out; the store only remembers the
-// claim and keeps it consistent across Refresh.
-func (s *Store) SetPartitioning(name string, sigs []string, parts int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.datasets[name]
-	if !ok {
-		return false
-	}
-	if len(sigs) == 0 || parts <= 0 {
-		d.PartSigs, d.PartParts = nil, 0
-		return true
-	}
-	d.PartSigs = append([]string(nil), sigs...)
-	d.PartParts = parts
-	return true
-}
-
-// Partitioning returns a snapshot of a dataset's declared layout (nil, 0
-// when unknown or undeclared). Like RetentionInfo, cross-goroutine readers
-// use this copy instead of the live Dataset pointer.
-func (s *Store) Partitioning(name string) ([]string, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.datasets[name]
-	if !ok || len(d.PartSigs) == 0 || d.PartParts <= 0 {
-		return nil, 0
-	}
-	return append([]string(nil), d.PartSigs...), d.PartParts
 }
 
 // Has reports whether a dataset exists.
@@ -461,18 +405,14 @@ func (s *Store) countReadLocked(d *Dataset) {
 }
 
 // Sample returns a uniform random sample of approximately frac of the rows
-// (at least one row for nonempty data), counting only the proportional
-// bytes read. This is the store-level primitive behind the lightweight
-// statistics job (§2.1) and UDF calibration (§4.2).
-func (s *Store) Sample(name string, frac float64, seed int64) (*data.Relation, error) {
-	// Only the lookup needs the lock: stored relations are immutable, so the
-	// scan runs on the pointer without stalling every other reader and writer.
-	s.mu.Lock()
-	d, ok := s.datasets[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("storage: dataset %q %w", name, ErrNotFound)
-	}
+// of d, a dataset Meta returned (at least one row for nonempty data),
+// counting only the proportional bytes read. Sampling the version the
+// caller looked up, not the name, keeps a concurrent Refresh from mixing
+// two versions into one set of statistics. This is the store-level
+// primitive behind the lightweight statistics job (§2.1) and UDF
+// calibration (§4.2).
+func (s *Store) Sample(d *Dataset, frac float64, seed int64) (*data.Relation, error) {
+	// Stored relations are immutable, so the scan runs without the lock.
 	if frac <= 0 || frac > 1 {
 		return nil, fmt.Errorf("storage: sample fraction %v out of (0,1]", frac)
 	}
@@ -500,21 +440,32 @@ func (s *Store) Sample(name string, frac float64, seed int64) (*data.Relation, e
 // Delete removes a dataset. If the dataset is pinned by a running plan the
 // removal is deferred — the data stays readable and is dropped when the last
 // pin releases — and Delete returns false. Returns true when the dataset was
-// removed immediately (or did not exist).
+// removed immediately (or did not exist). OnRemove hears of it at once.
 func (s *Store) Delete(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pinned[name] > 0 {
-		if _, ok := s.datasets[name]; ok {
-			s.doomed[name] = true
-			return false
-		}
-		return true
+	if _, ok := s.datasets[name]; ok && s.pinned[name] > 0 {
+		s.doomed[name] = true
+		s.onRemove(name)
+		return false
 	}
-	delete(s.datasets, name)
-	delete(s.doomed, name)
+	s.removeLocked(name)
 	s.obsViewBytes.Set(float64(s.viewBytesLocked()))
 	return true
+}
+
+// removeLocked drops a dataset and reports it; the caller holds s.mu.
+func (s *Store) removeLocked(name string) {
+	delete(s.datasets, name)
+	delete(s.doomed, name)
+	s.onRemove(name)
+}
+
+// onRemove reports a removal to OnRemove; the caller holds s.mu.
+func (s *Store) onRemove(name string) {
+	if s.OnRemove != nil {
+		s.OnRemove(name)
+	}
 }
 
 // DropViews removes every view, keeping base data. Pinned views are deferred
@@ -528,10 +479,10 @@ func (s *Store) DropViews() int {
 		if d.Kind == View {
 			if s.pinned[name] > 0 {
 				s.doomed[name] = true
+				s.onRemove(name)
 				continue
 			}
-			delete(s.datasets, name)
-			delete(s.doomed, name)
+			s.removeLocked(name)
 			n++
 		}
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"opportune/internal/data"
@@ -65,8 +66,8 @@ func TestMetaAndHas(t *testing.T) {
 
 func TestSample(t *testing.T) {
 	s := NewStore()
-	s.Put("t", Base, rel(1000))
-	samp, err := s.Sample("t", 0.01, 42)
+	d := s.Put("t", Base, rel(1000))
+	samp, err := s.Sample(d, 0.01, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,33 +79,29 @@ func TestSample(t *testing.T) {
 		t.Error("sample read counted as full read")
 	}
 	// deterministic for same seed
-	s2, _ := s.Sample("t", 0.01, 42)
+	s2, _ := s.Sample(d, 0.01, 42)
 	if s2.Len() != samp.Len() {
 		t.Error("sample not deterministic")
 	}
 	// nonempty source always yields at least one row
-	s.Put("tiny", Base, rel(1))
-	tiny, _ := s.Sample("tiny", 0.0001, 1)
+	tiny, _ := s.Sample(s.Put("tiny", Base, rel(1)), 0.0001, 1)
 	if tiny.Len() != 1 {
 		t.Errorf("tiny sample = %d rows", tiny.Len())
 	}
-	if _, err := s.Sample("t", 0, 1); err == nil {
+	if _, err := s.Sample(d, 0, 1); err == nil {
 		t.Error("frac=0 accepted")
 	}
-	if _, err := s.Sample("t", 1.5, 1); err == nil {
+	if _, err := s.Sample(d, 1.5, 1); err == nil {
 		t.Error("frac>1 accepted")
-	}
-	if _, err := s.Sample("missing", 0.5, 1); err == nil {
-		t.Error("missing dataset accepted")
 	}
 }
 
 func TestSampleFullFraction(t *testing.T) {
 	s := NewStore()
 	full := rel(50)
-	s.Put("t", Base, full)
+	d := s.Put("t", Base, full)
 	before := s.Counters()
-	samp, err := s.Sample("t", 1, 7)
+	samp, err := s.Sample(d, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +116,9 @@ func TestSampleFullFraction(t *testing.T) {
 
 func TestSampleEmptyRelation(t *testing.T) {
 	s := NewStore()
-	s.Put("empty", Base, rel(0))
+	d := s.Put("empty", Base, rel(0))
 	before := s.Counters()
-	samp, err := s.Sample("empty", 0.5, 3)
+	samp, err := s.Sample(d, 0.5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +141,9 @@ func TestSampleFallbackByteAccounting(t *testing.T) {
 	// zero and not the full relation.
 	s := NewStore()
 	full := rel(100)
-	s.Put("t", Base, full)
+	d := s.Put("t", Base, full)
 	before := s.Counters()
-	samp, err := s.Sample("t", 1e-12, 5)
+	samp, err := s.Sample(d, 1e-12, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,6 +426,59 @@ func TestDropViewsSparesPinned(t *testing.T) {
 	s.Unpin([]string{"v1"})
 	if s.Has("v1") {
 		t.Error("pinned view survived past its last pin after DropViews")
+	}
+}
+
+// TestOnRemoveHearsEveryRemoval: eviction, Delete and DropViews report each
+// name they remove; a pinned dataset is reported at the request and again
+// when the last Unpin removes it. Writes report nothing.
+func TestOnRemoveHearsEveryRemoval(t *testing.T) {
+	s := NewStore()
+	var heard []string
+	s.OnRemove = func(name string) { heard = append(heard, name) }
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if !slices.Equal(heard, want) {
+			t.Errorf("%s: heard %v, want %v", step, heard, want)
+		}
+		heard = nil
+	}
+	s.Put("base", Base, rel(4))
+	s.Put("v1", View, rel(4))
+	s.Put("v2", View, rel(4))
+	if _, err := s.Refresh("v2", rel(4)); err != nil {
+		t.Fatal(err)
+	}
+	expect("writes")
+
+	s.ViewCapacityBytes = rel(4).EncodedSize()
+	s.Put("v3", View, rel(4))
+	expect("eviction", "v1", "v2")
+	s.ViewCapacityBytes = 0
+
+	s.Delete("v3")
+	expect("delete", "v3")
+
+	s.Put("v4", View, rel(4))
+	s.Pin([]string{"v4"})
+	s.Delete("v4")
+	expect("pinned delete", "v4")
+	if !s.Has("v4") {
+		t.Error("pinned delete removed the bytes at the request")
+	}
+	s.Unpin([]string{"v4"})
+	expect("last unpin", "v4")
+
+	s.Put("v5", View, rel(4))
+	s.Put("v6", View, rel(4))
+	s.Pin([]string{"v5"})
+	s.DropViews()
+	slices.Sort(heard)
+	expect("drop views", "v5", "v6")
+	s.Unpin([]string{"v5"})
+	expect("last unpin after drop views", "v5")
+	if !s.Has("base") {
+		t.Error("DropViews removed base data")
 	}
 }
 

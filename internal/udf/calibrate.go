@@ -27,7 +27,11 @@ type CalibrationResult struct {
 // reported so callers can charge it.
 func (r *Registry) Calibrate(engine *mr.Engine, dataset string, d *Descriptor, argCols []string, params []value.V, seed int64) (*CalibrationResult, error) {
 	const frac = 0.01
-	sample, err := engine.Store.Sample(dataset, frac, seed)
+	ds, ok := engine.Store.Meta(dataset)
+	if !ok {
+		return nil, fmt.Errorf("udf: calibrate %s: dataset %q %w", d.Name, dataset, storage.ErrNotFound)
+	}
+	sample, err := engine.Store.Sample(ds, frac, seed)
 	if err != nil {
 		return nil, fmt.Errorf("udf: calibrate %s: %w", d.Name, err)
 	}

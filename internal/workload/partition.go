@@ -8,9 +8,8 @@ import (
 // PartitionBases declares the analysis-key hash layout on the installed
 // logs — the CLUSTERED BY physical design step the partition tests start from:
 // TWTR and 4SQ bucketed on user_id (the cross-log join key), LAND on
-// location_id. The declaration goes to both the store (ground truth about
-// the bytes) and the catalog (what plan annotation reads), with the given
-// bucket count.
+// location_id, with the given bucket count. The declaration goes to the
+// catalog entry, the one record of a dataset's layout.
 func PartitionBases(s *session.Session, parts int) {
 	for _, b := range []struct{ table, col string }{
 		{"twtr", "user_id"},
@@ -18,7 +17,6 @@ func PartitionBases(s *session.Session, parts int) {
 		{"land", "location_id"},
 	} {
 		sig := afk.BaseSig(b.table, b.col).ID()
-		s.Store.SetPartitioning(b.table, []string{sig}, parts)
 		s.Cat.SetPartitioning(b.table, afk.Partitioning{Sigs: []string{sig}, Parts: parts})
 	}
 }

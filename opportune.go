@@ -191,7 +191,7 @@ func (sys *System) CreateTable(name, keyColumn string, columns []string, rows []
 // same bucket count — without moving data, and prices the eliminated
 // transfer into every rewrite decision. The claim is the caller's: declare
 // only layouts the bytes actually satisfy. View layouts are not declarable
-// — the engine records what it materialized.
+// — retention records what each job wrote.
 func (sys *System) ClusterTable(table string, columns []string, buckets int) error {
 	info, ok := sys.s.Cat.Table(table)
 	if !ok || info.IsView {
@@ -207,7 +207,6 @@ func (sys *System) ClusterTable(table string, columns []string, buckets int) err
 		}
 		sigs[i] = afk.BaseSig(table, c).ID()
 	}
-	sys.s.Store.SetPartitioning(table, sigs, buckets)
 	sys.s.Cat.SetPartitioning(table, afk.Partitioning{Sigs: sigs, Parts: buckets})
 	return nil
 }
