@@ -69,7 +69,7 @@ loc:
 # (direction 7(c)) the internal/rewrite total. Each change that shrinks one
 # sets its maximum to the result; growing past it fails CI.
 EXECUTOR_SRC     = $(shell find internal/mr internal/optimizer internal/session -name '*.go' ! -name '*_test.go')
-EXECUTOR_LOC_MAX = 5559
+EXECUTOR_LOC_MAX = 5548
 REWRITE_SRC      = $(shell find internal/rewrite -name '*.go' ! -name '*_test.go')
 REWRITE_LOC_MAX  = 1634
 loc-check:

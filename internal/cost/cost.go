@@ -63,10 +63,11 @@ type Params struct {
 	SplitRows int64
 
 	// ReduceTasks is R, the number of reduce partitions the engine hash-
-	// partitions each shuffle into and reduces concurrently; 0 lets the
-	// engine pick its worker-pool size. R never changes job outputs or the
-	// modeled seconds — JobCost models the cluster's aggregate work — only
-	// local wall-clock parallelism.
+	// partitions each shuffle into and reduces concurrently. A set value is
+	// honored exactly; 0 applies the map side's split rule to the shuffled
+	// records: R = min(workers, ⌈records / SplitRows⌉), at least 1. R never
+	// changes job outputs or the modeled seconds — JobCost models the
+	// cluster's aggregate work — only local wall-clock parallelism.
 	ReduceTasks int
 
 	// Task-level recovery constants (all in simulated seconds or pure

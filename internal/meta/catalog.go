@@ -9,6 +9,8 @@ package meta
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,6 +21,7 @@ import (
 	"opportune/internal/plan"
 	"opportune/internal/storage"
 	"opportune/internal/udf"
+	"opportune/internal/value"
 )
 
 // TableInfo describes one dataset known to the system.
@@ -342,25 +345,40 @@ func (c *Catalog) CollectStats(eng *mr.Engine, name string, seed int64) (float64
 // abundance estimator: d̂ = d + f1(f1−1)/(2(f2+1)), where f1/f2 are the
 // numbers of values seen once/twice. Unlike linear scaling (d/frac), it is
 // stable for low-cardinality columns where the sample saturates. A sample
-// whose values are all unique is treated as a key column.
+// whose values are all unique is treated as a key column. Values count as
+// equal when their text (value.String) is: a column whose non-null values
+// are of one numeric kind is counted by sorting their bits (every NaN as
+// one) and its nulls as one more value, a grouping that is the text's, and
+// any other column by sorting the text itself.
 func chao1(sample *data.Relation, col string, sampleRows, totalRows int64) int64 {
 	ix := sample.Schema().MustIndex(col)
-	counts := make(map[string]int64)
-	for _, r := range sample.Rows() {
-		counts[r[ix].String()]++
-	}
-	d := int64(len(counts))
-	if d == sampleRows && sampleRows > 1 {
-		return totalRows
-	}
-	var f1, f2 int64
-	for _, n := range counts {
+	rows := sample.Rows()
+	var d, f1, f2 int64
+	tally := func(n int) {
+		d++
 		switch n {
 		case 1:
 			f1++
 		case 2:
 			f2++
 		}
+	}
+	if bits, nulls, ok := numericBits(rows, ix); ok {
+		slices.Sort(bits)
+		countRuns(bits, tally)
+		if nulls > 0 {
+			tally(nulls)
+		}
+	} else {
+		text := make([]string, len(rows))
+		for i, r := range rows {
+			text[i] = r[ix].String()
+		}
+		slices.Sort(text)
+		countRuns(text, tally)
+	}
+	if d == sampleRows && sampleRows > 1 {
+		return totalRows
 	}
 	est := d + (f1*(f1-1))/(2*(f2+1))
 	if est > totalRows {
@@ -370,4 +388,47 @@ func chao1(sample *data.Relation, col string, sampleRows, totalRows int64) int64
 		est = 1
 	}
 	return est
+}
+
+// numericBits returns the bits of column ix's non-null values and how many
+// nulls it holds when every non-null value is an Int or every one a Float,
+// with every NaN as one (they share the text "NaN"); ok is false for any
+// other column. A null's text, "NULL", is no number's.
+func numericBits(rows []data.Row, ix int) (bits []uint64, nulls int, ok bool) {
+	kind := value.Null
+	bits = make([]uint64, 0, len(rows))
+	for _, r := range rows {
+		v := r[ix]
+		switch k := v.Kind(); {
+		case k == value.Null:
+			nulls++
+			continue
+		case kind == value.Null && (k == value.Int || k == value.Float):
+			kind = k
+		case k != kind:
+			return nil, 0, false
+		}
+		switch {
+		case kind == value.Int:
+			bits = append(bits, uint64(v.Int()))
+		case math.IsNaN(v.Float()):
+			bits = append(bits, math.Float64bits(math.NaN()))
+		default:
+			bits = append(bits, math.Float64bits(v.Float()))
+		}
+	}
+	return bits, nulls, true
+}
+
+// countRuns hands the length of each run of equal values in sorted s to
+// tally.
+func countRuns[T comparable](s []T, tally func(n int)) {
+	for i := 0; i < len(s); {
+		j := i + 1
+		for j < len(s) && s[j] == s[i] {
+			j++
+		}
+		tally(j - i)
+		i = j
+	}
 }

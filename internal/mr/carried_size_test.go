@@ -135,38 +135,38 @@ func TestPoolsExposeNoStaleEntries(t *testing.T) {
 	row := data.Row{value.NewStr("stale")}
 	reusedKeyed, reusedRows := false, false
 	for round := 0; round < 64; round++ {
-		kb := getKeyedBuf(300)
+		kb := keyedBufs.get(300)
 		for i := 0; i < 7+round; i++ {
 			kb = append(kb, Keyed{Key: "stale", Row: row})
 		}
 		first := &kb[:1][0]
-		putKeyedBuf(kb)
-		kb = getKeyedBuf(300)
+		keyedBufs.put(kb)
+		kb = keyedBufs.get(300)
 		reusedKeyed = reusedKeyed || first == &kb[:1][0]
 		for i, kr := range kb[:cap(kb)] {
 			if kr.Key != "" || kr.Row != nil {
 				t.Fatalf("round %d: keyed buffer exposes a stale record at %d of cap %d", round, i, cap(kb))
 			}
 		}
-		putKeyedBuf(kb)
+		keyedBufs.put(kb)
 
 		// A reduce partition's arena, two runs deep.
-		o := ReduceOut{job: &Job{OutputSchema: data.NewSchema("c")}, arena: getRowsBuf(300)}
+		o := ReduceOut{job: &Job{OutputSchema: data.NewSchema("c")}, arena: rowBufs.get(300)}
 		for i := 0; i < 5+round; i++ {
 			o.Emit("k", row)
 		}
 		o.Emit("l", row)
 		o.seal()
 		firstRow := &o.arena[:1][0]
-		putRowsBuf(o.arena)
-		rb := getRowsBuf(300)
+		rowBufs.put(o.arena)
+		rb := rowBufs.get(300)
 		reusedRows = reusedRows || firstRow == &rb[:1][0]
 		for i, r := range rb[:cap(rb)] {
 			if r != nil {
 				t.Fatalf("round %d: rows buffer exposes a stale row at %d of cap %d", round, i, cap(rb))
 			}
 		}
-		putRowsBuf(rb)
+		rowBufs.put(rb)
 	}
 	if !reusedKeyed || !reusedRows {
 		t.Fatalf("the pools never handed a buffer back (keyed %v, rows %v): the test saw nothing", reusedKeyed, reusedRows)

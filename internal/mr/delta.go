@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"bytes"
 	"fmt"
 
 	"opportune/internal/data"
@@ -42,54 +43,43 @@ func MergeByKey(stored, delta *data.Relation, nKeys int, merge func(old, delta d
 		return nil, fmt.Errorf("mr: merge-by-key nKeys %d out of range for %v",
 			nKeys, stored.Schema())
 	}
-	keyIdxs := make([]int, nKeys)
-	for i := range keyIdxs {
-		keyIdxs[i] = i
-	}
 	rows := make([]data.Row, 0, stored.Len()+delta.Len())
-	bytes := stored.EncodedSize() + delta.EncodedSize()
-
+	size := stored.EncodedSize() + delta.EncodedSize()
+	// Keys are compared as encoded bytes in two reused buffers: no string
+	// per stored row.
+	key := func(buf []byte, rel *data.Relation, i int) []byte {
+		buf = buf[:0]
+		if i < rel.Len() {
+			for _, v := range rel.Row(i)[:nKeys] {
+				buf = v.AppendKey(buf)
+			}
+		}
+		return buf
+	}
 	na, nb := stored.Len(), delta.Len()
-	var ea, eb data.KeyEncoder
 	i, j := 0, 0
-	var ka, kb string
-	if i < na {
-		ka = ea.Key(stored.Row(i), keyIdxs)
-	}
-	if j < nb {
-		kb = eb.Key(delta.Row(j), keyIdxs)
-	}
+	ka, kb := key(nil, stored, 0), key(nil, delta, 0)
 	for i < na && j < nb {
-		switch {
-		case ka < kb:
+		switch c := bytes.Compare(ka, kb); {
+		case c < 0:
 			rows = append(rows, stored.Row(i))
 			i++
-			if i < na {
-				ka = ea.Key(stored.Row(i), keyIdxs)
-			}
-		case ka > kb:
+			ka = key(ka, stored, i)
+		case c > 0:
 			rows = append(rows, delta.Row(j))
 			j++
-			if j < nb {
-				kb = eb.Key(delta.Row(j), keyIdxs)
-			}
+			kb = key(kb, delta, j)
 		default:
 			m := merge(stored.Row(i), delta.Row(j))
-			bytes += int64(m.EncodedSize() - stored.Row(i).EncodedSize() - delta.Row(j).EncodedSize())
+			size += int64(m.EncodedSize() - stored.Row(i).EncodedSize() - delta.Row(j).EncodedSize())
 			rows = append(rows, m)
-			i++
-			j++
-			if i < na {
-				ka = ea.Key(stored.Row(i), keyIdxs)
-			}
-			if j < nb {
-				kb = eb.Key(delta.Row(j), keyIdxs)
-			}
+			i, j = i+1, j+1
+			ka, kb = key(ka, stored, i), key(kb, delta, j)
 		}
 	}
 	rows = append(rows, stored.Rows()[i:]...)
 	rows = append(rows, delta.Rows()[j:]...)
 	out := data.NewRelation(stored.Schema())
-	out.AppendSized(rows, bytes)
+	out.AppendSized(rows, size)
 	return out, nil
 }

@@ -404,13 +404,19 @@ func (e *Engine) workers() int {
 }
 
 // reduceTasks resolves R, the number of shuffle partitions reduced
-// concurrently. Partitioning never affects output or accounting (partition
-// outputs are re-merged in global key order), only wall-clock parallelism.
-func (e *Engine) reduceTasks() int {
+// concurrently: Params.ReduceTasks when set, else the map side's split rule
+// over the shuffled records — one partition per SplitRows of them, at most
+// one per worker, at least one. Partitioning never affects output or
+// accounting (partition outputs are re-merged in global key order), only
+// wall-clock parallelism.
+func (e *Engine) reduceTasks(records int) int {
 	if r := e.Params.ReduceTasks; r > 0 {
 		return r
 	}
-	return e.workers()
+	if split := e.Params.SplitRows; split > 0 {
+		return int(max(1, min(int64(e.workers()), (int64(records)+split-1)/split)))
+	}
+	return 1
 }
 
 // New creates an engine over a store with the given cost parameters.
@@ -663,7 +669,7 @@ func (e *Engine) attempt(job *Job, read **inputRead, first bool, res *Result, as
 			total += len(tasks[i].out)
 		}
 		out.Grow(total)
-		rows := getRowsBuf(0)
+		rows := rowBufs.get(0)
 		for i := range tasks {
 			for _, kr := range tasks[i].out {
 				rows = append(rows, kr.Row)
@@ -671,10 +677,10 @@ func (e *Engine) attempt(job *Job, read **inputRead, first bool, res *Result, as
 			out.AppendSized(rows, tasks[i].bytes)
 			clear(rows)
 			rows = rows[:0]
-			putKeyedBuf(tasks[i].out)
+			keyedBufs.put(tasks[i].out)
 			tasks[i].out = nil
 		}
-		putRowsBuf(rows)
+		rowBufs.put(rows)
 	} else if err := e.shuffleReduce(job, res, tasks, out, asp); err != nil {
 		return nil, err
 	}
@@ -871,7 +877,7 @@ func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 	for _, ix := range ixs { // the attempt's own handles on the job's indexes
 		ctx.Probes = append(ctx.Probes, NewProbe(ix))
 	}
-	out := getKeyedBuf(len(sp.rows))
+	out := keyedBufs.get(len(sp.rows))
 	keyed := job.keyed()
 	emit := func(key string, r data.Row) {
 		if len(r) != job.MapOutSchema.Len() {
@@ -940,16 +946,16 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	if e.Faults != nil {
 		recErr = e.priceReduceTasks(job, res, tasks)
 	}
-	r := e.reduceTasks()
 	ssp := asp.Child("shuffle")
 	total := 0
 	for i := range tasks {
 		total += len(tasks[i].out)
 	}
+	r := e.reduceTasks(total)
 	parts := make([][]Keyed, r)
 	for pi := range parts {
 		// Pre-size for an even spread plus slack; a skewed key simply grows.
-		parts[pi] = getKeyedBuf(total/r + total/(2*r) + 4)
+		parts[pi] = keyedBufs.get(total/r + total/(2*r) + 4)
 	}
 	local := job.partitionLocal()
 	for i := range tasks {
@@ -982,7 +988,7 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 			}
 			parts[p] = append(parts[p], kr)
 		}
-		putKeyedBuf(tasks[i].out)
+		keyedBufs.put(tasks[i].out)
 		tasks[i].out = nil
 	}
 	ssp.AddSim(float64(res.ShuffleBytes)*e.Params.SortFactor +
@@ -1003,12 +1009,12 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 		if len(parts[pi]) > 0 {
 			// The arena holds row-at-a-time emissions (at most one per
 			// record for every such kernel); block emitters bypass it.
-			o := ReduceOut{job: job, hint: groupHint, arena: getRowsBuf(len(parts[pi]))}
+			o := ReduceOut{job: job, hint: groupHint, arena: rowBufs.get(len(parts[pi]))}
 			job.Reduce(parts[pi], &o)
 			o.seal()
 			partOuts[pi], partArenas[pi] = o.runs, o.arena
 		}
-		putKeyedBuf(parts[pi])
+		keyedBufs.put(parts[pi])
 		parts[pi] = nil
 		return nil
 	})
@@ -1045,7 +1051,7 @@ func (e *Engine) shuffleReduce(job *Job, res *Result, tasks []mapTaskOut, out *d
 	})
 	for pi := range partArenas {
 		if partArenas[pi] != nil {
-			putRowsBuf(partArenas[pi])
+			rowBufs.put(partArenas[pi])
 		}
 	}
 	rsp.End()

@@ -255,3 +255,58 @@ func TestRunSequenceParallelAggregates(t *testing.T) {
 		}
 	}
 }
+
+// TestReduceFanOut counts the reduce kernel's calls, one per non-empty
+// partition. An explicit ReduceTasks is honored on an input far below a
+// split; ReduceTasks 0 reduces min(Workers, ⌈shuffled records / SplitRows⌉)
+// partitions. Every setting gives the output and the Result of a serial
+// run with one partition at the same SplitRows.
+func TestReduceFanOut(t *testing.T) {
+	run := func(workers, reduceTasks int, splitRows int64) (*data.Relation, *Result, int64) {
+		t.Helper()
+		st := storage.NewStore()
+		loadCorpus(st, 300)
+		params := cost.DefaultParams()
+		params.SplitRows = splitRows
+		params.ReduceTasks = reduceTasks
+		e := New(st, params)
+		e.Workers = workers
+		job := wordCountJob() // no combiner: a record per word occurrence
+		var calls atomic.Int64
+		reduce := job.Reduce
+		job.Reduce = func(recs []Keyed, out *ReduceOut) {
+			calls.Add(1)
+			reduce(recs, out)
+		}
+		out, res, err := runOne(e, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, res, calls.Load()
+	}
+	for _, c := range []struct {
+		workers, reduceTasks int
+		splitRows            int64
+		want                 int64 // reduce calls; 0: the ReduceTasks=0 rule
+	}{
+		{4, 3, 4096, 3}, {1, 3, 4096, 3}, {4, 0, 4096, 1},
+		{4, 0, 64, 0}, {2, 0, 64, 0}, {8, 0, 256, 0},
+	} {
+		refOut, refRes, _ := run(1, 1, c.splitRows)
+		out, res, calls := run(c.workers, c.reduceTasks, c.splitRows)
+		want := c.want
+		if want == 0 {
+			want = min(int64(c.workers), (res.ShuffleRows+c.splitRows-1)/c.splitRows)
+		}
+		if calls != want {
+			t.Errorf("W=%d R=%d split %d: %d reduce calls over %d records, want %d",
+				c.workers, c.reduceTasks, c.splitRows, calls, res.ShuffleRows, want)
+		}
+		if !out.Equal(refOut) || out.Fingerprint() != refOut.Fingerprint() {
+			t.Errorf("W=%d R=%d split %d: output differs from one partition's", c.workers, c.reduceTasks, c.splitRows)
+		}
+		if *res != *refRes {
+			t.Errorf("W=%d R=%d split %d: Result differs:\n got %+v\nwant %+v", c.workers, c.reduceTasks, c.splitRows, *res, *refRes)
+		}
+	}
+}

@@ -7,67 +7,66 @@ import (
 	"opportune/internal/data"
 )
 
-// Buffer pooling for the shuffle/reduce hot path. Pooled buffers live
-// strictly within one job phase; before a buffer returns to its pool every
-// row/key reference is cleared so the pool never retains user data past the
-// job (see DESIGN.md, performance model). The invariant is that a pooled
-// buffer is zero from index 0 to cap: a user only ever writes below len, so
-// a put clears the written prefix b[:len(b)] and nothing else — whoever
-// truncates a buffer it has written to clears the dropped tail first (the
-// map-only materialize loop). Capacity is retained — that is the point of
-// pooling — but buffers that grew beyond poolMaxRetain are dropped so one
-// huge job cannot pin memory for the rest of the process.
+// Buffer pooling for the shuffle/reduce hot path and the fused batch
+// executor (optimizer-compiled map kernels draw per-split selection vectors
+// and column buffers from here). Pooled buffers live strictly within one job
+// phase; before a buffer returns to its pool every row/key reference is
+// cleared so the pool never retains user data past the job (see DESIGN.md,
+// performance model). The invariant is that a pooled buffer is zero from
+// index 0 to cap: a user only ever writes below len, so a put clears the
+// written prefix b[:len(b)] and nothing else — whoever truncates a buffer it
+// has written to clears the dropped tail first (the map-only materialize
+// loop). Capacity is retained — that is the point of pooling — but buffers
+// that grew beyond poolMaxRetain are dropped so one huge job cannot pin
+// memory for the rest of the process.
 const poolMaxRetain = 1 << 17
 
-var keyedPool = sync.Pool{New: func() any { b := make([]Keyed, 0, 256); return &b }}
+// slicePool pools slices of one element type under that contract.
+type slicePool[T any] struct{ p sync.Pool }
 
-// getKeyedBuf returns an empty keyed buffer with at least the hinted
-// capacity when the pooled one is large enough (the hint only pre-sizes, it
-// never limits).
-func getKeyedBuf(hint int) []Keyed {
-	b := *keyedPool.Get().(*[]Keyed)
-	if hint > cap(b) {
-		b = make([]Keyed, 0, hint)
+// get returns an empty buffer with at least the hinted capacity (the hint
+// only pre-sizes, it never limits). A pooled buffer too small for the hint
+// goes back to the pool for a smaller request, after one more try for a
+// large enough one.
+func (sp *slicePool[T]) get(hint int) []T {
+	b, _ := sp.p.Get().(*[]T)
+	if b != nil && cap(*b) < hint {
+		small := b
+		if b, _ = sp.p.Get().(*[]T); b != nil && cap(*b) < hint {
+			sp.p.Put(b)
+			b = nil
+		}
+		sp.p.Put(small)
 	}
-	return b[:0]
+	if b == nil {
+		return make([]T, 0, max(hint, 256))
+	}
+	return (*b)[:0]
 }
 
-// putKeyedBuf zeroes the records the user wrote and returns the buffer to
-// the pool.
-func putKeyedBuf(b []Keyed) {
+// put zeroes the elements the user wrote and returns the buffer to the pool.
+func (sp *slicePool[T]) put(b []T) {
 	if cap(b) > poolMaxRetain {
 		return
 	}
 	clear(b)
 	b = b[:0]
-	keyedPool.Put(&b)
+	sp.p.Put(&b)
 }
 
-var rowsPool = sync.Pool{New: func() any { b := make([]data.Row, 0, 256); return &b }}
+var (
+	keyedBufs slicePool[Keyed]
+	rowBufs   slicePool[data.Row]
+	selBufs   slicePool[int32]
+	colPool   = sync.Pool{New: func() any { return new(data.Col) }}
+)
 
-func getRowsBuf(hint int) []data.Row {
-	b := *rowsPool.Get().(*[]data.Row)
-	if hint > cap(b) {
-		b = make([]data.Row, 0, hint)
-	}
-	return b[:0]
-}
+// GetSel returns an empty selection vector with at least the hinted
+// capacity.
+func GetSel(hint int) []int32 { return selBufs.get(hint) }
 
-func putRowsBuf(b []data.Row) {
-	if cap(b) > poolMaxRetain {
-		return
-	}
-	clear(b)
-	b = b[:0]
-	rowsPool.Put(&b)
-}
-
-// Column-buffer and selection-vector pools for the fused batch executor
-// (optimizer-compiled batch map functions draw per-split scratch from here).
-// Same hygiene contract as the row pools: references are zeroed before a
-// buffer returns, and buffers grown past poolMaxRetain are dropped.
-
-var colPool = sync.Pool{New: func() any { return new(data.Col) }}
+// PutSel returns a selection vector to the pool.
+func PutSel(b []int32) { selBufs.put(b) }
 
 // GetCol returns a column buffer reset to n slots.
 func GetCol(n int) *data.Col {
@@ -84,27 +83,6 @@ func PutCol(c *data.Col) {
 	}
 	c.Release()
 	colPool.Put(c)
-}
-
-var selPool = sync.Pool{New: func() any { b := make([]int32, 0, 256); return &b }}
-
-// GetSel returns an empty selection vector with at least the hinted
-// capacity (row indices hold no references, so no zeroing is needed).
-func GetSel(hint int) []int32 {
-	b := *selPool.Get().(*[]int32)
-	if hint > cap(b) {
-		b = make([]int32, 0, hint)
-	}
-	return b[:0]
-}
-
-// PutSel returns a selection vector to the pool.
-func PutSel(b []int32) {
-	if cap(b) > poolMaxRetain {
-		return
-	}
-	b = b[:0]
-	selPool.Put(&b)
 }
 
 // grouper groups shuffle records by key without per-key slice growth: one

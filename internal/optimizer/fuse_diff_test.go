@@ -43,8 +43,9 @@ func fusionChaosPlan() *fault.Plan {
 // stage shape: a 3-stage map-only chain, a string-compare filter, an
 // attribute-equality filter, group-agg over an opaque-filtered UDF chain, a
 // join with chains on both sides, an aggregate UDF, a sort, an
-// exploding-UDF word count (an explode segment into the cross kernel), and
-// the delta joins of probeShapes.
+// exploding-UDF word count (an explode segment into the cross kernel), one
+// grouped by the exploded rows' parent columns, and the delta joins of
+// probeShapes.
 func fusionWorkload() []*plan.Node {
 	scored := func() *plan.Node { return plan.Apply(plan.Scan("twtr"), "UDF_WINE_SCORE", []string{"text"}) }
 	ws := []*plan.Node{
@@ -65,6 +66,11 @@ func fusionWorkload() []*plan.Node {
 		plan.Sort(scored(), []string{"wine_score", "tweet_id"}, []bool{true, false}, 25),
 		plan.GroupAgg(plan.Apply(plan.Scan("twtr"), "UDF_TOKENIZE", []string{"text"}),
 			[]string{"word"}, plan.AggSpec{Func: plan.AggCount, As: "n"}),
+		// Keyed above the explode segment: a tweet's words share its key,
+		// which the cross kernel reuses instead of encoding it per word.
+		plan.GroupAgg(plan.Apply(plan.Scan("twtr"), "UDF_TOKENIZE", []string{"text"}),
+			[]string{"tweet_id", "user_id"}, plan.AggSpec{Func: plan.AggCount, As: "n"},
+			plan.AggSpec{Func: plan.AggMin, Col: "word", As: "lo"}),
 		// Partition-local grouped aggregation on a bare scan: the layout on
 		// twtr(user_id) makes the boundary local, so the cross kernel runs
 		// over the identity program — no map operators at all.
@@ -104,7 +110,8 @@ const nullsQueries = 4
 // putBigDelta's 150-row ~delta~big (three map splits at 64 rows): the delta
 // on either side, a renamed key, a filter and a map UDF on the indexed
 // side, a UDF on the delta before the probe, two probes deep, a map-only
-// join at the root, and aggregates that read indexed-side columns.
+// join at the root, aggregates that read indexed-side columns, and one
+// keyed on the probing side alone.
 func probeShapes() []*plan.Node {
 	scan := plan.Scan
 	count := plan.AggSpec{Func: plan.AggCount, As: "n"}
@@ -114,6 +121,11 @@ func probeShapes() []*plan.Node {
 			plan.AggSpec{Func: plan.AggMax, Col: "text", As: "hi"}),
 		plan.GroupAgg(plan.JoinNodes(scan("twtr"), scan("~delta~users"), "user_id", "uid"), []string{"name"}, count,
 			plan.AggSpec{Func: plan.AggMin, Col: "tweet_id", As: "lo"}),
+		// Keyed on the probing side only: a probing row's matches share
+		// its key, which the cross kernel reuses.
+		plan.GroupAgg(plan.JoinNodes(scan("~delta~big"), scan("twtr"), "uid", "user_id"), []string{"uid", "name"},
+			plan.AggSpec{Func: plan.AggMin, Col: "text", As: "lo"},
+			plan.AggSpec{Func: plan.AggSum, Col: "tweet_id", As: "s"}),
 		plan.GroupAgg(plan.JoinNodes(scan("~delta~users"),
 			plan.ProjectAs(scan("twtr"), []string{"tweet_id", "user_id"}, []string{"tweet_id", "poster"}), "uid", "poster"),
 			[]string{"name"}, count),

@@ -34,6 +34,7 @@ package optimizer
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -297,34 +298,49 @@ func (k *aggKernel) batchReduce(recs []mr.Keyed, out *mr.ReduceOut) {
 
 // batchCross runs the combine fold directly over a fused map pipeline's
 // surviving selection (b, at the program's last segment) — the group-by's
-// map kernel and its only combiner. Group keys are encoded once per new group via
+// map kernel and its only combiner. Group keys are encoded via
 // value.AppendKey into a reused byte buffer (map lookups on the []byte view
-// never allocate), and each aggregate input folds as the per-row partial
-// aggPhys.partial makes of it (COUNT skips nulls, SUM and AVG treat null as
-// +0 / uncounted, MIN/MAX take the raw value). Emits one combined record per group in first-seen order and
-// returns the pre-combine row count (the surviving selection's length).
+// never allocate; only a new group pays for its string), and not at all for
+// a row whose every key column lives above the last segment (a probe's or
+// an explode's) when it shares its parent row with the row before: it
+// shares that row's key too. Each aggregate input folds as the per-row
+// partial aggPhys.partial makes of it (COUNT skips nulls, SUM and AVG treat
+// null as +0 / uncounted, MIN/MAX take the raw value). Emits one combined
+// record per group in first-seen order and returns the pre-combine row
+// count (the surviving selection's length).
 func (k *aggKernel) batchCross(p *fusedProg, b *fusedBatch, emit mr.Emit) int64 {
 	spec := k.spec
 	sel := b.sel
 	st := newAggAccs(spec, len(sel))
 	keys := make([]string, 0, 64)
+	var from []int32 // the last segment's parents, when they fix the key
+	if n := len(b.segs); n > 0 && !slices.ContainsFunc(spec.keyIdx, func(kx int) bool { return p.outs[kx].lvl == n }) {
+		from = b.segs[n-1].from
+	}
 	var keyBuf, prevBuf []byte
-	prevID := int32(-1)
+	prevID, parent := int32(-1), int32(-1)
 	for _, i := range sel {
-		keyBuf = keyBuf[:0]
-		for _, kx := range spec.keyIdx {
-			keyBuf = b.read(p.outs[kx], i).AppendKey(keyBuf)
+		g := prevID
+		if from == nil || prevID < 0 || from[i] != parent {
+			keyBuf = keyBuf[:0]
+			for _, kx := range spec.keyIdx {
+				keyBuf = b.read(p.outs[kx], i).AppendKey(keyBuf)
+			}
+			ok := prevID >= 0 && bytes.Equal(keyBuf, prevBuf)
+			if !ok {
+				g, ok = st.ids[string(keyBuf)]
+			}
+			if !ok {
+				g = int32(len(st.firsts))
+				ks := string(keyBuf)
+				st.ids[ks] = g
+				keys = append(keys, ks)
+				st.firsts = append(st.firsts, i)
+			}
+			keyBuf, prevBuf = prevBuf, keyBuf
 		}
-		g, ok := prevID, prevID >= 0 && bytes.Equal(keyBuf, prevBuf)
-		if !ok {
-			g, ok = st.ids[string(keyBuf)]
-		}
-		if !ok {
-			g = int32(len(st.firsts))
-			ks := string(keyBuf)
-			st.ids[ks] = g
-			keys = append(keys, ks)
-			st.firsts = append(st.firsts, i)
+		if from != nil {
+			parent = from[i]
 		}
 		for ai, a := range spec.aggs {
 			v := value.NullV // COUNT(*) reads no column
@@ -335,7 +351,6 @@ func (k *aggKernel) batchCross(p *fusedProg, b *fusedBatch, emit mr.Emit) int64 
 			st.fold(ai, int(g), n, x, v)
 		}
 		prevID = g
-		keyBuf, prevBuf = prevBuf, keyBuf
 	}
 	slab := make([]value.V, len(st.firsts)*spec.shufW)
 	for g, first := range st.firsts {

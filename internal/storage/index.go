@@ -13,7 +13,8 @@ import (
 // map tasks share it without locking.
 type Index struct {
 	rel  *data.Relation
-	keys map[string]postings
+	ids  map[string]int32 // encoded key → its postings in post
+	post []postings
 }
 
 // postings is one key's row positions and their total encoded size — what a
@@ -23,22 +24,49 @@ type postings struct {
 	bytes int64
 }
 
+// buildIndex indexes rel's column col in one pass over the rows: each key is
+// encoded into one reused buffer and resolved to a dense id (a lookup by the
+// buffer's bytes allocates nothing, so only a new key pays for its string),
+// counting each key's rows and bytes. The postings are then cut from one
+// array by those counts and filled in row order, so each ascends.
 func buildIndex(rel *data.Relation, col string) (*Index, error) {
 	c, ok := rel.Schema().Index(col)
 	if !ok {
 		return nil, fmt.Errorf("storage: index column %q not in %v", col, rel.Schema())
 	}
-	ix := &Index{rel: rel, keys: make(map[string]postings)}
-	var enc data.KeyEncoder
-	for i, r := range rel.Rows() {
+	rows := rel.Rows()
+	ix := &Index{rel: rel, ids: make(map[string]int32)}
+	rowID := make([]int32, len(rows)) // -1 for a null key
+	var counts []int32
+	var buf []byte
+	total := int32(0)
+	for i, r := range rows {
 		if r[c].IsNull() {
+			rowID[i] = -1
 			continue
 		}
-		k := enc.KeyOf(r[c])
-		p := ix.keys[k]
-		p.pos = append(p.pos, int32(i))
-		p.bytes += int64(r.EncodedSize())
-		ix.keys[k] = p
+		buf = r[c].AppendKey(buf[:0])
+		id, seen := ix.ids[string(buf)]
+		if !seen {
+			id = int32(len(ix.post))
+			ix.ids[string(buf)] = id
+			ix.post = append(ix.post, postings{})
+			counts = append(counts, 0)
+		}
+		counts[id]++
+		total++
+		ix.post[id].bytes += int64(r.EncodedSize())
+		rowID[i] = id
+	}
+	all, off := make([]int32, total), int32(0)
+	for id, n := range counts {
+		ix.post[id].pos = all[off : off : off+n]
+		off += n
+	}
+	for i, id := range rowID {
+		if id >= 0 {
+			ix.post[id].pos = append(ix.post[id].pos, int32(i))
+		}
 	}
 	return ix, nil
 }
@@ -46,8 +74,11 @@ func buildIndex(rel *data.Relation, col string) (*Index, error) {
 // Lookup returns the positions of the rows whose indexed value encodes to
 // key, ascending, and their total encoded size.
 func (ix *Index) Lookup(key string) ([]int32, int64) {
-	p := ix.keys[key]
-	return p.pos, p.bytes
+	id, ok := ix.ids[key]
+	if !ok {
+		return nil, 0
+	}
+	return ix.post[id].pos, ix.post[id].bytes
 }
 
 // Row returns the indexed relation's row at a position Lookup returned.

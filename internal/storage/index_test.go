@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -211,5 +212,71 @@ func TestIndexConcurrentProbes(t *testing.T) {
 	if got := s.Counters(); got.BytesRead-before.BytesRead != d.SizeBytes || got.ReadOps-before.ReadOps != 1 {
 		t.Errorf("concurrent opens read %d B in %d ops, want one read of %d B",
 			got.BytesRead-before.BytesRead, got.ReadOps-before.ReadOps, d.SizeBytes)
+	}
+}
+
+// indexRef is the per-row reference build: every row's key encoded and
+// appended to its own postings.
+func indexRef(rel *data.Relation, c int) map[string]postings {
+	ref := make(map[string]postings)
+	var enc data.KeyEncoder
+	for i, r := range rel.Rows() {
+		if r[c].IsNull() {
+			continue
+		}
+		k := enc.KeyOf(r[c])
+		p := ref[k]
+		p.pos = append(p.pos, int32(i))
+		p.bytes += int64(r.EncodedSize())
+		ref[k] = p
+	}
+	return ref
+}
+
+// TestIndexMatchesPerRowBuild requires the one-pass build to give the
+// per-row reference's postings and bytes for every key — Int, Str and
+// other kinds mixed in one column, nulls, duplicates, an empty relation —
+// and to allocate at most one string per distinct key plus a constant.
+// Measured on "big" (7 000 rows, 400 keys): 439 allocations, 8 910 for the
+// per-row reference.
+func TestIndexMatchesPerRowBuild(t *testing.T) {
+	mixed := data.NewRelation(data.NewSchema("k", "pad"))
+	keys := []value.V{value.NewInt(1), value.NewStr("1"), value.NullV, value.NewInt(0), value.NewStr(""),
+		value.NewFloat(1), value.NewBool(true), value.NewInt(-7), value.NewStr("a longer key")}
+	for i := 0; i < 200; i++ {
+		mixed.Append(data.Row{keys[(i*i+3*i)%len(keys)], value.NewStr(strings.Repeat("x", i%5))})
+	}
+	big := data.NewRelation(data.NewSchema("k", "pad"))
+	for i := 0; i < 7000; i++ {
+		k := value.NewInt(int64(i*7919) % 400)
+		if i%97 == 0 {
+			k = value.NullV
+		}
+		big.Append(data.Row{k, value.NewStr("pad")})
+	}
+	for name, rel := range map[string]*data.Relation{
+		"mixed": mixed, "dups": keyed(3, 1, nil, 3, 2, 3, nil, 1), "nulls": keyed(nil, nil),
+		"empty": keyed(), "big": big,
+	} {
+		ix, err := buildIndex(rel, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := indexRef(rel, 0)
+		if len(ix.ids) != len(ref) {
+			t.Errorf("%s: %d keys indexed, reference %d", name, len(ix.ids), len(ref))
+		}
+		for k, want := range ref {
+			if pos, bytes := ix.Lookup(k); !slices.Equal(pos, want.pos) || bytes != want.bytes {
+				t.Errorf("%s: key %q: %v / %d B, reference %v / %d B", name, k, pos, bytes, want.pos, want.bytes)
+			}
+		}
+		if raceEnabled {
+			continue // the race detector's instrumentation allocates
+		}
+		allocs := testing.AllocsPerRun(5, func() { buildIndex(rel, "k") })
+		if limit := float64(len(ref) + 48); allocs > limit {
+			t.Errorf("%s: a build allocates %.0f times for %d distinct keys, limit %.0f", name, allocs, len(ref), limit)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -404,6 +405,10 @@ func (s *Store) countReadLocked(d *Dataset) {
 	s.obsReadBytes.Add(d.SizeBytes)
 }
 
+// rngPool recycles Sample's generators: reseeding one gives the stream a
+// fresh rand.NewSource(seed) would, without allocating its state.
+var rngPool sync.Pool
+
 // Sample returns a uniform random sample of approximately frac of the rows
 // of d, a dataset Meta returned (at least one row for nonempty data),
 // counting only the proportional bytes read. Sampling the version the
@@ -417,8 +422,16 @@ func (s *Store) Sample(d *Dataset, frac float64, seed int64) (*data.Relation, er
 		return nil, fmt.Errorf("storage: sample fraction %v out of (0,1]", frac)
 	}
 	rel := d.rel
-	rng := rand.New(rand.NewSource(seed))
+	rng, _ := rngPool.Get().(*rand.Rand)
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed) // the stream of rand.New(rand.NewSource(seed))
+	}
+	defer rngPool.Put(rng)
 	out := data.NewRelation(rel.Schema())
+	n := float64(rel.Len()) * frac
+	out.Grow(min(rel.Len(), int(n+3*math.Sqrt(n))+1)) // mean + 3σ: nearly always one allocation
 	for _, r := range rel.Rows() {
 		if rng.Float64() < frac {
 			out.Append(r)

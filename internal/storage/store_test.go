@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -517,5 +518,39 @@ func TestRefresh(t *testing.T) {
 	}
 	if _, err := s.Refresh("missing", rel(1)); err == nil {
 		t.Error("Refresh of a missing dataset accepted")
+	}
+}
+
+// TestSampleMatchesFreshSource requires Sample, which reseeds a pooled
+// generator, to select exactly the rows a loop over a fresh
+// rand.NewSource(seed) selects, for several seeds and fractions, the
+// one-row fallback of an empty draw included. Seeds alternate so every
+// pooled generator is reseeded from another seed's state.
+func TestSampleMatchesFreshSource(t *testing.T) {
+	s := NewStore()
+	big, small := s.Put("big", Base, rel(1000)), s.Put("small", Base, rel(3))
+	for _, seed := range []int64{42, 1, -9, 1 << 40, 42, 0} {
+		for _, frac := range []float64{0.01, 0.1, 0.5, 1, 1e-6} {
+			for _, d := range []*Dataset{big, small} {
+				rng := rand.New(rand.NewSource(seed))
+				var want []data.Row
+				for _, r := range d.rel.Rows() {
+					if rng.Float64() < frac {
+						want = append(want, r)
+					}
+				}
+				if len(want) == 0 {
+					want = append(want, d.rel.Row(rng.Intn(d.rel.Len())))
+				}
+				got, err := s.Sample(d, frac, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !data.RowsEqual(got.Rows(), want) {
+					t.Errorf("seed %d frac %g over %d rows: sampled %d rows, a fresh source %d (or other rows)",
+						seed, frac, d.rel.Len(), got.Len(), len(want))
+				}
+			}
+		}
 	}
 }
