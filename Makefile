@@ -18,18 +18,20 @@ EXAMPLES = $(sort $(dir $(wildcard examples/*/main.go)))
 examples:
 	@set -e; for d in $(EXAMPLES); do echo "go run ./$$d"; go run ./$$d > /dev/null; done
 
-# Lifecycle stress: the packages where pin / evict / retain / append
+# Lifecycle stress: the packages where evict / retain / append / delete
 # interleave, repeated with and without the race detector (the detector
 # shifts timing enough to hide races the plain build hits, and vice versa),
 # so a lifecycle flake shows up as a failure instead of as luck. Then the
-# runs-beside-appends stress alone, 3 000 times across GOMAXPROCS 1, 2, 4:
-# a stale view registered after an append failed it about once in 3 000.
+# runs-beside-appends stress alone, 3 000 times across GOMAXPROCS 1, 2, 4
+# (a stale view registered after an append failed it about once in 3 000),
+# and 1 002 times more under the race detector.
 STRESS_PKGS  ?= ./internal/session ./internal/service ./internal/storage
 STRESS_COUNT ?= 20
 stress:
 	go test -count=$(STRESS_COUNT) $(STRESS_PKGS)
 	go test -race -count=$(STRESS_COUNT) $(STRESS_PKGS)
 	go test -run 'TestConcurrentAppendsWithRunsStress$$' -count=1000 -cpu 1,2,4 ./internal/session
+	go test -race -run 'TestConcurrentAppendsWithRunsStress$$' -count=334 -cpu 1,2,4 ./internal/session
 
 # Go micro-benchmarks, ad hoc. The performance gate is the repo benchmark:
 # bash bench/run.sh -repeat N, and -compare between two commits' outputs
@@ -69,7 +71,7 @@ loc:
 # (direction 7(c)) the internal/rewrite total. Each change that shrinks one
 # sets its maximum to the result; growing past it fails CI.
 EXECUTOR_SRC     = $(shell find internal/mr internal/optimizer internal/session -name '*.go' ! -name '*_test.go')
-EXECUTOR_LOC_MAX = 5548
+EXECUTOR_LOC_MAX = 5547
 REWRITE_SRC      = $(shell find internal/rewrite -name '*.go' ! -name '*_test.go')
 REWRITE_LOC_MAX  = 1634
 loc-check:

@@ -191,42 +191,54 @@ func (c *Catalog) RegisterView(t TableInfo, epoch int64) (info *TableInfo, added
 	return &t, true
 }
 
-// SetPartitioning installs (or, with the zero value, clears) a dataset's
-// stored layout property copy-on-write, like CollectStats: published
-// TableInfo pointers escape to concurrent readers and are never mutated in
-// place.
-func (c *Catalog) SetPartitioning(name string, p afk.Partitioning) {
+// update publishes a copy of name's entry that fn changed, when fn reports
+// a change, in the annotation index too when the entry is the indexed
+// view. Published TableInfo pointers escape to concurrent readers (the
+// optimizer reads them without the catalog lock), so an entry is never
+// mutated in place: readers holding the old pointer see a snapshot.
+func (c *Catalog) update(name string, fn func(t *TableInfo) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur, ok := c.tables[name]
-	if !ok || cur.Part.Equal(p) {
+	if !ok {
 		return
 	}
 	upd := *cur
-	upd.Part = p.Clone()
-	c.replaceLocked(cur, &upd)
+	if fn(&upd) {
+		c.tables[name] = &upd
+		if c.byCanon[upd.canon] == cur {
+			c.byCanon[upd.canon] = &upd
+		}
+	}
 }
 
-// replaceLocked publishes upd in cur's place, in the annotation index too
-// when cur is the indexed view.
-func (c *Catalog) replaceLocked(cur, upd *TableInfo) {
-	c.tables[cur.Name] = upd
-	if c.byCanon[upd.canon] == cur {
-		c.byCanon[upd.canon] = upd
-	}
+// SetStats installs a dataset's row and byte counts, keeping the rest of
+// its entry: a base table that grew by an append keeps its annotation,
+// layout and distinct counts.
+func (c *Catalog) SetStats(name string, stats cost.Stats) {
+	c.update(name, func(t *TableInfo) bool { t.Stats = stats; return true })
+}
+
+// SetPartitioning installs (or, with the zero value, clears) a dataset's
+// stored layout property.
+func (c *Catalog) SetPartitioning(name string, p afk.Partitioning) {
+	c.update(name, func(t *TableInfo) bool {
+		if t.Part.Equal(p) {
+			return false
+		}
+		t.Part = p.Clone()
+		return true
+	})
 }
 
 // MarkDelta marks a registered base table as an appended delta
-// (TableInfo.Delta), copy-on-write like SetPartitioning. Registering the
-// name again clears the mark.
+// (TableInfo.Delta). Registering the name again clears the mark.
 func (c *Catalog) MarkDelta(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.tables[name]; ok && !cur.IsView && !cur.Delta {
-		upd := *cur
-		upd.Delta = true
-		c.replaceLocked(cur, &upd)
-	}
+	c.update(name, func(t *TableInfo) bool {
+		changed := !t.IsView && !t.Delta
+		t.Delta = true
+		return changed
+	})
 }
 
 // Table looks a dataset up.
@@ -319,18 +331,10 @@ func (c *Catalog) CollectStats(eng *mr.Engine, name string, seed int64) (float64
 	for _, col := range sample.Schema().Cols() {
 		distinct[col] = chao1(sample, col, sampleRows, estRows)
 	}
-	// Install the stats copy-on-write: TableInfo pointers escape to
-	// concurrent readers (the optimizer reads Stats/Distinct without the
-	// catalog lock), so the published info is never mutated in place —
-	// readers holding the old pointer just see a pre-stats snapshot.
-	c.mu.Lock()
-	if cur, ok := c.tables[name]; ok {
-		upd := *cur
-		upd.Stats = cost.Stats{Rows: estRows, Bytes: ds.SizeBytes}
-		upd.Distinct = distinct
-		c.replaceLocked(cur, &upd)
-	}
-	c.mu.Unlock()
+	c.update(name, func(t *TableInfo) bool {
+		t.Stats, t.Distinct = cost.Stats{Rows: estRows, Bytes: ds.SizeBytes}, distinct
+		return true
+	})
 
 	// Overhead: reading the sample bytes with a map task.
 	overhead := eng.Params.JobCost(cost.JobSpec{

@@ -326,7 +326,7 @@ func TestEngineStoreByteReconciliation(t *testing.T) {
 		// re-reads the input, so the store serves the scan once plus every
 		// retried read.
 		before = st.Counters()
-		_, run, err := e.Run(projectJob(), flakyWordCount(2))
+		_, run, err := e.Run(bind(st, projectJob(), flakyWordCount(2))...)
 		if err != nil {
 			t.Fatalf("workers=%d: shared scan did not recover: %v", cfg.workers, err)
 		}

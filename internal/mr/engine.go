@@ -194,7 +194,10 @@ type Fusion struct {
 // materialized to the store.
 type Job struct {
 	Name   string
-	Inputs []string // dataset names read from the store
+	Inputs []string // names of the datasets the job reads
+	// Sources and ProbeSources are the versions of Inputs and Probes the
+	// job reads, bound by the caller: the engine reads nothing else.
+	Sources, ProbeSources []*storage.Dataset
 
 	// BatchMapFactory builds a fresh map function per map task, which the
 	// engine hands the task's whole split at once; every job has one. Map-
@@ -222,6 +225,9 @@ type Job struct {
 	OutputSchema *data.Schema // schema of the materialized output
 
 	Output string // dataset name to materialize as (a storage.View)
+	// Admit, when set, admits the output write (storage.Store.PutIf): a
+	// refused output is reached only through the handle Run returns.
+	Admit func() bool
 
 	// Costing metadata: local-function descriptors for the simulated CPU
 	// time of this job's map, combine, and reduce sides. A keyed job with a
@@ -460,10 +466,10 @@ type ScanResult struct {
 //
 // Run records each job's phase spans live but publishes no counters: the
 // caller hands each Result to RecordJob, so concurrently executed jobs can
-// still be published in one fixed order. Returned relations parallel
-// Results. On failure Results still reports every job that ran, the failed
-// one last.
-func (e *Engine) Run(jobs ...*Job) ([]*data.Relation, *ScanResult, error) {
+// still be published in one fixed order. The handles on the outputs
+// parallel Results. On failure Results still reports every job that ran,
+// the failed one last.
+func (e *Engine) Run(jobs ...*Job) ([]*storage.Dataset, *ScanResult, error) {
 	if len(jobs) == 0 {
 		return nil, nil, errors.New("mr: run with no jobs")
 	}
@@ -474,26 +480,26 @@ func (e *Engine) Run(jobs ...*Job) ([]*data.Relation, *ScanResult, error) {
 	}
 	var read *inputRead // the first read of the inputs, kept for later jobs
 	out := &ScanResult{Results: make([]*Result, 0, len(jobs))}
-	rels := make([]*data.Relation, 0, len(jobs))
+	outs := make([]*storage.Dataset, 0, len(jobs))
 	for _, job := range jobs {
 		root := e.Obs.StartSpan(job.Name, "job")
-		rel, res, err := e.retryLoop(job, root, &read)
+		d, res, err := e.retryLoop(job, root, &read)
 		root.AddSim(res.SimSeconds)
 		root.End()
 		out.Results = append(out.Results, res)
 		if err != nil {
 			return nil, out, err
 		}
-		rels = append(rels, rel)
+		outs = append(outs, d)
 	}
 	out.SavedBytes = int64(len(jobs)-1) * read.bytes
-	return rels, out, nil
+	return outs, out, nil
 }
 
 // retryLoop runs one job's attempts until one succeeds (or the budget or
 // deadline is exhausted) and folds failed attempts' partial work into the
 // final Result. read is the Run's first read of the inputs (see attempt).
-func (e *Engine) retryLoop(job *Job, root *obs.Span, read **inputRead) (*data.Relation, *Result, error) {
+func (e *Engine) retryLoop(job *Job, root *obs.Span, read **inputRead) (*storage.Dataset, *Result, error) {
 	attempts := e.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -504,7 +510,7 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, read **inputRead) (*data.Re
 	for attempt := 1; ; attempt++ {
 		res := &Result{Job: job.Name}
 		asp := root.Child("attempt")
-		rel, err := e.attempt(job, read, attempt == 1, res, asp, wasted+rec.Faults.Total())
+		d, err := e.attempt(job, read, attempt == 1, res, asp, wasted+rec.Faults.Total())
 		deadlined := err != nil && errors.Is(err, ErrDeadlineExceeded)
 		var attemptCost float64
 		if err != nil {
@@ -542,7 +548,7 @@ func (e *Engine) retryLoop(job *Job, root *obs.Span, read **inputRead) (*data.Re
 		res.RetriedInputBytes = retriedIn
 		res.RetriedShuffleBytes = retriedShuf
 		res.SimSeconds = res.Breakdown.Total() + res.WastedSeconds
-		return rel, res, err
+		return d, res, err
 	}
 }
 
@@ -572,10 +578,10 @@ func (e *Engine) jobCost(job *Job, res *Result) cost.Breakdown {
 // that read. User-code panics become errors (the partial volume accounting
 // in res survives for wasted-time charging). prior is the simulated waste
 // carried from earlier failed attempts, needed by the deadline checks.
-func (e *Engine) attempt(job *Job, read **inputRead, first bool, res *Result, asp *obs.Span, prior float64) (rel *data.Relation, err error) {
+func (e *Engine) attempt(job *Job, read **inputRead, first bool, res *Result, asp *obs.Span, prior float64) (d *storage.Dataset, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rel = nil
+			d = nil
 			err = fmt.Errorf("mr: job %q failed: %w", job.Name, panicError(r))
 		}
 	}()
@@ -696,13 +702,13 @@ func (e *Engine) attempt(job *Job, read **inputRead, first bool, res *Result, as
 	res.OutputBytes = out.EncodedSize()
 
 	// Materialize (every job output is retained: opportunistic views).
-	e.Store.Put(job.Output, storage.View, out)
+	d, _ = e.Store.PutIf(job.Output, storage.View, out, job.Admit)
 	wsp.AddSim(float64(res.OutputBytes) / e.Params.WriteRate)
 	wsp.End()
 
 	// Simulated execution time from measured volumes.
 	res.Breakdown = e.jobCost(job, res)
-	return out, nil
+	return d, nil
 }
 
 // RecordJob publishes one finished job's counters to the metrics registry.
@@ -831,8 +837,8 @@ type inputRead struct {
 	bytes, rows int64
 }
 
-// readInputs reads every input of job from the store and cuts it into map
-// tasks. A failed read returns the volume read before it with the error.
+// readInputs reads the version bound to every input of job and cuts it into
+// map tasks. A failed read returns the volume read before it with the error.
 func (e *Engine) readInputs(job *Job) (*inputRead, error) {
 	splitRows := e.Params.SplitRows
 	if splitRows <= 0 {
@@ -840,8 +846,8 @@ func (e *Engine) readInputs(job *Job) (*inputRead, error) {
 	}
 	in := &inputRead{}
 	var globalRow int64
-	for i, name := range job.Inputs {
-		rel, err := e.Store.Read(name)
+	for i, src := range job.Sources {
+		rel, err := e.Store.ReadDataset(src)
 		if err != nil {
 			return in, fmt.Errorf("mr: job %q: %w", job.Name, err)
 		}
@@ -900,11 +906,17 @@ func runMapTask(job *Job, sp mapSplit, ixs []*storage.Index, t *mapTaskOut) {
 	}
 }
 
-// validateJob checks the static requirements execution relies on, and that
-// job reads the same inputs as first, the Run's first job.
+// validateJob checks the static requirements execution relies on: a map
+// function, an output name, a bound version of every input and probe, and
+// the same inputs as first, the Run's first job.
 func validateJob(job, first *Job) error {
 	if job.BatchMapFactory == nil {
 		return fmt.Errorf("mr: job %q has no map function", job.Name)
+	}
+	bound := func(name string, d *storage.Dataset) bool { return d != nil && d.Name == name }
+	if !slices.EqualFunc(job.Inputs, job.Sources, bound) ||
+		!slices.EqualFunc(job.Probes, job.ProbeSources, func(p ProbeSpec, d *storage.Dataset) bool { return bound(p.Dataset, d) }) {
+		return fmt.Errorf("mr: job %q reads unbound sources", job.Name)
 	}
 	if job.Output == "" {
 		return fmt.Errorf("mr: job %q has no output name", job.Name)
@@ -917,7 +929,7 @@ func validateJob(job, first *Job) error {
 		return fmt.Errorf("mr: map-only job %q emits width %d (schema %s) but materializes schema %s",
 			job.Name, job.MapOutSchema.Len(), job.MapOutSchema, job.OutputSchema)
 	}
-	if !slices.Equal(job.Inputs, first.Inputs) {
+	if !slices.Equal(job.Sources, first.Sources) {
 		return fmt.Errorf("mr: shared scan: job %q reads %q, %q reads %q",
 			job.Name, job.Inputs, first.Name, first.Inputs)
 	}

@@ -60,17 +60,33 @@ func perGroup(fn groupFn) func([]Keyed, *ReduceOut) {
 	}
 }
 
-// runOne runs job alone, a shared scan of one, and returns its relation and
-// Result (nil when the job failed validation).
+// bind binds each job's inputs and probes to the versions the store holds
+// now (nil for a name it does not hold), as the session's planner does.
+func bind(st *storage.Store, jobs ...*Job) []*Job {
+	for _, j := range jobs {
+		j.Sources = make([]*storage.Dataset, len(j.Inputs))
+		for i, name := range j.Inputs {
+			j.Sources[i], _ = st.Meta(name)
+		}
+		j.ProbeSources = make([]*storage.Dataset, len(j.Probes))
+		for i, p := range j.Probes {
+			j.ProbeSources[i], _ = st.Meta(p.Dataset)
+		}
+	}
+	return jobs
+}
+
+// runOne binds job and runs it alone, a shared scan of one, and returns
+// its relation and Result (nil when the job failed validation).
 func runOne(e *Engine, job *Job) (*data.Relation, *Result, error) {
-	rels, run, err := e.Run(job)
+	outs, run, err := e.Run(bind(e.Store, job)...)
 	if run == nil {
 		return nil, nil, err
 	}
 	if err != nil {
 		return nil, run.Results[0], err
 	}
-	return rels[0], run.Results[0], nil
+	return outs[0].Relation(), run.Results[0], nil
 }
 
 // runRecorded runs one job alone and publishes its record, the way the
@@ -368,9 +384,7 @@ func TestRunSequenceAndAggregate(t *testing.T) {
 			snap.FloatCounters["mr_sim_seconds_total"], results[0].SimSeconds+results[1].SimSeconds)
 	}
 	// failure propagates, and the failed job is recorded
-	bad := wordCountJob()
-	bad.Inputs = []string{"missing"}
-	if _, err := runSequence(e, bad); err == nil {
+	if _, err := runSequence(e, flakyWordCount(100)); err == nil {
 		t.Error("runSequence swallowed error")
 	}
 	if snap := reg.Snapshot(); snap.Counters["mr_jobs_total"] != 3 || snap.Counters["mr_job_failures_total"] != 1 {

@@ -43,8 +43,8 @@ func (p *Probe) Row(pos int32) data.Row { return p.ix.Row(pos) }
 // indexScan prices an index build: a map-only scan of the indexed dataset.
 var indexScan = []cost.LocalFn{{Ops: []cost.OpType{cost.OpAttr}, Scalar: 1}}
 
-// openProbes opens every index the job probes, once per attempt. Each open
-// is a read of the dataset, so a read fault fails the attempt; an open that
+// openProbes opens every index the job probes on its bound version, once
+// per attempt. Each open is a read of the dataset, so a read fault fails the attempt; an open that
 // builds its index charges the attempt a map-only scan of the dataset — its
 // bytes as input read, its rows as IndexRows. Returns the bytes the builds
 // read.
@@ -55,7 +55,7 @@ func (e *Engine) openProbes(job *Job, res *Result) ([]*storage.Index, int64, err
 	ixs := make([]*storage.Index, len(job.Probes))
 	var built int64
 	for i, ps := range job.Probes {
-		ix, fresh, err := e.Store.Index(ps.Dataset, ps.Col)
+		ix, fresh, err := e.Store.Index(job.ProbeSources[i], ps.Col)
 		if err != nil {
 			return nil, 0, fmt.Errorf("mr: job %q: %w", job.Name, err)
 		}

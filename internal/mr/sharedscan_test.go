@@ -71,16 +71,16 @@ func TestSharedScanMatchesStandalone(t *testing.T) {
 
 	e, st := newEngine()
 	loadWords(st)
-	jobs := mk()
-	rels, out, err := e.Run(jobs...)
+	jobs := bind(st, mk()...)
+	outs, out, err := e.Run(jobs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rels) != 3 || len(out.Results) != 3 {
-		t.Fatalf("got %d rels, %d results", len(rels), len(out.Results))
+	if len(outs) != 3 || len(out.Results) != 3 {
+		t.Fatalf("got %d outputs, %d results", len(outs), len(out.Results))
 	}
 	for i := range jobs {
-		if rels[i].Fingerprint() != wantFP[i] {
+		if outs[i].Relation().Fingerprint() != wantFP[i] {
 			t.Errorf("job %d: relation differs from its run alone", i)
 		}
 		if !reflect.DeepEqual(out.Results[i], wantRes[i]) {
@@ -113,7 +113,7 @@ func TestSharedScanReadFaultChargesPrimary(t *testing.T) {
 	for _, jobs := range [][]*Job{{wordCountJob()}, {wordCountJob(), projectJob()}} {
 		e, st := newFaultedEngine(t, plan)
 		e.MaxAttempts = 3
-		_, out, err := e.Run(jobs...)
+		_, out, err := e.Run(bind(st, jobs...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestSharedScanRejectsMismatchedInputs(t *testing.T) {
 
 	bad := projectJob()
 	bad.Inputs = []string{"other"}
-	if _, _, err := e.Run(wordCountJob(), bad); err == nil {
+	if _, _, err := e.Run(bind(st, wordCountJob(), bad)...); err == nil {
 		t.Fatal("mismatched inputs accepted")
 	}
 	if _, _, err := e.Run(); err == nil {
@@ -174,7 +174,7 @@ func TestRunValidatesBeforeRunning(t *testing.T) {
 		loadWords(st)
 		e.Obs = obs.NewRegistry()
 		before := st.Counters()
-		rels, out, err := e.Run(jobs...)
+		rels, out, err := e.Run(bind(st, jobs...)...)
 		if err == nil || !strings.Contains(err.Error(), "no map function") {
 			t.Fatalf("%d jobs: err = %v, want a validation error", len(jobs), err)
 		}

@@ -207,7 +207,8 @@ func BenchmarkProbeDeltaJob(b *testing.B) {
 		if len(jobs) != 1 || len(jobs[0].Probes) != 1 {
 			b.Fatal("the delta join did not compile as one probe job")
 		}
-		if _, _, err := f.store.Index("twtr", "user_id"); err != nil {
+		twtr, _ := f.store.Meta("twtr")
+		if _, _, err := f.store.Index(twtr, "user_id"); err != nil {
 			b.Fatal(err)
 		}
 		return f, w, jobs

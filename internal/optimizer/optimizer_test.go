@@ -71,13 +71,28 @@ func newFixture(t testing.TB, rows int) *fixture {
 	return &fixture{store: st, cat: cat, eng: eng, opt: New(cat, params, expr.NewEvaluator())}
 }
 
-// runJob runs job alone on eng and returns its relation and Result.
+// bind binds job's inputs and probes to the versions eng's store holds now
+// (nil for a name it does not hold), as the session's planner does.
+func bind(eng *mr.Engine, job *mr.Job) *mr.Job {
+	job.Sources = make([]*storage.Dataset, len(job.Inputs))
+	for i, name := range job.Inputs {
+		job.Sources[i], _ = eng.Store.Meta(name)
+	}
+	job.ProbeSources = make([]*storage.Dataset, len(job.Probes))
+	for i, p := range job.Probes {
+		job.ProbeSources[i], _ = eng.Store.Meta(p.Dataset)
+	}
+	return job
+}
+
+// runJob binds job and runs it alone on eng, and returns its relation and
+// Result.
 func runJob(eng *mr.Engine, job *mr.Job) (*data.Relation, *mr.Result, error) {
-	rels, run, err := eng.Run(job)
+	outs, run, err := eng.Run(bind(eng, job))
 	if err != nil {
 		return nil, nil, err
 	}
-	return rels[0], run.Results[0], nil
+	return outs[0].Relation(), run.Results[0], nil
 }
 
 // runJobs runs compiled jobs alone in job order, each output in the store
@@ -87,7 +102,7 @@ func runJobs(eng *mr.Engine, jobs []*mr.Job) ([]*mr.Result, error) {
 	var results []*mr.Result
 	for _, j := range jobs {
 		start := time.Now()
-		_, run, err := eng.Run(j)
+		_, run, err := eng.Run(bind(eng, j))
 		if run != nil {
 			eng.RecordJob(run.Results[0], err, time.Since(start).Seconds())
 		}

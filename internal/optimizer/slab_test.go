@@ -198,7 +198,8 @@ func TestMapSideAllocBudget(t *testing.T) {
 				split := rel.Rows()
 				var probes []*mr.Probe
 				for _, ps := range job.Probes {
-					ix, _, err := f.store.Index(ps.Dataset, ps.Col)
+					d, _ := f.store.Meta(ps.Dataset)
+					ix, _, err := f.store.Index(d, ps.Col)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -17,13 +17,13 @@
 //	          never reach the executor.
 //	executor— a single goroutine turns each micro-batch into one
 //	          Session.RunBatch call (shared scans + cross-query dedup),
-//	          delivers per-query responses, and refreshes the hot-pin
-//	          set between batches.
+//	          delivers per-query responses, and refreshes the hot set
+//	          of views protected from eviction between batches.
 //
 // Ingest (Append) runs beside in-flight micro-batches under the session's
-// own protocol: the append holds the planning lock, a batch pins its
-// inputs when it plans, and retention discards what a batch planned
-// before an append materialized.
+// own protocol: the append holds the planning lock, a batch holds the
+// versions of its inputs it resolved when it planned, and the store and
+// catalog refuse what a batch planned before an append writes.
 //
 // Service-layer metrics go to Config.Obs, which may be a different
 // registry than the session's: the differential tests reconcile the
@@ -33,6 +33,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,10 +71,10 @@ type Config struct {
 	// round-robin pass over the tenants.
 	Weights map[string]int
 
-	// HotPinFraction of the store's view capacity is kept pinned to the
-	// hottest views between batches (0 disables; pinning is also disabled
-	// when the store has no view budget, so an unbudgeted run sees zero pin
-	// activity). HotPinTop caps the pinned set size (default 8).
+	// HotPinFraction of the store's view capacity is kept protected from
+	// eviction for the hottest views between batches (0 disables; so does a
+	// store without a view budget, where nothing is evicted). HotPinTop
+	// caps the protected set's size (default 8).
 	HotPinFraction float64
 	HotPinTop      int
 
@@ -184,9 +185,9 @@ type Service struct {
 	execCh chan microBatch
 	done   chan struct{} // closed when the executor drains
 
-	// hotPins is the executor-maintained pinned set (executor-only plus
-	// the post-drain cleanup, never concurrent).
-	hotPins map[string]int64
+	// hot is the protected set the executor last gave the store, sorted
+	// (executor-only, never concurrent).
+	hot []string
 
 	// nBare counts the bare SELECTs parsed so far, whose results are
 	// stored as _svcN (planner-only).
@@ -211,7 +212,6 @@ func New(sess *session.Session, cfg Config) *Service {
 		kick:    make(chan struct{}, 1),
 		execCh:  make(chan microBatch, cfg.ExecQueue),
 		done:    make(chan struct{}),
-		hotPins: make(map[string]int64),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	go s.plannerLoop()
@@ -431,17 +431,14 @@ func (s *Service) parse(reqs []*request) []*request {
 }
 
 // executorLoop turns micro-batches into RunBatch calls and delivers
-// responses. Single goroutine; owns the hot-pin set.
+// responses. Single goroutine; owns the hot set.
 func (s *Service) executorLoop() {
 	for mb := range s.execCh {
 		s.runBatch(mb)
 		s.refreshHotPins()
 	}
-	// Drained: release any remaining hot pins (each name held exactly once).
-	for name := range s.hotPins {
-		s.sess.Store.Unpin([]string{name})
-		delete(s.hotPins, name)
-	}
+	// Drained: nothing stays protected.
+	s.sess.Store.Protect(nil)
 	s.cfg.Obs.Gauge("service_hot_pinned_bytes").Set(0)
 	close(s.done)
 }
@@ -514,10 +511,10 @@ func (s *Service) deliver(req *request, m *session.Metrics, err error, admitted 
 }
 
 // refreshHotPins re-ranks stored views by retention score (benefit plus
-// use count) and pins the top set within HotPinFraction of the view
-// budget, capped at HotPinTop. New pins land before old ones release so
-// a view staying hot is never momentarily evictable. Disabled when the
-// store has no view budget.
+// use count) and protects the top set within HotPinFraction of the view
+// budget, capped at HotPinTop, from eviction. One Store.Protect replaces
+// the whole set, so a view staying hot is never momentarily evictable.
+// Disabled when the store has no view budget.
 func (s *Service) refreshHotPins() {
 	capacity := s.sess.Store.ViewCapacityBytes
 	if capacity <= 0 || s.cfg.HotPinFraction <= 0 {
@@ -533,37 +530,23 @@ func (s *Service) refreshHotPins() {
 		}
 		return infos[i].Name < infos[j].Name
 	})
-	want := make(map[string]int64)
+	var hot []string
 	var used int64
 	for _, info := range infos {
-		if len(want) >= s.cfg.HotPinTop {
+		if len(hot) >= s.cfg.HotPinTop {
 			break
 		}
 		if used+info.SizeBytes > budget {
 			continue
 		}
-		want[info.Name] = info.SizeBytes
+		hot = append(hot, info.Name)
 		used += info.SizeBytes
 	}
-	changed := false
-	for name := range want {
-		if _, ok := s.hotPins[name]; !ok {
-			s.sess.Store.Pin([]string{name})
-			changed = true
-		}
-	}
-	for name := range s.hotPins {
-		if _, ok := want[name]; !ok {
-			s.sess.Store.Unpin([]string{name})
-			changed = true
-			delete(s.hotPins, name)
-		}
-	}
-	for name, size := range want {
-		s.hotPins[name] = size
-	}
-	if changed {
+	s.sess.Store.Protect(hot)
+	slices.Sort(hot)
+	if !slices.Equal(hot, s.hot) {
 		s.cfg.Obs.Counter("service_hot_pin_changes_total").Inc()
 	}
+	s.hot = hot
 	s.cfg.Obs.Gauge("service_hot_pinned_bytes").Set(float64(used))
 }

@@ -17,6 +17,7 @@ import (
 	"opportune/internal/hiveql"
 	"opportune/internal/obs"
 	"opportune/internal/session"
+	"opportune/internal/storage"
 	"opportune/internal/udf"
 	"opportune/internal/value"
 	"opportune/internal/workload"
@@ -520,15 +521,11 @@ func TestServiceStress(t *testing.T) {
 	if int64(failed) != st.ParseErrors {
 		t.Errorf("%d error responses vs %d parse errors", failed, st.ParseErrors)
 	}
-	for name, n := range sess.Store.Pins() {
-		if n != 0 {
-			t.Errorf("dangling pin after Close: %s=%d", name, n)
-		}
-	}
 }
 
 // TestServiceHotPinning: with a view budget set, the executor keeps the
-// hottest views pinned between batches and releases every pin on Close.
+// hottest views protected from eviction between batches, and Close leaves
+// none protected.
 func TestServiceHotPinning(t *testing.T) {
 	sess, _ := newTestSession(t, 0, 0)
 	sess.Store.ViewCapacityBytes = 1 << 30
@@ -557,21 +554,14 @@ func TestServiceHotPinning(t *testing.T) {
 	if snap.Counters["service_hot_pin_changes_total"] == 0 {
 		t.Error("hot-pin set never changed")
 	}
-	pinned := 0
-	for _, n := range sess.Store.Pins() {
-		pinned += n
-	}
-	if pinned == 0 {
-		t.Error("no views pinned while service is live")
-	}
 	svc.Close()
-	for name, n := range sess.Store.Pins() {
-		if n != 0 {
-			t.Errorf("dangling pin after Close: %s=%d", name, n)
-		}
-	}
 	if svcReg.Snapshot().Gauges["service_hot_pinned_bytes"] != 0 {
 		t.Error("hot-pinned-bytes gauge not zeroed on Close")
+	}
+	sess.Store.ViewCapacityBytes = 1
+	sess.Store.EnforceBudget()
+	if left := sess.Store.List(storage.View); len(left) != 0 {
+		t.Errorf("views %v still protected from eviction after Close", left)
 	}
 }
 
@@ -587,7 +577,7 @@ func TestServiceHotPinning(t *testing.T) {
 // re-declared.
 func TestServicePartitionStress(t *testing.T) {
 	sess, sessReg := newTestSession(t, 2, 0)
-	sess.Store.ViewCapacityBytes = 1 << 30 // roomy: pins, not eviction, are under test
+	sess.Store.ViewCapacityBytes = 1 << 30 // roomy: the hot set, not eviction, is under test
 	parts := sess.Opt.Params.DefaultPartitions
 	workload.PartitionBases(sess, parts)
 	// Materialize the partition-matched views so the service has something
@@ -686,11 +676,6 @@ func TestServicePartitionStress(t *testing.T) {
 	}
 	if svcReg.Snapshot().Counters["service_hot_pin_changes_total"] == 0 {
 		t.Error("hot-pin set never changed while partition views were hot")
-	}
-	for name, n := range sess.Store.Pins() {
-		if n != 0 {
-			t.Errorf("dangling pin after Close: %s=%d", name, n)
-		}
 	}
 
 	// Quiescent, the catalog lists only what the store holds: whatever

@@ -30,6 +30,7 @@ package session
 
 import (
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -38,6 +39,7 @@ import (
 	"opportune/internal/obs"
 	"opportune/internal/optimizer"
 	"opportune/internal/plan"
+	"opportune/internal/storage"
 )
 
 // BatchQuery is one query of a batch.
@@ -82,6 +84,8 @@ type batchConsumer struct {
 	rank int
 	job  *mr.Job
 	jn   *optimizer.JobNode
+	in   []*storage.Dataset // the handles its plan resolved (plannedQuery.in)
+	out  *storage.Dataset   // the handle its write returned; nil until it ran
 
 	unit *batchUnit     // physical unit executing this job (nil for ghosts)
 	dup  *batchConsumer // representative this job deduped onto
@@ -98,6 +102,7 @@ type batchUnit struct {
 	rank      int
 	consumers []*batchConsumer
 	deps      map[*batchUnit]struct{}
+	from      []*batchConsumer // per input: the producer read, nil for a resolved dataset
 
 	saved int64 // scan bytes the consumers after the first did not read
 	err   error
@@ -147,7 +152,7 @@ func (s *Session) execute(plans []plannedQuery, share bool) (*execution, error) 
 		if c.dup != nil {
 			// A dedup ghost is attributed its representative's execution
 			// (ranked before it) and records nothing.
-			c.res = c.dup.res
+			c.res, c.out = c.dup.res, c.dup.out
 			continue
 		}
 		if c.res == nil {
@@ -173,7 +178,7 @@ func buildUnits(plans []plannedQuery, share bool) *execution {
 	x := &execution{perQuery: make([][]*batchConsumer, len(plans))}
 	for qi, p := range plans {
 		for ji, job := range p.jobs {
-			c := &batchConsumer{rank: len(x.consumers), job: job, jn: p.w.Nodes[ji]}
+			c := &batchConsumer{rank: len(x.consumers), job: job, jn: p.w.Nodes[ji], in: p.in}
 			x.perQuery[qi] = append(x.perQuery[qi], c)
 			x.consumers = append(x.consumers, c)
 		}
@@ -236,18 +241,14 @@ func buildUnits(plans []plannedQuery, share bool) *execution {
 	for _, c := range consumers {
 		producers[c.job.Output] = append(producers[c.job.Output], c)
 	}
-	physUnit := func(c *batchConsumer) *batchUnit {
-		if c.dup != nil {
-			return c.dup.unit
-		}
-		return c.unit
-	}
 	// Each consumer depends on the last producer of each of its inputs with
 	// a lower rank — exactly the dataset version sequential execution would
-	// read. Base datasets have no producer and impose no edge.
+	// read — and its unit reads that version, its last member's where the
+	// members differ. Base datasets have no producer and impose no edge.
 	for _, u := range x.units {
+		u.from = make([]*batchConsumer, len(u.consumers[0].job.Inputs))
 		for _, m := range u.consumers {
-			for _, in := range m.job.Inputs {
+			for i, in := range m.job.Inputs {
 				var last *batchConsumer
 				for _, p := range producers[in] {
 					if p.rank >= m.rank {
@@ -258,8 +259,12 @@ func buildUnits(plans []plannedQuery, share bool) *execution {
 				if last == nil {
 					continue
 				}
-				if pu := physUnit(last); pu != nil && pu != u {
-					u.deps[pu] = struct{}{}
+				if last.dup != nil {
+					last = last.dup // the version a ghost stands for
+				}
+				if last.unit != u {
+					u.deps[last.unit] = struct{}{}
+					u.from[i] = last
 				}
 			}
 		}
@@ -269,14 +274,13 @@ func buildUnits(plans []plannedQuery, share bool) *execution {
 	for _, ps := range producers {
 		var prev *batchUnit
 		for _, p := range ps {
-			u := physUnit(p)
-			if u == nil {
-				continue
+			if p.dup != nil {
+				p = p.dup
 			}
-			if prev != nil && u != prev {
-				u.deps[prev] = struct{}{}
+			if prev != nil && p.unit != prev {
+				p.unit.deps[prev] = struct{}{}
 			}
-			prev = u
+			prev = p.unit
 		}
 	}
 	return x
@@ -308,18 +312,35 @@ func executeBatch(eng *mr.Engine, units []*batchUnit, parallel int) error {
 }
 
 // runUnit executes one unit as one engine run, a shared scan of its
-// consumers (of one, for a singleton). It publishes no counters: execute
+// consumers (of one, for a singleton), after binding the versions they
+// read: an input another unit produces from that unit's write, any other
+// from the handles planning resolved. It publishes no counters: execute
 // records every consumer that ran, in rank order, once the DAG is done.
 func runUnit(eng *mr.Engine, u *batchUnit) {
 	t0 := time.Now()
+	first := u.consumers[0]
+	srcs := make([]*storage.Dataset, len(u.from))
+	for i, p := range u.from {
+		if srcs[i] = resolved(first.in, first.job.Inputs[i]); p != nil {
+			srcs[i] = p.out
+		}
+	}
 	jobs := make([]*mr.Job, len(u.consumers))
 	for i, c := range u.consumers {
+		c.job.Sources = srcs
+		c.job.ProbeSources = make([]*storage.Dataset, len(c.job.Probes))
+		for pi, ps := range c.job.Probes {
+			c.job.ProbeSources[pi] = resolved(c.in, ps.Dataset)
+		}
 		jobs[i] = c.job
 	}
-	_, run, err := eng.Run(jobs...)
+	outs, run, err := eng.Run(jobs...)
 	u.err = err
 	if run == nil {
 		return
+	}
+	for i, d := range outs {
+		u.consumers[i].out = d
 	}
 	u.saved = run.SavedBytes
 	wall := time.Since(t0).Seconds() / float64(len(u.consumers))
@@ -329,6 +350,14 @@ func runUnit(eng *mr.Engine, u *batchUnit) {
 	if err != nil {
 		u.consumers[len(run.Results)-1].err = err
 	}
+}
+
+// resolved is the handle in holds on the named dataset, nil if none.
+func resolved(in []*storage.Dataset, name string) *storage.Dataset {
+	if i := slices.IndexFunc(in, func(d *storage.Dataset) bool { return d.Name == name }); i >= 0 {
+		return in[i]
+	}
+	return nil
 }
 
 // runUnitsParallel executes units whose read phases can no longer fault,
@@ -392,23 +421,17 @@ func (s *Session) physicalResult(c *batchConsumer) *mr.Result {
 	return &r
 }
 
-// creditRewrite credits the views a successful rewrite read with the cost
-// it saved: the benefit the cost-benefit reclamation policy ranks on.
-func (s *Session) creditRewrite(m *Metrics, chosen *plan.Node) {
-	if m.Rewrite == nil || !m.Rewrite.Improved {
-		return
-	}
-	saved := m.Rewrite.OriginalCost - m.Rewrite.Cost
-	if saved <= 0 {
-		return
-	}
-	plan.Walk(chosen, func(n *plan.Node) {
-		if n.Kind == plan.KindScan {
-			if t, ok := s.Cat.Table(n.Dataset); ok && t.IsView {
-				s.Store.AddBenefit(n.Dataset, saved)
+// creditRewrite credits the views a successful rewrite read (in, the
+// handles its plan resolved) with the cost it saved: the benefit the
+// cost-benefit reclamation policy ranks on.
+func (s *Session) creditRewrite(m *Metrics, in []*storage.Dataset) {
+	if r := m.Rewrite; r != nil && r.Improved && r.OriginalCost > r.Cost {
+		for _, d := range in {
+			if d.Kind == storage.View {
+				s.Store.AddBenefit(d.Name, r.OriginalCost-r.Cost)
 			}
 		}
-	})
+	}
 }
 
 // batchStats fills the batch-level summary and publishes the batch_*

@@ -37,9 +37,6 @@ func TestFailedBatchEnforcesBudget(t *testing.T) {
 		t.Fatal("batch survived a job whose every attempt panics")
 	}
 
-	if pins := s.Store.Pins(); len(pins) != 0 {
-		t.Errorf("pins left behind: %v", pins)
-	}
 	if vb := s.Store.ViewBytes(); vb > s.Store.ViewCapacityBytes {
 		t.Errorf("view bytes %d exceed capacity %d after the failed batch", vb, s.Store.ViewCapacityBytes)
 	}

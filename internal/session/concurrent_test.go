@@ -117,9 +117,9 @@ func TestConcurrentSessionRunStress(t *testing.T) {
 }
 
 // TestConcurrentRunsUnderCapacityPressure adds a view-capacity budget so
-// concurrent plans continually evict each other's retained views while
-// their own inputs and intermediates stay pinned. Every run must still
-// succeed: pins protect exactly the datasets a running plan needs.
+// concurrent plans continually evict each other's retained views, their
+// running inputs and intermediates included. Every run must still succeed:
+// a run reads the versions it holds handles on, evicted or not.
 func TestConcurrentRunsUnderCapacityPressure(t *testing.T) {
 	const goroutines = 6
 	const perG = 3
@@ -154,7 +154,7 @@ func TestConcurrentRunsUnderCapacityPressure(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// After all pins are released, the budget holds.
+	// Once the runs are done, the budget holds.
 	s.Store.EnforceBudget()
 	if vb := s.Store.ViewBytes(); vb > s.Store.ViewCapacityBytes {
 		t.Errorf("view bytes %d exceed capacity %d after EnforceBudget", vb, s.Store.ViewCapacityBytes)
@@ -163,9 +163,8 @@ func TestConcurrentRunsUnderCapacityPressure(t *testing.T) {
 
 // TestRetentionSkipsViewsDroppedMidway: a query that executed must not fail
 // because its outputs lost their catalog entry before the statistics sample
-// (here a concurrent DropViews; under a budget, a concurrent plan's sync of
-// evicted views). The run's pins keep the data; the view is simply not
-// retained.
+// (here a concurrent DropViews; under a budget, an eviction). The run's
+// handles keep the data; the view is simply not retained.
 func TestRetentionSkipsViewsDroppedMidway(t *testing.T) {
 	s := demo(t, 300)
 	s.Eng.Workers = 2
@@ -199,7 +198,4 @@ func TestRetentionSkipsViewsDroppedMidway(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	dropper.Wait()
-	if pins := s.Store.Pins(); len(pins) != 0 {
-		t.Errorf("dangling pins after all runs: %v", pins)
-	}
 }

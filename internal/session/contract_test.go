@@ -305,9 +305,6 @@ func TestReduceContract(t *testing.T) {
 				if got := len(s.Cat.Views()); got != views {
 					t.Errorf("catalog holds %d views after the failures, %d before", got, views)
 				}
-				if pins := s.Store.Pins(); len(pins) != 0 {
-					t.Errorf("pins left behind: %v", pins)
-				}
 			})
 		}
 	}

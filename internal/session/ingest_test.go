@@ -57,7 +57,7 @@ func TestQueriesNeverProbe(t *testing.T) {
 	for _, name := range indexed.Store.List(storage.Base) {
 		ds, _ := indexed.Store.Meta(name)
 		for _, col := range ds.Relation().Schema().Cols() {
-			if _, _, err := indexed.Store.Index(name, col); err != nil {
+			if _, _, err := indexed.Store.Index(ds, col); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -42,7 +42,6 @@ import (
 	"opportune/internal/meta"
 	"opportune/internal/mr"
 	"opportune/internal/obs"
-	"opportune/internal/optimizer"
 	"opportune/internal/plan"
 	"opportune/internal/storage"
 	"opportune/internal/udf"
@@ -69,8 +68,9 @@ type AppendReport struct {
 // incrementally maintained when their annotation and producing plan admit
 // it, and invalidated otherwise. AppendRows holds planMu throughout, so it
 // serializes against planning but not against executing plans: a running
-// plan pinned its inputs at plan time (deletion defers), and the catalog
-// refuses to register what it materialized once the append has begun.
+// plan reads the versions it resolved at plan time, and once the append
+// has begun the store refuses the plan's writes and the catalog its
+// registrations.
 // Only the views' delta jobs run one after another; the base table's
 // statistics and each view's merge overlap them (DESIGN §5.9).
 func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, error) {
@@ -96,19 +96,18 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 
 	rep := &AppendReport{Table: table, Rows: len(rows), Reasons: make(map[string]string)}
 
-	// Concurrent Runs may be scanning the current relation: Extend leaves
-	// it as it is, sharing its array instead of copying it. The re-put
-	// installs the grown relation (dropping the old one's indexes) and
-	// updates size/eviction bookkeeping.
+	// Concurrent Runs may hold the current version: Extend leaves it as it
+	// is, sharing its array instead of copying it. The re-put installs the
+	// grown relation as a new version (with no indexes yet) and updates
+	// size/eviction bookkeeping.
 	old := ds.Relation()
 	rel := old.Extend(rows)
 	s.Store.Put(table, storage.Base, rel)
-	s.Cat.RegisterBase(table, info.Cols, info.KeyCol,
-		cost.Stats{Rows: int64(rel.Len()), Bytes: rel.EncodedSize()}, info.Distinct)
-	// An append preserves a hash layout: the bucket a row belongs to is a
+	// The schema did not change, so the entry keeps its annotation and
+	// distinct counts, and its layout: the bucket a row belongs to is a
 	// function of its key values alone, so the grown relation keeps the
 	// layout the table was declared with.
-	s.Cat.SetPartitioning(table, info.Part)
+	s.Cat.SetStats(table, cost.Stats{Rows: int64(rel.Len()), Bytes: rel.EncodedSize()})
 	// Re-estimate per-column distincts on the grown base: appends change
 	// cardinalities, and stale counts misprice every downstream group-by.
 	// No delta plan reads them: its scans of the table read the delta.
@@ -148,7 +147,7 @@ func (s *Session) AppendRows(table string, rows []data.Row) (*AppendReport, erro
 		if !slices.Contains(v.Ann.Bases(), table) && (pl == nil || !s.reads(pl, table)) {
 			continue
 		}
-		m := &viewMaint{v: v, tmpOut: "~maint~" + v.Name}
+		m := &viewMaint{v: v}
 		views = append(views, m)
 		if verdict := afk.Maintainable(v.Ann, table); !verdict.OK {
 			m.reason = verdict.Reason
@@ -311,15 +310,13 @@ func (s *Session) reads(n *plan.Node, table string) bool {
 }
 
 // viewMaint is one dependent view's maintenance in an append: the reason
-// it is invalidated, or its delta run — what the jobs wrote and pinned,
-// what the run cost — and the error that ended the run, if one did.
+// it is invalidated, or its delta run — what it computed, what it cost —
+// and the error that ended the run, if one did.
 type viewMaint struct {
 	v      *meta.TableInfo
 	reason string
 	shape  viewShape
-	w      *optimizer.Work
-	tmpOut string
-	pins   []string
+	sink   *storage.Dataset // the delta run's output, outside the store
 	seed   int64
 	span   *obs.Span
 
@@ -330,9 +327,10 @@ type viewMaint struct {
 // deltaJobs runs a view's plan with its scan of the appended table
 // retargeted at the delta — the jobs that compiles to, e.g. one group-agg
 // job whose map side probes the joined table's index — through the
-// session's unit executor. On success the run's pins and temporaries are
-// the merge's to release; any error leaves the view droppable — the caller
-// falls back to invalidation, which is always safe.
+// session's unit executor. The run publishes nothing: its jobs' outputs
+// are handles outside the store, read by the jobs after them and by the
+// merge. Any error leaves the view droppable — the caller falls back to
+// invalidation, which is always safe.
 func (s *Session) deltaJobs(m *viewMaint, pl *plan.Node, table, deltaName string, sp *obs.Span) error {
 	msp := sp.Child("maintain")
 	defer msp.End()
@@ -345,41 +343,38 @@ func (s *Session) deltaJobs(m *viewMaint, pl *plan.Node, table, deltaName string
 		}
 	})
 	s.Opt.ClearEstimates()
-	var err error
-	if m.w, err = s.Opt.Compile(dp); err != nil {
+	w, err := s.Opt.Compile(dp)
+	if err != nil {
 		return fmt.Errorf("delta compile: %w", err)
 	}
-	jobs, err := s.Opt.Executable(m.w, m.tmpOut)
+	jobs, err := s.Opt.Executable(w, "~maint~"+m.v.Name)
 	if err != nil {
 		return fmt.Errorf("delta executable: %w", err)
 	}
-	// Everything the delta jobs write — the sink under tmpOut, the
-	// intermediates of a multi-job plan under their content-addressed names —
-	// is pinned for the run, deleted on every exit path and never registered.
-	m.pins = append(pinList(dp, m.w, m.tmpOut), m.v.Name)
-	s.Store.Pin(m.pins)
-	x, err := s.execute([]plannedQuery{{w: m.w, jobs: jobs}}, false)
+	for _, j := range jobs {
+		j.Admit = func() bool { return false }
+	}
+	in, _ := s.resolve(dp) // a missing input leaves its job unbound: an error
+	x, err := s.execute([]plannedQuery{{w: w, jobs: jobs, in: in}}, false)
 	if err != nil {
-		s.releaseDelta(m)
 		return fmt.Errorf("delta job: %w", err)
 	}
+	m.sink = x.consumers[len(x.consumers)-1].out
 	m.deltaSec, _ = x.attributed(0)
 	msp.AddSim(m.deltaSec)
 	return nil
 }
 
-// mergeDelta merges a view's delta sink into the stored relation, samples
-// its statistics under the seed drawn for it and releases the delta run.
-// It runs beside the next view's delta jobs: neither reads what the other
-// writes.
+// mergeDelta merges a view's delta sink into the stored relation and
+// samples its statistics under the seed drawn for it. It runs beside the
+// next view's delta jobs: neither reads what the other writes.
 func (s *Session) mergeDelta(m *viewMaint) error {
 	defer m.span.End()
-	defer s.releaseDelta(m)
 	stored, err := s.Store.Read(m.v.Name)
 	if err != nil {
 		return err
 	}
-	deltaOut, err := s.Store.Read(m.tmpOut)
+	deltaOut, err := s.Store.ReadDataset(m.sink)
 	if err != nil {
 		return err
 	}
@@ -406,19 +401,6 @@ func (s *Session) mergeDelta(m *viewMaint) error {
 	m.statsSec, err = s.Cat.CollectStats(s.Eng, m.v.Name, m.seed)
 	m.span.AddSim(mergeSec + m.statsSec)
 	return err
-}
-
-// releaseDelta unpins a delta run and deletes what it wrote. A name the
-// catalog lists is not a temporary: a sub-plan that does not read the
-// delta re-materializes an existing view's own contents.
-func (s *Session) releaseDelta(m *viewMaint) {
-	s.Store.Unpin(m.pins)
-	for _, jn := range m.w.Nodes {
-		name := m.w.StoredName(jn, m.tmpOut)
-		if _, listed := s.Cat.Table(name); !listed {
-			s.Store.Delete(name)
-		}
-	}
 }
 
 // mergeRows is the per-group fold MergeByKey applies: aggregate column i of

@@ -206,7 +206,7 @@ func FuzzMaintainVsRecompute(f *testing.F) {
 			return names
 		}
 		for i, a := range appends {
-			if slices.Contains(scanList(q), a.table) {
+			if slices.Contains(scanNames(q), a.table) {
 				checkProbeVsShuffle(t, inc, q, a)
 			}
 			before := listed()
@@ -248,4 +248,15 @@ func FuzzMaintainVsRecompute(f *testing.F) {
 			}
 		}
 	})
+}
+
+// scanNames is the datasets a plan scans.
+func scanNames(p *plan.Node) []string {
+	var names []string
+	plan.Walk(p, func(n *plan.Node) {
+		if n.Kind == plan.KindScan {
+			names = append(names, n.Dataset)
+		}
+	})
+	return names
 }

@@ -77,10 +77,12 @@ func checkProbeVsShuffle(t *testing.T, s *Session, pl *plan.Node, a ivmAppend) i
 					probes += len(j.Probes)
 				}
 			}
-			for _, j := range jobs {
-				if _, _, err := s.Eng.Run(j); err != nil {
-					t.Fatalf("delta plan (marked %v): %v", marked, err)
-				}
+			in, missing := s.resolve(dp)
+			if missing != "" {
+				t.Fatalf("delta plan input %s not stored", missing)
+			}
+			if _, err := s.execute([]plannedQuery{{w: w, jobs: jobs, in: in}}, false); err != nil {
+				t.Fatalf("delta plan (marked %v): %v", marked, err)
 			}
 			out, err := s.Store.Read(sink)
 			if err != nil {

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,9 +139,8 @@ type Metrics struct {
 	Jobs           int
 	DataMovedBytes int64
 	ResultName     string
-	// Result is the stored relation under ResultName, taken while the
-	// query's pins were held (a budget may evict the dataset right after)
-	// and without counting a read.
+	// Result is the relation under ResultName the query read or wrote,
+	// from its handle: a budget may evict it right after. No read counted.
 	Result *data.Relation
 
 	Rewrite *rewrite.Result // nil for ModeOriginal
@@ -152,11 +150,11 @@ type Metrics struct {
 // materializing the result under resultName and retaining all job outputs
 // as opportunistic views. Run is safe for concurrent use; see Session.
 //
-// The chosen plan's inputs are pinned and validated before planning
-// releases planMu, so a concurrent AppendRows (which holds planMu
-// throughout) can no longer invalidate them between planning and
-// execution, and the catalog refuses to register what a run materialized
-// once an append has begun since it was planned.
+// Planning takes a handle on each of the chosen plan's inputs before it
+// releases planMu, and the run reads those versions whatever a concurrent
+// AppendRows, delete or eviction does to the names. Once an append has
+// begun since the run was planned, the store refuses its writes and the
+// catalog its registrations (DESIGN §5.9).
 func (s *Session) Run(q *plan.Node, resultName string, mode Mode) (*Metrics, error) {
 	out, err := s.run([]BatchQuery{{Plan: q, ResultName: resultName, Mode: mode}}, false)
 	if err != nil {
@@ -168,10 +166,10 @@ func (s *Session) Run(q *plan.Node, resultName string, mode Mode) (*Metrics, err
 // run is the one executor entry behind Run and RunBatch, the paper's Fig 1
 // loop for N queries: plan them under one planMu hold, run their jobs as
 // one unit DAG (execute), then finalize each query in input order — its
-// job records, retention and statistics, spans and metrics — and release
-// the pins with one Unpin → EnforceBudget, on success and on failure
-// alike. share applies RunBatch's cross-query transform (dedupe
-// and shared scans); Run shares nothing.
+// job records, retention and statistics, spans and metrics — and enforce
+// the view budget, on success and on failure alike. share applies
+// RunBatch's cross-query transform (dedupe and shared scans); Run shares
+// nothing.
 func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 	start := time.Now()
 	spans := make([]*obs.Span, len(queries))
@@ -179,7 +177,7 @@ func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 	for qi, q := range queries {
 		spans[qi] = s.Obs.StartSpan(q.ResultName, "query")
 	}
-	plans, pins, err := s.plan(queries, spans)
+	plans, err := s.plan(queries, spans)
 	var x *execution
 	if err == nil {
 		for qi, p := range plans {
@@ -190,14 +188,8 @@ func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 		if x, err = s.execute(plans, share); err == nil {
 			err = s.retain(queries, plans, x, spans, esps)
 		}
-		for _, p := range plans {
-			if d, ok := s.Store.Meta(p.m.ResultName); ok && err == nil {
-				p.m.Result = d.Relation() // while the pins hold; not a counted read
-			}
-		}
-		s.Store.Unpin(pins)
-		// On failure too: outputs were admitted over budget under the pins,
-		// and evictions deferred by them land here.
+		// On failure too: a write always admits its view, so an output
+		// that alone exceeds the budget is evicted here.
 		s.Store.EnforceBudget()
 	}
 	if err != nil {
@@ -213,7 +205,7 @@ func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 		// Credit the views a successful rewrite read with the cost it saved —
 		// the signal the cost-benefit reclamation policy ranks on (§10).
 		m := p.m
-		s.creditRewrite(m, p.chosen)
+		s.creditRewrite(m, p.in)
 		spans[qi].AddSim(m.ExecSeconds + m.StatsSeconds)
 		spans[qi].End()
 		s.record(m, p.hits)
@@ -226,19 +218,22 @@ func (s *Session) run(queries []BatchQuery, share bool) (*BatchResult, error) {
 	return out, nil
 }
 
-// retain finalizes each executed query in input order while its pins are
-// still held: it fills the query's Metrics from its attributed job results,
-// retains its job outputs as views with sampled statistics (§2.1), and
-// closes its execute span.
+// retain finalizes each query in input order: it fills the query's
+// Metrics from its attributed job results and its answer's handle, retains
+// its job outputs as views with sampled statistics (§2.1), and closes its
+// execute span.
 func (s *Session) retain(queries []BatchQuery, plans []plannedQuery, x *execution, spans, esps []*obs.Span) error {
 	for qi, p := range plans {
+		m := p.m
 		if p.jobs == nil {
+			m.Result = p.in[0].Relation() // a bare scan: the answer is its input
 			continue
 		}
-		m := p.m
+		cs := x.perQuery[qi]
+		m.Result = cs[len(cs)-1].out.Relation()
 		m.ExecSeconds, m.DataMovedBytes = x.attributed(qi)
 		m.Jobs = len(p.jobs)
-		sec, err := s.retainViews(p.w, queries[qi].ResultName, p.epoch)
+		sec, err := s.retainViews(p.w, queries[qi].ResultName, p.epoch, cs)
 		if err != nil {
 			return err
 		}
@@ -283,16 +278,16 @@ func (s *Session) record(m *Metrics, hits int64) {
 
 // plannedQuery carries one query's compilation: the chosen plan, its job
 // DAG and executable jobs (nil when the chosen plan is a bare scan of an
-// existing materialization and nothing needs to execute), the ingest epoch
-// the plan was derived under, the pins planning took, and whether it came
-// from the plan cache (1) or not (0).
+// existing materialization and nothing needs to execute), the handles of
+// the datasets it scans, the ingest epoch the plan was derived under, and
+// whether it came from the plan cache (1) or not (0).
 type plannedQuery struct {
 	m      *Metrics
 	chosen *plan.Node
 	w      *optimizer.Work
 	jobs   []*mr.Job
+	in     []*storage.Dataset // in scan order (resolve)
 	epoch  int64
-	pins   []string
 	hits   int64
 	canon  string // a plan-cache entry's: its scanned dataset's Canon()
 }
@@ -308,50 +303,56 @@ type planKey struct {
 }
 
 // plan compiles the queries in input order under one planMu hold and
-// returns their plans with the pins they took; on error the pins taken so
-// far are released. Each plan's inputs and outputs are pinned (pinList) and
-// every scanned input is checked to exist before planMu is released, so
-// execution starts from pinned, validated inputs; the caller owes the
-// Unpin. An input can be missing because it was removed after planning
-// read the catalog, or because retention registered a view whose bytes a
-// delete had just removed (DESIGN §5.9): such a view is dropped and the
-// query replanned in place. Only a missing base table is an error.
-func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery, []string, error) {
+// takes a handle on every dataset each chosen plan scans (resolve) before
+// it releases planMu: execution reads those versions, whatever happens to
+// the names meanwhile. A scanned dataset can be missing because it was
+// removed after planning read the catalog, or because retention
+// registered a view whose bytes a delete had just removed (DESIGN §5.9):
+// such a view is dropped and the query replanned in place. Only a missing
+// base table is an error.
+func (s *Session) plan(queries []BatchQuery, spans []*obs.Span) ([]plannedQuery, error) {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
 	plans := make([]plannedQuery, len(queries))
-	var pins []string
 	for qi, q := range queries {
 		psp := spans[qi].Child("plan")
 		p, err := s.planCached(q)
 		for ; err == nil; p, err = s.planCached(q) {
-			if p.jobs != nil {
-				p.pins = pinList(p.chosen, p.w, q.ResultName)
-				s.Store.Pin(p.pins)
-			}
-			ins := scanList(p.chosen)
-			i := slices.IndexFunc(ins, func(in string) bool { return !s.Store.Has(in) })
-			if i < 0 {
+			var missing string
+			if p.in, missing = s.resolve(p.chosen); missing == "" {
 				break
 			}
-			s.Store.Unpin(p.pins)
-			if t, listed := s.Cat.Table(ins[i]); listed && !t.IsView {
-				err = fmt.Errorf("session: planned input %q: %w", ins[i], storage.ErrNotFound)
+			if t, listed := s.Cat.Table(missing); listed && !t.IsView {
+				err = fmt.Errorf("session: planned input %q: %w", missing, storage.ErrNotFound)
 				break
 			}
-			s.Cat.DropView(ins[i])
+			s.Cat.DropView(missing)
 		}
 		psp.End()
 		if err != nil {
-			s.Store.Unpin(pins)
 			if len(queries) > 1 {
 				err = fmt.Errorf("session: batch query %d (%s): %w", qi, q.ResultName, err)
 			}
-			return nil, nil, err
+			return nil, err
 		}
-		plans[qi], pins = p, append(pins, p.pins...)
+		plans[qi] = p
 	}
-	return plans, pins, nil
+	return plans, nil
+}
+
+// resolve takes the handle of every dataset a plan scans, in scan order;
+// missing names the first one the store does not hold.
+func (s *Session) resolve(chosen *plan.Node) (in []*storage.Dataset, missing string) {
+	plan.Walk(chosen, func(n *plan.Node) {
+		if n.Kind == plan.KindScan && missing == "" {
+			if d, ok := s.Store.Meta(n.Dataset); ok {
+				in = append(in, d)
+			} else {
+				missing = n.Dataset
+			}
+		}
+	})
+	return in, missing
 }
 
 // planCached is one planning pass through the plan cache; the caller holds
@@ -395,7 +396,8 @@ func (s *Session) prunePlans() {
 	maps.DeleteFunc(s.plans, func(_ planKey, p plannedQuery) bool { return !s.stands(p) })
 }
 
-// planLocked is one planning pass; the caller holds planMu.
+// planLocked is one planning pass; the caller holds planMu. Its jobs
+// publish their outputs only while no append has begun (mr.Job.Admit).
 func (s *Session) planLocked(q BatchQuery) (plannedQuery, error) {
 	p := plannedQuery{chosen: q.Plan, epoch: s.Cat.Epoch()}
 	// Estimates are cached per query so every plan for the same logical
@@ -437,44 +439,24 @@ func (s *Session) planLocked(q BatchQuery) (plannedQuery, error) {
 		}
 	}
 	p.jobs, err = s.Opt.Executable(p.w, q.ResultName)
+	for _, j := range p.jobs {
+		j.Admit = func() bool { return s.Cat.Epoch() == p.epoch }
+	}
 	return p, err
 }
 
-// pinList is the set of dataset names one plan's execution pins against
-// capacity eviction: every scanned input plus every job materialization,
-// the sink under the result name it is actually stored as. Names may
-// repeat; Pin/Unpin are count-based per call site.
-func pinList(chosen *plan.Node, w *optimizer.Work, resultName string) []string {
-	inputs := scanList(chosen)
-	for _, jn := range w.Nodes {
-		inputs = append(inputs, w.StoredName(jn, resultName))
-	}
-	return inputs
-}
-
-// scanList is the stored datasets a plan reads.
-func scanList(chosen *plan.Node) []string {
-	var inputs []string
-	plan.Walk(chosen, func(n *plan.Node) {
-		if n.Kind == plan.KindScan {
-			inputs = append(inputs, n.Dataset)
-		}
-	})
-	return inputs
-}
-
 // retainViews registers every new materialization of an executed plan as an
-// opportunistic view and samples its statistics, in node order. Returns the
-// simulated seconds the sampling jobs cost. The caller holds the plan's
-// pins.
+// opportunistic view and samples its statistics, in node order; cs are the
+// plan's jobs as they ran, parallel to w.Nodes. Returns the simulated
+// seconds the sampling jobs cost.
 //
 // epoch is the ingest epoch the plan was derived under. The catalog
 // refuses a registration once an append has begun since: the
 // materialization may describe pre-append base contents, and registering
 // it would resurrect exactly the staleness the append cleans up. A refused
-// materialization is discarded; the caller's result stays readable but
-// unregistered.
-func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64) (float64, error) {
+// intermediate is discarded, if the store still holds the version this run
+// wrote; the caller's result stays readable but unregistered.
+func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64, cs []*batchConsumer) (float64, error) {
 	var total float64
 	stale := false
 	for i, jn := range w.Nodes {
@@ -494,7 +476,7 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 		if info == nil {
 			stale = true
 			if jn != w.Sink() {
-				s.Store.Delete(name)
+				s.Store.Discard(cs[i].out)
 			}
 			continue
 		}
@@ -503,8 +485,8 @@ func (s *Session) retainViews(w *optimizer.Work, resultName string, epoch int64)
 		}
 		sec, err := s.Cat.CollectStats(s.Eng, name, s.statsSeed.Add(1)+int64(i))
 		if errors.Is(err, storage.ErrNotFound) {
-			// Deleted after the check above (a concurrent DropViews; the pins
-			// rule out eviction), before or after the registration: the query
+			// Removed after the check above (a concurrent delete or
+			// eviction), before or after the registration: the query
 			// succeeded, the view is just not retained.
 			s.Cat.DropView(name)
 			continue

@@ -180,30 +180,6 @@ func TestEvictionKeepsCatalogConsistent(t *testing.T) {
 	listedStored("enforce budget")
 }
 
-// TestDeletePinnedViewUnlistsAtRequest: deleting a view a running plan
-// pins unlists it at once, so no new plan reads it; its bytes stay
-// readable for the pin holder until the last Unpin removes them.
-func TestDeletePinnedViewUnlistsAtRequest(t *testing.T) {
-	s := demo(t, 100)
-	if _, err := s.Run(q(), "res", ModeOriginal); err != nil {
-		t.Fatal(err)
-	}
-	s.Store.Pin([]string{"res"})
-	if s.Store.Delete("res") {
-		t.Error("Delete of a pinned view removed it at once")
-	}
-	if isListed(s, "res") {
-		t.Error("the deleted view is still listed")
-	}
-	if _, err := s.Store.Read("res"); err != nil {
-		t.Errorf("the pinned view's bytes are gone before its Unpin: %v", err)
-	}
-	s.Store.Unpin([]string{"res"})
-	if s.Store.Has("res") {
-		t.Error("the last Unpin did not remove the deleted view")
-	}
-}
-
 func TestAppendRowsMaintainsAndInvalidatesDerivedViews(t *testing.T) {
 	s := demo(t, 100)
 	if _, err := s.Run(q(), "res", ModeOriginal); err != nil {
@@ -347,28 +323,31 @@ func TestAppendRowsReestimatesDistincts(t *testing.T) {
 }
 
 // TestStaleRetentionDropsLayoutClaim: a plan that raced an append keeps its
-// result readable but unregistered — so no layout is claimed for it, as
-// the catalog entry is the one record of a dataset's layout.
+// result readable through its handle but unstored and unregistered — so no
+// layout is claimed for it, as the catalog entry is the one record of a
+// dataset's layout.
 func TestStaleRetentionDropsLayoutClaim(t *testing.T) {
 	s := demo(t, 100)
 	byUser := plan.GroupAgg(plan.Scan("logs"), []string{"user"}, plan.AggSpec{Func: plan.AggCount, As: "n"})
 	queries := []BatchQuery{{Plan: byUser, ResultName: "res", Mode: ModeOriginal}}
 	spans := make([]*obs.Span, len(queries))
-	plans, pins, err := s.plan(queries, spans)
+	plans, err := s.plan(queries, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Cat.BeginAppend() // an AppendRows began between planning and retention
+	s.Cat.BeginAppend() // an AppendRows began between planning and execution
 	x, err := s.execute(plans, false)
 	if err == nil {
 		err = s.retain(queries, plans, x, spans, spans)
 	}
-	s.Store.Unpin(pins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Store.Has("res") {
+	if plans[0].m.Result == nil || plans[0].m.Result.Len() == 0 {
 		t.Fatal("stale result not readable")
+	}
+	if s.Store.Has("res") {
+		t.Fatal("a run planned before an append stored its result")
 	}
 	if _, known := s.Cat.Table("res"); known {
 		t.Fatal("stale result registered")
@@ -471,11 +450,10 @@ func deleteListed(t *testing.T, s *Session, name string) {
 
 // TestRunReplansAroundVanishedView: the catalog can offer a view the store
 // no longer holds (registered by a retention that lost a race with a
-// delete). Planning pins and validates its inputs before it releases
-// planMu, so Run must drop the entry and replan in place — never fail, never
-// hand back a result that is not there, never leak the pins of the
-// abandoned plan. A missing base table cannot be planned around and is a
-// typed error.
+// delete). Planning takes a handle on each input before it releases
+// planMu, so Run must drop the entry and replan in place — never fail,
+// never hand back a result that is not there. A missing base table cannot
+// be planned around and is a typed error.
 func TestRunReplansAroundVanishedView(t *testing.T) {
 	s := demo(t, 100)
 	if _, err := s.Run(qThresh(1), "first", ModeOriginal); err != nil {
@@ -509,8 +487,5 @@ func TestRunReplansAroundVanishedView(t *testing.T) {
 	deleteListed(t, s, "logs")
 	if _, err := s.Run(qThresh(1), "fourth", ModeOriginal); !errors.Is(err, storage.ErrNotFound) {
 		t.Errorf("run over a missing base: err = %v, want storage.ErrNotFound", err)
-	}
-	if pins := s.Store.Pins(); len(pins) != 0 {
-		t.Errorf("dangling pins: %v", pins)
 	}
 }

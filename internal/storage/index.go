@@ -90,24 +90,21 @@ func (ix *Index) Len() int { return ix.rel.Len() }
 // Bytes is the encoded size of the relation the index covers.
 func (ix *Index) Bytes() int64 { return ix.rel.EncodedSize() }
 
-// Index returns the hash index of a dataset's column, building it on first
-// use. The index lives on the Dataset, so Put, Refresh and Delete drop it
-// with the bytes it covers. Opening an index is a read of the dataset: a
-// scripted read fault fails it before anything is served, and a build
-// counts one read of the whole dataset (built reports it). Lookups count
-// nothing here; the caller charges the bytes they matched with CountProbe.
-func (s *Store) Index(name, col string) (ix *Index, built bool, err error) {
+// Index returns the hash index of column col of the version d (a handle
+// Meta or Put returned), building it on first use. The index lives on the
+// Dataset, so a Put or Refresh under the name starts the next version
+// without one. Opening an index is a read of the dataset, addressed by its
+// name like ReadDataset: a scripted read fault fails it before anything is
+// served, and a build counts one read of the whole dataset (built reports
+// it). Lookups count nothing here; the caller charges the bytes they
+// matched with CountProbe.
+func (s *Store) Index(d *Dataset, col string) (ix *Index, built bool, err error) {
 	s.mu.Lock()
-	d, ok := s.datasets[name]
-	if !ok {
-		s.mu.Unlock()
-		return nil, false, fmt.Errorf("storage: dataset %q %w", name, ErrNotFound)
-	}
-	if err := s.readFaultLocked(name); err != nil {
-		s.mu.Unlock()
+	err = s.readFaultLocked(d.Name)
+	s.mu.Unlock()
+	if err != nil {
 		return nil, false, err
 	}
-	s.mu.Unlock()
 
 	// Builds run outside the store lock; the dataset's own lock makes
 	// concurrent openers of one column wait for a single build.

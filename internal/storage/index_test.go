@@ -25,6 +25,12 @@ func keyed(keys ...any) *data.Relation {
 	return r
 }
 
+// stored is the handle on the version the store holds under name.
+func stored(s *Store, name string) *Dataset {
+	d, _ := s.Meta(name)
+	return d
+}
+
 func keyOf(k int) string {
 	var enc data.KeyEncoder
 	return enc.KeyOf(value.NewInt(int64(k)))
@@ -33,8 +39,8 @@ func keyOf(k int) string {
 func TestIndexLookup(t *testing.T) {
 	s := NewStore()
 	r := keyed(3, 1, nil, 3, 2, 3, nil)
-	s.Put("t", Base, r)
-	ix, built, err := s.Index("t", "k")
+	d := s.Put("t", Base, r)
+	ix, built, err := s.Index(d, "k")
 	if err != nil || !built {
 		t.Fatalf("first open: built=%v err=%v", built, err)
 	}
@@ -62,11 +68,8 @@ func TestIndexLookup(t *testing.T) {
 	if ix.Len() != r.Len() || ix.Bytes() != r.EncodedSize() {
 		t.Errorf("index covers %d rows / %d B, relation %d / %d", ix.Len(), ix.Bytes(), r.Len(), r.EncodedSize())
 	}
-	if _, _, err := s.Index("t", "nope"); err == nil {
+	if _, _, err := s.Index(d, "nope"); err == nil {
 		t.Error("an index on a missing column opened")
-	}
-	if _, _, err := s.Index("missing", "k"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("index of a missing dataset: %v, want ErrNotFound", err)
 	}
 }
 
@@ -79,7 +82,7 @@ func TestIndexBuildCountsOneRead(t *testing.T) {
 	d := s.Put("t", Base, keyed(1, 2, 2))
 	before := s.Counters()
 	for i := 0; i < 3; i++ {
-		if _, built, err := s.Index("t", "k"); err != nil || built != (i == 0) {
+		if _, built, err := s.Index(d, "k"); err != nil || built != (i == 0) {
 			t.Fatalf("open %d: built=%v err=%v", i, built, err)
 		}
 	}
@@ -102,11 +105,12 @@ func TestIndexBuildCountsOneRead(t *testing.T) {
 }
 
 // TestIndexDroppedWithItsBytes: Put and Refresh install new bytes, so the
-// next open builds over them; Delete drops the dataset and its indexes.
+// next open of the stored version builds over them, while a handle on the
+// old version keeps the index it built.
 func TestIndexDroppedWithItsBytes(t *testing.T) {
 	s := NewStore()
-	s.Put("t", Base, keyed(1))
-	if _, _, err := s.Index("t", "k"); err != nil {
+	old := s.Put("t", Base, keyed(1))
+	if _, _, err := s.Index(old, "k"); err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range []struct {
@@ -120,7 +124,7 @@ func TestIndexDroppedWithItsBytes(t *testing.T) {
 		if err := step.do(); err != nil {
 			t.Fatal(err)
 		}
-		ix, built, err := s.Index("t", "k")
+		ix, built, err := s.Index(stored(s, "t"), "k")
 		if err != nil || !built {
 			t.Fatalf("after %s: built=%v err=%v; the old index survived", step.name, built, err)
 		}
@@ -129,8 +133,8 @@ func TestIndexDroppedWithItsBytes(t *testing.T) {
 		}
 	}
 	s.Delete("t")
-	if _, _, err := s.Index("t", "k"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("index of a deleted dataset: %v", err)
+	if _, built, err := s.Index(old, "k"); err != nil || built {
+		t.Errorf("reopening the old version's index: built=%v err=%v; want its own index", built, err)
 	}
 }
 
@@ -152,13 +156,13 @@ func TestIndexOpenIsARead(t *testing.T) {
 	s.Put("t", Base, keyed(1, 2))
 	s.SetFaults(&failReads{n: 1})
 	before := s.Counters()
-	if _, _, err := s.Index("t", "k"); err == nil {
+	if _, _, err := s.Index(stored(s, "t"), "k"); err == nil {
 		t.Fatal("the scripted fault did not fail the open")
 	}
 	if s.Counters() != before {
 		t.Errorf("a failed open counted I/O: %+v -> %+v", before, s.Counters())
 	}
-	if _, built, err := s.Index("t", "k"); err != nil || !built {
+	if _, built, err := s.Index(stored(s, "t"), "k"); err != nil || !built {
 		t.Errorf("open after the fault: built=%v err=%v", built, err)
 	}
 }
@@ -182,7 +186,7 @@ func TestIndexConcurrentProbes(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			defer builds.Done()
-			ix, fresh, err := s.Index("t", "k")
+			ix, fresh, err := s.Index(d, "k")
 			if err != nil {
 				t.Error(err)
 				return

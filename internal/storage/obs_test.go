@@ -29,11 +29,6 @@ func TestStoreObsCounters(t *testing.T) {
 	s.Put("v2", View, rel(10))
 	s.Put("v3", View, rel(10)) // evicts one view
 
-	s.Pin([]string{"base"})
-	s.Pin([]string{"base"}) // second pin on a held dataset = contention
-	s.Unpin([]string{"base"})
-	s.Unpin([]string{"base"})
-
 	snap := reg.Snapshot()
 	c := s.Counters()
 	if got := snap.Counters["storage_read_ops_total"]; got != 1 {
@@ -60,9 +55,6 @@ func TestStoreObsCounters(t *testing.T) {
 	}
 	if got := snap.Counters["storage_evicted_bytes_total{policy=lru}"]; got != sz {
 		t.Errorf("evicted bytes = %d, want %d", got, sz)
-	}
-	if got := snap.Counters["storage_pin_contention_total"]; got != 1 {
-		t.Errorf("pin contention = %d, want 1", got)
 	}
 	if got := snap.Gauges["storage_view_bytes"]; got != float64(s.ViewBytes()) {
 		t.Errorf("view bytes gauge = %g, want %d", got, s.ViewBytes())

@@ -2,6 +2,11 @@
 // opportunistic materialized views) with exact byte accounting for reads,
 // writes, and samples.
 //
+// A *Dataset is one immutable version of a name. Holding it is what keeps
+// a version readable: a run reads the handles it resolved at plan time and
+// the ones its own jobs' writes returned, so removals and replacements take
+// effect in the namespace at once and never under a reader.
+//
 // The paper's system retains every MR job output "space permitting"
 // (§2.1); Store supports an optional capacity budget for view storage with
 // pluggable reclamation policies (LRU, LFU, cost-benefit — §10).
@@ -30,7 +35,8 @@ const (
 	View
 )
 
-// Dataset is one stored table plus retention metadata.
+// Dataset is one stored version of a table plus retention metadata, and
+// the handle its readers hold.
 type Dataset struct {
 	Name      string
 	Kind      Kind
@@ -82,17 +88,14 @@ type Counters struct {
 	WriteOps     int64
 }
 
-// Store is the simulated HDFS namespace.
+// Store is the simulated HDFS namespace. Put, Refresh and the removals
+// change which Dataset a name maps to, never the bytes of one.
 type Store struct {
 	mu       sync.Mutex
 	datasets map[string]*Dataset
 	seq      int64
-	pinned   map[string]int // eviction-exempt datasets (inputs of running plans)
-	// doomed marks datasets whose deletion was requested while pinned: the
-	// data stays readable for the plans holding the pin and is removed when
-	// the last pin is released. A Put or Refresh under the same name clears
-	// the mark — fresh data supersedes the stale-data deletion intent.
-	doomed map[string]bool
+	// protected names the views eviction skips (Protect).
+	protected map[string]bool
 
 	counters Counters
 
@@ -105,25 +108,23 @@ type Store struct {
 	// obs method is a no-op on nil, so the uninstrumented path costs one
 	// pointer check). Eviction counters are labeled by policy and resolved
 	// per event, since the policy can change between evictions.
-	obsReg           *obs.Registry
-	obsReadOps       *obs.Counter
-	obsReadBytes     *obs.Counter
-	obsWriteOps      *obs.Counter
-	obsWriteBytes    *obs.Counter
-	obsSampleOps     *obs.Counter
-	obsSampleBytes   *obs.Counter
-	obsPinContention *obs.Counter
-	obsViewBytes     *obs.Gauge
+	obsReg         *obs.Registry
+	obsReadOps     *obs.Counter
+	obsReadBytes   *obs.Counter
+	obsWriteOps    *obs.Counter
+	obsWriteBytes  *obs.Counter
+	obsSampleOps   *obs.Counter
+	obsSampleBytes *obs.Counter
+	obsViewBytes   *obs.Gauge
 
 	// faults, when set, can fail reads (chaos testing). A failed read
 	// serves no bytes, so engine-side accounting still reconciles with the
 	// Counters exactly.
 	faults ReadFaultInjector
 
-	// OnRemove, when set, hears of every removal: an eviction, and a Delete
-	// or DropViews at the request (a pinned dataset's bytes stay readable)
-	// and again when the last Unpin removes them. It runs under the store's
-	// lock and must not call the store.
+	// OnRemove, when set, hears of every removal once, as it happens: an
+	// eviction, a Delete, a Discard or a DropViews. It runs under the
+	// store's lock and must not call the store.
 	OnRemove func(name string)
 }
 
@@ -148,7 +149,6 @@ func (s *Store) SetObs(reg *obs.Registry) {
 	s.obsWriteBytes = reg.Counter("storage_write_bytes_total")
 	s.obsSampleOps = reg.Counter("storage_sample_ops_total")
 	s.obsSampleBytes = reg.Counter("storage_sample_bytes_total")
-	s.obsPinContention = reg.Counter("storage_pin_contention_total")
 	s.obsViewBytes = reg.Gauge("storage_view_bytes")
 }
 
@@ -167,51 +167,25 @@ func (s *Store) viewBytesLocked() int64 {
 func NewStore() *Store {
 	return &Store{
 		datasets: make(map[string]*Dataset),
-		pinned:   make(map[string]int),
-		doomed:   make(map[string]bool),
 		Policy:   PolicyLRU,
 	}
 }
 
-// Pin protects datasets from capacity eviction while a plan that reads them
-// executes (real systems hold leases on job inputs). Pins nest; call Unpin
-// with the same names when done.
-func (s *Store) Pin(names []string) {
+// Protect makes names the set of views eviction skips, replacing the set
+// a previous call gave; nil protects none. The multi-tenant service keeps
+// its hottest views here between batches.
+func (s *Store) Protect(names []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.protected = make(map[string]bool, len(names))
 	for _, n := range names {
-		if s.pinned[n] > 0 {
-			s.obsPinContention.Inc()
-		}
-		s.pinned[n]++
-	}
-}
-
-// Unpin releases a prior Pin. Releasing the last pin on a dataset whose
-// deletion was deferred (see Delete) removes it now.
-func (s *Store) Unpin(names []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dropped := false
-	for _, n := range names {
-		if s.pinned[n] <= 1 {
-			delete(s.pinned, n)
-			if s.doomed[n] {
-				s.removeLocked(n)
-				dropped = true
-			}
-		} else {
-			s.pinned[n]--
-		}
-	}
-	if dropped {
-		s.obsViewBytes.Set(float64(s.viewBytesLocked()))
+		s.protected[n] = true
 	}
 }
 
 // RetentionInfo is a consistent snapshot of one view's retention signals
 // (the same numbers the reclamation policies rank by). The multi-tenant
-// service reads these to decide which shared views to keep pinned under
+// service reads these to decide which shared views to protect under
 // contention; Meta returns a live pointer whose fields mutate under the
 // store lock, so cross-goroutine readers use this snapshot instead.
 type RetentionInfo struct {
@@ -219,7 +193,6 @@ type RetentionInfo struct {
 	SizeBytes int64
 	UseCount  int64
 	Benefit   float64
-	Pinned    bool
 }
 
 // ViewRetention snapshots retention metadata for every stored view.
@@ -228,33 +201,21 @@ func (s *Store) ViewRetention() []RetentionInfo {
 	defer s.mu.Unlock()
 	out := make([]RetentionInfo, 0, len(s.datasets))
 	for name, d := range s.datasets {
-		if d.Kind != View || s.doomed[name] {
+		if d.Kind != View {
 			continue
 		}
 		out = append(out, RetentionInfo{
 			Name: name, SizeBytes: d.SizeBytes,
 			UseCount: d.UseCount, Benefit: d.Benefit,
-			Pinned: s.pinned[name] > 0,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// Pins returns a snapshot of the pin counts (tests and diagnostics).
-func (s *Store) Pins() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.pinned))
-	for n, c := range s.pinned {
-		out[n] = c
-	}
-	return out
-}
-
-// EnforceBudget evicts views down to the capacity budget (eviction
-// otherwise only triggers on writes; callers invoke this after releasing
-// pins so a finished plan's inputs become reclaimable).
+// EnforceBudget evicts views down to the capacity budget. Eviction
+// otherwise only triggers on writes, which always admit the incoming view:
+// this is where a view that alone exceeds the budget goes.
 func (s *Store) EnforceBudget() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,9 +237,20 @@ func (s *Store) EnforceBudget() {
 // LFU, cost-benefit, and FIFO reclamation policies rank on must survive.
 // (Only LastUsedSeq advances — the write itself is a touch.)
 func (s *Store) Put(name string, kind Kind, rel *data.Relation) *Dataset {
+	d, _ := s.PutIf(name, kind, rel, nil)
+	return d
+}
+
+// PutIf is Put when admit reports true (a nil admit always does); stored
+// reports which. admit runs under the store's lock, so no other write or
+// removal lands between the check and the publish, and it must not call
+// the store. A refused write counts its bytes as written but publishes
+// nothing: the returned handle reads like a stored dataset and stands
+// outside the namespace, and the name keeps whatever it held.
+func (s *Store) PutIf(name string, kind Kind, rel *data.Relation, admit func() bool) (d *Dataset, stored bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.putLocked(name, kind, rel)
+	return s.putLocked(name, kind, rel, admit)
 }
 
 // Refresh is Put under an existing dataset's kind (incremental view
@@ -291,11 +263,12 @@ func (s *Store) Refresh(name string, rel *data.Relation) (*Dataset, error) {
 	if !ok {
 		return nil, fmt.Errorf("storage: refresh of unknown dataset %q", name)
 	}
-	return s.putLocked(name, old.Kind, rel), nil
+	d, _ := s.putLocked(name, old.Kind, rel, nil)
+	return d, nil
 }
 
-// putLocked is Put; the caller holds s.mu.
-func (s *Store) putLocked(name string, kind Kind, rel *data.Relation) *Dataset {
+// putLocked is PutIf; the caller holds s.mu.
+func (s *Store) putLocked(name string, kind Kind, rel *data.Relation, admit func() bool) (*Dataset, bool) {
 	s.seq++
 	d := &Dataset{
 		Name:        name,
@@ -305,26 +278,29 @@ func (s *Store) putLocked(name string, kind Kind, rel *data.Relation) *Dataset {
 		LastUsedSeq: s.seq,
 		rel:         rel,
 	}
+	s.counters.BytesWritten += d.SizeBytes
+	s.counters.WriteOps++
+	s.obsWriteOps.Inc()
+	s.obsWriteBytes.Add(d.SizeBytes)
+	if admit != nil && !admit() {
+		return d, false
+	}
 	if old, ok := s.datasets[name]; ok && old.Kind == kind {
 		d.CreatedSeq = old.CreatedSeq
 		d.UseCount = old.UseCount
 		d.Benefit = old.Benefit
 	}
 	s.datasets[name] = d
-	delete(s.doomed, name) // fresh contents supersede a deferred deletion
-	s.counters.BytesWritten += d.SizeBytes
-	s.counters.WriteOps++
-	s.obsWriteOps.Inc()
-	s.obsWriteBytes.Add(d.SizeBytes)
 	if kind == View && s.ViewCapacityBytes > 0 {
 		s.evictLocked(name)
 	}
 	s.obsViewBytes.Set(float64(s.viewBytesLocked()))
-	return d
+	return d, true
 }
 
-// evictLocked removes views (never the just-written `keep` view, never base
-// data) until view bytes fit the budget.
+// evictLocked removes views (never the just-written `keep` view, never a
+// protected one, never base data) until view bytes fit the budget. A run
+// reading an evicted view holds its handle and reads on.
 func (s *Store) evictLocked(keep string) {
 	for {
 		var total int64
@@ -332,7 +308,7 @@ func (s *Store) evictLocked(keep string) {
 		for _, d := range s.datasets {
 			if d.Kind == View {
 				total += d.SizeBytes
-				if d.Name != keep && s.pinned[d.Name] == 0 {
+				if d.Name != keep && !s.protected[d.Name] {
 					views = append(views, d)
 				}
 			}
@@ -365,7 +341,8 @@ func (s *Store) Meta(name string) (*Dataset, bool) {
 	return d, ok
 }
 
-// Read returns the relation, counting a full read of its bytes.
+// Read returns the relation stored under name, counting a full read of its
+// bytes.
 func (s *Store) Read(name string) (*data.Relation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -373,7 +350,23 @@ func (s *Store) Read(name string) (*data.Relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("storage: dataset %q %w", name, ErrNotFound)
 	}
-	if err := s.readFaultLocked(name); err != nil {
+	return s.readLocked(d)
+}
+
+// ReadDataset returns the relation of the version d, a handle Meta, Put or
+// PutIf returned, however the namespace changed since, counting a full read
+// of its bytes. The read is addressed by d's name as any other is: a
+// scripted read fault for the name fails it, and the retention signals of
+// the dataset stored under the name, if any, record the use.
+func (s *Store) ReadDataset(d *Dataset) (*data.Relation, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.readLocked(d)
+}
+
+// readLocked is ReadDataset; the caller holds s.mu.
+func (s *Store) readLocked(d *Dataset) (*data.Relation, error) {
+	if err := s.readFaultLocked(d.Name); err != nil {
 		return nil, err
 	}
 	s.countReadLocked(d)
@@ -394,11 +387,14 @@ func (s *Store) readFaultLocked(name string) error {
 	return nil
 }
 
-// countReadLocked counts one full read of the dataset.
+// countReadLocked counts one full read of the version d, touching the
+// dataset stored under its name.
 func (s *Store) countReadLocked(d *Dataset) {
 	s.seq++
-	d.LastUsedSeq = s.seq
-	d.UseCount++
+	if cur, ok := s.datasets[d.Name]; ok {
+		cur.LastUsedSeq = s.seq
+		cur.UseCount++
+	}
 	s.counters.BytesRead += d.SizeBytes
 	s.counters.ReadOps++
 	s.obsReadOps.Inc()
@@ -450,51 +446,45 @@ func (s *Store) Sample(d *Dataset, frac float64, seed int64) (*data.Relation, er
 	return out, nil
 }
 
-// Delete removes a dataset. If the dataset is pinned by a running plan the
-// removal is deferred — the data stays readable and is dropped when the last
-// pin releases — and Delete returns false. Returns true when the dataset was
-// removed immediately (or did not exist). OnRemove hears of it at once.
-func (s *Store) Delete(name string) bool {
+// Delete removes a dataset; OnRemove hears of it. Runs that hold its
+// handle read on.
+func (s *Store) Delete(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.datasets[name]; ok && s.pinned[name] > 0 {
-		s.doomed[name] = true
-		s.onRemove(name)
-		return false
+	if _, ok := s.datasets[name]; ok {
+		s.removeLocked(name)
+		s.obsViewBytes.Set(float64(s.viewBytesLocked()))
 	}
-	s.removeLocked(name)
-	s.obsViewBytes.Set(float64(s.viewBytesLocked()))
-	return true
+}
+
+// Discard removes the version d while it is still the one stored under its
+// name, and nothing otherwise: a newer version, or one another writer
+// stored, stays.
+func (s *Store) Discard(d *Dataset) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.datasets[d.Name] == d {
+		s.removeLocked(d.Name)
+		s.obsViewBytes.Set(float64(s.viewBytesLocked()))
+	}
 }
 
 // removeLocked drops a dataset and reports it; the caller holds s.mu.
 func (s *Store) removeLocked(name string) {
 	delete(s.datasets, name)
-	delete(s.doomed, name)
-	s.onRemove(name)
-}
-
-// onRemove reports a removal to OnRemove; the caller holds s.mu.
-func (s *Store) onRemove(name string) {
 	if s.OnRemove != nil {
 		s.OnRemove(name)
 	}
 }
 
-// DropViews removes every view, keeping base data. Pinned views are deferred
-// like Delete. Returns the number dropped immediately. Experiments use this
-// between workload phases (§8.3.1).
+// DropViews removes every view, keeping base data, and returns how many it
+// removed. Experiments use this between workload phases (§8.3.1).
 func (s *Store) DropViews() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for name, d := range s.datasets {
 		if d.Kind == View {
-			if s.pinned[name] > 0 {
-				s.doomed[name] = true
-				s.onRemove(name)
-				continue
-			}
 			s.removeLocked(name)
 			n++
 		}

@@ -347,92 +347,142 @@ func TestEvictionDeterministicOnTies(t *testing.T) {
 	}
 }
 
-func TestDeleteDefersWhilePinned(t *testing.T) {
+// TestHandleOutlivesRemoval: a handle reads its version after Delete,
+// DropViews, eviction and a replacing Put took the name away, each removal
+// taking effect in the namespace at once. A read by handle counts its
+// version's bytes and touches whatever the name holds now.
+func TestHandleOutlivesRemoval(t *testing.T) {
 	s := NewStore()
+	s.Put("keep", View, rel(2))
+	for _, remove := range []struct {
+		name string
+		do   func(s *Store)
+	}{
+		{"delete", func(s *Store) { s.Delete("v") }},
+		{"drop views", func(s *Store) { s.DropViews() }},
+		{"eviction", func(s *Store) {
+			s.ViewCapacityBytes = 1
+			s.EnforceBudget()
+			s.ViewCapacityBytes = 0
+		}},
+		{"replacing put", func(s *Store) { s.Put("v", View, rel(9)) }},
+	} {
+		h := s.Put("v", View, rel(5))
+		want := h.Relation().Fingerprint()
+		remove.do(s)
+		if cur, ok := s.Meta("v"); ok && cur == h {
+			t.Fatalf("%s: the name still maps to the removed version", remove.name)
+		}
+		before := s.Counters()
+		got, err := s.ReadDataset(h)
+		if err != nil || got.Fingerprint() != want {
+			t.Fatalf("%s: the handle reads %v, %v; want its own version", remove.name, got, err)
+		}
+		if d := s.Counters().BytesRead - before.BytesRead; d != h.SizeBytes {
+			t.Errorf("%s: a read by handle counted %d bytes, want %d", remove.name, d, h.SizeBytes)
+		}
+		s.Delete("v")
+	}
 	s.Put("v", View, rel(5))
-	s.Pin([]string{"v"})
-	s.Pin([]string{"v"}) // nested pin
-
-	if s.Delete("v") {
-		t.Error("Delete of a pinned dataset reported immediate removal")
-	}
-	if !s.Has("v") {
-		t.Fatal("pinned dataset removed under a running plan")
-	}
-	if _, err := s.Read("v"); err != nil {
-		t.Errorf("pinned dataset unreadable after deferred delete: %v", err)
-	}
-	s.Unpin([]string{"v"})
-	if !s.Has("v") {
-		t.Fatal("dataset removed before the last pin released")
-	}
-	s.Unpin([]string{"v"})
-	if s.Has("v") {
-		t.Error("deferred deletion not applied on last Unpin")
-	}
-	if len(s.Pins()) != 0 {
-		t.Errorf("pin bookkeeping leaked: %v", s.Pins())
-	}
-	// a fresh view under the same name must not inherit the doom mark
+	h, _ := s.Meta("v")
 	s.Put("v", View, rel(3))
-	s.Pin([]string{"v"})
-	s.Unpin([]string{"v"})
-	if !s.Has("v") {
-		t.Error("stale doom mark deleted a freshly written dataset")
+	if _, err := s.ReadDataset(h); err != nil {
+		t.Fatal(err)
+	}
+	if cur, _ := s.Meta("v"); cur.UseCount != 1 || h.UseCount != 0 {
+		t.Errorf("a read of the old version touched use counts %d (stored), %d (read); want 1, 0", cur.UseCount, h.UseCount)
 	}
 }
 
-func TestPutClearsDeferredDeletion(t *testing.T) {
+// TestDiscardRemovesOnlyItsVersion: Discard removes the version it is
+// handed while the name still maps to it, and never a newer one.
+func TestDiscardRemovesOnlyItsVersion(t *testing.T) {
 	s := NewStore()
-	s.Put("v", View, rel(5))
-	s.Pin([]string{"v"})
-	s.Delete("v")
-	// new contents arrive while still pinned: the deletion intent is stale
+	var heard []string
+	s.OnRemove = func(name string) { heard = append(heard, name) }
+	old := s.Put("v", View, rel(5))
 	s.Put("v", View, rel(8))
-	s.Unpin([]string{"v"})
-	if !s.Has("v") {
-		t.Error("Unpin deleted a dataset refreshed after the deferred delete")
+	s.Discard(old)
+	if !s.Has("v") || len(heard) != 0 {
+		t.Fatalf("discarding a superseded version removed the newer one (heard %v)", heard)
+	}
+	cur, _ := s.Meta("v")
+	s.Discard(cur)
+	if s.Has("v") || !slices.Equal(heard, []string{"v"}) {
+		t.Errorf("discarding the stored version: stored %v, heard %v", s.Has("v"), heard)
+	}
+	s.Discard(cur) // gone already: nothing to remove
+	if len(heard) != 1 {
+		t.Errorf("a second Discard was heard: %v", heard)
+	}
+}
+
+// TestPutIfRefusedPublishesNothing: a refused write counts its bytes and
+// returns a readable handle, but the name keeps what it held and no
+// eviction runs for it.
+func TestPutIfRefusedPublishesNothing(t *testing.T) {
+	s := NewStore()
+	prev := s.Put("v", View, rel(4))
+	s.ViewCapacityBytes = prev.SizeBytes
+	before := s.Counters()
+	h, stored := s.PutIf("v", View, rel(7), func() bool { return false })
+	if stored {
+		t.Fatal("a refused write reports stored")
+	}
+	if cur, _ := s.Meta("v"); cur != prev {
+		t.Error("a refused write replaced the stored version")
+	}
+	if got := s.Counters(); got.BytesWritten-before.BytesWritten != h.SizeBytes || got.WriteOps != before.WriteOps+1 {
+		t.Errorf("a refused write counted %+v → %+v, want its %d bytes", before, got, h.SizeBytes)
+	}
+	if got, err := s.ReadDataset(h); err != nil || got.Len() != 7 {
+		t.Errorf("the refused write's handle reads %v, %v", got, err)
+	}
+	if d, stored := s.PutIf("w", View, rel(2), func() bool { return true }); !stored || !s.Has("w") || s.Has("v") {
+		t.Errorf("an admitted write: stored %v, w %v, v %v; want stored with v evicted", stored, d != nil && s.Has("w"), s.Has("v"))
+	}
+}
+
+// TestProtectReplacesTheSet: eviction skips the protected views, and each
+// Protect call replaces the whole set.
+func TestProtectReplacesTheSet(t *testing.T) {
+	s := NewStore()
+	for _, n := range []string{"a", "b", "c"} {
+		s.Put(n, View, rel(4))
+	}
+	s.Protect([]string{"a", "b"})
+	s.ViewCapacityBytes = 1
+	s.EnforceBudget()
+	if got := s.List(View); !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("protected {a, b}: left %v", got)
+	}
+	s.Protect([]string{"b"})
+	s.EnforceBudget()
+	if got := s.List(View); !slices.Equal(got, []string{"b"}) {
+		t.Fatalf("protected {b}: left %v", got)
+	}
+	s.Protect(nil)
+	s.EnforceBudget()
+	if got := s.List(View); len(got) != 0 {
+		t.Errorf("protected nothing: left %v", got)
 	}
 }
 
 func TestDeleteUnpinnedAndMissing(t *testing.T) {
 	s := NewStore()
 	s.Put("v", View, rel(2))
-	if !s.Delete("v") {
-		t.Error("Delete of an unpinned dataset not immediate")
+	s.Delete("v")
+	if s.Has("v") {
+		t.Error("Delete did not remove the dataset at once")
 	}
-	if !s.Delete("missing") {
-		t.Error("Delete of a missing dataset should report true")
-	}
-	// pinned name with no dataset behind it: nothing to defer
-	s.Pin([]string{"ghost"})
-	if !s.Delete("ghost") {
-		t.Error("Delete of a pinned but nonexistent dataset should report true")
-	}
-	s.Unpin([]string{"ghost"})
-}
-
-func TestDropViewsSparesPinned(t *testing.T) {
-	s := NewStore()
-	s.Put("base", Base, rel(4))
-	s.Put("v1", View, rel(4))
-	s.Put("v2", View, rel(4))
-	s.Pin([]string{"v1"})
-	if n := s.DropViews(); n != 1 {
-		t.Errorf("DropViews dropped %d immediately, want 1", n)
-	}
-	if !s.Has("v1") || s.Has("v2") || !s.Has("base") {
-		t.Error("DropViews removed the wrong datasets")
-	}
-	s.Unpin([]string{"v1"})
-	if s.Has("v1") {
-		t.Error("pinned view survived past its last pin after DropViews")
+	s.Delete("missing") // a no-op
+	if s.Has("missing") {
+		t.Error("Delete of a missing dataset created it")
 	}
 }
 
 // TestOnRemoveHearsEveryRemoval: eviction, Delete and DropViews report each
-// name they remove; a pinned dataset is reported at the request and again
-// when the last Unpin removes it. Writes report nothing.
+// name they remove, once, as they remove it. Writes report nothing.
 func TestOnRemoveHearsEveryRemoval(t *testing.T) {
 	s := NewStore()
 	var heard []string
@@ -460,24 +510,16 @@ func TestOnRemoveHearsEveryRemoval(t *testing.T) {
 	s.Delete("v3")
 	expect("delete", "v3")
 
-	s.Put("v4", View, rel(4))
-	s.Pin([]string{"v4"})
-	s.Delete("v4")
-	expect("pinned delete", "v4")
-	if !s.Has("v4") {
-		t.Error("pinned delete removed the bytes at the request")
-	}
-	s.Unpin([]string{"v4"})
-	expect("last unpin", "v4")
+	s.Delete("v3")
+	expect("delete of a removed dataset")
 
 	s.Put("v5", View, rel(4))
 	s.Put("v6", View, rel(4))
-	s.Pin([]string{"v5"})
-	s.DropViews()
+	if n := s.DropViews(); n != 2 {
+		t.Errorf("DropViews removed %d views, want 2", n)
+	}
 	slices.Sort(heard)
 	expect("drop views", "v5", "v6")
-	s.Unpin([]string{"v5"})
-	expect("last unpin after drop views", "v5")
 	if !s.Has("base") {
 		t.Error("DropViews removed base data")
 	}

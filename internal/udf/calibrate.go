@@ -36,7 +36,7 @@ func (r *Registry) Calibrate(engine *mr.Engine, dataset string, d *Descriptor, a
 		return nil, fmt.Errorf("udf: calibrate %s: %w", d.Name, err)
 	}
 	sampleName, outName := fmt.Sprintf("_calib_%s_in", d.Name), fmt.Sprintf("_calib_%s_out", d.Name)
-	engine.Store.Put(sampleName, storage.View, sample)
+	in := engine.Store.Put(sampleName, storage.View, sample)
 	// Calibration scratch datasets are not physical design: remove them
 	// however the run ends.
 	defer engine.Store.Delete(sampleName)
@@ -53,8 +53,9 @@ func (r *Registry) Calibrate(engine *mr.Engine, dataset string, d *Descriptor, a
 
 	outSchema := data.NewSchema("_probe")
 	job := &mr.Job{
-		Name:   "calibrate-" + d.Name,
-		Inputs: []string{sampleName},
+		Name:    "calibrate-" + d.Name,
+		Inputs:  []string{sampleName},
+		Sources: []*storage.Dataset{in},
 		BatchMapFactory: func(mr.TaskCtx) mr.BatchMapFunc {
 			args := make([]value.V, len(idxs))
 			return func(_ int, rows []data.Row, emit mr.Emit) mr.BatchReport {
